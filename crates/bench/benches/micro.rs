@@ -11,6 +11,7 @@ use ftss::protocols::RoundAgreement;
 use ftss::sync_sim::{NoFaults, RunConfig, SyncRunner};
 use ftss::telemetry::{NullSink, RecordingSink};
 use ftss_bench::harness::{black_box, Bencher};
+use ftss_rng::{Rng, StdRng};
 use ftss_sweep::e1_table;
 
 /// Fills one struct-of-arrays round frame with a full n×n mesh: the
@@ -242,6 +243,60 @@ fn main() {
         "check/graph_vs_enum gate: the graph explorer must do ≥10× fewer \
          round executions than the enumerator at n=3/rounds=3, measured {work_ratio:.1}x"
     );
+
+    // The graph explorer's per-edge kernel at its largest size, n = 6.
+    // `check/canonicalize_n6`: one orbit canonicalization (120
+    // relabelings) per iteration, cycling through states of the shapes a
+    // search meets — half of them settled (equal counters, every rate
+    // flag set, causal reach differing only in who has heard from the
+    // faulty process), half unstructured. `check/expand_n6`: one whole
+    // node expansion — the root's 1024 omission masks, each a simulator
+    // round, a canonicalization, a fingerprint and a visited-set probe.
+    let states: Vec<ftss_check::NodeState> = {
+        let mut rng = StdRng::seed_from_u64(7);
+        let others = 0b11_1110u32;
+        (0..64)
+            .map(|k| {
+                let settled = k % 2 == 0;
+                let mut set = || rng.gen_range(0..64u64) as u32;
+                ftss_check::NodeState {
+                    counters: if settled {
+                        vec![(set() % 2) as u64, 1, 1, 1, 1, 1]
+                    } else {
+                        (0..6).map(|_| (set() % 4) as u64).collect()
+                    },
+                    rate_ok: if settled { 0b11_1111 } else { set() },
+                    reach: (0..6)
+                        .map(|i| {
+                            if settled {
+                                others | set() & 1
+                            } else {
+                                set() | 1 << i
+                            }
+                        })
+                        .collect(),
+                    deviated: true,
+                    coterie: if settled { others } else { set() },
+                    stable_len: 2,
+                    first_window: false,
+                    thm4_alive: 0b11,
+                }
+            })
+            .collect()
+    };
+    let mut next = 0;
+    b.bench("check/canonicalize_n6", || {
+        next = (next + 1) % states.len();
+        black_box(&states[next]).canonicalize(ProcessId(0))
+    });
+    let root_cfg = {
+        let mut c = ftss_check::GraphConfig::fixpoint(6, 7);
+        c.rounds = Some(1);
+        c
+    };
+    b.bench("check/expand_n6", || {
+        ftss_check::explore_graph(black_box(&root_cfg)).unwrap()
+    });
 
     // The sweep executor on a small E1 grid, serial vs. 4 workers. On a
     // multi-core host the jobs4 row should be faster; on a 1-core runner

@@ -69,6 +69,8 @@ pub struct Bencher {
     warmup: Duration,
     measure: Duration,
     batches: u32,
+    /// Whether this is the reduced [`quick`](Bencher::quick) budget.
+    quick: bool,
     results: Vec<Sample>,
 }
 
@@ -86,6 +88,7 @@ impl Bencher {
             warmup: Duration::from_millis(500),
             measure: Duration::from_secs(2),
             batches: 20,
+            quick: false,
             results: Vec::new(),
         }
     }
@@ -96,6 +99,7 @@ impl Bencher {
             warmup: Duration::from_millis(50),
             measure: Duration::from_millis(200),
             batches: 8,
+            quick: true,
             results: Vec::new(),
         }
     }
@@ -156,20 +160,25 @@ impl Bencher {
         }
     }
 
-    /// Renders the recorded samples as a JSON object, one field per
-    /// benchmark in bench order (the trace-schema dialect: unsigned
-    /// integers only, so timings are rounded to whole nanoseconds).
+    /// Renders the recorded samples as a JSON object: a `header` field
+    /// saying what the numbers were taken on (`nproc`: available
+    /// parallelism — a parallel row recorded on one core measures
+    /// scheduling overhead, not speed-up; `bench_quick`: 1 for the reduced
+    /// [`quick`](Bencher::quick) budget), then one field per benchmark in
+    /// bench order (the trace-schema dialect: unsigned integers only, so
+    /// timings are rounded to whole nanoseconds).
     ///
     /// The output parses with [`ftss_telemetry::json::parse`] and, for a
     /// fixed set of benchmarks, has a deterministic field order — suitable
     /// for diffing one CI artifact against another.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, s) in self.results.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("  ");
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut out = format!(
+            "{{\n  \"header\": {{\"nproc\": {nproc}, \"bench_quick\": {}}}",
+            self.quick as u8
+        );
+        for s in &self.results {
+            out.push_str(",\n  ");
             escape_into(&mut out, &s.name);
             out.push_str(&format!(
                 ": {{\"median_ns\": {}, \"min_ns\": {}, \"mean_ns\": {}, \"iters_per_batch\": {}}}",
@@ -218,13 +227,18 @@ mod tests {
         let parsed = ftss_telemetry::json::parse(&json).expect("self-emitted JSON parses");
         match &parsed {
             ftss_telemetry::json::JsonValue::Obj(fields) => {
-                // Bench order, not alphabetical: determinism comes from the
-                // bench program, not from sorting.
-                assert_eq!(fields[0].0, "z/last\"quoted");
-                assert_eq!(fields[1].0, "a/first");
+                // The header, then bench order, not alphabetical:
+                // determinism comes from the bench program, not from
+                // sorting.
+                assert_eq!(fields[0].0, "header");
+                assert_eq!(fields[1].0, "z/last\"quoted");
+                assert_eq!(fields[2].0, "a/first");
             }
             other => panic!("expected object, got {other:?}"),
         }
+        let header = parsed.get("header").expect("header field");
+        assert!(header.get("nproc").and_then(|v| v.as_u64()) >= Some(1));
+        assert_eq!(header.get("bench_quick").and_then(|v| v.as_u64()), Some(1));
         let med = parsed
             .get("a/first")
             .and_then(|s| s.get("median_ns"))

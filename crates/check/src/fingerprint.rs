@@ -27,7 +27,11 @@
 //!    permutations fixing the faulty index; the chosen permutation is
 //!    returned so the explorer can reconstruct a concrete witness tape
 //!    through the quotient (see DESIGN.md §14 for the soundness
-//!    argument).
+//!    argument). The search never builds those encodings: a per-`(n,
+//!    faulty)` `PermTable` holds every relabeling with its inverse and
+//!    a set-relabel lookup, and each candidate is compared field by
+//!    field against the best so far, stopping at the first field that
+//!    differs.
 //! 3. **Fingerprint** ([`Fingerprinter`]) — the canonical encoding hashed
 //!    to 128 bits, TLC-style: the visited set stores fingerprints, not
 //!    states. Two independent 64-bit multiply–rotate–xor lanes keyed from
@@ -39,10 +43,17 @@
 
 use ftss::core::ProcessId;
 use ftss_rng::SplitMix64;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
-/// Ceiling on `n` for the graph explorer: canonicalization enumerates
-/// `(n-1)!` permutations and a round has `2^(2(n-1))` omission masks, so
-/// 6 (120 permutations, 1024 masks) is where exhaustiveness stays cheap.
+/// Ceiling on `n` for the graph explorer. A node has `2^(2(n-1))`
+/// outgoing omission masks and its orbit `(n-1)!` relabelings: 1024 and
+/// 120 at `n = 6` (a ~0.6 M-edge, sub-second fixpoint), 4096 and 720 at
+/// 7. The fixed-size kernel types are sized by it — `PackedState`'s
+/// arrays, the `2^n`-entry set-relabel lookups of `PermTable` — so
+/// raising it is a recompile, not a redesign.
 pub const MAX_GRAPH_N: usize = 6;
 
 /// A permutation of process indices, `perm[old] = new`; identities pad
@@ -172,7 +183,23 @@ impl NodeState {
     /// lexicographically least encoding, with the permutation that maps
     /// `self` onto it. Deterministic (ties cannot happen: equal encodings
     /// are equal states, and the first minimal permutation wins).
+    ///
+    /// # Panics
+    ///
+    /// If `n` is outside `1..=MAX_GRAPH_N`, `faulty` is not a process, or
+    /// a set field has a bit at or above `n`.
     pub fn canonicalize(&self, faulty: ProcessId) -> (NodeState, Perm) {
+        let table = PermTable::get(self.n(), faulty);
+        let (canon, perm) = table.canonicalize(&PackedState::pack(self));
+        (canon.unpack(), perm)
+    }
+
+    /// The canonicalizer this crate shipped before [`PermTable`]: every
+    /// relabeling materialized, encoded and compared as whole buffers.
+    /// Kept as the differential reference the table-driven kernel must
+    /// match `(state, perm)` for `(state, perm)`.
+    #[cfg(test)]
+    fn canonicalize_reference(&self, faulty: ProcessId) -> (NodeState, Perm) {
         let n = self.n();
         let mut best = self.clone();
         let mut best_perm = identity_perm();
@@ -194,6 +221,226 @@ impl NodeState {
             }
         }
         (best, best_perm)
+    }
+}
+
+/// Length of the longest canonical encoding (`n = MAX_GRAPH_N`).
+const MAX_ENCODED_LEN: usize = 12 * MAX_GRAPH_N + 12;
+
+/// A [`NodeState`] in fixed-size arrays — the explorer's working form:
+/// `Copy`, heap-free, process sets narrowed to the one byte that
+/// `n ≤ MAX_GRAPH_N` bits need. Field meanings are [`NodeState`]'s;
+/// entries at index `n` and above are zero.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PackedState {
+    pub n: u8,
+    pub counters: [u64; MAX_GRAPH_N],
+    pub rate_ok: u8,
+    pub reach: [u8; MAX_GRAPH_N],
+    pub deviated: bool,
+    pub coterie: u8,
+    pub stable_len: u8,
+    pub first_window: bool,
+    pub thm4_alive: u8,
+}
+
+impl PackedState {
+    pub(crate) fn pack(node: &NodeState) -> PackedState {
+        let n = node.n();
+        assert!(
+            (1..=MAX_GRAPH_N).contains(&n) && node.reach.len() == n,
+            "graph states have 1..={MAX_GRAPH_N} processes, got {n}"
+        );
+        let full = mask_full(n);
+        let sets = [node.rate_ok, node.coterie];
+        assert!(
+            sets.iter().chain(&node.reach).all(|&set| set & !full == 0),
+            "process set with a member outside 0..{n}"
+        );
+        let mut counters = [0u64; MAX_GRAPH_N];
+        counters[..n].copy_from_slice(&node.counters);
+        let mut reach = [0u8; MAX_GRAPH_N];
+        for (slot, &r) in reach.iter_mut().zip(&node.reach) {
+            *slot = r as u8;
+        }
+        PackedState {
+            n: n as u8,
+            counters,
+            rate_ok: node.rate_ok as u8,
+            reach,
+            deviated: node.deviated,
+            coterie: node.coterie as u8,
+            stable_len: node.stable_len,
+            first_window: node.first_window,
+            thm4_alive: node.thm4_alive,
+        }
+    }
+
+    pub(crate) fn unpack(&self) -> NodeState {
+        let n = self.n as usize;
+        NodeState {
+            counters: self.counters[..n].to_vec(),
+            rate_ok: self.rate_ok as u32,
+            reach: self.reach[..n].iter().map(|&r| r as u32).collect(),
+            deviated: self.deviated,
+            coterie: self.coterie as u32,
+            stable_len: self.stable_len,
+            first_window: self.first_window,
+            thm4_alive: self.thm4_alive,
+        }
+    }
+
+    /// Writes [`NodeState::encode`]'s bytes into `buf` and returns them.
+    pub(crate) fn encode<'a>(&self, buf: &'a mut [u8; MAX_ENCODED_LEN]) -> &'a [u8] {
+        let n = self.n as usize;
+        let mut len = 0;
+        let mut put = |bytes: &[u8]| {
+            buf[len..len + bytes.len()].copy_from_slice(bytes);
+            len += bytes.len();
+        };
+        for &c in &self.counters[..n] {
+            put(&c.to_le_bytes());
+        }
+        put(&(self.rate_ok as u32).to_le_bytes());
+        for &r in &self.reach[..n] {
+            put(&(r as u32).to_le_bytes());
+        }
+        put(&[self.deviated as u8]);
+        put(&(self.coterie as u32).to_le_bytes());
+        put(&[self.stable_len, self.first_window as u8, self.thm4_alive]);
+        &buf[..len]
+    }
+}
+
+/// One relabeling of a [`PermTable`].
+struct Relabeling {
+    /// `perm[old] = new`.
+    perm: Perm,
+    /// `inv[new] = old`.
+    inv: [u8; MAX_GRAPH_N],
+    /// `image[set]`: the process set `set` with every member relabeled.
+    image: [u8; 1 << MAX_GRAPH_N],
+}
+
+/// Every permutation of `0..n` fixing one process, in [`perms_fixing`]
+/// order, each with what the canonicalizer needs to read a relabeled
+/// state without building it. Built once per `(n, faulty)` and shared.
+pub(crate) struct PermTable {
+    n: usize,
+    /// The processes a relabeling may move: all but the fixed one.
+    movable: u8,
+    relabelings: Vec<Relabeling>,
+}
+
+impl PermTable {
+    /// The table for `n` processes and relabelings fixing `faulty`.
+    pub(crate) fn get(n: usize, faulty: ProcessId) -> &'static PermTable {
+        static TABLES: [[OnceLock<PermTable>; MAX_GRAPH_N]; MAX_GRAPH_N + 1] =
+            [const { [const { OnceLock::new() }; MAX_GRAPH_N] }; MAX_GRAPH_N + 1];
+        let f = faulty.index();
+        assert!(
+            (1..=MAX_GRAPH_N).contains(&n) && f < n,
+            "no relabeling table for n = {n} fixing {faulty}"
+        );
+        TABLES[n][f].get_or_init(|| PermTable::build(n, f))
+    }
+
+    fn build(n: usize, fixed: usize) -> PermTable {
+        let relabelings: Vec<Relabeling> = perms_fixing(n, fixed)
+            .into_iter()
+            .map(|perm| {
+                let mut inv = [0u8; MAX_GRAPH_N];
+                for old in 0..n {
+                    inv[perm[old] as usize] = old as u8;
+                }
+                let mut image = [0u8; 1 << MAX_GRAPH_N];
+                for set in 0..1u32 << n {
+                    image[set as usize] = permute_mask(set, &perm, n) as u8;
+                }
+                Relabeling { perm, inv, image }
+            })
+            .collect();
+        // `canonicalize` starts from the identity and lets only a
+        // strictly smaller relabeling displace it.
+        assert_eq!(relabelings[0].perm, identity_perm());
+        PermTable {
+            n,
+            movable: mask_full(n) as u8 & !(1 << fixed),
+            relabelings,
+        }
+    }
+
+    /// [`NodeState::canonicalize`] on the packed form: the least member
+    /// of `state`'s orbit and the first relabeling that reaches it.
+    ///
+    /// A candidate is compared with the best so far in the order its
+    /// encoding would be — the counters as their little-endian bytes (so
+    /// as `swap_bytes()`), `rate_ok`, the `reach` rows, `coterie`; process
+    /// sets fit one byte, so their byte order is their numeric order, and
+    /// the remaining fields are the same in every candidate — stopping at
+    /// the first field that differs. A field group no relabeling can
+    /// change (equal counters, a `rate_ok` holding all or none of the
+    /// movable processes, …) is skipped for the whole orbit, and a state
+    /// with nothing left to compare is its own representative.
+    pub(crate) fn canonicalize(&self, state: &PackedState) -> (PackedState, Perm) {
+        let n = self.n;
+        debug_assert_eq!(state.n as usize, n);
+        let mut key = [0u64; MAX_GRAPH_N];
+        for (k, &c) in key.iter_mut().zip(&state.counters) {
+            *k = c.swap_bytes();
+        }
+
+        // Which field groups every relabeling leaves as they are.
+        let symmetric = |set: u8| set & self.movable == 0 || set & self.movable == self.movable;
+        let movable = || (0..n).filter(|&i| self.movable & (1 << i) != 0);
+        let first = movable().next().unwrap_or(0);
+        let counters_fixed = movable().all(|i| key[i] == key[first]);
+        let rate_fixed = symmetric(state.rate_ok);
+        let rows_fixed = movable().all(|i| state.reach[i] == state.reach[first])
+            && state.reach[..n].iter().all(|&row| symmetric(row));
+        let coterie_fixed = symmetric(state.coterie);
+        if counters_fixed && rate_fixed && rows_fixed && coterie_fixed {
+            return (*state, identity_perm());
+        }
+
+        // The best candidate so far: its relabeling, and the state it
+        // yields with the counters still byte-swapped.
+        let mut best = &self.relabelings[0];
+        let mut canon = *state;
+        canon.counters = key;
+        for cand in &self.relabelings[1..] {
+            let counter = |new: usize| key[cand.inv[new] as usize];
+            let row = |new: usize| cand.image[state.reach[cand.inv[new] as usize] as usize];
+            let rate = || cand.image[state.rate_ok as usize];
+            let coterie = || cand.image[state.coterie as usize];
+            let mut order = Ordering::Equal;
+            if !counters_fixed {
+                order = (0..n).map(counter).cmp(canon.counters[..n].iter().copied());
+            }
+            if order.is_eq() && !rate_fixed {
+                order = rate().cmp(&canon.rate_ok);
+            }
+            if order.is_eq() && !rows_fixed {
+                order = (0..n).map(row).cmp(canon.reach[..n].iter().copied());
+            }
+            if order.is_eq() && !coterie_fixed {
+                order = coterie().cmp(&canon.coterie);
+            }
+            // Strictly smaller only: the first minimal relabeling wins.
+            if order.is_lt() {
+                best = cand;
+                for new in 0..n {
+                    canon.counters[new] = counter(new);
+                    canon.reach[new] = row(new);
+                }
+                canon.rate_ok = rate();
+                canon.coterie = coterie();
+            }
+        }
+        for c in &mut canon.counters {
+            *c = c.swap_bytes();
+        }
+        (canon, best.perm)
     }
 }
 
@@ -299,7 +546,35 @@ impl Fingerprinter {
         node.encode(scratch);
         self.fingerprint(scratch)
     }
+
+    /// [`node`](Self::node) on the packed form, through a stack buffer.
+    pub(crate) fn packed(&self, state: &PackedState) -> u128 {
+        self.fingerprint(state.encode(&mut [0u8; MAX_ENCODED_LEN]))
+    }
 }
+
+/// Hasher for maps keyed by fingerprints. The key is already an
+/// avalanche hash, so its low half *is* the table hash; hashing it again
+/// would only cost time.
+#[derive(Default)]
+pub(crate) struct FpHasher(u64);
+
+impl Hasher for FpHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("FpHasher hashes u128 fingerprints only");
+    }
+
+    fn write_u128(&mut self, fingerprint: u128) {
+        self.0 = fingerprint as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by 128-bit fingerprints.
+pub(crate) type FpMap<V> = HashMap<u128, V, BuildHasherDefault<FpHasher>>;
 
 /// SplitMix64's avalanche finalizer: every input bit flips every output
 /// bit with probability ≈ 1/2.
@@ -314,6 +589,8 @@ fn finalize(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftss_rng::check::Gen;
+    use ftss_rng::Rng;
 
     fn sample(n: usize) -> NodeState {
         NodeState {
@@ -358,6 +635,119 @@ mod tests {
             let (c, _) = member.canonicalize(ProcessId(0));
             assert_eq!(c, canon, "orbit member disagreed on representative");
         }
+    }
+
+    /// A state of the shapes the explorer meets, plus the ones that stress
+    /// the comparison order: counters narrow, 64 bits wide, or straddling
+    /// a byte boundary; reach/rate/coterie random or fully symmetric.
+    fn arbitrary_state(g: &mut Gen, n: usize, faulty: usize) -> NodeState {
+        let full = mask_full(n);
+        let set = |g: &mut Gen| g.gen_range(0..=full as u64) as u32;
+        let mut counters: Vec<u64> = match g.gen_range(0..4u64) {
+            0 => (0..n).map(|_| g.gen_range(0..4u64)).collect(),
+            1 => (0..n).map(|_| g.next_u64()).collect(),
+            2 => {
+                const EDGES: [u64; 8] = [0, 1, 255, 256, 257, 1 << 32, 1 << 56, u64::MAX];
+                (0..n)
+                    .map(|_| EDGES[g.gen_range(0..8u64) as usize])
+                    .collect()
+            }
+            _ => vec![g.gen_range(0..3u64); n],
+        };
+        if g.gen_bool(0.5) {
+            // Only the faulty process stands out: every relabeling ties
+            // on the counters and the set fields decide.
+            counters[faulty] = g.gen_range(0..3u64);
+        }
+        let mut reach: Vec<u32> = match g.gen_range(0..3u64) {
+            0 => (0..n).map(|i| set(g) | 1 << i).collect(),
+            1 => vec![full; n],
+            _ => (0..n).map(|i| 1 << i | 1 << faulty).collect(),
+        };
+        if g.gen_bool(0.3) {
+            // Whom the faulty process has heard from is the only asymmetry.
+            reach[faulty] = set(g) | 1 << faulty;
+        }
+        NodeState {
+            counters,
+            rate_ok: if g.gen_bool(0.5) { full } else { set(g) },
+            reach,
+            deviated: g.gen_bool(0.5),
+            coterie: if g.gen_bool(0.5) { full } else { set(g) },
+            stable_len: g.gen_range(0..4u64) as u8,
+            first_window: g.gen_bool(0.5),
+            thm4_alive: g.gen_range(0..4u64) as u8,
+        }
+    }
+
+    /// The table-driven canonicalizer against the brute-force one it
+    /// replaced: same representative, same (first minimal) permutation,
+    /// for every size and every choice of the fixed process.
+    #[test]
+    fn canonicalize_matches_the_reference_exactly() {
+        ftss_rng::check::forall(600, |g| {
+            let n = g.gen_range(2..=MAX_GRAPH_N as u64) as usize;
+            for faulty in 0..n {
+                let s = arbitrary_state(g, n, faulty);
+                let got = s.canonicalize(ProcessId(faulty));
+                assert_eq!(got, s.canonicalize_reference(ProcessId(faulty)), "{s:?}");
+                // The representative is canonical already: it must come
+                // back unchanged under the identity, not under one of
+                // its automorphisms.
+                assert_eq!(
+                    got.0.canonicalize(ProcessId(faulty)),
+                    (got.0.clone(), identity_perm()),
+                    "{s:?}"
+                );
+            }
+        });
+    }
+
+    /// Counters are ordered by their little-endian encoding, not by
+    /// value: 256 = `00 01 00…` sorts before 1 = `01 00 00…`.
+    #[test]
+    fn counters_are_ordered_by_little_endian_bytes() {
+        let mut s = NodeState::root(&[0, 1, 256], 1);
+        let (canon, perm) = s.canonicalize(ProcessId(0));
+        assert_eq!(canon.counters, vec![0, 256, 1]);
+        assert_eq!(perm, [0, 2, 1, 3, 4, 5, 6, 7]);
+        s.counters = vec![0, 256, 1];
+        assert_eq!(s.canonicalize(ProcessId(0)).1, identity_perm());
+    }
+
+    #[test]
+    fn table_lists_relabelings_in_perms_fixing_order() {
+        for n in 1..=MAX_GRAPH_N {
+            for fixed in 0..n {
+                let table = PermTable::get(n, ProcessId(fixed));
+                let perms = perms_fixing(n, fixed);
+                assert_eq!(table.relabelings.len(), perms.len());
+                for (entry, perm) in table.relabelings.iter().zip(&perms) {
+                    assert_eq!(entry.perm, *perm, "n={n} fixed={fixed}");
+                    for (old, &new) in perm.iter().enumerate().take(n) {
+                        assert_eq!(entry.inv[new as usize] as usize, old);
+                    }
+                    for set in 0..1u32 << n {
+                        assert_eq!(entry.image[set as usize] as u32, permute_mask(set, perm, n));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_form_round_trips_and_encodes_identically() {
+        ftss_rng::check::forall(200, |g| {
+            let n = g.gen_range(1..=MAX_GRAPH_N as u64) as usize;
+            let s = arbitrary_state(g, n, 0);
+            let packed = PackedState::pack(&s);
+            assert_eq!(packed.unpack(), s);
+            let mut bytes = Vec::new();
+            s.encode(&mut bytes);
+            assert_eq!(packed.encode(&mut [0; MAX_ENCODED_LEN]), &bytes[..]);
+            let f = Fingerprinter::new();
+            assert_eq!(f.packed(&packed), f.node(&s, &mut bytes));
+        });
     }
 
     #[test]

@@ -38,23 +38,26 @@
 //! Each BFS layer is sharded across workers with
 //! [`ftss_sweep::map_cells`] and merged in canonical (fingerprint, mask)
 //! order; reports are byte-identical for every `--jobs`, like every other
-//! subsystem. A violating edge is replayed concretely: the search path's
-//! masks are mapped back through the accumulated canonicalization
-//! permutations into an honest omission tape, confirmed against the
-//! legacy oracle ([`crate::dfs::check_tape`]) and shrunk to a 1-minimal
-//! [`Counterexample`] — graph-mode schedule files replay through the same
-//! pipeline as enumerated ones.
+//! subsystem. Workers prune against the visited set as it stood when the
+//! layer started, so what reaches the merge is a layer's candidate
+//! states, not its edges. A violating edge is replayed concretely: the
+//! search path's masks are mapped back through the accumulated
+//! canonicalization permutations into an honest omission tape, confirmed
+//! against the legacy oracle ([`crate::dfs::check_tape`]) and shrunk to a
+//! 1-minimal [`Counterexample`] — graph-mode schedule files replay
+//! through the same pipeline as enumerated ones.
 
 use crate::dfs::{check_tape, check_tape_thm4, Counterexample, DfsConfig};
 use crate::fingerprint::{
-    compose_perm, identity_perm, mask_full, Fingerprinter, NodeState, Perm, MAX_GRAPH_N,
+    compose_perm, identity_perm, mask_full, Fingerprinter, FpMap, NodeState, PackedState, Perm,
+    PermTable, MAX_GRAPH_N,
 };
 use crate::runbuild::RunBuilder;
 use crate::shrink::shrink_with;
 use ftss::core::{ProcessId, RoundCounter};
 use ftss::protocols::{RoundAgreement, RoundAgreementState};
 use ftss::sync_sim::SyncStepper;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Configuration of a graph exploration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -185,7 +188,7 @@ pub struct GraphReport {
 /// Per-node bookkeeping: the canonical state plus the search-tree edge
 /// that first reached it (for witness reconstruction).
 struct Visited {
-    state: NodeState,
+    state: PackedState,
     /// Fingerprint of the parent node (`None` for the root).
     parent: Option<u128>,
     /// Omission mask of the entering edge, in the parent's canonical
@@ -196,14 +199,30 @@ struct Visited {
     perm: Perm,
 }
 
-/// One explored edge, before merging.
-struct Expansion {
+/// One explored edge, as [`for_each_edge`] hands it over.
+struct Edge {
     mask: u32,
-    child: NodeState,
+    /// The child's orbit representative.
+    child: PackedState,
     child_fp: u128,
+    /// Raw child labels → `child`'s labels.
     perm: Perm,
-    nontrivial_orbit: bool,
     violation: Option<&'static str>,
+}
+
+/// What one node's expansion contributes to the layer merge: everything
+/// about its `2^(2(n−1))` edges that the merge cannot do without, and
+/// nothing per edge.
+struct Expanded {
+    /// Edges whose child needed a non-identity relabeling.
+    orbit_hits: u64,
+    /// The first violating edge in mask order, with its rule.
+    violation: Option<(u32, &'static str)>,
+    /// The edges that may add a state, in mask order: the child was not
+    /// visited when the layer started and no earlier edge of this node
+    /// reaches it. (Two nodes of one layer can still list the same
+    /// child; the merge keeps the first.)
+    fresh: Vec<Edge>,
 }
 
 /// The eligible copies of one round in consultation order (sender-major,
@@ -265,14 +284,14 @@ fn eligible_pairs(n: usize, faulty: ProcessId) -> Vec<(ProcessId, ProcessId)> {
 /// violation of [`crate::oracle::thm4_decided`] — pinned prefix-for-
 /// prefix by `thm4_atom_matches_the_legacy_oracle_on_random_chains`.
 fn check_edge(
-    parent: &NodeState,
-    child: &NodeState,
+    parent: &PackedState,
+    child: &PackedState,
     faulty: ProcessId,
     stabilization: usize,
 ) -> Option<&'static str> {
-    let n = parent.n();
+    let n = parent.n as usize;
     let g = stabilization.max(1) as u8;
-    let mut correct = mask_full(n);
+    let mut correct = mask_full(n) as u8;
     if child.deviated {
         correct &= !(1 << faulty.index());
     }
@@ -316,107 +335,99 @@ fn check_edge(
     None
 }
 
-/// Expands one canonical node: executes all `2^(2(n−1))` one-round
-/// omission masks through the stepper seam, computing for each the child
-/// state, its orbit representative and the edge's obligation atoms.
-fn expand(
-    parent: &NodeState,
+/// Walks the edges out of one canonical node: executes all `2^(2(n−1))`
+/// one-round omission masks through the stepper seam, in mask order,
+/// computing for each the child state, its orbit representative and the
+/// edge's obligation atoms. Nothing is allocated per edge: one stepper
+/// serves every mask, and states stay in their packed form.
+fn for_each_edge(
+    parent: &PackedState,
     cfg: &GraphConfig,
     pairs: &[(ProcessId, ProcessId)],
     fper: &Fingerprinter,
-) -> Vec<Expansion> {
+    mut visit: impl FnMut(Edge),
+) {
     let n = cfg.n;
     let f = cfg.faulty.index();
     let g = cfg.stabilization.max(1) as u8;
     let cap = g + 2;
-    let masks = 1u32 << cfg.mask_bits();
-    let mut out = Vec::with_capacity(masks as usize);
-    let mut scratch = Vec::new();
-    // (sender, dest) → eligible-pair bit index, for the hot mask loop.
-    let mut pair_idx = vec![usize::MAX; n * n];
-    for (idx, &(s, d)) in pairs.iter().enumerate() {
-        pair_idx[s.index() * n + d.index()] = idx;
-    }
+    let full = mask_full(n) as u8;
+    let table = PermTable::get(n, cfg.faulty);
 
-    let base_states: Vec<RoundAgreementState> = parent
-        .counters
+    let base_states: Vec<RoundAgreementState> = parent.counters[..n]
         .iter()
         .map(|&c| RoundAgreementState {
             c: RoundCounter::new(c),
         })
         .collect();
+    let mut stepper = SyncStepper::new(RoundAgreement, base_states.clone());
+
+    // Per eligible copy, by mask bit: which (sender, dest) decision it
+    // drops, and what its delivery adds to the destination's causal
+    // reach. Copies between correct processes never drop (`drop_bit` 0),
+    // so their contribution to reach is the same under every mask.
+    let mut drop_bit = [0u32; MAX_GRAPH_N * MAX_GRAPH_N];
+    let mut lands = [(0usize, 0u8); 2 * (MAX_GRAPH_N - 1)];
+    for (bit, &(s, d)) in pairs.iter().enumerate() {
+        drop_bit[s.index() * n + d.index()] = 1 << bit;
+        lands[bit] = (d.index(), parent.reach[s.index()] | 1 << s.index());
+    }
+    let lands = &lands[..pairs.len()];
+    let mut reach_base = parent.reach;
+    for i in (0..n).filter(|&i| i != f) {
+        for j in (0..n).filter(|&j| j != f && j != i) {
+            reach_base[j] |= parent.reach[i] | 1 << i;
+        }
+    }
 
     // Mask-independent parent-side facts for the Theorem-4 liveness
     // update (see `check_edge`'s docs): agreement of the parent's
     // counters and coverage of its rate bits, per faulty-set variant
     // (bit 0: faulty counted correct, bit 1: counted faulty).
-    let corr = mask_full(n) & !(1 << f);
-    let agrees = |set: u32| {
-        let mut seen: Option<u64> = None;
-        for (j, &c) in parent.counters.iter().enumerate() {
-            if set & (1 << j) == 0 {
-                continue;
-            }
-            match seen {
-                None => seen = Some(c),
-                Some(s) if s != c => return false,
-                _ => {}
-            }
-        }
-        true
+    let corr = full & !(1 << f);
+    let agrees = |set: u8| {
+        let mut members = (0..n).filter(|&j| set & (1 << j) != 0);
+        let first = members.next().map(|j| parent.counters[j]);
+        members.all(|j| Some(parent.counters[j]) == first)
     };
-    let a_full = agrees(mask_full(n));
+    let a_full = agrees(full);
     let a_corr = agrees(corr);
-    let r_full = parent.rate_ok & mask_full(n) == mask_full(n);
+    let r_full = parent.rate_ok & full == full;
     let r_corr = parent.rate_ok & corr == corr;
 
-    for mask in 0..masks {
+    for mask in 0..1u32 << cfg.mask_bits() {
         // One simulator round through the stepper seam — the protocol's
         // real step function, not a reimplementation.
-        let mut stepper = SyncStepper::new(RoundAgreement, base_states.clone());
-        stepper.step_round(|from, to| {
-            let (i, j) = (from.index(), to.index());
-            if i != f && j != f {
-                return true; // copies between correct processes never drop
-            }
-            mask & (1 << pair_idx[i * n + j]) == 0
-        });
+        stepper.reset(&base_states);
+        stepper.step_round(|from, to| mask & drop_bit[from.index() * n + to.index()] == 0);
 
         // Counters, normalized; rate bits against the parent.
-        let mut counters: Vec<u64> = (0..n).map(|p| stepper.states()[p].c.get()).collect();
-        let mut rate_ok = 0u32;
-        for (j, (&c, &pc)) in counters.iter().zip(&parent.counters).enumerate() {
-            if c == pc.saturating_add(1) {
+        let mut counters = [0u64; MAX_GRAPH_N];
+        let mut rate_ok = 0u8;
+        for (j, state) in stepper.states().iter().enumerate() {
+            counters[j] = state.c.get();
+            if counters[j] == parent.counters[j].saturating_add(1) {
                 rate_ok |= 1 << j;
             }
         }
-        let min = *counters.iter().min().expect("n >= 2");
-        for c in &mut counters {
+        let min = *counters[..n].iter().min().expect("n >= 2");
+        for c in &mut counters[..n] {
             *c -= min;
         }
 
         // Causal reach: delivered copies this round are all pairs except
         // the mask-dropped eligible ones (self-copies always land).
-        let mut reach = parent.reach.clone();
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let dropped = (i == f || j == f) && mask & (1 << pair_idx[i * n + j]) != 0;
-                if !dropped {
-                    reach[j] |= parent.reach[i] | (1 << i);
-                }
+        let mut reach = reach_base;
+        for (bit, &(dest, adds)) in lands.iter().enumerate() {
+            if mask & (1 << bit) == 0 {
+                reach[dest] |= adds;
             }
         }
 
         let deviated = parent.deviated || mask != 0;
-        let mut correct = mask_full(n);
-        if deviated {
-            correct &= !(1 << f);
-        }
-        let mut coterie = mask_full(n);
-        for (q, &r) in reach.iter().enumerate() {
+        let correct = if deviated { corr } else { full };
+        let mut coterie = full;
+        for (q, &r) in reach[..n].iter().enumerate() {
             if correct & (1 << q) != 0 {
                 coterie &= r;
             }
@@ -441,7 +452,8 @@ fn expand(
         let thm4_alive =
             (a_full && (keep_full || cand)) as u8 | (((a_corr && (keep_corr || cand)) as u8) << 1);
 
-        let child = NodeState {
+        let child = PackedState {
+            n: parent.n,
             counters,
             rate_ok,
             reach,
@@ -452,18 +464,44 @@ fn expand(
             thm4_alive,
         };
         let violation = check_edge(parent, &child, cfg.faulty, cfg.stabilization);
-        let (canon, perm) = child.canonicalize(cfg.faulty);
-        let nontrivial_orbit = perm != identity_perm();
-        let child_fp = fper.node(&canon, &mut scratch);
-        out.push(Expansion {
+        let (child, perm) = table.canonicalize(&child);
+        visit(Edge {
             mask,
-            child: canon,
-            child_fp,
+            child_fp: fper.packed(&child),
+            child,
             perm,
-            nontrivial_orbit,
             violation,
         });
     }
+}
+
+/// Expands one canonical node for the layer merge, keeping only the
+/// edges that can add a state (`visited` is the set at layer start).
+fn expand(
+    parent: &PackedState,
+    cfg: &GraphConfig,
+    pairs: &[(ProcessId, ProcessId)],
+    fper: &Fingerprinter,
+    visited: &FpMap<Visited>,
+) -> Expanded {
+    let mut out = Expanded {
+        orbit_hits: 0,
+        violation: None,
+        fresh: Vec::new(),
+    };
+    for_each_edge(parent, cfg, pairs, fper, |edge| {
+        if edge.perm != identity_perm() {
+            out.orbit_hits += 1;
+        }
+        if out.violation.is_none() {
+            out.violation = edge.violation.map(|rule| (edge.mask, rule));
+        }
+        if !visited.contains_key(&edge.child_fp)
+            && out.fresh.iter().all(|e| e.child_fp != edge.child_fp)
+        {
+            out.fresh.push(edge);
+        }
+    });
     out
 }
 
@@ -482,7 +520,7 @@ fn expand(
 /// §14's saturation caveat).
 fn reconstruct_witness(
     cfg: &GraphConfig,
-    visited: &HashMap<u128, Visited>,
+    visited: &FpMap<Visited>,
     root_perm: &Perm,
     parent_fp: u128,
     mask: u32,
@@ -562,6 +600,11 @@ fn reconstruct_witness(
 /// first violating edge in canonical (fingerprint, mask) order is
 /// reconstructed, confirmed and shrunk.
 pub fn explore_graph(cfg: &GraphConfig) -> Result<GraphReport, String> {
+    search(cfg).map(|(report, _)| report)
+}
+
+/// [`explore_graph`], also returning the visited set it built.
+fn search(cfg: &GraphConfig) -> Result<(GraphReport, FpMap<Visited>), String> {
     cfg.validate()?;
     let fper = Fingerprinter::new();
     let pairs = eligible_pairs(cfg.n, cfg.faulty);
@@ -572,10 +615,10 @@ pub fn explore_graph(cfg: &GraphConfig) -> Result<GraphReport, String> {
     let raw_counters: Vec<u64> = (0..cfg.n).map(|p| stepper.states()[p].c.get()).collect();
     let root_raw = NodeState::root(&raw_counters, cfg.stabilization);
     let (root, root_perm) = root_raw.canonicalize(cfg.faulty);
-    let mut scratch = Vec::new();
-    let root_fp = fper.node(&root, &mut scratch);
+    let root = PackedState::pack(&root);
+    let root_fp = fper.packed(&root);
 
-    let mut visited: HashMap<u128, Visited> = HashMap::new();
+    let mut visited: FpMap<Visited> = FpMap::default();
     visited.insert(
         root_fp,
         Visited {
@@ -610,45 +653,40 @@ pub fn explore_graph(cfg: &GraphConfig) -> Result<GraphReport, String> {
         }
 
         // Shard the layer across workers; map_cells returns results in
-        // cell order, so the merge below is jobs-invariant.
-        let expanded: Vec<Vec<Expansion>> = ftss_sweep::map_cells(&layer, cfg.jobs, |fp| {
-            expand(&visited[fp].state, cfg, &pairs, &fper)
+        // cell order, so the merge below is jobs-invariant. Workers drop
+        // the edges into already-visited states themselves — by far
+        // most of them — so a layer's buffer holds its candidate states,
+        // not its edges.
+        let expanded: Vec<Expanded> = ftss_sweep::map_cells(&layer, cfg.jobs, |fp| {
+            expand(&visited[fp].state, cfg, &pairs, &fper, &visited)
         });
 
-        let depth = report.depth + 1;
         let mut next: Vec<u128> = Vec::new();
         let mut violating: Option<(u128, u32, &'static str)> = None;
-        for (fp, exps) in layer.iter().zip(&expanded) {
-            for e in exps {
-                report.expansions += 1;
-                if e.nontrivial_orbit {
-                    report.orbit_hits += 1;
-                }
-                // Obligation atoms are edge properties: record the first
-                // violation in canonical order even on deduped edges.
-                if violating.is_none() {
-                    if let Some(rule) = e.violation {
-                        violating = Some((*fp, e.mask, rule));
-                    }
-                }
-                if visited.contains_key(&e.child_fp) {
-                    report.dedup_hits += 1;
-                    continue;
-                }
-                visited.insert(
-                    e.child_fp,
-                    Visited {
-                        state: e.child.clone(),
+        for (fp, node) in layer.iter().zip(expanded) {
+            report.expansions += 1 << cfg.mask_bits();
+            report.orbit_hits += node.orbit_hits;
+            // Obligation atoms are edge properties: record the first
+            // violation in canonical order even on deduped edges.
+            if violating.is_none() {
+                violating = node.violation.map(|(mask, rule)| (*fp, mask, rule));
+            }
+            for edge in node.fresh {
+                if let Entry::Vacant(slot) = visited.entry(edge.child_fp) {
+                    slot.insert(Visited {
+                        state: edge.child,
                         parent: Some(*fp),
-                        mask: e.mask,
-                        perm: e.perm,
-                    },
-                );
-                report.visited += 1;
-                next.push(e.child_fp);
+                        mask: edge.mask,
+                        perm: edge.perm,
+                    });
+                    report.visited += 1;
+                    next.push(edge.child_fp);
+                }
             }
         }
-        report.depth = depth;
+        // Every edge either added a state or was pruned as a revisit.
+        report.dedup_hits = report.expansions - (report.visited - 1);
+        report.depth += 1;
 
         if let Some((parent_fp, mask, rule)) = violating {
             report.counterexample = Some(reconstruct_witness(
@@ -667,7 +705,7 @@ pub fn explore_graph(cfg: &GraphConfig) -> Result<GraphReport, String> {
         layer = next;
     }
 
-    Ok(report)
+    Ok((report, visited))
 }
 
 #[cfg(test)]
@@ -676,6 +714,35 @@ mod tests {
     use crate::dfs::explore;
     use crate::oracle::thm3_round_agreement;
     use ftss_rng::Rng;
+
+    /// One edge out of an arbitrary (not necessarily canonical) node, in
+    /// the public state type.
+    struct Expansion {
+        mask: u32,
+        child: NodeState,
+        perm: Perm,
+        violation: Option<&'static str>,
+    }
+
+    /// Every edge out of `parent`, pruning nothing (shadows the merge's
+    /// pruning `expand`).
+    fn expand(
+        parent: &NodeState,
+        cfg: &GraphConfig,
+        pairs: &[(ProcessId, ProcessId)],
+        fper: &Fingerprinter,
+    ) -> Vec<Expansion> {
+        let mut out = Vec::new();
+        for_each_edge(&PackedState::pack(parent), cfg, pairs, fper, |edge| {
+            out.push(Expansion {
+                mask: edge.mask,
+                child: edge.child.unpack(),
+                perm: edge.perm,
+                violation: edge.violation,
+            })
+        });
+        out
+    }
 
     #[test]
     fn eligible_pairs_match_the_tape_consultation_order() {
@@ -871,6 +938,59 @@ mod tests {
             let mut cfg = base.clone();
             cfg.jobs = jobs;
             assert_eq!(explore_graph(&cfg).unwrap(), serial, "jobs={jobs}");
+        }
+    }
+
+    /// Everything a search stores, folded into one number: per visited
+    /// state (in fingerprint order) its fingerprint, parent, entering mask
+    /// and permutation, and encoding.
+    fn visited_digest(visited: &FpMap<Visited>) -> u128 {
+        let mut fps: Vec<&u128> = visited.keys().collect();
+        fps.sort_unstable();
+        let mut bytes = Vec::new();
+        for fp in fps {
+            let v = &visited[fp];
+            bytes.extend_from_slice(&fp.to_le_bytes());
+            bytes.extend_from_slice(&v.parent.unwrap_or(0).to_le_bytes());
+            bytes.extend_from_slice(&v.mask.to_le_bytes());
+            bytes.extend_from_slice(&v.perm);
+            v.state.unpack().encode(&mut bytes);
+        }
+        Fingerprinter::new().fingerprint(&bytes)
+    }
+
+    /// The search tree itself — fingerprints, parent links, stored masks
+    /// and permutations — against digests recorded with the brute-force
+    /// canonicalizer and the unpruned merge (PR 12's parent commit), at
+    /// every worker count.
+    #[test]
+    fn search_trees_match_the_recorded_digests() {
+        let fixpoint_f2 = GraphConfig {
+            faulty: ProcessId(2),
+            ..GraphConfig::fixpoint(4, 11)
+        };
+        let two_layers = GraphConfig {
+            rounds: Some(2),
+            ..GraphConfig::fixpoint(6, 7)
+        };
+        for (cfg, states, digest) in [
+            (fixpoint_f2, 147, 0x474572aa2fdb9523db2f63a81274be0e),
+            (
+                GraphConfig::fixpoint(5, 7),
+                287,
+                0x623a08cfad1af6f280a41b01a17d5cb9,
+            ),
+            (two_layers, 404, 0x4b57e6c8935e20f99552a342abab5066),
+        ] {
+            for jobs in [1, 3] {
+                let (report, visited) = search(&GraphConfig {
+                    jobs,
+                    ..cfg.clone()
+                })
+                .unwrap();
+                assert_eq!(report.visited, states, "{cfg:?}");
+                assert_eq!(visited_digest(&visited), digest, "{cfg:?} jobs={jobs}");
+            }
         }
     }
 

@@ -591,6 +591,13 @@ impl<S, M> RoundHistory<S, M> {
         self.msgs.payloads[src.index()] = Some(payload);
     }
 
+    /// Removes and returns the payload `src` broadcast this round — for a
+    /// caller that keeps the frame to itself and refills the payload
+    /// next round ([`Payload::set`]) instead of allocating a new one.
+    pub fn take_broadcast(&mut self, src: ProcessId) -> Option<Payload<M>> {
+        self.msgs.payloads[src.index()].take()
+    }
+
     /// Records the fate of the emitted copy `src → dst`. Non-`Delivered`
     /// outcomes go to the sparse exception list; insertion is O(1) when
     /// copies arrive in ascending `(src, dst)` order (as the simulator

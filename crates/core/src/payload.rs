@@ -19,7 +19,8 @@
 //! hands out only `&M` (via [`Deref`] and [`Payload::get`]) and provides
 //! no `&mut` accessor, so a payload referenced from two rounds of a
 //! history — or from two histories of a parallel sweep — is immutable by
-//! construction. See DESIGN.md §9.
+//! construction ([`Payload::set`] overwrites in place only a payload
+//! nothing else references). See DESIGN.md §9.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -58,6 +59,17 @@ impl<M> Payload<M> {
     /// always equal; equal payloads need not be shared.
     pub fn shares_with(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Replaces the message. A payload no other handle shares is
+    /// overwritten in place — a per-round slot recycles its allocation —
+    /// and a shared one is left to its other holders untouched, so no
+    /// observer ever sees a payload change under it.
+    pub fn set(&mut self, message: M) {
+        match Arc::get_mut(&mut self.0) {
+            Some(slot) => *slot = message,
+            None => *self = Payload::new(message),
+        }
     }
 }
 
@@ -191,6 +203,24 @@ mod tests {
         let other = shared.clone();
         assert_eq!(shared.take(), vec![1u8]); // cloned, `other` still live
         assert_eq!(*other, vec![1u8]);
+    }
+
+    #[test]
+    fn set_recycles_only_an_unshared_allocation() {
+        let mut slot = Payload::new(1u64);
+        let before = slot.get() as *const u64;
+        slot.set(2);
+        assert_eq!(slot, 2u64);
+        assert_eq!(slot.get() as *const u64, before, "sole owner: in place");
+
+        let reader = slot.clone();
+        slot.set(3);
+        assert_eq!(slot, 3u64);
+        assert_eq!(
+            reader, 2u64,
+            "a shared payload never changes under a reader"
+        );
+        assert!(!slot.shares_with(&reader));
     }
 
     #[test]

@@ -52,22 +52,26 @@ fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// invalid cases additionally warn on stderr rather than silently forcing
 /// a serial sweep.
 pub fn jobs_from_env() -> usize {
-    let fallback = || {
+    jobs_from(std::env::var("FTSS_JOBS").ok().as_deref(), || {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    };
-    match std::env::var("FTSS_JOBS") {
-        Ok(s) => parse_jobs(&s).unwrap_or_else(|| {
-            let jobs = fallback();
-            eprintln!(
-                "warning: FTSS_JOBS={s:?} is not a positive integer; \
-                 using available parallelism ({jobs})"
-            );
-            jobs
-        }),
-        Err(_) => fallback(),
-    }
+    })
+}
+
+/// [`jobs_from_env`]'s rule on an explicit `FTSS_JOBS` value (`None`:
+/// unset) and an explicit fallback: a positive integer wins, anything
+/// else yields `fallback()`.
+pub fn jobs_from(value: Option<&str>, fallback: impl FnOnce() -> usize) -> usize {
+    let Some(s) = value else { return fallback() };
+    parse_jobs(s).unwrap_or_else(|| {
+        let jobs = fallback();
+        eprintln!(
+            "warning: FTSS_JOBS={s:?} is not a positive integer; \
+             using available parallelism ({jobs})"
+        );
+        jobs
+    })
 }
 
 /// Parses an `FTSS_JOBS` value: a positive integer, surrounding whitespace

@@ -28,7 +28,7 @@
 pub mod exec;
 pub mod experiments;
 
-pub use exec::{jobs_from_env, map_cells, try_map_cells, CellPanic};
+pub use exec::{jobs_from, jobs_from_env, map_cells, try_map_cells, CellPanic};
 pub use experiments::{
     e1_rows, e1_table, e2_rows, e2_table, e7a_rows, e7a_table, e7c_table, max, mean, sweep_rows,
     E1Row, E2Row, E7aRow, FaultSpec, PiSpec, E1_SEEDS, E2_SEEDS, E7_SEEDS,

@@ -20,8 +20,8 @@
 //! * self-delivery always succeeds and is never submitted to the
 //!   decision callback (paper footnote 1);
 //! * a process that declines [`SyncProtocol::sends`] broadcasts nothing;
-//! * inboxes present envelopes in ascending sender order, matching
-//!   [`Inbox::from_deliveries`] on a recorded frame.
+//! * inboxes present messages in ascending sender order: they *are*
+//!   [`Inbox::from_deliveries`] views of a round frame, as in the runner.
 //!
 //! Crash and mid-run-corruption faults stay with the runner: the
 //! explorer's omission schedules (and Theorem 3's fault model for them)
@@ -31,7 +31,7 @@
 //! tapes.
 
 use crate::protocol::{Inbox, ProtocolCtx, SyncProtocol};
-use ftss_core::{Corrupt, Envelope, Payload, ProcessId, Round};
+use ftss_core::{Corrupt, Payload, ProcessId, RoundHistory};
 use ftss_rng::StdRng;
 
 /// A resumable, clonable one-round-at-a-time executor over a protocol's
@@ -42,6 +42,16 @@ pub struct SyncStepper<P: SyncProtocol> {
     n: usize,
     round: u64,
     states: Vec<P::State>,
+    // Round scratch, kept across rounds (and across `reset`) so that a
+    // steady-state round allocates nothing.
+    /// The round's traffic, in the runner's own frame type: broadcast
+    /// slots plus the delivery matrix the inbox views read. States are
+    /// not recorded.
+    frame: RoundHistory<P::State, P::Msg>,
+    /// Slot `i`: process `i`'s last broadcast payload, taken back from
+    /// the frame after each round and refilled in place the next time
+    /// `i` sends.
+    payloads: Vec<Option<Payload<P::Msg>>>,
 }
 
 impl<P: SyncProtocol> SyncStepper<P> {
@@ -54,6 +64,8 @@ impl<P: SyncProtocol> SyncStepper<P> {
             n,
             round: 0,
             states,
+            frame: RoundHistory::empty(n),
+            payloads: std::iter::repeat_with(|| None).take(n).collect(),
         }
     }
 
@@ -97,6 +109,16 @@ impl<P: SyncProtocol> SyncStepper<P> {
         self.states = states;
     }
 
+    /// Rewinds to round 0 at `states`: the stepper
+    /// [`new`](Self::new) would build from them, with every buffer kept.
+    /// The explorer's branch point — one stepper serves every edge out
+    /// of a node.
+    pub fn reset(&mut self, states: &[P::State]) {
+        assert_eq!(states.len(), self.n, "state vector must keep n");
+        self.states.clone_from_slice(states);
+        self.round = 0;
+    }
+
     /// The protocol's round counter for process `p`, if it exposes one.
     pub fn round_counter(&self, p: ProcessId) -> Option<ftss_core::RoundCounter> {
         self.protocol.round_counter(&self.states[p.index()])
@@ -112,42 +134,44 @@ impl<P: SyncProtocol> SyncStepper<P> {
     /// clone the stepper to branch.
     pub fn step_round(&mut self, mut deliver: impl FnMut(ProcessId, ProcessId) -> bool) {
         self.round += 1;
-        let round = Round::new(self.round);
+        let n = self.n;
         // Phase 1: broadcasts from round-start states, then the delivery
         // decision per copy. One shared payload per broadcast.
-        let mut payloads: Vec<Option<Payload<P::Msg>>> = Vec::with_capacity(self.n);
-        for (i, state) in self.states.iter().enumerate() {
-            let ctx = ProtocolCtx::new(ProcessId(i), self.n);
-            payloads.push(if self.protocol.sends(&ctx, state) {
-                Some(Payload::new(self.protocol.broadcast(&ctx, state)))
-            } else {
-                None
-            });
-        }
-        let mut delivered = vec![false; self.n * self.n];
-        for (i, payload) in payloads.iter().enumerate() {
-            if payload.is_none() {
+        self.frame.reset(n);
+        for i in 0..n {
+            let src = ProcessId(i);
+            let ctx = ProtocolCtx::new(src, n);
+            if !self.protocol.sends(&ctx, &self.states[i]) {
                 continue;
             }
-            for j in 0..self.n {
-                delivered[i * self.n + j] = i == j || deliver(ProcessId(i), ProcessId(j));
-            }
-        }
-        // Phase 2: every process steps on its inbox (ascending sender
-        // order, like a recorded frame's delivery row).
-        let mut inbox_buf: Vec<Envelope<P::Msg>> = Vec::with_capacity(self.n);
-        for j in 0..self.n {
-            inbox_buf.clear();
-            for (i, payload) in payloads.iter().enumerate() {
-                if let Some(p) = payload {
-                    if delivered[i * self.n + j] {
-                        inbox_buf.push(Envelope::new(ProcessId(i), round, p.clone()));
-                    }
+            let msg = self.protocol.broadcast(&ctx, &self.states[i]);
+            let payload = match self.payloads[i].take() {
+                Some(mut payload) => {
+                    payload.set(msg);
+                    payload
+                }
+                None => Payload::new(msg),
+            };
+            self.frame.set_broadcast(src, payload);
+            for j in 0..n {
+                if i == j || deliver(src, ProcessId(j)) {
+                    self.frame.record_delivery(ProcessId(j), src);
                 }
             }
-            let inbox = Inbox::from_sorted(&inbox_buf);
-            let ctx = ProtocolCtx::new(ProcessId(j), self.n);
+        }
+        // Phase 2: every process steps on its row of the delivery matrix
+        // (ascending sender order) — the view the runner hands out, so no
+        // envelope is ever built.
+        for j in 0..n {
+            let dst = ProcessId(j);
+            let inbox = Inbox::from_deliveries(self.frame.msgs().deliveries(dst));
+            let ctx = ProtocolCtx::new(dst, n);
             self.protocol.step(&ctx, &mut self.states[j], &inbox);
+        }
+        for i in 0..n {
+            if let Some(payload) = self.frame.take_broadcast(ProcessId(i)) {
+                self.payloads[i] = Some(payload);
+            }
         }
     }
 }
@@ -157,6 +181,7 @@ mod tests {
     use super::*;
     use crate::adversary::{Adversary, TapeOmission};
     use crate::runner::{RunConfig, SyncRunner};
+    use ftss_core::Round;
     use ftss_protocols_shim::*;
     use ftss_rng::Rng;
 
@@ -240,6 +265,34 @@ mod tests {
                 let _ = SyncRunner::new(MaxGossip).run(&mut probe, &cfg);
                 probe.consulted()
             });
+        });
+    }
+
+    /// `reset` must leave no trace of the rounds before it: a recycled
+    /// stepper and a fresh one agree state-for-state under the same
+    /// decisions, whatever the scratch buffers last held.
+    #[test]
+    fn reset_stepper_matches_a_fresh_one() {
+        ftss_rng::check::forall(40, |g| {
+            let n = g.gen_range(2..6u64) as usize;
+            let start: Vec<Val> = (0..n).map(|_| Val(g.gen_range(0..64))).collect();
+            let mut recycled = SyncStepper::corrupted(MaxGossip, n, g.next_u64());
+            for _ in 0..g.gen_range(0..3u64) {
+                let drops = g.next_u64();
+                recycled.step_round(|from, to| (drops >> (from.index() * n + to.index())) & 1 == 0);
+            }
+            recycled.reset(&start);
+            assert_eq!(recycled.rounds(), 0);
+            let mut fresh = SyncStepper::new(MaxGossip, start);
+            for _ in 0..3 {
+                let drops = g.next_u64();
+                let decide = |from: ProcessId, to: ProcessId| {
+                    (drops >> (from.index() * n + to.index())) & 1 == 0
+                };
+                recycled.step_round(decide);
+                fresh.step_round(decide);
+                assert_eq!(recycled.states(), fresh.states());
+            }
         });
     }
 

@@ -19,7 +19,10 @@ run() {
 
 run cargo fmt --check
 run cargo build --release
-run cargo test -q
+# --no-fail-fast: every test binary runs even after one goes red, so a
+# single failure cannot hide the results of the binaries after it (the
+# exit status is still non-zero if anything failed).
+run cargo test -q --no-fail-fast
 run cargo clippy --all-targets -- -D warnings
 # The bench targets are feature-gated off the default build; make sure
 # they still compile and their harness unit tests pass.
@@ -84,7 +87,10 @@ run cmp "$TRACE_DIR/replay_a.jsonl" "$TRACE_DIR/replay_b.jsonl"
 # deliberately broken oracle), its counterexamples must replay through
 # the same pipeline, its report must render byte-identical at any worker
 # count, and a full n=5 fixpoint must close (Theorem 3 certified for
-# every horizon, beyond any bounded enumeration).
+# every horizon, beyond any bounded enumeration). The n=6 fixpoint's
+# counts are pinned to the line recorded before the expansion kernel was
+# rebuilt (PR 12): canonicalization, fingerprints and dedup must keep
+# producing exactly that search, at any worker count.
 run cargo run -q --release -p ftss-lab -- check --dfs --n 4 --rounds 2 \
     --bound 12 --seed 7 --ce "$TRACE_DIR/enum4.schedule"
 run cargo run -q --release -p ftss-lab -- check --graph --n 4 --rounds 2 \
@@ -106,6 +112,14 @@ cargo run -q --release -p ftss-lab -- check --graph --n 4 --rounds 3 \
     --jobs 4 > "$TRACE_DIR/graph_j4.txt"
 run cmp "$TRACE_DIR/graph_j1.txt" "$TRACE_DIR/graph_j4.txt"
 run cargo run -q --release -p ftss-lab -- check --graph --n 5
+echo "==> ftss-lab check --graph --n 6 (pinned fixpoint counts; serial vs 4 workers, byte-compared)"
+cargo run -q --release -p ftss-lab -- check --graph --n 6 --seed 7 \
+    --jobs 1 > "$TRACE_DIR/graph6_j1.txt"
+cargo run -q --release -p ftss-lab -- check --graph --n 6 --seed 7 \
+    --jobs 4 > "$TRACE_DIR/graph6_j4.txt"
+run cmp "$TRACE_DIR/graph6_j1.txt" "$TRACE_DIR/graph6_j4.txt"
+run grep -qxF 'visited 573 canonical state(s) in 586752 expansion(s); 586180 revisit(s) deduped, 45182 orbit collapse(s); depth 4 (closed: certified for every horizon)' \
+    "$TRACE_DIR/graph6_j1.txt"
 
 # Async POR smoke: the sleep-set reduction on the canonical gossip demo
 # must keep the full enumeration's verdict while pruning the commuting

@@ -11,8 +11,14 @@
 //!   horizon — coverage no bounded tape enumeration can reach.
 //! * A graph counterexample serializes with the `mode: graph` header and
 //!   replays through the same schedule-file pipeline as enumerated ones.
+//! * Whole reports — counts and reconstructed counterexamples — equal the
+//!   values recorded before the expansion kernel was rebuilt (PR 12).
 
-use ftss_check::{explore, explore_graph, DfsConfig, GraphConfig, ScheduleFile, ScheduleMode};
+use ftss::core::ProcessId;
+use ftss_check::{
+    explore, explore_graph, Counterexample, DfsConfig, GraphConfig, GraphCounterexample,
+    GraphReport, ScheduleFile, ScheduleMode,
+};
 
 /// One legacy/graph configuration pair covering the same space: `rounds`
 /// BFS layers ≙ enumerating every `rounds`-round schedule, with the tape
@@ -114,4 +120,81 @@ fn graph_counterexample_replays_through_the_schedule_pipeline() {
         Some(gce.counterexample.detail),
         "graph witnesses replay like enumerated ones"
     );
+}
+
+/// Recorded on PR 12's parent commit (brute-force canonicalizer, unpruned
+/// merge): two complete layers at n = 6, every count.
+#[test]
+fn n6_two_layer_report_matches_the_recorded_one() {
+    let mut cfg = GraphConfig::fixpoint(6, 7);
+    cfg.rounds = Some(2);
+    cfg.jobs = 2;
+    assert_eq!(
+        explore_graph(&cfg).expect("valid config"),
+        GraphReport {
+            visited: 404,
+            expansions: 230_400,
+            dedup_hits: 229_997,
+            orbit_hits: 17_858,
+            depth: 2,
+            fixpoint: false,
+            counterexample: None,
+        }
+    );
+}
+
+/// Recorded on PR 12's parent commit: the sabotaged oracle's whole report
+/// at n = 4 — the layer is completed, every edge of it needs a
+/// non-identity relabeling, and the witness is rebuilt through the root's
+/// stored permutation, confirmed on the raw simulator and shrunk.
+#[test]
+fn n4_broken_oracle_reports_match_the_recorded_ones() {
+    let cases = [
+        (
+            7u64,
+            ProcessId(0),
+            "thm3: 1 of 1 obligations failed at stabilization 0; first: H3 = rounds 1..1 \
+             (coterie {p0,p1,p2,p3}): violation of agreement at slice round 0 involving \
+             p0,p1: p0 has c=5142052590334782674 but p1 has c=18098058644649177664",
+        ),
+        (
+            11,
+            ProcessId(2),
+            "thm3: 1 of 1 obligations failed at stabilization 0; first: H3 = rounds 1..1 \
+             (coterie {p0,p1,p2,p3}): violation of agreement at slice round 0 involving \
+             p0,p1: p0 has c=89 but p1 has c=454",
+        ),
+    ];
+    for (seed, faulty, detail) in cases {
+        let mut cfg = GraphConfig::fixpoint(4, seed);
+        cfg.stabilization = 0;
+        cfg.faulty = faulty;
+        let replay = DfsConfig {
+            n: 4,
+            rounds: 1,
+            corruption_seed: seed,
+            faulty,
+            tape_bound: 6,
+            stabilization: 0,
+        };
+        assert_eq!(
+            explore_graph(&cfg).expect("valid config"),
+            GraphReport {
+                visited: 49,
+                expansions: 64,
+                dedup_hits: 16,
+                orbit_hits: 64,
+                depth: 1,
+                fixpoint: false,
+                counterexample: Some(GraphCounterexample {
+                    cfg: replay,
+                    counterexample: Counterexample {
+                        tape: vec![],
+                        detail: detail.to_string(),
+                    },
+                }),
+            },
+            "seed {seed}, faulty {faulty}"
+        );
+    }
 }

@@ -2,12 +2,12 @@
 //! output — rendered tables and concatenated JSONL traces alike — must be
 //! byte-identical whether it ran on 1 worker (`FTSS_JOBS=1`) or 4. This
 //! is the contract `ftss-lab sweep` exposes and `scripts/verify.sh`
-//! `cmp`-checks end to end; here it is asserted in-process, plus once via
-//! the `FTSS_JOBS` environment knob itself.
+//! `cmp`-checks end to end; here it is asserted in-process, plus the rule
+//! by which the `FTSS_JOBS` environment knob picks the worker count.
 
 use ftss::protocols::RoundAgreement;
 use ftss::sync_sim::{NoFaults, RunConfig, SyncRunner};
-use ftss_sweep::{e1_table, e7c_table, jobs_from_env, map_cells};
+use ftss_sweep::{e1_table, e7c_table, jobs_from, jobs_from_env, map_cells};
 
 #[test]
 fn e1_table_is_byte_identical_serial_vs_parallel() {
@@ -51,18 +51,23 @@ fn swept_jsonl_traces_concatenate_identically() {
 
 #[test]
 fn jobs_env_is_respected() {
-    // `jobs_from_env` is what the CLI passes straight into the sweep; an
-    // explicit FTSS_JOBS must win over autodetection. Env mutation is
-    // process-global, hence a subprocess-free guard: only run the mutation
-    // when the variable is not already pinned by the harness.
-    if std::env::var_os("FTSS_JOBS").is_none() {
-        // SAFETY: single mutation point in this test binary, and the tests
-        // reading it (this one) run after the set.
-        std::env::set_var("FTSS_JOBS", "3");
-        assert_eq!(jobs_from_env(), 3);
-        std::env::set_var("FTSS_JOBS", "not-a-number");
-        assert_eq!(jobs_from_env(), 1, "garbage falls back to serial");
-        std::env::remove_var("FTSS_JOBS");
-    }
+    // `jobs_from_env` is what the CLI passes straight into the sweep. Its
+    // rule is pinned on `jobs_from` — the same function with the variable's
+    // value and the fallback (the machine's parallelism) passed in — so the
+    // test neither mutates the process environment under the other tests
+    // of this binary nor depends on the host's core count.
+    assert_eq!(jobs_from(Some("3"), || 8), 3, "an explicit FTSS_JOBS wins");
+    assert_eq!(
+        jobs_from(Some(" 1\n"), || 8),
+        1,
+        "FTSS_JOBS=1 forces serial"
+    );
+    assert_eq!(jobs_from(None, || 8), 8, "unset: autodetect");
+    assert_eq!(
+        jobs_from(Some("not-a-number"), || 8),
+        8,
+        "garbage: autodetect"
+    );
+    assert_eq!(jobs_from(Some("0"), || 8), 8, "zero: autodetect");
     assert!(jobs_from_env() >= 1);
 }

@@ -30,8 +30,8 @@
 
 use crate::guard::{with_watchdog, QuiescenceMonitor, SoakBudget, WatchdogOutcome};
 use crate::plan::{
-    burst_seed, churn_cycle, join_seed, restart_cycle, storm_cycle, SoakCell, SoakPlan,
-    SoakScenario, StormGeometry,
+    burst_seed, churn_cycle, join_seed, restart_cycle, storm_cycle, storm_program_for,
+    RestartScenario, SoakCell, SoakPlan, SoakScenario, StormGeometry,
 };
 use crate::verdict::{CellReport, EpochVerdict, SoakVerdict};
 use ftss::async_sim::{
@@ -40,18 +40,17 @@ use ftss::async_sim::{
 use ftss::compiler::{trace_events, Compiled};
 use ftss::core::{
     saturating_round_index, Corrupt, History, Problem, ProcessId, ProcessSet, RateAgreementSpec,
-    StormKind, StormPhase,
+    StormKind,
 };
 use ftss::detectors::{
     eventual_weak_accuracy, strong_completeness_time, suspicion_events, LifeState,
     StrongDetectorProcess, SuspectProbe, WeakOracle,
 };
 use ftss::protocols::{FloodSet, RepeatedConsensusSpec, RoundAgreement};
-use ftss::sync_sim::{CorruptionSchedule, RunConfig, StormAdversary, SyncProtocol, SyncRunner};
+use ftss::sync_sim::{RunConfig, StormAdversary, SyncProtocol, SyncRunner};
 use ftss::telemetry::{Event, NullSink, RunMode};
 use ftss_check::window_stabilization;
-use ftss_serve::TransportKind;
-use ftss_serve::{serve, Retry, ServeConfig, ServeRestart, SnapshotFault, TimingFaults};
+use ftss_serve::{serve, TransportKind};
 use std::fmt::Write as _;
 
 /// One soak campaign's parameters.
@@ -188,6 +187,68 @@ fn push_line(out: &mut String, ev: &Event) {
     out.push('\n');
 }
 
+/// Opens a cell's report fragment with its `run_start` line. A
+/// synchronous cell (`rounds` given) whose horizon exceeds the round
+/// budget is cut short here, before it runs.
+fn open_report(
+    cell: &SoakCell,
+    mode: RunMode,
+    rounds: Option<u64>,
+    budget: &SoakBudget,
+) -> Result<String, CellReport> {
+    let mut jsonl = String::new();
+    push_line(
+        &mut jsonl,
+        &Event::RunStart {
+            mode,
+            protocol: cell.label.clone(),
+            n: cell.n,
+            rounds,
+            msg_size: None,
+        },
+    );
+    if rounds.is_some_and(|r| r > budget.max_rounds) {
+        push_line(
+            &mut jsonl,
+            &Event::BudgetExhausted {
+                at: 0,
+                budget: "rounds".into(),
+            },
+        );
+        return Err(CellReport::timed_out(
+            cell.label.clone(),
+            "rounds",
+            Vec::new(),
+            jsonl,
+        ));
+    }
+    Ok(jsonl)
+}
+
+fn bad_config(cell: &SoakCell, detail: &dyn std::fmt::Display, jsonl: String) -> CellReport {
+    let detail = format!("bad soak run config: {detail}");
+    CellReport::from_epochs(
+        cell.label.clone(),
+        vec![EpochVerdict::Violated { detail }],
+        jsonl,
+    )
+}
+
+/// Judges epoch `e` ([`EpochVerdict::measure`]) and appends its
+/// `recovery_measured` line to the report.
+fn close_epoch(
+    jsonl: &mut String,
+    e: usize,
+    at: u64,
+    bound: u64,
+    measured: Result<u64, String>,
+    tail_churn: Option<u64>,
+) -> EpochVerdict {
+    let (line, verdict) = EpochVerdict::measure(e, at, bound, measured, tail_churn);
+    push_line(jsonl, &line);
+    verdict
+}
+
 // ---------------------------------------------------------------------
 // Synchronous cells
 // ---------------------------------------------------------------------
@@ -204,24 +265,15 @@ fn cell_cycle(cell: &SoakCell) -> [StormKind; 4] {
     }
 }
 
-/// The cell's storm program, via the public replay seam in [`crate::plan`].
-fn cell_storm_program(
-    cell: &SoakCell,
-    geom: &StormGeometry,
-    victims: &[ProcessId],
-) -> (CorruptionSchedule, Vec<StormPhase>) {
-    crate::plan::storm_program_for(cell.seed, cell.epochs, &cell_cycle(cell), geom, victims)
-}
-
-/// Report lines for epoch `e`'s storm window: start, the opening burst,
-/// the joiners' entry corruption (churn cells' `Join` epochs only), end.
-fn push_storm_lines(jsonl: &mut String, cell: &SoakCell, geom: &StormGeometry, e: usize) {
-    let kind = cell_cycle(cell)[e % 4];
-    let (start, end) = (geom.storm_start(e), geom.storm_end(e));
+/// Report lines for epoch `e`'s storm window `span = (start, end)`:
+/// start, the opening burst, the joiners' entry corruption in the round
+/// after a `Join` storm closes, end.
+fn push_storm_lines(jsonl: &mut String, seed: u64, e: usize, kind: StormKind, span: (u64, u64)) {
+    let (epoch, (start, end)) = (e as u64, span);
     push_line(
         jsonl,
         &Event::StormStart {
-            epoch: e as u64,
+            epoch,
             at: start,
             kind: kind.name().into(),
         },
@@ -230,7 +282,7 @@ fn push_storm_lines(jsonl: &mut String, cell: &SoakCell, geom: &StormGeometry, e
         jsonl,
         &Event::Corruption {
             round: start,
-            seed: burst_seed(cell.seed, e as u64),
+            seed: burst_seed(seed, epoch),
         },
     );
     if kind == StormKind::Join {
@@ -238,17 +290,17 @@ fn push_storm_lines(jsonl: &mut String, cell: &SoakCell, geom: &StormGeometry, e
             jsonl,
             &Event::Corruption {
                 round: end + 1,
-                seed: join_seed(cell.seed, e as u64),
+                seed: join_seed(seed, epoch),
             },
         );
     }
-    push_line(
-        jsonl,
-        &Event::StormEnd {
-            epoch: e as u64,
-            at: end,
-        },
-    );
+    push_line(jsonl, &Event::StormEnd { epoch, at: end });
+}
+
+/// [`push_storm_lines`] for a synchronous cell's epoch `e`.
+fn push_cell_storm(jsonl: &mut String, cell: &SoakCell, geom: &StormGeometry, e: usize) {
+    let span = (geom.storm_start(e), geom.storm_end(e));
+    push_storm_lines(jsonl, cell.seed, e, cell_cycle(cell)[e % 4], span);
 }
 
 /// Round agreement under the full storm cycle. Victims are a strict
@@ -260,142 +312,21 @@ fn push_storm_lines(jsonl: &mut String, cell: &SoakCell, geom: &StormGeometry, e
 /// *heal round* (the first round after the last drop) — that round is
 /// the epoch's final perturbation, and Theorem 3's one-round
 /// stabilization counts from it.
+///
+/// Round agreement emits no churn stamps, so the quiescence monitor is a
+/// no-op here.
 fn run_round_agreement(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
-    let geom = StormGeometry {
-        storm_len: 3,
-        epoch_len: 12,
-    };
-    let victims = [ProcessId(0), ProcessId(1)];
-    if let Some(window) = cell.history_window {
-        return run_round_agreement_streamed(cell, budget, &geom, &victims, window);
-    }
+    let geom = StormGeometry::engine_default();
     run_sync_cell(
         cell,
         budget,
         &geom,
-        &victims,
+        &[ProcessId(0), ProcessId(1)],
         RoundAgreement,
         &RateAgreementSpec::new(),
         2,
         |_| Vec::new(),
     )
-}
-
-/// The large-n variant of the round-agreement cell: the same storm
-/// program, but the run streams through a bounded history window
-/// (`SyncRunner::run_streaming`) and each epoch is verified **in-stream**
-/// the moment its last round lands — before the window evicts it. The
-/// full execution is never resident, which is what lets this cell soak
-/// `n = 4096`. Report lines come out in the same canonical order as the
-/// full-retention driver, so the fragment shape is identical.
-///
-/// Round agreement emits no churn stamps, so the quiescence monitor —
-/// a no-op on empty stamps in the full-retention path — is skipped.
-fn run_round_agreement_streamed(
-    cell: &SoakCell,
-    budget: &SoakBudget,
-    geom: &StormGeometry,
-    victims: &[ProcessId],
-    window: usize,
-) -> CellReport {
-    assert!(
-        window as u64 >= geom.epoch_len,
-        "soak window of {window} rounds cannot retain a full epoch of {}",
-        geom.epoch_len
-    );
-    let bound = 2;
-    let total_rounds = geom.epoch_len * cell.epochs as u64;
-    let mut jsonl = String::new();
-    push_line(
-        &mut jsonl,
-        &Event::RunStart {
-            mode: RunMode::Sync,
-            protocol: cell.label.clone(),
-            n: cell.n,
-            rounds: Some(total_rounds),
-            msg_size: None,
-        },
-    );
-    if total_rounds > budget.max_rounds {
-        push_line(
-            &mut jsonl,
-            &Event::BudgetExhausted {
-                at: 0,
-                budget: "rounds".into(),
-            },
-        );
-        return CellReport::timed_out(cell.label.clone(), "rounds", Vec::new(), jsonl);
-    }
-
-    let (schedule, phases) = cell_storm_program(cell, geom, victims);
-    let mut adv = StormAdversary::new(victims.iter().copied(), phases, cell.seed ^ 0x517a);
-    let run_cfg = RunConfig::corrupted(cell.n, total_rounds as usize, burst_seed(cell.seed, 0))
-        .with_mid_run_corruption(schedule)
-        .with_history_window(window);
-    let spec = RateAgreementSpec::new();
-    let mut results: Vec<Result<usize, String>> = Vec::with_capacity(cell.epochs);
-    let run = SyncRunner::new(RoundAgreement).run_streaming(
-        &mut adv,
-        &run_cfg,
-        &mut NullSink,
-        |history| {
-            let e = results.len();
-            if e < cell.epochs && history.len() as u64 == geom.epoch_end(e) {
-                results.push(window_stabilization(
-                    history,
-                    &spec,
-                    geom.storm_end(e) as usize,
-                    geom.epoch_end(e) as usize,
-                    bound,
-                ));
-            }
-        },
-    );
-    if let Err(e) = run {
-        return CellReport::from_epochs(
-            cell.label.clone(),
-            vec![EpochVerdict::Violated {
-                detail: format!("bad soak run config: {e}"),
-            }],
-            jsonl,
-        );
-    }
-
-    let mut epochs = Vec::with_capacity(cell.epochs);
-    for (e, res) in results.into_iter().enumerate() {
-        let close = geom.epoch_end(e);
-        push_storm_lines(&mut jsonl, cell, geom, e);
-        let verdict = match res {
-            Ok(s) => {
-                push_line(
-                    &mut jsonl,
-                    &Event::RecoveryMeasured {
-                        epoch: e as u64,
-                        at: close,
-                        rounds: s as u64,
-                        bound: bound as u64,
-                        ok: true,
-                    },
-                );
-                EpochVerdict::Recovered { rounds: s as u64 }
-            }
-            Err(detail) => {
-                push_line(
-                    &mut jsonl,
-                    &Event::RecoveryMeasured {
-                        epoch: e as u64,
-                        at: close,
-                        rounds: 0,
-                        bound: bound as u64,
-                        ok: false,
-                    },
-                );
-                EpochVerdict::Violated { detail }
-            }
-        };
-        epochs.push(verdict);
-    }
-    CellReport::from_epochs(cell.label.clone(), epochs, jsonl)
 }
 
 /// The compiled `Π⁺` (FloodSet, `f = 1`) under the storm cycle with a
@@ -414,12 +345,11 @@ fn run_compiled(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
         storm_len: 3,
         epoch_len: bound as u64 + 9,
     };
-    let victims = [ProcessId(0)];
     run_sync_cell(
         cell,
         budget,
         &geom,
-        &victims,
+        &[ProcessId(0)],
         pi,
         &RepeatedConsensusSpec::agreement_only(),
         bound,
@@ -435,8 +365,13 @@ fn run_compiled(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
     )
 }
 
-/// The shared synchronous driver: one long run, storms from the cycle,
-/// per-epoch window verification.
+/// The one synchronous driver: one long streamed run, storms from the
+/// cycle, and each epoch verified **in-stream** the moment its last
+/// round lands. With [`SoakCell::history_window`] set the history keeps
+/// only that many rounds (evicted frames are recycled), so the full
+/// execution is never resident — which is what lets the large-n plan
+/// soak `n = 4096` — and the verdicts and report bytes are those of full
+/// retention by construction: it is the same code either way.
 #[allow(clippy::too_many_arguments)]
 fn run_sync_cell<P>(
     cell: &SoakCell,
@@ -452,97 +387,49 @@ where
     P: SyncProtocol,
     P::State: Corrupt,
 {
-    let total_rounds = geom.epoch_len * cell.epochs as u64;
-    let mut jsonl = String::new();
-    push_line(
-        &mut jsonl,
-        &Event::RunStart {
-            mode: RunMode::Sync,
-            protocol: cell.label.clone(),
-            n: cell.n,
-            rounds: Some(total_rounds),
-            msg_size: None,
-        },
-    );
-    if total_rounds > budget.max_rounds {
-        push_line(
-            &mut jsonl,
-            &Event::BudgetExhausted {
-                at: 0,
-                budget: "rounds".into(),
-            },
+    if let Some(window) = cell.history_window {
+        assert!(
+            window as u64 >= geom.epoch_len,
+            "soak window of {window} rounds cannot retain a full epoch of {}",
+            geom.epoch_len
         );
-        return CellReport::timed_out(cell.label.clone(), "rounds", Vec::new(), jsonl);
     }
+    let total_rounds = geom.epoch_len * cell.epochs as u64;
+    let mut jsonl = match open_report(cell, RunMode::Sync, Some(total_rounds), budget) {
+        Ok(jsonl) => jsonl,
+        Err(report) => return report,
+    };
 
-    let (schedule, phases) = cell_storm_program(cell, geom, victims);
+    let (schedule, phases) =
+        storm_program_for(cell.seed, cell.epochs, &cell_cycle(cell), geom, victims);
     let mut adv = StormAdversary::new(victims.iter().copied(), phases, cell.seed ^ 0x517a);
-    let run_cfg = RunConfig::corrupted(cell.n, total_rounds as usize, burst_seed(cell.seed, 0))
+    let mut run_cfg = RunConfig::corrupted(cell.n, total_rounds as usize, burst_seed(cell.seed, 0))
         .with_mid_run_corruption(schedule);
-    let out = match SyncRunner::new(protocol).run(&mut adv, &run_cfg) {
+    run_cfg.history_window = cell.history_window;
+    let mut measured: Vec<Result<usize, String>> = Vec::with_capacity(cell.epochs);
+    let run =
+        SyncRunner::new(protocol).run_streaming(&mut adv, &run_cfg, &mut NullSink, |history| {
+            let e = measured.len();
+            if e < cell.epochs && history.len() as u64 == geom.epoch_end(e) {
+                let (end, close) = (geom.storm_end(e), geom.epoch_end(e));
+                let m = window_stabilization(history, spec, end as usize, close as usize, bound);
+                measured.push(m);
+            }
+        });
+    let out = match run {
         Ok(out) => out,
-        Err(e) => {
-            return CellReport::from_epochs(
-                cell.label.clone(),
-                vec![EpochVerdict::Violated {
-                    detail: format!("bad soak run config: {e}"),
-                }],
-                jsonl,
-            );
-        }
+        Err(e) => return bad_config(cell, &e, jsonl),
     };
 
     let stamps = churn_stamps(&out.history);
     let monitor = QuiescenceMonitor::new(2 * cell.n as u64);
     let mut epochs = Vec::with_capacity(cell.epochs);
-    for e in 0..cell.epochs {
+    for (e, m) in measured.into_iter().enumerate() {
         let (end, close) = (geom.storm_end(e), geom.epoch_end(e));
-        push_storm_lines(&mut jsonl, cell, geom, e);
-        let verdict =
-            match window_stabilization(&out.history, spec, end as usize, close as usize, bound) {
-                Ok(s) => match monitor.check(&stamps, end, close) {
-                    Some(churn) => {
-                        push_line(
-                            &mut jsonl,
-                            &Event::RecoveryMeasured {
-                                epoch: e as u64,
-                                at: close,
-                                rounds: s as u64,
-                                bound: bound as u64,
-                                ok: false,
-                            },
-                        );
-                        EpochVerdict::Livelock { churn }
-                    }
-                    None => {
-                        push_line(
-                            &mut jsonl,
-                            &Event::RecoveryMeasured {
-                                epoch: e as u64,
-                                at: close,
-                                rounds: s as u64,
-                                bound: bound as u64,
-                                ok: true,
-                            },
-                        );
-                        EpochVerdict::Recovered { rounds: s as u64 }
-                    }
-                },
-                Err(detail) => {
-                    push_line(
-                        &mut jsonl,
-                        &Event::RecoveryMeasured {
-                            epoch: e as u64,
-                            at: close,
-                            rounds: 0,
-                            bound: bound as u64,
-                            ok: false,
-                        },
-                    );
-                    EpochVerdict::Violated { detail }
-                }
-            };
-        epochs.push(verdict);
+        push_cell_storm(&mut jsonl, cell, geom, e);
+        let churn = monitor.check(&stamps, end, close);
+        let m = m.map(|s| s as u64);
+        epochs.push(close_epoch(&mut jsonl, e, close, bound as u64, m, churn));
     }
     CellReport::from_epochs(cell.label.clone(), epochs, jsonl)
 }
@@ -552,129 +439,37 @@ where
 // ---------------------------------------------------------------------
 
 /// Served round agreement (`mem` transport, real router and node
-/// threads) under the restart cycle. One crash–restart episode runs
-/// inside epoch 0: the victim is killed at round 2, its first respawn
-/// attempt at round 4 reads a truncated recovery snapshot, and the final
-/// attempt at round 6 re-admits it on clean (but stale) bytes. The
-/// partial-synchrony proxy renders the cycle's timing kinds — delayed,
-/// duplicated, reordered copies — against the same victim in every
-/// storm window.
-///
-/// Verification is Theorem 3's oracle per epoch, measured from the last
-/// perturbation that can touch the epoch: the storm's close plus the
-/// timing kind's slack (a `Delay { rounds }` copy lands up to `rounds`
-/// after the storm closes; reordered and duplicated copies land one
-/// round late), and in epoch 0 additionally the restart's final
-/// scheduled attempt — the re-entering node carries its stale snapshot
-/// until that round.
+/// threads) through the [`RestartScenario`]: a kill/respawn episode in
+/// epoch 0 and the restart cycle's timing storms in every epoch, each
+/// epoch verified with Theorem 3's oracle from
+/// [`RestartScenario::window_from`].
 fn run_restart_cell(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
-    let geom = StormGeometry::engine_default();
-    let victims = [ProcessId(0)];
+    let mut sc = RestartScenario::new(cell.seed, cell.epochs, cell.n, TransportKind::Mem);
+    let geom = sc.geom;
     let total_rounds = geom.epoch_len * cell.epochs as u64;
-    let mut jsonl = String::new();
-    push_line(
-        &mut jsonl,
-        &Event::RunStart {
-            mode: RunMode::Sync,
-            protocol: cell.label.clone(),
-            n: cell.n,
-            rounds: Some(total_rounds),
-            msg_size: None,
-        },
-    );
-    if total_rounds > budget.max_rounds {
-        push_line(
-            &mut jsonl,
-            &Event::BudgetExhausted {
-                at: 0,
-                budget: "rounds".into(),
-            },
-        );
-        return CellReport::timed_out(cell.label.clone(), "rounds", Vec::new(), jsonl);
-    }
-
-    let (schedule, phases) = cell_storm_program(cell, &geom, &victims);
-    let mut adv = StormAdversary::new(victims.iter().copied(), phases.clone(), cell.seed ^ 0x517a);
-    let restart = ServeRestart {
-        p: ProcessId(0),
-        kill_round: 2,
-        gap: 2,
-        staleness: 1,
-        fault: SnapshotFault::Truncated,
-        snapshot_seed: cell.seed ^ 0x5a97,
-        retry: Retry {
-            attempts: 2,
-            backoff_rounds: 2,
-        },
+    let mut jsonl = match open_report(cell, RunMode::Sync, Some(total_rounds), budget) {
+        Ok(jsonl) => jsonl,
+        Err(report) => return report,
     };
-    let run_cfg = RunConfig::corrupted(cell.n, total_rounds as usize, burst_seed(cell.seed, 0))
-        .with_mid_run_corruption(schedule);
-    let serve_cfg = ServeConfig::new(run_cfg, TransportKind::Mem)
-        .with_restart(restart)
-        .with_timing(TimingFaults {
-            victims: victims.to_vec(),
-            phases,
-            seed: cell.seed ^ 0x7131,
-        });
-    let out = match serve(&RoundAgreement, &mut adv, &serve_cfg, &mut NullSink) {
+    let out = match serve(
+        &RoundAgreement,
+        &mut sc.adversary,
+        &sc.config,
+        &mut NullSink,
+    ) {
         Ok(out) => out,
-        Err(e) => {
-            return CellReport::from_epochs(
-                cell.label.clone(),
-                vec![EpochVerdict::Violated {
-                    detail: format!("bad soak run config: {e}"),
-                }],
-                jsonl,
-            );
-        }
+        Err(e) => return bad_config(cell, &e, jsonl),
     };
 
     let bound = 2;
     let spec = RateAgreementSpec::new();
-    let cycle = restart_cycle();
     let mut epochs = Vec::with_capacity(cell.epochs);
     for e in 0..cell.epochs {
-        push_storm_lines(&mut jsonl, cell, &geom, e);
-        let slack = match cycle[e % cycle.len()] {
-            StormKind::Delay { rounds } => u64::from(rounds),
-            StormKind::Reorder | StormKind::Duplicate => 1,
-            _ => 0,
-        };
-        let mut from = geom.storm_end(e) + slack;
-        if e == 0 {
-            from = from.max(restart.last_attempt_round());
-        }
-        let close = geom.epoch_end(e);
-        let verdict =
-            match window_stabilization(&out.history, &spec, from as usize, close as usize, bound) {
-                Ok(s) => {
-                    push_line(
-                        &mut jsonl,
-                        &Event::RecoveryMeasured {
-                            epoch: e as u64,
-                            at: close,
-                            rounds: s as u64,
-                            bound: bound as u64,
-                            ok: true,
-                        },
-                    );
-                    EpochVerdict::Recovered { rounds: s as u64 }
-                }
-                Err(detail) => {
-                    push_line(
-                        &mut jsonl,
-                        &Event::RecoveryMeasured {
-                            epoch: e as u64,
-                            at: close,
-                            rounds: 0,
-                            bound: bound as u64,
-                            ok: false,
-                        },
-                    );
-                    EpochVerdict::Violated { detail }
-                }
-            };
-        epochs.push(verdict);
+        push_cell_storm(&mut jsonl, cell, &geom, e);
+        let (from, close) = (sc.window_from(e), geom.epoch_end(e));
+        let m = window_stabilization(&out.history, &spec, from as usize, close as usize, bound);
+        let m = m.map(|s| s as u64);
+        epochs.push(close_epoch(&mut jsonl, e, close, bound as u64, m, None));
     }
     CellReport::from_epochs(cell.label.clone(), epochs, jsonl)
 }
@@ -729,34 +524,24 @@ fn run_detector(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
         let sched = AdversaryScheduler::new([ProcessId(1)]).with_window(0, horizon / 2);
         match AsyncRunner::with_scheduler(procs, cfg, sched) {
             Ok(runner) => drive_detector(cell, budget, runner, &crashes),
-            Err(e) => bad_async_config(cell, &e.to_string()),
+            Err(e) => bad_config(cell, &e, String::new()),
         }
     } else {
         match AsyncRunner::new(procs, cfg) {
             Ok(runner) => drive_detector(cell, budget, runner, &crashes),
-            Err(e) => bad_async_config(cell, &e.to_string()),
+            Err(e) => bad_config(cell, &e, String::new()),
         }
     }
 }
 
-fn bad_async_config(cell: &SoakCell, detail: &str) -> CellReport {
-    CellReport::from_epochs(
-        cell.label.clone(),
-        vec![EpochVerdict::Violated {
-            detail: format!("bad soak run config: {detail}"),
-        }],
-        String::new(),
-    )
-}
-
 /// The storm label for a detector epoch: delay inflation while the
 /// worst-case scheduler's window is open, a bare burst otherwise.
-fn detector_storm_kind(cell: &SoakCell, e: usize) -> &'static str {
+fn detector_storm_kind(cell: &SoakCell, e: usize) -> StormKind {
     let horizon = EPOCH_TIME * cell.epochs as u64;
     if cell.worst_case && (e as u64 * EPOCH_TIME) < horizon / 2 {
-        ftss::core::StormKind::DelayInflation.name()
+        StormKind::DelayInflation
     } else {
-        ftss::core::StormKind::CorruptionBurst.name()
+        StormKind::CorruptionBurst
     }
 }
 
@@ -770,17 +555,10 @@ where
     S: Scheduler<<StrongDetectorProcess as AsyncProcess>::Msg>,
 {
     let n = cell.n;
-    let mut jsonl = String::new();
-    push_line(
-        &mut jsonl,
-        &Event::RunStart {
-            mode: RunMode::Async,
-            protocol: cell.label.clone(),
-            n,
-            rounds: None,
-            msg_size: None,
-        },
-    );
+    let mut jsonl = match open_report(cell, RunMode::Async, None, budget) {
+        Ok(jsonl) => jsonl,
+        Err(report) => return report,
+    };
     for e in 0..cell.epochs {
         // Epoch 0's burst fires at t = 1: the detector must boot *into*
         // an arbitrary state, like the synchronous initial corruption.
@@ -819,27 +597,12 @@ where
         let lo = e as Time * EPOCH_TIME;
         let hi = (e as Time + 1) * EPOCH_TIME;
         let at = lo.max(1);
-        push_line(
+        push_storm_lines(
             &mut jsonl,
-            &Event::StormStart {
-                epoch: e as u64,
-                at,
-                kind: detector_storm_kind(cell, e).into(),
-            },
-        );
-        push_line(
-            &mut jsonl,
-            &Event::Corruption {
-                round: at,
-                seed: burst_seed(cell.seed, e as u64),
-            },
-        );
-        push_line(
-            &mut jsonl,
-            &Event::StormEnd {
-                epoch: e as u64,
-                at,
-            },
+            cell.seed,
+            e,
+            detector_storm_kind(cell, e),
+            (at, at),
         );
         for &(p, t) in crashes {
             if t > lo && t <= hi {
@@ -858,66 +621,17 @@ where
         let correct = crashed.complement();
         let comp = strong_completeness_time(&window, &crashed, &correct);
         let acc = eventual_weak_accuracy(&window, &correct);
-        let verdict = if comp.is_none() && !crashed.is_empty() {
-            push_line(
-                &mut jsonl,
-                &Event::RecoveryMeasured {
-                    epoch: e as u64,
-                    at: hi,
-                    rounds: 0,
-                    bound: EPOCH_TIME,
-                    ok: false,
-                },
-            );
-            EpochVerdict::Violated {
-                detail: format!("thm5: strong completeness never settled in epoch {e}"),
-            }
+        let (measured, churn) = if comp.is_none() && !crashed.is_empty() {
+            let detail = format!("thm5: strong completeness never settled in epoch {e}");
+            (Err(detail), None)
         } else if let Some((_, acc_t)) = acc {
             let settle = comp.unwrap_or(acc_t).max(acc_t);
-            let recovery = settle - lo;
-            match monitor.check(&stamps, lo, hi) {
-                Some(churn) => {
-                    push_line(
-                        &mut jsonl,
-                        &Event::RecoveryMeasured {
-                            epoch: e as u64,
-                            at: hi,
-                            rounds: recovery,
-                            bound: EPOCH_TIME,
-                            ok: false,
-                        },
-                    );
-                    EpochVerdict::Livelock { churn }
-                }
-                None => {
-                    push_line(
-                        &mut jsonl,
-                        &Event::RecoveryMeasured {
-                            epoch: e as u64,
-                            at: hi,
-                            rounds: recovery,
-                            bound: EPOCH_TIME,
-                            ok: true,
-                        },
-                    );
-                    EpochVerdict::Recovered { rounds: recovery }
-                }
-            }
+            (Ok(settle - lo), monitor.check(&stamps, lo, hi))
         } else {
-            push_line(
-                &mut jsonl,
-                &Event::RecoveryMeasured {
-                    epoch: e as u64,
-                    at: hi,
-                    rounds: 0,
-                    bound: EPOCH_TIME,
-                    ok: false,
-                },
-            );
-            EpochVerdict::Violated {
-                detail: format!("thm5: eventual weak accuracy never settled in epoch {e}"),
-            }
+            let detail = format!("thm5: eventual weak accuracy never settled in epoch {e}");
+            (Err(detail), None)
         };
+        let verdict = close_epoch(&mut jsonl, e, hi, EPOCH_TIME, measured, churn);
         epochs.push(verdict);
     }
     if let Some(at) = tripped {

@@ -40,6 +40,6 @@ pub use engine::{run_soak, SoakConfig, SoakOutcome};
 pub use guard::{with_watchdog, QuiescenceMonitor, SoakBudget, WatchdogOutcome};
 pub use plan::{
     burst_seed, churn_cycle, join_seed, restart_cycle, storm_cycle, storm_program,
-    storm_program_for, SoakCell, SoakPlan, SoakScenario, StormGeometry,
+    storm_program_for, RestartScenario, SoakCell, SoakPlan, SoakScenario, StormGeometry,
 };
 pub use verdict::{CellReport, EpochVerdict, SoakVerdict};

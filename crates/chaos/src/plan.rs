@@ -24,7 +24,8 @@
 //!   only plan that soaks `ftss-serve` itself.
 
 use ftss::core::{ProcessId, StormKind, StormPhase};
-use ftss::sync_sim::CorruptionSchedule;
+use ftss::sync_sim::{CorruptionSchedule, RunConfig, StormAdversary};
+use ftss_serve::{Retry, ServeConfig, ServeRestart, SnapshotFault, TimingFaults, TransportKind};
 
 /// Which execution a soak cell drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -405,6 +406,83 @@ pub fn storm_program_for(
         }
     }
     (schedule, phases)
+}
+
+/// The restart scenario, defined once for the soak engine's restart
+/// cell and `ftss-lab serve --storm restart`: served round agreement
+/// under [`restart_cycle`] with p0 as the only victim. One crash–restart
+/// episode runs inside epoch 0 — p0 is killed at round 2, its first
+/// respawn at round 4 reads a truncated recovery snapshot, and the final
+/// attempt at round 6 re-admits it on clean (but stale) bytes — while
+/// the partial-synchrony proxy renders the cycle's timing kinds against
+/// p0 in every storm window.
+#[derive(Clone, Debug)]
+pub struct RestartScenario {
+    /// Epoch geometry ([`StormGeometry::engine_default`]).
+    pub geom: StormGeometry,
+    /// The drop adversary (the restart cycle arms no dropping phase, but
+    /// it declares p0 faulty — a restart is a fault).
+    pub adversary: StormAdversary,
+    /// The served run: storm corruption schedule, restart episode and
+    /// timing program.
+    pub config: ServeConfig,
+}
+
+impl RestartScenario {
+    /// The scenario for `epochs` epochs over `n` nodes on `transport`.
+    pub fn new(seed: u64, epochs: usize, n: usize, transport: TransportKind) -> Self {
+        let geom = StormGeometry::engine_default();
+        let victims = [ProcessId(0)];
+        let (schedule, phases) = storm_program_for(seed, epochs, &restart_cycle(), &geom, &victims);
+        let rounds = epochs * geom.epoch_len as usize;
+        let run = RunConfig::corrupted(n, rounds, burst_seed(seed, 0))
+            .with_mid_run_corruption(schedule)
+            .with_max_faulty(victims.len());
+        let config = ServeConfig::new(run, transport)
+            .with_restart(ServeRestart {
+                p: ProcessId(0),
+                kill_round: 2,
+                gap: 2,
+                staleness: 1,
+                fault: SnapshotFault::Truncated,
+                snapshot_seed: seed ^ 0x5a97,
+                retry: Retry {
+                    attempts: 2,
+                    backoff_rounds: 2,
+                },
+            })
+            .with_timing(TimingFaults {
+                victims: victims.to_vec(),
+                phases: phases.clone(),
+                seed: seed ^ 0x7131,
+            });
+        RestartScenario {
+            geom,
+            adversary: StormAdversary::new(victims, phases, seed ^ 0x517a),
+            config,
+        }
+    }
+
+    /// The first round of epoch `e`'s Theorem-3 verification window: the
+    /// last perturbation that can touch the epoch. That is the storm's
+    /// close plus the timing kind's slack (a `Delay { rounds }` copy
+    /// lands up to `rounds` after the storm closes; reordered and
+    /// duplicated copies land one round late), and in epoch 0
+    /// additionally the restart's final scheduled attempt — the
+    /// re-entering node carries its stale snapshot until that round.
+    pub fn window_from(&self, e: usize) -> u64 {
+        let cycle = restart_cycle();
+        let slack = match cycle[e % cycle.len()] {
+            StormKind::Delay { rounds } => u64::from(rounds),
+            StormKind::Reorder | StormKind::Duplicate => 1,
+            _ => 0,
+        };
+        let from = self.geom.storm_end(e) + slack;
+        match self.config.restart {
+            Some(restart) if e == 0 => from.max(restart.last_attempt_round()),
+            _ => from,
+        }
+    }
 }
 
 #[cfg(test)]

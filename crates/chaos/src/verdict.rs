@@ -1,5 +1,7 @@
 //! Soak verdicts: per-epoch recovery outcomes and the per-cell report.
 
+use ftss::telemetry::Event;
+
 /// The overall outcome of one soak cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SoakVerdict {
@@ -65,6 +67,37 @@ pub enum EpochVerdict {
         /// Churn events observed in the tail of the recovery window.
         churn: u64,
     },
+}
+
+impl EpochVerdict {
+    /// The one place an epoch is judged: turns the oracle's measurement
+    /// — `Ok(recovery)` from [`ftss_check::window_stabilization`] (or a
+    /// detector settle time), `Err(detail)` when the window never held —
+    /// plus the quiescence monitor's finding (`Some(churn)` when the
+    /// recovery tail kept churning) into the epoch's `recovery_measured`
+    /// report line and its verdict. `at` stamps the epoch's close.
+    pub fn measure(
+        epoch: usize,
+        at: u64,
+        bound: u64,
+        measured: Result<u64, String>,
+        tail_churn: Option<u64>,
+    ) -> (Event, EpochVerdict) {
+        let rounds = *measured.as_ref().unwrap_or(&0);
+        let verdict = match (measured, tail_churn) {
+            (Err(detail), _) => EpochVerdict::Violated { detail },
+            (Ok(_), Some(churn)) => EpochVerdict::Livelock { churn },
+            (Ok(rounds), None) => EpochVerdict::Recovered { rounds },
+        };
+        let line = Event::RecoveryMeasured {
+            epoch: epoch as u64,
+            at,
+            rounds,
+            bound,
+            ok: matches!(verdict, EpochVerdict::Recovered { .. }),
+        };
+        (line, verdict)
+    }
 }
 
 /// One soak cell's full result: verdict, per-epoch detail, and the

@@ -11,7 +11,7 @@ use ftss::compiler::{trace_events, Compiled};
 use ftss::consensus_async::SsConsensusProcess;
 use ftss::core::{
     ftss_check, round_count, Corrupt, CrashSchedule, History, Problem, ProcessId, ProcessSet,
-    RateAgreementSpec, Round, StormKind,
+    RateAgreementSpec, Round,
 };
 use ftss::detectors::{
     eventual_weak_accuracy, strong_completeness_time, suspicion_events, LifeState,
@@ -717,11 +717,11 @@ fn serve_round_agreement(
     transport: ftss_serve::TransportKind,
     sink: &mut TraceOut,
 ) -> Outcome {
-    let n: usize = args.get_or("n", 4)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let derived = args.flag("derived").unwrap_or(false);
     let spec = RateAgreementSpec::new();
     let Some(storm) = args.get("storm") else {
+        let n: usize = args.get_or("n", 4)?;
         let rounds: usize = args.get_or("rounds", 12)?;
         let mut adv = adversary_from(args, n)?;
         let cfg = ftss_serve::ServeConfig::new(RunConfig::corrupted(n, rounds, seed), transport);
@@ -731,152 +731,75 @@ fn serve_round_agreement(
         }
         return Ok(true);
     };
-    let worst_case = match storm {
-        "default" => false,
-        "worst-case" => true,
-        "restart" => return serve_restart_round_agreement(args, transport, sink),
+    let epochs: usize = args.get_or("epochs", 2)?;
+    if epochs == 0 {
+        return Err("--storm needs --epochs >= 1".into());
+    }
+    let geom = ftss_chaos::StormGeometry::engine_default();
+    // The storm's adversary and served run, plus the round each epoch's
+    // Theorem-3 verification window opens at.
+    let (mut adv, cfg, window_from): (StormAdversary, _, Vec<u64>) = match storm {
+        "default" | "worst-case" => {
+            let n: usize = args.get_or("n", 4)?;
+            // A strict-minority victim set, so round agreement's n > 2f holds.
+            let victims: Vec<ProcessId> = (0..(n.saturating_sub(1) / 2).max(1))
+                .map(ProcessId)
+                .collect();
+            if 2 * victims.len() >= n {
+                return Err(format!("--storm needs n >= 3 (n={n})"));
+            }
+            let rounds = epochs * geom.epoch_len as usize;
+            let (schedule, phases) =
+                ftss_chaos::storm_program(seed, epochs, storm == "worst-case", &geom);
+            let run_cfg = RunConfig::corrupted(n, rounds, ftss_chaos::burst_seed(seed, 0))
+                .with_mid_run_corruption(schedule)
+                .with_max_faulty(victims.len());
+            (
+                StormAdversary::new(victims, phases, seed ^ 0x517a),
+                ftss_serve::ServeConfig::new(run_cfg, transport),
+                (0..epochs).map(|e| geom.storm_end(e)).collect(),
+            )
+        }
+        // A kill/respawn episode plus the partial-synchrony proxy's
+        // delay/duplicate/reorder storms: ftss-chaos's restart scenario.
+        "restart" => {
+            let n: usize = args.get_or("n", 3)?;
+            if n < 3 {
+                return Err(format!("--storm restart needs n >= 3 (n={n})"));
+            }
+            let sc = ftss_chaos::RestartScenario::new(seed, epochs, n, transport);
+            let window_from = (0..epochs).map(|e| sc.window_from(e)).collect();
+            (sc.adversary, sc.config, window_from)
+        }
         other => {
             return Err(format!(
                 "unknown --storm `{other}` (default|worst-case|restart)"
             ))
         }
     };
-    let epochs: usize = args.get_or("epochs", 2)?;
-    if epochs == 0 {
-        return Err("--storm needs --epochs >= 1".into());
-    }
-    // A strict-minority victim set, so round agreement's n > 2f holds.
-    let victims: Vec<ProcessId> = (0..(n.saturating_sub(1) / 2).max(1))
-        .map(ProcessId)
-        .collect();
-    if 2 * victims.len() >= n {
-        return Err(format!("--storm needs n >= 3 (n={n})"));
-    }
-    let geom = ftss_chaos::StormGeometry::engine_default();
-    let rounds = epochs * geom.epoch_len as usize;
-    let (schedule, phases) = ftss_chaos::storm_program(seed, epochs, worst_case, &geom);
-    let mut adv = StormAdversary::new(victims.iter().copied(), phases, seed ^ 0x517a);
-    let run_cfg = RunConfig::corrupted(n, rounds, ftss_chaos::burst_seed(seed, 0))
-        .with_mid_run_corruption(schedule)
-        .with_max_faulty(victims.len());
-    let cfg = ftss_serve::ServeConfig::new(run_cfg, transport);
     let out = ftss_serve::serve(&RoundAgreement, &mut adv, &cfg, sink)?;
     // Per-epoch recovery verification: stabilization within the Thm-3
-    // window bound, counted from the end of each epoch's storm.
-    let bound = 2u64;
+    // window bound, one `recovery_measured` event per epoch.
+    let bound = 2;
     let mut all_ok = true;
-    for e in 0..epochs {
-        let verdict = ftss_check::window_stabilization(
-            &out.history,
-            &spec,
-            geom.storm_end(e) as usize,
-            geom.epoch_end(e) as usize,
-            bound as usize,
-        );
-        let (measured, ok) = match verdict {
-            Ok(s) => (s as u64, true),
-            Err(_) => (0, false),
-        };
-        all_ok &= ok;
-        sink.emit(&Event::RecoveryMeasured {
-            epoch: e as u64,
-            at: geom.epoch_end(e),
-            rounds: measured,
-            bound,
-            ok,
-        });
-    }
-    if derived {
-        emit_history_events(&out.history, Some(&spec), sink);
-    }
-    Ok(all_ok)
-}
-
-/// `serve --storm restart`: round agreement over a real transport
-/// through a crash–restart episode — p0 is killed at round 2, its first
-/// respawn attempt at round 4 reads a truncated recovery snapshot, and
-/// the final attempt at round 6 re-admits it on clean stale bytes —
-/// while the partial-synchrony proxy cycles the restart plan's
-/// delay/duplicate/reorder storms. One `recovery_measured` event per
-/// epoch; the windows mirror the chaos engine's restart cell (storm
-/// close plus the timing kind's slack, and in epoch 0 the restart's
-/// final scheduled attempt).
-fn serve_restart_round_agreement(
-    args: &Args,
-    transport: ftss_serve::TransportKind,
-    sink: &mut TraceOut,
-) -> Outcome {
-    let n: usize = args.get_or("n", 3)?;
-    if n < 3 {
-        return Err(format!("--storm restart needs n >= 3 (n={n})"));
-    }
-    let seed: u64 = args.get_or("seed", 0)?;
-    let derived = args.flag("derived").unwrap_or(false);
-    let epochs: usize = args.get_or("epochs", 2)?;
-    if epochs == 0 {
-        return Err("--storm needs --epochs >= 1".into());
-    }
-    let spec = RateAgreementSpec::new();
-    let geom = ftss_chaos::StormGeometry::engine_default();
-    let rounds = epochs * geom.epoch_len as usize;
-    let victims = [ProcessId(0)];
-    let cycle = ftss_chaos::restart_cycle();
-    let (schedule, phases) = ftss_chaos::storm_program_for(seed, epochs, &cycle, &geom, &victims);
-    let mut adv = StormAdversary::new(victims.iter().copied(), phases.clone(), seed ^ 0x517a);
-    let restart = ftss_serve::ServeRestart {
-        p: ProcessId(0),
-        kill_round: 2,
-        gap: 2,
-        staleness: 1,
-        fault: ftss_serve::SnapshotFault::Truncated,
-        snapshot_seed: seed ^ 0x5a97,
-        retry: ftss_serve::Retry {
-            attempts: 2,
-            backoff_rounds: 2,
-        },
-    };
-    let run_cfg = RunConfig::corrupted(n, rounds, ftss_chaos::burst_seed(seed, 0))
-        .with_mid_run_corruption(schedule)
-        .with_max_faulty(victims.len());
-    let cfg = ftss_serve::ServeConfig::new(run_cfg, transport)
-        .with_restart(restart)
-        .with_timing(ftss_serve::TimingFaults {
-            victims: victims.to_vec(),
-            phases,
-            seed: seed ^ 0x7131,
-        });
-    let out = ftss_serve::serve(&RoundAgreement, &mut adv, &cfg, sink)?;
-    let bound = 2u64;
-    let mut all_ok = true;
-    for e in 0..epochs {
-        let slack = match cycle[e % cycle.len()] {
-            StormKind::Delay { rounds } => u64::from(rounds),
-            StormKind::Reorder | StormKind::Duplicate => 1,
-            _ => 0,
-        };
-        let mut from = geom.storm_end(e) + slack;
-        if e == 0 {
-            from = from.max(restart.last_attempt_round());
-        }
-        let verdict = ftss_check::window_stabilization(
+    for (e, &from) in window_from.iter().enumerate() {
+        let close = geom.epoch_end(e);
+        let measured = ftss_check::window_stabilization(
             &out.history,
             &spec,
             from as usize,
-            geom.epoch_end(e) as usize,
-            bound as usize,
-        );
-        let (measured, ok) = match verdict {
-            Ok(s) => (s as u64, true),
-            Err(_) => (0, false),
-        };
-        all_ok &= ok;
-        sink.emit(&Event::RecoveryMeasured {
-            epoch: e as u64,
-            at: geom.epoch_end(e),
-            rounds: measured,
+            close as usize,
             bound,
-            ok,
-        });
+        );
+        let (event, verdict) = ftss_chaos::EpochVerdict::measure(
+            e,
+            close,
+            bound as u64,
+            measured.map(|s| s as u64),
+            None,
+        );
+        all_ok &= matches!(verdict, ftss_chaos::EpochVerdict::Recovered { .. });
+        sink.emit(&event);
     }
     if derived {
         emit_history_events(&out.history, Some(&spec), sink);

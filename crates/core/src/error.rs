@@ -18,6 +18,12 @@ impl ConfigError {
             message: message.into(),
         }
     }
+
+    /// The explanation alone, without [`Display`](fmt::Display)'s
+    /// `invalid configuration: ` prefix.
+    pub fn message(&self) -> &str {
+        &self.message
+    }
 }
 
 impl fmt::Display for ConfigError {

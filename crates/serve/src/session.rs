@@ -1,56 +1,55 @@
-//! The session router: lock-step rounds over real connections, with the
-//! fault-injecting proxy built into the barrier.
+//! The session router: the round kernel over real connections.
 //!
-//! The router owns everything the nodes must not see: the round barrier,
-//! the [`Adversary`] (storm replay included), the crash schedule, the
-//! corruption schedule and the recorded [`History`]. Each round it
-//! collects every alive node's `bcast`, then walks the copies in the
-//! simulator's exact `(sender, destination)` order, consulting the
-//! adversary per copy — so omission draws, telemetry events and the
-//! recorded history are **byte-identical to
-//! [`ftss::sync_sim::SyncRunner`]** for the same seed, on every
-//! transport. The barrier plus sorted iteration is what removes socket
-//! arrival nondeterminism; only wall-clock differs between `mem`, `tcp`
-//! and `uds` (see DESIGN.md §13).
+//! A served session *is* [`RoundKernel::run`] — the simulator's own
+//! validation, adversary consultation, history and event stream — driven
+//! over the remote [`Exchange`] defined here: every process is a node
+//! thread behind a [`Channel`], a round's broadcasts are collected as
+//! `bcast` frames at a barrier, and each survivor receives its inbox as
+//! one frame. Omission and forgery draws, telemetry events and the
+//! recorded history are therefore those of
+//! [`ftss::sync_sim::SyncRunner`] for the same seed, on every transport,
+//! by construction (DESIGN.md §17). The barrier plus the kernel's sorted
+//! walk is what removes socket arrival nondeterminism; only wall-clock
+//! differs between `mem`, `tcp` and `uds`.
 //!
-//! Two fault families exist only here, because only a real runtime has
-//! the seams they need (DESIGN.md §16):
+//! Three fault families exist only here, because only a real runtime
+//! has the seams they need (DESIGN.md §15–§16). Membership changes apply
+//! at the exchange's begin-round point, before the round's broadcasts
+//! are collected; a disconnected process simply has no round-start state.
 //!
+//! * **Churn** ([`ServeChurn`]): a node leaves and later rejoins over a
+//!   fresh connection.
 //! * **Crash–restart** ([`ServeRestart`]): a node thread is killed
-//!   abruptly mid-session and respawned a few rounds later from a
-//!   recovery snapshot that may be stale, truncated or bit-corrupted
-//!   (damage drawn deterministically from one seeded rng). The restarted
-//!   incarnation re-enters through the same `hello` handshake as a churn
-//!   joiner, carrying an incarnation epoch; frames from dead epochs are
-//!   dropped as `net_stale_frame` events instead of erroring.
-//! * **Partial-synchrony proxy** ([`TimingFaults`]): storm phases of the
-//!   timing kinds ([`StormKind::Delay`], [`StormKind::Reorder`],
-//!   [`StormKind::Duplicate`]) defer or echo delivered copies across
-//!   round boundaries. The proxy is consulted per eligible copy in the
-//!   same `(round, sender, destination)` order as the adversary, so the
-//!   injected timing faults are byte-identical across transports and
-//!   across rerun.
+//!   abruptly and respawned a few rounds later from a recovery snapshot
+//!   that may be stale, truncated or bit-corrupted (damage drawn from
+//!   one seeded rng). The incarnation re-enters through the same `hello`
+//!   handshake as a churn joiner, carrying an incarnation epoch; frames
+//!   from dead epochs are dropped as `net_stale_frame` events.
+//! * **Partial-synchrony proxy** ([`TimingFaults`]): the kernel's one
+//!   non-trivial [`CopyLayer`]. Storm phases of the timing kinds defer
+//!   or echo delivered copies across round boundaries, consulted per
+//!   copy in the kernel's walk order.
 //!
-//! Telemetry: a session emits the simulator's event stream unchanged.
-//! On real sockets (`tcp`, `uds`) it *additionally* emits `net_listen`,
-//! `net_connect`, `net_frame`, `net_close` and `net_stale_frame` events
-//! at deterministic points; the `mem` transport emits none of them,
-//! which is what keeps its stream byte-identical to
-//! `SyncRunner::run_traced` for sessions without restart or timing
-//! faults (pinned by `tests/serve_determinism.rs` and
-//! `scripts/verify.sh`). Restart/timing sessions have no simulator
-//! counterpart; for them the pinned property is determinism — the same
-//! bytes on every rerun, every transport and every `--jobs` level.
+//! Telemetry: on real sockets a session *additionally* emits
+//! `net_listen`, `net_connect`, `net_frame`, `net_close` and
+//! `net_stale_frame` events at deterministic points; `mem` emits none,
+//! so its stream is byte-identical to `SyncRunner::run_traced` for
+//! sessions without churn, restart or timing faults. Those have no
+//! simulator counterpart; their pinned property is determinism — the
+//! same bytes on every rerun, every transport and every `--jobs` level.
 
+use crate::node::{run_node_from, run_node_recovered};
 use crate::proto::{ToNode, ToRouter};
 use crate::transport::{Channel, TransportKind};
 use crate::wire::Wire;
 use ftss::core::{
-    round_count, Corrupt, DeliveryOutcome, History, Payload, ProcessId, Round, RoundHistory,
-    StormKind, StormPhase, FRAME_HEADER_LEN,
+    round_count, Corrupt, CrashSchedule, Deliveries, DeliveryOutcome, History, ProcessId,
+    ProcessSet, RoundMsgs, StormKind, StormPhase, FRAME_HEADER_LEN,
 };
-use ftss::sync_sim::{Adversary, OmissionSide, ProtocolCtx, RunConfig, RunOutcome, SyncProtocol};
-use ftss::telemetry::{Event, RunMode, TraceSink};
+use ftss::sync_sim::{
+    Adversary, CopyLayer, Exchange, LateCopy, RoundKernel, RunConfig, RunOutcome, SyncProtocol,
+};
+use ftss::telemetry::{Event, TraceSink};
 use ftss_rng::{Rng, StdRng};
 use std::collections::BTreeMap;
 
@@ -71,13 +70,6 @@ pub struct ServeChurn {
     /// sends `hello` before this round's broadcasts are collected. Must
     /// satisfy `leave_round < join_round ≤ rounds`.
     pub join_round: u64,
-}
-
-impl ServeChurn {
-    /// Whether `p` is absent from the session during round `r`.
-    fn absent(&self, p: ProcessId, r: u64) -> bool {
-        p == self.p && (self.leave_round..self.join_round).contains(&r)
-    }
 }
 
 /// Round-denominated retry policy for a crash–restart episode: the first
@@ -243,87 +235,83 @@ impl ServeConfig {
     }
 }
 
-/// One node's last collected snapshot: its decoded round-start state and
-/// broadcast (if it sends this round).
-struct Slot<S, M> {
-    state: S,
-    msg: Option<M>,
-}
-
-/// One spawned node thread. `may_fail` marks incarnations whose abrupt
-/// death is part of the schedule (a killed pre-crash incarnation, a
-/// respawn whose snapshot failed to decode): their transport errors are
-/// tolerated at join time. A panic is never tolerated.
-struct NodeHandle {
-    p: usize,
-    may_fail: bool,
-    handle: std::thread::JoinHandle<Result<(), String>>,
-}
-
-/// Admits one inbound connection by its `hello` frame.
-///
-/// * A hello whose epoch is *behind* the slot's registered epoch is a
-///   stale incarnation dialing in: the connection is dropped, a
-///   `net_stale_frame` event is emitted (real sockets only) and
-///   `Ok(None)` is returned — the session continues.
-/// * A hello for an already-registered slot **supersedes** it: the old
-///   channel's in-flight broadcast (nodes always send before they can
-///   observe anything) is drained as stale, the old incarnation is
-///   halted, and the new connection takes the slot. This mirrors the
-///   churn-leave drain: dropping the old channel first would race the
-///   node's send.
-/// * An out-of-range index or a non-hello first frame is still an error.
-///
-/// # Errors
-///
-/// Transport failures, malformed frames, out-of-range indices.
-pub(crate) fn admit_hello<S: Wire, M: Wire, T: TraceSink>(
-    chans: &mut [Option<Box<dyn Channel>>],
-    epochs: &mut [u64],
-    mut ch: Box<dyn Channel>,
-    stats: &mut ServeStats,
-    sink: &mut T,
-    net: bool,
-    round: u64,
-) -> Result<Option<usize>, String> {
-    let payload = ch.recv().map_err(|e| format!("hello recv: {e}"))?;
-    match ToRouter::<S, M>::from_bytes(&payload)? {
-        ToRouter::Hello { p, epoch } if p < chans.len() => {
-            if epoch < epochs[p] {
-                if net {
-                    sink.emit(&Event::NetStaleFrame {
-                        round,
-                        p: ProcessId(p),
-                        epoch,
-                    });
-                }
-                stats.stale_dropped += 1;
-                return Ok(None);
+impl ServeConfig {
+    /// The episode rules the simulator has no counterpart for, checked
+    /// after (and in the style of) the kernel's own validation.
+    fn check_episodes(&self, faulty: &ProcessSet, schedule: &CrashSchedule) -> Result<(), String> {
+        let n = self.run.n;
+        let rounds = round_count(self.run.rounds);
+        let crash_scheduled = |x: ProcessId| schedule.iter().any(|(p, _)| p == x);
+        if let Some(churn) = self.churn {
+            if churn.p.index() >= n {
+                return Err(format!("churn names {} but n = {n}", churn.p));
             }
-            if let Some(mut old) = chans[p].take() {
-                if old.recv().is_ok() {
-                    if net {
-                        sink.emit(&Event::NetStaleFrame {
-                            round,
-                            p: ProcessId(p),
-                            epoch: epochs[p],
-                        });
-                    }
-                    stats.stale_dropped += 1;
-                }
-                let halt: ToNode<S, M> = ToNode::Halt;
-                let _ = old.send(&halt.to_bytes());
-                if net {
-                    sink.emit(&Event::NetClose { p: ProcessId(p) });
-                }
-                stats.reconnects += 1;
+            if !faulty.contains(churn.p) {
+                return Err(format!(
+                    "churn names {} outside the declared faulty set",
+                    churn.p
+                ));
             }
-            epochs[p] = epoch;
-            chans[p] = Some(ch);
-            Ok(Some(p))
+            if churn.leave_round < 2
+                || churn.join_round <= churn.leave_round
+                || churn.join_round > rounds
+            {
+                return Err(format!(
+                    "churn needs 2 <= leave ({}) < join ({}) <= rounds ({rounds})",
+                    churn.leave_round, churn.join_round
+                ));
+            }
+            if crash_scheduled(churn.p) {
+                return Err(format!("churn process {} is also crash-scheduled", churn.p));
+            }
         }
-        ToRouter::Hello { p, .. } => Err(format!("bad hello for p{p}")),
-        _ => Err("expected hello as first frame".into()),
+        if let Some(rs) = self.restart {
+            if rs.p.index() >= n {
+                return Err(format!("restart names {} but n = {n}", rs.p));
+            }
+            if !faulty.contains(rs.p) {
+                return Err(format!(
+                    "restart names {} outside the declared faulty set",
+                    rs.p
+                ));
+            }
+            if rs.kill_round < 2 || rs.kill_round > rounds {
+                return Err(format!(
+                    "restart needs 2 <= kill ({}) <= rounds ({rounds})",
+                    rs.kill_round
+                ));
+            }
+            if rs.staleness == 0 || rs.staleness >= rs.kill_round {
+                return Err(format!(
+                    "restart needs 1 <= staleness ({}) < kill ({})",
+                    rs.staleness, rs.kill_round
+                ));
+            }
+            if rs.gap == 0 || rs.retry.attempts == 0 || rs.retry.backoff_rounds == 0 {
+                return Err(format!(
+                    "restart retry needs gap ({}) >= 1, attempts ({}) >= 1 and backoff ({}) >= 1",
+                    rs.gap, rs.retry.attempts, rs.retry.backoff_rounds
+                ));
+            }
+            if rs.last_attempt_round() > rounds {
+                return Err(format!(
+                    "restart's last attempt (round {}) is past the horizon ({rounds})",
+                    rs.last_attempt_round()
+                ));
+            }
+            if crash_scheduled(rs.p) {
+                return Err(format!("restart process {} is also crash-scheduled", rs.p));
+            }
+            if self.churn.is_some_and(|c| c.p == rs.p) {
+                return Err(format!("restart process {} is also churn-scheduled", rs.p));
+            }
+        }
+        if let Some(tf) = &self.timing {
+            if let Some(v) = tf.victims.iter().find(|v| v.index() >= n) {
+                return Err(format!("timing faults name {v} but n = {n}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -390,7 +378,7 @@ pub fn serve_streaming_with_stats<P, A, T, F>(
     adversary: &mut A,
     cfg: &ServeConfig,
     sink: &mut T,
-    mut on_round: F,
+    on_round: F,
     stats: &mut ServeStats,
 ) -> Result<RunOutcome<P::State, P::Msg>, String>
 where
@@ -401,182 +389,263 @@ where
     T: TraceSink,
     F: FnMut(&History<P::State, P::Msg>),
 {
-    // Validation: the simulator's exact rules and messages.
-    if cfg.run.n == 0 {
-        return Err("n must be at least 1".into());
-    }
+    let kernel = RoundKernel::new(adversary, &cfg.run).map_err(|e| e.message().to_string())?;
+    cfg.check_episodes(kernel.faulty(), kernel.schedule())?;
     let n = cfg.run.n;
-    let faulty = adversary.faulty(n);
-    if faulty.len() > cfg.run.max_faulty {
-        return Err(format!(
-            "adversary declares {} faulty processes but f = {}",
-            faulty.len(),
-            cfg.run.max_faulty
-        ));
-    }
-    let schedule = adversary.crash_schedule();
-    for (p, _) in schedule.iter() {
-        if !faulty.contains(p) {
-            return Err(format!(
-                "crash schedule names {p} outside the declared faulty set"
-            ));
+    let mut router = Router {
+        protocol,
+        cfg,
+        stats,
+        net: sink.enabled() && cfg.transport.is_real_socket(),
+        round: 1,
+        chans: (0..n).map(|_| None).collect(),
+        epochs: vec![0; n],
+        slots: (0..n).map(|_| None).collect(),
+        handles: Vec::with_capacity(n),
+        snapshot: None,
+        snapshot_rng: StdRng::seed_from_u64(cfg.restart.map_or(0, |rs| rs.snapshot_seed)),
+        restart_down: false,
+    };
+    let mut timing = TimingProxy::new(cfg.timing.as_ref());
+    kernel.run(protocol, &mut router, &mut timing, sink, on_round)
+}
+
+/// One node's last collected snapshot: its decoded round-start state and
+/// broadcast (if it sends this round; the kernel's walk takes it).
+struct Slot<S, M> {
+    state: S,
+    msg: Option<M>,
+}
+
+/// One spawned node thread. `may_fail` marks incarnations whose abrupt
+/// death is part of the schedule (a killed pre-crash incarnation, a
+/// respawn whose snapshot failed to decode): their transport errors are
+/// tolerated at join time. A panic is never tolerated.
+struct NodeHandle {
+    p: usize,
+    may_fail: bool,
+    handle: std::thread::JoinHandle<Result<(), String>>,
+}
+
+fn halt<S: Wire, M: Wire>(ch: &mut dyn Channel) -> std::io::Result<()> {
+    let halt: ToNode<S, M> = ToNode::Halt;
+    ch.send(&halt.to_bytes())
+}
+
+/// Admits one inbound connection by its `hello` frame.
+///
+/// * A hello whose epoch is *behind* the slot's registered epoch is a
+///   stale incarnation dialing in: the connection is dropped, a
+///   `net_stale_frame` event is emitted (real sockets only) and
+///   `Ok(None)` is returned — the session continues.
+/// * A hello for an already-registered slot **supersedes** it: the old
+///   channel's in-flight broadcast (nodes always send before they can
+///   observe anything) is drained as stale, the old incarnation is
+///   halted, and the new connection takes the slot. This mirrors the
+///   churn-leave drain: dropping the old channel first would race the
+///   node's send.
+/// * An out-of-range index or a non-hello first frame is still an error.
+///
+/// Every admission — session start, churn rejoin, restart respawn — ends
+/// in [`admit_frame`], this function's body after the receive.
+///
+/// # Errors
+///
+/// Transport failures, malformed frames, out-of-range indices.
+pub(crate) fn admit_hello<S: Wire, M: Wire, T: TraceSink>(
+    chans: &mut [Option<Box<dyn Channel>>],
+    epochs: &mut [u64],
+    mut ch: Box<dyn Channel>,
+    stats: &mut ServeStats,
+    sink: &mut T,
+    net: bool,
+    round: u64,
+) -> Result<Option<usize>, String> {
+    let hello = ch.recv().map_err(|e| format!("hello recv: {e}"))?;
+    admit_frame::<S, M, T>(chans, epochs, ch, &hello, stats, net.then_some(sink), round)
+}
+
+/// [`admit_hello`] for a first frame already received. `net_sink` is the
+/// sink when `net_*` events are narrated.
+fn admit_frame<S: Wire, M: Wire, T: TraceSink>(
+    chans: &mut [Option<Box<dyn Channel>>],
+    epochs: &mut [u64],
+    ch: Box<dyn Channel>,
+    hello: &[u8],
+    stats: &mut ServeStats,
+    mut net_sink: Option<&mut T>,
+    round: u64,
+) -> Result<Option<usize>, String> {
+    let mut stale = |p: usize, epoch: u64| {
+        if let Some(sink) = net_sink.as_mut() {
+            let p = ProcessId(p);
+            sink.emit(&Event::NetStaleFrame { round, p, epoch });
         }
-    }
-    if let Some(churn) = cfg.churn {
-        if churn.p.index() >= n {
-            return Err(format!("churn names {} but n = {n}", churn.p));
-        }
-        if !faulty.contains(churn.p) {
-            return Err(format!(
-                "churn names {} outside the declared faulty set",
-                churn.p
-            ));
-        }
-        if churn.leave_round < 2
-            || churn.join_round <= churn.leave_round
-            || churn.join_round > round_count(cfg.run.rounds)
-        {
-            return Err(format!(
-                "churn needs 2 <= leave ({}) < join ({}) <= rounds ({})",
-                churn.leave_round,
-                churn.join_round,
-                round_count(cfg.run.rounds)
-            ));
-        }
-        if schedule.iter().any(|(p, _)| p == churn.p) {
-            return Err(format!("churn process {} is also crash-scheduled", churn.p));
-        }
-    }
-    if let Some(rs) = cfg.restart {
-        let rounds = round_count(cfg.run.rounds);
-        if rs.p.index() >= n {
-            return Err(format!("restart names {} but n = {n}", rs.p));
-        }
-        if !faulty.contains(rs.p) {
-            return Err(format!(
-                "restart names {} outside the declared faulty set",
-                rs.p
-            ));
-        }
-        if rs.kill_round < 2 || rs.kill_round > rounds {
-            return Err(format!(
-                "restart needs 2 <= kill ({}) <= rounds ({rounds})",
-                rs.kill_round
-            ));
-        }
-        if rs.staleness == 0 || rs.staleness >= rs.kill_round {
-            return Err(format!(
-                "restart needs 1 <= staleness ({}) < kill ({})",
-                rs.staleness, rs.kill_round
-            ));
-        }
-        if rs.gap == 0 || rs.retry.attempts == 0 || rs.retry.backoff_rounds == 0 {
-            return Err(format!(
-                "restart retry needs gap ({}) >= 1, attempts ({}) >= 1 and backoff ({}) >= 1",
-                rs.gap, rs.retry.attempts, rs.retry.backoff_rounds
-            ));
-        }
-        if rs.last_attempt_round() > rounds {
-            return Err(format!(
-                "restart's last attempt (round {}) is past the horizon ({rounds})",
-                rs.last_attempt_round()
-            ));
-        }
-        if schedule.iter().any(|(p, _)| p == rs.p) {
-            return Err(format!("restart process {} is also crash-scheduled", rs.p));
-        }
-        if cfg.churn.is_some_and(|c| c.p == rs.p) {
-            return Err(format!("restart process {} is also churn-scheduled", rs.p));
-        }
-    }
-    if let Some(tf) = &cfg.timing {
-        for v in &tf.victims {
-            if v.index() >= n {
-                return Err(format!("timing faults name {v} but n = {n}"));
+        stats.stale_dropped += 1;
+    };
+    match ToRouter::<S, M>::from_bytes(hello)? {
+        ToRouter::Hello { p, epoch } if p < chans.len() => {
+            if epoch < epochs[p] {
+                stale(p, epoch);
+                return Ok(None);
             }
+            if let Some(mut old) = chans[p].take() {
+                if old.recv().is_ok() {
+                    stale(p, epochs[p]);
+                }
+                let _ = halt::<S, M>(old.as_mut());
+                if let Some(sink) = net_sink {
+                    sink.emit(&Event::NetClose { p: ProcessId(p) });
+                }
+                stats.reconnects += 1;
+            }
+            epochs[p] = epoch;
+            chans[p] = Some(ch);
+            Ok(Some(p))
         }
+        ToRouter::Hello { p, .. } => Err(format!("bad hello for p{p}")),
+        _ => Err("expected hello as first frame".into()),
     }
+}
 
-    let traced = sink.enabled();
-    let net = traced && cfg.transport.is_real_socket();
-    let transport_name = cfg.transport.name();
-    if traced {
-        sink.emit(&Event::RunStart {
-            mode: RunMode::Sync,
-            protocol: protocol.name().to_string(),
-            n,
-            rounds: Some(round_count(cfg.run.rounds)),
-            msg_size: Some(std::mem::size_of::<P::Msg>()),
+/// The remote [`Exchange`]: every process is a node thread behind a
+/// [`Channel`]. The router owns what the nodes must not see — who is
+/// connected, each node's last collected snapshot, the churn and restart
+/// episodes — and moves state and messages as `ToNode`/`ToRouter`
+/// frames. What happens *in* a round is the kernel's business.
+struct Router<'a, P: SyncProtocol> {
+    protocol: &'a P,
+    cfg: &'a ServeConfig,
+    stats: &'a mut ServeStats,
+    /// Whether `net_*` events are narrated (a traced real-socket run).
+    net: bool,
+    /// The round the nodes are expected to be in.
+    round: u64,
+    chans: Vec<Option<Box<dyn Channel>>>,
+    epochs: Vec<u64>,
+    slots: Vec<Option<Slot<P::State, P::Msg>>>,
+    handles: Vec<NodeHandle>,
+    /// Crash–restart bookkeeping: the checkpointed snapshot bytes, the
+    /// damage rng (one stream for the whole session, drawn per attempt
+    /// in canonical order) and whether the victim is currently down.
+    snapshot: Option<Vec<u8>>,
+    snapshot_rng: StdRng,
+    restart_down: bool,
+}
+
+impl<P> Router<'_, P>
+where
+    P: SyncProtocol + Clone + Send + 'static,
+    P::State: Wire + Send + 'static,
+    P::Msg: Wire + Send + 'static,
+{
+    /// Spawns the node thread for `p` over `chan`, entering the
+    /// lock-step loop at `start_round` from the protocol's initial
+    /// state, or from recovery `(snapshot bytes, incarnation epoch)`.
+    fn spawn(
+        &mut self,
+        p: ProcessId,
+        mut chan: Box<dyn Channel>,
+        start_round: u64,
+        recovery: Option<(Vec<u8>, u64)>,
+    ) {
+        let (proto, n) = (self.protocol.clone(), self.cfg.run.n);
+        let may_fail = recovery.is_some();
+        let handle = std::thread::spawn(move || match recovery {
+            None => run_node_from(&proto, p, n, chan.as_mut(), start_round),
+            Some((snapshot, epoch)) => {
+                let chan = chan.as_mut();
+                run_node_recovered(&proto, p, n, chan, start_round, &snapshot, epoch)
+            }
+        });
+        self.handles.push(NodeHandle {
+            p: p.index(),
+            may_fail,
+            handle,
         });
     }
 
-    // Bring the system up: sockets, node threads, hello handshake.
-    let (router_ends, node_ends) = cfg
-        .transport
-        .open_pairs(n)
-        .map_err(|e| format!("{transport_name} transport setup: {e}"))?;
-    if net {
-        sink.emit(&Event::NetListen {
-            transport: transport_name.to_string(),
-            n,
-        });
-    }
-    let mut handles = Vec::with_capacity(n);
-    for (i, mut chan) in node_ends.into_iter().enumerate() {
-        let proto = protocol.clone();
-        handles.push(NodeHandle {
-            p: i,
-            may_fail: false,
-            handle: std::thread::spawn(move || {
-                crate::node::run_node(&proto, ProcessId(i), n, chan.as_mut())
-            }),
-        });
-    }
-    // Identity comes from the hello frame, never from accept order. A
-    // duplicate hello supersedes the old registration (newest connection
-    // wins); only an out-of-range index or a non-hello frame is fatal.
-    let mut chans: Vec<Option<Box<dyn Channel>>> = (0..n).map(|_| None).collect();
-    let mut epochs: Vec<u64> = vec![0; n];
-    for ch in router_ends {
-        admit_hello::<P::State, P::Msg, T>(&mut chans, &mut epochs, ch, stats, sink, net, 0)?;
-    }
-    for (i, ch) in chans.iter().enumerate() {
-        if ch.is_none() {
-            return Err(format!("no hello for p{i}"));
+    /// Mid-session (re-)entry, for a churn rejoin and a restart respawn
+    /// alike: a new node thread for `p` dials in over a fresh connection
+    /// and is admitted by the handshake the session opened with, entering
+    /// the lock-step loop at the current round. `Ok(false)`: no
+    /// admission — a recovering incarnation died decoding its snapshot
+    /// (the connection closed with no hello), or its hello was stale.
+    fn enter<T: TraceSink>(
+        &mut self,
+        p: ProcessId,
+        recovery: Option<(Vec<u8>, u64)>,
+        what: &str,
+        sink: &mut T,
+    ) -> Result<bool, String> {
+        let transport = self.cfg.transport;
+        let (mut router_ends, mut node_ends) = transport
+            .open_pairs(1)
+            .map_err(|e| format!("{} {what} setup: {e}", transport.name()))?;
+        let (Some(mut ch), Some(node_end)) = (router_ends.pop(), node_ends.pop()) else {
+            return Err(format!("{what} transport produced no channel pair"));
+        };
+        let recovering = recovery.is_some();
+        self.spawn(p, node_end, self.round, recovery);
+        let hello = match ch.recv() {
+            Ok(hello) => hello,
+            Err(_) if recovering => return Ok(false),
+            Err(e) => return Err(format!("{what} hello recv: {e}")),
+        };
+        let admitted = admit_frame::<P::State, P::Msg, T>(
+            &mut self.chans,
+            &mut self.epochs,
+            ch,
+            &hello,
+            self.stats,
+            self.net.then_some(&mut *sink),
+            self.round,
+        )?;
+        match admitted {
+            Some(i) if i == p.index() => self.connected(p, sink),
+            Some(i) => return Err(format!("{what} hello claims p{i}, expected {p}")),
+            None => {}
         }
+        Ok(admitted.is_some())
     }
-    if net {
-        for i in 0..n {
-            sink.emit(&Event::NetConnect {
-                p: ProcessId(i),
-                transport: transport_name.to_string(),
-            });
+
+    fn connected<T: TraceSink>(&self, p: ProcessId, sink: &mut T) {
+        if self.net {
+            let transport = self.cfg.transport.name().to_string();
+            sink.emit(&Event::NetConnect { p, transport });
         }
     }
 
-    let mut slots: Vec<Option<Slot<P::State, P::Msg>>> = (0..n).map(|_| None).collect();
+    /// `p`'s channel and last snapshot are gone.
+    fn disconnected<T: TraceSink>(&mut self, p: ProcessId, sink: &mut T) {
+        self.chans[p.index()] = None;
+        self.slots[p.index()] = None;
+        if self.net {
+            sink.emit(&Event::NetClose { p });
+        }
+    }
 
-    // Collects one bcast from every connected node into `slots`.
-    let collect = |chans: &mut Vec<Option<Box<dyn Channel>>>,
-                   slots: &mut Vec<Option<Slot<P::State, P::Msg>>>,
-                   sink: &mut T,
-                   r: u64|
-     -> Result<(), String> {
-        for i in 0..n {
-            let Some(ch) = chans[i].as_mut() else {
+    /// Collects one `bcast` for the current round from each of `whom`
+    /// that is connected.
+    fn collect<T: TraceSink>(
+        &mut self,
+        whom: impl Iterator<Item = usize>,
+        sink: &mut T,
+    ) -> Result<(), String> {
+        let r = self.round;
+        for i in whom {
+            let Some(ch) = self.chans[i].as_mut() else {
                 continue;
             };
             let payload = ch.recv().map_err(|e| format!("p{i} bcast recv: {e}"))?;
             match ToRouter::<P::State, P::Msg>::from_bytes(&payload)? {
-                ToRouter::Bcast { round, state, msg } => {
-                    if round != r {
-                        return Err(format!("p{i} is in round {round}, session is in {r}"));
-                    }
-                    slots[i] = Some(Slot { state, msg });
+                ToRouter::Bcast { round, .. } if round != r => {
+                    return Err(format!("p{i} is in round {round}, session is in {r}"));
                 }
+                ToRouter::Bcast { state, msg, .. } => self.slots[i] = Some(Slot { state, msg }),
                 ToRouter::Hello { .. } => return Err(format!("unexpected hello from p{i}")),
             }
-            if net {
+            if self.net {
                 sink.emit(&Event::NetFrame {
                     round: r,
                     from: ProcessId(i),
@@ -585,605 +654,339 @@ where
             }
         }
         Ok(())
-    };
+    }
 
-    // A systemic failure: corrupt every connected node's decoded state
-    // with ONE shared rng in process order (the simulator's
-    // `states.iter_mut().flatten()`), push the corrupted states out, and
-    // re-collect the re-broadcasts.
-    let corrupt_exchange = |chans: &mut Vec<Option<Box<dyn Channel>>>,
-                            slots: &mut Vec<Option<Slot<P::State, P::Msg>>>,
-                            sink: &mut T,
-                            r: u64,
-                            seed: u64|
-     -> Result<(), String> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for slot in slots.iter_mut().flatten() {
-            slot.state.corrupt(&mut rng);
+    /// The churn episode's business at the top of round `r`.
+    fn churn_step<T: TraceSink>(&mut self, r: u64, sink: &mut T) -> Result<(), String> {
+        let Some(churn) = self.cfg.churn else {
+            return Ok(());
+        };
+        let i = churn.p.index();
+        if r == churn.leave_round {
+            // Drain the node's in-flight broadcast for this round (the
+            // node always sends before it can see the halt — dropping the
+            // channel first would race its send), discard it, halt it.
+            if let Some(ch) = self.chans[i].as_mut() {
+                ch.recv().map_err(|e| format!("p{i} leave drain: {e}"))?;
+                halt::<P::State, P::Msg>(ch.as_mut())
+                    .map_err(|e| format!("p{i} leave send: {e}"))?;
+            }
+            self.disconnected(churn.p, sink);
         }
-        if sink.enabled() {
-            sink.emit(&Event::Corruption { round: r, seed });
+        if r == churn.join_round && !self.enter(churn.p, None, "rejoin", sink)? {
+            return Err(format!("rejoin hello for {} was stale", churn.p));
+        }
+        Ok(())
+    }
+
+    /// The restart episode's business at the top of round `r`, in this
+    /// order: checkpoint, kill, respawn attempt.
+    fn restart_step<T: TraceSink>(&mut self, r: u64, sink: &mut T) -> Result<(), String> {
+        let Some(rs) = self.cfg.restart else {
+            return Ok(());
+        };
+        let i = rs.p.index();
+        if r == rs.snapshot_round() + 1 {
+            // The slot still holds the state the victim started the
+            // snapshot round with, after that round's corruption
+            // exchanges: the checkpoint sees what the process saw.
+            let slot = self.slots[i].as_ref().ok_or_else(|| {
+                format!("restart snapshot: {} has no slot in round {}", rs.p, r - 1)
+            })?;
+            let mut text = String::new();
+            slot.state.encode(&mut text);
+            self.snapshot = Some(text.into_bytes());
+        }
+        if r == rs.kill_round {
+            // The crash is abrupt: drain the incarnation's in-flight
+            // broadcast — now a stale frame from a dead epoch — and drop
+            // the channel without a halt. The node thread dies on its
+            // next recv; that error is tolerated at join time.
+            if let Some(ch) = self.chans[i].as_mut() {
+                ch.recv().map_err(|e| format!("p{i} kill drain: {e}"))?;
+                if self.net {
+                    let epoch = self.epochs[i];
+                    sink.emit(&Event::NetStaleFrame {
+                        round: r,
+                        p: rs.p,
+                        epoch,
+                    });
+                }
+                self.stats.stale_dropped += 1;
+            }
+            self.restart_down = true;
+            if let Some(h) = self.handles.iter_mut().rev().find(|h| h.p == i) {
+                h.may_fail = true;
+            }
+            self.disconnected(rs.p, sink);
+        }
+        let attempt = (0..rs.retry.attempts).find(|&a| rs.attempt_round(a) == r);
+        let (Some(attempt), true) = (attempt, self.restart_down) else {
+            return Ok(());
+        };
+        let last = attempt + 1 == rs.retry.attempts;
+        let base = self
+            .snapshot
+            .as_ref()
+            .ok_or("restart attempt fired before its snapshot round")?;
+        // Three draws per attempt, unconditionally: the stream position
+        // is a pure function of the attempt index, never of the fault
+        // kind or the outcome.
+        let cut = self.snapshot_rng.gen_range(0..=base.len());
+        let pos = self.snapshot_rng.gen_range(0..base.len().max(1));
+        let bit = self.snapshot_rng.gen_range(0..8u32);
+        let mut bytes = base.clone();
+        // The final attempt restores the clean (if stale) checkpoint, so
+        // a validated episode re-admits.
+        match rs.fault {
+            SnapshotFault::Truncated if !last => bytes.truncate(cut),
+            SnapshotFault::BitFlip if !last => {
+                if let Some(b) = bytes.get_mut(pos) {
+                    *b ^= 1 << bit;
+                }
+            }
+            _ => {}
+        }
+        let epoch = u64::from(attempt) + 1;
+        if self.enter(rs.p, Some((bytes, epoch)), "restart", sink)? {
+            self.restart_down = false;
+            self.stats.reconnects += 1;
+            if let Some(h) = self.handles.last_mut() {
+                h.may_fail = false;
+            }
+        } else if last {
+            return Err(format!(
+                "restart: {} never re-admitted after {} attempts",
+                rs.p, rs.retry.attempts
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl<P> Exchange<P::State, P::Msg> for Router<'_, P>
+where
+    P: SyncProtocol + Clone + Send + 'static,
+    P::State: Wire + Send + 'static,
+    P::Msg: Wire + Send + 'static,
+{
+    type Error = String;
+
+    /// Sockets, node threads, hello handshake, round 1's broadcasts.
+    fn open<T: TraceSink>(&mut self, sink: &mut T) -> Result<(), String> {
+        let n = self.cfg.run.n;
+        let transport = self.cfg.transport;
+        let (router_ends, node_ends) = transport
+            .open_pairs(n)
+            .map_err(|e| format!("{} transport setup: {e}", transport.name()))?;
+        if self.net {
+            let transport = transport.name().to_string();
+            sink.emit(&Event::NetListen { transport, n });
+        }
+        for (i, chan) in node_ends.into_iter().enumerate() {
+            self.spawn(ProcessId(i), chan, 1, None);
+        }
+        // Identity comes from the hello frame, never from accept order.
+        for ch in router_ends {
+            admit_hello::<P::State, P::Msg, T>(
+                &mut self.chans,
+                &mut self.epochs,
+                ch,
+                self.stats,
+                sink,
+                self.net,
+                0,
+            )?;
+        }
+        if let Some(i) = self.chans.iter().position(Option::is_none) {
+            return Err(format!("no hello for p{i}"));
         }
         for i in 0..n {
-            let Some(ch) = chans[i].as_mut() else {
+            self.connected(ProcessId(i), sink);
+        }
+        self.collect(0..n, sink)
+    }
+
+    fn begin_round<T: TraceSink>(&mut self, r: u64, sink: &mut T) -> Result<(), String> {
+        self.round = r;
+        self.churn_step(r, sink)?;
+        self.restart_step(r, sink)?;
+        // Round 1's broadcasts were collected by `open`: they precede the
+        // initial systemic failure and the first `round_start`.
+        if r > 1 {
+            self.collect(0..self.cfg.run.n, sink)?;
+        }
+        Ok(())
+    }
+
+    /// A disconnected process — crashed, churned out, or down between
+    /// its kill and its respawn — has no slot.
+    fn state(&mut self, p: ProcessId) -> Option<&mut P::State> {
+        self.slots[p.index()].as_mut().map(|s| &mut s.state)
+    }
+
+    /// Pushes the corrupted states out and re-collects the victims'
+    /// re-broadcasts (a node adopting a state obliviously broadcasts
+    /// again, exactly as a corrupted process would have in the first
+    /// place).
+    fn corrupted<T: TraceSink>(
+        &mut self,
+        victims: &[ProcessId],
+        sink: &mut T,
+    ) -> Result<(), String> {
+        for v in victims {
+            let i = v.index();
+            let (Some(ch), Some(slot)) = (self.chans[i].as_mut(), self.slots[i].as_ref()) else {
                 continue;
             };
-            let slot = slots[i]
-                .as_ref()
-                .ok_or_else(|| format!("p{i} has no slot"))?;
-            let msg: ToNode<P::State, P::Msg> = ToNode::Corrupt {
-                state: slot.state.clone(),
-            };
+            let state = slot.state.clone();
+            let msg: ToNode<P::State, P::Msg> = ToNode::Corrupt { state };
             ch.send(&msg.to_bytes())
                 .map_err(|e| format!("p{i} corrupt send: {e}"))?;
         }
-        collect(chans, slots, sink, r)
-    };
-
-    let mut history: History<P::State, P::Msg> = match cfg.run.history_window {
-        Some(w) => History::with_window(n, w),
-        None => History::new(n),
-    };
-    let mut spare: Option<RoundHistory<P::State, P::Msg>> = None;
-
-    // Crash–restart bookkeeping: the checkpointed snapshot bytes, the
-    // damage rng (one stream for the whole session, drawn per attempt in
-    // canonical order) and whether the victim is currently down.
-    let mut snapshot: Option<Vec<u8>> = None;
-    let mut snap_rng = cfg
-        .restart
-        .map(|rs| StdRng::seed_from_u64(rs.snapshot_seed));
-    let mut restart_down = false;
-    // Partial-synchrony proxy bookkeeping: the per-copy coin stream and
-    // the deferred copies keyed by their arrival round, each entry
-    // `(destination, sender, payload)` in canonical enqueue order.
-    let mut timing_rng = cfg.timing.as_ref().map(|tf| StdRng::seed_from_u64(tf.seed));
-    let mut late: BTreeMap<u64, Vec<(ProcessId, ProcessId, P::Msg)>> = BTreeMap::new();
-
-    // Round 1's broadcasts (and the initial systemic failure) precede the
-    // first round_start event, as in the simulator.
-    collect(&mut chans, &mut slots, sink, 1)?;
-    if let ftss::sync_sim::Corruption::Arbitrary { seed } = cfg.run.corruption {
-        corrupt_exchange(&mut chans, &mut slots, sink, 1, seed)?;
+        self.collect(victims.iter().map(|v| v.index()), sink)
     }
 
-    for r in 1..=round_count(cfg.run.rounds) {
-        let round = Round::new(r);
-        if let Some(churn) = cfg.churn {
-            if r == churn.leave_round {
-                // The node leaves: drain its in-flight broadcast for this
-                // round (the node always sends before it can see the
-                // halt — dropping the channel first would race its send),
-                // discard it, then close the channel.
-                let i = churn.p.index();
-                if let Some(ch) = chans[i].as_mut() {
-                    ch.recv().map_err(|e| format!("p{i} leave drain: {e}"))?;
-                    let halt: ToNode<P::State, P::Msg> = ToNode::Halt;
-                    ch.send(&halt.to_bytes())
-                        .map_err(|e| format!("p{i} leave send: {e}"))?;
-                }
-                chans[i] = None;
-                slots[i] = None;
-                if net {
-                    sink.emit(&Event::NetClose { p: churn.p });
-                }
-            }
-            if r == churn.join_round {
-                // A fresh connection dials in and identifies itself with
-                // the same hello handshake the session opened with. The
-                // joiner enters the lock-step loop at the current round.
-                let (mut rejoin_router, rejoin_node) = cfg
-                    .transport
-                    .open_pairs(1)
-                    .map_err(|e| format!("{transport_name} rejoin setup: {e}"))?;
-                let mut rejoin_chan = rejoin_node
-                    .into_iter()
-                    .next()
-                    .ok_or("rejoin transport produced no node end")?;
-                let proto = protocol.clone();
-                let joiner = churn.p;
-                handles.push(NodeHandle {
-                    p: joiner.index(),
-                    may_fail: false,
-                    handle: std::thread::spawn(move || {
-                        crate::node::run_node_from(&proto, joiner, n, rejoin_chan.as_mut(), r)
-                    }),
-                });
-                let mut ch = rejoin_router.remove(0);
-                let payload = ch.recv().map_err(|e| format!("rejoin hello recv: {e}"))?;
-                match ToRouter::<P::State, P::Msg>::from_bytes(&payload)? {
-                    ToRouter::Hello { p, .. } if p == churn.p.index() => {}
-                    ToRouter::Hello { p, .. } => {
-                        return Err(format!("rejoin hello claims p{p}, expected {}", churn.p))
-                    }
-                    _ => return Err("expected hello as rejoin's first frame".into()),
-                }
-                chans[churn.p.index()] = Some(ch);
-                if net {
-                    sink.emit(&Event::NetConnect {
-                        p: churn.p,
-                        transport: transport_name.to_string(),
-                    });
-                }
-            }
-        }
-        if let Some(rs) = cfg.restart {
-            if r == rs.kill_round {
-                // The crash is abrupt: drain the incarnation's in-flight
-                // broadcast — now a stale frame from a dead epoch — and
-                // drop the channel without a halt. The node thread dies
-                // on its next recv; that error is tolerated at join time.
-                let i = rs.p.index();
-                if let Some(ch) = chans[i].as_mut() {
-                    ch.recv().map_err(|e| format!("p{i} kill drain: {e}"))?;
-                    if net {
-                        sink.emit(&Event::NetStaleFrame {
-                            round: r,
-                            p: rs.p,
-                            epoch: epochs[i],
-                        });
-                    }
-                    stats.stale_dropped += 1;
-                }
-                chans[i] = None;
-                slots[i] = None;
-                restart_down = true;
-                if let Some(h) = handles.iter_mut().rev().find(|h| h.p == i) {
-                    h.may_fail = true;
-                }
-                if net {
-                    sink.emit(&Event::NetClose { p: rs.p });
-                }
-            }
-            if restart_down {
-                if let Some(attempt) = (0..rs.retry.attempts).find(|&i| rs.attempt_round(i) == r) {
-                    let base = snapshot
-                        .as_ref()
-                        .ok_or("restart attempt fired before its snapshot round")?;
-                    let rng = snap_rng.as_mut().ok_or("restart rng missing")?;
-                    // Three draws per attempt, unconditionally: the
-                    // stream position is a pure function of the attempt
-                    // index, never of the fault kind or the outcome.
-                    let len = base.len();
-                    let cut = rng.gen_range(0..=len);
-                    let pos = rng.gen_range(0..len.max(1));
-                    let bit = rng.gen_range(0..8u32);
-                    let last = attempt + 1 == rs.retry.attempts;
-                    let bytes: Vec<u8> = if last {
-                        // The final attempt restores the clean (if stale)
-                        // checkpoint, so a validated episode re-admits.
-                        base.clone()
-                    } else {
-                        match rs.fault {
-                            SnapshotFault::Stale => base.clone(),
-                            SnapshotFault::Truncated => base[..cut].to_vec(),
-                            SnapshotFault::BitFlip => {
-                                let mut b = base.clone();
-                                if !b.is_empty() {
-                                    b[pos] ^= 1 << bit;
-                                }
-                                b
-                            }
-                        }
-                    };
-                    let (mut restart_router, restart_node) = cfg
-                        .transport
-                        .open_pairs(1)
-                        .map_err(|e| format!("{transport_name} restart setup: {e}"))?;
-                    let mut restart_chan = restart_node
-                        .into_iter()
-                        .next()
-                        .ok_or("restart transport produced no node end")?;
-                    let proto = protocol.clone();
-                    let p = rs.p;
-                    let epoch = u64::from(attempt) + 1;
-                    handles.push(NodeHandle {
-                        p: p.index(),
-                        may_fail: true,
-                        handle: std::thread::spawn(move || {
-                            crate::node::run_node_recovered(
-                                &proto,
-                                p,
-                                n,
-                                restart_chan.as_mut(),
-                                r,
-                                &bytes,
-                                epoch,
-                            )
-                        }),
-                    });
-                    let mut ch = restart_router.remove(0);
-                    match ch.recv() {
-                        Err(_) => {
-                            // The incarnation died decoding its damaged
-                            // snapshot: the connection closed with no
-                            // hello. Back off to the next attempt.
-                        }
-                        Ok(payload) => match ToRouter::<P::State, P::Msg>::from_bytes(&payload)? {
-                            ToRouter::Hello { p, epoch: e } if p == rs.p.index() && e == epoch => {
-                                chans[p] = Some(ch);
-                                epochs[p] = e;
-                                restart_down = false;
-                                stats.reconnects += 1;
-                                if let Some(h) = handles.last_mut() {
-                                    h.may_fail = false;
-                                }
-                                if net {
-                                    sink.emit(&Event::NetConnect {
-                                        p: rs.p,
-                                        transport: transport_name.to_string(),
-                                    });
-                                }
-                            }
-                            ToRouter::Hello { p, epoch: e } if p == rs.p.index() => {
-                                // A dead incarnation dialing in.
-                                if net {
-                                    sink.emit(&Event::NetStaleFrame {
-                                        round: r,
-                                        p: rs.p,
-                                        epoch: e,
-                                    });
-                                }
-                                stats.stale_dropped += 1;
-                            }
-                            ToRouter::Hello { p, .. } => {
-                                return Err(format!("restart hello claims p{p}, expected {}", rs.p))
-                            }
-                            _ => return Err("expected hello as restart's first frame".into()),
-                        },
-                    }
-                    if restart_down && last {
-                        return Err(format!(
-                            "restart: {} never re-admitted after {} attempts",
-                            rs.p, rs.retry.attempts
-                        ));
-                    }
-                }
-            }
-        }
-        // Whether `x` is out of the session this round (churned out, or
-        // down between its kill and its successful respawn).
-        let absent_now = |x: ProcessId| -> bool {
-            cfg.churn.is_some_and(|c| c.absent(x, r))
-                || (restart_down && cfg.restart.is_some_and(|rs| rs.p == x))
-        };
-        if r > 1 {
-            collect(&mut chans, &mut slots, sink, r)?;
-        }
-        if traced {
-            sink.emit(&Event::RoundStart { round: r });
-        }
-        if let Some(seed) = cfg.run.mid_run_corruption.seed_for(r) {
-            corrupt_exchange(&mut chans, &mut slots, sink, r, seed)?;
-        }
-        // Targeted systemic failures (churn joins): only the listed
-        // victims are corrupted, applied after any global entry — the
-        // simulator's exact order and rng discipline.
-        for (seed, victims) in cfg.run.mid_run_corruption.targeted_for(r) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            for v in victims {
-                if let Some(slot) = slots[v.index()].as_mut() {
-                    slot.state.corrupt(&mut rng);
-                }
-            }
-            if sink.enabled() {
-                sink.emit(&Event::Corruption { round: r, seed });
-            }
-            for v in victims {
-                let i = v.index();
-                let Some(ch) = chans[i].as_mut() else {
-                    continue;
-                };
-                let slot = slots[i]
-                    .as_ref()
-                    .ok_or_else(|| format!("p{i} has no slot"))?;
-                let msg: ToNode<P::State, P::Msg> = ToNode::Corrupt {
-                    state: slot.state.clone(),
-                };
-                ch.send(&msg.to_bytes())
-                    .map_err(|e| format!("p{i} corrupt send: {e}"))?;
-            }
-            // Only the victims re-broadcast; re-collect exactly them.
-            for v in victims {
-                let i = v.index();
-                let Some(ch) = chans[i].as_mut() else {
-                    continue;
-                };
-                let payload = ch.recv().map_err(|e| format!("p{i} bcast recv: {e}"))?;
-                match ToRouter::<P::State, P::Msg>::from_bytes(&payload)? {
-                    ToRouter::Bcast { round, state, msg } => {
-                        if round != r {
-                            return Err(format!("p{i} is in round {round}, session is in {r}"));
-                        }
-                        slots[i] = Some(Slot { state, msg });
-                    }
-                    ToRouter::Hello { .. } => return Err(format!("unexpected hello from p{i}")),
-                }
-                if net {
-                    sink.emit(&Event::NetFrame {
-                        round: r,
-                        from: ProcessId(i),
-                        bytes: (payload.len() + FRAME_HEADER_LEN) as u64,
-                    });
-                }
-            }
-        }
-        // Checkpoint the restart victim's round-start state (after this
-        // round's corruption exchanges: the checkpoint sees what the
-        // process saw).
-        if let Some(rs) = cfg.restart {
-            if r == rs.snapshot_round() {
-                let slot = slots[rs.p.index()].as_ref().ok_or_else(|| {
-                    format!("restart snapshot: {} has no slot in round {r}", rs.p)
-                })?;
-                let mut text = String::new();
-                slot.state.encode(&mut text);
-                snapshot = Some(text.into_bytes());
-            }
-        }
+    fn broadcast(&mut self, p: ProcessId) -> Option<P::Msg> {
+        self.slots[p.index()].as_mut()?.msg.take()
+    }
 
-        let mut frame = match spare.take() {
-            Some(mut f) => {
-                f.reset(n);
-                f
-            }
-            None => RoundHistory::empty(n),
+    /// The wire inbox: the frame's deliveries for `p` (a forged copy
+    /// carries its per-copy payload, exactly as the simulator's inbox
+    /// view shows it), then the proxy's late copies for `p` in hold
+    /// order. Late copies for a destination that is gone by their
+    /// arrival round are silently dropped — the network at its worst.
+    fn deliver(
+        &mut self,
+        p: ProcessId,
+        inbox: Deliveries<'_, P::Msg>,
+        late: &[LateCopy<P::Msg>],
+    ) -> Result<(), String> {
+        let fresh = inbox.iter().map(|(src, m)| (src.index(), (**m).clone()));
+        let late = late.iter().filter(|c| c.to == p);
+        let msgs = fresh.chain(late.map(|c| (c.from.index(), c.msg.clone())));
+        let inbox: ToNode<P::State, P::Msg> = ToNode::Inbox {
+            msgs: msgs.collect(),
         };
+        let ch = self.chans[p.index()].as_mut();
+        ch.ok_or_else(|| format!("survivor {p} is not connected"))?
+            .send(&inbox.to_bytes())
+            .map_err(|e| format!("{p} inbox send: {e}"))
+    }
 
-        // Phase 0: snapshot round-start states.
-        for (i, slot) in slots.iter().enumerate() {
-            let p = ProcessId(i);
-            if schedule.is_crashed(p, round) || absent_now(p) {
+    fn crash<T: TraceSink>(&mut self, p: ProcessId, sink: &mut T) -> Result<(), String> {
+        if let Some(ch) = self.chans[p.index()].as_mut() {
+            halt::<P::State, P::Msg>(ch.as_mut()).map_err(|e| format!("{p} halt send: {e}"))?;
+        }
+        self.disconnected(p, sink);
+        Ok(())
+    }
+
+    /// The survivors have stepped and are already broadcasting for the
+    /// round after the horizon — that snapshot IS the final state.
+    fn close<T: TraceSink>(&mut self, sink: &mut T) -> Result<Vec<Option<P::State>>, String> {
+        let n = self.cfg.run.n;
+        self.round = round_count(self.cfg.run.rounds) + 1;
+        self.collect(0..n, sink)?;
+        // Exactly the connected nodes have a slot.
+        let final_states = self.slots.iter_mut().map(|s| s.take().map(|s| s.state));
+        let final_states = final_states.collect();
+        for (i, ch) in self.chans.iter_mut().enumerate() {
+            let Some(ch) = ch else {
                 continue;
-            }
-            let slot = slot
-                .as_ref()
-                .ok_or_else(|| format!("alive p{i} has no snapshot in round {r}"))?;
-            let crashed_here = schedule.crashes_in(p, round);
-            if traced && crashed_here {
-                sink.emit(&Event::Crash { at: r, p });
-            }
-            frame.set_process(
-                p,
-                Some(slot.state.clone()),
-                protocol.round_counter(&slot.state),
-                crashed_here,
-                protocol.is_halted(&ProtocolCtx::new(p, n), &slot.state),
-            );
-        }
-
-        // The partial-synchrony proxy's program for this round, if any.
-        let timing_kind: Option<StormKind> = cfg
-            .timing
-            .as_ref()
-            .and_then(|tf| {
-                tf.phases
-                    .iter()
-                    .find(|ph| ph.from <= r && r <= ph.to)
-                    .map(|ph| ph.kind)
-            })
-            .filter(StormKind::is_timing);
-        let is_victim = |x: ProcessId| {
-            cfg.timing
-                .as_ref()
-                .is_some_and(|tf| tf.victims.contains(&x))
-        };
-
-        // Phase 1: the fault-injecting proxy. Copies walk in the
-        // simulator's (sender, destination) order; the adversary (and the
-        // timing proxy) is consulted per eligible copy, so both rng
-        // streams stay aligned with the traffic pattern.
-        let (mut copies_sent, mut copies_delivered) = (0u64, 0u64);
-        for (i, slot) in slots.iter().enumerate() {
-            let p = ProcessId(i);
-            if schedule.is_crashed(p, round) || absent_now(p) {
-                continue;
-            }
-            let slot = slot
-                .as_ref()
-                .ok_or_else(|| format!("alive p{i} has no snapshot in round {r}"))?;
-            let Some(msg) = slot.msg.as_ref() else {
-                continue; // the protocol chose silence this round
             };
-            frame.set_broadcast(p, Payload::new(msg.clone()));
-            let crashing = schedule.crashes_in(p, round);
-            let cut = if crashing {
-                adversary.sends_before_crash(p, round)
-            } else {
-                usize::MAX
-            };
-            let mut emitted = 0usize;
-            for j in 0..n {
-                let q = ProcessId(j);
-                if q == p {
-                    if !crashing {
-                        frame.record_delivery(p, p);
-                    }
-                    continue;
-                }
-                let mut outcome = if emitted >= cut {
-                    DeliveryOutcome::SenderCrashed
-                } else if schedule.is_crashed(q, round)
-                    || schedule.crashes_in(q, round)
-                    || absent_now(q)
-                {
-                    // An absent (churned-out or killed) receiver looks
-                    // exactly like a crashed one from the sender's side.
-                    emitted += 1;
-                    DeliveryOutcome::ReceiverCrashed
-                } else {
-                    emitted += 1;
-                    match adversary.drop_copy(round, p, q) {
-                        None => DeliveryOutcome::Delivered,
-                        Some(OmissionSide::Sender) => {
-                            assert!(
-                                faulty.contains(p),
-                                "adversary made non-faulty {p} send-omit"
-                            );
-                            DeliveryOutcome::DroppedBySender
-                        }
-                        Some(OmissionSide::Receiver) => {
-                            assert!(
-                                faulty.contains(q),
-                                "adversary made non-faulty {q} receive-omit"
-                            );
-                            DeliveryOutcome::DroppedByReceiver
-                        }
-                    }
-                };
-                if let Some(kind) = timing_kind {
-                    if is_victim(p) || is_victim(q) {
-                        match kind {
-                            StormKind::Delay { rounds }
-                                if outcome == DeliveryOutcome::Delivered =>
-                            {
-                                outcome = DeliveryOutcome::Delayed;
-                                late.entry(r + u64::from(rounds)).or_default().push((
-                                    q,
-                                    p,
-                                    msg.clone(),
-                                ));
-                            }
-                            StormKind::Reorder => {
-                                // One coin per eligible copy, delivered
-                                // or not: the stream position must be a
-                                // function of the traffic pattern alone.
-                                let flip = timing_rng
-                                    .as_mut()
-                                    .map(|rng| rng.gen_bool(0.5))
-                                    .unwrap_or(false);
-                                if flip && outcome == DeliveryOutcome::Delivered {
-                                    outcome = DeliveryOutcome::Delayed;
-                                    late.entry(r + 1).or_default().push((q, p, msg.clone()));
-                                }
-                            }
-                            StormKind::Duplicate if outcome == DeliveryOutcome::Delivered => {
-                                outcome = DeliveryOutcome::Duplicated;
-                                late.entry(r + 1).or_default().push((q, p, msg.clone()));
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                if matches!(
-                    outcome,
-                    DeliveryOutcome::Delivered | DeliveryOutcome::Duplicated
-                ) {
-                    frame.record_delivery(q, p);
-                }
-                if traced {
-                    copies_sent += 1;
-                    if matches!(
-                        outcome,
-                        DeliveryOutcome::Delivered | DeliveryOutcome::Duplicated
-                    ) {
-                        copies_delivered += 1;
-                    }
-                    sink.emit(&Event::Send {
-                        round: r,
-                        from: p,
-                        to: q,
-                        outcome,
-                    });
-                }
-                frame.record_send(p, q, outcome);
-            }
-        }
-
-        // Copies deferred by the proxy that arrive this round. They ride
-        // the wire inbox after the round's fresh deliveries, in canonical
-        // enqueue order; entries for crashed, absent or halted
-        // destinations are silently dropped — the network at its worst.
-        let late_now: Vec<(ProcessId, ProcessId, P::Msg)> = late.remove(&r).unwrap_or_default();
-
-        // Phase 2: push each survivor its inbox; halt the crashing.
-        for i in 0..n {
-            let p = ProcessId(i);
-            if schedule.is_crashed(p, round) {
-                continue;
-            }
-            if schedule.crashes_in(p, round) {
-                if let Some(ch) = chans[i].as_mut() {
-                    let halt: ToNode<P::State, P::Msg> = ToNode::Halt;
-                    ch.send(&halt.to_bytes())
-                        .map_err(|e| format!("p{i} halt send: {e}"))?;
-                }
-                chans[i] = None;
-                slots[i] = None;
-                if net {
-                    sink.emit(&Event::NetClose { p });
-                }
-                continue;
-            }
-            let mut msgs: Vec<(usize, P::Msg)> = frame
-                .msgs()
-                .deliveries(p)
-                .iter()
-                .map(|(src, payload)| (src.index(), (**payload).clone()))
-                .collect();
-            for (to, from, m) in &late_now {
-                if *to == p {
-                    msgs.push((from.index(), m.clone()));
-                }
-            }
-            let inbox: ToNode<P::State, P::Msg> = ToNode::Inbox { msgs };
-            if let Some(ch) = chans[i].as_mut() {
-                ch.send(&inbox.to_bytes())
-                    .map_err(|e| format!("p{i} inbox send: {e}"))?;
-            }
-        }
-
-        if traced {
-            sink.emit(&Event::RoundEnd {
-                round: r,
-                sent: copies_sent,
-                delivered: copies_delivered,
-                dropped: copies_sent - copies_delivered,
-            });
-        }
-        spare = history.push(frame);
-        on_round(&history);
-    }
-
-    // Epilogue: the survivors have stepped and are already broadcasting
-    // for the round after the horizon — that snapshot IS the final state.
-    let final_round = round_count(cfg.run.rounds) + 1;
-    collect(&mut chans, &mut slots, sink, final_round)?;
-    let mut final_states: Vec<Option<P::State>> = (0..n).map(|_| None).collect();
-    for i in 0..n {
-        if chans[i].is_some() {
-            final_states[i] = slots[i].take().map(|s| s.state);
-        }
-    }
-    for (i, ch) in chans.iter_mut().enumerate() {
-        if let Some(ch) = ch.as_mut() {
-            let halt: ToNode<P::State, P::Msg> = ToNode::Halt;
-            ch.send(&halt.to_bytes())
-                .map_err(|e| format!("p{i} halt send: {e}"))?;
-            if net {
+            halt::<P::State, P::Msg>(ch.as_mut()).map_err(|e| format!("p{i} halt send: {e}"))?;
+            if self.net {
                 sink.emit(&Event::NetClose { p: ProcessId(i) });
             }
         }
+        self.chans.clear();
+        for h in self.handles.drain(..) {
+            match h.handle.join() {
+                Ok(Ok(())) => {}
+                Ok(Err(_)) if h.may_fail => {} // a scheduled abrupt death
+                Ok(Err(e)) => return Err(format!("node p{} failed: {e}", h.p)),
+                Err(_) => return Err(format!("node p{} panicked", h.p)),
+            }
+        }
+        Ok(final_states)
     }
-    drop(chans);
-    for h in handles {
-        let NodeHandle {
-            p,
-            may_fail,
-            handle,
-        } = h;
-        match handle.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(_)) if may_fail => {} // a scheduled abrupt death
-            Ok(Err(e)) => return Err(format!("node p{p} failed: {e}")),
-            Err(_) => return Err(format!("node p{p} panicked")),
+}
+
+/// The partial-synchrony proxy: the one non-trivial [`CopyLayer`]. It
+/// runs [`TimingFaults`]' program against every copy touching a victim,
+/// deferring or echoing delivered copies across round boundaries. Late
+/// copies for crashed, absent or halted destinations are silently
+/// dropped by the exchange — the network at its worst.
+struct TimingProxy<'a, M> {
+    program: Option<&'a TimingFaults>,
+    rng: StdRng,
+    /// `(round, that round's timing kind)`, looked up once per round.
+    current: (u64, Option<StormKind>),
+    /// Deferred copies keyed by arrival round, in enqueue order.
+    late: BTreeMap<u64, Vec<LateCopy<M>>>,
+}
+
+impl<'a, M> TimingProxy<'a, M> {
+    fn new(program: Option<&'a TimingFaults>) -> Self {
+        TimingProxy {
+            program,
+            rng: StdRng::seed_from_u64(program.map_or(0, |tf| tf.seed)),
+            current: (0, None),
+            late: BTreeMap::new(),
         }
     }
+}
 
-    Ok(RunOutcome {
-        history,
-        final_states,
-    })
+impl<M: Clone> CopyLayer<M> for TimingProxy<'_, M> {
+    fn relay(
+        &mut self,
+        r: u64,
+        from: ProcessId,
+        to: ProcessId,
+        outcome: DeliveryOutcome,
+        msgs: &RoundMsgs<M>,
+    ) -> DeliveryOutcome {
+        let Some(tf) = self.program else {
+            return outcome;
+        };
+        if self.current.0 != r {
+            let phase = tf.phases.iter().find(|ph| ph.from <= r && r <= ph.to);
+            self.current = (r, phase.map(|ph| ph.kind).filter(StormKind::is_timing));
+        }
+        let Some(kind) = self.current.1 else {
+            return outcome;
+        };
+        if !tf.victims.contains(&from) && !tf.victims.contains(&to) {
+            return outcome;
+        }
+        let delivered = outcome == DeliveryOutcome::Delivered;
+        let (late_outcome, arrives) = match kind {
+            StormKind::Delay { rounds } if delivered => {
+                (DeliveryOutcome::Delayed, r + u64::from(rounds))
+            }
+            // One coin per eligible copy, delivered or not: the stream
+            // position must be a function of the traffic pattern alone.
+            StormKind::Reorder if self.rng.gen_bool(0.5) && delivered => {
+                (DeliveryOutcome::Delayed, r + 1)
+            }
+            StormKind::Duplicate if delivered => (DeliveryOutcome::Duplicated, r + 1),
+            _ => return outcome,
+        };
+        let msg = msgs
+            .broadcast_of(from)
+            .expect("a relayed copy has a recorded broadcast");
+        self.late.entry(arrives).or_default().push(LateCopy {
+            to,
+            from,
+            msg: (**msg).clone(),
+        });
+        late_outcome
+    }
+
+    fn arrivals(&mut self, r: u64) -> Vec<LateCopy<M>> {
+        self.late.remove(&r).unwrap_or_default()
+    }
 }
 
 #[cfg(test)]

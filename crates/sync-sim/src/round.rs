@@ -1,0 +1,728 @@
+//! The round kernel: the one implementation of the §2 lock-step round.
+//!
+//! [`SyncRunner`](crate::SyncRunner) and the `ftss-serve` session router
+//! are thin drivers over [`RoundKernel::run`]. They differ only in *where
+//! the processes live* — the [`Exchange`] seam: in-process states, or
+//! node threads behind channels. Everything a checker or a trace consumer
+//! can observe is decided here, once: configuration validation, the
+//! recorded [`History`] (window and frame recycling included), every
+//! deterministic telemetry event, and the order in which the
+//! [`Adversary`] is consulted. Served = simulated by construction.
+//!
+//! Round semantics (§2 of the paper; DESIGN.md §17 gives the exact
+//! consultation order): in round `r` every participating process
+//! broadcasts to **all** processes, itself included, and the self-copy
+//! always arrives (footnote 1). Each other copy may be dropped or forged
+//! by the adversary (attributed to the faulty side), vanish because the
+//! receiver is crashed or absent, or be cut short by its sender crashing
+//! mid-round. Every process alive at the round's *end* then steps on its
+//! inbox; a process crashing in round `r` emits a prefix of its copies,
+//! takes no transition, and has no state from round `r + 1` on.
+//!
+//! [`SyncStepper`](crate::SyncStepper) deliberately stays outside: it
+//! records no states and has no adversary, schedule or sink, and folding
+//! it in would make this kernel branch on its caller.
+
+use crate::adversary::{Adversary, OmissionSide};
+use crate::protocol::{ProtocolCtx, SyncProtocol};
+use crate::runner::{Corruption, RunConfig, RunOutcome};
+use ftss_core::{
+    round_count, ConfigError, Corrupt, CrashSchedule, Deliveries, DeliveryOutcome, History,
+    Payload, ProcessId, ProcessSet, Round, RoundHistory, RoundMsgs,
+};
+use ftss_rng::StdRng;
+use ftss_telemetry::{Event, RunMode, TraceSink};
+
+/// Where the processes live. The kernel decides *what happens* in a
+/// round; an exchange only moves state and messages. Methods that may
+/// narrate transport-level telemetry take the sink; the deterministic
+/// events are the kernel's alone.
+pub trait Exchange<S, M> {
+    /// Transport-level failure; the in-process exchange has none.
+    type Error;
+
+    /// Brings the system up: on return every process holds the
+    /// protocol's initial state (before any corruption).
+    fn open<T: TraceSink>(&mut self, sink: &mut T) -> Result<(), Self::Error>;
+
+    /// Called before round `r`'s `round_start`. Membership changes take
+    /// effect here; on return the round-start state and broadcast of
+    /// every participating process are available.
+    fn begin_round<T: TraceSink>(&mut self, r: u64, sink: &mut T) -> Result<(), Self::Error> {
+        let _ = (r, sink);
+        Ok(())
+    }
+
+    /// The round-start state of `p`, or `None` if `p` takes no part in
+    /// this round — crashed earlier, or out of the session (churned out,
+    /// down between a kill and its respawn). Such a process records no
+    /// state, sends nothing, and is a crashed receiver to everyone else.
+    fn state(&mut self, p: ProcessId) -> Option<&mut S>;
+
+    /// The kernel has just corrupted `victims` through
+    /// [`state`](Self::state): make the processes adopt their new states
+    /// and refresh their broadcasts.
+    fn corrupted<T: TraceSink>(
+        &mut self,
+        victims: &[ProcessId],
+        sink: &mut T,
+    ) -> Result<(), Self::Error> {
+        let _ = (victims, sink);
+        Ok(())
+    }
+
+    /// What participating `p` broadcasts this round; `None` when the
+    /// protocol declines to send. Asked once per round.
+    fn broadcast(&mut self, p: ProcessId) -> Option<M>;
+
+    /// Hands a survivor its inbox — the round's fresh deliveries, then
+    /// the [`CopyLayer`]'s late arrivals — and lets it step.
+    fn deliver(
+        &mut self,
+        p: ProcessId,
+        inbox: Deliveries<'_, M>,
+        late: &[LateCopy<M>],
+    ) -> Result<(), Self::Error>;
+
+    /// Ends a process that crashes this round: no transition, and no
+    /// state from the next round on.
+    fn crash<T: TraceSink>(&mut self, p: ProcessId, sink: &mut T) -> Result<(), Self::Error>;
+
+    /// Shuts the system down; returns each process's final state (`None`
+    /// for those that are gone).
+    fn close<T: TraceSink>(&mut self, sink: &mut T) -> Result<Vec<Option<S>>, Self::Error>;
+}
+
+/// A copy a [`CopyLayer`] held back and releases in a later round.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LateCopy<M> {
+    /// The destination.
+    pub to: ProcessId,
+    /// The original sender.
+    pub from: ProcessId,
+    /// The message.
+    pub msg: M,
+}
+
+/// A per-copy hook between the adversary's verdict and the record: the
+/// place for faults of the *network* rather than of a process. The unit
+/// layer passes every copy through and compiles away.
+pub trait CopyLayer<M> {
+    /// Sees every non-self copy after the adversary, in walk order, and
+    /// may turn a `Delivered` outcome into a timing outcome (any other
+    /// outcome must come back unchanged). `msgs` is the round so far,
+    /// `from`'s broadcast included.
+    fn relay(
+        &mut self,
+        r: u64,
+        from: ProcessId,
+        to: ProcessId,
+        outcome: DeliveryOutcome,
+        msgs: &RoundMsgs<M>,
+    ) -> DeliveryOutcome {
+        let _ = (r, from, to, msgs);
+        outcome
+    }
+
+    /// The held-back copies that arrive in round `r`, in hold order.
+    fn arrivals(&mut self, r: u64) -> Vec<LateCopy<M>> {
+        let _ = r;
+        Vec::new()
+    }
+}
+
+impl<M> CopyLayer<M> for () {}
+
+/// A process's part in the current round.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Part {
+    /// None: crashed earlier, or absent from the exchange.
+    Out,
+    /// Broadcasts (a prefix of) its copies, then dies without stepping.
+    Crashing,
+    Alive,
+}
+
+/// A validated run, ready to execute over any [`Exchange`].
+#[derive(Debug)]
+pub struct RoundKernel<'a, A: ?Sized> {
+    adversary: &'a mut A,
+    cfg: &'a RunConfig,
+    faulty: ProcessSet,
+    schedule: CrashSchedule,
+    parts: Vec<Part>,
+}
+
+impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
+    /// Validates `cfg` against the adversary's declaration.
+    ///
+    /// # Errors
+    ///
+    /// `n == 0`, a declared faulty set larger than `max_faulty`, or a
+    /// crash schedule naming a process outside the faulty set.
+    pub fn new(adversary: &'a mut A, cfg: &'a RunConfig) -> Result<Self, ConfigError> {
+        if cfg.n == 0 {
+            return Err(ConfigError::new("n must be at least 1"));
+        }
+        let faulty = adversary.faulty(cfg.n);
+        if faulty.len() > cfg.max_faulty {
+            return Err(ConfigError::new(format!(
+                "adversary declares {} faulty processes but f = {}",
+                faulty.len(),
+                cfg.max_faulty
+            )));
+        }
+        let schedule = adversary.crash_schedule();
+        if let Some((p, _)) = schedule.iter().find(|&(p, _)| !faulty.contains(p)) {
+            return Err(ConfigError::new(format!(
+                "crash schedule names {p} outside the declared faulty set"
+            )));
+        }
+        Ok(RoundKernel {
+            adversary,
+            cfg,
+            faulty,
+            schedule,
+            parts: vec![Part::Out; cfg.n],
+        })
+    }
+
+    /// The adversary's declared faulty set.
+    pub fn faulty(&self) -> &ProcessSet {
+        &self.faulty
+    }
+
+    /// The adversary's crash schedule.
+    pub fn schedule(&self) -> &CrashSchedule {
+        &self.schedule
+    }
+
+    /// Executes the configured rounds over `exchange`, passing every
+    /// copy through `layer`, emitting the deterministic event stream
+    /// into `sink` and calling `on_round` with the history after every
+    /// recorded round.
+    ///
+    /// # Errors
+    ///
+    /// The exchange's failures, unchanged.
+    ///
+    /// # Panics
+    ///
+    /// If the adversary deviates from its own declaration (a drop or a
+    /// forgery on behalf of a non-faulty process), or forges against a
+    /// protocol without `forge_message` — harness bugs, not executions.
+    pub fn run<P, X, L, T, F>(
+        mut self,
+        protocol: &P,
+        exchange: &mut X,
+        layer: &mut L,
+        sink: &mut T,
+        mut on_round: F,
+    ) -> Result<RunOutcome<P::State, P::Msg>, X::Error>
+    where
+        P: SyncProtocol,
+        P::State: Corrupt,
+        X: Exchange<P::State, P::Msg>,
+        L: CopyLayer<P::Msg>,
+        T: TraceSink,
+        F: FnMut(&History<P::State, P::Msg>),
+    {
+        let cfg = self.cfg;
+        let n = cfg.n;
+        let traced = sink.enabled();
+        if traced {
+            sink.emit(&Event::RunStart {
+                mode: RunMode::Sync,
+                protocol: protocol.name().to_string(),
+                n,
+                rounds: Some(round_count(cfg.rounds)),
+                msg_size: Some(std::mem::size_of::<P::Msg>()),
+            });
+        }
+        exchange.open(sink)?;
+        let everyone: Vec<ProcessId> = (0..n).map(ProcessId).collect();
+        if let Corruption::Arbitrary { seed } = cfg.corruption {
+            corrupt(exchange, 1, seed, &everyone, sink)?;
+        }
+
+        let mut history: History<P::State, P::Msg> = match cfg.history_window {
+            Some(w) => History::with_window(n, w),
+            None => History::new(n),
+        };
+        let mid_run = &cfg.mid_run_corruption;
+        // The frame a windowed history evicts comes back here and is
+        // reset in place — a two-frame arena, no per-round allocation
+        // once the window is full.
+        let mut spare: Option<RoundHistory<P::State, P::Msg>> = None;
+
+        for r in 1..=round_count(cfg.rounds) {
+            exchange.begin_round(r, sink)?;
+            if traced {
+                sink.emit(&Event::RoundStart { round: r });
+            }
+            // Systemic failures: the global entry, then the targeted
+            // ones (churn joins) in insertion order.
+            if let Some(seed) = mid_run.seed_for(r) {
+                corrupt(exchange, r, seed, &everyone, sink)?;
+            }
+            for (seed, victims) in mid_run.targeted_for(r) {
+                corrupt(exchange, r, seed, victims, sink)?;
+            }
+            let mut frame = match spare.take() {
+                Some(mut evicted) => {
+                    evicted.reset(n);
+                    evicted
+                }
+                None => RoundHistory::empty(n),
+            };
+            // Decide every process's part in the round and record the
+            // round-start state of those taking part.
+            let round = Round::new(r);
+            for &p in &everyone {
+                let part = &mut self.parts[p.index()];
+                *part = Part::Out;
+                if self.schedule.is_crashed(p, round) {
+                    continue;
+                }
+                let Some(state) = exchange.state(p) else {
+                    continue;
+                };
+                let crashing = self.schedule.crashes_in(p, round);
+                if crashing && traced {
+                    sink.emit(&Event::Crash { at: r, p });
+                }
+                let counter = protocol.round_counter(state);
+                let halted = protocol.is_halted(&ProtocolCtx::new(p, n), state);
+                frame.set_process(p, Some(state.clone()), counter, crashing, halted);
+                *part = if crashing {
+                    Part::Crashing
+                } else {
+                    Part::Alive
+                };
+            }
+            let (sent, delivered) = self.walk(protocol, exchange, layer, r, &mut frame, sink);
+            let late = layer.arrivals(r);
+            for &p in &everyone {
+                match self.parts[p.index()] {
+                    Part::Out => {}
+                    Part::Crashing => exchange.crash(p, sink)?,
+                    Part::Alive => exchange.deliver(p, frame.msgs().deliveries(p), &late)?,
+                }
+            }
+            if traced {
+                sink.emit(&Event::RoundEnd {
+                    round: r,
+                    sent,
+                    delivered,
+                    dropped: sent - delivered,
+                });
+            }
+            spare = history.push(frame);
+            on_round(&history);
+        }
+
+        let final_states = exchange.close(sink)?;
+        Ok(RunOutcome {
+            history,
+            final_states,
+        })
+    }
+
+    /// The `(sender, destination)` walk. One shared payload per
+    /// broadcast; each copy's fate is a bit in the frame's matrices plus,
+    /// for anything but a plain delivery, a sparse exception — nothing is
+    /// allocated per copy. Returns the round's `(sent, delivered)` copy
+    /// totals (counted only when tracing).
+    fn walk<P, X, L, T>(
+        &mut self,
+        protocol: &P,
+        exchange: &mut X,
+        layer: &mut L,
+        r: u64,
+        frame: &mut RoundHistory<P::State, P::Msg>,
+        sink: &mut T,
+    ) -> (u64, u64)
+    where
+        P: SyncProtocol,
+        X: Exchange<P::State, P::Msg>,
+        L: CopyLayer<P::Msg>,
+        T: TraceSink,
+    {
+        let n = self.cfg.n;
+        let round = Round::new(r);
+        let traced = sink.enabled();
+        let (mut sent, mut delivered) = (0u64, 0u64);
+        for i in 0..n {
+            let p = ProcessId(i);
+            if self.parts[i] == Part::Out {
+                continue;
+            }
+            let Some(msg) = exchange.broadcast(p) else {
+                continue;
+            };
+            frame.set_broadcast(p, Payload::new(msg));
+            let crashing = self.parts[i] == Part::Crashing;
+            // A crashing sender emits only a prefix of its copies.
+            let cut = if crashing {
+                self.adversary.sends_before_crash(p, round)
+            } else {
+                usize::MAX
+            };
+            let mut emitted = 0usize;
+            for j in 0..n {
+                let q = ProcessId(j);
+                if q == p {
+                    // Self-delivery always succeeds and is never
+                    // consulted (footnote 1); a crashing process takes
+                    // no step, so its own copy is moot.
+                    if !crashing {
+                        frame.record_delivery(p, p);
+                    }
+                    continue;
+                }
+                let outcome = if emitted >= cut {
+                    DeliveryOutcome::SenderCrashed
+                } else {
+                    emitted += 1;
+                    if self.parts[j] == Part::Alive {
+                        self.consult(protocol, round, p, q, frame)
+                    } else {
+                        DeliveryOutcome::ReceiverCrashed
+                    }
+                };
+                let outcome = layer.relay(r, p, q, outcome, frame.msgs());
+                let arrived = matches!(
+                    outcome,
+                    DeliveryOutcome::Delivered | DeliveryOutcome::Duplicated
+                );
+                if arrived {
+                    frame.record_delivery(q, p);
+                }
+                if traced {
+                    sent += 1;
+                    // A forged copy arrives (with the wrong payload), so
+                    // it counts as delivered in the traffic totals.
+                    if arrived || outcome == DeliveryOutcome::Forged {
+                        delivered += 1;
+                    }
+                    sink.emit(&Event::Send {
+                        round: r,
+                        from: p,
+                        to: q,
+                        outcome,
+                    });
+                }
+                if outcome != DeliveryOutcome::Forged {
+                    // `consult` already recorded a forged copy's
+                    // exception, payload and delivered bit.
+                    frame.record_send(p, q, outcome);
+                }
+            }
+        }
+        (sent, delivered)
+    }
+
+    /// The adversary's verdict on one eligible copy — `drop_copy`, then
+    /// `forge_copy` for a copy it let through — with the model's
+    /// attribution rules enforced.
+    fn consult<P: SyncProtocol>(
+        &mut self,
+        protocol: &P,
+        round: Round,
+        p: ProcessId,
+        q: ProcessId,
+        frame: &mut RoundHistory<P::State, P::Msg>,
+    ) -> DeliveryOutcome {
+        let faulty = &self.faulty;
+        match self.adversary.drop_copy(round, p, q) {
+            None => match self.adversary.forge_copy(round, p, q) {
+                None => DeliveryOutcome::Delivered,
+                Some(forge_seed) => {
+                    assert!(faulty.contains(p), "adversary made non-faulty {p} forge");
+                    let msg = protocol.forge_message(forge_seed).unwrap_or_else(|| {
+                        panic!(
+                            "adversary forged a copy but protocol {} \
+                             does not implement forge_message",
+                            protocol.name()
+                        )
+                    });
+                    frame.record_forged(p, q, Payload::new(msg));
+                    DeliveryOutcome::Forged
+                }
+            },
+            Some(OmissionSide::Sender) => {
+                assert!(
+                    faulty.contains(p),
+                    "adversary made non-faulty {p} send-omit"
+                );
+                DeliveryOutcome::DroppedBySender
+            }
+            Some(OmissionSide::Receiver) => {
+                assert!(
+                    faulty.contains(q),
+                    "adversary made non-faulty {q} receive-omit"
+                );
+                DeliveryOutcome::DroppedByReceiver
+            }
+        }
+    }
+}
+
+/// A systemic failure in round `r`: one rng seeded with `seed` corrupts
+/// `victims` in the order given (skipping those with no state), then
+/// `corruption` is emitted and the exchange propagates the new states.
+fn corrupt<S: Corrupt, M, X: Exchange<S, M>, T: TraceSink>(
+    exchange: &mut X,
+    r: u64,
+    seed: u64,
+    victims: &[ProcessId],
+    sink: &mut T,
+) -> Result<(), X::Error> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for &v in victims {
+        if let Some(s) = exchange.state(v) {
+            s.corrupt(&mut rng);
+        }
+    }
+    if sink.enabled() {
+        sink.emit(&Event::Corruption { round: r, seed });
+    }
+    exchange.corrupted(victims, sink)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adversary::{NoFaults, RandomOmission, TapeOmission};
+    use crate::runner::tests::{CountAll, EState, EchoMax};
+    use crate::runner::SyncRunner;
+    use ftss_telemetry::NullSink;
+    use std::convert::Infallible;
+
+    /// A scripted exchange: canned states that never change, every
+    /// process broadcasts its value, `absent` is out throughout, and
+    /// deliveries and crashes are only logged.
+    struct Canned {
+        states: Vec<Option<EState>>,
+        round: u64,
+        /// `(round, receiver, senders heard)` per delivered inbox.
+        inboxes: Vec<(u64, ProcessId, Vec<ProcessId>)>,
+        crashed: Vec<(u64, ProcessId)>,
+    }
+
+    impl Canned {
+        fn new(n: usize, absent: Option<ProcessId>) -> Self {
+            let state = |i| (Some(ProcessId(i)) != absent).then_some(EState { v: 7, c: 1 });
+            Canned {
+                states: (0..n).map(state).collect(),
+                round: 0,
+                inboxes: Vec::new(),
+                crashed: Vec::new(),
+            }
+        }
+    }
+
+    impl Exchange<EState, u64> for Canned {
+        type Error = Infallible;
+
+        fn open<T: TraceSink>(&mut self, _: &mut T) -> Result<(), Infallible> {
+            Ok(())
+        }
+        fn begin_round<T: TraceSink>(&mut self, r: u64, _: &mut T) -> Result<(), Infallible> {
+            self.round = r;
+            Ok(())
+        }
+        fn state(&mut self, p: ProcessId) -> Option<&mut EState> {
+            self.states[p.index()].as_mut()
+        }
+        fn broadcast(&mut self, p: ProcessId) -> Option<u64> {
+            self.states[p.index()].as_ref().map(|s| s.v)
+        }
+        fn deliver(
+            &mut self,
+            p: ProcessId,
+            inbox: Deliveries<'_, u64>,
+            late: &[LateCopy<u64>],
+        ) -> Result<(), Infallible> {
+            assert!(late.is_empty());
+            let heard = inbox.iter().map(|(src, _)| src).collect();
+            self.inboxes.push((self.round, p, heard));
+            Ok(())
+        }
+        fn crash<T: TraceSink>(&mut self, p: ProcessId, _: &mut T) -> Result<(), Infallible> {
+            self.states[p.index()] = None;
+            self.crashed.push((self.round, p));
+            Ok(())
+        }
+        fn close<T: TraceSink>(&mut self, _: &mut T) -> Result<Vec<Option<EState>>, Infallible> {
+            Ok(self.states.clone())
+        }
+    }
+
+    /// A tape adversary with a crash script that logs every consultation.
+    #[derive(Debug)]
+    struct Script {
+        tape: TapeOmission,
+        /// `(process, crash round, copies emitted before dying)`.
+        crashes: Vec<(ProcessId, u64, usize)>,
+        consulted: Vec<(u64, ProcessId, ProcessId)>,
+    }
+
+    impl Adversary for Script {
+        fn faulty(&self, n: usize) -> ProcessSet {
+            self.tape.faulty(n)
+        }
+        fn crash_schedule(&self) -> CrashSchedule {
+            let mut cs = CrashSchedule::none();
+            for &(p, r, _) in &self.crashes {
+                cs.set(p, Round::new(r));
+            }
+            cs
+        }
+        fn sends_before_crash(&self, p: ProcessId, _: Round) -> usize {
+            let script = self.crashes.iter().find(|&&(q, _, _)| q == p);
+            script.map_or(0, |&(_, _, k)| k)
+        }
+        fn drop_copy(&mut self, r: Round, from: ProcessId, to: ProcessId) -> Option<OmissionSide> {
+            self.consulted.push((r.get(), from, to));
+            self.tape.drop_copy(r, from, to)
+        }
+    }
+
+    /// The seam contract the router used to re-implement by hand: an
+    /// absent process is skipped as a sender and is a `ReceiverCrashed`
+    /// destination that consults nobody, so the adversary sees exactly
+    /// the consultations `SyncRunner` makes when that process is dead
+    /// from round 1 — same copies, same order, same tape position.
+    #[test]
+    fn scripted_exchange_consults_like_the_runner() {
+        let (n, rounds) = (4, 3);
+        let (crasher, absent) = (ProcessId(1), ProcessId(2));
+        let tape = vec![true, false, false, true, true, false, true, false];
+        let script = |crashes| Script {
+            tape: TapeOmission::new([ProcessId(1), ProcessId(2), ProcessId(3)], tape.clone()),
+            crashes,
+            consulted: Vec::new(),
+        };
+        let cfg = RunConfig::clean(n, rounds);
+
+        // The kernel over the fake: p1 crashes in round 2 after one
+        // copy, p2 is absent throughout.
+        let mut faked = script(vec![(crasher, 2, 1)]);
+        let mut exchange = Canned::new(n, Some(absent));
+        let out = RoundKernel::new(&mut faked, &cfg)
+            .expect("valid config")
+            .run(&EchoMax, &mut exchange, &mut (), &mut NullSink, |_| {})
+            .unwrap_or_else(|never| match never {});
+        // The runner, with p2 crashing silently in round 1 instead.
+        let mut simulated = script(vec![(crasher, 2, 1), (absent, 1, 0)]);
+        let sim = SyncRunner::new(EchoMax)
+            .run(&mut simulated, &cfg)
+            .expect("valid config");
+
+        assert!(!faked.consulted.is_empty());
+        assert_eq!(faked.consulted, simulated.consulted);
+        assert_eq!(faked.tape.consulted(), simulated.tape.consulted());
+        let touches_absent = |&(_, from, to): &(u64, _, _)| from == absent || to == absent;
+        assert!(!faked.consulted.iter().any(touches_absent));
+        for r in 1..=rounds as u64 {
+            let frame = out.history.round(Round::new(r));
+            assert_eq!(
+                frame.msgs().outcome_of(ProcessId(0), absent),
+                Some(DeliveryOutcome::ReceiverCrashed)
+            );
+            assert!(frame.record(absent).state_at_start().is_none());
+            assert_eq!(frame.record(absent).sent_len(), 0);
+            // Same verdicts, so every survivor hears the same senders.
+            for (_, p, heard) in exchange.inboxes.iter().filter(|i| i.0 == r) {
+                let sim_frame = sim.history.round(Round::new(r));
+                let sim_heard = sim_frame.record(*p).delivered().iter().map(|(src, _)| src);
+                assert_eq!(*heard, sim_heard.collect::<Vec<_>>(), "round {r}, {p}");
+            }
+        }
+        // The crash reached the exchange once, with its partial sends
+        // recorded: one copy out (to p0), the rest cut.
+        assert_eq!(exchange.crashed, vec![(2, crasher)]);
+        let r2 = out.history.round(Round::new(2));
+        let cut: Vec<DeliveryOutcome> = r2.record(crasher).sent().map(|s| s.outcome).collect();
+        assert_ne!(cut[0], DeliveryOutcome::SenderCrashed);
+        assert_eq!(cut[1..], [DeliveryOutcome::SenderCrashed; 2]);
+        assert_eq!(out.final_states[crasher.index()], None);
+        assert!(out.final_states[0].is_some());
+    }
+
+    fn run_canned<A: Adversary>(adversary: &mut A, cfg: &RunConfig) {
+        let _ = RoundKernel::new(adversary, cfg).expect("valid config").run(
+            &EchoMax,
+            &mut Canned::new(cfg.n, None),
+            &mut (),
+            &mut NullSink,
+            |_| {},
+        );
+    }
+
+    #[test]
+    fn config_validation() {
+        let err = RoundKernel::new(&mut NoFaults, &RunConfig::clean(0, 1)).unwrap_err();
+        assert!(err.to_string().contains("n must be"));
+        let err = SyncRunner::new(CountAll)
+            .run(&mut NoFaults, &RunConfig::clean(0, 1))
+            .unwrap_err();
+        assert!(err.to_string().contains("n must be"));
+
+        let mut adv = RandomOmission::new([ProcessId(0), ProcessId(1)], 0.5, 0);
+        let err =
+            RoundKernel::new(&mut adv, &RunConfig::clean(3, 1).with_max_faulty(1)).unwrap_err();
+        assert!(err.to_string().contains("faulty"));
+    }
+
+    #[test]
+    fn crash_outside_faulty_set_rejected() {
+        // An adversary whose schedule disagrees with its (empty) faulty set.
+        let mut bad = Script {
+            tape: TapeOmission::new([], Vec::new()),
+            crashes: vec![(ProcessId(0), 1, 0)],
+            consulted: Vec::new(),
+        };
+        let err = RoundKernel::new(&mut bad, &RunConfig::clean(2, 1)).unwrap_err();
+        assert!(err.to_string().contains("outside the declared faulty set"));
+    }
+
+    /// Declares nobody faulty, then deviates anyway.
+    struct Liar {
+        drop: Option<OmissionSide>,
+        forge: Option<u64>,
+    }
+
+    impl Adversary for Liar {
+        fn faulty(&self, n: usize) -> ProcessSet {
+            ProcessSet::empty(n)
+        }
+        fn drop_copy(&mut self, _: Round, _: ProcessId, _: ProcessId) -> Option<OmissionSide> {
+            self.drop
+        }
+        fn forge_copy(&mut self, _: Round, _: ProcessId, _: ProcessId) -> Option<u64> {
+            self.forge
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-faulty")]
+    fn lying_adversary_panics() {
+        let mut liar = Liar {
+            drop: Some(OmissionSide::Sender),
+            forge: None,
+        };
+        run_canned(&mut liar, &RunConfig::clean(2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "forge")]
+    fn lying_forger_panics() {
+        let mut liar = Liar {
+            drop: None,
+            forge: Some(1),
+        };
+        run_canned(&mut liar, &RunConfig::clean(2, 1));
+    }
+}

@@ -6,41 +6,33 @@
 //! records the execution as a [`History`] that the `ftss-core` checkers
 //! evaluate.
 //!
-//! ## Round semantics (matching §2 of the paper)
-//!
-//! In observer round `r`, for each process `p` alive at the round start:
-//!
-//! 1. `p` broadcasts `broadcast(state)` to **all** processes, itself
-//!    included. The self-copy always arrives (footnote 1).
-//! 2. Each other copy may be dropped by the adversary (send or receive
-//!    omission, attributed to the faulty side), vanish because the receiver
-//!    is crashed, or be cut short by `p` crashing mid-round.
-//! 3. Every process alive at the round *end* applies `step` to its inbox
-//!    and (implicitly, inside the protocol) advances its round variable.
-//!
-//! A process crashing in round `r` emits a prefix of its copies and takes
-//! no state transition; its state is undefined from round `r + 1` on.
+//! The runner is a thin driver: the round itself — validation, the
+//! consultation order, the record, the events — is the shared
+//! [`RoundKernel`] (see [`crate::round`] for the round semantics, which
+//! match §2 of the paper), and this module contributes only the
+//! in-process [`Exchange`]: states in a vector, `broadcast` and `step`
+//! as function calls. The socket runtime drives the same kernel over
+//! node threads, which is why a served run *is* a simulated run.
 //!
 //! ## Memory model (DESIGN.md §12)
 //!
-//! The runner fills one struct-of-arrays [`RoundHistory`] frame per round:
-//! delivery fate is two bit matrices plus a sparse exception list, the
-//! broadcast is one shared [`Payload`] per sender, and each process's inbox
-//! is a borrowed view of its row of the delivery matrix
-//! ([`Inbox::from_deliveries`]) — the hot loop allocates nothing per copy.
-//! With [`RunConfig::with_history_window`] the history retains only a
-//! bounded suffix and evicted frames are recycled, so memory stays flat at
-//! any run length; [`SyncRunner::run_streaming`] lets an observer inspect
-//! the history after every round, which is how windowed oracles are driven.
+//! The kernel fills one struct-of-arrays [`RoundHistory`](ftss_core::RoundHistory)
+//! frame per round: delivery fate is two bit matrices plus a sparse
+//! exception list, the broadcast is one shared [`Payload`](ftss_core::Payload)
+//! per sender, and each process's inbox is a borrowed view of its row of
+//! the delivery matrix ([`Inbox::from_deliveries`]) — the hot loop
+//! allocates nothing per copy. With [`RunConfig::with_history_window`]
+//! the history retains only a bounded suffix and evicted frames are
+//! recycled, so memory stays flat at any run length;
+//! [`SyncRunner::run_streaming`] lets an observer inspect the history
+//! after every round, which is how windowed oracles are driven.
 
-use crate::adversary::{Adversary, OmissionSide};
+use crate::adversary::Adversary;
 use crate::protocol::{Inbox, ProtocolCtx, SyncProtocol};
-use ftss_core::{
-    round_count, ConfigError, Corrupt, DeliveryOutcome, History, Payload, ProcessId, Round,
-    RoundHistory,
-};
-use ftss_rng::StdRng;
-use ftss_telemetry::{Event, NullSink, RunMode, TraceSink};
+use crate::round::{Exchange, LateCopy, RoundKernel};
+use ftss_core::{ConfigError, Corrupt, Deliveries, History, ProcessId};
+use ftss_telemetry::{NullSink, TraceSink};
+use std::convert::Infallible;
 
 /// Whether (and how) to inject a systemic failure at round 1.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -61,12 +53,17 @@ pub enum Corruption {
 /// "concentrate\[s\] on the behavior of the processes following the final
 /// systemic failure"; this schedule makes that final failure explicit so
 /// stabilization of the suffix can be measured.
+///
+/// Both lists are kept sorted by round as they are built, so the
+/// per-round lookups the round kernel makes are binary searches.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct CorruptionSchedule {
-    events: Vec<(u64, u64)>, // (round, seed)
+    /// `(round, seed)`, one entry per round.
+    events: Vec<(u64, u64)>,
     /// Targeted systemic failures: `(round, seed, victims)`. Only the
     /// listed victims are corrupted — the churn model's "process joins
-    /// with arbitrary state", localized instead of global.
+    /// with arbitrary state", localized instead of global. Insertion
+    /// order within a round.
     targeted: Vec<(u64, u64, Vec<ProcessId>)>,
 }
 
@@ -77,100 +74,60 @@ impl CorruptionSchedule {
     }
 
     /// Adds a systemic failure at the start of observer round `round`
-    /// (1-based) with the given corruption seed.
+    /// (1-based) with the given corruption seed. A later entry for the
+    /// same round replaces the earlier one.
     pub fn at(mut self, round: u64, seed: u64) -> Self {
-        self.events.push((round, seed));
+        match self.events.binary_search_by_key(&round, |&(r, _)| r) {
+            Ok(i) => self.events[i].1 = seed,
+            Err(i) => self.events.insert(i, (round, seed)),
+        }
         self
     }
 
     /// Adds a *targeted* systemic failure at the start of round `round`:
     /// only `victims` are corrupted (in the order given, from one RNG
-    /// seeded with `seed`). This is how a [`ftss_core::StormKind::Join`]
-    /// renders the joiner's arbitrary entry state.
+    /// seeded with `seed`), after the round's global entry and any
+    /// targeted entry added earlier. This is how a
+    /// [`ftss_core::StormKind::Join`] renders the joiner's arbitrary
+    /// entry state.
     pub fn at_targeted(
         mut self,
         round: u64,
         seed: u64,
         victims: impl IntoIterator<Item = ProcessId>,
     ) -> Self {
+        let at = self.targeted.partition_point(|&(r, _, _)| r <= round);
         self.targeted
-            .push((round, seed, victims.into_iter().collect()));
+            .insert(at, (round, seed, victims.into_iter().collect()));
         self
     }
 
     /// The round of the final scheduled systemic failure (global or
     /// targeted), if any.
     pub fn final_failure_round(&self) -> Option<u64> {
-        let global = self.events.iter().map(|&(r, _)| r);
-        let targeted = self.targeted.iter().map(|&(r, _, _)| r);
-        global.chain(targeted).max()
+        let global = self.events.last().map(|&(r, _)| r);
+        let targeted = self.targeted.last().map(|&(r, _, _)| r);
+        global.max(targeted)
     }
 
     /// The targeted entries scheduled for `round`, in insertion order.
-    /// Public so other substrates (the socket runtime) can replay a
-    /// schedule with the runner's exact semantics.
     pub fn targeted_for(&self, round: u64) -> impl Iterator<Item = (u64, &[ProcessId])> {
-        self.targeted
+        let lo = self.targeted.partition_point(|&(r, _, _)| r < round);
+        let hi = self.targeted.partition_point(|&(r, _, _)| r <= round);
+        self.targeted[lo..hi]
             .iter()
-            .filter(move |&&(r, _, _)| r == round)
             .map(|(_, seed, victims)| (*seed, victims.as_slice()))
     }
 
-    /// The corruption seed scheduled for `round`, if any — the same
-    /// last-entry-wins resolution the runner applies. Public so other
-    /// substrates (the socket runtime) can replay a schedule with the
-    /// runner's exact semantics.
+    /// The corruption seed scheduled for `round`, if any.
     pub fn seed_for(&self, round: u64) -> Option<u64> {
-        self.events
-            .iter()
-            .filter(|&&(r, _)| r == round)
-            .map(|&(_, seed)| seed)
-            .next_back()
-    }
-
-    /// Resolves the schedule into a round-sorted lookup table with one
-    /// entry per round (later entries for the same round win). Built once
-    /// per run, so the per-round query in the hot loop is a binary search
-    /// instead of a linear scan of the raw event list.
-    fn resolve(&self) -> ResolvedCorruption {
-        let mut table: Vec<(u64, u64)> = Vec::with_capacity(self.events.len());
-        for &(round, seed) in &self.events {
-            match table.binary_search_by_key(&round, |&(r, _)| r) {
-                Ok(i) => table[i].1 = seed,
-                Err(i) => table.insert(i, (round, seed)),
-            }
-        }
-        let mut targeted = self.targeted.clone();
-        targeted.sort_by_key(|&(r, _, _)| r); // stable: insertion order within a round
-        ResolvedCorruption { table, targeted }
+        let i = self.events.binary_search_by_key(&round, |&(r, _)| r).ok()?;
+        Some(self.events[i].1)
     }
 
     /// Whether the schedule is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.targeted.is_empty()
-    }
-}
-
-/// A [`CorruptionSchedule`] resolved for execution: sorted by round,
-/// deduplicated (global entries), queried by binary search.
-#[derive(Debug)]
-struct ResolvedCorruption {
-    table: Vec<(u64, u64)>,
-    targeted: Vec<(u64, u64, Vec<ProcessId>)>,
-}
-
-impl ResolvedCorruption {
-    fn seed_for(&self, round: u64) -> Option<u64> {
-        self.table
-            .binary_search_by_key(&round, |&(r, _)| r)
-            .ok()
-            .map(|i| self.table[i].1)
-    }
-
-    fn targeted_for(&self, round: u64) -> &[(u64, u64, Vec<ProcessId>)] {
-        let lo = self.targeted.partition_point(|&(r, _, _)| r < round);
-        let hi = self.targeted.partition_point(|&(r, _, _)| r <= round);
-        &self.targeted[lo..hi]
     }
 }
 
@@ -286,15 +243,17 @@ where
         adversary: &mut A,
         cfg: &RunConfig,
     ) -> Result<RunOutcome<P::State, P::Msg>, ConfigError> {
-        self.run_impl(adversary, cfg, &mut NullSink, |_| {})
+        self.run_streaming(adversary, cfg, &mut NullSink, |_| {})
     }
 
-    /// Runs the protocol, emitting structured [`Event`]s into `sink`.
+    /// Runs the protocol, emitting structured
+    /// [`Event`](ftss_telemetry::Event)s into `sink`.
     ///
     /// Emitted events: `run_start`, `round_start`/`round_end` with traffic
     /// totals, `corruption` (initial and mid-run systemic failures),
     /// `crash`, and one `send` per point-to-point copy with its
-    /// [`DeliveryOutcome`] (omissions attributed to the faulty side).
+    /// [`DeliveryOutcome`](ftss_core::DeliveryOutcome) (omissions
+    /// attributed to the faulty side).
     /// [`Self::run`] is exactly this method with the zero-cost
     /// [`NullSink`]; instrumentation is guarded by
     /// [`TraceSink::enabled`], so a disabled sink constructs no events.
@@ -312,7 +271,7 @@ where
         cfg: &RunConfig,
         sink: &mut T,
     ) -> Result<RunOutcome<P::State, P::Msg>, ConfigError> {
-        self.run_impl(adversary, cfg, sink, |_| {})
+        self.run_streaming(adversary, cfg, sink, |_| {})
     }
 
     /// Runs the protocol, invoking `on_round` with the history after every
@@ -340,296 +299,106 @@ where
         T: TraceSink,
         F: FnMut(&History<P::State, P::Msg>),
     {
-        self.run_impl(adversary, cfg, sink, on_round)
+        let mut exchange = InProcess {
+            protocol: &self.protocol,
+            n: cfg.n,
+            states: Vec::new(),
+        };
+        let run = RoundKernel::new(adversary, cfg)?.run(
+            &self.protocol,
+            &mut exchange,
+            &mut (),
+            sink,
+            on_round,
+        );
+        Ok(run.unwrap_or_else(|never| match never {}))
+    }
+}
+
+/// The in-process [`Exchange`]: the global state is a vector, a
+/// broadcast is a function call, and a survivor steps on a borrowed view
+/// of its row of the round frame's delivery matrix — no clone, no move,
+/// no envelopes. Always run under the unit layer, so no copy is ever
+/// late.
+struct InProcess<'a, P: SyncProtocol> {
+    protocol: &'a P,
+    n: usize,
+    /// `None` once a process has crashed.
+    states: Vec<Option<P::State>>,
+}
+
+impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
+    type Error = Infallible;
+
+    fn open<T: TraceSink>(&mut self, _sink: &mut T) -> Result<(), Infallible> {
+        let init = |i| {
+            Some(
+                self.protocol
+                    .init_state(&ProtocolCtx::new(ProcessId(i), self.n)),
+            )
+        };
+        self.states = (0..self.n).map(init).collect();
+        Ok(())
     }
 
-    fn run_impl<A, T, F>(
-        &self,
-        adversary: &mut A,
-        cfg: &RunConfig,
-        sink: &mut T,
-        mut on_round: F,
-    ) -> Result<RunOutcome<P::State, P::Msg>, ConfigError>
-    where
-        A: Adversary + ?Sized,
-        T: TraceSink,
-        F: FnMut(&History<P::State, P::Msg>),
-    {
-        if cfg.n == 0 {
-            return Err(ConfigError::new("n must be at least 1"));
-        }
-        let n = cfg.n;
-        let faulty = adversary.faulty(n);
-        if faulty.len() > cfg.max_faulty {
-            return Err(ConfigError::new(format!(
-                "adversary declares {} faulty processes but f = {}",
-                faulty.len(),
-                cfg.max_faulty
-            )));
-        }
-        let schedule = adversary.crash_schedule();
-        for (p, _) in schedule.iter() {
-            if !faulty.contains(p) {
-                return Err(ConfigError::new(format!(
-                    "crash schedule names {p} outside the declared faulty set"
-                )));
-            }
-        }
+    fn state(&mut self, p: ProcessId) -> Option<&mut P::State> {
+        self.states[p.index()].as_mut()
+    }
 
-        let traced = sink.enabled();
-        if traced {
-            sink.emit(&Event::RunStart {
-                mode: RunMode::Sync,
-                protocol: self.protocol.name().to_string(),
-                n,
-                rounds: Some(round_count(cfg.rounds)),
-                msg_size: Some(std::mem::size_of::<P::Msg>()),
-            });
-        }
+    fn broadcast(&mut self, p: ProcessId) -> Option<P::Msg> {
+        let ctx = ProtocolCtx::new(p, self.n);
+        let state = self.states[p.index()].as_ref()?;
+        self.protocol
+            .sends(&ctx, state)
+            .then(|| self.protocol.broadcast(&ctx, state))
+    }
 
-        // Initial states, with optional systemic failure.
-        let mut states: Vec<Option<P::State>> = (0..n)
-            .map(|i| Some(self.protocol.init_state(&ProtocolCtx::new(ProcessId(i), n))))
-            .collect();
-        if let Corruption::Arbitrary { seed } = cfg.corruption {
-            let mut rng = StdRng::seed_from_u64(seed);
-            for s in states.iter_mut().flatten() {
-                s.corrupt(&mut rng);
-            }
-            if traced {
-                sink.emit(&Event::Corruption { round: 1, seed });
-            }
-        }
+    fn deliver(
+        &mut self,
+        p: ProcessId,
+        inbox: Deliveries<'_, P::Msg>,
+        late: &[LateCopy<P::Msg>],
+    ) -> Result<(), Infallible> {
+        debug_assert!(late.is_empty(), "the simulator runs under the unit layer");
+        let ctx = ProtocolCtx::new(p, self.n);
+        let state = self.states[p.index()]
+            .as_mut()
+            .expect("a survivor has state");
+        self.protocol
+            .step(&ctx, state, &Inbox::from_deliveries(inbox));
+        Ok(())
+    }
 
-        let mut history: History<P::State, P::Msg> = match cfg.history_window {
-            Some(w) => History::with_window(n, w),
-            None => History::new(n),
-        };
-        let mid_run = cfg.mid_run_corruption.resolve();
-        // The round frame evicted from a windowed history comes back here
-        // and is reset in place — a two-frame arena, no per-round
-        // allocation once the window is full.
-        let mut spare: Option<RoundHistory<P::State, P::Msg>> = None;
+    fn crash<T: TraceSink>(&mut self, p: ProcessId, _sink: &mut T) -> Result<(), Infallible> {
+        self.states[p.index()] = None;
+        Ok(())
+    }
 
-        for r in 1..=round_count(cfg.rounds) {
-            let round = Round::new(r);
-            if traced {
-                sink.emit(&Event::RoundStart { round: r });
-            }
-            // Mid-run systemic failure: re-corrupt every alive process's
-            // state at the start of the round.
-            if let Some(seed) = mid_run.seed_for(r) {
-                let mut rng = StdRng::seed_from_u64(seed);
-                for s in states.iter_mut().flatten() {
-                    s.corrupt(&mut rng);
-                }
-                if traced {
-                    sink.emit(&Event::Corruption { round: r, seed });
-                }
-            }
-            // Targeted systemic failures (churn joins): only the listed
-            // victims are corrupted, applied after any global entry.
-            for (_, seed, victims) in mid_run.targeted_for(r) {
-                let mut rng = StdRng::seed_from_u64(*seed);
-                for v in victims {
-                    if let Some(s) = states[v.index()].as_mut() {
-                        s.corrupt(&mut rng);
-                    }
-                }
-                if traced {
-                    sink.emit(&Event::Corruption {
-                        round: r,
-                        seed: *seed,
-                    });
-                }
-            }
-            let mut frame = match spare.take() {
-                Some(mut f) => {
-                    f.reset(n);
-                    f
-                }
-                None => RoundHistory::empty(n),
-            };
-            // Phase 0: snapshot round-start states. Already-crashed
-            // processes keep the frame's blank (all-`None`) columns.
-            for (i, slot) in states.iter().enumerate() {
-                let p = ProcessId(i);
-                if schedule.is_crashed(p, round) {
-                    continue;
-                }
-                let state = slot.as_ref().expect("alive process has state");
-                let crashed_here = schedule.crashes_in(p, round);
-                if traced && crashed_here {
-                    sink.emit(&Event::Crash { at: r, p });
-                }
-                frame.set_process(
-                    p,
-                    Some(state.clone()),
-                    self.protocol.round_counter(state),
-                    crashed_here,
-                    self.protocol.is_halted(&ProtocolCtx::new(p, n), state),
-                );
-            }
-
-            // Phase 1: broadcasts and delivery decisions. One shared
-            // payload is materialized per broadcast and stored once in the
-            // frame; each copy's fate is a bit in the sent/delivered
-            // matrices plus, for non-delivered copies, a sparse exception —
-            // nothing is allocated per copy.
-            let (mut copies_sent, mut copies_delivered) = (0u64, 0u64);
-            for (i, slot) in states.iter().enumerate() {
-                let p = ProcessId(i);
-                if schedule.is_crashed(p, round) {
-                    continue;
-                }
-                let ctx = ProtocolCtx::new(p, n);
-                let state = slot.as_ref().expect("alive");
-                if !self.protocol.sends(&ctx, state) {
-                    continue;
-                }
-                let payload = Payload::new(self.protocol.broadcast(&ctx, state));
-                frame.set_broadcast(p, payload);
-                let crashing = schedule.crashes_in(p, round);
-                let cut = if crashing {
-                    adversary.sends_before_crash(p, round)
-                } else {
-                    usize::MAX
-                };
-                let mut emitted = 0usize;
-                for j in 0..n {
-                    let q = ProcessId(j);
-                    if q == p {
-                        // Self-delivery: always succeeds, never consulted
-                        // (footnote 1) — even for a crashing process it is
-                        // irrelevant, since a crashing process takes no step.
-                        if !crashing {
-                            frame.record_delivery(p, p);
-                        }
-                        continue;
-                    }
-                    let outcome = if emitted >= cut {
-                        DeliveryOutcome::SenderCrashed
-                    } else if schedule.is_crashed(q, round) || schedule.crashes_in(q, round) {
-                        emitted += 1;
-                        DeliveryOutcome::ReceiverCrashed
-                    } else {
-                        emitted += 1;
-                        match adversary.drop_copy(round, p, q) {
-                            None => match adversary.forge_copy(round, p, q) {
-                                None => DeliveryOutcome::Delivered,
-                                Some(forge_seed) => {
-                                    assert!(
-                                        faulty.contains(p),
-                                        "adversary made non-faulty {p} forge"
-                                    );
-                                    let msg = self
-                                        .protocol
-                                        .forge_message(forge_seed)
-                                        .unwrap_or_else(|| {
-                                            panic!(
-                                                "adversary forged a copy but protocol {} \
-                                                     does not implement forge_message",
-                                                self.protocol.name()
-                                            )
-                                        });
-                                    frame.record_forged(p, q, Payload::new(msg));
-                                    DeliveryOutcome::Forged
-                                }
-                            },
-                            Some(OmissionSide::Sender) => {
-                                assert!(
-                                    faulty.contains(p),
-                                    "adversary made non-faulty {p} send-omit"
-                                );
-                                DeliveryOutcome::DroppedBySender
-                            }
-                            Some(OmissionSide::Receiver) => {
-                                assert!(
-                                    faulty.contains(q),
-                                    "adversary made non-faulty {q} receive-omit"
-                                );
-                                DeliveryOutcome::DroppedByReceiver
-                            }
-                        }
-                    };
-                    if outcome == DeliveryOutcome::Delivered {
-                        frame.record_delivery(q, p);
-                    }
-                    if traced {
-                        copies_sent += 1;
-                        // A forged copy arrives (with the wrong payload),
-                        // so it counts as delivered in traffic totals.
-                        if outcome == DeliveryOutcome::Delivered
-                            || outcome == DeliveryOutcome::Forged
-                        {
-                            copies_delivered += 1;
-                        }
-                        sink.emit(&Event::Send {
-                            round: r,
-                            from: p,
-                            to: q,
-                            outcome,
-                        });
-                    }
-                    if outcome != DeliveryOutcome::Forged {
-                        // `record_forged` above already recorded the
-                        // exception and the delivered bit for forged copies.
-                        frame.record_send(p, q, outcome);
-                    }
-                }
-            }
-
-            // Phase 2: state transitions for processes alive at round end.
-            // The inbox views the delivery matrix row already recorded in
-            // the frame — no clone, no move, no envelopes.
-            #[allow(clippy::needless_range_loop)] // i is the ProcessId
-            for i in 0..n {
-                let p = ProcessId(i);
-                if schedule.is_crashed(p, round) || schedule.crashes_in(p, round) {
-                    states[i] = None;
-                    continue;
-                }
-                let inbox = Inbox::from_deliveries(frame.msgs().deliveries(p));
-                let ctx = ProtocolCtx::new(p, n);
-                self.protocol
-                    .step(&ctx, states[i].as_mut().expect("alive"), &inbox);
-            }
-
-            if traced {
-                sink.emit(&Event::RoundEnd {
-                    round: r,
-                    sent: copies_sent,
-                    delivered: copies_delivered,
-                    dropped: copies_sent - copies_delivered,
-                });
-            }
-            spare = history.push(frame);
-            on_round(&history);
-        }
-
-        Ok(RunOutcome {
-            history,
-            final_states: states,
-        })
+    fn close<T: TraceSink>(&mut self, _sink: &mut T) -> Result<Vec<Option<P::State>>, Infallible> {
+        Ok(std::mem::take(&mut self.states))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::adversary::OmissionSide;
     use crate::adversary::{
-        ByzantineAdversary, CrashOnly, NoFaults, RandomOmission, ScriptedOmission, SilentProcess,
+        ByzantineAdversary, CrashOnly, NoFaults, ScriptedOmission, SilentProcess,
     };
-    use ftss_core::{CoterieTimeline, CrashSchedule, ProcessSet, RoundCounter};
+    use ftss_core::{
+        CoterieTimeline, CrashSchedule, DeliveryOutcome, ProcessSet, Round, RoundCounter,
+    };
     use ftss_rng::Rng;
+    use ftss_telemetry::{Event, RunMode};
 
     /// Everyone broadcasts its value; state counts messages seen in total.
-    struct CountAll;
+    pub(crate) struct CountAll;
 
     #[derive(Clone, Debug, PartialEq)]
-    struct CState {
-        seen: u64,
-        c: u64,
+    pub(crate) struct CState {
+        pub(crate) seen: u64,
+        pub(crate) c: u64,
     }
 
     impl Corrupt for CState {
@@ -665,12 +434,12 @@ mod tests {
 
     /// Everyone broadcasts a value; state keeps the max seen. Supports
     /// forgery: the forged payload is the seed itself.
-    struct EchoMax;
+    pub(crate) struct EchoMax;
 
     #[derive(Clone, Debug, PartialEq)]
-    struct EState {
-        v: u64,
-        c: u64,
+    pub(crate) struct EState {
+        pub(crate) v: u64,
+        pub(crate) c: u64,
     }
 
     impl Corrupt for EState {
@@ -779,24 +548,6 @@ mod tests {
             .history
             .faulty()
             .is_subset(&ProcessSet::from_iter_n(4, [ProcessId(0)])));
-    }
-
-    #[test]
-    #[should_panic(expected = "forge")]
-    fn lying_forger_panics() {
-        struct Liar;
-        impl Adversary for Liar {
-            fn faulty(&self, n: usize) -> ProcessSet {
-                ProcessSet::empty(n)
-            }
-            fn drop_copy(&mut self, _: Round, _: ProcessId, _: ProcessId) -> Option<OmissionSide> {
-                None
-            }
-            fn forge_copy(&mut self, _: Round, _: ProcessId, _: ProcessId) -> Option<u64> {
-                Some(1)
-            }
-        }
-        let _ = SyncRunner::new(EchoMax).run(&mut Liar, &RunConfig::clean(2, 1));
     }
 
     #[test]
@@ -963,58 +714,6 @@ mod tests {
             vec![CState { seen: 0, c: 1 }; 3],
             "corruption should disturb the state (overwhelmingly likely)"
         );
-    }
-
-    #[test]
-    fn config_validation() {
-        let err = SyncRunner::new(CountAll)
-            .run(&mut NoFaults, &RunConfig::clean(0, 1))
-            .unwrap_err();
-        assert!(err.to_string().contains("n must be"));
-
-        let mut adv = RandomOmission::new([ProcessId(0), ProcessId(1)], 0.5, 0);
-        let err = SyncRunner::new(CountAll)
-            .run(&mut adv, &RunConfig::clean(3, 1).with_max_faulty(1))
-            .unwrap_err();
-        assert!(err.to_string().contains("faulty"));
-    }
-
-    #[test]
-    fn crash_outside_faulty_set_rejected() {
-        // Hand-roll an adversary whose schedule disagrees with its faulty set.
-        struct Bad;
-        impl Adversary for Bad {
-            fn faulty(&self, n: usize) -> ProcessSet {
-                ProcessSet::empty(n)
-            }
-            fn crash_schedule(&self) -> CrashSchedule {
-                let mut cs = CrashSchedule::none();
-                cs.set(ProcessId(0), Round::new(1));
-                cs
-            }
-            fn drop_copy(&mut self, _: Round, _: ProcessId, _: ProcessId) -> Option<OmissionSide> {
-                None
-            }
-        }
-        let err = SyncRunner::new(CountAll)
-            .run(&mut Bad, &RunConfig::clean(2, 1))
-            .unwrap_err();
-        assert!(err.to_string().contains("outside the declared faulty set"));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-faulty")]
-    fn lying_adversary_panics() {
-        struct Liar;
-        impl Adversary for Liar {
-            fn faulty(&self, n: usize) -> ProcessSet {
-                ProcessSet::empty(n)
-            }
-            fn drop_copy(&mut self, _: Round, _: ProcessId, _: ProcessId) -> Option<OmissionSide> {
-                Some(OmissionSide::Sender)
-            }
-        }
-        let _ = SyncRunner::new(CountAll).run(&mut Liar, &RunConfig::clean(2, 1));
     }
 
     #[test]

@@ -10,10 +10,15 @@
 //! [`SyncStepper`] is that seam. It owns the mutable global state (one
 //! protocol state per process) and advances it one round at a time,
 //! consulting a caller-supplied delivery decision for every non-self
-//! copy in **exactly the runner's consultation order** (sender-major,
-//! destination-minor) — so a decision sequence and an omission tape
-//! describe the same schedule. Phase semantics are the runner's, for the
-//! crash-free slice of the model the explorer covers:
+//! copy sender-major, destination-minor — the round kernel's walk order
+//! ([`crate::round`]), so a decision sequence and an omission tape
+//! describe the same schedule. The stepper is deliberately **not** a
+//! driver of that kernel: it records no states and has no adversary,
+//! schedule or sink, and this ~40-line loop is the hot path of a
+//! million-transition search. [`SyncRunner`](crate::SyncRunner) is its
+//! reference instead (`stepper_matches_runner_under_omission_tapes`).
+//! Phase semantics are the kernel's, for the crash-free slice of the
+//! model the explorer covers:
 //!
 //! * broadcasts are computed from all round-start states before any
 //!   process steps (lock-step);
@@ -23,12 +28,9 @@
 //! * inboxes present messages in ascending sender order: they *are*
 //!   [`Inbox::from_deliveries`] views of a round frame, as in the runner.
 //!
-//! Crash and mid-run-corruption faults stay with the runner: the
+//! Crash and mid-run-corruption faults stay with the kernel: the
 //! explorer's omission schedules (and Theorem 3's fault model for them)
-//! are crash-free, and keeping the stepper lean is what makes a
-//! million-transition search affordable. `tests/` pin the stepper
-//! round-for-round against [`SyncRunner`] under arbitrary omission
-//! tapes.
+//! are crash-free.
 
 use crate::protocol::{Inbox, ProtocolCtx, SyncProtocol};
 use ftss_core::{Corrupt, Payload, ProcessId, RoundHistory};
@@ -125,7 +127,7 @@ impl<P: SyncProtocol> SyncStepper<P> {
     }
 
     /// Executes one round. `deliver(from, to)` is consulted once per
-    /// non-self copy of every broadcast, in the runner's order (senders
+    /// non-self copy of every broadcast, in the kernel's order (senders
     /// ascending, destinations ascending within a sender); returning
     /// `false` drops that copy. Self-copies are delivered unconditionally
     /// and never consulted.

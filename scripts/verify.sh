@@ -23,7 +23,24 @@ run cargo build --release
 # single failure cannot hide the results of the binaries after it (the
 # exit status is still non-zero if anything failed).
 run cargo test -q --no-fail-fast
+# The 150-line function cap (clippy.toml) is denied in ftss-sync-sim and
+# ftss-serve, so this step also keeps the round kernel and the session
+# router from growing back into one loop.
 run cargo clippy --all-targets -- -D warnings
+# One round kernel (DESIGN.md §17): the adversary is consulted from
+# exactly one place. A second non-test call site of any of these is a
+# second implementation of the round — fold it into the kernel instead.
+# (Test modules sit at the end of their file, behind `#[cfg(test)]`.)
+echo "==> one call site each of drop_copy / forge_copy / sends_before_crash"
+for method in drop_copy forge_copy sends_before_crash; do
+    sites="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk -v m="\\.${method}\\(" \
+        'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test && $0 ~ m { print FILENAME ":" FNR }')"
+    if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 1 ]; then
+        echo "ERROR: expected exactly one non-test call site of .${method}(, found:" >&2
+        printf '%s\n' "$sites" >&2
+        exit 1
+    fi
+done
 # The bench targets are feature-gated off the default build; make sure
 # they still compile and their harness unit tests pass.
 run cargo clippy -p ftss-bench --all-targets --features bench-harness -- -D warnings

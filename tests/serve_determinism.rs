@@ -18,7 +18,8 @@ use ftss::core::{
 };
 use ftss::protocols::{FloodSet, RoundAgreement};
 use ftss::sync_sim::{
-    Adversary, CorruptionSchedule, CrashOnly, RandomOmission, RunConfig, StormAdversary, SyncRunner,
+    Adversary, ByzantineAdversary, CorruptionSchedule, CrashOnly, RandomOmission, RunConfig,
+    StormAdversary, SyncRunner,
 };
 use ftss::telemetry::{Event, RecordingSink};
 use ftss_chaos::{burst_seed, storm_program, StormGeometry};
@@ -103,6 +104,75 @@ fn mem_compiled_floodset_is_byte_identical_to_simulator() {
 
     assert_eq!(jsonl(&sim_sink.take()), jsonl(&serve_sink.take()));
     assert_eq!(sim.final_states, served.final_states);
+}
+
+fn byzantine_adversary() -> ByzantineAdversary {
+    ByzantineAdversary::new([ProcessId(0)], 0.5, 11).with_drops(0.25)
+}
+
+fn forged_sends(events: &[Event]) -> usize {
+    let forged = DeliveryOutcome::Forged;
+    let is_forged = |e: &&Event| matches!(e, Event::Send { outcome, .. } if *outcome == forged);
+    events.iter().filter(is_forged).count()
+}
+
+/// Forgery is served, not just simulated: the router consults
+/// `forge_copy` through the same kernel as the simulator, and a forged
+/// payload rides the ordinary inbox frame.
+#[test]
+fn mem_byzantine_round_agreement_is_byte_identical_to_simulator() {
+    let cfg = RunConfig::corrupted(5, 12, 7);
+    let mut sim_sink = RecordingSink::new(1 << 16);
+    let sim = SyncRunner::new(RoundAgreement)
+        .run_traced(&mut byzantine_adversary(), &cfg, &mut sim_sink)
+        .expect("simulator run");
+
+    let mut serve_sink = RecordingSink::new(1 << 16);
+    let served = serve(
+        &RoundAgreement,
+        &mut byzantine_adversary(),
+        &ServeConfig::new(cfg, TransportKind::Mem),
+        &mut serve_sink,
+    )
+    .expect("served run");
+
+    let sim_events = sim_sink.take();
+    let serve_events = serve_sink.take();
+    assert_eq!(
+        forged_sends(&sim_events),
+        20,
+        "the scenario must forge, or the comparison is vacuous"
+    );
+    assert_eq!(sim_events, serve_events, "event streams diverge");
+    assert_eq!(jsonl(&sim_events), jsonl(&serve_events));
+    assert_eq!(sim.final_states, served.final_states);
+    assert_eq!(sim.history.rounds(), served.history.rounds());
+}
+
+#[test]
+fn real_sockets_serve_byzantine_forgery_modulo_net_events() {
+    let run = |transport: TransportKind| {
+        let mut sink = RecordingSink::new(1 << 16);
+        let out = serve(
+            &RoundAgreement,
+            &mut byzantine_adversary(),
+            &ServeConfig::new(RunConfig::corrupted(5, 12, 7), transport),
+            &mut sink,
+        )
+        .expect("served run");
+        (sink.take(), out.final_states)
+    };
+    let (mem_events, mem_final) = run(TransportKind::Mem);
+    assert!(forged_sends(&mem_events) >= 1);
+    let (tcp_events, tcp_final) = run(TransportKind::Tcp);
+    assert_eq!(without_net(&tcp_events), mem_events);
+    assert_eq!(tcp_final, mem_final);
+    #[cfg(unix)]
+    {
+        let (uds_events, uds_final) = run(TransportKind::Uds);
+        assert_eq!(without_net(&uds_events), mem_events);
+        assert_eq!(uds_final, mem_final);
+    }
 }
 
 #[test]

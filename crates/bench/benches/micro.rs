@@ -4,8 +4,8 @@
 //! paper; they document what experiment sizes are practical.
 
 use ftss::core::{
-    ftss_check, CoterieTimeline, DeliveryOutcome, Envelope, Payload, ProcessId, ProcessRoundRecord,
-    RateAgreementSpec, Round, RoundCounter, RoundHistory, SendRecord,
+    ftss_check, CoterieTimeline, DeliveryOutcome, Payload, ProcessId, RateAgreementSpec,
+    RoundCounter, RoundHistory,
 };
 use ftss::protocols::RoundAgreement;
 use ftss::sync_sim::{NoFaults, RunConfig, SyncRunner};
@@ -39,42 +39,6 @@ fn fill_soa_frame(frame: &mut RoundHistory<u64, u64>, n: usize) -> usize {
     frame.msgs().sent_count(ProcessId(0))
 }
 
-/// The same full mesh recorded the way the engine did before the
-/// struct-of-arrays refactor: one `ProcessRoundRecord` per process, a
-/// `SendRecord` push (with its shared-payload clone) per copy, and an
-/// `Envelope` push per delivery — O(n) vectors allocated and O(n²)
-/// 24-byte records written per round.
-fn fill_aos_round(n: usize) -> RoundHistory<u64, u64> {
-    let payloads: Vec<Payload<u64>> = (0..n).map(|p| Payload::new(p as u64)).collect();
-    let records: Vec<ProcessRoundRecord<u64, u64>> = (0..n)
-        .map(|p| {
-            let sent: Vec<SendRecord<u64>> = (0..n)
-                .map(|dst| SendRecord {
-                    dst: ProcessId(dst),
-                    payload: payloads[p].clone(),
-                    outcome: DeliveryOutcome::Delivered,
-                })
-                .collect();
-            let delivered: Vec<Envelope<u64>> = (0..n)
-                .map(|src| Envelope {
-                    src: ProcessId(src),
-                    sent_in: Round::FIRST,
-                    payload: payloads[src].clone(),
-                })
-                .collect();
-            ProcessRoundRecord {
-                state_at_start: Some(p as u64),
-                counter_at_start: Some(RoundCounter::new(1)),
-                sent,
-                delivered,
-                crashed_here: false,
-                halted_at_start: false,
-            }
-        })
-        .collect();
-    RoundHistory::from_records(records)
-}
-
 fn main() {
     // BENCH_QUICK=1 trades precision for runtime (CI smoke budget).
     let mut b = if std::env::var_os("BENCH_QUICK").is_some() {
@@ -91,37 +55,16 @@ fn main() {
         });
     }
 
-    // The struct-of-arrays recording layer vs. the pre-refactor
-    // array-of-structs representation, filling one full-mesh round. The
-    // SoA fill must be ≥10× cheaper at n=256 — this is the gate behind
-    // the large-n engine (DESIGN.md §12). End-to-end run rows (below and
-    // `sync_sim_round_agreement/*`) include protocol stepping and
-    // adversary consultation, so their ratio is smaller; the gate is on
-    // the representation itself.
+    // The struct-of-arrays recording layer, filling one full-mesh round
+    // copy by copy (DESIGN.md §12) — what a traced or layered round
+    // still pays per copy; the untraced runner records the clean block
+    // by rows and shows up in the end-to-end rows below instead.
     let mut frame: RoundHistory<u64, u64> = RoundHistory::empty(256);
-    let mut soa256 = 0.0;
     for n in [64usize, 256, 1024] {
-        let s = b
-            .bench(&format!("engine/round_throughput/n{n}"), || {
-                fill_soa_frame(black_box(&mut frame), n)
-            })
-            .median_ns;
-        if n == 256 {
-            soa256 = s;
-        }
+        b.bench(&format!("engine/round_throughput/n{n}"), || {
+            fill_soa_frame(black_box(&mut frame), n)
+        });
     }
-    let aos256 = b
-        .bench("engine/round_throughput_legacy/n256", || {
-            fill_aos_round(256)
-        })
-        .median_ns;
-    let ratio = aos256 / soa256;
-    println!("engine/round_throughput: SoA frame fill is {ratio:.1}x cheaper at n=256");
-    assert!(
-        ratio >= 10.0,
-        "engine/round_throughput gate: SoA fill must be ≥10× cheaper than the \
-         legacy AoS representation at n=256, measured {ratio:.1}x"
-    );
 
     // End-to-end large-n rounds: the full runner (protocol + adversary +
     // recording) on a 12-round window at sweep/soak sizes.

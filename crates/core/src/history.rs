@@ -35,7 +35,7 @@
 //! why sharing cannot leak mutability into the record.
 
 use crate::fault::FaultKind;
-use crate::id::{ProcessId, ProcessSet};
+use crate::id::{ProcessId, ProcessSet, SetBits, WORD_BITS};
 use crate::message::Envelope;
 use crate::payload::Payload;
 use crate::round::{Round, RoundCounter};
@@ -168,8 +168,6 @@ impl FromIterator<FaultKind> for DeviationSet {
     }
 }
 
-const WORD_BITS: usize = 64;
-
 /// A dense n×n bit matrix, row-major, one `u64` word per 64 columns.
 #[derive(Clone, PartialEq, Eq, Debug)]
 struct BitGrid {
@@ -207,41 +205,30 @@ impl BitGrid {
         &self.words[row * self.wpr..(row + 1) * self.wpr]
     }
 
-    fn row_bits(&self, row: usize) -> RowBits<'_> {
-        RowBits {
-            words: self.row(row),
-            word_idx: 0,
-            current: self.row(row).first().copied().unwrap_or(0),
+    fn row_bits(&self, row: usize) -> SetBits<'_> {
+        SetBits::new(self.row(row))
+    }
+
+    /// ORs the members of `set` into `row`, a word at a time; `skip`
+    /// names one column left as it was.
+    fn or_row(&mut self, row: usize, set: &ProcessSet, skip: Option<usize>) {
+        assert_eq!(set.universe(), self.n, "universe mismatch");
+        let (skip_word, skip_mask) = match skip {
+            Some(col) => (col / WORD_BITS, !(1 << (col % WORD_BITS))),
+            None => (usize::MAX, u64::MAX),
+        };
+        let cells = &mut self.words[row * self.wpr..(row + 1) * self.wpr];
+        for (k, (cell, &members)) in cells.iter_mut().zip(set.words()).enumerate() {
+            *cell |= if k == skip_word {
+                members & skip_mask
+            } else {
+                members
+            };
         }
     }
 
     fn reset(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
-    }
-}
-
-/// Iterator over the set column indices of one [`BitGrid`] row, ascending.
-#[derive(Clone, Debug)]
-struct RowBits<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    current: u64,
-}
-
-impl Iterator for RowBits<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.current == 0 {
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word_idx];
-        }
-        let bit = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some(self.word_idx * WORD_BITS + bit)
     }
 }
 
@@ -377,7 +364,7 @@ pub struct SentCopy<'a, M> {
 #[derive(Clone, Debug)]
 pub struct SentIter<'a, M> {
     payload: Option<&'a Payload<M>>,
-    bits: RowBits<'a>,
+    bits: SetBits<'a>,
     exceptions: &'a [(ProcessId, ProcessId, DeliveryOutcome)],
     next_exc: usize,
     forged: &'a [(ProcessId, ProcessId, Payload<M>)],
@@ -470,7 +457,7 @@ impl<'a, M> Deliveries<'a, M> {
 pub struct DeliveredIter<'a, M> {
     msgs: &'a RoundMsgs<M>,
     dst: ProcessId,
-    bits: RowBits<'a>,
+    bits: SetBits<'a>,
 }
 
 impl<'a, M> Iterator for DeliveredIter<'a, M> {
@@ -620,6 +607,30 @@ impl<S, M> RoundHistory<S, M> {
     /// Records that the copy `src → dst` actually reached `dst`.
     pub fn record_delivery(&mut self, dst: ProcessId, src: ProcessId) {
         self.msgs.delivered.set(dst.index(), src.index());
+    }
+
+    /// Records, a bit-row at a time, that `src` emitted a copy to every
+    /// member of `dsts` other than itself and that none of them met an
+    /// exception — what one [`Self::record_send`] with
+    /// [`DeliveryOutcome::Delivered`] per member would record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dsts` ranges over a different universe.
+    pub fn record_clean_sends(&mut self, src: ProcessId, dsts: &ProcessSet) {
+        self.msgs.sent.or_row(src.index(), dsts, Some(src.index()));
+    }
+
+    /// Records, a bit-row at a time, that the broadcast of every member
+    /// of `srcs` reached `dst` — `dst`'s own, if it is a member, being
+    /// its self-delivery. Equivalent to one [`Self::record_delivery`] per
+    /// member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `srcs` ranges over a different universe.
+    pub fn record_clean_deliveries(&mut self, dst: ProcessId, srcs: &ProcessSet) {
+        self.msgs.delivered.or_row(dst.index(), srcs, None);
     }
 
     /// Records a *forged* copy `src → dst`: the copy is delivered, but
@@ -1375,6 +1386,41 @@ mod tests {
         // Width change re-allocates.
         rh.reset(3);
         assert_eq!(rh, RH::empty(3));
+    }
+
+    /// The row builders record exactly what the per-copy builders would,
+    /// on both sides of every word boundary, and leave bits outside the
+    /// given set (exceptions recorded earlier, the self column) alone.
+    #[test]
+    fn row_builders_match_the_per_copy_builders() {
+        for n in [2, 63, 64, 65, 130] {
+            let members = ProcessSet::from_iter_n(n, (0..n).filter(|i| i % 3 != 1).map(ProcessId));
+            for p in [0, n / 2, n - 1].map(ProcessId) {
+                let other = ProcessId((p.index() + 1) % n);
+                let (mut by_row, mut by_copy) = (RH::empty(n), RH::empty(n));
+                for rh in [&mut by_row, &mut by_copy] {
+                    rh.record_send(p, other, DeliveryOutcome::DroppedBySender);
+                    rh.record_delivery(p, other);
+                }
+                by_row.record_clean_sends(p, &members);
+                by_row.record_clean_deliveries(p, &members);
+                for q in members.iter() {
+                    if q != p {
+                        by_copy.record_send(p, q, DeliveryOutcome::Delivered);
+                    }
+                    by_copy.record_delivery(p, q);
+                }
+                assert_eq!(by_row, by_copy, "n = {n}, {p}");
+                assert_eq!(by_row.msgs().outcome_of(p, p), None);
+                assert_eq!(by_row.msgs().was_delivered(p, p), members.contains(p));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "universe mismatch")]
+    fn row_builders_reject_a_foreign_universe() {
+        RH::empty(65).record_clean_sends(ProcessId(0), &ProcessSet::full(64));
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl From<usize> for ProcessId {
     }
 }
 
-const WORD_BITS: usize = 64;
+pub(crate) const WORD_BITS: usize = 64;
 
 /// A set of processes, represented as a bitset over process indices.
 ///
@@ -80,11 +80,14 @@ impl ProcessSet {
 
     /// The full set `{0, …, n-1}`.
     pub fn full(n: usize) -> Self {
-        let mut s = Self::empty(n);
-        for i in 0..n {
-            s.insert(ProcessId(i));
+        let mut words = vec![u64::MAX; n.div_ceil(WORD_BITS)];
+        // Bits past the universe stay clear: equality, `len` and the
+        // word-wise row builders of `history` all rely on it.
+        let tail = n % WORD_BITS;
+        if tail > 0 {
+            words[n / WORD_BITS] = (1 << tail) - 1;
         }
-        s
+        ProcessSet { n, words }
     }
 
     /// Builds a set over universe `n` from an iterator of members.
@@ -210,7 +213,50 @@ impl ProcessSet {
 
     /// Iterates members in increasing index order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter { set: self, next: 0 }
+        Iter(SetBits::new(&self.words))
+    }
+
+    /// The members as 64-bit words, least significant bit first — the
+    /// layout of a `history` bit-matrix row over the same universe. Bits
+    /// past the universe are clear.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+}
+
+/// Iterator over the indices of the set bits of a word slice, ascending:
+/// one `trailing_zeros` per member, one compare per empty word.
+#[derive(Clone, Debug)]
+pub(crate) struct SetBits<'a> {
+    words: &'a [u64],
+    word_idx: usize,
+    current: u64,
+}
+
+impl<'a> SetBits<'a> {
+    pub(crate) fn new(words: &'a [u64]) -> Self {
+        SetBits {
+            words,
+            word_idx: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.current == 0 {
+            self.word_idx += 1;
+            if self.word_idx >= self.words.len() {
+                return None;
+            }
+            self.current = self.words[self.word_idx];
+        }
+        let bit = self.current.trailing_zeros() as usize;
+        self.current &= self.current - 1;
+        Some(self.word_idx * WORD_BITS + bit)
     }
 }
 
@@ -235,23 +281,13 @@ impl fmt::Display for ProcessSet {
 
 /// Iterator over the members of a [`ProcessSet`] in increasing order.
 #[derive(Debug, Clone)]
-pub struct Iter<'a> {
-    set: &'a ProcessSet,
-    next: usize,
-}
+pub struct Iter<'a>(SetBits<'a>);
 
 impl Iterator for Iter<'_> {
     type Item = ProcessId;
 
     fn next(&mut self) -> Option<ProcessId> {
-        while self.next < self.set.n {
-            let p = ProcessId(self.next);
-            self.next += 1;
-            if self.set.contains(p) {
-                return Some(p);
-            }
-        }
-        None
+        self.0.next().map(ProcessId)
     }
 }
 
@@ -341,6 +377,42 @@ mod tests {
         let s = ProcessSet::from_iter_n(130, [129, 0, 64, 63].map(ProcessId));
         let v: Vec<usize> = s.iter().map(|p| p.index()).collect();
         assert_eq!(v, vec![0, 63, 64, 129]);
+    }
+
+    /// Word-speed `iter`/`full` against the index-by-index definition, at
+    /// universes on both sides of every word boundary.
+    #[test]
+    fn word_speed_iteration_matches_the_indexwise_scan() {
+        for n in [0, 1, 64, 65, 130] {
+            let every_third = ProcessSet::from_iter_n(n, (0..n).step_by(3).map(ProcessId));
+            let mut ends = ProcessSet::empty(n);
+            ends.extend(
+                [0, 63, 64, 129]
+                    .into_iter()
+                    .filter(|&i| i < n)
+                    .map(ProcessId),
+            );
+            for set in [ProcessSet::empty(n), ProcessSet::full(n), every_third, ends] {
+                let scan: Vec<ProcessId> =
+                    (0..n).map(ProcessId).filter(|&p| set.contains(p)).collect();
+                assert_eq!(set.iter().collect::<Vec<_>>(), scan, "n = {n}");
+                assert_eq!(set.len(), scan.len(), "n = {n}");
+                assert_eq!(
+                    format!("{set:?}"),
+                    format!(
+                        "{:?}",
+                        scan.iter().collect::<std::collections::BTreeSet<_>>()
+                    )
+                );
+                let shown: Vec<String> = scan.iter().map(ToString::to_string).collect();
+                assert_eq!(set.to_string(), format!("{{{}}}", shown.join(",")));
+            }
+            let full = ProcessSet::full(n);
+            assert_eq!(full, ProcessSet::from_iter_n(n, (0..n).map(ProcessId)));
+            assert_eq!(full.len(), n);
+            assert!(!full.contains(ProcessId(n)));
+            assert!(full.complement().is_empty());
+        }
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Process-failure adversaries.
 //!
 //! An adversary declares a faulty set and a crash schedule up front and is
-//! then consulted once per point-to-point copy per round to decide
-//! omissions. The runner enforces the model's rules:
+//! then consulted once per *eligible* copy per round — a point-to-point
+//! copy that touches the declared faulty set (see [`Adversary`]) — to
+//! decide omissions and forgeries. The round kernel enforces the model's
+//! rules:
 //!
-//! * only declared-faulty processes may crash or omit,
+//! * only declared-faulty processes may crash, omit or forge — by assert
+//!   on every consultation, and by construction everywhere else: a copy
+//!   between two non-faulty processes is never submitted,
 //! * the faulty set must respect the fault bound `f`,
 //! * self-delivery is never submitted for dropping (paper footnote 1).
 
@@ -24,9 +28,16 @@ pub enum OmissionSide {
 
 /// Decides process failures for a run.
 ///
-/// Implementations are consulted deterministically in a fixed order
-/// (round, then sender, then destination), so seeded adversaries are
-/// reproducible.
+/// [`drop_copy`](Self::drop_copy)/[`forge_copy`](Self::forge_copy) are
+/// consulted once per copy that touches the declared faulty set, in
+/// (round, sender, destination) order, so seeded adversaries are
+/// reproducible. Precisely, a copy `from → to` is submitted iff
+/// `from != to`, the sender emitted it (it did not crash first), the
+/// receiver is alive at the round's end, and `from` or `to` is in
+/// [`faulty`](Self::faulty) — whether or not the run is traced. A copy
+/// between two non-faulty processes is always delivered and the
+/// adversary never hears of it, so an implementation must not count on
+/// seeing every copy of a round.
 pub trait Adversary {
     /// The set of processes this adversary may make faulty, over universe `n`.
     fn faulty(&self, n: usize) -> ProcessSet;
@@ -44,16 +55,17 @@ pub trait Adversary {
     }
 
     /// Whether the copy `from → to` in round `r` is dropped, and by which
-    /// side. `None` means delivered. Never consulted for `from == to`.
+    /// side. `None` means delivered. Consulted for eligible copies only
+    /// (see the trait docs), so never for `from == to`.
     fn drop_copy(&mut self, r: Round, from: ProcessId, to: ProcessId) -> Option<OmissionSide>;
 
     /// Whether the copy `from → to` in round `r` is *forged* — replaced
     /// with an arbitrary payload the protocol derives from the returned
     /// seed ([`crate::SyncProtocol::forge_message`]). Consulted **after**
-    /// [`Self::drop_copy`], and only for copies it let through; never for
-    /// `from == to`. Only declared-faulty senders may forge (the runner
-    /// panics otherwise). Default: never forge — the general-omission
-    /// adversaries stay inside the paper's fault model.
+    /// [`Self::drop_copy`], and only for copies it let through. Only
+    /// declared-faulty senders may forge (the kernel panics otherwise).
+    /// Default: never forge — the general-omission adversaries stay
+    /// inside the paper's fault model.
     fn forge_copy(&mut self, r: Round, from: ProcessId, to: ProcessId) -> Option<u64> {
         let _ = (r, from, to);
         None
@@ -221,13 +233,14 @@ impl Adversary for RandomOmission {
 /// ## Determinism
 ///
 /// All randomness for a copy is drawn inside [`Adversary::drop_copy`],
-/// which the runner consults for **every** non-self copy in canonical
-/// (round, sender, destination) order; the forge decision is cached and
-/// handed back from [`Adversary::forge_copy`] (which the runner only
-/// calls for copies that were let through). The RNG stream position is
-/// therefore a pure function of the traffic pattern, never of the drop
-/// or forge outcomes — same seed, byte-identical executions, across any
-/// `--jobs` split.
+/// which the kernel consults for every eligible copy — in particular
+/// every copy a traitor emits to a live receiver — in canonical (round,
+/// sender, destination) order; the forge decision is cached and handed
+/// back from [`Adversary::forge_copy`] (which the kernel only calls for
+/// copies that were let through). The RNG stream position is therefore
+/// a pure function of the traffic pattern, never of the drop or forge
+/// outcomes — same seed, byte-identical executions, across any `--jobs`
+/// split.
 #[derive(Clone, Debug)]
 pub struct ByzantineAdversary {
     traitors: BTreeSet<ProcessId>,

@@ -15,9 +15,13 @@
 //! always arrives (footnote 1). Each other copy may be dropped or forged
 //! by the adversary (attributed to the faulty side), vanish because the
 //! receiver is crashed or absent, or be cut short by its sender crashing
-//! mid-round. Every process alive at the round's *end* then steps on its
-//! inbox; a process crashing in round `r` emits a prefix of its copies,
-//! takes no transition, and has no state from round `r + 1` on.
+//! mid-round. Only faulty processes deviate (§2.1), so the adversary is
+//! consulted only for copies that touch its declared faulty set; the
+//! rest of the round — all but ~2·f·n of its n² copies — is delivered
+//! without asking and recorded a bit-row at a time. Every process alive
+//! at the round's *end* then steps on its inbox; a process crashing in
+//! round `r` emits a prefix of its copies, takes no transition, and has
+//! no state from round `r + 1` on.
 //!
 //! [`SyncStepper`](crate::SyncStepper) deliberately stays outside: it
 //! records no states and has no adversary, schedule or sink, and folding
@@ -108,10 +112,19 @@ pub struct LateCopy<M> {
 /// place for faults of the *network* rather than of a process. The unit
 /// layer passes every copy through and compiles away.
 pub trait CopyLayer<M> {
-    /// Sees every non-self copy after the adversary, in walk order, and
-    /// may turn a `Delivered` outcome into a timing outcome (any other
-    /// outcome must come back unchanged). `msgs` is the round so far,
-    /// `from`'s broadcast included.
+    /// Whether the layer is the identity: `relay` returns every outcome
+    /// unchanged, keeps no state and `arrivals` is always empty. Only
+    /// then may the kernel skip `relay` for the clean block of a round
+    /// (see [`relay`](Self::relay)). `true` for `()` alone.
+    const TRANSPARENT: bool = false;
+
+    /// Sees every non-self copy after its verdict — the adversary's, or
+    /// the `Delivered` the model implies for a copy the adversary is not
+    /// asked about — in walk order, and may turn a `Delivered` outcome
+    /// into a timing outcome (any other outcome must come back
+    /// unchanged). Only a [`TRANSPARENT`](Self::TRANSPARENT) layer is
+    /// spared the copies the kernel records in bulk. `msgs` is the round
+    /// so far, `from`'s broadcast included.
     fn relay(
         &mut self,
         r: u64,
@@ -131,7 +144,9 @@ pub trait CopyLayer<M> {
     }
 }
 
-impl<M> CopyLayer<M> for () {}
+impl<M> CopyLayer<M> for () {
+    const TRANSPARENT: bool = true;
+}
 
 /// A process's part in the current round.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -151,6 +166,15 @@ pub struct RoundKernel<'a, A: ?Sized> {
     faulty: ProcessSet,
     schedule: CrashSchedule,
     parts: Vec<Part>,
+    /// This round's split of the processes (refreshed with `parts`):
+    /// *special* — declared faulty, or not [`Part::Alive`] this round —
+    /// and *ordinary*, everyone else. A copy between two ordinary
+    /// processes can only be `Delivered`.
+    special: ProcessSet,
+    ordinary: ProcessSet,
+    /// Scratch of the walk: the ordinary processes that broadcast.
+    clean_senders: ProcessSet,
+    everyone: ProcessSet,
 }
 
 impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
@@ -184,6 +208,10 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             faulty,
             schedule,
             parts: vec![Part::Out; cfg.n],
+            special: ProcessSet::empty(cfg.n),
+            ordinary: ProcessSet::empty(cfg.n),
+            clean_senders: ProcessSet::empty(cfg.n),
+            everyone: ProcessSet::full(cfg.n),
         })
     }
 
@@ -208,9 +236,10 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     ///
     /// # Panics
     ///
-    /// If the adversary deviates from its own declaration (a drop or a
-    /// forgery on behalf of a non-faulty process), or forges against a
-    /// protocol without `forge_message` — harness bugs, not executions.
+    /// If the adversary, on a copy it is consulted about, deviates from
+    /// its own declaration (a drop or a forgery on behalf of the
+    /// non-faulty end), or forges against a protocol without
+    /// `forge_message` — harness bugs, not executions.
     pub fn run<P, X, L, T, F>(
         mut self,
         protocol: &P,
@@ -331,8 +360,19 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     /// The `(sender, destination)` walk. One shared payload per
     /// broadcast; each copy's fate is a bit in the frame's matrices plus,
     /// for anything but a plain delivery, a sparse exception — nothing is
-    /// allocated per copy. Returns the round's `(sent, delivered)` copy
-    /// totals (counted only when tracing).
+    /// allocated per copy.
+    ///
+    /// The walk is sparse. A copy between two *ordinary* processes —
+    /// neither declared faulty, both [`Part::Alive`] — can only be
+    /// `Delivered`, so that block of the round is recorded a bit-row at
+    /// a time and never submitted to the adversary; only copies with a
+    /// *special* endpoint are visited. When someone watches copies go by
+    /// (a trace wants each `send` event, a non-transparent layer each
+    /// `relay`) every copy is visited instead, but the adversary is still
+    /// asked about exactly the same ones, in the same order.
+    ///
+    /// Returns the round's `(sent, delivered)` copy totals (counted only
+    /// when tracing).
     fn walk<P, X, L, T>(
         &mut self,
         protocol: &P,
@@ -348,29 +388,55 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         L: CopyLayer<P::Msg>,
         T: TraceSink,
     {
-        let n = self.cfg.n;
+        let RoundKernel {
+            adversary,
+            faulty,
+            parts,
+            special,
+            ordinary,
+            clean_senders,
+            everyone,
+            ..
+        } = self;
         let round = Round::new(r);
         let traced = sink.enabled();
+        let dense = traced || !L::TRANSPARENT;
+        special.clear();
+        ordinary.clear();
+        clean_senders.clear();
+        for p in everyone.iter() {
+            if parts[p.index()] == Part::Alive && !faulty.contains(p) {
+                ordinary.insert(p);
+            } else {
+                special.insert(p);
+            }
+        }
         let (mut sent, mut delivered) = (0u64, 0u64);
-        for i in 0..n {
-            let p = ProcessId(i);
-            if self.parts[i] == Part::Out {
+        for p in everyone.iter() {
+            if parts[p.index()] == Part::Out {
                 continue;
             }
             let Some(msg) = exchange.broadcast(p) else {
                 continue;
             };
             frame.set_broadcast(p, Payload::new(msg));
-            let crashing = self.parts[i] == Part::Crashing;
+            let crashing = parts[p.index()] == Part::Crashing;
             // A crashing sender emits only a prefix of its copies.
             let cut = if crashing {
-                self.adversary.sends_before_crash(p, round)
+                adversary.sends_before_crash(p, round)
             } else {
                 usize::MAX
             };
+            let dests = if !dense && ordinary.contains(p) {
+                frame.record_clean_sends(p, ordinary);
+                clean_senders.insert(p);
+                &*special
+            } else {
+                &*everyone
+            };
+            let from_faulty = faulty.contains(p);
             let mut emitted = 0usize;
-            for j in 0..n {
-                let q = ProcessId(j);
+            for q in dests.iter() {
                 if q == p {
                     // Self-delivery always succeeds and is never
                     // consulted (footnote 1); a crashing process takes
@@ -384,10 +450,12 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
                     DeliveryOutcome::SenderCrashed
                 } else {
                     emitted += 1;
-                    if self.parts[j] == Part::Alive {
-                        self.consult(protocol, round, p, q, frame)
-                    } else {
+                    if parts[q.index()] != Part::Alive {
                         DeliveryOutcome::ReceiverCrashed
+                    } else if from_faulty || faulty.contains(q) {
+                        Self::consult(adversary, faulty, protocol, round, p, q, frame)
+                    } else {
+                        DeliveryOutcome::Delivered
                     }
                 };
                 let outcome = layer.relay(r, p, q, outcome, frame.msgs());
@@ -419,6 +487,13 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
                 }
             }
         }
+        // The clean block's deliveries, self-delivery included: every
+        // ordinary process hears every ordinary process that broadcast.
+        if !clean_senders.is_empty() {
+            for q in ordinary.iter() {
+                frame.record_clean_deliveries(q, clean_senders);
+            }
+        }
         (sent, delivered)
     }
 
@@ -426,16 +501,16 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     /// `forge_copy` for a copy it let through — with the model's
     /// attribution rules enforced.
     fn consult<P: SyncProtocol>(
-        &mut self,
+        adversary: &mut A,
+        faulty: &ProcessSet,
         protocol: &P,
         round: Round,
         p: ProcessId,
         q: ProcessId,
         frame: &mut RoundHistory<P::State, P::Msg>,
     ) -> DeliveryOutcome {
-        let faulty = &self.faulty;
-        match self.adversary.drop_copy(round, p, q) {
-            None => match self.adversary.forge_copy(round, p, q) {
+        match adversary.drop_copy(round, p, q) {
+            None => match adversary.forge_copy(round, p, q) {
                 None => DeliveryOutcome::Delivered,
                 Some(forge_seed) => {
                     assert!(faulty.contains(p), "adversary made non-faulty {p} forge");
@@ -493,10 +568,13 @@ fn corrupt<S: Corrupt, M, X: Exchange<S, M>, T: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{NoFaults, RandomOmission, TapeOmission};
+    use crate::adversary::{
+        ByzantineAdversary, CrashOnly, GroupPartition, NoFaults, RandomOmission, TapeOmission,
+    };
     use crate::runner::tests::{CountAll, EState, EchoMax};
-    use crate::runner::SyncRunner;
-    use ftss_telemetry::NullSink;
+    use crate::runner::{InProcess, SyncRunner};
+    use ftss_rng::Rng;
+    use ftss_telemetry::{NullSink, RecordingSink};
     use std::convert::Infallible;
 
     /// A scripted exchange: canned states that never change, every
@@ -688,7 +766,8 @@ mod tests {
         assert!(err.to_string().contains("outside the declared faulty set"));
     }
 
-    /// Declares nobody faulty, then deviates anyway.
+    /// Declares only p0 faulty, then deviates on the eligible copy
+    /// `p1 → p0` on behalf of its non-faulty end, p1.
     struct Liar {
         drop: Option<OmissionSide>,
         forge: Option<u64>,
@@ -696,13 +775,13 @@ mod tests {
 
     impl Adversary for Liar {
         fn faulty(&self, n: usize) -> ProcessSet {
-            ProcessSet::empty(n)
+            ProcessSet::from_iter_n(n, [ProcessId(0)])
         }
-        fn drop_copy(&mut self, _: Round, _: ProcessId, _: ProcessId) -> Option<OmissionSide> {
-            self.drop
+        fn drop_copy(&mut self, _: Round, from: ProcessId, _: ProcessId) -> Option<OmissionSide> {
+            self.drop.filter(|_| from == ProcessId(1))
         }
-        fn forge_copy(&mut self, _: Round, _: ProcessId, _: ProcessId) -> Option<u64> {
-            self.forge
+        fn forge_copy(&mut self, _: Round, from: ProcessId, _: ProcessId) -> Option<u64> {
+            self.forge.filter(|_| from == ProcessId(1))
         }
     }
 
@@ -724,5 +803,252 @@ mod tests {
             forge: Some(1),
         };
         run_canned(&mut liar, &RunConfig::clean(2, 1));
+    }
+
+    /// The identity, written as a layer the kernel cannot see through:
+    /// every copy must reach `relay`.
+    struct PassThrough;
+
+    impl<M> CopyLayer<M> for PassThrough {}
+
+    /// The consultation rule, pinned: the adversary is asked about a
+    /// copy iff sender ≠ receiver, the copy is emitted before a crash
+    /// cut, the receiver is alive at the round's end, and one end is
+    /// declared faulty — the same list, in canonical order, whether or
+    /// not anyone watches the other copies go by.
+    #[test]
+    fn clean_copies_are_never_submitted() {
+        let (n, rounds) = (5usize, 3u64);
+        let ids = || (0..n).map(ProcessId);
+        let faulty = [ProcessId(1), ProcessId(3)];
+        // p3 crashes in round 2 having emitted its copies to p0 and p1.
+        let (crasher, crash_round, prefix) = (ProcessId(3), 2, [ProcessId(0), ProcessId(1)]);
+        let eligible = |&(r, from, to): &(u64, ProcessId, ProcessId)| {
+            let emitted =
+                from != crasher || r < crash_round || (r == crash_round && prefix.contains(&to));
+            let heard = to != crasher || r < crash_round;
+            let touches_faulty = faulty.contains(&from) || faulty.contains(&to);
+            from != to && emitted && heard && touches_faulty
+        };
+        let expected: Vec<_> = (1..=rounds)
+            .flat_map(|r| ids().flat_map(move |from| ids().map(move |to| (r, from, to))))
+            .filter(eligible)
+            .collect();
+        assert_eq!(expected.len(), 14 + 8 + 6);
+
+        let script = || Script {
+            tape: TapeOmission::new(faulty, (0..28).map(|i| i % 3 == 0).collect()),
+            crashes: vec![(crasher, crash_round, prefix.len())],
+            consulted: Vec::new(),
+        };
+        let cfg = RunConfig::clean(n, rounds as usize);
+        fn consultations<L: CopyLayer<u64>, T: TraceSink>(
+            mut script: Script,
+            cfg: &RunConfig,
+            mut layer: L,
+            mut sink: T,
+        ) -> (Vec<(u64, ProcessId, ProcessId)>, usize) {
+            let mut exchange = Canned::new(cfg.n, None);
+            RoundKernel::new(&mut script, cfg)
+                .expect("valid config")
+                .run(&EchoMax, &mut exchange, &mut layer, &mut sink, |_| {})
+                .unwrap_or_else(|never| match never {});
+            (script.consulted, script.tape.consulted())
+        }
+        let untraced = consultations(script(), &cfg, (), NullSink);
+        assert_eq!(untraced, (expected, 28));
+        let traced = consultations(script(), &cfg, (), RecordingSink::new(1 << 10));
+        assert_eq!(traced, untraced);
+        let layered = consultations(script(), &cfg, PassThrough, NullSink);
+        assert_eq!(layered, untraced);
+    }
+
+    /// `EchoMax`, except that a process stays silent in the rounds where
+    /// its counter plus its index is divisible by three.
+    struct Shy;
+
+    impl SyncProtocol for Shy {
+        type State = EState;
+        type Msg = u64;
+
+        fn name(&self) -> &str {
+            "shy"
+        }
+        fn init_state(&self, ctx: &ProtocolCtx) -> EState {
+            EchoMax.init_state(ctx)
+        }
+        fn sends(&self, ctx: &ProtocolCtx, s: &EState) -> bool {
+            !s.c.wrapping_add(ctx.me.index() as u64).is_multiple_of(3)
+        }
+        fn broadcast(&self, ctx: &ProtocolCtx, s: &EState) -> u64 {
+            EchoMax.broadcast(ctx, s)
+        }
+        fn step(&self, ctx: &ProtocolCtx, s: &mut EState, inbox: &crate::Inbox<u64>) {
+            EchoMax.step(ctx, s, inbox);
+        }
+        fn forge_message(&self, seed: u64) -> Option<u64> {
+            Some(seed)
+        }
+    }
+
+    type Frame = RoundHistory<EState, u64>;
+
+    /// The oracle: one round's frame rebuilt copy by copy from the
+    /// `send` events of a traced run, plus the self-delivery rule
+    /// (whoever broadcasts and survives the round hears itself). The
+    /// per-process snapshot, the broadcasts and the forged payloads —
+    /// none of which the walk decides — are taken from `recorded`.
+    fn rebuild(recorded: &Frame, sends: &[(ProcessId, ProcessId, DeliveryOutcome)]) -> Frame {
+        let mut frame = Frame::empty(recorded.n());
+        for rec in recorded.records() {
+            let p = rec.process();
+            frame.set_process(
+                p,
+                rec.state_at_start().cloned(),
+                rec.counter_at_start(),
+                rec.crashed_here(),
+                rec.halted_at_start(),
+            );
+            if let Some(payload) = rec.broadcast_payload() {
+                frame.set_broadcast(p, payload.clone());
+                if !rec.crashed_here() {
+                    frame.record_delivery(p, p);
+                }
+            }
+        }
+        for &(from, to, outcome) in sends {
+            if outcome == DeliveryOutcome::Forged {
+                let forged = recorded.msgs().forged_payload_of(from, to);
+                frame.record_forged(from, to, forged.expect("a forged payload").clone());
+                continue;
+            }
+            frame.record_send(from, to, outcome);
+            if outcome == DeliveryOutcome::Delivered {
+                frame.record_delivery(to, from);
+            }
+        }
+        frame
+    }
+
+    /// Runs one configuration three ways — traced, untraced, and
+    /// untraced under a non-transparent layer — and checks the traced
+    /// run's frames against [`rebuild`] and the other two runs against
+    /// the traced one.
+    fn differential<P, A, X>(protocol: &P, adversary: &A, cfg: &RunConfig, exchange: impl Fn() -> X)
+    where
+        P: SyncProtocol<State = EState, Msg = u64>,
+        A: Adversary + Clone,
+        X: Exchange<EState, u64, Error = Infallible>,
+    {
+        fn run<P, A, X, L, T>(
+            protocol: &P,
+            mut adversary: A,
+            cfg: &RunConfig,
+            mut exchange: X,
+            mut layer: L,
+            sink: &mut T,
+        ) -> RunOutcome<EState, u64>
+        where
+            P: SyncProtocol<State = EState, Msg = u64>,
+            A: Adversary,
+            X: Exchange<EState, u64, Error = Infallible>,
+            L: CopyLayer<u64>,
+            T: TraceSink,
+        {
+            RoundKernel::new(&mut adversary, cfg)
+                .expect("valid config")
+                .run(protocol, &mut exchange, &mut layer, sink, |_| {})
+                .unwrap_or_else(|never| match never {})
+        }
+        let (n, rounds) = (cfg.n, cfg.rounds);
+        let mut sink = RecordingSink::new(rounds * (n * n + n + 4) + 4);
+        let traced = run(protocol, adversary.clone(), cfg, exchange(), (), &mut sink);
+        let mut sends = vec![Vec::new(); rounds];
+        for event in sink.events() {
+            if let Event::Send {
+                round,
+                from,
+                to,
+                outcome,
+            } = *event
+            {
+                sends[round as usize - 1].push((from, to, outcome));
+            }
+        }
+        for (i, recorded) in traced.history.rounds().iter().enumerate() {
+            let copies: usize = recorded.records().map(|rec| rec.sent_len()).sum();
+            assert_eq!(
+                sends[i].len(),
+                copies,
+                "round {}: one event per copy",
+                i + 1
+            );
+            assert_eq!(&rebuild(recorded, &sends[i]), recorded, "round {}", i + 1);
+        }
+        let untraced = run(
+            protocol,
+            adversary.clone(),
+            cfg,
+            exchange(),
+            (),
+            &mut NullSink,
+        );
+        assert_eq!(untraced.history, traced.history, "untraced vs traced");
+        assert_eq!(untraced.final_states, traced.final_states);
+        let layered = run(
+            protocol,
+            adversary.clone(),
+            cfg,
+            exchange(),
+            PassThrough,
+            &mut NullSink,
+        );
+        assert_eq!(layered.history, traced.history, "layered vs traced");
+        assert_eq!(layered.final_states, traced.final_states);
+    }
+
+    /// The sparse walk against an independent copy-by-copy oracle, at
+    /// universes on both sides of every word boundary and faulty sets
+    /// from empty to all-but-one: random omissions, forgeries with
+    /// drops, staggered crashes with partial sends, a partition, silent
+    /// senders throughout, and an absent (non-faulty) process.
+    #[test]
+    fn sparse_walk_matches_a_copy_by_copy_oracle() {
+        let rounds = 3;
+        for n in [2, 3, 4, 5, 6, 63, 64, 65, 130] {
+            let sizes = if n <= 6 {
+                (0..n).collect()
+            } else {
+                vec![0, 1, 2, n / 3, n - 1]
+            };
+            for k in sizes {
+                let seed = (n * 1000 + k) as u64;
+                let mut ids: Vec<ProcessId> = (0..n).map(ProcessId).collect();
+                StdRng::seed_from_u64(seed).shuffle(&mut ids);
+                let faulty = || ids[..k].iter().copied();
+                let cfg = RunConfig::corrupted(n, rounds, seed);
+                let live = || InProcess {
+                    protocol: &Shy,
+                    n,
+                    states: Vec::new(),
+                };
+                let mut crashes = CrashSchedule::none();
+                for (i, p) in faulty().enumerate() {
+                    crashes.set(p, Round::new((i % (rounds + 1)) as u64 + 1));
+                }
+                let omission = RandomOmission::new(faulty(), 0.5, seed);
+                differential(&Shy, &omission, &cfg, live);
+                let crashing = RandomOmission::new([], 0.5, seed).with_crashes(crashes.clone());
+                differential(&Shy, &crashing, &cfg, live);
+                let byzantine = ByzantineAdversary::new(faulty(), 0.5, seed).with_drops(0.3);
+                differential(&Shy, &byzantine, &cfg, live);
+                let crash_only = CrashOnly::new(crashes).with_partial_sends(n / 2);
+                differential(&Shy, &crash_only, &cfg, live);
+                differential(&Shy, &GroupPartition::new(faulty(), 2, 3), &cfg, live);
+                // ids[k] is not faulty: absence alone makes it special.
+                let absent = || Canned::new(n, Some(ids[k]));
+                differential(&EchoMax, &omission, &RunConfig::clean(n, rounds), absent);
+            }
+        }
     }
 }

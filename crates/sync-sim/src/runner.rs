@@ -320,11 +320,11 @@ where
 /// of its row of the round frame's delivery matrix — no clone, no move,
 /// no envelopes. Always run under the unit layer, so no copy is ever
 /// late.
-struct InProcess<'a, P: SyncProtocol> {
-    protocol: &'a P,
-    n: usize,
+pub(crate) struct InProcess<'a, P: SyncProtocol> {
+    pub(crate) protocol: &'a P,
+    pub(crate) n: usize,
     /// `None` once a process has crashed.
-    states: Vec<Option<P::State>>,
+    pub(crate) states: Vec<Option<P::State>>,
 }
 
 impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {

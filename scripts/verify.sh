@@ -23,6 +23,10 @@ run cargo build --release
 # single failure cannot hide the results of the binaries after it (the
 # exit status is still non-zero if anything failed).
 run cargo test -q --no-fail-fast
+# The round kernel's tests once more, optimised: the word-wise row fill
+# is exactly the code that debug assertions and overflow checks would
+# otherwise mask.
+run cargo test -q --release -p ftss-sync-sim round::
 # The 150-line function cap (clippy.toml) is denied in ftss-sync-sim and
 # ftss-serve, so this step also keeps the round kernel and the session
 # router from growing back into one loop.
@@ -171,9 +175,9 @@ run cmp soak-j1.soak.jsonl soak-j4.soak.jsonl
 # every epoch verified in-stream; a rerun must reproduce the report
 # byte for byte.
 run cargo run -q --release -p ftss-lab -- soak --plan large-n --epochs 1 \
-    --budget-ms 120000 --jobs 1 --out soak-largen-a.soak.jsonl
+    --jobs 1 --out soak-largen-a.soak.jsonl
 run cargo run -q --release -p ftss-lab -- soak --plan large-n --epochs 1 \
-    --budget-ms 120000 --jobs 1 --out soak-largen-b.soak.jsonl
+    --jobs 1 --out soak-largen-b.soak.jsonl
 run cmp soak-largen-a.soak.jsonl soak-largen-b.soak.jsonl
 
 # Churn soak smoke (DESIGN.md §15): leave/join storms where joiners

@@ -12,7 +12,9 @@
 //! 4's `2·final_round + 2` bound and Theorem 5's detector settlement —
 //! measured from the end of the storm (Definition 2.4 piece-wise
 //! stability, applied per epoch via
-//! [`ftss_check::window_stabilization`]).
+//! [`ftss_check::window_stabilization`]). One [`EpochJudge`] does that
+//! in-stream for every storm run, so no run holds more than one epoch
+//! of history.
 //!
 //! Runtime guardrails keep a soak honest:
 //!
@@ -42,4 +44,4 @@ pub use plan::{
     burst_seed, churn_cycle, join_seed, restart_cycle, storm_cycle, storm_program,
     storm_program_for, RestartScenario, SoakCell, SoakPlan, SoakScenario, StormGeometry,
 };
-pub use verdict::{CellReport, EpochVerdict, SoakVerdict};
+pub use verdict::{CellReport, ChurnStamps, EpochJudge, EpochVerdict, SoakVerdict};

@@ -10,12 +10,11 @@
 //! * **worst-case** — 90% omission storms, a fully poisoned detector
 //!   start, and an [`ftss::async_sim::AdversaryScheduler`] inflating
 //!   every delay that touches a victim for the first half of the run,
-//! * **large-n** — one round-agreement cell at `n = 4096` on a
-//!   *windowed* history: the engine streams the run through
-//!   `SyncRunner::run_streaming`, verifying each epoch the moment its
-//!   last round lands, before the window evicts it. This is the soak
-//!   that proves the struct-of-arrays engine sustains thousands of
-//!   processes without retaining the full execution,
+//! * **large-n** — one round-agreement cell at `n = 4096`. Like every
+//!   cell it runs on a one-epoch history window, each epoch judged the
+//!   moment its last round lands; this is the soak that proves the
+//!   struct-of-arrays engine sustains thousands of processes without
+//!   retaining the full execution,
 //! * **churn** — the synchronous scenarios under [`churn_cycle`]
 //!   (joins entering with arbitrary state, clean leaves),
 //! * **restart** — served round agreement through [`restart_cycle`]:
@@ -23,6 +22,7 @@
 //!   the partial-synchrony proxy's delay/duplicate/reorder storms. The
 //!   only plan that soaks `ftss-serve` itself.
 
+use crate::verdict::EpochJudge;
 use ftss::core::{ProcessId, StormKind, StormPhase};
 use ftss::sync_sim::{CorruptionSchedule, RunConfig, StormAdversary};
 use ftss_serve::{Retry, ServeConfig, ServeRestart, SnapshotFault, TimingFaults, TransportKind};
@@ -75,11 +75,6 @@ pub struct SoakCell {
     pub epochs: usize,
     /// Whether the worst-case intensities apply.
     pub worst_case: bool,
-    /// History retention in rounds: `None` keeps the full execution
-    /// (default and worst-case plans), `Some(w)` streams the run through
-    /// a `w`-round window (the large-n plan). A windowed cell is
-    /// verified *in-stream*, epoch by epoch.
-    pub history_window: Option<usize>,
     /// Whether the cell cycles the membership-churn storms
     /// ([`churn_cycle`]: joins entering with arbitrary state, clean
     /// leaves) instead of the stock [`storm_cycle`].
@@ -88,10 +83,6 @@ pub struct SoakCell {
 
 /// System size of the large-n plan's single cell.
 pub const LARGE_N: usize = 4096;
-/// History retention of the large-n plan, in rounds. Must cover one full
-/// epoch of the engine's round-agreement geometry so every recovery
-/// window is still resident when its epoch closes.
-pub const LARGE_N_WINDOW: usize = 12;
 
 /// A named soak plan.
 #[derive(Clone, Debug)]
@@ -135,8 +126,8 @@ impl SoakPlan {
         }
     }
 
-    /// The large-n plan: one windowed round-agreement cell at
-    /// [`LARGE_N`] processes.
+    /// The large-n plan: one round-agreement cell at [`LARGE_N`]
+    /// processes.
     pub fn large_n(epochs: usize, seed: u64) -> Self {
         SoakPlan {
             name: "large-n",
@@ -200,7 +191,6 @@ impl SoakPlan {
                 seed: self.seed,
                 epochs: self.epochs,
                 worst_case: false,
-                history_window: Some(LARGE_N_WINDOW),
                 churn: false,
             }];
         }
@@ -215,7 +205,6 @@ impl SoakPlan {
                     seed: self.seed.wrapping_add(v.wrapping_mul(0x9e37_79b9)),
                     epochs: self.epochs,
                     worst_case: false,
-                    history_window: None,
                     churn: false,
                 })
                 .collect();
@@ -246,7 +235,6 @@ impl SoakPlan {
                     seed: self.seed.wrapping_add(v.wrapping_mul(0x9e37_79b9)),
                     epochs: self.epochs,
                     worst_case: self.worst_case,
-                    history_window: None,
                     churn: self.churn,
                 });
             }
@@ -483,6 +471,15 @@ impl RestartScenario {
             _ => from,
         }
     }
+
+    /// The scenario's epoch judge: Theorem 3's window bound (heal round
+    /// included), each epoch's window opening at [`Self::window_from`].
+    pub fn judge(&self) -> EpochJudge {
+        let epochs = self.config.run.rounds / self.geom.epoch_len as usize;
+        let mut judge = EpochJudge::new(self.geom, 2);
+        judge.window_from = Some((0..epochs).map(|e| self.window_from(e)).collect());
+        judge
+    }
 }
 
 #[cfg(test)]
@@ -508,18 +505,8 @@ mod tests {
         let c = &cells[0];
         assert_eq!(c.scenario, SoakScenario::RoundAgreement);
         assert_eq!(c.n, LARGE_N);
-        assert_eq!(c.history_window, Some(LARGE_N_WINDOW));
         assert_eq!(c.label, "round-agreement/n4096");
         assert!(!c.worst_case);
-        // The stock plans keep the full history — their cells (and thus
-        // their report bytes) are untouched by the windowed machinery.
-        for c in SoakPlan::default_plan(1, 0)
-            .cells()
-            .iter()
-            .chain(SoakPlan::worst_case(1, 0).cells().iter())
-        {
-            assert_eq!(c.history_window, None);
-        }
     }
 
     #[test]
@@ -569,7 +556,6 @@ mod tests {
             assert_eq!(c.label, format!("serve-restart/v{v}"));
             assert_eq!(c.n, 3);
             assert_eq!(c.epochs, 4);
-            assert_eq!(c.history_window, None);
             assert!(!c.churn && !c.worst_case);
         }
         assert_ne!(cells[0].seed, cells[1].seed);

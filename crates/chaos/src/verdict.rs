@@ -1,6 +1,11 @@
-//! Soak verdicts: per-epoch recovery outcomes and the per-cell report.
+//! Soak verdicts: per-epoch recovery outcomes, the in-stream judge that
+//! produces them, and the per-cell report.
 
+use crate::guard::QuiescenceMonitor;
+use crate::plan::StormGeometry;
+use ftss::core::{History, Problem};
 use ftss::telemetry::Event;
+use ftss_check::window_stabilization;
 
 /// The overall outcome of one soak cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,6 +105,106 @@ impl EpochVerdict {
     }
 }
 
+/// Reads a cell's churn stamps (round numbers) off its history — the
+/// quiescence monitor's input at an epoch's close.
+pub type ChurnStamps<S, M> = fn(&History<S, M>) -> Vec<u64>;
+
+/// The one in-stream epoch judge of every storm run: the soak's
+/// synchronous cells, its served restart cell and `ftss-lab serve
+/// --storm` hand it each round as it lands ([`Self::on_round`], from the
+/// driver's streaming observer), and it closes epoch `e` the moment round
+/// `epoch_end(e)` does — Definition 2.4's bounded question, asked of the
+/// rounds still resident. A run judged this way never needs more than one
+/// epoch of history. The asynchronous detector cell has no rounds to
+/// stream; it brings its own measurement to [`Self::close`].
+#[derive(Clone, Debug)]
+pub struct EpochJudge {
+    pub(crate) geom: StormGeometry,
+    bound: u64,
+    /// Where epoch `e`'s verification window opens when that is not its
+    /// storm's close ([`crate::RestartScenario::judge`]).
+    pub(crate) window_from: Option<Vec<u64>>,
+    closed: Vec<(Event, EpochVerdict)>,
+}
+
+impl EpochJudge {
+    /// A judge for runs of `geom`-shaped epochs whose recovery must fit
+    /// `bound`, measured from each storm's close.
+    pub fn new(geom: StormGeometry, bound: u64) -> Self {
+        EpochJudge {
+            geom,
+            bound,
+            window_from: None,
+            closed: Vec::new(),
+        }
+    }
+
+    /// The streaming observer. When `history`'s newest round closes an
+    /// epoch, measures `spec`'s stabilization on that epoch's window and
+    /// the tail churn of `churn_stamps(history)` (none: no churn), and
+    /// closes the epoch.
+    ///
+    /// # Panics
+    ///
+    /// If the history no longer retains the whole closing epoch: a
+    /// verdict on a truncated window would be a lie.
+    pub fn on_round<S, M>(
+        &mut self,
+        history: &History<S, M>,
+        spec: &dyn Problem<S, M>,
+        churn_stamps: Option<ChurnStamps<S, M>>,
+    ) {
+        let e = self.closed.len();
+        if history.len() as u64 != self.geom.epoch_end(e) {
+            return;
+        }
+        assert!(
+            (history.evicted() as u64) < self.geom.storm_start(e),
+            "the {} retained rounds cannot hold epoch {e}'s {}",
+            history.len() - history.evicted(),
+            self.geom.epoch_len
+        );
+        let from = match &self.window_from {
+            Some(window_from) => window_from[e],
+            None => self.geom.storm_end(e),
+        };
+        let bound = self.bound as usize;
+        let measured = window_stabilization(history, spec, from as usize, history.len(), bound);
+        let stamps = churn_stamps.map_or_else(Vec::new, |stamps| stamps(history));
+        self.close(measured.map(|s| s as u64), &stamps, history.n());
+    }
+
+    /// Closes the next epoch on a finished measurement — `Ok(recovery)`
+    /// or why the window never held — and the run's churn stamps, of
+    /// which the tail quarter of `(storm_end, epoch_end]` may hold at
+    /// most `2n` ([`QuiescenceMonitor`]). Returns the epoch's
+    /// `recovery_measured` report line.
+    pub fn close(
+        &mut self,
+        measured: Result<u64, String>,
+        churn_stamps: &[u64],
+        n: usize,
+    ) -> &Event {
+        let e = self.closed.len();
+        let (end, close) = (self.geom.storm_end(e), self.geom.epoch_end(e));
+        let churn = QuiescenceMonitor::new(2 * n as u64).check(churn_stamps, end, close);
+        self.closed
+            .push(EpochVerdict::measure(e, close, self.bound, measured, churn));
+        &self.closed[e].0
+    }
+
+    /// The epochs closed so far, in order: each one's `recovery_measured`
+    /// report line and its verdict.
+    pub fn closed(&self) -> &[(Event, EpochVerdict)] {
+        &self.closed
+    }
+
+    /// The verdicts of the epochs closed so far.
+    pub fn verdicts(&self) -> Vec<EpochVerdict> {
+        self.closed.iter().map(|(_, v)| v.clone()).collect()
+    }
+}
+
 /// One soak cell's full result: verdict, per-epoch detail, and the
 /// cell's fragment of the deterministic JSONL soak report.
 #[derive(Clone, Debug)]
@@ -174,6 +279,56 @@ impl CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftss::core::RateAgreementSpec;
+    use ftss::protocols::{RoundAgreement, RoundAgreementState};
+    use ftss::sync_sim::{NoFaults, RunConfig, SyncRunner};
+    use ftss::telemetry::NullSink;
+
+    /// Two clean epochs of round agreement (n = 4) under the judge, with
+    /// `window` rounds of retention and the given churn extractor.
+    fn judge_clean_run(
+        window: usize,
+        churn_stamps: Option<ChurnStamps<RoundAgreementState, u64>>,
+    ) -> Vec<EpochVerdict> {
+        let geom = StormGeometry::engine_default();
+        let mut judge = EpochJudge::new(geom, 2);
+        let cfg = RunConfig::clean(4, 2 * geom.epoch_len as usize).with_history_window(window);
+        SyncRunner::new(RoundAgreement)
+            .run_streaming(&mut NoFaults, &cfg, &mut NullSink, |history| {
+                judge.on_round(history, &RateAgreementSpec::new(), churn_stamps)
+            })
+            .unwrap();
+        judge.verdicts()
+    }
+
+    #[test]
+    fn judge_closes_each_epoch_on_one_epoch_of_retention() {
+        let recovered = EpochVerdict::Recovered { rounds: 0 };
+        assert_eq!(judge_clean_run(12, None), [recovered.clone(), recovered]);
+    }
+
+    /// Broken judge must trip: the oracle holds on a clean run, so only
+    /// the churn decides — quiet before the tail quarter of `(3, 12]`,
+    /// livelock on more than `2n` stamps inside it.
+    #[test]
+    fn churn_in_the_tail_quarter_is_a_livelock() {
+        let early: ChurnStamps<_, _> = |_| vec![10; 9];
+        assert_eq!(
+            judge_clean_run(12, Some(early))[0],
+            EpochVerdict::Recovered { rounds: 0 }
+        );
+        let late: ChurnStamps<_, _> = |_| vec![11; 9];
+        assert_eq!(
+            judge_clean_run(12, Some(late))[0],
+            EpochVerdict::Livelock { churn: 9 }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "11 retained rounds cannot hold epoch 0's 12")]
+    fn a_window_shorter_than_the_epoch_is_refused_not_judged() {
+        judge_clean_run(11, None);
+    }
 
     #[test]
     fn violation_beats_livelock_beats_recovery() {

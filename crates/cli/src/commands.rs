@@ -736,9 +736,10 @@ fn serve_round_agreement(
         return Err("--storm needs --epochs >= 1".into());
     }
     let geom = ftss_chaos::StormGeometry::engine_default();
-    // The storm's adversary and served run, plus the round each epoch's
-    // Theorem-3 verification window opens at.
-    let (mut adv, cfg, window_from): (StormAdversary, _, Vec<u64>) = match storm {
+    // The storm's adversary and served run, plus its per-epoch recovery
+    // judge: stabilization within the Thm-3 window bound, verified
+    // in-stream as each epoch's last round lands.
+    let (mut adv, cfg, mut judge): (StormAdversary, _, _) = match storm {
         "default" | "worst-case" => {
             let n: usize = args.get_or("n", 4)?;
             // A strict-minority victim set, so round agreement's n > 2f holds.
@@ -757,7 +758,7 @@ fn serve_round_agreement(
             (
                 StormAdversary::new(victims, phases, seed ^ 0x517a),
                 ftss_serve::ServeConfig::new(run_cfg, transport),
-                (0..epochs).map(|e| geom.storm_end(e)).collect(),
+                ftss_chaos::EpochJudge::new(geom, 2),
             )
         }
         // A kill/respawn episode plus the partial-synchrony proxy's
@@ -768,8 +769,8 @@ fn serve_round_agreement(
                 return Err(format!("--storm restart needs n >= 3 (n={n})"));
             }
             let sc = ftss_chaos::RestartScenario::new(seed, epochs, n, transport);
-            let window_from = (0..epochs).map(|e| sc.window_from(e)).collect();
-            (sc.adversary, sc.config, window_from)
+            let judge = sc.judge();
+            (sc.adversary, sc.config, judge)
         }
         other => {
             return Err(format!(
@@ -777,29 +778,14 @@ fn serve_round_agreement(
             ))
         }
     };
-    let out = ftss_serve::serve(&RoundAgreement, &mut adv, &cfg, sink)?;
-    // Per-epoch recovery verification: stabilization within the Thm-3
-    // window bound, one `recovery_measured` event per epoch.
-    let bound = 2;
+    let out = ftss_serve::serve_streaming(&RoundAgreement, &mut adv, &cfg, sink, |history| {
+        judge.on_round(history, &spec, None)
+    })?;
+    // One `recovery_measured` event per epoch, after the run's own stream.
     let mut all_ok = true;
-    for (e, &from) in window_from.iter().enumerate() {
-        let close = geom.epoch_end(e);
-        let measured = ftss_check::window_stabilization(
-            &out.history,
-            &spec,
-            from as usize,
-            close as usize,
-            bound,
-        );
-        let (event, verdict) = ftss_chaos::EpochVerdict::measure(
-            e,
-            close,
-            bound as u64,
-            measured.map(|s| s as u64),
-            None,
-        );
+    for (event, verdict) in judge.closed() {
         all_ok &= matches!(verdict, ftss_chaos::EpochVerdict::Recovered { .. });
-        sink.emit(&event);
+        sink.emit(event);
     }
     if derived {
         emit_history_events(&out.history, Some(&spec), sink);

@@ -294,3 +294,30 @@ fn check_rejects_oversized_dfs() {
     assert_eq!(o.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&o.stderr).contains("n must be in 2..=4"));
 }
+
+/// `serve --storm` judges every epoch in-stream; its JSONL is still, byte
+/// for byte, what the post-hoc verification loop wrote (the digests
+/// `tests/serve_determinism.rs` pins at library level, recorded at PR
+/// 16's parent commit).
+#[test]
+fn serve_storm_streams_match_the_recorded_digests() {
+    for (storm, digest) in [
+        ("default", 0x3c69_6cc4_fd28_1458_6f9f_c64e_d2cb_d998_u128),
+        ("restart", 0xab69_4747_c22b_a9e9_2bb1_a876_56ee_8321),
+    ] {
+        let o = run(&[
+            "serve",
+            "--storm",
+            storm,
+            "--transport",
+            "mem",
+            "--epochs",
+            "4",
+            "--seed",
+            "1993",
+        ]);
+        assert!(o.status.success(), "{storm}: every epoch must recover");
+        let got = ftss_check::Fingerprinter::new().fingerprint(&o.stdout);
+        assert_eq!(got, digest, "--storm {storm}: got {got:#x}");
+    }
+}

@@ -242,48 +242,54 @@ pub fn trace_events<S, V, M>(
 where
     V: Clone + PartialEq,
 {
-    use ftss_telemetry::Event;
-    let n = history.n();
     let mut out = Vec::new();
-    let rounds = history.rounds();
-    for (i, w) in rounds.windows(2).enumerate() {
-        let (prev_rh, cur_rh) = (&w[0], &w[1]);
+    for (i, w) in history.rounds().windows(2).enumerate() {
         // rounds[i] holds the state at the start of 1-based round
         // evicted + i + 1, so the diff of this window is first visible
         // at round evicted + i + 2.
         let round = round_count(history.evicted() + i + 2);
-        for j in 0..n {
-            let (Some(prev), Some(cur)) = (
-                prev_rh.record(ProcessId(j)).state_at_start(),
-                cur_rh.record(ProcessId(j)).state_at_start(),
-            ) else {
-                continue; // crashed or halted: no snapshot to diff
-            };
-            let p = ProcessId(j);
-            if cur.last_decision != prev.last_decision {
-                if let Some((tag, _)) = &cur.last_decision {
-                    out.push(Event::Decision {
-                        round,
-                        p,
-                        tag: *tag,
-                    });
-                }
+        let at = |p| [0, 1].map(|i| w[i].record(p).state_at_start());
+        diff_round(round, history.n(), at, &mut out);
+    }
+    out
+}
+
+/// The one diff body behind [`trace_events`] and
+/// [`TraceCursor::observe`]: the events first visible at `round`, given
+/// each process's snapshots at the start of the previous round and of
+/// this one (`snapshots(p)`, in that order).
+fn diff_round<'a, S: 'a, V: PartialEq + 'a>(
+    round: u64,
+    n: usize,
+    snapshots: impl Fn(ProcessId) -> [Option<&'a CompiledState<S, V>>; 2],
+    out: &mut Vec<ftss_telemetry::Event>,
+) {
+    use ftss_telemetry::Event;
+    for p in (0..n).map(ProcessId) {
+        let [Some(prev), Some(cur)] = snapshots(p) else {
+            continue; // crashed or halted: no snapshot to diff
+        };
+        if cur.last_decision != prev.last_decision {
+            if let Some((tag, _)) = &cur.last_decision {
+                out.push(Event::Decision {
+                    round,
+                    p,
+                    tag: *tag,
+                });
             }
-            for k in 0..n {
-                let q = ProcessId(k);
-                let (was, is) = (prev.suspects.contains(q), cur.suspects.contains(q));
-                if was != is {
-                    out.push(Event::Suspicion {
-                        at: round,
-                        observer: p,
-                        target: q,
-                        suspected: is,
-                    });
-                }
+        }
+        for q in (0..n).map(ProcessId) {
+            let (was, is) = (prev.suspects.contains(q), cur.suspects.contains(q));
+            if was != is {
+                out.push(Event::Suspicion {
+                    at: round,
+                    observer: p,
+                    target: q,
+                    suspected: is,
+                });
             }
         }
     }
-    out
 }
 
 /// Frame-incremental counterpart of [`trace_events`], usable under
@@ -297,13 +303,16 @@ where
 /// round and it diffs the newest frame against its privately retained
 /// snapshot of the previous one — so a window of 1 suffices, and the
 /// concatenated output is exactly what [`trace_events`] would have
-/// produced on the full history (pinned by test).
+/// produced on the full history (one diff body, and pinned by test).
 ///
 /// The first observation is the baseline (round 1's snapshot) and yields
 /// no events, mirroring [`trace_events`]' treatment of the first frame.
 #[derive(Clone, Debug, Default)]
 pub struct TraceCursor<S, V> {
+    /// The last observed round's snapshots.
     prev: Option<Vec<Option<CompiledState<S, V>>>>,
+    /// `history.len()` at that observation.
+    seen: usize,
 }
 
 impl<S, V> TraceCursor<S, V>
@@ -313,63 +322,51 @@ where
 {
     /// A cursor that has seen nothing.
     pub fn new() -> Self {
-        TraceCursor { prev: None }
+        TraceCursor {
+            prev: None,
+            seen: 0,
+        }
     }
 
     /// Ingests the newest recorded round and returns the superimposition
-    /// events first visible there. `history` must have grown by exactly
-    /// one round since the previous call (the streaming contract).
+    /// events first visible there.
+    ///
+    /// # Panics
+    ///
+    /// `history` must have grown by exactly one round since the previous
+    /// call (the streaming contract): a skipped round would be a
+    /// two-round diff stamped as one, a repeated one a diff against
+    /// itself.
     pub fn observe<M>(
         &mut self,
         history: &ftss_core::History<CompiledState<S, V>, CompiledMsg<M>>,
     ) -> Vec<ftss_telemetry::Event> {
-        use ftss_telemetry::Event;
         let n = history.n();
         let cur_rh = history
             .rounds()
             .last()
             .expect("observe() needs at least one recorded round");
-        let snapshot = |rh: &ftss_core::RoundHistory<CompiledState<S, V>, CompiledMsg<M>>| {
-            (0..n)
-                .map(|j| rh.record(ProcessId(j)).state_at_start().cloned())
-                .collect::<Vec<_>>()
-        };
-        let Some(prev) = self.prev.replace(snapshot(cur_rh)) else {
-            return Vec::new(); // baseline round: nothing to diff yet
-        };
-        // This frame is the state at the start of round len(); its diff
-        // against the previous frame is stamped with that same round,
-        // matching trace_events' `i + 2` arithmetic on full histories.
-        let round = round_count(history.len());
-        let cur = self.prev.as_ref().expect("just replaced");
+        let cur: Vec<_> = (0..n)
+            .map(|j| cur_rh.record(ProcessId(j)).state_at_start().cloned())
+            .collect();
         let mut out = Vec::new();
-        for j in 0..n {
-            let (Some(prev), Some(cur)) = (&prev[j], &cur[j]) else {
-                continue; // crashed or halted: no snapshot to diff
-            };
-            let p = ProcessId(j);
-            if cur.last_decision != prev.last_decision {
-                if let Some((tag, _)) = &cur.last_decision {
-                    out.push(Event::Decision {
-                        round,
-                        p,
-                        tag: *tag,
-                    });
-                }
-            }
-            for k in 0..n {
-                let q = ProcessId(k);
-                let (was, is) = (prev.suspects.contains(q), cur.suspects.contains(q));
-                if was != is {
-                    out.push(Event::Suspicion {
-                        at: round,
-                        observer: p,
-                        target: q,
-                        suspected: is,
-                    });
-                }
-            }
+        // The baseline round has nothing to diff against yet.
+        if let Some(prev) = &self.prev {
+            assert_eq!(
+                history.len(),
+                self.seen + 1,
+                "observe() must see every round exactly once: last saw round {}",
+                self.seen
+            );
+            // This frame is the state at the start of round len(); its diff
+            // against the previous frame is stamped with that same round,
+            // matching trace_events' `i + 2` arithmetic on full histories.
+            let round = round_count(history.len());
+            let at = |p: ProcessId| [prev[p.index()].as_ref(), cur[p.index()].as_ref()];
+            diff_round(round, n, at, &mut out);
         }
+        self.prev = Some(cur);
+        self.seen = history.len();
         out
     }
 }
@@ -698,6 +695,39 @@ mod tests {
                     .unwrap();
                 assert_eq!(streamed, expected, "seed {seed}, window {window}");
             }
+        }
+    }
+
+    /// The streaming contract is checked, not just documented: a cursor
+    /// shown the same round twice, or shown round r + 2 after round r,
+    /// refuses instead of stamping a wrong diff as one round's events.
+    #[test]
+    fn trace_cursor_refuses_a_skipped_or_repeated_round() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let observe_every = |skip: usize, twice: usize| {
+            let mut cursor = TraceCursor::new();
+            SyncRunner::new(Compiled::new(FloodSet::new(1, vec![4u64, 2, 7])))
+                .run_streaming(
+                    &mut NoFaults,
+                    &RunConfig::corrupted(3, 6, 1),
+                    &mut ftss_telemetry::NullSink,
+                    |h| {
+                        if h.len() != skip {
+                            cursor.observe(h);
+                        }
+                        if h.len() == twice {
+                            cursor.observe(h);
+                        }
+                    },
+                )
+                .unwrap();
+        };
+        observe_every(0, 0); // the contract kept: no panic
+        for (skip, twice) in [(3, 0), (0, 3)] {
+            let refused = catch_unwind(AssertUnwindSafe(|| observe_every(skip, twice)));
+            let payload = refused.expect_err("a broken streaming contract must panic");
+            let msg = payload.downcast_ref::<String>().expect("assert message");
+            assert!(msg.contains("every round exactly once"), "{msg}");
         }
     }
 

@@ -42,7 +42,6 @@ use ftss_rng::StdRng;
 pub struct SyncStepper<P: SyncProtocol> {
     protocol: P,
     n: usize,
-    round: u64,
     states: Vec<P::State>,
     // Round scratch, kept across rounds (and across `reset`) so that a
     // steady-state round allocates nothing.
@@ -64,7 +63,6 @@ impl<P: SyncProtocol> SyncStepper<P> {
         SyncStepper {
             protocol,
             n,
-            round: 0,
             states,
             frame: RoundHistory::empty(n),
             payloads: std::iter::repeat_with(|| None).take(n).collect(),
@@ -89,41 +87,17 @@ impl<P: SyncProtocol> SyncStepper<P> {
         SyncStepper::new(protocol, states)
     }
 
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Rounds executed so far (the next step runs round `rounds() + 1`).
-    pub fn rounds(&self) -> u64 {
-        self.round
-    }
-
     /// The current global state, one entry per process.
     pub fn states(&self) -> &[P::State] {
         &self.states
     }
 
-    /// Replaces the global state (branching: clone the stepper instead
-    /// when both branches are needed).
-    pub fn set_states(&mut self, states: Vec<P::State>) {
-        assert_eq!(states.len(), self.n, "state vector must keep n");
-        self.states = states;
-    }
-
-    /// Rewinds to round 0 at `states`: the stepper
-    /// [`new`](Self::new) would build from them, with every buffer kept.
-    /// The explorer's branch point — one stepper serves every edge out
-    /// of a node.
+    /// Rewinds to `states`: the stepper [`new`](Self::new) would build
+    /// from them, with every buffer kept. The explorer's branch point —
+    /// one stepper serves every edge out of a node.
     pub fn reset(&mut self, states: &[P::State]) {
         assert_eq!(states.len(), self.n, "state vector must keep n");
         self.states.clone_from_slice(states);
-        self.round = 0;
-    }
-
-    /// The protocol's round counter for process `p`, if it exposes one.
-    pub fn round_counter(&self, p: ProcessId) -> Option<ftss_core::RoundCounter> {
-        self.protocol.round_counter(&self.states[p.index()])
     }
 
     /// Executes one round. `deliver(from, to)` is consulted once per
@@ -135,7 +109,6 @@ impl<P: SyncProtocol> SyncStepper<P> {
     /// Runs `run_to_round`-style resumption: call repeatedly to advance,
     /// clone the stepper to branch.
     pub fn step_round(&mut self, mut deliver: impl FnMut(ProcessId, ProcessId) -> bool) {
-        self.round += 1;
         let n = self.n;
         // Phase 1: broadcasts from round-start states, then the delivery
         // decision per copy. One shared payload per broadcast.
@@ -284,7 +257,6 @@ mod tests {
                 recycled.step_round(|from, to| (drops >> (from.index() * n + to.index())) & 1 == 0);
             }
             recycled.reset(&start);
-            assert_eq!(recycled.rounds(), 0);
             let mut fresh = SyncStepper::new(MaxGossip, start);
             for _ in 0..3 {
                 let drops = g.next_u64();

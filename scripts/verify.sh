@@ -34,17 +34,26 @@ run cargo clippy --all-targets -- -D warnings
 # One round kernel (DESIGN.md §17): the adversary is consulted from
 # exactly one place. A second non-test call site of any of these is a
 # second implementation of the round — fold it into the kernel instead.
+# One epoch judge (DESIGN.md §11), same rule: outside crates/check, which
+# defines it, the window oracle is called by `EpochJudge::on_round` alone;
+# a second site is a second verification loop.
 # (Test modules sit at the end of their file, behind `#[cfg(test)]`.)
-echo "==> one call site each of drop_copy / forge_copy / sends_before_crash"
-for method in drop_copy forge_copy sends_before_crash; do
-    sites="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk -v m="\\.${method}\\(" \
+echo "==> one call site each of drop_copy / forge_copy / sends_before_crash / window_stabilization"
+one_call_site() { # <call regex> <source dir>...
+    local call="$1" sites
+    shift
+    sites="$(find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk -v m="$call" \
         'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test && $0 ~ m { print FILENAME ":" FNR }')"
     if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 1 ]; then
-        echo "ERROR: expected exactly one non-test call site of .${method}(, found:" >&2
+        echo "ERROR: expected exactly one non-test call site of ${call}, found:" >&2
         printf '%s\n' "$sites" >&2
         exit 1
     fi
+}
+for method in drop_copy forge_copy sends_before_crash; do
+    one_call_site "\\.${method}\\(" crates/*/src
 done
+one_call_site 'window_stabilization\(' crates/chaos/src crates/cli/src
 # The bench targets are feature-gated off the default build; make sure
 # they still compile and their harness unit tests pass.
 run cargo clippy -p ftss-bench --all-targets --features bench-harness -- -D warnings
@@ -170,10 +179,10 @@ run cargo run -q --release -p ftss-lab -- soak --plan default --epochs 2 \
     --budget-ms 60000 --jobs 4 --out soak-j4.soak.jsonl
 run cmp soak-j1.soak.jsonl soak-j4.soak.jsonl
 
-# Large-n soak smoke: one n = 4096 round-agreement cell streamed through
-# a 12-round history window (the full execution is never resident), with
-# every epoch verified in-stream; a rerun must reproduce the report
-# byte for byte.
+# Large-n soak smoke: one n = 4096 round-agreement cell. Like every soak
+# cell it streams through a history window the engine derives from the
+# epoch geometry (one epoch; nothing configures it), every epoch judged
+# in-stream; a rerun must reproduce the report byte for byte.
 run cargo run -q --release -p ftss-lab -- soak --plan large-n --epochs 1 \
     --jobs 1 --out soak-largen-a.soak.jsonl
 run cargo run -q --release -p ftss-lab -- soak --plan large-n --epochs 1 \

@@ -22,11 +22,11 @@ use ftss::sync_sim::{
     StormAdversary, SyncRunner,
 };
 use ftss::telemetry::{Event, RecordingSink};
-use ftss_chaos::{burst_seed, storm_program, StormGeometry};
-use ftss_check::window_stabilization;
+use ftss_chaos::{burst_seed, storm_program, EpochJudge, RestartScenario, StormGeometry};
+use ftss_check::{window_stabilization, Fingerprinter};
 use ftss_serve::{
-    serve, serve_streaming_with_stats, Retry, ServeChurn, ServeConfig, ServeRestart, ServeStats,
-    SnapshotFault, TimingFaults, TransportKind,
+    serve, serve_streaming, serve_streaming_with_stats, Retry, ServeChurn, ServeConfig,
+    ServeRestart, ServeStats, SnapshotFault, TimingFaults, TransportKind,
 };
 
 fn jsonl(events: &[Event]) -> String {
@@ -255,6 +255,52 @@ fn tcp_storm_round_agreement_restabilizes_within_bound() {
         )
         .unwrap_or_else(|err| panic!("epoch {e} did not re-stabilize: {err}"));
         assert!(s <= 2, "epoch {e} took {s} rounds, Thm-3 window bound is 2");
+    }
+}
+
+/// `ftss-lab serve --storm default|restart --transport mem --epochs 4
+/// --seed 1993`, rebuilt from the library: the session's own stream, then
+/// the judge's `recovery_measured` lines. The digests are of the files the
+/// CLI wrote at the commit before the in-stream judge (PR 16's parent),
+/// which verified every epoch after the run on the whole history;
+/// `crates/cli/tests/e2e.rs` holds the binary to the same two numbers.
+#[test]
+fn storm_streams_match_the_digests_recorded_before_the_in_stream_judge() {
+    let (seed, epochs) = (1993u64, 4usize);
+    let geom = StormGeometry::engine_default();
+    let default = {
+        let (schedule, phases) = storm_program(seed, epochs, false, &geom);
+        let run = RunConfig::corrupted(4, epochs * geom.epoch_len as usize, burst_seed(seed, 0))
+            .with_mid_run_corruption(schedule)
+            .with_max_faulty(1);
+        (
+            StormAdversary::new([ProcessId(0)], phases, seed ^ 0x517a),
+            ServeConfig::new(run, TransportKind::Mem),
+            EpochJudge::new(geom, 2),
+        )
+    };
+    let restart = {
+        let sc = RestartScenario::new(seed, epochs, 3, TransportKind::Mem);
+        let judge = sc.judge();
+        (sc.adversary, sc.config, judge)
+    };
+    for ((mut adversary, cfg, mut judge), digest) in [
+        (default, 0x3c69_6cc4_fd28_1458_6f9f_c64e_d2cb_d998_u128),
+        (restart, 0xab69_4747_c22b_a9e9_2bb1_a876_56ee_8321),
+    ] {
+        let mut sink = RecordingSink::new(1 << 16);
+        serve_streaming(&RoundAgreement, &mut adversary, &cfg, &mut sink, |h| {
+            judge.on_round(h, &RateAgreementSpec::new(), None)
+        })
+        .expect("storm session");
+        let mut stream = String::new();
+        let verdict_lines = judge.closed().iter().map(|(line, _)| line);
+        for event in sink.take().iter().chain(verdict_lines) {
+            event.write_jsonl(&mut stream);
+            stream.push('\n');
+        }
+        let got = Fingerprinter::new().fingerprint(stream.as_bytes());
+        assert_eq!(got, digest, "got {got:#x}:\n{stream}");
     }
 }
 

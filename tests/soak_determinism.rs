@@ -4,6 +4,7 @@
 //! epoch — the acceptance bar for the chaos engine.
 
 use ftss_chaos::{run_soak, SoakBudget, SoakConfig, SoakPlan};
+use ftss_check::Fingerprinter;
 
 fn config(plan: SoakPlan, jobs: usize) -> SoakConfig {
     SoakConfig {
@@ -75,4 +76,36 @@ fn distinct_seeds_produce_distinct_reports() {
     let a = run_soak(&config(SoakPlan::default_plan(1, 0), 1)).unwrap();
     let b = run_soak(&config(SoakPlan::default_plan(1, 1), 1)).unwrap();
     assert_ne!(a.report(), b.report());
+}
+
+/// Report bytes against the commit before the in-stream judge (PR 16's
+/// parent), where every cell below kept its whole execution and the
+/// restart cell and the detector were judged after the run: one epoch of
+/// retention and in-stream verdicts must not move a byte. Four epochs
+/// are one full storm cycle of every plan.
+#[test]
+fn reports_match_the_digests_recorded_before_the_in_stream_judge() {
+    for (plan, digest) in [
+        (
+            SoakPlan::default_plan(4, 1993),
+            0xab2b_bea6_f3c6_1599_3e0a_832d_c8c8_18a3_u128,
+        ),
+        (
+            SoakPlan::worst_case(4, 1993),
+            0xa5e5_dbbd_0009_0713_cf84_bb35_23f9_7692,
+        ),
+        (
+            SoakPlan::churn(4, 1993),
+            0x634b_2651_696f_371a_73e0_4964_5b33_04f0,
+        ),
+        (
+            SoakPlan::restart(4, 1993),
+            0xab62_3036_4afb_bb86_e975_071c_c60c_d0a8,
+        ),
+    ] {
+        let name = plan.name;
+        let report = run_soak(&config(plan, 2)).unwrap().report();
+        let got = Fingerprinter::new().fingerprint(report.as_bytes());
+        assert_eq!(got, digest, "{name} plan: got {got:#x}");
+    }
 }

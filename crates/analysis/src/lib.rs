@@ -1,6 +1,6 @@
 //! # ftss-analysis — measurement and impossibility harnesses
 //!
-//! Experiment-side machinery shared by the benchmark suite and the
+//! Experiment-side machinery shared by the experiment tables and the
 //! integration tests:
 //!
 //! * [`stabilization`] — measures the *empirical* stabilization time of a
@@ -18,9 +18,8 @@
 //!   archetypes. Theorem 2: a *uniform* protocol (one that halts rather
 //!   than let a faulty process disagree) kills a correct process in an
 //!   indistinguishable run.
-//! * [`table`] — fixed-width table rendering for the experiment binaries,
-//!   so `cargo bench` output matches the rows recorded in
-//!   `EXPERIMENTS.md`.
+//! * [`table`] — fixed-width table rendering for the experiment tables
+//!   `ftss-lab sweep` prints and `EXPERIMENTS.md` records.
 
 pub mod impossibility;
 pub mod messages;

@@ -33,8 +33,8 @@
 
 use crate::guard::{with_watchdog, SoakBudget, WatchdogOutcome};
 use crate::plan::{
-    burst_seed, churn_cycle, join_seed, restart_cycle, storm_cycle, storm_program_for,
-    RestartScenario, SoakCell, SoakPlan, SoakScenario, StormGeometry,
+    burst_seed, join_seed, storm_program_for, RestartScenario, SoakCell, SoakPlan, SoakScenario,
+    StormGeometry,
 };
 use crate::verdict::{CellReport, ChurnStamps, EpochJudge, EpochVerdict, SoakVerdict};
 use ftss::async_sim::{
@@ -45,7 +45,7 @@ use ftss::core::{
     saturating_round_index, Corrupt, Problem, ProcessId, ProcessSet, RateAgreementSpec, StormKind,
 };
 use ftss::detectors::{
-    eventual_weak_accuracy, strong_completeness_time, suspicion_events, LifeState,
+    eventual_weak_accuracy, poison_tables, strong_completeness_time, suspicion_events,
     StrongDetectorProcess, SuspectProbe, WeakOracle,
 };
 use ftss::protocols::{FloodSet, RepeatedConsensusSpec, RoundAgreement};
@@ -239,18 +239,6 @@ fn bad_config(cell: &SoakCell, detail: &dyn std::fmt::Display, jsonl: String) ->
 // Synchronous cells
 // ---------------------------------------------------------------------
 
-/// The cell's storm cycle: the timing kinds for served restart cells,
-/// membership churn for churn cells, the stock cycle otherwise.
-fn cell_cycle(cell: &SoakCell) -> [StormKind; 4] {
-    if cell.scenario == SoakScenario::Restart {
-        restart_cycle()
-    } else if cell.churn {
-        churn_cycle(cell.worst_case)
-    } else {
-        storm_cycle(cell.worst_case)
-    }
-}
-
 /// Report lines for epoch `e`'s storm window `span = (start, end)`:
 /// start, the opening burst, the joiners' entry corruption in the round
 /// after a `Join` storm closes, end.
@@ -286,7 +274,7 @@ fn push_storm_lines(jsonl: &mut String, seed: u64, e: usize, kind: StormKind, sp
 /// [`push_storm_lines`] for a synchronous cell's epoch `e`.
 fn push_cell_storm(jsonl: &mut String, cell: &SoakCell, geom: &StormGeometry, e: usize) {
     let span = (geom.storm_start(e), geom.storm_end(e));
-    push_storm_lines(jsonl, cell.seed, e, cell_cycle(cell)[e % 4], span);
+    push_storm_lines(jsonl, cell.seed, e, cell.cycle()[e % 4], span);
 }
 
 /// The churn a cell's quiescence is judged on: the stamps of its
@@ -374,7 +362,7 @@ where
     };
 
     let (schedule, phases) =
-        storm_program_for(cell.seed, cell.epochs, &cell_cycle(cell), &geom, victims);
+        storm_program_for(cell.seed, cell.epochs, &cell.cycle(), &geom, victims);
     let mut adv = StormAdversary::new(victims.iter().copied(), phases, cell.seed ^ 0x517a);
     let run_cfg = RunConfig::corrupted(cell.n, total_rounds as usize, burst_seed(cell.seed, 0))
         .with_mid_run_corruption(schedule)
@@ -465,15 +453,7 @@ fn run_detector(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
         // The battery's fully poisoned start: everyone believes everyone
         // else dead at a huge version.
         for (i, p) in procs.iter_mut().enumerate() {
-            for s in 0..n {
-                if s == i {
-                    p.num[s] = 0;
-                    p.state[s] = LifeState::Alive;
-                } else {
-                    p.num[s] = 1_000_000_000;
-                    p.state[s] = LifeState::Dead;
-                }
-            }
+            poison_tables(&mut p.num, &mut p.state, i);
         }
     }
     let mut cfg = AsyncConfig::tame(cell.seed);

@@ -104,6 +104,9 @@ pub struct SoakPlan {
 const VARIANTS: u64 = 2;
 
 impl SoakPlan {
+    /// Every name [`Self::by_name`] resolves, in help-display order.
+    pub const NAMES: [&'static str; 5] = ["default", "worst-case", "large-n", "churn", "restart"];
+
     /// The default plan: moderate storm intensity.
     pub fn default_plan(epochs: usize, seed: u64) -> Self {
         SoakPlan {
@@ -176,7 +179,8 @@ impl SoakPlan {
             "churn" => Ok(Self::churn(epochs, seed)),
             "restart" => Ok(Self::restart(epochs, seed)),
             other => Err(format!(
-                "unknown soak plan {other:?} (expected 'default', 'worst-case', 'large-n', 'churn' or 'restart')"
+                "unknown soak plan {other:?} (expected one of {:?})",
+                Self::NAMES
             )),
         }
     }
@@ -240,6 +244,21 @@ impl SoakPlan {
             }
         }
         out
+    }
+}
+
+impl SoakCell {
+    /// The storm cycle of a round-driven cell: the timing kinds for
+    /// served restart cells, membership churn for churn cells, the stock
+    /// cycle otherwise.
+    pub fn cycle(&self) -> [StormKind; 4] {
+        if self.scenario == SoakScenario::Restart {
+            restart_cycle()
+        } else if self.churn {
+            churn_cycle(self.worst_case)
+        } else {
+            storm_cycle(self.worst_case)
+        }
     }
 }
 

@@ -28,7 +28,7 @@ use ftss::analysis::measured_stabilization_time;
 use ftss::async_sim::{AdversaryScheduler, AsyncConfig, AsyncRunner, Time};
 use ftss::compiler::Compiled;
 use ftss::core::{CrashSchedule, ProcessId, ProcessSet, RateAgreementSpec, Round};
-use ftss::detectors::{LifeState, StrongDetectorProcess, SuspectProbe, WeakOracle};
+use ftss::detectors::{poison_tables, StrongDetectorProcess, SuspectProbe, WeakOracle};
 use ftss::protocols::{FloodSet, RepeatedConsensusSpec, RoundAgreement};
 use ftss::sync_sim::{
     CorruptionSchedule, CrashOnly, GroupPartition, RandomOmission, RunConfig, SyncRunner,
@@ -212,15 +212,7 @@ fn slow_coterie_async(n: usize, seed: u64) -> Option<String> {
         .map(|i| StrongDetectorProcess::new(ProcessId(i), oracle.clone(), 20))
         .collect();
     for (i, p) in procs.iter_mut().enumerate() {
-        for s in 0..n {
-            if s == i {
-                p.num[s] = 0;
-                p.state[s] = LifeState::Alive;
-            } else {
-                p.num[s] = 1_000_000_000;
-                p.state[s] = LifeState::Dead;
-            }
-        }
+        poison_tables(&mut p.num, &mut p.state, i);
     }
     let mut cfg = AsyncConfig::tame(seed);
     cfg.crashes = crashes.clone();

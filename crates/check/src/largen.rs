@@ -16,8 +16,6 @@ use ftss::analysis::Table;
 use ftss::core::{ProcessId, RateAgreementSpec};
 use ftss_sweep::{max, mean, sweep_rows, FaultSpec};
 
-/// Default seed count of the E9 sweep.
-pub const E9_SEEDS: u64 = 3;
 /// Rounds per E9 run.
 pub const E9_ROUNDS: usize = 12;
 /// History retention per E9 run (rounds `1..=4` are evicted).

@@ -49,7 +49,7 @@ pub use dfs::{
 };
 pub use fingerprint::{Fingerprinter, NodeState, MAX_GRAPH_N};
 pub use frontier::{explore_graph, GraphConfig, GraphCounterexample, GraphReport};
-pub use largen::{e9_rows, e9_table, E9Row, E9_ROUNDS, E9_SEEDS, E9_WINDOW};
+pub use largen::{e9_rows, e9_table, E9Row, E9_ROUNDS, E9_WINDOW};
 pub use oracle::{
     thm3_round_agreement, thm4_compiled, thm4_decided, thm5_detector, window_stabilization, Verdict,
 };

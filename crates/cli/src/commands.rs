@@ -2,9 +2,9 @@
 //! what happened, and returns `Ok(true)` when every checked property held.
 
 use crate::args::Args;
+use crate::experiments::{coverage_table, exp_values, render_doc, Experiment, EXPERIMENTS};
 use ftss::analysis::{
-    coterie_events, measured_stabilization_time, metrics_table, stabilization_event, theorem1_demo,
-    theorem2_demo, Archetype,
+    coterie_events, measured_stabilization_time, metrics_table, stabilization_event,
 };
 use ftss::async_sim::{AsyncConfig, AsyncRunner, Time};
 use ftss::compiler::{trace_events, Compiled};
@@ -14,7 +14,7 @@ use ftss::core::{
     RateAgreementSpec, Round,
 };
 use ftss::detectors::{
-    eventual_weak_accuracy, strong_completeness_time, suspicion_events, LifeState,
+    eventual_weak_accuracy, poison_tables, strong_completeness_time, suspicion_events,
     StrongDetectorProcess, SuspectProbe, WeakOracle,
 };
 use ftss::protocols::{
@@ -124,11 +124,14 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "sweep",
-        help: "Run a whole experiment grid (deterministic parallel\n\
-               executor; output is byte-identical for any --jobs)\n\
-               --exp e1|e2|e7a|e7c|e9|e10 [--seeds S]\n\
-               [--max-n N (e1, e9, e10)]\n\
-               [--jobs J (default: FTSS_JOBS, else all cores)]",
+        help: "Print an experiment's table from the registry (deterministic\n\
+               parallel executor; byte-identical for any --jobs)\n\
+               --exp {exp}\n\
+               [--seeds S] [--max-n N (grids with an n axis)]\n\
+               [--jobs J (default: FTSS_JOBS, else all cores)]\n\
+               --doc FILE: print FILE with the block after every\n\
+               `<!-- ftss-lab ... -->` marker replaced by that\n\
+               command's fresh output (check: pipe into `cmp - FILE`)",
         run: sweep,
     },
     Command {
@@ -178,7 +181,8 @@ pub fn usage() -> String {
          USAGE: ftss-lab <command> [--option value]...\n\nCOMMANDS\n",
     );
     for c in COMMANDS {
-        for (i, line) in c.help.lines().enumerate() {
+        // The one computed part of the help: the registry's ids.
+        for (i, line) in c.help.replace("{exp}", &exp_values()).lines().enumerate() {
             if i == 0 {
                 out.push_str(&format!("  {:<17}{line}\n", c.name));
             } else {
@@ -398,15 +402,7 @@ fn detector_runner(
         .collect();
     if poison {
         for (i, p) in procs.iter_mut().enumerate() {
-            for s in 0..n {
-                if s == i {
-                    p.num[s] = 0;
-                    p.state[s] = LifeState::Alive;
-                } else {
-                    p.num[s] = 1_000_000_000;
-                    p.state[s] = LifeState::Dead;
-                }
-            }
+            poison_tables(&mut p.num, &mut p.state, i);
         }
     }
     let mut cfg = AsyncConfig::tame(seed);
@@ -444,55 +440,20 @@ pub fn detector(args: &Args) -> Outcome {
     Ok((comp.is_some() || crashed.is_empty()) && acc.is_some())
 }
 
-/// `theorem1`: print the scenario table for one `r`.
+/// `theorem1`: the E3 rows (Theorem 1's two proof histories, per
+/// archetype) for one candidate stabilization time.
 pub fn theorem1(args: &Args) -> Outcome {
-    let r: usize = args.get_or("r", 4)?;
-    let mut all_refuted = true;
-    println!("Theorem 1 scenarios with candidate stabilization r={r}:");
-    for a in Archetype::all() {
-        let out = theorem1_demo(a, r, 6);
-        println!(
-            "  {:<24} history A: {:<22} history B: {:<22} refuted: {}",
-            a.name(),
-            out.history_a
-                .as_ref()
-                .map(|v| format!("violates {}", v.rule))
-                .unwrap_or_else(|| "satisfied".into()),
-            out.history_b
-                .as_ref()
-                .map(|v| format!("violates {}", v.rule))
-                .unwrap_or_else(|| "satisfied".into()),
-            out.refuted()
-        );
-        all_refuted &= out.refuted();
-    }
-    Ok(all_refuted)
+    print_refutation(ftss_sweep::e3_table(&[args.get_or("r", 4)?]))
 }
 
-/// `theorem2`: print the uniform-protocol dilemma for one run length.
+/// `theorem2`: the E4 rows (the uniform-protocol dilemma) for one run
+/// length.
 pub fn theorem2(args: &Args) -> Outcome {
-    let rounds: usize = args.get_or("rounds", 8)?;
-    let mut all_refuted = true;
-    println!("Theorem 2 scenarios over {rounds} partitioned rounds:");
-    for a in [Archetype::HaltOnDisagreement, Archetype::EagerHalt] {
-        let out = theorem2_demo(a, rounds);
-        println!(
-            "  {:<24} uniformity: {:<9} rate: {:<9} refuted: {}",
-            a.name(),
-            if out.uniformity_holds() {
-                "holds"
-            } else {
-                "violated"
-            },
-            if out.assumption1_holds() {
-                "holds"
-            } else {
-                "violated"
-            },
-            out.refuted()
-        );
-        all_refuted &= out.refuted();
-    }
+    print_refutation(ftss_sweep::e4_table(&[args.get_or("rounds", 8)?]))
+}
+
+fn print_refutation((table, all_refuted): (ftss::analysis::Table, bool)) -> Outcome {
+    println!("{table}every archetype refuted: {all_refuted}");
     Ok(all_refuted)
 }
 
@@ -857,51 +818,61 @@ pub fn loadgen(args: &Args) -> Outcome {
     Ok(report.completed > 0)
 }
 
-/// `sweep`: run a whole experiment grid through the deterministic
-/// parallel executor and print its table. The table is byte-identical
-/// for every `--jobs` value — `scripts/verify.sh` `cmp`s a serial run
-/// against a parallel one to prove it.
+/// `--jobs J`, defaulting to `FTSS_JOBS`, else every core.
+fn jobs_arg(args: &Args) -> Result<usize, String> {
+    args.get_or("jobs", ftss_sweep::jobs_from_env())
+}
+
+/// `sweep`: print one experiment's table (`--exp <id>`), every
+/// experiment's (`all`) or the coverage matrix (`coverage`), all looked up
+/// in the registry; or re-render a document's marked blocks (`--doc`).
+/// Tables are byte-identical for every `--jobs` value.
 pub fn sweep(args: &Args) -> Outcome {
-    use ftss_check::{e10_table, e9_table, E10_SEEDS, E9_SEEDS};
-    use ftss_sweep::{e1_table, e2_table, e7a_table, e7c_table, jobs_from_env};
-    use ftss_sweep::{E1_SEEDS, E2_SEEDS, E7_SEEDS};
-    let jobs: usize = match args.get("jobs") {
-        Some(_) => args.get_or("jobs", 1)?,
-        None => jobs_from_env(),
-    };
+    if let Some(path) = args.get("doc") {
+        return sweep_doc(path);
+    }
     let exp = args
         .get("exp")
-        .ok_or("sweep needs --exp e1|e2|e7a|e7c|e9|e10")?;
+        .ok_or_else(|| format!("sweep needs --exp {} or --doc FILE", exp_values()))?;
+    let jobs = jobs_arg(args)?;
+    let max_n: usize = args.get_or("max-n", usize::MAX)?;
+    let table = |e: &Experiment| -> Result<_, String> {
+        Ok((e.table)(args.get_or("seeds", e.seeds)?, max_n, jobs))
+    };
     match exp {
-        "e1" => {
-            let seeds: u64 = args.get_or("seeds", E1_SEEDS)?;
-            let max_n: usize = args.get_or("max-n", usize::MAX)?;
-            print!("{}", e1_table(seeds, max_n, jobs));
+        "all" => {
+            for e in EXPERIMENTS {
+                println!("{}: {}\n\n{}", e.id, e.artifact, table(e)?);
+            }
         }
-        "e2" => {
-            let seeds: u64 = args.get_or("seeds", E2_SEEDS)?;
-            print!("{}", e2_table(seeds, jobs));
-        }
-        "e7a" => {
-            let seeds: u64 = args.get_or("seeds", E7_SEEDS)?;
-            print!("{}", e7a_table(seeds, jobs));
-        }
-        "e7c" => {
-            let seeds: u64 = args.get_or("seeds", E7_SEEDS)?;
-            print!("{}", e7c_table(seeds, jobs));
-        }
-        "e9" => {
-            let seeds: u64 = args.get_or("seeds", E9_SEEDS)?;
-            let max_n: usize = args.get_or("max-n", usize::MAX)?;
-            print!("{}", e9_table(seeds, max_n, jobs));
-        }
-        "e10" => {
-            let seeds: u64 = args.get_or("seeds", E10_SEEDS)?;
-            let max_n: usize = args.get_or("max-n", usize::MAX)?;
-            print!("{}", e10_table(seeds, max_n, jobs));
-        }
-        other => return Err(format!("unknown --exp `{other}` (e1|e2|e7a|e7c|e9|e10)")),
+        "coverage" => print!("{}", coverage_table()),
+        id => match EXPERIMENTS.iter().find(|e| e.id == id) {
+            Some(e) => print!("{}", table(e)?),
+            None => return Err(format!("unknown --exp `{id}` ({})", exp_values())),
+        },
     }
+    Ok(true)
+}
+
+/// `sweep --doc FILE`: print FILE with every marked block replaced by
+/// the fresh stdout of the `ftss-lab` command its marker names, each run
+/// as a child of this very binary.
+fn sweep_doc(path: &str) -> Outcome {
+    let doc = std::fs::read_to_string(path).map_err(|e| format!("--doc {path}: {e}"))?;
+    let exe = std::env::current_exe().map_err(|e| format!("--doc: {e}"))?;
+    let rendered = render_doc(&doc, |args| {
+        let child = std::process::Command::new(&exe)
+            .args(args)
+            .stderr(std::process::Stdio::inherit())
+            .output()
+            .map_err(|e| e.to_string())?;
+        if !child.status.success() {
+            return Err(child.status.to_string());
+        }
+        String::from_utf8(child.stdout).map_err(|e| e.to_string())
+    })
+    .map_err(|e| format!("--doc {path}: {e}"))?;
+    print!("{rendered}");
     Ok(true)
 }
 
@@ -974,10 +945,7 @@ fn check_graph_config(args: &Args, n: usize) -> Result<ftss_check::GraphConfig, 
     } else {
         args.get_or("stabilization", cfg.stabilization)?
     };
-    cfg.jobs = match args.get("jobs") {
-        Some(_) => args.get_or("jobs", 1)?,
-        None => ftss_sweep::jobs_from_env(),
-    };
+    cfg.jobs = jobs_arg(args)?;
     cfg.max_states = args.get_or("max-states", cfg.max_states)?;
     Ok(cfg)
 }
@@ -1105,10 +1073,7 @@ fn check_dfs(args: &Args) -> Outcome {
 fn check_adversary(args: &Args) -> Outcome {
     let n: usize = args.get_or("n", 5)?;
     let seeds: u64 = args.get_or("seeds", 3)?;
-    let jobs: usize = match args.get("jobs") {
-        Some(_) => args.get_or("jobs", 1)?,
-        None => ftss_sweep::jobs_from_env(),
-    };
+    let jobs = jobs_arg(args)?;
     let rows = ftss_check::run_battery(&ftss_check::BatteryConfig::new(n, seeds, jobs))?;
     println!("check --adversary: n={n}, {seeds} seed(s) per scenario");
     for r in &rows {
@@ -1190,10 +1155,7 @@ pub fn soak(args: &Args) -> Outcome {
     let plan_name = args.get("plan").unwrap_or("default");
     let epochs: usize = args.get_or("epochs", 4)?;
     let seed: u64 = args.get_or("seed", 0)?;
-    let jobs: usize = match args.get("jobs") {
-        Some(_) => args.get_or("jobs", 1)?,
-        None => ftss_sweep::jobs_from_env(),
-    };
+    let jobs = jobs_arg(args)?;
     let mut budget = ftss_chaos::SoakBudget::default();
     budget.wall_ms = args.get_or("budget-ms", budget.wall_ms)?;
     let plan = ftss_chaos::SoakPlan::by_name(plan_name, epochs, seed)?;

@@ -16,6 +16,7 @@
 //! ftss-lab loadgen --transport tcp --n 4 --rounds 48 --out run.latency.json
 //! ftss-lab stats --in run.jsonl --format csv
 //! ftss-lab sweep --exp e1 --seeds 5 --max-n 16 --jobs 4
+//! ftss-lab sweep --doc EXPERIMENTS.md | cmp - EXPERIMENTS.md
 //! ftss-lab soak --plan worst-case --epochs 4 --jobs 4 --out run.soak.jsonl
 //! ```
 //!
@@ -24,6 +25,7 @@
 
 mod args;
 mod commands;
+mod experiments;
 
 use args::Args;
 

@@ -177,6 +177,41 @@ fn sweep_rejects_unknown_experiment() {
     assert_eq!(o.status.code(), Some(2));
 }
 
+/// EXPERIMENTS.md is a checked output: `sweep --doc` re-runs the command
+/// behind every marked block and must reproduce the committed file byte
+/// for byte — and a doctored cell must not survive it.
+#[test]
+fn doc_mode_reproduces_experiments_md_and_trips_on_a_doctored_cell() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+    let committed = std::fs::read_to_string(path).expect("EXPERIMENTS.md");
+    let o = run(&["sweep", "--doc", path]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    assert!(
+        stdout(&o) == committed,
+        "EXPERIMENTS.md is stale: refresh it with `ftss-lab sweep --doc`"
+    );
+
+    // One cheap marked section, one cell changed: the check must trip,
+    // and what it prints instead is the true block.
+    let from = committed
+        .find("<!-- ftss-lab sweep --exp e4 -->")
+        .expect("E4 is marked");
+    let len = committed[from..]
+        .find("\n```\n\n")
+        .expect("E4's block closes")
+        + 5;
+    let section = &committed[from..from + len];
+    let doctored = section.replacen("| violated ", "| holds    ", 1);
+    assert_ne!(doctored, section);
+    let copy = std::env::temp_dir().join(format!("ftss-doc-{}.md", std::process::id()));
+    std::fs::write(&copy, &doctored).expect("temp file");
+    let o = run(&["sweep", "--doc", copy.to_str().expect("UTF-8 temp path")]);
+    std::fs::remove_file(&copy).ok();
+    assert!(o.status.success());
+    assert_ne!(stdout(&o), doctored, "a doctored cell passed the check");
+    assert_eq!(stdout(&o), section);
+}
+
 #[test]
 fn consensus_corrupted_recovers() {
     let o = run(&[

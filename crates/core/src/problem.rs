@@ -90,10 +90,13 @@ impl<S, M> Problem<S, M> for RateAgreementSpec {
                     _ => {}
                 }
                 if let Some(pc) = prev[j] {
-                    if c != pc.saturating_add(1) {
+                    // `u64::MAX` is a legal counter (round.rs): the
+                    // expected successor saturates, it never overflows.
+                    let expected = pc.saturating_add(1);
+                    if c != expected {
                         return Err(Violation::new(
                             "rate",
-                            format!("{p} went from c={pc} to c={c} (expected {})", pc + 1),
+                            format!("{p} went from c={pc} to c={c} (expected {expected})"),
                         )
                         .at_round(i)
                         .with_processes([p]));
@@ -214,6 +217,22 @@ mod tests {
         h.push(round_with_counters(&[Some(6), Some(6)]));
         let ok = RateAgreementSpec::new().check(h.as_slice(), &ProcessSet::empty(2));
         assert!(ok.is_ok());
+    }
+
+    #[test]
+    fn rate_violation_at_the_saturated_counter_is_reported_not_overflowed() {
+        let mut h = H::new(1);
+        h.push(round_with_counters(&[Some(u64::MAX)]));
+        h.push(round_with_counters(&[Some(5)]));
+        let err = RateAgreementSpec::new()
+            .check(h.as_slice(), &ProcessSet::empty(1))
+            .unwrap_err();
+        assert_eq!(err.rule, "rate");
+        assert!(
+            err.detail.ends_with(&format!("(expected {})", u64::MAX)),
+            "{}",
+            err.detail
+        );
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub use properties::{
     eventual_weak_accuracy, strong_completeness_time, suspicion_events, weak_completeness_time,
     SuspectProbe, Suspector,
 };
-pub use strong::{LifeState, StrongDetectorProcess};
+pub use strong::{poison_tables, LifeState, StrongDetectorProcess};
 pub use weak::WeakOracle;

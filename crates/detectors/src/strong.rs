@@ -42,6 +42,20 @@ impl Corrupt for LifeState {
     }
 }
 
+/// Overwrites process `me`'s detector tables with the adversarial state
+/// the experiments call *poison*: everyone else believed dead at version
+/// 10⁹, `me` alive at version 0 — a verdict no execution from a clean
+/// start produces, and which Figure 4 must still heal.
+pub fn poison_tables(num: &mut [u64], state: &mut [LifeState], me: usize) {
+    for s in 0..num.len() {
+        (num[s], state[s]) = if s == me {
+            (0, LifeState::Alive)
+        } else {
+            (1_000_000_000, LifeState::Dead)
+        };
+    }
+}
+
 /// One process of the Figure-4 Eventually Strong detector.
 ///
 /// The suspect set it outputs is `{ s | state[s] == Dead }`.

@@ -8,9 +8,9 @@
 //!   executor that fans cells across `FTSS_JOBS` workers and merges the
 //!   results in canonical cell order, so serial and parallel sweeps
 //!   produce **byte-identical** output;
-//! * [`experiments`] — the E1/E2/E7 drivers expressed as cell grids
+//! * [`experiments`] — the E1–E8 table drivers expressed as cell grids
 //!   ([`FaultSpec`]/[`PiSpec`] row specifications plus per-seed runs),
-//!   shared by `cargo bench` and the `ftss-lab sweep` subcommand.
+//!   which `ftss-lab sweep --exp <id>` prints.
 //!
 //! The determinism rule (DESIGN.md §9): a cell function must be a pure,
 //! seeded function of its cell; the executor owns ordering. Nothing else
@@ -30,6 +30,7 @@ pub mod experiments;
 
 pub use exec::{jobs_from, jobs_from_env, map_cells, try_map_cells, CellPanic};
 pub use experiments::{
-    e1_rows, e1_table, e2_rows, e2_table, e7a_rows, e7a_table, e7c_table, max, mean, sweep_rows,
-    E1Row, E2Row, E7aRow, FaultSpec, PiSpec, E1_SEEDS, E2_SEEDS, E7_SEEDS,
+    e1_rows, e1_table, e2_rows, e2_table, e3_table, e4_table, e5_table, e6_table, e7a_rows,
+    e7a_table, e7c_table, e8_table, max, mean, sweep_rows, E1Row, E2Row, E7aRow, FaultSpec, PiSpec,
+    E3_TIMES, E4_LENGTHS,
 };

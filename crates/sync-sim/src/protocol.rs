@@ -38,11 +38,11 @@ impl ProtocolCtx {
 /// broadcast). A process always receives its own broadcast (paper
 /// footnote 1), so `from(ctx.me)` is always `Some` at an alive process.
 ///
-/// An inbox either owns its envelopes ([`Inbox::new`]), borrows a sorted
-/// envelope slice ([`Inbox::from_sorted`]), or views one receiver's row of
-/// the round's message matrices ([`Inbox::from_deliveries`]) — the view
-/// form is what the simulator hot loop hands each process: no envelopes
-/// exist at all, just delivery bits plus one shared payload per sender.
+/// An inbox either owns its envelopes ([`Inbox::new`]) or views one
+/// receiver's row of the round's message matrices
+/// ([`Inbox::from_deliveries`]) — the view form is what the simulator hot
+/// loop hands each process: no envelopes exist at all, just delivery bits
+/// plus one shared payload per sender.
 #[derive(Clone, Debug)]
 pub struct Inbox<'a, M> {
     storage: Storage<'a, M>,
@@ -51,7 +51,6 @@ pub struct Inbox<'a, M> {
 #[derive(Clone, Debug)]
 enum Storage<'a, M> {
     Owned(Vec<Envelope<M>>),
-    Borrowed(&'a [Envelope<M>]),
     View(Deliveries<'a, M>),
 }
 
@@ -61,22 +60,6 @@ impl<'a, M> Inbox<'a, M> {
         messages.sort_by_key(|e| e.src);
         Inbox {
             storage: Storage::Owned(messages),
-        }
-    }
-
-    /// Borrows envelopes that are **already sorted by sender** (ascending
-    /// sender order, one per sender).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the sender order; lookups rely on it.
-    pub fn from_sorted(messages: &'a [Envelope<M>]) -> Self {
-        debug_assert!(
-            messages.windows(2).all(|w| w[0].src < w[1].src),
-            "from_sorted requires strictly ascending sender order"
-        );
-        Inbox {
-            storage: Storage::Borrowed(messages),
         }
     }
 
@@ -91,17 +74,12 @@ impl<'a, M> Inbox<'a, M> {
     /// The payload received from `p` this round, if any.
     pub fn from(&self, p: ProcessId) -> Option<&M> {
         match &self.storage {
-            Storage::Owned(v) => Self::search(v, p),
-            Storage::Borrowed(s) => Self::search(s, p),
+            Storage::Owned(v) => v
+                .binary_search_by_key(&p, |e| e.src)
+                .ok()
+                .map(|i| &*v[i].payload),
             Storage::View(d) => d.get(p).map(|payload| &**payload),
         }
-    }
-
-    fn search(messages: &[Envelope<M>], p: ProcessId) -> Option<&M> {
-        messages
-            .binary_search_by_key(&p, |e| e.src)
-            .ok()
-            .map(|i| &*messages[i].payload)
     }
 
     /// Whether a message from `p` arrived.
@@ -114,7 +92,6 @@ impl<'a, M> Inbox<'a, M> {
         InboxIter {
             inner: match &self.storage {
                 Storage::Owned(v) => InboxIterInner::Slice(v.iter()),
-                Storage::Borrowed(s) => InboxIterInner::Slice(s.iter()),
                 Storage::View(d) => InboxIterInner::View(d.iter()),
             },
         }
@@ -129,7 +106,6 @@ impl<'a, M> Inbox<'a, M> {
     pub fn len(&self) -> usize {
         match &self.storage {
             Storage::Owned(v) => v.len(),
-            Storage::Borrowed(s) => s.len(),
             Storage::View(d) => d.len(),
         }
     }

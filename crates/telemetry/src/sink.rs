@@ -8,8 +8,7 @@
 //!
 //! With [`NullSink`] the guard is a monomorphized constant `false`, so the
 //! event is never built and the instrumented runner compiles down to the
-//! uninstrumented one (the `micro` bench's `nullsink_overhead` rows keep
-//! this honest).
+//! uninstrumented one.
 
 use crate::event::Event;
 use std::collections::VecDeque;

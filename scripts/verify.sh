@@ -54,10 +54,6 @@ for method in drop_copy forge_copy sends_before_crash; do
     one_call_site "\\.${method}\\(" crates/*/src
 done
 one_call_site 'window_stabilization\(' crates/chaos/src crates/cli/src
-# The bench targets are feature-gated off the default build; make sure
-# they still compile and their harness unit tests pass.
-run cargo clippy -p ftss-bench --all-targets --features bench-harness -- -D warnings
-run cargo test -q -p ftss-bench --features bench-harness
 
 # Telemetry smoke: the same seed must serialize to byte-identical JSONL
 # across two runs, and `stats` must parse every line back (it fails on
@@ -70,6 +66,14 @@ run cargo run -q --release -p ftss-lab -- trace --protocol round-agreement \
     --rounds 8 --seed 1 --out "$TRACE_DIR/b.jsonl"
 run cmp "$TRACE_DIR/a.jsonl" "$TRACE_DIR/b.jsonl"
 run cargo run -q --release -p ftss-lab -- stats --in "$TRACE_DIR/a.jsonl"
+
+# EXPERIMENTS.md is a checked output (DESIGN.md §4): every fenced block
+# under a `<!-- ftss-lab ... -->` marker must be, byte for byte, what that
+# command prints now — E1–E11 on their full grids, the coverage matrix,
+# the `check --dfs` rows and the n = 2..6 graph fixpoints. To refresh the
+# file, redirect the same command into a temporary file and move it over.
+echo "==> ftss-lab sweep --doc EXPERIMENTS.md (every marked block regenerated, byte-compared)"
+cargo run -q --release -p ftss-lab -- sweep --doc EXPERIMENTS.md | cmp - EXPERIMENTS.md
 
 # Sweep determinism smoke: the parallel executor must render the same
 # bytes at any worker count (DESIGN.md §9's merge rule, end to end).
@@ -115,12 +119,11 @@ run cmp "$TRACE_DIR/replay_a.jsonl" "$TRACE_DIR/replay_b.jsonl"
 # explorer must agree with the legacy enumerator verdict-for-verdict on
 # the n=4, 2-round configuration (both green here; both must trip on the
 # deliberately broken oracle), its counterexamples must replay through
-# the same pipeline, its report must render byte-identical at any worker
-# count, and a full n=5 fixpoint must close (Theorem 3 certified for
-# every horizon, beyond any bounded enumeration). The n=6 fixpoint's
-# counts are pinned to the line recorded before the expansion kernel was
-# rebuilt (PR 12): canonicalization, fingerprints and dedup must keep
-# producing exactly that search, at any worker count.
+# the same pipeline, and its report must render byte-identical at any
+# worker count. (That the n = 2..6 fixpoints close, and their counts —
+# recorded before the expansion kernel was rebuilt in PR 12:
+# canonicalization, fingerprints and dedup must keep producing exactly
+# that search — are pinned by the EXPERIMENTS.md check above.)
 run cargo run -q --release -p ftss-lab -- check --dfs --n 4 --rounds 2 \
     --bound 12 --seed 7 --ce "$TRACE_DIR/enum4.schedule"
 run cargo run -q --release -p ftss-lab -- check --graph --n 4 --rounds 2 \
@@ -141,15 +144,12 @@ cargo run -q --release -p ftss-lab -- check --graph --n 4 --rounds 3 \
 cargo run -q --release -p ftss-lab -- check --graph --n 4 --rounds 3 \
     --jobs 4 > "$TRACE_DIR/graph_j4.txt"
 run cmp "$TRACE_DIR/graph_j1.txt" "$TRACE_DIR/graph_j4.txt"
-run cargo run -q --release -p ftss-lab -- check --graph --n 5
-echo "==> ftss-lab check --graph --n 6 (pinned fixpoint counts; serial vs 4 workers, byte-compared)"
+echo "==> ftss-lab check --graph --n 6 (serial vs 4 workers, byte-compared)"
 cargo run -q --release -p ftss-lab -- check --graph --n 6 --seed 7 \
     --jobs 1 > "$TRACE_DIR/graph6_j1.txt"
 cargo run -q --release -p ftss-lab -- check --graph --n 6 --seed 7 \
     --jobs 4 > "$TRACE_DIR/graph6_j4.txt"
 run cmp "$TRACE_DIR/graph6_j1.txt" "$TRACE_DIR/graph6_j4.txt"
-run grep -qxF 'visited 573 canonical state(s) in 586752 expansion(s); 586180 revisit(s) deduped, 45182 orbit collapse(s); depth 4 (closed: certified for every horizon)' \
-    "$TRACE_DIR/graph6_j1.txt"
 
 # Async POR smoke: the sleep-set reduction on the canonical gossip demo
 # must keep the full enumeration's verdict while pruning the commuting

@@ -5,7 +5,8 @@
 //!   agree verdict-for-verdict on equivalent configurations — green on
 //!   Theorem 3's claim, both tripped by the deliberately broken oracle.
 //! * The graph does at least 10× fewer round executions than the
-//!   enumerator on the pinned n=3 configuration (the scale-up claim).
+//!   enumerator on the pinned n=3 configuration (the scale-up claim),
+//!   with both work counts pinned exactly.
 //! * Reports are a pure function of the configuration, never of `jobs`.
 //! * An n=5 fixpoint closes, certifying the obligations for *every*
 //!   horizon — coverage no bounded tape enumeration can reach.
@@ -74,6 +75,15 @@ fn graph_does_at_least_10x_less_work_than_the_enumerator() {
         "graph must do >=10x fewer round executions: {} enumerated vs {} expanded",
         enum_work,
         gr.expansions
+    );
+    // The exact counts are the algorithmic guard: they replace the 2×
+    // wall-clock gate the retired micro-benchmarks held the checker to
+    // (a search that does more work shows up here as an inequality, on
+    // any machine). The sparse round walk has its own count guard,
+    // `clean_copies_are_never_submitted` (crates/sync-sim/src/round.rs).
+    assert_eq!(
+        (er.schedules, enum_work, gr.expansions),
+        (4_096, 12_288, 640)
     );
 }
 

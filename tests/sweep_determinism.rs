@@ -2,8 +2,10 @@
 //! output — rendered tables and concatenated JSONL traces alike — must be
 //! byte-identical whether it ran on 1 worker (`FTSS_JOBS=1`) or 4. This
 //! is the contract `ftss-lab sweep` exposes and `scripts/verify.sh`
-//! `cmp`-checks end to end; here it is asserted in-process, plus the rule
-//! by which the `FTSS_JOBS` environment knob picks the worker count.
+//! `cmp`-checks end to end; here it is asserted in-process and, for the
+//! whole registry at once, through the binary (which is why this file is
+//! wired as an integration test of `ftss-lab`), plus the rule by which
+//! the `FTSS_JOBS` environment knob picks the worker count.
 
 use ftss::protocols::RoundAgreement;
 use ftss::sync_sim::{NoFaults, RunConfig, SyncRunner};
@@ -27,6 +29,24 @@ fn e7c_table_is_byte_identical_serial_vs_parallel() {
     let serial = e7c_table(2, 1).to_string();
     assert_eq!(e7c_table(2, 4).to_string(), serial);
     assert!(serial.contains("resend period"));
+}
+
+#[test]
+fn every_registered_experiment_is_byte_identical_serial_vs_parallel() {
+    // `--exp all` on the quickest grid: one seed, the smallest sizes.
+    let all = |jobs: &str| {
+        let o = std::process::Command::new(env!("CARGO_BIN_EXE_ftss-lab"))
+            .args(["sweep", "--exp", "all", "--seeds", "1", "--max-n", "4"])
+            .args(["--jobs", jobs])
+            .output()
+            .expect("binary runs");
+        assert!(o.status.success(), "jobs={jobs}");
+        String::from_utf8(o.stdout).expect("tables are UTF-8")
+    };
+    let serial = all("1");
+    assert_eq!(all("4"), serial);
+    // One table per registry row: E1 … E11, E7 twice.
+    assert_eq!(serial.matches("|\n|--").count(), 12);
 }
 
 #[test]

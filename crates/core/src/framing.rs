@@ -1,8 +1,8 @@
 //! Length-prefixed message framing for the socket runtime (`ftss-serve`).
 //!
 //! A frame is a 4-byte big-endian payload length followed by the payload
-//! bytes. The payload is by convention one JSONL-encoded message (the
-//! telemetry codec doubles as the wire format), but this module is
+//! bytes. The payload is one `ftss-serve` message — a JSONL document in
+//! the telemetry codec, or the binary round frame — but this module is
 //! byte-agnostic: it only guarantees that whatever was framed comes back
 //! out intact, and that *no input whatsoever* can make the decoder panic
 //! — network bytes are untrusted, so every malformed shape is an

@@ -441,6 +441,21 @@ impl<'a, M> Deliveries<'a, M> {
         }
     }
 
+    /// The senders heard from, as the words of the delivered bit-row:
+    /// bit `s % 64` of word `s / 64` is set iff a copy from `s` arrived.
+    pub fn heard_words(&self) -> &'a [u64] {
+        self.msgs.delivered.row(self.dst.index())
+    }
+
+    /// The forged copies among the deliveries — `(sender, per-copy
+    /// payload)` in ascending sender order. Each overrides its sender's
+    /// broadcast for this receiver; empty in every non-Byzantine run.
+    pub fn forged(&self) -> impl Iterator<Item = (ProcessId, &'a Payload<M>)> {
+        let dst = self.dst;
+        let forged = self.msgs.forged.iter().filter(move |(_, d, _)| *d == dst);
+        forged.map(|(src, _, payload)| (*src, payload))
+    }
+
     /// Number of messages delivered.
     pub fn len(&self) -> usize {
         self.msgs.delivered_count(self.dst)
@@ -1250,6 +1265,12 @@ mod tests {
         // The iterator view agrees with the point query.
         let seen: Vec<_> = to_p1.iter().map(|(p, m)| (p.index(), **m)).collect();
         assert_eq!(seen, vec![(0, "forged")]);
+        // So do the raw row and the receiver's forged entries (what the
+        // serve router puts on the wire); nobody else's row has any.
+        assert_eq!(to_p1.heard_words(), &[0b001]);
+        let forged: Vec<_> = to_p1.forged().map(|(p, m)| (p.index(), **m)).collect();
+        assert_eq!(forged, vec![(0, "forged")]);
+        assert_eq!(rh.msgs().deliveries(ProcessId(2)).forged().count(), 0);
         // Round-tripping through records preserves both payloads.
         let sent: Vec<_> = rh.record(ProcessId(0)).sent().collect();
         assert_eq!(*sent[0].payload, "forged");

@@ -2,8 +2,9 @@
 //!
 //! Everything else in this workspace runs protocols *inside* one
 //! simulator loop. This crate runs them as real OS threads exchanging
-//! length-prefixed JSONL frames over a [`Channel`] — an in-memory pipe,
-//! a loopback TCP socket, or a Unix domain socket — while a hub router
+//! length-prefixed frames (JSONL control frames and broadcasts up, one
+//! binary round frame down) over a [`Channel`] — an in-memory pipe, a
+//! loopback TCP socket, or a Unix domain socket — while a hub router
 //! replays the exact §2 synchronous schedule: barrier per round, crash
 //! schedule, adversarial omissions, and transient-corruption injection.
 //!
@@ -20,8 +21,9 @@
 //!
 //! Layers:
 //!
-//! * [`transport`] + [`wire`] + [`proto`] — framed byte channels and the
-//!   panic-free JSON wire codec (decoders return `Err`, never unwrap).
+//! * [`transport`] + [`wire`] + [`proto`] — framed byte channels, the
+//!   panic-free wire codec (JSON and binary; decoders return `Err`,
+//!   never unwrap) and the frames of a session.
 //! * [`node`] — the process runtime: owns protocol state, nothing else.
 //! * [`session`] — the router: the round kernel's remote exchange, plus
 //!   churn, crash–restart and the partial-synchrony proxy.
@@ -51,4 +53,4 @@ pub use session::{
 };
 pub use timer::TimerWheel;
 pub use transport::{Channel, TransportKind};
-pub use wire::Wire;
+pub use wire::{Wire, WireMsg};

@@ -208,10 +208,10 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
     }
     let inputs: Vec<u64> = (0..cfg.n as u64).map(|i| (i * 7 + 3) % 50).collect();
     let protocol = Compiled::new(FloodSet::new(1, inputs));
-    let mut serve_cfg = ServeConfig::new(
-        RunConfig::corrupted(cfg.n, cfg.rounds, cfg.seed),
-        cfg.transport,
-    );
+    // The only reader of the history is the `TraceCursor` below, which
+    // diffs the newest frame against the one it remembers.
+    let run = RunConfig::corrupted(cfg.n, cfg.rounds, cfg.seed).with_history_window(2);
+    let mut serve_cfg = ServeConfig::new(run, cfg.transport);
     if let Some(rs) = cfg.restart {
         serve_cfg = serve_cfg.with_restart(rs);
     }

@@ -3,16 +3,19 @@
 //!
 //! A node owns its own state and nothing else — it never sees the crash
 //! schedule, the adversary or the other nodes. Its whole life is the
-//! lock-step loop of §2 of the paper: broadcast the round's message,
-//! wait for the round's deliveries, step. The router injects systemic
-//! failures by sending a `corrupt` state to adopt (the node obliviously
-//! re-broadcasts, exactly as a corrupted process would have broadcast in
-//! the first place), and ends the node's life with `halt` — which is how
-//! both a scheduled crash and a normal run end look from in here.
+//! lock-step loop of §2 of the paper: broadcast the round's message
+//! (a JSONL `bcast`), wait for the round's deliveries (the binary round
+//! frame of [`proto`](crate::proto): decode its payload table once, then
+//! build the sender-sorted envelopes from the heard bits as `Payload`
+//! clones), step. The router injects systemic failures by sending a
+//! `corrupt` state to adopt (the node obliviously re-broadcasts, exactly
+//! as a corrupted process would have broadcast in the first place), and
+//! ends the node's life with `halt` — which is how both a scheduled crash
+//! and a normal run end look from in here.
 
-use crate::proto::{ToNode, ToRouter};
+use crate::proto::{decode_round_frame, ToNode, ToRouter, ROUND_FRAME_TAG};
 use crate::transport::Channel;
-use crate::wire::Wire;
+use crate::wire::{Wire, WireMsg};
 use ftss::core::{Envelope, ProcessId, Round};
 use ftss::sync_sim::{Inbox, ProtocolCtx, SyncProtocol};
 
@@ -31,7 +34,7 @@ pub fn run_node<P>(
 where
     P: SyncProtocol,
     P::State: Wire,
-    P::Msg: Wire,
+    P::Msg: WireMsg,
 {
     run_node_from(protocol, me, n, chan, 1)
 }
@@ -58,7 +61,7 @@ pub fn run_node_from<P>(
 where
     P: SyncProtocol,
     P::State: Wire,
-    P::Msg: Wire,
+    P::Msg: WireMsg,
 {
     let ctx = ProtocolCtx::new(me, n);
     let state = protocol.init_state(&ctx);
@@ -88,7 +91,7 @@ pub fn run_node_recovered<P>(
 where
     P: SyncProtocol,
     P::State: Wire,
-    P::Msg: Wire,
+    P::Msg: WireMsg,
 {
     // Decode BEFORE hello: a corrupted snapshot must fail the restart
     // attempt identically on every transport (the router only ever sees
@@ -113,7 +116,7 @@ fn run_node_loop<P>(
 where
     P: SyncProtocol,
     P::State: Wire,
-    P::Msg: Wire,
+    P::Msg: WireMsg,
 {
     let ctx = ProtocolCtx::new(me, n);
     let send = |chan: &mut dyn Channel, msg: &ToRouter<P::State, P::Msg>| {
@@ -145,16 +148,20 @@ where
             },
         )?;
         let payload = chan.recv().map_err(|e| format!("{me}: recv failed: {e}"))?;
+        if payload.first() == Some(&ROUND_FRAME_TAG) {
+            let envelopes: Vec<Envelope<P::Msg>> = decode_round_frame(&payload, n)?
+                .into_iter()
+                .map(|(from, m)| Envelope::new(ProcessId(from), Round::new(round), m))
+                .collect();
+            let inbox = Inbox::new(envelopes);
+            protocol.step(&ctx, &mut state, &inbox);
+            round += 1;
+            continue;
+        }
         match ToNode::<P::State, P::Msg>::from_bytes(&payload)? {
             ToNode::Corrupt { state: s } => state = s,
-            ToNode::Inbox { msgs } => {
-                let envelopes: Vec<Envelope<P::Msg>> = msgs
-                    .into_iter()
-                    .map(|(from, m)| Envelope::new(ProcessId(from), Round::new(round), m))
-                    .collect();
-                let inbox = Inbox::new(envelopes);
-                protocol.step(&ctx, &mut state, &inbox);
-                round += 1;
+            ToNode::Inbox { .. } => {
+                return Err(format!("{me}: JSON inbox; sessions send the round frame"))
             }
             ToNode::Halt => return Ok(()),
         }

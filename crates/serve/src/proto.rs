@@ -1,22 +1,52 @@
-//! The node⇄router control protocol: one JSONL document per frame.
+//! The node⇄router protocol: what the frames of a session say.
 //!
-//! Four message shapes cross the wire:
+//! Five message shapes cross the wire:
 //!
 //! * node → router: `hello` (identity, sent once) and `bcast` (the round's
 //!   state snapshot plus, when the protocol sends this round, the
 //!   broadcast message),
 //! * router → node: `corrupt` (adopt this state — a systemic failure —
-//!   and re-broadcast), `inbox` (the round's deliveries; step and move to
-//!   the next round) and `halt` (leave the session: the run ended or the
-//!   crash schedule claimed this process).
+//!   and re-broadcast), the **round frame** (the round's deliveries; step
+//!   and move to the next round) and `halt` (leave the session: the run
+//!   ended or the crash schedule claimed this process).
 //!
-//! Everything is length-prefix framed by the transport and encoded with
-//! the telemetry JSON writer, so the wire format shares the trace
-//! format's byte-determinism. Decoding is total: malformed input is an
-//! `Err(String)`, never a panic.
+//! Everything is length-prefix framed by the transport. The control plane
+//! and the uplink — `hello`, `bcast`, `corrupt`, `halt` — are one JSONL
+//! document per frame, encoded with the telemetry JSON writer
+//! ([`ToRouter`], [`ToNode`]). The round frame, the one hot frame, is
+//! binary and has the shape the recorded history has
+//! ([`ftss::core::RoundMsgs`]): in a synchronous round every destination
+//! gets the *same* message from a given sender and destinations differ
+//! only in *whom* they hear, so the router encodes each broadcast once
+//! into a `RoundTable` and a destination's frame is that table plus its
+//! own delivered bit-row:
+//!
+//! ```text
+//! round frame := TAG shared heard forged late
+//! shared      := n:u32  entries:u32  entry × entries  index × n
+//! entry       := len:u32  message            (WireMsg::encode_bin)
+//! index       := the sender's entry, or `entries` for a silent sender;
+//!                1, 2 or 4 bytes — the narrowest that holds `entries`
+//! heard       := ⌈n/64⌉ × u64               (the delivered bit-row)
+//! forged,late := count:u32  (sender:u32  len:u32  message) × count
+//! ```
+//!
+//! All integers little-endian. Equal encodings share one entry, so once
+//! the correct processes agree (Theorem 3) the table has one entry.
+//! `forged` overrides the table for the senders it names (ascending, each
+//! of them heard); `late` — the timing proxy's deferred copies — follows
+//! in hold order. [`ToNode::Inbox`] is the same `(sender, message)`
+//! sequence as JSON: no session sends it any more; it is the reference
+//! form the round frame is tested against and what `benchmark/`'s wire
+//! ladder still times.
+//!
+//! Decoding is total in both forms: malformed input is an `Err(String)`,
+//! never a panic.
 
-use crate::wire::Wire;
+use crate::wire::{patch_u32, put_section, put_u32, Reader, Wire, WireMsg};
+use ftss::core::{Deliveries, Payload, ProcessId};
 use ftss::telemetry::{parse_json, JsonValue};
+use std::ops::Range;
 
 /// A message from a node to the router.
 #[derive(Clone, Debug, PartialEq)]
@@ -192,11 +222,254 @@ fn parse_payload(payload: &[u8]) -> Result<JsonValue, String> {
     parse_json(text).map_err(|e| format!("frame payload is not JSON: {e}"))
 }
 
+/// First byte of a round frame: a UTF-8 continuation byte, which no JSON
+/// document (no UTF-8 text at all) can start with.
+pub(crate) const ROUND_FRAME_TAG: u8 = 0xB1;
+
+/// Bytes per `index` cell: the narrowest of 1, 2 and 4 that holds every
+/// value up to `entries` (the silent marker) itself.
+fn index_width(entries: usize) -> usize {
+    match entries {
+        0..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        _ => 4,
+    }
+}
+
+/// The router's half of the round frame: one round's broadcasts, each
+/// encoded once, plus the writer of a destination's frame around them.
+#[derive(Debug)]
+pub(crate) struct RoundTable {
+    /// The table so far: every distinct encoding, length-prefixed, back
+    /// to back — the bytes that go on the wire.
+    entries: Vec<u8>,
+    /// Where each entry's message bytes lie in `entries`.
+    spans: Vec<Range<usize>>,
+    /// Per sender, its entry; `None` while it has not broadcast.
+    index: Vec<Option<usize>>,
+    /// The `shared` section as sent; built by the round's first frame,
+    /// empty until then.
+    shared: Vec<u8>,
+    /// The frame last written: one buffer for the session's life.
+    frame: Vec<u8>,
+}
+
+impl RoundTable {
+    pub(crate) fn new(n: usize) -> Self {
+        RoundTable {
+            entries: Vec::new(),
+            spans: Vec::new(),
+            index: vec![None; n],
+            shared: Vec::new(),
+            frame: Vec::new(),
+        }
+    }
+
+    /// Forgets the previous round.
+    pub(crate) fn begin_round(&mut self) {
+        self.entries.clear();
+        self.spans.clear();
+        self.index.fill(None);
+        self.shared.clear();
+    }
+
+    /// Records that `p` broadcasts `msg` this round, sharing the entry of
+    /// an earlier sender whose message encoded to the same bytes (found
+    /// by a scan: the table is shortest — one entry — in the steady state
+    /// that dominates a run).
+    pub(crate) fn broadcast<M: WireMsg>(&mut self, p: ProcessId, msg: &M) {
+        let start = self.entries.len();
+        put_section(&mut self.entries, |out| msg.encode_bin(out));
+        let new = start + 4..self.entries.len();
+        let known = self
+            .spans
+            .iter()
+            .position(|old| self.entries[old.clone()] == self.entries[new.clone()]);
+        self.index[p.index()] = Some(known.unwrap_or(self.spans.len()));
+        match known {
+            Some(_) => self.entries.truncate(start),
+            None => self.spans.push(new),
+        }
+        self.shared.clear();
+    }
+
+    /// Number of distinct encodings broadcast this round.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Builds `shared`, the section every destination's frame of this
+    /// round carries, unless this round already has.
+    fn seal(&mut self) {
+        if !self.shared.is_empty() {
+            return;
+        }
+        let entries = self.spans.len();
+        let out = &mut self.shared;
+        put_u32(self.index.len(), out);
+        put_u32(entries, out);
+        out.extend_from_slice(&self.entries);
+        let width = index_width(entries);
+        for cell in &self.index {
+            // No cell exceeds `entries`, which `put_u32` just vouched for.
+            let cell = cell.unwrap_or(entries) as u32;
+            out.extend_from_slice(&cell.to_le_bytes()[..width]);
+        }
+    }
+
+    /// Writes one destination's round frame (over the previous one): the
+    /// shared section, then what is the destination's own — the
+    /// delivered row of `inbox`, its forged copies, and the `late`
+    /// copies addressed to it, in the order given.
+    pub(crate) fn frame<'m, M: WireMsg + 'm>(
+        &mut self,
+        inbox: Deliveries<'_, M>,
+        late: impl Iterator<Item = (ProcessId, &'m M)>,
+    ) -> &[u8] {
+        debug_assert_eq!(inbox.heard_words().len(), self.index.len().div_ceil(64));
+        self.seal();
+        let out = &mut self.frame;
+        out.clear();
+        out.push(ROUND_FRAME_TAG);
+        out.extend_from_slice(&self.shared);
+        for word in inbox.heard_words() {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        put_copies(inbox.forged().map(|(from, m)| (from, &**m)), out);
+        put_copies(late, out);
+        out
+    }
+}
+
+/// `count:u32 (sender:u32 len:u32 message) × count`.
+fn put_copies<'m, M: WireMsg + 'm>(
+    copies: impl Iterator<Item = (ProcessId, &'m M)>,
+    out: &mut Vec<u8>,
+) {
+    let count_at = out.len();
+    put_u32(0, out);
+    let mut count = 0;
+    for (from, msg) in copies {
+        put_u32(from.index(), out);
+        put_section(out, |out| msg.encode_bin(out));
+        count += 1;
+    }
+    patch_u32(out, count_at, count);
+}
+
+/// One length-prefixed message, which must fill its section exactly.
+fn take_msg<M: WireMsg>(r: &mut Reader<'_>) -> Result<Payload<M>, String> {
+    let mut section = r.section()?;
+    let msg = M::decode_bin(&mut section)?;
+    section.finish()?;
+    Ok(Payload::new(msg))
+}
+
+/// The inverse of [`put_copies`], every sender checked against `n`.
+fn take_copies<M: WireMsg>(
+    r: &mut Reader<'_>,
+    n: usize,
+) -> Result<Vec<(usize, Payload<M>)>, String> {
+    let count = r.count(8)?;
+    let mut copies = Vec::with_capacity(count);
+    for _ in 0..count {
+        let from = r.u32()?;
+        if from >= n {
+            return Err(format!("round frame: copy from p{from} but n = {n}"));
+        }
+        copies.push((from, take_msg(r)?));
+    }
+    Ok(copies)
+}
+
+/// The node's half of the round frame: decodes the table once, then
+/// spells the frame out as the `(sender, message)` sequence the node
+/// steps on — heard senders ascending, each with its table entry (a
+/// `Payload` clone) or the forged copy that overrides it, then the late
+/// copies in hold order. Exactly what [`ToNode::Inbox`] would have listed.
+///
+/// # Errors
+///
+/// Any malformed frame — wire bytes are untrusted, and a broken router
+/// must trip the node rather than feed it a guess: truncation, a count
+/// the remaining bytes cannot hold, a system size other than the node's
+/// `n`, a sender or heard bit `>= n`, an index past the table, a heard
+/// sender with no entry, a forged copy from an unheard sender (or out of
+/// order), trailing bytes.
+pub(crate) fn decode_round_frame<M: WireMsg>(
+    frame: &[u8],
+    n: usize,
+) -> Result<Vec<(usize, Payload<M>)>, String> {
+    let mut r = Reader::new(frame);
+    if r.u8()? != ROUND_FRAME_TAG {
+        return Err("not a round frame".into());
+    }
+    let announced = r.u32()?;
+    if announced != n {
+        return Err(format!("round frame: for {announced} processes, not {n}"));
+    }
+    let entries = r.count(4)?;
+    let mut table = Vec::with_capacity(entries);
+    for _ in 0..entries {
+        table.push(take_msg::<M>(&mut r)?);
+    }
+    let width = index_width(entries);
+    let cells = r.take(n.saturating_mul(width))?;
+    let entry_of = |s: usize| {
+        let mut le = [0u8; 4];
+        le[..width].copy_from_slice(&cells[s * width..][..width]);
+        u32::from_le_bytes(le) as usize
+    };
+    if let Some(s) = (0..n).find(|&s| entry_of(s) > entries) {
+        return Err(format!(
+            "round frame: p{s} indexes entry {} of {entries}",
+            entry_of(s)
+        ));
+    }
+    let heard = r.take(n.div_ceil(64) * 8)?;
+    let mut forged = take_copies::<M>(&mut r, n)?.into_iter().peekable();
+    let late = take_copies::<M>(&mut r, n)?;
+    r.finish()?;
+
+    let mut msgs = Vec::with_capacity(n + late.len());
+    for (k, word) in heard.chunks_exact(8).enumerate() {
+        let mut bits = u64::from_le_bytes(word.try_into().expect("chunks of 8"));
+        while bits != 0 {
+            let s = k * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if s >= n {
+                return Err(format!("round frame: heard bit p{s} but n = {n}"));
+            }
+            if let Some(copy) = forged.next_if(|(from, _)| *from == s) {
+                msgs.push(copy);
+            } else if entry_of(s) == entries {
+                return Err(format!("round frame: heard silent p{s}"));
+            } else {
+                msgs.push((s, table[entry_of(s)].clone()));
+            }
+        }
+    }
+    if let Some((from, _)) = forged.next() {
+        return Err(format!(
+            "round frame: forged copy from p{from} is unheard or out of order"
+        ));
+    }
+    msgs.extend(late);
+    Ok(msgs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftss::core::RoundCounter;
-    use ftss::protocols::RoundAgreementState;
+    use ftss::compiler::CompiledMsg;
+    use ftss::core::{Corrupt, RoundCounter, RoundHistory};
+    use ftss::protocols::{RoundAgreement, RoundAgreementState};
+    use ftss::sync_sim::{NoFaults, RunConfig, SyncRunner};
+    use ftss_rng::check::{forall, Gen};
+    use ftss_rng::Rng;
+    use std::collections::BTreeSet;
+    use std::fmt::Debug;
 
     type NodeMsg = ToRouter<RoundAgreementState, u64>;
     type RouterMsg = ToNode<RoundAgreementState, u64>;
@@ -263,5 +536,281 @@ mod tests {
             assert!(NodeMsg::from_bytes(bad).is_err());
             assert!(RouterMsg::from_bytes(bad).is_err());
         }
+    }
+
+    /// Half small and plausible, half anywhere in `u64` — the counters
+    /// a corrupted round agreement broadcasts.
+    fn arbitrary_u64(g: &mut Gen) -> u64 {
+        let mut c = RoundCounter::new(0);
+        c.corrupt(g);
+        c.get()
+    }
+
+    fn arbitrary_set(g: &mut Gen) -> BTreeSet<u64> {
+        let mut set = BTreeSet::from([1, 2, 3]);
+        set.corrupt(g);
+        set
+    }
+
+    fn arbitrary_compiled(g: &mut Gen) -> CompiledMsg<BTreeSet<u64>> {
+        CompiledMsg {
+            state_msg: Payload::new(arbitrary_set(g)),
+            round: arbitrary_u64(g),
+        }
+    }
+
+    /// One destination's view of one random round, in both wire forms:
+    /// `(n, round frame, JSON inbox)`. The shapes: nobody heard, every
+    /// payload equal, every payload drawn afresh, and a mix from a small
+    /// pool with silent senders; forged overrides; late copies from any
+    /// sender, so often one the destination also hears fresh.
+    fn random_round<M: WireMsg + Clone>(
+        g: &mut Gen,
+        msg: fn(&mut Gen) -> M,
+    ) -> (usize, Vec<u8>, Vec<u8>) {
+        let n = g.gen_range(1..=70usize);
+        let dst = ProcessId(g.gen_range(0..n));
+        let shape = g.gen_range(0..4u32);
+        let pool = [msg(g), msg(g), msg(g)];
+        let mut history = RoundHistory::<u64, M>::empty(n);
+        let mut table = RoundTable::new(n);
+        for p in (0..n).map(ProcessId) {
+            if shape == 3 && g.gen_bool(0.3) {
+                continue; // silent
+            }
+            let m = match shape {
+                1 => pool[0].clone(),
+                2 => msg(g),
+                _ => pool[g.gen_range(0..pool.len())].clone(),
+            };
+            table.broadcast(p, &m);
+            history.set_broadcast(p, Payload::new(m));
+            if shape == 0 || g.gen_bool(0.3) {
+                continue; // unheard
+            }
+            if g.gen_bool(0.15) {
+                history.record_forged(p, dst, Payload::new(msg(g)));
+            } else {
+                history.record_delivery(dst, p);
+            }
+        }
+        let late = g.vec(0, 4, |g| (ProcessId(g.gen_range(0..n)), msg(g)));
+
+        let inbox = history.msgs().deliveries(dst);
+        let fresh = inbox.iter().map(|(src, m)| (src.index(), (**m).clone()));
+        let stale = late.iter().map(|(src, m)| (src.index(), m.clone()));
+        let json = ToNode::<u64, M>::Inbox {
+            msgs: fresh.chain(stale).collect(),
+        };
+        let frame = table.frame(inbox, late.iter().map(|(src, m)| (*src, m)));
+        (n, frame.to_vec(), json.to_bytes())
+    }
+
+    fn spelled_out<M: WireMsg + Clone>(frame: &[u8], n: usize) -> Result<Vec<(usize, M)>, String> {
+        let msgs = decode_round_frame::<M>(frame, n)?;
+        Ok(msgs.into_iter().map(|(s, m)| (s, (*m).clone())).collect())
+    }
+
+    fn frame_says_what_json_says<M>(msg: fn(&mut Gen) -> M)
+    where
+        M: WireMsg + Clone + PartialEq + Debug,
+    {
+        forall(200, |g: &mut Gen| {
+            let (n, frame, json) = random_round(g, msg);
+            let ToNode::Inbox { msgs: want } =
+                ToNode::<u64, M>::from_bytes(&json).expect("JSON inbox decodes")
+            else {
+                panic!("JSON inbox decoded to another shape");
+            };
+            assert_eq!(
+                spelled_out::<M>(&frame, n).expect("round frame decodes"),
+                want
+            );
+        });
+    }
+
+    /// The bijection: for any round, the round frame decodes to exactly
+    /// the `(sender, message)` sequence the JSON inbox carried.
+    #[test]
+    fn round_frame_decodes_to_the_json_inbox_sequence() {
+        frame_says_what_json_says(arbitrary_u64);
+        frame_says_what_json_says(arbitrary_set);
+        frame_says_what_json_says(arbitrary_compiled);
+    }
+
+    /// Totality: damaged frames are an `Err` or some other value, never
+    /// a panic — and a strict prefix is always an `Err`.
+    #[test]
+    fn damaged_round_frames_never_panic() {
+        forall(40, |g: &mut Gen| {
+            let (n, frame, _) = random_round(g, arbitrary_compiled);
+            type M = CompiledMsg<BTreeSet<u64>>;
+            for cut in 0..frame.len() {
+                assert!(decode_round_frame::<M>(&frame[..cut], n).is_err());
+            }
+            let mut damaged = frame.clone();
+            for at in 0..frame.len() {
+                for mask in [0x01, 0x80, 0xFF] {
+                    damaged[at] ^= mask;
+                    let _ = decode_round_frame::<M>(&damaged, n);
+                    damaged[at] ^= mask;
+                }
+            }
+            let mut noise: Vec<u8> = g.vec(0, 64, |g| g.gen());
+            let _ = decode_round_frame::<M>(&noise, n);
+            noise.insert(0, ROUND_FRAME_TAG);
+            let _ = decode_round_frame::<M>(&noise, n);
+        });
+    }
+
+    /// A round frame over `u64` written out by hand, field by field —
+    /// independent of [`RoundTable`], so the layout itself is pinned.
+    #[derive(Clone)]
+    struct ByHand {
+        n: u32,
+        entries: u32,
+        table: Vec<u64>,
+        index: Vec<u8>,
+        heard: Vec<u64>,
+        forged: Vec<(u32, u64)>,
+        late: Vec<(u32, u64)>,
+        tail: Vec<u8>,
+    }
+
+    impl ByHand {
+        /// n = 4: p0 and p2 sent 7, p1 sent 9, p3 is silent; the
+        /// destination hears p0, p1 (forged to 5) and p2, and a late 8
+        /// from p2.
+        fn valid() -> Self {
+            ByHand {
+                n: 4,
+                entries: 2,
+                table: vec![7, 9],
+                index: vec![0, 1, 0, 2],
+                heard: vec![0b0111],
+                forged: vec![(1, 5)],
+                late: vec![(2, 8)],
+                tail: vec![],
+            }
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            let mut out = vec![ROUND_FRAME_TAG];
+            out.extend(self.n.to_le_bytes());
+            out.extend(self.entries.to_le_bytes());
+            for m in &self.table {
+                out.extend(8u32.to_le_bytes());
+                out.extend(m.to_le_bytes());
+            }
+            out.extend(&self.index);
+            for w in &self.heard {
+                out.extend(w.to_le_bytes());
+            }
+            for copies in [&self.forged, &self.late] {
+                out.extend((copies.len() as u32).to_le_bytes());
+                for (from, m) in copies {
+                    out.extend(from.to_le_bytes());
+                    out.extend(8u32.to_le_bytes());
+                    out.extend(m.to_le_bytes());
+                }
+            }
+            out.extend(&self.tail);
+            out
+        }
+
+        fn err(&self) -> String {
+            spelled_out::<u64>(&self.bytes(), 4).expect_err("a broken router must trip")
+        }
+    }
+
+    #[test]
+    fn hand_written_round_frame_decodes() {
+        let msgs = spelled_out::<u64>(&ByHand::valid().bytes(), 4).expect("decodes");
+        assert_eq!(msgs, vec![(0, 7), (1, 5), (2, 7), (2, 8)]);
+    }
+
+    #[test]
+    fn broken_router_trips_the_decoder() {
+        let ok = ByHand::valid();
+        let broken = |edit: fn(&mut ByHand)| {
+            let mut frame = ok.clone();
+            edit(&mut frame);
+            frame.err()
+        };
+        // A heard bit whose sender has no table entry.
+        assert!(broken(|f| f.heard[0] |= 0b1000).contains("heard silent p3"));
+        // An entry index past the table — heard or not.
+        assert!(broken(|f| f.index[3] = 3).contains("p3 indexes entry 3 of 2"));
+        // Senders and heard bits at or past n.
+        assert!(broken(|f| f.late[0].0 = 4).contains("copy from p4"));
+        assert!(broken(|f| f.forged[0].0 = 9).contains("copy from p9"));
+        assert!(broken(|f| f.heard[0] |= 1 << 4).contains("heard bit p4"));
+        // Trailing bytes, after the frame and inside a message section.
+        assert!(broken(|f| f.tail.push(0)).contains("1 trailing byte"));
+        let mut fat = ok.bytes();
+        fat[9] = 9; // first entry announces 9 bytes for a u64
+        fat.insert(18, 0);
+        let err = spelled_out::<u64>(&fat, 4).expect_err("fat entry");
+        assert!(err.contains("1 trailing byte"), "{err}");
+        // A forged copy nobody hears, and forged copies out of order.
+        assert!(broken(|f| f.heard[0] = 0b0101).contains("forged copy from p1"));
+        assert!(broken(|f| f.forged = vec![(2, 5), (1, 5)]).contains("forged copy from p1"));
+        // A frame for a system of another size.
+        assert!(broken(|f| f.n = 5).contains("for 5 processes, not 4"));
+        // Counts are checked against the bytes remaining before anything
+        // is allocated for them.
+        let greedy = broken(|f| f.entries = u32::MAX);
+        assert!(greedy.contains("exceeds the bytes remaining"), "{greedy}");
+        let mut greedy = ok.clone();
+        greedy.late.clear();
+        let mut bytes = greedy.bytes();
+        let at = bytes.len() - 4;
+        bytes[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = spelled_out::<u64>(&bytes, 4).expect_err("late count");
+        assert!(err.contains("exceeds the bytes remaining"), "{err}");
+    }
+
+    /// Sharing: once round agreement has converged every process
+    /// broadcasts the same counter, so the table has one entry, a frame
+    /// at n = 64 is about a hundred bytes, and what differs between two
+    /// destinations' frames is only what follows the shared section.
+    #[test]
+    fn steady_state_round_shares_one_table_entry() {
+        const N: usize = 64;
+        let run = SyncRunner::new(RoundAgreement)
+            .run(&mut NoFaults, &RunConfig::corrupted(N, 4, 7))
+            .expect("clean run");
+        let round = run.history.rounds().last().expect("four rounds");
+        let mut table = RoundTable::new(N);
+        for p in (0..N).map(ProcessId) {
+            let msg = round.msgs().broadcast_of(p).expect("everyone sends");
+            table.broadcast(p, &**msg);
+        }
+        assert_eq!(table.entries(), 1);
+        let frames: Vec<Vec<u8>> = (0..N)
+            .map(|p| {
+                let inbox = round.msgs().deliveries(ProcessId(p));
+                table.frame(inbox, std::iter::empty()).to_vec()
+            })
+            .collect();
+        let shared = 1 + table.shared.len();
+        for frame in &frames {
+            assert!(frame.len() < 128, "{} bytes", frame.len());
+            assert_eq!(frame[..shared], frames[0][..shared]);
+            assert_eq!(
+                decode_round_frame::<u64>(frame, N).expect("decodes").len(),
+                N
+            );
+        }
+
+        // The round of a corruption is the other extreme: an entry per
+        // process, give or take two counters that collide.
+        table.begin_round();
+        let first = run.history.rounds().first().expect("four rounds");
+        for p in (0..N).map(ProcessId) {
+            let msg = first.msgs().broadcast_of(p).expect("everyone sends");
+            table.broadcast(p, &**msg);
+        }
+        assert!(table.entries() > N / 2, "{} entries", table.entries());
     }
 }

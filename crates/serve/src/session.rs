@@ -5,7 +5,10 @@
 //! over the remote [`Exchange`] defined here: every process is a node
 //! thread behind a [`Channel`], a round's broadcasts are collected as
 //! `bcast` frames at a barrier, and each survivor receives its inbox as
-//! one frame. Omission and forgery draws, telemetry events and the
+//! one binary round frame — the round's payload table, encoded once as
+//! the kernel asks for each broadcast, plus the survivor's own delivered
+//! bit-row ([`proto`](crate::proto)). Omission and forgery draws,
+//! telemetry events and the
 //! recorded history are therefore those of
 //! [`ftss::sync_sim::SyncRunner`] for the same seed, on every transport,
 //! by construction (DESIGN.md §17). The barrier plus the kernel's sorted
@@ -39,9 +42,9 @@
 //! same bytes on every rerun, every transport and every `--jobs` level.
 
 use crate::node::{run_node_from, run_node_recovered};
-use crate::proto::{ToNode, ToRouter};
+use crate::proto::{RoundTable, ToNode, ToRouter};
 use crate::transport::{Channel, TransportKind};
-use crate::wire::Wire;
+use crate::wire::{Wire, WireMsg};
 use ftss::core::{
     round_count, Corrupt, CrashSchedule, Deliveries, DeliveryOutcome, History, ProcessId,
     ProcessSet, RoundMsgs, StormKind, StormPhase, FRAME_HEADER_LEN,
@@ -334,7 +337,7 @@ pub fn serve<P, A, T>(
 where
     P: SyncProtocol + Clone + Send + 'static,
     P::State: Wire + Corrupt + Send + 'static,
-    P::Msg: Wire + Send + 'static,
+    P::Msg: WireMsg + Send + 'static,
     A: Adversary + ?Sized,
     T: TraceSink,
 {
@@ -358,7 +361,7 @@ pub fn serve_streaming<P, A, T, F>(
 where
     P: SyncProtocol + Clone + Send + 'static,
     P::State: Wire + Corrupt + Send + 'static,
-    P::Msg: Wire + Send + 'static,
+    P::Msg: WireMsg + Send + 'static,
     A: Adversary + ?Sized,
     T: TraceSink,
     F: FnMut(&History<P::State, P::Msg>),
@@ -384,7 +387,7 @@ pub fn serve_streaming_with_stats<P, A, T, F>(
 where
     P: SyncProtocol + Clone + Send + 'static,
     P::State: Wire + Corrupt + Send + 'static,
-    P::Msg: Wire + Send + 'static,
+    P::Msg: WireMsg + Send + 'static,
     A: Adversary + ?Sized,
     T: TraceSink,
     F: FnMut(&History<P::State, P::Msg>),
@@ -402,6 +405,7 @@ where
         epochs: vec![0; n],
         slots: (0..n).map(|_| None).collect(),
         handles: Vec::with_capacity(n),
+        table: RoundTable::new(n),
         snapshot: None,
         snapshot_rng: StdRng::seed_from_u64(cfg.restart.map_or(0, |rs| rs.snapshot_seed)),
         restart_down: false,
@@ -525,6 +529,9 @@ struct Router<'a, P: SyncProtocol> {
     epochs: Vec<u64>,
     slots: Vec<Option<Slot<P::State, P::Msg>>>,
     handles: Vec<NodeHandle>,
+    /// This round's broadcasts, each encoded once (filled as the kernel
+    /// asks for them), and the buffer every round frame is written into.
+    table: RoundTable,
     /// Crash–restart bookkeeping: the checkpointed snapshot bytes, the
     /// damage rng (one stream for the whole session, drawn per attempt
     /// in canonical order) and whether the victim is currently down.
@@ -537,7 +544,7 @@ impl<P> Router<'_, P>
 where
     P: SyncProtocol + Clone + Send + 'static,
     P::State: Wire + Send + 'static,
-    P::Msg: Wire + Send + 'static,
+    P::Msg: WireMsg + Send + 'static,
 {
     /// Spawns the node thread for `p` over `chan`, entering the
     /// lock-step loop at `start_round` from the protocol's initial
@@ -768,7 +775,7 @@ impl<P> Exchange<P::State, P::Msg> for Router<'_, P>
 where
     P: SyncProtocol + Clone + Send + 'static,
     P::State: Wire + Send + 'static,
-    P::Msg: Wire + Send + 'static,
+    P::Msg: WireMsg + Send + 'static,
 {
     type Error = String;
 
@@ -809,6 +816,7 @@ where
 
     fn begin_round<T: TraceSink>(&mut self, r: u64, sink: &mut T) -> Result<(), String> {
         self.round = r;
+        self.table.begin_round();
         self.churn_step(r, sink)?;
         self.restart_step(r, sink)?;
         // Round 1's broadcasts were collected by `open`: they precede the
@@ -847,30 +855,33 @@ where
         self.collect(victims.iter().map(|v| v.index()), sink)
     }
 
+    /// The one place a message is encoded for the downlink: into the
+    /// round's table, shared by every destination that hears `p`.
     fn broadcast(&mut self, p: ProcessId) -> Option<P::Msg> {
-        self.slots[p.index()].as_mut()?.msg.take()
+        let msg = self.slots[p.index()].as_mut()?.msg.take()?;
+        self.table.broadcast(p, &msg);
+        Some(msg)
     }
 
-    /// The wire inbox: the frame's deliveries for `p` (a forged copy
-    /// carries its per-copy payload, exactly as the simulator's inbox
-    /// view shows it), then the proxy's late copies for `p` in hold
-    /// order. Late copies for a destination that is gone by their
-    /// arrival round are silently dropped — the network at its worst.
+    /// The round frame for `p`: the round's table (a copy of bytes every
+    /// destination gets), `p`'s delivered row straight off the history
+    /// frame, its forged copies (each carries its per-copy payload,
+    /// exactly as the simulator's inbox view shows it), then the proxy's
+    /// late copies for `p` in hold order. Late copies for a destination
+    /// that is gone by their arrival round are silently dropped — the
+    /// network at its worst.
     fn deliver(
         &mut self,
         p: ProcessId,
         inbox: Deliveries<'_, P::Msg>,
         late: &[LateCopy<P::Msg>],
     ) -> Result<(), String> {
-        let fresh = inbox.iter().map(|(src, m)| (src.index(), (**m).clone()));
         let late = late.iter().filter(|c| c.to == p);
-        let msgs = fresh.chain(late.map(|c| (c.from.index(), c.msg.clone())));
-        let inbox: ToNode<P::State, P::Msg> = ToNode::Inbox {
-            msgs: msgs.collect(),
-        };
+        let late = late.map(|c| (c.from, &c.msg));
+        let frame = self.table.frame(inbox, late);
         let ch = self.chans[p.index()].as_mut();
         ch.ok_or_else(|| format!("survivor {p} is not connected"))?
-            .send(&inbox.to_bytes())
+            .send(frame)
             .map_err(|e| format!("{p} inbox send: {e}"))
     }
 

@@ -180,6 +180,10 @@ struct StreamChannel<T: Read + Write + Send> {
     stream: T,
     decoder: FrameDecoder,
     read_buf: [u8; 4096],
+    /// The frame being sent, header and payload: one buffer for the
+    /// channel's life, and one `write_all` per frame, so `TCP_NODELAY`
+    /// still emits one segment.
+    write_buf: Vec<u8>,
 }
 
 impl<T: Read + Write + Send> StreamChannel<T> {
@@ -188,14 +192,16 @@ impl<T: Read + Write + Send> StreamChannel<T> {
             stream,
             decoder: FrameDecoder::new(),
             read_buf: [0u8; 4096],
+            write_buf: Vec::new(),
         }
     }
 }
 
 impl<T: Read + Write + Send> Channel for StreamChannel<T> {
     fn send(&mut self, payload: &[u8]) -> io::Result<()> {
-        let framed = ftss::core::frame_bytes(payload);
-        self.stream.write_all(&framed)
+        self.write_buf.clear();
+        ftss::core::encode_frame(payload, &mut self.write_buf);
+        self.stream.write_all(&self.write_buf)
     }
 
     fn recv(&mut self) -> io::Result<Vec<u8>> {

@@ -1,6 +1,6 @@
 //! Empirical stabilization-time measurement.
 
-use ftss_core::{CoterieTimeline, History, Problem};
+use ftss_core::{stabilization_offset, CoterieTimeline, History, Problem};
 
 /// The result of measuring a run's stabilization time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,20 +37,8 @@ pub fn measured_stabilization_time<S, M>(
 ) -> Option<StabilizationMeasurement> {
     let timeline = CoterieTimeline::compute(history);
     let w = timeline.final_window()?;
-    let faulty = history.faulty_upto(w.to_len);
-    let mut stab = None;
-    for s in 0..w.duration() {
-        let start = w.from_len - 1 + s;
-        if problem
-            .check(history.slice(start, w.to_len), &faulty)
-            .is_ok()
-        {
-            stab = Some(s);
-            break;
-        }
-    }
     Some(StabilizationMeasurement {
-        stabilization_rounds: stab,
+        stabilization_rounds: stabilization_offset(history, problem, w.from_len, w.to_len),
         window_start: w.from_len,
         window_end: w.to_len,
     })

@@ -33,8 +33,7 @@
 
 use crate::guard::{with_watchdog, SoakBudget, WatchdogOutcome};
 use crate::plan::{
-    burst_seed, join_seed, storm_program_for, RestartScenario, SoakCell, SoakPlan, SoakScenario,
-    StormGeometry,
+    burst_seed, join_seed, SoakCell, SoakPlan, SoakScenario, StormGeometry, StormScenario,
 };
 use crate::verdict::{CellReport, ChurnStamps, EpochJudge, EpochVerdict, SoakVerdict};
 use ftss::async_sim::{
@@ -49,9 +48,9 @@ use ftss::detectors::{
     StrongDetectorProcess, SuspectProbe, WeakOracle,
 };
 use ftss::protocols::{FloodSet, RepeatedConsensusSpec, RoundAgreement};
-use ftss::sync_sim::{RunConfig, StormAdversary, SyncProtocol, SyncRunner};
-use ftss::telemetry::{Event, NullSink, RunMode};
-use ftss_serve::{serve_streaming, TransportKind};
+use ftss::sync_sim::{RunOutcome, SyncProtocol, SyncRunner};
+use ftss::telemetry::{Event, NullSink, RunMode, TraceSink};
+use ftss_serve::{serve_streaming, ServeConfig, TransportKind, Wire, WireMsg};
 use std::fmt::Write as _;
 
 /// One soak campaign's parameters.
@@ -179,7 +178,7 @@ fn run_cell(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
         SoakScenario::RoundAgreement => run_round_agreement(cell, budget),
         SoakScenario::Compiled => run_compiled(cell, budget),
         SoakScenario::Detector => run_detector(cell, budget),
-        SoakScenario::Restart => run_restart_cell(cell, budget),
+        SoakScenario::Restart => run_restart(cell, budget),
     }
 }
 
@@ -271,12 +270,6 @@ fn push_storm_lines(jsonl: &mut String, seed: u64, e: usize, kind: StormKind, sp
     push_line(jsonl, &Event::StormEnd { epoch, at: end });
 }
 
-/// [`push_storm_lines`] for a synchronous cell's epoch `e`.
-fn push_cell_storm(jsonl: &mut String, cell: &SoakCell, geom: &StormGeometry, e: usize) {
-    let span = (geom.storm_start(e), geom.storm_end(e));
-    push_storm_lines(jsonl, cell.seed, e, cell.cycle()[e % 4], span);
-}
-
 /// The churn a cell's quiescence is judged on: the stamps of its
 /// suspicion flips.
 fn suspicion_stamps(events: &[Event]) -> Vec<u64> {
@@ -300,10 +293,12 @@ fn suspicion_stamps(events: &[Event]) -> Vec<u64> {
 /// Round agreement emits no churn stamps, so the quiescence monitor is a
 /// no-op here.
 fn run_round_agreement(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
-    let judge = EpochJudge::new(StormGeometry::engine_default(), 2);
+    let (seed, epochs, n) = (cell.seed, cell.epochs, cell.n);
     let victims = [ProcessId(0), ProcessId(1)];
+    let geom = StormGeometry::engine_default();
+    let sc = StormScenario::new(seed, epochs, n, cell.cycle(), &victims, geom, 2);
     let spec = RateAgreementSpec::new();
-    run_sync_cell(cell, budget, &victims, RoundAgreement, judge, &spec, None)
+    run_storm_cell(cell, budget, sc, RoundAgreement, None, &spec, None)
 }
 
 /// The compiled `Π⁺` (FloodSet, `f = 1`) under the storm cycle with a
@@ -323,100 +318,103 @@ fn run_compiled(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
         storm_len: 3,
         epoch_len: bound + 9,
     };
+    let (seed, epochs, n) = (cell.seed, cell.epochs, cell.n);
+    let sc = StormScenario::new(seed, epochs, n, cell.cycle(), &[ProcessId(0)], geom, bound);
     let spec = RepeatedConsensusSpec::agreement_only();
-    let judge = EpochJudge::new(geom, bound);
-    run_sync_cell(
-        cell,
-        budget,
-        &[ProcessId(0)],
-        pi,
-        judge,
-        &spec,
-        Some(|history| suspicion_stamps(&trace_events(history))),
-    )
+    let stamps: ChurnStamps<_, _> = |history| suspicion_stamps(&trace_events(history));
+    run_storm_cell(cell, budget, sc, pi, None, &spec, Some(stamps))
 }
 
-/// The one simulated driver: one long streamed run, storms from the
-/// cycle, and each epoch judged the moment its last round lands. The
+/// Served round agreement (`mem` transport, real router and node
+/// threads) under the restart cycle: a kill/respawn episode in epoch 0
+/// and the timing storms in every epoch, each epoch verified with Theorem
+/// 3's oracle from [`StormScenario::window_from`].
+fn run_restart(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
+    let (seed, epochs, n) = (cell.seed, cell.epochs, cell.n);
+    let geom = StormGeometry::engine_default();
+    let sc = StormScenario::new(seed, epochs, n, cell.cycle(), &[ProcessId(0)], geom, 2);
+    let (spec, mem) = (RateAgreementSpec::new(), Some(TransportKind::Mem));
+    run_storm_cell(cell, budget, sc, RoundAgreement, mem, &spec, None)
+}
+
+/// A round-driven cell: its scenario driven on the simulator or the
+/// `transport`, its report assembled from the judge's verdicts. The
 /// history keeps one epoch of rounds — all the judge reads — and recycles
-/// the evicted frames, so no execution is ever resident whole, at
-/// `n = 6` or at the large-n plan's `n = 4096`.
-fn run_sync_cell<P>(
+/// the evicted frames, so no execution is ever resident whole, at `n = 6`
+/// or at the large-n plan's `n = 4096`.
+fn run_storm_cell<P>(
     cell: &SoakCell,
     budget: &SoakBudget,
-    victims: &[ProcessId],
+    mut sc: StormScenario,
     protocol: P,
-    mut judge: EpochJudge,
+    transport: Option<TransportKind>,
     spec: &dyn Problem<P::State, P::Msg>,
     churn_stamps: Option<ChurnStamps<P::State, P::Msg>>,
 ) -> CellReport
 where
-    P: SyncProtocol,
-    P::State: Corrupt,
+    P: SyncProtocol + Clone + Send + 'static,
+    P::State: Wire + Corrupt + Send + 'static,
+    P::Msg: WireMsg + Send + 'static,
 {
-    let geom = judge.geom;
-    let total_rounds = geom.epoch_len * cell.epochs as u64;
-    let jsonl = match open_report(cell, RunMode::Sync, Some(total_rounds), budget) {
+    let mut jsonl = match open_report(cell, RunMode::Sync, Some(sc.run.rounds as u64), budget) {
         Ok(jsonl) => jsonl,
         Err(report) => return report,
     };
-
-    let (schedule, phases) =
-        storm_program_for(cell.seed, cell.epochs, &cell.cycle(), &geom, victims);
-    let mut adv = StormAdversary::new(victims.iter().copied(), phases, cell.seed ^ 0x517a);
-    let run_cfg = RunConfig::corrupted(cell.n, total_rounds as usize, burst_seed(cell.seed, 0))
-        .with_mid_run_corruption(schedule)
-        .with_history_window(geom.epoch_len as usize);
-    let run =
-        SyncRunner::new(protocol).run_streaming(&mut adv, &run_cfg, &mut NullSink, |history| {
-            judge.on_round(history, spec, churn_stamps)
-        });
-    match run {
-        Ok(_) => sync_report(cell, &judge, jsonl),
-        Err(e) => bad_config(cell, &e, jsonl),
-    }
-}
-
-/// A synchronous cell's report: per epoch, its storm lines and the
-/// judge's `recovery_measured` line.
-fn sync_report(cell: &SoakCell, judge: &EpochJudge, mut jsonl: String) -> CellReport {
+    sc.run.history_window = Some(sc.geom.epoch_len as usize);
+    let judge = match sc.drive(protocol, transport, spec, churn_stamps, &mut NullSink) {
+        Ok((_, judge)) => judge,
+        Err(e) => return bad_config(cell, &e, jsonl),
+    };
     for (e, (line, _)) in judge.closed().iter().enumerate() {
-        push_cell_storm(&mut jsonl, cell, &judge.geom, e);
+        let span = (sc.geom.storm_start(e), sc.geom.storm_end(e));
+        push_storm_lines(&mut jsonl, cell.seed, e, sc.cycle[e % 4], span);
         push_line(&mut jsonl, line);
     }
     CellReport::from_epochs(cell.label.clone(), judge.verdicts(), jsonl)
 }
 
-// ---------------------------------------------------------------------
-// The served restart cell
-// ---------------------------------------------------------------------
-
-/// Served round agreement (`mem` transport, real router and node
-/// threads) through the [`RestartScenario`]: a kill/respawn episode in
-/// epoch 0 and the restart cycle's timing storms in every epoch, each
-/// epoch verified with Theorem 3's oracle from
-/// [`RestartScenario::window_from`]. Same judge, same one-epoch
-/// retention as the simulated cells.
-fn run_restart_cell(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
-    let mut sc = RestartScenario::new(cell.seed, cell.epochs, cell.n, TransportKind::Mem);
-    let total_rounds = sc.geom.epoch_len * cell.epochs as u64;
-    let jsonl = match open_report(cell, RunMode::Sync, Some(total_rounds), budget) {
-        Ok(jsonl) => jsonl,
-        Err(report) => return report,
-    };
-    let mut judge = sc.judge();
-    sc.config.run.history_window = Some(sc.geom.epoch_len as usize);
-    let spec = RateAgreementSpec::new();
-    let run = serve_streaming(
-        &RoundAgreement,
-        &mut sc.adversary,
-        &sc.config,
-        &mut NullSink,
-        |history| judge.on_round(history, &spec, None),
-    );
-    match run {
-        Ok(_) => sync_report(cell, &judge, jsonl),
-        Err(e) => bad_config(cell, &e, jsonl),
+impl StormScenario {
+    /// The one driver of a judged storm run: the simulator when no
+    /// `transport` is given, a served session over it otherwise (which
+    /// alone renders the restart episode and the timing program) — the
+    /// same round kernel either way, an [`EpochJudge`] riding it as the
+    /// streaming observer and closing each epoch the moment its last
+    /// round lands. Returns the run's outcome and the judge with every
+    /// epoch closed.
+    ///
+    /// # Errors
+    ///
+    /// The simulator's configuration errors, plus a served session's
+    /// transport and wire failures.
+    #[allow(clippy::type_complexity)] // a pair: the run's outcome and its verdicts
+    pub fn drive<P, T>(
+        &self,
+        protocol: P,
+        transport: Option<TransportKind>,
+        spec: &dyn Problem<P::State, P::Msg>,
+        churn_stamps: Option<ChurnStamps<P::State, P::Msg>>,
+        sink: &mut T,
+    ) -> Result<(RunOutcome<P::State, P::Msg>, EpochJudge), String>
+    where
+        P: SyncProtocol + Clone + Send + 'static,
+        P::State: Wire + Corrupt + Send + 'static,
+        P::Msg: WireMsg + Send + 'static,
+        T: TraceSink,
+    {
+        let mut judge = EpochJudge::new(self.geom, self.bound);
+        let mut adversary = self.adversary.clone();
+        let on_round = |history: &_| judge.on_round(self, history, spec, churn_stamps);
+        let outcome = match transport {
+            None => SyncRunner::new(protocol)
+                .run_streaming(&mut adversary, &self.run, sink, on_round)
+                .map_err(|e| e.to_string())?,
+            Some(transport) => {
+                let mut cfg = ServeConfig::new(self.run.clone(), transport);
+                (cfg.restart, cfg.timing) = (self.restart, self.timing.clone());
+                serve_streaming(&protocol, &mut adversary, &cfg, sink, on_round)?
+            }
+        };
+        Ok((outcome, judge))
     }
 }
 

@@ -12,9 +12,10 @@
 //! 4's `2·final_round + 2` bound and Theorem 5's detector settlement —
 //! measured from the end of the storm (Definition 2.4 piece-wise
 //! stability, applied per epoch via
-//! [`ftss_check::window_stabilization`]). One [`EpochJudge`] does that
-//! in-stream for every storm run, so no run holds more than one epoch
-//! of history.
+//! [`ftss_check::window_stabilization`]). A round-driven storm run is one
+//! [`StormScenario`] value and one driver, [`StormScenario::drive`], over
+//! the simulator or a served session; one [`EpochJudge`] rides it
+//! in-stream, so no run holds more than one epoch of history.
 //!
 //! Runtime guardrails keep a soak honest:
 //!
@@ -41,7 +42,7 @@ pub mod verdict;
 pub use engine::{run_soak, SoakConfig, SoakOutcome};
 pub use guard::{with_watchdog, QuiescenceMonitor, SoakBudget, WatchdogOutcome};
 pub use plan::{
-    burst_seed, churn_cycle, join_seed, restart_cycle, storm_cycle, storm_program,
-    storm_program_for, RestartScenario, SoakCell, SoakPlan, SoakScenario, StormGeometry,
+    burst_seed, churn_cycle, join_seed, restart_cycle, storm_cycle, storm_program_for, SoakCell,
+    SoakPlan, SoakScenario, StormGeometry, StormScenario,
 };
 pub use verdict::{CellReport, ChurnStamps, EpochJudge, EpochVerdict, SoakVerdict};

@@ -21,11 +21,14 @@
 //!   crash–restart kills with damaged-snapshot respawns, cycled against
 //!   the partial-synchrony proxy's delay/duplicate/reorder storms. The
 //!   only plan that soaks `ftss-serve` itself.
+//!
+//! Every round-driven cell, and `ftss-lab serve --storm`, is one
+//! [`StormScenario`]: the storm program, adversary, run and window origins
+//! of a judged run, built in one place.
 
-use crate::verdict::EpochJudge;
 use ftss::core::{ProcessId, StormKind, StormPhase};
 use ftss::sync_sim::{CorruptionSchedule, RunConfig, StormAdversary};
-use ftss_serve::{Retry, ServeConfig, ServeRestart, SnapshotFault, TimingFaults, TransportKind};
+use ftss_serve::{Retry, ServeRestart, SnapshotFault, TimingFaults};
 
 /// Which execution a soak cell drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -321,9 +324,8 @@ pub fn join_seed(cell_seed: u64, epoch: u64) -> u64 {
 /// opens with a [`storm_len`](Self::storm_len)-round storm and recovers
 /// for the remainder of its [`epoch_len`](Self::epoch_len) rounds.
 ///
-/// This is the replay seam for substrates other than the soak engine
-/// (the socket runtime, ad-hoc CLI runs): the same geometry plus
-/// [`storm_program`] reproduces a cell's exact storm schedule anywhere.
+/// Together with [`storm_program_for`] it reproduces a cell's exact storm
+/// schedule on any substrate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StormGeometry {
     /// Rounds the storm stays open, counted from the epoch's first round.
@@ -358,30 +360,16 @@ impl StormGeometry {
     }
 }
 
-/// A cell's storm program — the mid-run corruption schedule plus the
-/// copy-dropping storm phases, one cycle entry per epoch. A pure function
-/// of `(seed, epochs, worst_case, geometry)`, so any substrate replaying
-/// it injects byte-identical perturbation.
+/// A storm program — the mid-run corruption schedule plus the storm
+/// phases, one cycle entry per epoch. A pure function of its arguments, so
+/// any substrate replaying it injects byte-identical perturbation.
 ///
 /// Epoch 0's corruption burst is **not** scheduled here: it is the run's
 /// initial corruption (seed [`burst_seed`]`(seed, 0)`), which the caller
-/// injects at round 1; scheduling it again would corrupt round 1 twice.
-pub fn storm_program(
-    seed: u64,
-    epochs: usize,
-    worst_case: bool,
-    geom: &StormGeometry,
-) -> (CorruptionSchedule, Vec<StormPhase>) {
-    storm_program_for(seed, epochs, &storm_cycle(worst_case), geom, &[])
-}
-
-/// [`storm_program`] generalized to an explicit cycle and victim set: the
-/// seam the churn plan uses. A [`StormKind::Join`] epoch additionally
-/// schedules a *targeted* corruption of the victims in the round after
-/// the storm window closes (seed [`join_seed`]) — the joiners' arbitrary
-/// entry state. The stock cycles contain no `Join`, so
-/// `storm_program_for(seed, epochs, &storm_cycle(w), geom, &[])` is
-/// byte-identical to the original `storm_program`.
+/// injects at round 1; scheduling it again would corrupt round 1 twice. A
+/// [`StormKind::Join`] epoch additionally schedules a *targeted*
+/// corruption of the victims in the round after the storm window closes
+/// (seed [`join_seed`]) — the joiners' arbitrary entry state.
 pub fn storm_program_for(
     seed: u64,
     epochs: usize,
@@ -405,9 +393,7 @@ pub fn storm_program_for(
             );
         }
         // Copy-dropping kinds arm the storm adversary; timing kinds arm
-        // the socket runtime's partial-synchrony proxy. The stock cycles
-        // contain no timing kinds, so their programs are byte-identical
-        // to the pre-restart seam.
+        // the socket runtime's partial-synchrony proxy.
         if kind.drops_copies() || kind.is_timing() {
             phases.push(StormPhase::new(start, geom.storm_end(e), kind));
         }
@@ -415,39 +401,66 @@ pub fn storm_program_for(
     (schedule, phases)
 }
 
-/// The restart scenario, defined once for the soak engine's restart
-/// cell and `ftss-lab serve --storm restart`: served round agreement
-/// under [`restart_cycle`] with p0 as the only victim. One crash–restart
-/// episode runs inside epoch 0 — p0 is killed at round 2, its first
-/// respawn at round 4 reads a truncated recovery snapshot, and the final
-/// attempt at round 6 re-admits it on clean (but stale) bytes — while
-/// the partial-synchrony proxy renders the cycle's timing kinds against
-/// p0 in every storm window.
+/// One judged storm run, defined once for the soak engine's round-driven
+/// cells, `ftss-lab serve --storm` and E11: `epochs` epochs of `cycle`
+/// fired against `victims`, each epoch's recovery owed within `bound`
+/// rounds of [`Self::window_from`]. [`Self::drive`] runs it on the
+/// simulator or on a served session.
+///
+/// A cycle with timing kinds is the [`restart_cycle`]: the simulators
+/// ignore those kinds, so its run also carries what only the socket
+/// runtime renders — the partial-synchrony proxy's program against the
+/// victims, and one crash–restart episode inside epoch 0 (the first victim
+/// is killed at round 2, its first respawn at round 4 reads a truncated
+/// recovery snapshot, and the final attempt at round 6 re-admits it on
+/// clean but stale bytes).
 #[derive(Clone, Debug)]
-pub struct RestartScenario {
-    /// Epoch geometry ([`StormGeometry::engine_default`]).
+pub struct StormScenario {
+    /// Epoch geometry.
     pub geom: StormGeometry,
-    /// The drop adversary (the restart cycle arms no dropping phase, but
-    /// it declares p0 faulty — a restart is a fault).
+    /// Epoch `e` fires `cycle[e % 4]`.
+    pub cycle: [StormKind; 4],
+    /// Rounds within which each epoch must re-stabilize.
+    pub bound: u64,
+    /// The run: `epochs × epoch_len` rounds from a corrupted start, the
+    /// per-epoch bursts scheduled, the fault bound at the victim count.
+    /// Retention is the caller's choice (`history_window`); the judge
+    /// needs one epoch.
+    pub run: RunConfig,
+    /// The drop adversary; declares the victims faulty even when the
+    /// cycle arms no dropping phase (a restart is a fault).
     pub adversary: StormAdversary,
-    /// The served run: storm corruption schedule, restart episode and
-    /// timing program.
-    pub config: ServeConfig,
+    /// The restart cycle's kill/respawn episode.
+    pub restart: Option<ServeRestart>,
+    /// The restart cycle's timing program.
+    pub timing: Option<TimingFaults>,
 }
 
-impl RestartScenario {
-    /// The scenario for `epochs` epochs over `n` nodes on `transport`.
-    pub fn new(seed: u64, epochs: usize, n: usize, transport: TransportKind) -> Self {
-        let geom = StormGeometry::engine_default();
-        let victims = [ProcessId(0)];
-        let (schedule, phases) = storm_program_for(seed, epochs, &restart_cycle(), &geom, &victims);
+impl StormScenario {
+    /// The scenario for `epochs` epochs over `n` processes, every storm
+    /// aimed at the declared-faulty `victims`.
+    pub fn new(
+        seed: u64,
+        epochs: usize,
+        n: usize,
+        cycle: [StormKind; 4],
+        victims: &[ProcessId],
+        geom: StormGeometry,
+        bound: u64,
+    ) -> Self {
+        let (schedule, phases) = storm_program_for(seed, epochs, &cycle, &geom, victims);
         let rounds = epochs * geom.epoch_len as usize;
         let run = RunConfig::corrupted(n, rounds, burst_seed(seed, 0))
             .with_mid_run_corruption(schedule)
             .with_max_faulty(victims.len());
-        let config = ServeConfig::new(run, transport)
-            .with_restart(ServeRestart {
-                p: ProcessId(0),
+        let timed = cycle.iter().any(|kind| kind.is_timing());
+        StormScenario {
+            geom,
+            cycle,
+            bound,
+            run,
+            restart: victims.first().filter(|_| timed).map(|&p| ServeRestart {
+                p,
                 kill_round: 2,
                 gap: 2,
                 staleness: 1,
@@ -457,47 +470,35 @@ impl RestartScenario {
                     attempts: 2,
                     backoff_rounds: 2,
                 },
-            })
-            .with_timing(TimingFaults {
+            }),
+            timing: timed.then(|| TimingFaults {
                 victims: victims.to_vec(),
                 phases: phases.clone(),
                 seed: seed ^ 0x7131,
-            });
-        RestartScenario {
-            geom,
-            adversary: StormAdversary::new(victims, phases, seed ^ 0x517a),
-            config,
+            }),
+            adversary: StormAdversary::new(victims.iter().copied(), phases, seed ^ 0x517a),
         }
     }
 
-    /// The first round of epoch `e`'s Theorem-3 verification window: the
-    /// last perturbation that can touch the epoch. That is the storm's
-    /// close plus the timing kind's slack (a `Delay { rounds }` copy
-    /// lands up to `rounds` after the storm closes; reordered and
-    /// duplicated copies land one round late), and in epoch 0
-    /// additionally the restart's final scheduled attempt — the
-    /// re-entering node carries its stale snapshot until that round.
+    /// The first round of epoch `e`'s verification window: the last
+    /// perturbation that can touch the epoch. That is the storm's close
+    /// plus the kind's timing slack (a `Delay { rounds }` copy lands up to
+    /// `rounds` after the storm closes; reordered and duplicated copies
+    /// land one round late), and in epoch 0 additionally the restart's
+    /// final scheduled attempt — the re-entering node carries its stale
+    /// snapshot until that round. For a cycle without timing kinds this is
+    /// `geom.storm_end(e)`.
     pub fn window_from(&self, e: usize) -> u64 {
-        let cycle = restart_cycle();
-        let slack = match cycle[e % cycle.len()] {
+        let slack = match self.cycle[e % self.cycle.len()] {
             StormKind::Delay { rounds } => u64::from(rounds),
             StormKind::Reorder | StormKind::Duplicate => 1,
             _ => 0,
         };
         let from = self.geom.storm_end(e) + slack;
-        match self.config.restart {
+        match self.restart {
             Some(restart) if e == 0 => from.max(restart.last_attempt_round()),
             _ => from,
         }
-    }
-
-    /// The scenario's epoch judge: Theorem 3's window bound (heal round
-    /// included), each epoch's window opening at [`Self::window_from`].
-    pub fn judge(&self) -> EpochJudge {
-        let epochs = self.config.run.rounds / self.geom.epoch_len as usize;
-        let mut judge = EpochJudge::new(self.geom, 2);
-        judge.window_from = Some((0..epochs).map(|e| self.window_from(e)).collect());
-        judge
     }
 }
 
@@ -611,15 +612,29 @@ mod tests {
         assert_eq!(phases.len(), 3);
         assert_eq!(phases[0].kind, StormKind::Join);
         assert_eq!(phases[2].kind, StormKind::Leave);
-        // The stock program is byte-identical through the new seam.
-        let (s1, p1) = storm_program(9, 4, true, &geom);
-        let (s2, p2) = storm_program_for(9, 4, &storm_cycle(true), &geom, &[]);
-        assert_eq!(p1, p2);
-        assert_eq!(
-            s1.seed_for(geom.storm_start(1)),
-            s2.seed_for(geom.storm_start(1))
-        );
-        assert_eq!(s1.targeted_for(1).count(), 0);
+        // The stock cycles contain no `Join`: nothing is ever targeted.
+        let (stock, _) = storm_program_for(9, 4, &storm_cycle(true), &geom, &victims);
+        assert_eq!(stock.targeted_for(entry_round).count(), 0);
+    }
+
+    #[test]
+    fn window_opens_at_the_storm_close_unless_the_cycle_has_timing_slack() {
+        let geom = StormGeometry::engine_default();
+        let scenario = |cycle| StormScenario::new(7, 8, 6, cycle, &[ProcessId(0)], geom, 2);
+        for cycle in [storm_cycle(false), storm_cycle(true), churn_cycle(false)] {
+            let sc = scenario(cycle);
+            assert!(sc.restart.is_none() && sc.timing.is_none());
+            for e in 0..8 {
+                assert_eq!(sc.window_from(e), geom.storm_end(e), "{cycle:?} epoch {e}");
+            }
+        }
+        // The restart cycle, as E11 prints it: the restart's last attempt
+        // (round 6) in epoch 0, then delay 2 / duplicate 1 / reorder 1 /
+        // burst 0 rounds past each storm's close.
+        let sc = scenario(restart_cycle());
+        assert_eq!(sc.restart.map(|r| r.last_attempt_round()), Some(6));
+        let opens: Vec<u64> = (0..8).map(|e| sc.window_from(e)).collect();
+        assert_eq!(opens, [6, 16, 28, 39, 53, 64, 76, 87]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! produces them, and the per-cell report.
 
 use crate::guard::QuiescenceMonitor;
-use crate::plan::StormGeometry;
+use crate::plan::{StormGeometry, StormScenario};
 use ftss::core::{History, Problem};
 use ftss::telemetry::Event;
 use ftss_check::window_stabilization;
@@ -109,39 +109,36 @@ impl EpochVerdict {
 /// quiescence monitor's input at an epoch's close.
 pub type ChurnStamps<S, M> = fn(&History<S, M>) -> Vec<u64>;
 
-/// The one in-stream epoch judge of every storm run: the soak's
-/// synchronous cells, its served restart cell and `ftss-lab serve
-/// --storm` hand it each round as it lands ([`Self::on_round`], from the
-/// driver's streaming observer), and it closes epoch `e` the moment round
-/// `epoch_end(e)` does — Definition 2.4's bounded question, asked of the
-/// rounds still resident. A run judged this way never needs more than one
-/// epoch of history. The asynchronous detector cell has no rounds to
-/// stream; it brings its own measurement to [`Self::close`].
+/// The one in-stream epoch judge of every storm run:
+/// [`StormScenario::drive`] hands it each round as it lands
+/// ([`Self::on_round`], the streaming observer of either exchange), and it
+/// closes epoch `e` the moment round `epoch_end(e)` does — Definition
+/// 2.4's bounded question, asked of the rounds still resident. A run
+/// judged this way never needs more than one epoch of history. The
+/// asynchronous detector cell has no rounds to stream; it brings its own
+/// measurement to [`Self::close`].
 #[derive(Clone, Debug)]
 pub struct EpochJudge {
-    pub(crate) geom: StormGeometry,
+    geom: StormGeometry,
     bound: u64,
-    /// Where epoch `e`'s verification window opens when that is not its
-    /// storm's close ([`crate::RestartScenario::judge`]).
-    pub(crate) window_from: Option<Vec<u64>>,
     closed: Vec<(Event, EpochVerdict)>,
 }
 
 impl EpochJudge {
     /// A judge for runs of `geom`-shaped epochs whose recovery must fit
-    /// `bound`, measured from each storm's close.
+    /// `bound`.
     pub fn new(geom: StormGeometry, bound: u64) -> Self {
         EpochJudge {
             geom,
             bound,
-            window_from: None,
             closed: Vec::new(),
         }
     }
 
     /// The streaming observer. When `history`'s newest round closes an
-    /// epoch, measures `spec`'s stabilization on that epoch's window and
-    /// the tail churn of `churn_stamps(history)` (none: no churn), and
+    /// epoch, measures `spec`'s stabilization on that epoch's window —
+    /// opening where `scenario` says ([`StormScenario::window_from`]) —
+    /// and the tail churn of `churn_stamps(history)` (none: no churn), and
     /// closes the epoch.
     ///
     /// # Panics
@@ -150,6 +147,7 @@ impl EpochJudge {
     /// verdict on a truncated window would be a lie.
     pub fn on_round<S, M>(
         &mut self,
+        scenario: &StormScenario,
         history: &History<S, M>,
         spec: &dyn Problem<S, M>,
         churn_stamps: Option<ChurnStamps<S, M>>,
@@ -164,12 +162,9 @@ impl EpochJudge {
             history.len() - history.evicted(),
             self.geom.epoch_len
         );
-        let from = match &self.window_from {
-            Some(window_from) => window_from[e],
-            None => self.geom.storm_end(e),
-        };
+        let from = scenario.window_from(e) as usize;
         let bound = self.bound as usize;
-        let measured = window_stabilization(history, spec, from as usize, history.len(), bound);
+        let measured = window_stabilization(history, spec, from, history.len(), bound);
         let stamps = churn_stamps.map_or_else(Vec::new, |stamps| stamps(history));
         self.close(measured.map(|s| s as u64), &stamps, history.n());
     }
@@ -279,7 +274,8 @@ impl CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftss::core::RateAgreementSpec;
+    use crate::plan::storm_cycle;
+    use ftss::core::{ProcessId, RateAgreementSpec};
     use ftss::protocols::{RoundAgreement, RoundAgreementState};
     use ftss::sync_sim::{NoFaults, RunConfig, SyncRunner};
     use ftss::telemetry::NullSink;
@@ -291,11 +287,13 @@ mod tests {
         churn_stamps: Option<ChurnStamps<RoundAgreementState, u64>>,
     ) -> Vec<EpochVerdict> {
         let geom = StormGeometry::engine_default();
+        // Only the scenario's window origins are used: the run is clean.
+        let sc = StormScenario::new(0, 2, 4, storm_cycle(false), &[ProcessId(0)], geom, 2);
         let mut judge = EpochJudge::new(geom, 2);
         let cfg = RunConfig::clean(4, 2 * geom.epoch_len as usize).with_history_window(window);
         SyncRunner::new(RoundAgreement)
             .run_streaming(&mut NoFaults, &cfg, &mut NullSink, |history| {
-                judge.on_round(history, &RateAgreementSpec::new(), churn_stamps)
+                judge.on_round(&sc, history, &RateAgreementSpec::new(), churn_stamps)
             })
             .unwrap();
         judge.verdicts()

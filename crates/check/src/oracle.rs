@@ -9,7 +9,9 @@
 //! line suitable for schedule files and CLI output.
 
 use ftss::analysis::measured_stabilization_time;
-use ftss::core::{ftss_check, History, Problem, ProcessSet, RateAgreementSpec};
+use ftss::core::{
+    ftss_check, stabilization_offset, History, Problem, ProcessSet, RateAgreementSpec,
+};
 use ftss::detectors::{eventual_weak_accuracy, strong_completeness_time, SuspectProbe};
 
 /// `None` = property holds; `Some(detail)` = violation, one line.
@@ -139,23 +141,15 @@ pub fn window_stabilization<S, M>(
             history.evicted()
         ));
     }
-    let faulty = history.faulty_upto(to_len);
-    let duration = to_len - from_len + 1;
-    for s in 0..duration {
-        let start = from_len - 1 + s;
-        if problem.check(history.slice(start, to_len), &faulty).is_ok() {
-            return if s <= bound {
-                Ok(s)
-            } else {
-                Err(format!(
-                    "stabilized {s} rounds into window {from_len}..{to_len}, bound is {bound}"
-                ))
-            };
-        }
+    match stabilization_offset(history, problem, from_len, to_len) {
+        Some(s) if s <= bound => Ok(s),
+        Some(s) => Err(format!(
+            "stabilized {s} rounds into window {from_len}..{to_len}, bound is {bound}"
+        )),
+        None => Err(format!(
+            "never satisfied within window {from_len}..{to_len} (bound {bound})"
+        )),
     }
-    Err(format!(
-        "never satisfied within window {from_len}..{to_len} (bound {bound})"
-    ))
 }
 
 /// **Theorem 5**: the self-stabilizing ◇S detector settles — strong

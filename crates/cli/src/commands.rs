@@ -22,8 +22,7 @@ use ftss::protocols::{
     RoundAgreement, TokenRing,
 };
 use ftss::sync_sim::{
-    Adversary, CrashOnly, NoFaults, RandomOmission, RunConfig, RunOutcome, StormAdversary,
-    SyncProtocol, SyncRunner,
+    Adversary, CrashOnly, NoFaults, RandomOmission, RunConfig, RunOutcome, SyncProtocol, SyncRunner,
 };
 use ftss::telemetry::{Event, JsonlSink, Metrics, TraceSink};
 use ftss_rng::StdRng;
@@ -696,52 +695,28 @@ fn serve_round_agreement(
     if epochs == 0 {
         return Err("--storm needs --epochs >= 1".into());
     }
-    let geom = ftss_chaos::StormGeometry::engine_default();
-    // The storm's adversary and served run, plus its per-epoch recovery
-    // judge: stabilization within the Thm-3 window bound, verified
-    // in-stream as each epoch's last round lands.
-    let (mut adv, cfg, mut judge): (StormAdversary, _, _) = match storm {
-        "default" | "worst-case" => {
-            let n: usize = args.get_or("n", 4)?;
-            // A strict-minority victim set, so round agreement's n > 2f holds.
-            let victims: Vec<ProcessId> = (0..(n.saturating_sub(1) / 2).max(1))
-                .map(ProcessId)
-                .collect();
-            if 2 * victims.len() >= n {
-                return Err(format!("--storm needs n >= 3 (n={n})"));
-            }
-            let rounds = epochs * geom.epoch_len as usize;
-            let (schedule, phases) =
-                ftss_chaos::storm_program(seed, epochs, storm == "worst-case", &geom);
-            let run_cfg = RunConfig::corrupted(n, rounds, ftss_chaos::burst_seed(seed, 0))
-                .with_mid_run_corruption(schedule)
-                .with_max_faulty(victims.len());
-            (
-                StormAdversary::new(victims, phases, seed ^ 0x517a),
-                ftss_serve::ServeConfig::new(run_cfg, transport),
-                ftss_chaos::EpochJudge::new(geom, 2),
-            )
-        }
-        // A kill/respawn episode plus the partial-synchrony proxy's
-        // delay/duplicate/reorder storms: ftss-chaos's restart scenario.
-        "restart" => {
-            let n: usize = args.get_or("n", 3)?;
-            if n < 3 {
-                return Err(format!("--storm restart needs n >= 3 (n={n})"));
-            }
-            let sc = ftss_chaos::RestartScenario::new(seed, epochs, n, transport);
-            let judge = sc.judge();
-            (sc.adversary, sc.config, judge)
-        }
+    let (cycle, default_n) = match storm {
+        "default" | "worst-case" => (ftss_chaos::storm_cycle(storm == "worst-case"), 4),
+        "restart" => (ftss_chaos::restart_cycle(), 3),
         other => {
             return Err(format!(
                 "unknown --storm `{other}` (default|worst-case|restart)"
             ))
         }
     };
-    let out = ftss_serve::serve_streaming(&RoundAgreement, &mut adv, &cfg, sink, |history| {
-        judge.on_round(history, &spec, None)
-    })?;
+    let n: usize = args.get_or("n", default_n)?;
+    if n < 3 {
+        return Err(format!("--storm needs n >= 3 (n={n})"));
+    }
+    // A strict-minority victim set, so round agreement's n > 2f holds; the
+    // restart cycle's episode and timing proxy target p0 alone.
+    let f = if storm == "restart" { 1 } else { (n - 1) / 2 };
+    let victims: Vec<ProcessId> = (0..f).map(ProcessId).collect();
+    // Stabilization within the Thm-3 window bound, judged in-stream as each
+    // epoch's last round lands.
+    let geom = ftss_chaos::StormGeometry::engine_default();
+    let scenario = ftss_chaos::StormScenario::new(seed, epochs, n, cycle, &victims, geom, 2);
+    let (out, judge) = scenario.drive(RoundAgreement, Some(transport), &spec, None, sink)?;
     // One `recovery_measured` event per epoch, after the run's own stream.
     let mut all_ok = true;
     for (event, verdict) in judge.closed() {

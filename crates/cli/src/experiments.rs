@@ -8,12 +8,12 @@
 //! commands instead of a hand-kept copy.
 
 use ftss::analysis::Table;
-use ftss::core::StormKind;
+use ftss::core::{ProcessId, StormKind};
 use ftss::telemetry::Event;
 use ftss_chaos::{
-    restart_cycle, run_soak, RestartScenario, SoakBudget, SoakConfig, SoakPlan, SoakScenario,
+    restart_cycle, run_soak, SoakBudget, SoakConfig, SoakPlan, SoakScenario, StormGeometry,
+    StormScenario,
 };
-use ftss_serve::TransportKind;
 use ftss_sweep::max;
 
 /// Rows of the coverage matrix, in order: what an experiment's table is
@@ -188,7 +188,7 @@ pub fn exp_values() -> String {
 /// transport: real router, real node threads) for 4 epochs per seed,
 /// folded per epoch over every cell of every seed. `window opens` is
 /// where the Theorem-3 window is measured from: the last perturbation
-/// that can touch the epoch ([`RestartScenario::window_from`]).
+/// that can touch the epoch ([`StormScenario::window_from`]).
 fn e11_table(seeds: u64, jobs: usize) -> Table {
     const EPOCHS: usize = 4;
     // (measured stabilization, bound, recovered) per epoch, read back off
@@ -215,7 +215,8 @@ fn e11_table(seeds: u64, jobs: usize) -> Table {
         }
     }
     // Geometry and window origins do not depend on the seed.
-    let scenario = RestartScenario::new(0, EPOCHS, 3, TransportKind::Mem);
+    let geom = StormGeometry::engine_default();
+    let scenario = StormScenario::new(0, EPOCHS, 3, restart_cycle(), &[ProcessId(0)], geom, 2);
     let mut t = Table::new(vec![
         "epoch",
         "storm",
@@ -230,8 +231,8 @@ fn e11_table(seeds: u64, jobs: usize) -> Table {
         let failed = runs.len() - recovered.len();
         t.row(vec![
             e.to_string(),
-            restart_cycle()[e % 4].name().into(),
-            scenario.geom.storm_end(e).to_string(),
+            scenario.cycle[e % 4].name().into(),
+            geom.storm_end(e).to_string(),
             scenario.window_from(e).to_string(),
             runs.first().map_or("-".into(), |r| r.1.to_string()),
             max(&recovered),

@@ -333,11 +333,12 @@ fn check_rejects_oversized_dfs() {
 /// `serve --storm` judges every epoch in-stream; its JSONL is still, byte
 /// for byte, what the post-hoc verification loop wrote (the digests
 /// `tests/serve_determinism.rs` pins at library level, recorded at PR
-/// 16's parent commit).
+/// 16's parent commit; worst-case at PR 23's).
 #[test]
 fn serve_storm_streams_match_the_recorded_digests() {
     for (storm, digest) in [
         ("default", 0x3c69_6cc4_fd28_1458_6f9f_c64e_d2cb_d998_u128),
+        ("worst-case", 0x47cc_bbe4_cd08_6ac8_552c_4731_db43_7aec),
         ("restart", 0xab69_4747_c22b_a9e9_2bb1_a876_56ee_8321),
     ] {
         let o = run(&[

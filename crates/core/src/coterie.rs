@@ -41,16 +41,15 @@ impl StableWindow {
 /// # Example
 ///
 /// ```
-/// use ftss_core::{CoterieTimeline, History, ProcessRoundRecord, RoundHistory};
+/// use ftss_core::{CoterieTimeline, History, ProcessId, RoundHistory};
 ///
 /// // A 1-process history of 2 silent rounds: the lone process is trivially
 /// // in every coterie.
 /// let mut h: History<(), ()> = History::new(1);
 /// for _ in 0..2 {
-///     h.push(RoundHistory::from_records(vec![ProcessRoundRecord {
-///         state_at_start: Some(()), counter_at_start: None,
-///         sent: vec![], delivered: vec![], crashed_here: false,
-///         halted_at_start: false }]));
+///     let mut round = RoundHistory::empty(1);
+///     round.set_process(ProcessId(0), Some(()), None, false, false);
+///     h.push(round);
 /// }
 /// let tl = CoterieTimeline::compute(&h);
 /// assert_eq!(tl.at_prefix(1).len(), 1);
@@ -155,12 +154,9 @@ pub fn coterie_of_prefix<S, M>(history: &History<S, M>, k: usize) -> ProcessSet 
 }
 
 #[cfg(test)]
-#[allow(clippy::needless_range_loop)] // indices double as process ids in test builders
 mod tests {
     use super::*;
-    use crate::history::{DeliveryOutcome, ProcessRoundRecord, RoundHistory, SendRecord};
-    use crate::message::Envelope;
-    use crate::round::Round;
+    use crate::history::{DeliveryOutcome, RoundHistory};
     use crate::ProcessId;
 
     type H = History<(), u8>;
@@ -168,39 +164,23 @@ mod tests {
     /// Builds one round where `edges` lists (from, to, delivered?) for every
     /// attempted copy; self-delivery always recorded.
     fn round(n: usize, edges: &[(usize, usize, bool)]) -> RoundHistory<(), u8> {
-        let mut records: Vec<ProcessRoundRecord<(), u8>> = (0..n)
-            .map(|_| ProcessRoundRecord {
-                state_at_start: Some(()),
-                counter_at_start: None,
-                sent: vec![],
-                delivered: vec![],
-                crashed_here: false,
-                halted_at_start: false,
-            })
-            .collect();
-        for i in 0..n {
+        let mut rh = RoundHistory::empty(n);
+        for p in (0..n).map(ProcessId) {
+            rh.set_process(p, Some(()), None, false, false);
+            rh.set_broadcast(p, 0.into());
             // Self delivery (paper footnote 1): always succeeds.
-            records[i]
-                .delivered
-                .push(Envelope::new(ProcessId(i), Round::FIRST, 0));
+            rh.record_delivery(p, p);
         }
         for &(from, to, ok) in edges {
-            records[from].sent.push(SendRecord {
-                dst: ProcessId(to),
-                payload: 0.into(),
-                outcome: if ok {
-                    DeliveryOutcome::Delivered
-                } else {
-                    DeliveryOutcome::DroppedBySender
-                },
-            });
+            let (from, to) = (ProcessId(from), ProcessId(to));
             if ok {
-                records[to]
-                    .delivered
-                    .push(Envelope::new(ProcessId(from), Round::FIRST, 0));
+                rh.record_send(from, to, DeliveryOutcome::Delivered);
+                rh.record_delivery(to, from);
+            } else {
+                rh.record_send(from, to, DeliveryOutcome::DroppedBySender);
             }
         }
-        RoundHistory::from_records(records)
+        rh
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! ([`RoundMsgs`]), and the flags (`crashed_here`, `halted_at_start`) are
 //! [`ProcessSet`] bitsets. A full-mesh round at n processes therefore costs
 //! `2·n²` *bits* plus one shared [`Payload`] per sender, instead of the
-//! `O(n²)` `SendRecord`/`Envelope` structs of a naive array-of-structs
-//! layout. Code reads records through the borrowed [`RoundRecordView`];
-//! the array-of-structs [`ProcessRoundRecord`] survives as a builder input
-//! for tests and checkers ([`RoundHistory::from_records`]).
+//! `O(n²)` per-copy `Envelope` structs of a naive array-of-structs
+//! layout. Code reads records through the borrowed [`RoundRecordView`]
+//! and writes them through [`RoundHistory`]'s `set_*`/`record_*` recorder.
 //!
 //! A [`History`] can additionally be **windowed**: constructed via
 //! [`History::with_window`], it retains only the most recent `w` round
@@ -36,7 +35,6 @@
 
 use crate::fault::FaultKind;
 use crate::id::{ProcessId, ProcessSet, SetBits, WORD_BITS};
-use crate::message::Envelope;
 use crate::payload::Payload;
 use crate::round::{Round, RoundCounter};
 use std::fmt;
@@ -72,31 +70,6 @@ pub enum DeliveryOutcome {
     /// delivered bit is set) *and* was echoed again into the next round's
     /// inbox. Like [`DeliveryOutcome::Delayed`], no process deviated.
     Duplicated,
-}
-
-/// One point-to-point copy of a broadcast: destination, payload, fate.
-///
-/// Builder input for [`RoundHistory::from_records`]; the stored layout keeps
-/// one payload per sender plus a bit per copy instead ([`RoundMsgs`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SendRecord<M> {
-    /// The destination process.
-    pub dst: ProcessId,
-    /// The payload carried, shared with the broadcast's other copies.
-    pub payload: Payload<M>,
-    /// What happened to this copy.
-    pub outcome: DeliveryOutcome,
-}
-
-impl<M> SendRecord<M> {
-    /// Creates a record; accepts a bare message or a shared [`Payload`].
-    pub fn new(dst: ProcessId, payload: impl Into<Payload<M>>, outcome: DeliveryOutcome) -> Self {
-        SendRecord {
-            dst,
-            payload: payload.into(),
-            outcome,
-        }
-    }
 }
 
 /// A set of [`FaultKind`]s, packed into one byte — the allocation-free
@@ -492,44 +465,6 @@ impl<'a, M> Iterator for DeliveredIter<'a, M> {
     }
 }
 
-/// Everything one process did (and suffered) in one round — the
-/// array-of-structs *builder* form, consumed by
-/// [`RoundHistory::from_records`]. The stored layout is struct-of-arrays;
-/// read it back through [`RoundHistory::record`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ProcessRoundRecord<S, M> {
-    /// State at the start of the round; `None` once the process has
-    /// crashed ("`s_p^r` becomes undefined", §2.1).
-    pub state_at_start: Option<S>,
-    /// The round counter `c_p^r` at the start of the round, if the protocol
-    /// maintains one and the process is alive.
-    pub counter_at_start: Option<RoundCounter>,
-    /// The copies of this round's broadcast, one per destination.
-    pub sent: Vec<SendRecord<M>>,
-    /// Messages this process received this round.
-    pub delivered: Vec<Envelope<M>>,
-    /// Whether the process crashed *during* this round.
-    pub crashed_here: bool,
-    /// Whether the process had voluntarily halted by the start of this
-    /// round (the "self-checking and halting" behaviour of Assumption 2's
-    /// uniform protocols; distinct from crashing, which is a failure).
-    pub halted_at_start: bool,
-}
-
-impl<S, M> ProcessRoundRecord<S, M> {
-    /// A record for a process that was already crashed at the round start.
-    pub fn crashed() -> Self {
-        ProcessRoundRecord {
-            state_at_start: None,
-            counter_at_start: None,
-            sent: Vec::new(),
-            delivered: Vec::new(),
-            crashed_here: false,
-            halted_at_start: false,
-        }
-    }
-}
-
 /// The global state-and-actions snapshot of a single round,
 /// struct-of-arrays (see the module docs for the layout).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -667,47 +602,6 @@ impl<S, M> RoundHistory<S, M> {
         }
     }
 
-    /// Builds a round from per-process array-of-structs records (test and
-    /// checker convenience; the simulator uses the incremental builders).
-    ///
-    /// The broadcast payload of each sender is taken from its first send
-    /// record, falling back to a delivered envelope when the sender's own
-    /// record carries none (as some test fixtures record only one side).
-    pub fn from_records(records: Vec<ProcessRoundRecord<S, M>>) -> Self {
-        let n = records.len();
-        let mut rh = Self::empty(n);
-        for (i, rec) in records.into_iter().enumerate() {
-            let p = ProcessId(i);
-            rh.set_process(
-                p,
-                rec.state_at_start,
-                rec.counter_at_start,
-                rec.crashed_here,
-                rec.halted_at_start,
-            );
-            for s in rec.sent {
-                if s.outcome == DeliveryOutcome::Forged {
-                    // The record's payload is the *forged* one; the shared
-                    // broadcast slot must not learn it.
-                    rh.record_forged(p, s.dst, s.payload);
-                    continue;
-                }
-                if rh.msgs.payloads[i].is_none() {
-                    rh.msgs.payloads[i] = Some(s.payload);
-                }
-                rh.record_send(p, s.dst, s.outcome);
-            }
-            for env in rec.delivered {
-                if rh.msgs.payloads[env.src.index()].is_none() {
-                    rh.msgs.payloads[env.src.index()] = Some(env.payload);
-                }
-                rh.record_delivery(p, env.src);
-            }
-        }
-        rh.msgs.exceptions.sort_by_key(|&(s, d, _)| (s, d));
-        rh
-    }
-
     /// Number of processes.
     pub fn n(&self) -> usize {
         self.states.len()
@@ -808,7 +702,7 @@ impl<S, M> RoundHistory<S, M> {
 }
 
 /// A borrowed per-process view into one [`RoundHistory`] — the reading
-/// counterpart of the [`ProcessRoundRecord`] builder.
+/// counterpart of its `set_*`/`record_*` recorder.
 #[derive(Debug)]
 pub struct RoundRecordView<'a, S, M> {
     rh: &'a RoundHistory<S, M>,
@@ -1160,26 +1054,28 @@ impl<S: fmt::Debug, M: fmt::Debug> fmt::Display for History<S, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use DeliveryOutcome::{Delivered, DroppedByReceiver, DroppedBySender, Forged, ReceiverCrashed};
 
     type H = History<u32, &'static str>;
     type RH = RoundHistory<u32, &'static str>;
 
-    fn record(
-        sent: Vec<SendRecord<&'static str>>,
-        crashed: bool,
-    ) -> ProcessRoundRecord<u32, &'static str> {
-        ProcessRoundRecord {
-            state_at_start: Some(0),
-            counter_at_start: Some(RoundCounter::new(1)),
-            sent,
-            delivered: Vec::new(),
-            crashed_here: crashed,
-            halted_at_start: false,
+    /// A round over `sends.len()` processes, each at state 0 and counter
+    /// 1; `sends[p]` lists the copies of `p`'s broadcast `"m"` as
+    /// `(dst, outcome)`, and the processes in `crashed` crash here.
+    fn round(sends: &[&[(usize, DeliveryOutcome)]], crashed: &[usize]) -> RH {
+        let mut rh = RH::empty(sends.len());
+        for (i, copies) in sends.iter().enumerate() {
+            let p = ProcessId(i);
+            let counter = Some(RoundCounter::new(1));
+            rh.set_process(p, Some(0), counter, crashed.contains(&i), false);
+            if !copies.is_empty() {
+                rh.set_broadcast(p, Payload::new("m"));
+            }
+            for &(dst, outcome) in *copies {
+                rh.record_send(p, ProcessId(dst), outcome);
+            }
         }
-    }
-
-    fn send(dst: usize, outcome: DeliveryOutcome) -> SendRecord<&'static str> {
-        SendRecord::new(ProcessId(dst), "m", outcome)
+        rh
     }
 
     #[test]
@@ -1195,10 +1091,7 @@ mod tests {
     #[test]
     fn send_omission_marks_sender_faulty() {
         let mut h = H::new(2);
-        h.push(RH::from_records(vec![
-            record(vec![send(1, DeliveryOutcome::DroppedBySender)], false),
-            record(vec![send(0, DeliveryOutcome::Delivered)], false),
-        ]));
+        h.push(round(&[&[(1, DroppedBySender)], &[(0, Delivered)]], &[]));
         let f = h.faulty();
         assert!(f.contains(ProcessId(0)));
         assert!(!f.contains(ProcessId(1)));
@@ -1211,10 +1104,7 @@ mod tests {
     #[test]
     fn receive_omission_marks_receiver_faulty() {
         let mut h = H::new(2);
-        h.push(RH::from_records(vec![
-            record(vec![send(1, DeliveryOutcome::DroppedByReceiver)], false),
-            record(vec![send(0, DeliveryOutcome::Delivered)], false),
-        ]));
+        h.push(round(&[&[(1, DroppedByReceiver)], &[(0, Delivered)]], &[]));
         let f = h.faulty();
         assert!(!f.contains(ProcessId(0)), "sender is innocent");
         assert!(f.contains(ProcessId(1)), "receiver deviated");
@@ -1224,10 +1114,7 @@ mod tests {
     fn crash_attribution_and_receiver_crashed_is_innocent() {
         let mut h = H::new(2);
         // Round 1: p1 crashes. p0's copy to p1 vanishes without deviation by p0.
-        h.push(RH::from_records(vec![
-            record(vec![send(1, DeliveryOutcome::ReceiverCrashed)], false),
-            record(vec![], true),
-        ]));
+        h.push(round(&[&[(1, ReceiverCrashed)], &[]], &[1]));
         let f = h.faulty();
         assert!(!f.contains(ProcessId(0)));
         assert!(f.contains(ProcessId(1)));
@@ -1236,17 +1123,9 @@ mod tests {
     #[test]
     fn forged_copy_arrives_with_forged_payload_and_marks_sender() {
         let mut h = H::new(3);
-        h.push(RH::from_records(vec![
-            record(
-                vec![
-                    SendRecord::new(ProcessId(1), "forged", DeliveryOutcome::Forged),
-                    send(2, DeliveryOutcome::Delivered),
-                ],
-                false,
-            ),
-            record(vec![send(0, DeliveryOutcome::Delivered)], false),
-            record(vec![], false),
-        ]));
+        let mut rh = round(&[&[(2, Delivered)], &[(0, Delivered)], &[]], &[]);
+        rh.record_forged(ProcessId(0), ProcessId(1), Payload::new("forged"));
+        h.push(rh);
         let rh = h.round(Round::FIRST);
         // Attribution: the forging sender is faulty, the receiver innocent.
         assert!(h.faulty().contains(ProcessId(0)));
@@ -1255,7 +1134,7 @@ mod tests {
         // The copy arrives — delivered bit set, outcome recorded as Forged.
         assert_eq!(
             rh.msgs().outcome_of(ProcessId(0), ProcessId(1)),
-            Some(DeliveryOutcome::Forged)
+            Some(Forged)
         );
         // The receiver of the forged copy sees the forged payload, while
         // the shared broadcast slot keeps the genuine one.
@@ -1274,7 +1153,7 @@ mod tests {
         // Round-tripping through records preserves both payloads.
         let sent: Vec<_> = rh.record(ProcessId(0)).sent().collect();
         assert_eq!(*sent[0].payload, "forged");
-        assert_eq!(sent[0].outcome, DeliveryOutcome::Forged);
+        assert_eq!(sent[0].outcome, Forged);
         assert_eq!(*sent[1].payload, "m");
         // The bulk faulty-set query agrees.
         let mut all = Vec::new();
@@ -1285,14 +1164,8 @@ mod tests {
     #[test]
     fn faulty_upto_is_prefix_monotone() {
         let mut h = H::new(2);
-        h.push(RH::from_records(vec![
-            record(vec![send(1, DeliveryOutcome::Delivered)], false),
-            record(vec![send(0, DeliveryOutcome::Delivered)], false),
-        ]));
-        h.push(RH::from_records(vec![
-            record(vec![send(1, DeliveryOutcome::DroppedBySender)], false),
-            record(vec![send(0, DeliveryOutcome::Delivered)], false),
-        ]));
+        h.push(round(&[&[(1, Delivered)], &[(0, Delivered)]], &[]));
+        h.push(round(&[&[(1, DroppedBySender)], &[(0, Delivered)]], &[]));
         assert!(h.faulty_upto(1).is_empty());
         assert!(h.faulty_upto(2).contains(ProcessId(0)));
         assert!(h.faulty_upto(1).is_subset(&h.faulty_upto(2)));
@@ -1301,17 +1174,8 @@ mod tests {
     #[test]
     fn deviation_set_agrees_with_vec_and_is_packed() {
         let mut h = H::new(3);
-        h.push(RH::from_records(vec![
-            record(
-                vec![
-                    send(1, DeliveryOutcome::DroppedBySender),
-                    send(2, DeliveryOutcome::DroppedByReceiver),
-                ],
-                true,
-            ),
-            record(vec![send(0, DeliveryOutcome::Delivered)], false),
-            record(vec![], false),
-        ]));
+        let p0 = [(1, DroppedBySender), (2, DroppedByReceiver)];
+        h.push(round(&[&p0, &[(0, Delivered)], &[]], &[0]));
         let rh = h.round(Round::FIRST);
         let set = rh.deviation_set(ProcessId(0));
         assert_eq!(set.len(), 2);
@@ -1450,28 +1314,16 @@ mod tests {
         // the receiver's envelope sharing one broadcast payload, once with
         // each deep-cloned. The two representations must be
         // indistinguishable to every observer.
+        let exchange = |payload: Payload<&'static str>| {
+            let mut rh = round(&[&[], &[]], &[]);
+            rh.set_broadcast(ProcessId(0), payload);
+            rh.record_send(ProcessId(0), ProcessId(1), Delivered);
+            rh.record_delivery(ProcessId(1), ProcessId(0));
+            rh
+        };
         let shared_payload = Payload::new("m");
-        let shared = RH::from_records(vec![
-            record(
-                vec![SendRecord::new(
-                    ProcessId(1),
-                    shared_payload.clone(),
-                    DeliveryOutcome::Delivered,
-                )],
-                false,
-            ),
-            ProcessRoundRecord {
-                delivered: vec![Envelope::new(ProcessId(0), Round::FIRST, shared_payload)],
-                ..record(vec![], false)
-            },
-        ]);
-        let cloned = RH::from_records(vec![
-            record(vec![send(1, DeliveryOutcome::Delivered)], false),
-            ProcessRoundRecord {
-                delivered: vec![Envelope::new(ProcessId(0), Round::FIRST, Payload::new("m"))],
-                ..record(vec![], false)
-            },
-        ]);
+        let shared = exchange(shared_payload.clone());
+        let cloned = exchange(Payload::new("m"));
 
         let mut h_shared = H::new(2);
         h_shared.push(shared);
@@ -1499,7 +1351,7 @@ mod tests {
     fn slices_views() {
         let mut h = H::new(1);
         for _ in 0..5 {
-            h.push(RH::from_records(vec![record(vec![], false)]));
+            h.push(round(&[&[]], &[]));
         }
         let s = h.slice(1, 4);
         assert_eq!(s.len(), 3);
@@ -1525,20 +1377,14 @@ mod tests {
     #[should_panic(expected = "wrong process count")]
     fn push_wrong_width_panics() {
         let mut h = H::new(2);
-        h.push(RH::from_records(vec![record(vec![], false)]));
+        h.push(round(&[&[]], &[]));
     }
 
     fn faulty_round_then_clean(h: &mut H) {
         // Round 1: p0 send-omits toward p1; later rounds are clean.
-        h.push(RH::from_records(vec![
-            record(vec![send(1, DeliveryOutcome::DroppedBySender)], false),
-            record(vec![send(0, DeliveryOutcome::Delivered)], false),
-        ]));
+        h.push(round(&[&[(1, DroppedBySender)], &[(0, Delivered)]], &[]));
         for _ in 0..3 {
-            h.push(RH::from_records(vec![
-                record(vec![send(1, DeliveryOutcome::Delivered)], false),
-                record(vec![send(0, DeliveryOutcome::Delivered)], false),
-            ]));
+            h.push(round(&[&[(1, Delivered)], &[(0, Delivered)]], &[]));
         }
     }
 
@@ -1580,10 +1426,8 @@ mod tests {
     #[test]
     fn eviction_returns_the_frame_for_reuse() {
         let mut h = H::with_window(1, 1);
-        assert!(h
-            .push(RH::from_records(vec![record(vec![], false)]))
-            .is_none());
-        let frame = h.push(RH::from_records(vec![record(vec![], true)]));
+        assert!(h.push(round(&[&[]], &[])).is_none());
+        let frame = h.push(round(&[&[]], &[0]));
         let mut frame = frame.expect("second push must evict the first round");
         frame.reset(1);
         assert_eq!(frame, RH::empty(1));
@@ -1624,7 +1468,7 @@ mod tests {
     #[test]
     fn display_smoke() {
         let mut h = H::new(1);
-        h.push(RH::from_records(vec![record(vec![], true)]));
+        h.push(round(&[&[]], &[0]));
         let s = h.to_string();
         assert!(s.contains("round 1"));
         assert!(s.contains("CRASHED"));

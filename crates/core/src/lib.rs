@@ -59,8 +59,8 @@ pub use framing::{
     encode_frame, frame_bytes, FrameDecoder, FrameError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
 pub use history::{
-    DeliveredIter, Deliveries, DeliveryOutcome, DeviationSet, History, HistorySlice,
-    ProcessRoundRecord, RoundHistory, RoundMsgs, RoundRecordView, SendRecord, SentCopy, SentIter,
+    DeliveredIter, Deliveries, DeliveryOutcome, DeviationSet, History, HistorySlice, RoundHistory,
+    RoundMsgs, RoundRecordView, SentCopy, SentIter,
 };
 pub use id::{ProcessId, ProcessSet};
 pub use message::Envelope;
@@ -68,6 +68,7 @@ pub use payload::Payload;
 pub use problem::{Problem, RateAgreementSpec, UniformitySpec};
 pub use round::{normalize, round_count, saturating_round_index, Round, RoundCounter};
 pub use solvability::{
-    ft_check, ftss_check, ftss_check_suffix, ss_check, FtssReport, FtssViolation,
+    ft_check, ftss_check, ftss_check_suffix, ss_check, stabilization_offset, FtssReport,
+    FtssViolation,
 };
 pub use storm::{StormKind, StormPhase};

@@ -1,9 +1,9 @@
 //! Shared broadcast payloads.
 //!
 //! In the synchronous model a broadcast produces one point-to-point copy
-//! per destination, and the recorded history keeps every copy (the
-//! [`SendRecord`](crate::history::SendRecord)s of the sender plus the
-//! [`Envelope`](crate::message::Envelope)s of every receiver). Storing the
+//! per destination, and the recorded history shows every copy (the
+//! sender's [`SentCopy`](crate::history::SentCopy)s plus every receiver's
+//! [`Deliveries`](crate::history::Deliveries)). Storing the
 //! payload by value made one logical broadcast cost `O(n)` deep clones —
 //! `O(n²)` per full-information round — before any checker even ran.
 //!

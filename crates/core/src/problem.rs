@@ -190,24 +190,14 @@ impl<S, M> Problem<S, M> for UniformitySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{History, ProcessRoundRecord, RoundHistory};
+    use crate::history::{History, RoundHistory};
     use crate::round::RoundCounter;
 
     type H = History<(), ()>;
 
     fn round_with_counters(cs: &[Option<u64>]) -> RoundHistory<(), ()> {
-        RoundHistory::from_records(
-            cs.iter()
-                .map(|c| ProcessRoundRecord {
-                    state_at_start: Some(()),
-                    counter_at_start: c.map(RoundCounter::new),
-                    sent: vec![],
-                    delivered: vec![],
-                    crashed_here: false,
-                    halted_at_start: false,
-                })
-                .collect(),
-        )
+        let halted: Vec<_> = cs.iter().map(|&c| (c, false)).collect();
+        round_with_halt(&halted)
     }
 
     #[test]
@@ -314,18 +304,12 @@ mod tests {
     }
 
     fn round_with_halt(cs: &[(Option<u64>, bool)]) -> RoundHistory<(), ()> {
-        RoundHistory::from_records(
-            cs.iter()
-                .map(|(c, halted)| ProcessRoundRecord {
-                    state_at_start: Some(()),
-                    counter_at_start: c.map(RoundCounter::new),
-                    sent: vec![],
-                    delivered: vec![],
-                    crashed_here: false,
-                    halted_at_start: *halted,
-                })
-                .collect(),
-        )
+        let mut rh = RoundHistory::empty(cs.len());
+        for (i, &(c, halted)) in cs.iter().enumerate() {
+            let counter = c.map(RoundCounter::new);
+            rh.set_process(ProcessId(i), Some(()), counter, false, halted);
+        }
+        rh
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! endpoints (prefix coteries are not monotone, so the two readings
 //! differ). We implement the throughout-constant reading.
 
-use crate::coterie::CoterieTimeline;
+use crate::coterie::{CoterieTimeline, StableWindow};
 use crate::error::Violation;
 use crate::history::History;
 use crate::id::ProcessSet;
@@ -108,6 +108,37 @@ pub fn ss_check<S, M>(
     problem.check(history.suffix(stabilization_time), &ProcessSet::empty(n))
 }
 
+/// The smallest prefix length `m` at which `H₃` may begin (the end of
+/// `H₁·H₂`) in stable window `w`: the window must contain
+/// `[m − r + 1, m]`, i.e. `m − r + 1 ≥ w.from_len`. With `r = 0`, `H₁·H₂`
+/// may be empty, so `m = 0` is admissible for the first window.
+fn earliest_h3_start(w: &StableWindow, stabilization_time: usize) -> usize {
+    if stabilization_time == 0 && w.from_len == 1 {
+        0
+    } else {
+        w.from_len + stabilization_time.saturating_sub(1)
+    }
+}
+
+/// The measured stabilization time on an explicit window: the smallest
+/// `s` such that `Σ(H[from_len − 1 + s .. to_len], F)` holds, `F` being the
+/// faulty set up to `to_len`; `None` if no offset inside the window
+/// satisfies `Σ`. The caller guarantees `1 ≤ from_len ≤ to_len ≤ |H|` and
+/// that round `from_len` is still retained.
+pub fn stabilization_offset<S, M>(
+    history: &History<S, M>,
+    problem: &dyn Problem<S, M>,
+    from_len: usize,
+    to_len: usize,
+) -> Option<usize> {
+    let faulty = history.faulty_upto(to_len);
+    (0..=to_len - from_len).find(|s| {
+        problem
+            .check(history.slice(from_len - 1 + s, to_len), &faulty)
+            .is_ok()
+    })
+}
+
 /// Def. 2.4, exhaustive: evaluates **every** decomposition obligation on
 /// the recorded history.
 ///
@@ -127,16 +158,7 @@ pub fn ftss_check<S, M>(
     let timeline = CoterieTimeline::compute(history);
     let mut report = FtssReport::default();
     for w in timeline.stable_windows() {
-        // m = prefix length at which H3 begins (end of H1·H2).
-        // Need the window to contain [m - r + 1, m], i.e. m - r + 1 >= a.
-        // With r = 0, H1·H2 may be empty, so m = 0 is admissible for the
-        // first window.
-        let m_min = if stabilization_time == 0 && w.from_len == 1 {
-            0
-        } else {
-            w.from_len + stabilization_time.saturating_sub(1)
-        };
-        for m in m_min..=w.to_len {
+        for m in earliest_h3_start(&w, stabilization_time)..=w.to_len {
             for e in (m + 1)..=w.to_len {
                 report.obligations_checked += 1;
                 let faulty = history.faulty_upto(e);
@@ -176,11 +198,7 @@ pub fn ftss_check_suffix<S, M>(
     if w.duration() <= stabilization_time {
         return Ok(None);
     }
-    let m = if stabilization_time == 0 && w.from_len == 1 {
-        0
-    } else {
-        w.from_len + stabilization_time.saturating_sub(1)
-    };
+    let m = earliest_h3_start(&w, stabilization_time);
     let e = w.to_len;
     let faulty = history.faulty_upto(e);
     match problem.check(history.slice(m, e), &faulty) {
@@ -211,56 +229,27 @@ pub struct StableWindowCheck {
 }
 
 #[cfg(test)]
-#[allow(clippy::needless_range_loop)] // indices double as process ids in test builders
 mod tests {
     use super::*;
-    use crate::history::{DeliveryOutcome, ProcessRoundRecord, RoundHistory, SendRecord};
-    use crate::message::Envelope;
+    use crate::history::RoundHistory;
     use crate::problem::RateAgreementSpec;
-    use crate::round::{Round, RoundCounter};
+    use crate::round::RoundCounter;
     use crate::ProcessId;
 
     type H = History<(), u8>;
 
     /// Full-exchange round where process `i` has counter `cs[i]`.
     fn full_round(cs: &[u64]) -> RoundHistory<(), u8> {
-        let n = cs.len();
-        let mut records: Vec<ProcessRoundRecord<(), u8>> = cs
-            .iter()
-            .map(|&c| ProcessRoundRecord {
-                state_at_start: Some(()),
-                counter_at_start: Some(RoundCounter::new(c)),
-                sent: vec![],
-                delivered: vec![],
-                crashed_here: false,
-                halted_at_start: false,
-            })
-            .collect();
-        for i in 0..n {
-            records[i]
-                .delivered
-                .push(Envelope::new(ProcessId(i), Round::FIRST, 0));
-            for j in 0..n {
-                if i != j {
-                    records[i].sent.push(SendRecord {
-                        dst: ProcessId(j),
-                        payload: 0.into(),
-                        outcome: DeliveryOutcome::Delivered,
-                    });
-                    // The mirrored delivered entries are filled below.
-                }
-            }
+        let everyone = ProcessSet::full(cs.len());
+        let mut rh = RoundHistory::empty(cs.len());
+        for (i, &c) in cs.iter().enumerate() {
+            let p = ProcessId(i);
+            rh.set_process(p, Some(()), Some(RoundCounter::new(c)), false, false);
+            rh.set_broadcast(p, 0.into());
+            rh.record_clean_sends(p, &everyone);
+            rh.record_clean_deliveries(p, &everyone);
         }
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    records[j]
-                        .delivered
-                        .push(Envelope::new(ProcessId(i), Round::FIRST, 0));
-                }
-            }
-        }
-        RoundHistory::from_records(records)
+        rh
     }
 
     #[test]

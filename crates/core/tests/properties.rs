@@ -2,8 +2,8 @@
 //! `ftss_rng::check` harness.
 
 use ftss_core::{
-    normalize, CausalTracker, Corrupt, CoterieTimeline, History, ProcessId, ProcessRoundRecord,
-    ProcessSet, RoundHistory,
+    normalize, CausalTracker, Corrupt, CoterieTimeline, History, ProcessId, ProcessSet,
+    RoundHistory,
 };
 use ftss_rng::check::{forall, Gen};
 use ftss_rng::Rng;
@@ -176,34 +176,19 @@ fn arb_history(g: &mut Gen, n: usize, max_rounds: usize) -> History<(), u8> {
     let rounds = g.gen_range(1..=max_rounds);
     let mut h = History::new(n);
     for _ in 0..rounds {
-        let mut records: Vec<ProcessRoundRecord<(), u8>> = (0..n)
-            .map(|_| ProcessRoundRecord {
-                state_at_start: Some(()),
-                counter_at_start: None,
-                sent: vec![],
-                delivered: vec![],
-                crashed_here: false,
-                halted_at_start: false,
-            })
-            .collect();
-        for i in 0..n {
+        let mut round = RoundHistory::empty(n);
+        for i in (0..n).map(ProcessId) {
+            round.set_process(i, Some(()), None, false, false);
+            round.set_broadcast(i, 0.into());
             // Self delivery, always.
-            records[i].delivered.push(ftss_core::Envelope::new(
-                ProcessId(i),
-                ftss_core::Round::FIRST,
-                0,
-            ));
-            for (j, rec) in records.iter_mut().enumerate() {
+            round.record_delivery(i, i);
+            for j in (0..n).map(ProcessId) {
                 if i != j && g.gen::<bool>() {
-                    rec.delivered.push(ftss_core::Envelope::new(
-                        ProcessId(i),
-                        ftss_core::Round::FIRST,
-                        0,
-                    ));
+                    round.record_delivery(j, i);
                 }
             }
         }
-        h.push(RoundHistory::from_records(records));
+        h.push(round);
     }
     h
 }

@@ -220,7 +220,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftss_core::{History, ProcessRoundRecord, RoundHistory};
+    use ftss_core::{History, ProcessId, RoundHistory};
 
     /// A bare state carrying an optional tagged decision.
     #[derive(Clone, Debug, PartialEq)]
@@ -234,19 +234,11 @@ mod tests {
     }
 
     fn round(states: &[Option<D>]) -> RoundHistory<D, ()> {
-        RoundHistory::from_records(
-            states
-                .iter()
-                .map(|s| ProcessRoundRecord {
-                    state_at_start: s.clone(),
-                    counter_at_start: None,
-                    sent: vec![],
-                    delivered: vec![],
-                    crashed_here: false,
-                    halted_at_start: false,
-                })
-                .collect(),
-        )
+        let mut rh = RoundHistory::empty(states.len());
+        for (i, s) in states.iter().enumerate() {
+            rh.set_process(ProcessId(i), s.clone(), None, false, false);
+        }
+        rh
     }
 
     fn hist(rounds: Vec<RoundHistory<D, ()>>) -> History<D, ()> {

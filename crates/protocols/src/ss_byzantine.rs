@@ -373,26 +373,20 @@ mod tests {
 
     #[test]
     fn value_agreement_spec_flags_disagreement() {
-        use ftss_core::{History, ProcessRoundRecord, RoundHistory};
+        use ftss_core::{History, RoundHistory};
         let mk = |v0: bool, v1: bool| {
-            RoundHistory::<SsByzantineState, SsByzantineMsg>::from_records(
-                [v0, v1]
-                    .into_iter()
-                    .map(|v| ProcessRoundRecord {
-                        state_at_start: Some(SsByzantineState {
-                            c: RoundCounter::INITIAL,
-                            v,
-                            maj: v,
-                            cnt: 0,
-                        }),
-                        counter_at_start: Some(RoundCounter::INITIAL),
-                        sent: vec![],
-                        delivered: vec![],
-                        crashed_here: false,
-                        halted_at_start: false,
-                    })
-                    .collect(),
-            )
+            let mut rh = RoundHistory::<SsByzantineState, SsByzantineMsg>::empty(2);
+            for (i, v) in [v0, v1].into_iter().enumerate() {
+                let state = SsByzantineState {
+                    c: RoundCounter::INITIAL,
+                    v,
+                    maj: v,
+                    cnt: 0,
+                };
+                let counter = Some(RoundCounter::INITIAL);
+                rh.set_process(ProcessId(i), Some(state), counter, false, false);
+            }
+            rh
         };
         let mut good = History::new(2);
         good.push(mk(true, true));

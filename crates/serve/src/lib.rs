@@ -27,8 +27,8 @@
 //! * [`node`] — the process runtime: owns protocol state, nothing else.
 //! * [`session`] — the router: the round kernel's remote exchange, plus
 //!   churn, crash–restart and the partial-synchrony proxy.
-//! * [`loadgen`] + [`timer`] — deterministic client traffic into a
-//!   served Σ⁺ with round-denominated latency accounting.
+//! * [`loadgen`] — deterministic client traffic into a served Σ⁺ with
+//!   round-denominated latency accounting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +40,6 @@ pub mod loadgen;
 pub mod node;
 pub mod proto;
 pub mod session;
-pub mod timer;
 pub mod transport;
 pub mod wire;
 
@@ -51,6 +50,5 @@ pub use session::{
     serve, serve_streaming, serve_streaming_with_stats, Retry, ServeChurn, ServeConfig,
     ServeRestart, ServeStats, SnapshotFault, TimingFaults,
 };
-pub use timer::TimerWheel;
 pub use transport::{Channel, TransportKind};
 pub use wire::{Wire, WireMsg};

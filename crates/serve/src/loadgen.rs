@@ -13,12 +13,12 @@
 //! and across transports. The report deliberately contains no wall-clock
 //! fields.
 //!
-//! Request timeouts ride the [`TimerWheel`]: a request outstanding for
-//! `timeout` rounds is counted `timed_out` — under a fault storm this is
-//! what distinguishes "slow" from "starved".
+//! A request outstanding for `timeout` rounds is counted `timed_out` —
+//! under a fault storm this is what distinguishes "slow" from "starved".
+//! The timeout is one constant, so deadlines fall due in submit order and
+//! the pending map, keyed by submit round, is the deadline queue.
 
 use crate::session::{serve_streaming_with_stats, ServeConfig, ServeRestart, ServeStats};
-use crate::timer::TimerWheel;
 use crate::transport::{Channel, TransportKind};
 use ftss::compiler::{Compiled, TraceCursor};
 use ftss::protocols::FloodSet;
@@ -96,15 +96,15 @@ impl Histogram {
         }
     }
 
-    /// Records one observation.
-    pub fn record(&mut self, v: u64) {
+    /// Records `count` observations of `v`.
+    pub fn record(&mut self, v: u64, count: u64) {
         let b = if v == 0 {
             0
         } else {
             64 - v.leading_zeros() as usize
         };
-        self.buckets[b.min(32)] += 1;
-        self.total += 1;
+        self.buckets[b.min(32)] += count;
+        self.total += count;
         self.max = self.max.max(v);
     }
 
@@ -206,6 +206,10 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
     if cfg.rounds == 0 || cfg.timeout == 0 {
         return Err("loadgen needs rounds >= 1 and timeout >= 1".into());
     }
+    // Every counter of the report is bounded by the requests submitted.
+    if cfg.rate.checked_mul(cfg.rounds as u64).is_none() {
+        return Err("loadgen needs rate * rounds to fit in 64 bits".into());
+    }
     let inputs: Vec<u64> = (0..cfg.n as u64).map(|i| (i * 7 + 3) % 50).collect();
     let protocol = Compiled::new(FloodSet::new(1, inputs));
     // The only reader of the history is the `TraceCursor` below, which
@@ -241,7 +245,6 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
         std::thread::spawn(move || run_load_client(client.as_mut(), client_seed, rate));
 
     let mut cursor = TraceCursor::new();
-    let mut wheel: TimerWheel<(u64, u64)> = TimerWheel::new();
     let mut pending: BTreeMap<u64, u64> = BTreeMap::new();
     let mut report = LoadReport {
         transport: cfg.transport.name(),
@@ -275,27 +278,22 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
             });
             if let Some(d) = decision_round {
                 report.decisions += 1;
-                let done: Vec<u64> = pending.range(..d).map(|(&s, _)| s).collect();
-                for s in done {
-                    if let Some(count) = pending.remove(&s) {
-                        report.completed += count;
-                        for _ in 0..count {
-                            report.latency.record(d - s);
-                        }
-                    }
+                let later = pending.split_off(&d);
+                for (s, count) in std::mem::replace(&mut pending, later) {
+                    report.completed += count;
+                    report.latency.record(d - s, count);
                 }
             }
-            for (submit, count) in wheel.advance(r) {
-                if pending.remove(&submit).is_some() {
-                    report.timed_out += count;
-                }
+            if let Some(cutoff) = r.checked_sub(cfg.timeout) {
+                let live = pending.split_off(&(cutoff + 1));
+                let expired = std::mem::replace(&mut pending, live);
+                report.timed_out += expired.values().sum::<u64>();
             }
             match exchange_tick(driver.as_mut(), r, decision_round.is_some()) {
                 Ok(count) => {
                     if count > 0 {
                         report.requests += count;
                         *pending.entry(r).or_insert(0) += count;
-                        wheel.schedule(r + cfg.timeout, (r, count));
                     }
                 }
                 Err(e) => client_err = Some(e),
@@ -316,7 +314,8 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
         return Err(format!("loadgen exchange failed: {e}"));
     }
     report.in_flight = pending.values().sum();
-    report.throughput_milli = report.completed * 1000 / report.rounds.max(1);
+    let milli = u128::from(report.completed) * 1000 / u128::from(report.rounds);
+    report.throughput_milli = u64::try_from(milli).unwrap_or(u64::MAX);
     report.reconnects = stats.reconnects;
     report.stale_dropped = stats.stale_dropped;
     Ok(report)
@@ -360,7 +359,7 @@ fn run_load_client(chan: &mut dyn Channel, seed: u64, rate: u64) -> Result<(), S
                     .get("round")
                     .and_then(JsonValue::as_u64)
                     .ok_or("tick: missing `round`")?;
-                let count = rng.gen_range(0..rate + 1);
+                let count = rng.gen_range(0..=rate);
                 let reqs = format!("{{\"type\":\"reqs\",\"round\":{round},\"count\":{count}}}");
                 chan.send(reqs.as_bytes())
                     .map_err(|e| format!("client send: {e}"))?;
@@ -385,7 +384,7 @@ mod tests {
     fn histogram_buckets_and_quantiles() {
         let mut h = Histogram::new();
         for v in [0, 1, 1, 2, 3, 4, 9, 100] {
-            h.record(v);
+            h.record(v, 1);
         }
         assert_eq!(h.total(), 8);
         assert_eq!(h.max(), 100);
@@ -412,6 +411,40 @@ mod tests {
             a.requests,
             "every request is accounted exactly once"
         );
+    }
+
+    /// A timeout short enough to fire (decisions land every other round);
+    /// the report is the one recorded at PR 23's parent commit.
+    #[test]
+    fn loadgen_times_out_requests_older_than_the_timeout() {
+        let mut cfg = LoadgenConfig::new(TransportKind::Mem, 4, 24, 11);
+        cfg.timeout = 1;
+        assert_eq!(
+            run_loadgen(&cfg).expect("run").to_json(),
+            "{\"type\":\"load_report\",\"transport\":\"mem\",\"rounds\":24,\"requests\":34,\
+             \"completed\":18,\"timed_out\":16,\"in_flight\":0,\"decisions\":12,\"reconnects\":0,\
+             \"stale_dropped\":0,\"throughput_milli\":750,\"p50\":1,\"p90\":1,\"p99\":1,\"max\":1,\
+             \"wall_ms\":0}\n"
+        );
+    }
+
+    /// Neither extreme of the two `u64` knobs wraps: a timeout no horizon
+    /// reaches expires nothing, and the full-domain rate still draws.
+    #[test]
+    fn loadgen_survives_u64_max_timeout_and_rate() {
+        let mut cfg = LoadgenConfig::new(TransportKind::Mem, 4, 12, 0);
+        cfg.timeout = u64::MAX;
+        let patient = run_loadgen(&cfg).expect("run");
+        assert_eq!((patient.completed, patient.timed_out), (21, 0));
+        assert_eq!(patient.completed + patient.in_flight, patient.requests);
+
+        cfg.rate = u64::MAX;
+        let err = run_loadgen(&cfg).expect_err("12 rounds of up to 2^64 - 1 requests");
+        assert!(err.contains("rate * rounds"), "{err}");
+        cfg.rounds = 1;
+        let flooded = run_loadgen(&cfg).expect("run");
+        assert!(flooded.requests > u64::from(u32::MAX));
+        assert_eq!(flooded.in_flight, flooded.requests);
     }
 
     #[test]

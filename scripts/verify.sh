@@ -34,26 +34,35 @@ run cargo clippy --all-targets -- -D warnings
 # One round kernel (DESIGN.md §17): the adversary is consulted from
 # exactly one place. A second non-test call site of any of these is a
 # second implementation of the round — fold it into the kernel instead.
-# One epoch judge (DESIGN.md §11), same rule: outside crates/check, which
-# defines it, the window oracle is called by `EpochJudge::on_round` alone;
-# a second site is a second verification loop.
-# (Test modules sit at the end of their file, behind `#[cfg(test)]`.)
-echo "==> one call site each of drop_copy / forge_copy / sends_before_crash / window_stabilization"
-one_call_site() { # <call regex> <source dir>...
-    local call="$1" sites
-    shift
+# One epoch judge and one judged storm run (DESIGN.md §11), same rule:
+# outside crates/check, which defines it, the window oracle is called by
+# `EpochJudge::on_round` alone, and the storm program is assembled by
+# `StormScenario::new` alone; a second site is a second verification loop
+# or a hand-built copy of the run. One smallest-`s` search
+# (`ftss_core::stabilization_offset`): its two callers are
+# `measured_stabilization_time` and `window_stabilization`; a third is
+# the loop reappearing under another name.
+# (Test modules sit at the end of their file, behind `#[cfg(test)]`;
+# definitions and comment lines are not call sites.)
+echo "==> call sites of drop_copy / forge_copy / sends_before_crash / window_stabilization / storm_program_for / stabilization_offset"
+call_sites() { # <expected count> <call regex> <source dir>...
+    local want="$1" call="$2" sites
+    shift 2
     sites="$(find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk -v m="$call" \
-        'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test && $0 ~ m { print FILENAME ":" FNR }')"
-    if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 1 ]; then
-        echo "ERROR: expected exactly one non-test call site of ${call}, found:" >&2
+        'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+         !test && $0 ~ m && $0 !~ /^ *\/\// && $0 !~ /(^| )fn / { print FILENAME ":" FNR }')"
+    if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne "$want" ]; then
+        echo "ERROR: expected exactly ${want} non-test call site(s) of ${call}, found:" >&2
         printf '%s\n' "$sites" >&2
         exit 1
     fi
 }
 for method in drop_copy forge_copy sends_before_crash; do
-    one_call_site "\\.${method}\\(" crates/*/src
+    call_sites 1 "\\.${method}\\(" crates/*/src
 done
-one_call_site 'window_stabilization\(' crates/chaos/src crates/cli/src
+call_sites 1 'window_stabilization\(' crates/chaos/src crates/cli/src
+call_sites 1 'storm_program_for\(' crates/chaos/src crates/cli/src crates/serve/src
+call_sites 2 'stabilization_offset\(' crates/*/src
 
 # Telemetry smoke: the same seed must serialize to byte-identical JSONL
 # across two runs, and `stats` must parse every line back (it fails on

@@ -22,11 +22,11 @@ use ftss::sync_sim::{
     StormAdversary, SyncRunner,
 };
 use ftss::telemetry::{Event, RecordingSink};
-use ftss_chaos::{burst_seed, storm_program, EpochJudge, RestartScenario, StormGeometry};
+use ftss_chaos::{restart_cycle, storm_cycle, EpochVerdict, StormGeometry, StormScenario};
 use ftss_check::{window_stabilization, Fingerprinter};
 use ftss_serve::{
-    serve, serve_streaming, serve_streaming_with_stats, Retry, ServeChurn, ServeConfig,
-    ServeRestart, ServeStats, SnapshotFault, TimingFaults, TransportKind,
+    serve, serve_streaming_with_stats, Retry, ServeChurn, ServeConfig, ServeRestart, ServeStats,
+    SnapshotFault, TimingFaults, TransportKind,
 };
 
 fn jsonl(events: &[Event]) -> String {
@@ -214,29 +214,28 @@ fn real_sockets_match_mem_modulo_net_events() {
     }
 }
 
+/// A Theorem-3 [`StormScenario`] (the engine's geometry, window bound 2)
+/// against p0.
+fn storm(seed: u64, epochs: usize, n: usize, cycle: [StormKind; 4]) -> StormScenario {
+    let geom = StormGeometry::engine_default();
+    StormScenario::new(seed, epochs, n, cycle, &[ProcessId(0)], geom, 2)
+}
+
 /// The ISSUE 7 acceptance scenario: 3 nodes over real TCP, a replayed
 /// partition+omission storm program, per-epoch re-stabilization within
 /// the Thm-3 window bound.
 #[test]
 fn tcp_storm_round_agreement_restabilizes_within_bound() {
-    let seed = 42u64;
-    let epochs = 2usize;
-    let geom = StormGeometry::engine_default();
-    let (schedule, phases) = storm_program(seed, epochs, false, &geom);
-    let mut adversary = StormAdversary::new([ProcessId(0)], phases, seed ^ 0x517a);
-    let rounds = epochs * geom.epoch_len as usize;
-    let cfg = RunConfig::corrupted(3, rounds, burst_seed(seed, 0))
-        .with_mid_run_corruption(schedule)
-        .with_max_faulty(1);
-
     let mut sink = RecordingSink::new(1 << 16);
-    let out = serve(
-        &RoundAgreement,
-        &mut adversary,
-        &ServeConfig::new(cfg, TransportKind::Tcp),
-        &mut sink,
-    )
-    .expect("storm run over tcp");
+    let (_, judge) = storm(42, 2, 3, storm_cycle(false))
+        .drive(
+            RoundAgreement,
+            Some(TransportKind::Tcp),
+            &RateAgreementSpec::new(),
+            None,
+            &mut sink,
+        )
+        .expect("storm run over tcp");
 
     let events = sink.take();
     assert!(
@@ -245,54 +244,49 @@ fn tcp_storm_round_agreement_restabilizes_within_bound() {
             .any(|e| matches!(e, Event::Corruption { round, .. } if *round > 1)),
         "the storm program must have fired a mid-run burst"
     );
-    for e in 0..epochs {
-        let s = window_stabilization(
-            &out.history,
-            &RateAgreementSpec::new(),
-            geom.storm_end(e) as usize,
-            geom.epoch_end(e) as usize,
-            2,
-        )
-        .unwrap_or_else(|err| panic!("epoch {e} did not re-stabilize: {err}"));
-        assert!(s <= 2, "epoch {e} took {s} rounds, Thm-3 window bound is 2");
+    let verdicts = judge.verdicts();
+    assert_eq!(verdicts.len(), 2);
+    for (e, verdict) in verdicts.iter().enumerate() {
+        assert!(
+            matches!(verdict, EpochVerdict::Recovered { rounds } if *rounds <= 2),
+            "epoch {e} did not re-stabilize inside the Thm-3 window bound: {verdict:?}"
+        );
     }
 }
 
-/// `ftss-lab serve --storm default|restart --transport mem --epochs 4
-/// --seed 1993`, rebuilt from the library: the session's own stream, then
-/// the judge's `recovery_measured` lines. The digests are of the files the
-/// CLI wrote at the commit before the in-stream judge (PR 16's parent),
-/// which verified every epoch after the run on the whole history;
-/// `crates/cli/tests/e2e.rs` holds the binary to the same two numbers.
+/// `ftss-lab serve --storm default|worst-case|restart --transport mem
+/// --epochs 4 --seed 1993` from the library: the session's own stream,
+/// then the judge's `recovery_measured` lines. The default and restart
+/// digests are of the files the CLI wrote at the commit before the
+/// in-stream judge (PR 16's parent), which verified every epoch after the
+/// run on the whole history; the worst-case one at PR 23's parent.
+/// `crates/cli/tests/e2e.rs` holds the binary to the same three numbers.
 #[test]
 fn storm_streams_match_the_digests_recorded_before_the_in_stream_judge() {
-    let (seed, epochs) = (1993u64, 4usize);
-    let geom = StormGeometry::engine_default();
-    let default = {
-        let (schedule, phases) = storm_program(seed, epochs, false, &geom);
-        let run = RunConfig::corrupted(4, epochs * geom.epoch_len as usize, burst_seed(seed, 0))
-            .with_mid_run_corruption(schedule)
-            .with_max_faulty(1);
+    for (scenario, digest) in [
         (
-            StormAdversary::new([ProcessId(0)], phases, seed ^ 0x517a),
-            ServeConfig::new(run, TransportKind::Mem),
-            EpochJudge::new(geom, 2),
-        )
-    };
-    let restart = {
-        let sc = RestartScenario::new(seed, epochs, 3, TransportKind::Mem);
-        let judge = sc.judge();
-        (sc.adversary, sc.config, judge)
-    };
-    for ((mut adversary, cfg, mut judge), digest) in [
-        (default, 0x3c69_6cc4_fd28_1458_6f9f_c64e_d2cb_d998_u128),
-        (restart, 0xab69_4747_c22b_a9e9_2bb1_a876_56ee_8321),
+            storm(1993, 4, 4, storm_cycle(false)),
+            0x3c69_6cc4_fd28_1458_6f9f_c64e_d2cb_d998_u128,
+        ),
+        (
+            storm(1993, 4, 4, storm_cycle(true)),
+            0x47cc_bbe4_cd08_6ac8_552c_4731_db43_7aec,
+        ),
+        (
+            storm(1993, 4, 3, restart_cycle()),
+            0xab69_4747_c22b_a9e9_2bb1_a876_56ee_8321,
+        ),
     ] {
         let mut sink = RecordingSink::new(1 << 16);
-        serve_streaming(&RoundAgreement, &mut adversary, &cfg, &mut sink, |h| {
-            judge.on_round(h, &RateAgreementSpec::new(), None)
-        })
-        .expect("storm session");
+        let (_, judge) = scenario
+            .drive(
+                RoundAgreement,
+                Some(TransportKind::Mem),
+                &RateAgreementSpec::new(),
+                None,
+                &mut sink,
+            )
+            .expect("storm session");
         let mut stream = String::new();
         let verdict_lines = judge.closed().iter().map(|(line, _)| line);
         for event in sink.take().iter().chain(verdict_lines) {
@@ -308,43 +302,24 @@ fn storm_streams_match_the_digests_recorded_before_the_in_stream_judge() {
 /// stabilization verdicts transfer between simulator and sockets.
 #[test]
 fn storm_histories_agree_across_substrates() {
-    let seed = 11u64;
-    let geom = StormGeometry::engine_default();
-    let make = |_: ()| {
-        let (schedule, phases) = storm_program(seed, 1, true, &geom);
-        let cfg = RunConfig::corrupted(3, geom.epoch_len as usize, burst_seed(seed, 0))
-            .with_mid_run_corruption(schedule)
-            .with_max_faulty(1);
-        (
-            StormAdversary::new([ProcessId(0)], phases, seed ^ 0x517a),
-            cfg,
-        )
+    let scenario = storm(11, 1, 3, storm_cycle(true));
+    let run = |transport| {
+        scenario
+            .drive(
+                RoundAgreement,
+                transport,
+                &RateAgreementSpec::new(),
+                None,
+                &mut ftss::telemetry::NullSink,
+            )
+            .expect("storm run")
     };
-
-    let (mut sim_adv, sim_cfg) = make(());
-    let sim = SyncRunner::new(RoundAgreement)
-        .run(&mut sim_adv, &sim_cfg)
-        .expect("simulator run");
-    let (mut tcp_adv, tcp_cfg) = make(());
-    let tcp = serve(
-        &RoundAgreement,
-        &mut tcp_adv,
-        &ServeConfig::new(tcp_cfg, TransportKind::Tcp),
-        &mut ftss::telemetry::NullSink,
-    )
-    .expect("tcp run");
-
+    let (sim, sim_judge) = run(None);
+    let (tcp, tcp_judge) = run(Some(TransportKind::Tcp));
     assert_eq!(sim.final_states, tcp.final_states);
-    let verdict = |h: &ftss::core::History<_, _>| {
-        window_stabilization(
-            h,
-            &RateAgreementSpec::new(),
-            geom.storm_end(0) as usize,
-            geom.epoch_end(0) as usize,
-            2,
-        )
-    };
-    assert_eq!(verdict(&sim.history), verdict(&tcp.history));
+    assert_eq!(sim.history, tcp.history);
+    assert_eq!(sim_judge.closed(), tcp_judge.closed());
+    assert_eq!(sim_judge.closed().len(), 1);
 }
 
 /// Targeted corruption (the churn join's entry-state seam) replays on

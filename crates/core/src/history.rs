@@ -320,6 +320,16 @@ impl<M> RoundMsgs<M> {
     pub fn deliveries(&self, dst: ProcessId) -> Deliveries<'_, M> {
         Deliveries { msgs: self, dst }
     }
+
+    /// What the copy `src → dst`, known to have arrived, carried: its
+    /// forged payload if it was forged, `src`'s broadcast otherwise.
+    fn arrived_payload(&self, src: ProcessId, dst: ProcessId) -> &Payload<M> {
+        self.forged_payload_of(src, dst).unwrap_or_else(|| {
+            self.payloads[src.index()]
+                .as_ref()
+                .expect("delivered bit without a recorded payload")
+        })
+    }
 }
 
 /// One emitted copy of a broadcast, viewed out of a [`RoundMsgs`].
@@ -392,17 +402,9 @@ impl<M> Copy for Deliveries<'_, M> {}
 impl<'a, M> Deliveries<'a, M> {
     /// The payload delivered from `src`, if one arrived.
     pub fn get(&self, src: ProcessId) -> Option<&'a Payload<M>> {
-        if !self.msgs.was_delivered(self.dst, src) {
-            return None;
-        }
-        if let Some(forged) = self.msgs.forged_payload_of(src, self.dst) {
-            return Some(forged);
-        }
-        Some(
-            self.msgs.payloads[src.index()]
-                .as_ref()
-                .expect("delivered bit without a recorded payload"),
-        )
+        self.msgs
+            .was_delivered(self.dst, src)
+            .then(|| self.msgs.arrived_payload(src, self.dst))
     }
 
     /// Iterates `(sender, payload)` in ascending sender order.
@@ -418,6 +420,48 @@ impl<'a, M> Deliveries<'a, M> {
     /// bit `s % 64` of word `s / 64` is set iff a copy from `s` arrived.
     pub fn heard_words(&self) -> &'a [u64] {
         self.msgs.delivered.row(self.dst.index())
+    }
+
+    /// Whether a copy from every member of `set` arrived — one AND-NOT per
+    /// word of the delivered bit-row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` ranges over a different universe.
+    pub fn heard_all(&self, set: &ProcessSet) -> bool {
+        assert_eq!(set.universe(), self.msgs.n, "universe mismatch");
+        let heard = self.heard_words();
+        set.words().iter().zip(heard).all(|(s, h)| s & !h == 0)
+    }
+
+    /// Iterates the deliveries from senders *outside* `set`, ascending by
+    /// sender: [`Self::iter`] restricted to `row & !set`, visiting only
+    /// the words where that is non-zero. A forged copy carries its forged
+    /// payload, as in [`Self::get`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` ranges over a different universe.
+    pub fn iter_outside<'s>(
+        &self,
+        set: &'s ProcessSet,
+    ) -> impl Iterator<Item = (ProcessId, &'a Payload<M>)> + 's
+    where
+        'a: 's,
+    {
+        assert_eq!(set.universe(), self.msgs.n, "universe mismatch");
+        let (msgs, dst) = (self.msgs, self.dst);
+        let words = self.heard_words().iter().zip(set.words()).enumerate();
+        words.flat_map(move |(k, (&heard, &members))| {
+            let mut rest = heard & !members;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let src = ProcessId(k * WORD_BITS + rest.trailing_zeros() as usize);
+                    rest &= rest - 1;
+                    (src, msgs.arrived_payload(src, dst))
+                })
+            })
+        })
     }
 
     /// The forged copies among the deliveries — `(sender, per-copy
@@ -453,15 +497,7 @@ impl<'a, M> Iterator for DeliveredIter<'a, M> {
 
     fn next(&mut self) -> Option<(ProcessId, &'a Payload<M>)> {
         let src = ProcessId(self.bits.next()?);
-        if let Some(forged) = self.msgs.forged_payload_of(src, self.dst) {
-            return Some((src, forged));
-        }
-        Some((
-            src,
-            self.msgs.payloads[src.index()]
-                .as_ref()
-                .expect("delivered bit without a recorded payload"),
-        ))
+        Some((src, self.msgs.arrived_payload(src, self.dst)))
     }
 }
 
@@ -1298,6 +1334,44 @@ mod tests {
                 assert_eq!(by_row, by_copy, "n = {n}, {p}");
                 assert_eq!(by_row.msgs().outcome_of(p, p), None);
                 assert_eq!(by_row.msgs().was_delivered(p, p), members.contains(p));
+            }
+        }
+    }
+
+    /// The two word-wise readers of a delivered row against the per-bit
+    /// definition, on both sides of every word boundary: a row that
+    /// misses one member of the set, and a forged copy from outside it.
+    #[test]
+    fn row_readers_match_the_per_bit_definition() {
+        for n in [2, 63, 64, 65, 130] {
+            let set = ProcessSet::from_iter_n(n, (0..n).filter(|i| i % 3 != 1).map(ProcessId));
+            // p1 is outside the set; the last member sits past the last
+            // word boundary.
+            let (dst, forger) = (ProcessId(0), ProcessId(1));
+            let last = set.iter().last();
+            for missing in [None, last] {
+                let mut rh = RH::empty(n);
+                for src in (0..n).map(ProcessId) {
+                    rh.set_broadcast(src, Payload::new("m"));
+                    let arrives = set.contains(src) || src.index() % 5 != 4;
+                    if arrives && Some(src) != missing && src != forger {
+                        rh.record_delivery(dst, src);
+                    }
+                }
+                rh.record_forged(forger, dst, Payload::new("forged"));
+                let row = rh.msgs().deliveries(dst);
+                assert_eq!(row.heard_all(&set), missing.is_none(), "n = {n}");
+                assert_eq!(
+                    row.heard_all(&set),
+                    set.iter().all(|p| row.get(p).is_some())
+                );
+                assert!(row.heard_all(&ProcessSet::empty(n)));
+                let outside: Vec<_> = row.iter_outside(&set).map(|(p, m)| (p, **m)).collect();
+                let expected = row.iter().filter(|(p, _)| !set.contains(*p));
+                let expected: Vec<_> = expected.map(|(p, m)| (p, **m)).collect();
+                assert_eq!(outside, expected, "n = {n}");
+                assert_eq!(outside[0], (forger, "forged"));
+                assert_eq!(row.iter_outside(&ProcessSet::full(n)).count(), 0);
             }
         }
     }

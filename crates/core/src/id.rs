@@ -63,10 +63,26 @@ pub(crate) const WORD_BITS: usize = 64;
 /// assert_eq!(correct.iter().collect::<Vec<_>>(),
 ///            vec![ProcessId(0), ProcessId(2), ProcessId(3)]);
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessSet {
     n: usize,
     words: Vec<u64>,
+}
+
+impl Clone for ProcessSet {
+    fn clone(&self) -> Self {
+        ProcessSet {
+            n: self.n,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation: a per-round scratch set costs a
+    /// `memcpy`, not a `malloc`.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl ProcessSet {

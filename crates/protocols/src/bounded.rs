@@ -53,6 +53,7 @@ impl Corrupt for BoundedState {
 impl SyncProtocol for BoundedRoundAgreement {
     type State = BoundedState;
     type Msg = u64;
+    const JOINS_INBOX: bool = true;
 
     fn name(&self) -> &str {
         "bounded-round-agreement"
@@ -66,13 +67,20 @@ impl SyncProtocol for BoundedRoundAgreement {
         state.c % self.modulus
     }
 
-    fn step(&self, _ctx: &ProtocolCtx, state: &mut BoundedState, inbox: &Inbox<u64>) {
-        let max = inbox
-            .iter()
-            .map(|(_, &c)| c % self.modulus)
-            .max()
-            .unwrap_or(state.c % self.modulus);
-        state.c = (max + 1) % self.modulus;
+    fn step(&self, ctx: &ProtocolCtx, state: &mut BoundedState, inbox: &Inbox<u64>) {
+        let max = inbox.joined(self).unwrap_or(state.c);
+        self.step_joined(ctx, state, &max);
+    }
+
+    /// `max` on values reduced mod `modulus`, so the join of arbitrary
+    /// messages is associative.
+    fn join(&self, acc: &mut u64, c: &u64) {
+        *acc = (*acc % self.modulus).max(*c % self.modulus);
+    }
+
+    /// A one-message inbox arrives unreduced, hence the first `%`.
+    fn step_joined(&self, _ctx: &ProtocolCtx, state: &mut BoundedState, max: &u64) {
+        state.c = (*max % self.modulus + 1) % self.modulus;
     }
 
     fn round_counter(&self, state: &BoundedState) -> Option<RoundCounter> {

@@ -55,6 +55,7 @@ impl Corrupt for RoundAgreementState {
 impl SyncProtocol for RoundAgreement {
     type State = RoundAgreementState;
     type Msg = u64;
+    const JOINS_INBOX: bool = true;
 
     fn name(&self) -> &str {
         "round-agreement (Fig 1)"
@@ -70,16 +71,21 @@ impl SyncProtocol for RoundAgreement {
         state.c.get()
     }
 
-    fn step(&self, _ctx: &ProtocolCtx, state: &mut RoundAgreementState, inbox: &Inbox<u64>) {
+    fn step(&self, ctx: &ProtocolCtx, state: &mut RoundAgreementState, inbox: &Inbox<u64>) {
         // R always contains the process's own broadcast (footnote 1), so
         // max over an alive process's inbox is well-defined; the fallback
         // covers the theoretical empty case without panicking.
-        let max = inbox
-            .iter()
-            .map(|(_, &c)| c)
-            .max()
-            .unwrap_or_else(|| state.c.get());
-        state.c = RoundCounter::new(max).next();
+        let max = inbox.joined(self).unwrap_or_else(|| state.c.get());
+        self.step_joined(ctx, state, &max);
+    }
+
+    /// `max` of two counters: the only way Figure 1 reads `R`.
+    fn join(&self, acc: &mut u64, c: &u64) {
+        *acc = (*acc).max(*c);
+    }
+
+    fn step_joined(&self, _ctx: &ProtocolCtx, state: &mut RoundAgreementState, max: &u64) {
+        state.c = RoundCounter::new(*max).next();
     }
 
     fn round_counter(&self, state: &RoundAgreementState) -> Option<RoundCounter> {

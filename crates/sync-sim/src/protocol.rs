@@ -114,6 +114,24 @@ impl<'a, M> Inbox<'a, M> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The inbox read the only way a protocol declaring
+    /// [`SyncProtocol::JOINS_INBOX`] may read it: every received message
+    /// folded into one by the protocol's [`join`](SyncProtocol::join), in
+    /// sender order; `None` if nothing was received. Such a protocol's
+    /// `step` is this, then [`step_joined`](SyncProtocol::step_joined).
+    pub fn joined<P>(&self, protocol: &P) -> Option<M>
+    where
+        P: SyncProtocol<Msg = M> + ?Sized,
+        M: Clone,
+    {
+        let mut messages = self.iter().map(|(_, m)| m);
+        let mut acc = messages.next()?.clone();
+        for m in messages {
+            protocol.join(&mut acc, m);
+        }
+        Some(acc)
+    }
 }
 
 /// Iterator over an [`Inbox`]'s `(sender, payload)` pairs in sender order.
@@ -186,6 +204,38 @@ pub trait SyncProtocol {
     /// The state transition at the end of a round, from the messages
     /// received during the round.
     fn step(&self, ctx: &ProtocolCtx, state: &mut Self::State, inbox: &Inbox<Self::Msg>);
+
+    /// Declares that [`step`](Self::step) reads its inbox *only* through
+    /// [`join`](Self::join): it is `step_joined` applied to the join of
+    /// the received messages (see [`Inbox::joined`]) — Figure 1's
+    /// `c_p := max(R) + 1`. The simulator then joins the broadcasts all
+    /// ordinary processes hear alike once per round instead of once per
+    /// receiver (DESIGN.md §17); the recorded history is the same either
+    /// way. A compile-time constant, `false` by default, so a protocol
+    /// that does not declare pays nothing. A declarer takes on two
+    /// obligations, for *arbitrary* messages (corrupted and forged ones
+    /// included):
+    ///
+    /// 1. `join` is commutative and associative — the fold's value may
+    ///    not depend on the order or grouping of the senders;
+    /// 2. `step(ctx, s, inbox)` ≡ `step_joined(ctx, s, &j)` where `j` is
+    ///    the join of `inbox`'s messages — the transition may not look at
+    ///    who sent what, or at how many messages arrived.
+    const JOINS_INBOX: bool = false;
+
+    /// Folds `m` into `acc`: the join of two messages, itself a message.
+    /// Called only when [`JOINS_INBOX`](Self::JOINS_INBOX) is declared.
+    fn join(&self, acc: &mut Self::Msg, m: &Self::Msg) {
+        let _ = (acc, m);
+        unreachable!("{} does not declare JOINS_INBOX", self.name());
+    }
+
+    /// The state transition from the join of a non-empty inbox. Called
+    /// only when [`JOINS_INBOX`](Self::JOINS_INBOX) is declared.
+    fn step_joined(&self, ctx: &ProtocolCtx, state: &mut Self::State, joined: &Self::Msg) {
+        let _ = (ctx, state, joined);
+        unreachable!("{} does not declare JOINS_INBOX", self.name());
+    }
 
     /// The distinguished round variable `c_p`, if this protocol maintains
     /// one. The recorder stores it in the history so Assumption-1 checks

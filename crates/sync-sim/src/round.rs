@@ -79,6 +79,19 @@ pub trait Exchange<S, M> {
     /// protocol declines to send. Asked once per round.
     fn broadcast(&mut self, p: ProcessId) -> Option<M>;
 
+    /// Told once per round, after the walk and before the first
+    /// [`deliver`](Self::deliver): `senders` are the *clean senders* —
+    /// the ordinary processes that broadcast, each heard by every
+    /// ordinary process — and `msgs` holds their broadcasts. Empty
+    /// whenever the walk was dense (a trace or a non-transparent
+    /// [`CopyLayer`] watched every copy). An exchange whose processes
+    /// step in this address space may do the work those receivers share
+    /// once; the rows handed to `deliver` are complete regardless, so
+    /// ignoring the call (the default) loses nothing.
+    fn clean_block(&mut self, senders: &ProcessSet, msgs: &RoundMsgs<M>) {
+        let _ = (senders, msgs);
+    }
+
     /// Hands a survivor its inbox — the round's fresh deliveries, then
     /// the [`CopyLayer`]'s late arrivals — and lets it step.
     fn deliver(
@@ -172,7 +185,9 @@ pub struct RoundKernel<'a, A: ?Sized> {
     /// processes can only be `Delivered`.
     special: ProcessSet,
     ordinary: ProcessSet,
-    /// Scratch of the walk: the ordinary processes that broadcast.
+    /// The ordinary processes that broadcast in a sparse walk: every
+    /// ordinary process hears all of them. Handed to the exchange after
+    /// the walk ([`Exchange::clean_block`]).
     clean_senders: ProcessSet,
     everyone: ProcessSet,
 }
@@ -182,11 +197,15 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     ///
     /// # Errors
     ///
-    /// `n == 0`, a declared faulty set larger than `max_faulty`, or a
-    /// crash schedule naming a process outside the faulty set.
+    /// `n == 0`, an empty history window, a declared faulty set larger
+    /// than `max_faulty`, or a crash schedule naming a process outside
+    /// the faulty set.
     pub fn new(adversary: &'a mut A, cfg: &'a RunConfig) -> Result<Self, ConfigError> {
         if cfg.n == 0 {
             return Err(ConfigError::new("n must be at least 1"));
+        }
+        if cfg.history_window == Some(0) {
+            return Err(ConfigError::new("history window must be at least 1 round"));
         }
         let faulty = adversary.faulty(cfg.n);
         if faulty.len() > cfg.max_faulty {
@@ -330,6 +349,7 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
                 };
             }
             let (sent, delivered) = self.walk(protocol, exchange, layer, r, &mut frame, sink);
+            exchange.clean_block(&self.clean_senders, frame.msgs());
             let late = layer.arrivals(r);
             for &p in &everyone {
                 match self.parts[p.index()] {
@@ -573,8 +593,10 @@ mod tests {
     };
     use crate::runner::tests::{CountAll, EState, EchoMax};
     use crate::runner::{InProcess, SyncRunner};
+    use ftss_rng::check::forall;
     use ftss_rng::Rng;
     use ftss_telemetry::{NullSink, RecordingSink};
+    use std::cell::Cell;
     use std::convert::Infallible;
 
     /// A scripted exchange: canned states that never change, every
@@ -752,6 +774,13 @@ mod tests {
         let err =
             RoundKernel::new(&mut adv, &RunConfig::clean(3, 1).with_max_faulty(1)).unwrap_err();
         assert!(err.to_string().contains("faulty"));
+
+        // `History::with_window` would panic on it mid-`run`.
+        let windowless = RunConfig::clean(2, 1).with_history_window(0);
+        let err = SyncRunner::new(CountAll)
+            .run(&mut NoFaults, &windowless)
+            .unwrap_err();
+        assert!(err.to_string().contains("history window"));
     }
 
     #[test]
@@ -870,6 +899,7 @@ mod tests {
     impl SyncProtocol for Shy {
         type State = EState;
         type Msg = u64;
+        const JOINS_INBOX: bool = true;
 
         fn name(&self) -> &str {
             "shy"
@@ -885,6 +915,12 @@ mod tests {
         }
         fn step(&self, ctx: &ProtocolCtx, s: &mut EState, inbox: &crate::Inbox<u64>) {
             EchoMax.step(ctx, s, inbox);
+        }
+        fn join(&self, acc: &mut u64, m: &u64) {
+            EchoMax.join(acc, m);
+        }
+        fn step_joined(&self, ctx: &ProtocolCtx, s: &mut EState, joined: &u64) {
+            EchoMax.step_joined(ctx, s, joined);
         }
         fn forge_message(&self, seed: u64) -> Option<u64> {
             Some(seed)
@@ -1027,11 +1063,7 @@ mod tests {
                 StdRng::seed_from_u64(seed).shuffle(&mut ids);
                 let faulty = || ids[..k].iter().copied();
                 let cfg = RunConfig::corrupted(n, rounds, seed);
-                let live = || InProcess {
-                    protocol: &Shy,
-                    n,
-                    states: Vec::new(),
-                };
+                let live = || InProcess::new(&Shy, n);
                 let mut crashes = CrashSchedule::none();
                 for (i, p) in faulty().enumerate() {
                     crashes.set(p, Round::new((i % (rounds + 1)) as u64 + 1));
@@ -1050,5 +1082,106 @@ mod tests {
                 differential(&EchoMax, &omission, &RunConfig::clean(n, rounds), absent);
             }
         }
+    }
+
+    /// `EchoMax` with its `join` calls counted.
+    struct Counting(Cell<usize>);
+
+    impl SyncProtocol for Counting {
+        type State = EState;
+        type Msg = u64;
+        const JOINS_INBOX: bool = true;
+
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn init_state(&self, ctx: &ProtocolCtx) -> EState {
+            EchoMax.init_state(ctx)
+        }
+        fn broadcast(&self, ctx: &ProtocolCtx, s: &EState) -> u64 {
+            EchoMax.broadcast(ctx, s)
+        }
+        fn step(&self, ctx: &ProtocolCtx, s: &mut EState, inbox: &crate::Inbox<u64>) {
+            let joined = inbox.joined(self).unwrap_or(s.v);
+            self.step_joined(ctx, s, &joined);
+        }
+        fn join(&self, acc: &mut u64, m: &u64) {
+            self.0.set(self.0.get() + 1);
+            EchoMax.join(acc, m);
+        }
+        fn step_joined(&self, ctx: &ProtocolCtx, s: &mut EState, joined: &u64) {
+            EchoMax.step_joined(ctx, s, joined);
+        }
+    }
+
+    /// The work, not the clock: an untraced round joins the clean block
+    /// once, then at most `f` more messages per ordinary receiver and the
+    /// faulty receiver's own row — `n + 2·f·n` at most, where a traced
+    /// round (dense walk, so nothing is shared) makes every receiver join
+    /// its whole row. Same states either way.
+    #[test]
+    fn folded_round_joins_n_plus_2fn_messages_not_n_squared() {
+        let (n, f, rounds) = (130usize, 1usize, 4usize);
+        let cfg = RunConfig::corrupted(n, rounds, 9).with_max_faulty(f);
+        let omitter = || RandomOmission::new([ProcessId(n / 2)], 0.5, 9);
+        let counting = || SyncRunner::new(Counting(Cell::new(0)));
+
+        let runner = counting();
+        let (mut per_round, mut seen) = (Vec::new(), 0);
+        let on_round = |_: &History<EState, u64>| {
+            let now = runner.protocol().0.get();
+            per_round.push(now - seen);
+            seen = now;
+        };
+        let run = runner.run_streaming(&mut omitter(), &cfg, &mut NullSink, on_round);
+        let folded = run.expect("valid config").final_states;
+        assert_eq!(per_round.len(), rounds);
+        for (i, &joins) in per_round.iter().enumerate() {
+            let bound = n - 2..=n + 2 * f * n;
+            assert!(bound.contains(&joins), "round {}: {joins} joins", i + 1);
+        }
+
+        let runner = counting();
+        let mut sink = RecordingSink::new(rounds * (n * n + n + 4) + 4);
+        let run = runner.run_traced(&mut omitter(), &cfg, &mut sink);
+        let unfolded = run.expect("valid config").final_states;
+        let joins = runner.protocol().0.get();
+        assert!(joins >= rounds * (n - 1) * (n - 2), "{joins} joins");
+        assert_eq!(folded, unfolded);
+    }
+
+    /// The two obligations `EchoMax` (and `Shy`, which forwards to it)
+    /// takes on by declaring `JOINS_INBOX`, on arbitrary messages.
+    #[test]
+    fn echo_max_join_is_a_semilattice_and_step_is_its_fold() {
+        use ftss_core::Envelope;
+        forall(64, |g| {
+            let join = |a: u64, b: u64| {
+                let mut acc = a;
+                EchoMax.join(&mut acc, &b);
+                acc
+            };
+            let (a, b, c): (u64, u64, u64) = (g.gen(), g.gen(), g.gen());
+            assert_eq!(join(a, b), join(b, a));
+            assert_eq!(join(join(a, b), c), join(a, join(b, c)));
+
+            let msgs = g.vec(1, 9, |g| g.gen::<u64>());
+            let envelopes = msgs.iter().enumerate();
+            let inbox = crate::Inbox::new(
+                envelopes
+                    .map(|(i, &m)| Envelope::new(ProcessId(i), Round::FIRST, m))
+                    .collect(),
+            );
+            let ctx = ProtocolCtx::new(ProcessId(0), msgs.len());
+            let start = EState {
+                v: g.gen(),
+                c: g.gen_range(0..u64::MAX),
+            };
+            let (mut stepped, mut folded) = (start.clone(), start);
+            EchoMax.step(&ctx, &mut stepped, &inbox);
+            let joined = msgs.iter().rev().copied().reduce(join);
+            EchoMax.step_joined(&ctx, &mut folded, &joined.expect("non-empty"));
+            assert_eq!(stepped, folded);
+        });
     }
 }

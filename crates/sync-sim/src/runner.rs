@@ -30,7 +30,7 @@
 use crate::adversary::Adversary;
 use crate::protocol::{Inbox, ProtocolCtx, SyncProtocol};
 use crate::round::{Exchange, LateCopy, RoundKernel};
-use ftss_core::{ConfigError, Corrupt, Deliveries, History, ProcessId};
+use ftss_core::{ConfigError, Corrupt, Deliveries, History, ProcessId, ProcessSet, RoundMsgs};
 use ftss_telemetry::{NullSink, TraceSink};
 use std::convert::Infallible;
 
@@ -299,11 +299,7 @@ where
         T: TraceSink,
         F: FnMut(&History<P::State, P::Msg>),
     {
-        let mut exchange = InProcess {
-            protocol: &self.protocol,
-            n: cfg.n,
-            states: Vec::new(),
-        };
+        let mut exchange = InProcess::new(&self.protocol, cfg.n);
         let run = RoundKernel::new(adversary, cfg)?.run(
             &self.protocol,
             &mut exchange,
@@ -320,11 +316,31 @@ where
 /// of its row of the round frame's delivery matrix — no clone, no move,
 /// no envelopes. Always run under the unit layer, so no copy is ever
 /// late.
+///
+/// For a protocol declaring [`SyncProtocol::JOINS_INBOX`] the round's
+/// clean block is joined once ([`Exchange::clean_block`]) and a receiver
+/// whose row contains it absorbs only the senders outside it.
 pub(crate) struct InProcess<'a, P: SyncProtocol> {
-    pub(crate) protocol: &'a P,
-    pub(crate) n: usize,
+    protocol: &'a P,
+    n: usize,
     /// `None` once a process has crashed.
-    pub(crate) states: Vec<Option<P::State>>,
+    states: Vec<Option<P::State>>,
+    /// This round's clean senders and the join of their broadcasts
+    /// (`None` when there are none); the set's allocation is reused.
+    clean: ProcessSet,
+    clean_join: Option<P::Msg>,
+}
+
+impl<'a, P: SyncProtocol> InProcess<'a, P> {
+    pub(crate) fn new(protocol: &'a P, n: usize) -> Self {
+        InProcess {
+            protocol,
+            n,
+            states: Vec::new(),
+            clean: ProcessSet::empty(n),
+            clean_join: None,
+        }
+    }
 }
 
 impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
@@ -353,6 +369,21 @@ impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
             .then(|| self.protocol.broadcast(&ctx, state))
     }
 
+    fn clean_block(&mut self, senders: &ProcessSet, msgs: &RoundMsgs<P::Msg>) {
+        if !P::JOINS_INBOX {
+            return;
+        }
+        self.clean.clone_from(senders);
+        let mut broadcasts = senders.iter().map(|p| {
+            let sent = msgs.broadcast_of(p);
+            &**sent.expect("a clean sender broadcast")
+        });
+        self.clean_join = broadcasts.next().cloned();
+        if let Some(join) = &mut self.clean_join {
+            broadcasts.for_each(|m| self.protocol.join(join, m));
+        }
+    }
+
     fn deliver(
         &mut self,
         p: ProcessId,
@@ -364,8 +395,22 @@ impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
         let state = self.states[p.index()]
             .as_mut()
             .expect("a survivor has state");
-        self.protocol
-            .step(&ctx, state, &Inbox::from_deliveries(inbox));
+        // The shortcut is taken on the record's word, not the walk's:
+        // only a row that really contains every clean sender starts from
+        // their join, and whatever else the row holds — forged copies
+        // included — is absorbed through the same view `step` reads.
+        match &self.clean_join {
+            Some(join) if P::JOINS_INBOX && inbox.heard_all(&self.clean) => {
+                let mut joined = join.clone();
+                for (_, m) in inbox.iter_outside(&self.clean) {
+                    self.protocol.join(&mut joined, m);
+                }
+                self.protocol.step_joined(&ctx, state, &joined);
+            }
+            _ => self
+                .protocol
+                .step(&ctx, state, &Inbox::from_deliveries(inbox)),
+        }
         Ok(())
     }
 
@@ -452,6 +497,7 @@ pub(crate) mod tests {
     impl SyncProtocol for EchoMax {
         type State = EState;
         type Msg = u64;
+        const JOINS_INBOX: bool = true;
 
         fn name(&self) -> &str {
             "echo-max"
@@ -468,8 +514,19 @@ pub(crate) mod tests {
             s.v
         }
 
+        // Deliberately not written through `join`: the kernel's
+        // differential tests compare the folded path against this.
         fn step(&self, _ctx: &ProtocolCtx, s: &mut EState, inbox: &Inbox<u64>) {
             s.v = inbox.iter().map(|(_, &m)| m).max().unwrap_or(s.v);
+            s.c += 1;
+        }
+
+        fn join(&self, acc: &mut u64, m: &u64) {
+            *acc = (*acc).max(*m);
+        }
+
+        fn step_joined(&self, _ctx: &ProtocolCtx, s: &mut EState, joined: &u64) {
+            s.v = *joined;
             s.c += 1;
         }
 

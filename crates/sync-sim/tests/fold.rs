@@ -1,0 +1,198 @@
+//! The folded inbox path (DESIGN.md §17) against the unfolded one, for
+//! the shipped protocols that declare [`SyncProtocol::JOINS_INBOX`].
+//!
+//! Everything sits in a module named `round`, so the optimised
+//! `cargo test --release -p ftss-sync-sim round::` of `scripts/verify.sh`
+//! runs it next to the kernel's own tests.
+
+mod round {
+    use ftss_core::{Corrupt, CrashSchedule, Envelope, ProcessId, Round, RoundCounter};
+    use ftss_protocols::bounded::BoundedState;
+    use ftss_protocols::{BoundedRoundAgreement, RoundAgreement, RoundAgreementState};
+    use ftss_rng::check::forall;
+    use ftss_rng::{Rng, StdRng};
+    use ftss_sync_sim::{
+        Adversary, ByzantineAdversary, CrashOnly, GroupPartition, Inbox, ProtocolCtx,
+        RandomOmission, RunConfig, SyncProtocol, SyncRunner,
+    };
+    use ftss_telemetry::RecordingSink;
+    use std::fmt::Debug;
+
+    /// Forwards every method of `P` but declares nothing: the same
+    /// transition, always taken through `step`.
+    #[derive(Clone)]
+    struct Undeclared<P>(P);
+
+    impl<P: SyncProtocol> SyncProtocol for Undeclared<P> {
+        type State = P::State;
+        type Msg = P::Msg;
+
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn init_state(&self, ctx: &ProtocolCtx) -> P::State {
+            self.0.init_state(ctx)
+        }
+        fn sends(&self, ctx: &ProtocolCtx, state: &P::State) -> bool {
+            self.0.sends(ctx, state)
+        }
+        fn is_halted(&self, ctx: &ProtocolCtx, state: &P::State) -> bool {
+            self.0.is_halted(ctx, state)
+        }
+        fn broadcast(&self, ctx: &ProtocolCtx, state: &P::State) -> P::Msg {
+            self.0.broadcast(ctx, state)
+        }
+        fn step(&self, ctx: &ProtocolCtx, state: &mut P::State, inbox: &Inbox<P::Msg>) {
+            self.0.step(ctx, state, inbox);
+        }
+        fn round_counter(&self, state: &P::State) -> Option<RoundCounter> {
+            self.0.round_counter(state)
+        }
+        fn forge_message(&self, seed: u64) -> Option<P::Msg> {
+            self.0.forge_message(seed)
+        }
+    }
+
+    /// One configuration three ways: folded (declaring, untraced),
+    /// unfolded because nothing is declared, and unfolded because a trace
+    /// makes the walk dense. Whole histories and final states must agree.
+    fn folded_matches_unfolded<P, A>(protocol: &P, adversary: &A, cfg: &RunConfig)
+    where
+        P: SyncProtocol + Clone,
+        P::State: Corrupt + PartialEq,
+        P::Msg: PartialEq,
+        A: Adversary + Clone + Debug,
+    {
+        assert!(P::JOINS_INBOX);
+        let folded = SyncRunner::new(protocol.clone())
+            .run(&mut adversary.clone(), cfg)
+            .expect("valid config");
+        let undeclared = SyncRunner::new(Undeclared(protocol.clone()))
+            .run(&mut adversary.clone(), cfg)
+            .expect("valid config");
+        assert_eq!(
+            folded.history, undeclared.history,
+            "n = {}: folded vs undeclared under {adversary:?}",
+            cfg.n
+        );
+        assert_eq!(folded.final_states, undeclared.final_states);
+        let mut sink = RecordingSink::new(cfg.rounds * (cfg.n * cfg.n + cfg.n + 4) + 4);
+        let traced = SyncRunner::new(protocol.clone())
+            .run_traced(&mut adversary.clone(), cfg, &mut sink)
+            .expect("valid config");
+        assert_eq!(
+            folded.history, traced.history,
+            "n = {}: folded vs traced under {adversary:?}",
+            cfg.n
+        );
+        assert_eq!(folded.final_states, traced.final_states);
+    }
+
+    /// The adversary grid of the kernel's own
+    /// `sparse_walk_matches_a_copy_by_copy_oracle`: universes on both
+    /// sides of every word boundary, faulty sets from empty to
+    /// all-but-one, random omissions, staggered crashes with partial
+    /// sends, a partition and — where the protocol can be forged against
+    /// — forgeries with drops.
+    fn grid<P>(protocol: &P)
+    where
+        P: SyncProtocol + Clone,
+        P::State: Corrupt + PartialEq,
+        P::Msg: PartialEq,
+    {
+        let rounds = 3;
+        for n in [2, 3, 4, 5, 6, 63, 64, 65, 130] {
+            let sizes = if n <= 6 {
+                (0..n).collect()
+            } else {
+                vec![0, 1, 2, n / 3, n - 1]
+            };
+            for k in sizes {
+                let seed = (n * 1000 + k) as u64;
+                let mut ids: Vec<ProcessId> = (0..n).map(ProcessId).collect();
+                StdRng::seed_from_u64(seed).shuffle(&mut ids);
+                let faulty = || ids[..k].iter().copied();
+                let cfg = RunConfig::corrupted(n, rounds, seed);
+                let mut crashes = CrashSchedule::none();
+                for (i, p) in faulty().enumerate() {
+                    crashes.set(p, Round::new((i % (rounds + 1)) as u64 + 1));
+                }
+                let omission = RandomOmission::new(faulty(), 0.5, seed);
+                folded_matches_unfolded(protocol, &omission, &cfg);
+                let crashing = RandomOmission::new([], 0.5, seed).with_crashes(crashes.clone());
+                folded_matches_unfolded(protocol, &crashing, &cfg);
+                let crash_only = CrashOnly::new(crashes).with_partial_sends(n / 2);
+                folded_matches_unfolded(protocol, &crash_only, &cfg);
+                let partition = GroupPartition::new(faulty(), 2, 3);
+                folded_matches_unfolded(protocol, &partition, &cfg);
+                if protocol.forge_message(0).is_some() {
+                    let byzantine = ByzantineAdversary::new(faulty(), 0.5, seed).with_drops(0.3);
+                    folded_matches_unfolded(protocol, &byzantine, &cfg);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_agreement_folds_like_it_steps() {
+        grid(&RoundAgreement);
+    }
+
+    /// A modulus small enough that three rounds from a corrupted start
+    /// wrap.
+    #[test]
+    fn bounded_round_agreement_folds_like_it_steps() {
+        grid(&BoundedRoundAgreement::new(5));
+    }
+
+    /// The two obligations of a declarer, on arbitrary (corrupted and
+    /// forged) messages: `join` is commutative and associative, and
+    /// `step` on an owned inbox of 1…9 senders is `step_joined` on the
+    /// join of its messages — here folded in the opposite order.
+    fn join_laws<P, S>(protocol: &P, state_of: impl Fn(u64) -> S)
+    where
+        P: SyncProtocol<State = S, Msg = u64>,
+        S: PartialEq + Debug,
+    {
+        assert!(P::JOINS_INBOX);
+        let join = |a: u64, b: u64| {
+            let mut acc = a;
+            protocol.join(&mut acc, &b);
+            acc
+        };
+        forall(128, |g| {
+            let (a, b, c): (u64, u64, u64) = (g.gen(), g.gen(), g.gen());
+            assert_eq!(join(a, b), join(b, a));
+            assert_eq!(join(join(a, b), c), join(a, join(b, c)));
+
+            let msgs = g.vec(1, 9, |g| g.gen::<u64>());
+            let envelopes = msgs.iter().enumerate();
+            let inbox = Inbox::new(
+                envelopes
+                    .map(|(i, &m)| Envelope::new(ProcessId(i), Round::FIRST, m))
+                    .collect(),
+            );
+            let ctx = ProtocolCtx::new(ProcessId(0), msgs.len());
+            let start: u64 = g.gen();
+            let (mut stepped, mut folded) = (state_of(start), state_of(start));
+            protocol.step(&ctx, &mut stepped, &inbox);
+            let joined = msgs.iter().rev().copied().reduce(join);
+            protocol.step_joined(&ctx, &mut folded, &joined.expect("non-empty"));
+            assert_eq!(stepped, folded, "inbox {msgs:?}");
+        });
+    }
+
+    #[test]
+    fn round_agreement_join_laws() {
+        join_laws(&RoundAgreement, |c| RoundAgreementState {
+            c: RoundCounter::new(c),
+        });
+    }
+
+    #[test]
+    fn bounded_round_agreement_join_laws() {
+        for modulus in [2, 5, 1 << 40] {
+            join_laws(&BoundedRoundAgreement::new(modulus), |c| BoundedState { c });
+        }
+    }
+}

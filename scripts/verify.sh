@@ -42,9 +42,13 @@ run cargo clippy --all-targets -- -D warnings
 # (`ftss_core::stabilization_offset`): its two callers are
 # `measured_stabilization_time` and `window_stabilization`; a third is
 # the loop reappearing under another name.
+# One folded driver (DESIGN.md §17): the kernel hands the clean block to
+# the exchange from one place, and `InProcess::deliver` is the one caller
+# of `step_joined`; a second site of either is a second reading of the
+# inbox to keep equivalent to `step`.
 # (Test modules sit at the end of their file, behind `#[cfg(test)]`;
 # definitions and comment lines are not call sites.)
-echo "==> call sites of drop_copy / forge_copy / sends_before_crash / window_stabilization / storm_program_for / stabilization_offset"
+echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / window_stabilization / storm_program_for / stabilization_offset"
 call_sites() { # <expected count> <call regex> <source dir>...
     local want="$1" call="$2" sites
     shift 2
@@ -59,6 +63,9 @@ call_sites() { # <expected count> <call regex> <source dir>...
 }
 for method in drop_copy forge_copy sends_before_crash; do
     call_sites 1 "\\.${method}\\(" crates/*/src
+done
+for method in clean_block step_joined; do
+    call_sites 1 "\\.${method}\\(" crates/sync-sim/src
 done
 call_sites 1 'window_stabilization\(' crates/chaos/src crates/cli/src
 call_sites 1 'storm_program_for\(' crates/chaos/src crates/cli/src crates/serve/src

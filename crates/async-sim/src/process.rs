@@ -23,7 +23,12 @@ pub trait AsyncProcess {
     fn on_start(&mut self, ctx: &mut Ctx<Self::Msg>);
 
     /// A message from `from` arrives.
-    fn on_message(&mut self, ctx: &mut Ctx<Self::Msg>, from: ProcessId, msg: Self::Msg);
+    ///
+    /// The message is borrowed: every copy of a broadcast is delivered
+    /// from the one allocation [`Ctx::broadcast`] made, so the runner
+    /// clones nothing per delivery. A handler that keeps (part of) a
+    /// message clones exactly what it keeps.
+    fn on_message(&mut self, ctx: &mut Ctx<Self::Msg>, from: ProcessId, msg: &Self::Msg);
 
     /// A timer armed with `tag` fires.
     fn on_timer(&mut self, ctx: &mut Ctx<Self::Msg>, tag: u64);
@@ -55,7 +60,7 @@ pub trait AsyncProcess {
 ///     fn on_start(&mut self, ctx: &mut Ctx<u32>) {
 ///         ctx.set_timer(100, 0);
 ///     }
-///     fn on_message(&mut self, ctx: &mut Ctx<u32>, from: ProcessId, msg: u32) {
+///     fn on_message(&mut self, ctx: &mut Ctx<u32>, from: ProcessId, msg: &u32) {
 ///         ctx.send(from, msg + 1);
 ///     }
 ///     fn on_timer(&mut self, ctx: &mut Ctx<u32>, _tag: u64) {
@@ -111,8 +116,9 @@ impl<M: Clone> Ctx<M> {
     /// Sends `msg` to every process, itself included (the paper's
     /// protocols assume a process receives its own broadcasts). The `n`
     /// buffered copies share one [`Payload`] allocation; the runner keeps
-    /// the sharing through its event queue, so a broadcast clones the
-    /// message at most once per *delivery*, and not at all while queued.
+    /// the sharing through its event queue and lends it to each receiver
+    /// ([`AsyncProcess::on_message`]), so a broadcast is never cloned
+    /// between here and delivery.
     pub fn broadcast(&mut self, msg: M) {
         let payload = Payload::new(msg);
         for i in 0..self.n {

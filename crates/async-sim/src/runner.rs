@@ -145,10 +145,11 @@ impl<P: AsyncProcess + Corrupt, S: Scheduler<P::Msg>> AsyncRunner<P, S> {
     /// scheduling a corruption at a time the run has already passed fires
     /// it at the next dispatch.
     pub fn schedule_corruption(&mut self, at: Time, seed: u64) {
-        self.corruptions.push((at, seed));
-        // Only the unfired tail may be re-sorted; fired entries are
-        // history.
-        self.corruptions[self.next_corruption..].sort_by_key(|&(t, _)| t);
+        // Fired entries are history; the unfired tail stays time-sorted,
+        // equal times in call order. Calls in time order append.
+        let tail = &self.corruptions[self.next_corruption..];
+        let i = self.next_corruption + tail.partition_point(|&(t, _)| t <= at);
+        self.corruptions.insert(i, (at, seed));
         self.corruption_apply = Some(corrupt_alive::<P>);
     }
 }
@@ -424,8 +425,10 @@ impl<P: AsyncProcess, S: Scheduler<P::Msg>> AsyncRunner<P, S> {
                             to,
                         });
                     }
+                    // Borrowed delivery: the receiver reads the copy the
+                    // whole broadcast shares; nothing is cloned for it.
                     self.scratch.reset(to, self.now);
-                    self.processes[to.index()].on_message(&mut self.scratch, from, msg.take());
+                    self.processes[to.index()].on_message(&mut self.scratch, from, msg.get());
                     self.drain_scratch(to);
                 }
                 PendingKind::Timer { p, tag } => {
@@ -521,7 +524,7 @@ mod tests {
             ctx.set_timer(50, 7);
         }
 
-        fn on_message(&mut self, ctx: &mut Ctx<u32>, from: ProcessId, msg: u32) {
+        fn on_message(&mut self, ctx: &mut Ctx<u32>, from: ProcessId, &msg: &u32) {
             self.received.push(msg);
             if msg < 10 {
                 ctx.send(from, msg + 1);
@@ -749,6 +752,29 @@ mod tests {
         assert_eq!(r.process(ProcessId(1)).timer_count, 0);
     }
 
+    #[test]
+    fn scheduled_corruptions_fire_in_time_then_call_order() {
+        use ftss_telemetry::RecordingSink;
+        let mut r = runner(AsyncConfig::tame(3));
+        for (at, seed) in [(100, 1), (50, 2), (100, 3), (50, 4), (75, 5), (100, 6)] {
+            r.schedule_corruption(at, seed);
+        }
+        let mut sink = RecordingSink::new(65_536);
+        r.run_until_traced(300, &mut sink);
+        let fired: Vec<(Time, u64)> = sink
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Corruption { round, seed } => Some((round, seed)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            fired,
+            vec![(50, 2), (50, 4), (75, 5), (100, 1), (100, 3), (100, 6)]
+        );
+    }
+
     /// A pinger whose message space the harness can forge into.
     #[derive(Debug, Default)]
     struct ForgeablePinger(Pinger);
@@ -760,7 +786,7 @@ mod tests {
             self.0.on_start(ctx);
         }
 
-        fn on_message(&mut self, ctx: &mut Ctx<u32>, from: ProcessId, msg: u32) {
+        fn on_message(&mut self, ctx: &mut Ctx<u32>, from: ProcessId, msg: &u32) {
             self.0.on_message(ctx, from, msg);
         }
 
@@ -818,6 +844,57 @@ mod tests {
             "honest p0's payloads reached p1 genuine: {:?}",
             p1.0.received
         );
+    }
+
+    /// A message that counts its own clones.
+    #[derive(Debug)]
+    struct Counted(std::rc::Rc<std::cell::Cell<u64>>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.set(self.0.get() + 1);
+            Counted(std::rc::Rc::clone(&self.0))
+        }
+    }
+
+    /// Broadcasts a [`Counted`] every 10 time units.
+    struct Gossiper {
+        clones: std::rc::Rc<std::cell::Cell<u64>>,
+        heard: u64,
+    }
+
+    impl AsyncProcess for Gossiper {
+        type Msg = Counted;
+
+        fn on_start(&mut self, ctx: &mut Ctx<Counted>) {
+            ctx.set_timer(10, 0);
+        }
+
+        fn on_message(&mut self, _ctx: &mut Ctx<Counted>, _from: ProcessId, _msg: &Counted) {
+            self.heard += 1;
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<Counted>, _tag: u64) {
+            ctx.broadcast(Counted(std::rc::Rc::clone(&self.clones)));
+            ctx.set_timer(10, 0);
+        }
+    }
+
+    #[test]
+    fn broadcast_reaches_every_receiver_without_a_clone() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let procs = (0..5)
+            .map(|_| Gossiper {
+                clones: std::rc::Rc::clone(&clones),
+                heard: 0,
+            })
+            .collect();
+        let mut r = AsyncRunner::new(procs, AsyncConfig::tame(3)).unwrap();
+        let stats = r.run_until(200);
+        assert!(stats.messages_delivered >= 400, "{stats:?}");
+        let heard: u64 = r.processes().iter().map(|p| p.heard).sum();
+        assert_eq!(heard, stats.messages_delivered);
+        assert_eq!(clones.get(), 0, "a copy was cloned on its way");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! Three implementations cover the repo's needs:
 //!
 //! * [`RandomScheduler`] — the historical behaviour, bit for bit: a seeded
-//!   uniform delay per send and a `(time, seq)` min-heap. Every existing
-//!   entry point uses it by default, so extracting the seam changed no
-//!   byte of any recorded trace.
+//!   uniform delay per send and events dispatched in `(time, seq)` order.
+//!   Every existing entry point uses it by default, so extracting the seam
+//!   changed no byte of any recorded trace.
 //! * [`DfsScheduler`] — exhaustive enumeration of dispatch orders for the
 //!   model checker (`ftss-check`): an iterative depth-first search over
 //!   "which pending event goes next", driven by an explicit choice stack —
@@ -30,7 +30,7 @@ use ftss_core::{Payload, ProcessId};
 use ftss_rng::Rng;
 use ftss_rng::StdRng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A queued event: a message awaiting delivery or an armed timer.
 #[derive(Clone, Debug)]
@@ -128,6 +128,106 @@ pub trait Scheduler<M> {
     }
 }
 
+/// How many virtual instants, from the queue's base on, get a bucket of
+/// their own in [`EventQueue`]'s ring — one bit each in its occupancy
+/// word.
+const RING: Time = 64;
+
+/// The time-ordered event queue of [`RandomScheduler`] and
+/// [`AdversaryScheduler`]: pops in exactly `(time, seq)` order, whatever
+/// the push order.
+///
+/// A ring of per-instant buckets covers the `RING` instants from `base`
+/// on; each bucket is kept sorted by `seq`, and an occupancy word marks
+/// the non-empty ones, so the ring's front is one rotate and one
+/// trailing-zeros count away. Anything outside the window at push time
+/// (later, or — never from the runner — earlier than `base`) goes to an
+/// overflow heap, and `pop` takes the smaller of the ring's front and the
+/// heap's top. `base` follows the popped times, so with delays and timer
+/// periods under `RING` every event lands in the ring, and push and pop
+/// are O(1): the runner's seqs arrive in increasing order, so a push
+/// appends to its bucket.
+#[derive(Debug)]
+struct EventQueue<M> {
+    /// `ring[t % RING]` holds the events at instant `t`, for
+    /// `base <= t < base + RING`, sorted by `seq`.
+    ring: Vec<VecDeque<Pending<M>>>,
+    /// Bit `i` is set iff `ring[i]` is non-empty.
+    occupied: u64,
+    /// The first instant the ring covers: no ring event is earlier.
+    base: Time,
+    /// Events that were outside the ring's window when pushed.
+    overflow: BinaryHeap<Reverse<Pending<M>>>,
+}
+
+impl<M> EventQueue<M> {
+    fn new() -> Self {
+        EventQueue {
+            ring: (0..RING).map(|_| VecDeque::new()).collect(),
+            occupied: 0,
+            base: 0,
+            overflow: BinaryHeap::new(),
+        }
+    }
+
+    fn push(&mut self, ev: Pending<M>) {
+        // `ev.time - base` rather than `base + RING`: no overflow near
+        // `Time::MAX`.
+        if ev.time < self.base || ev.time - self.base >= RING {
+            self.overflow.push(Reverse(ev));
+            return;
+        }
+        let i = (ev.time % RING) as usize;
+        let bucket = &mut self.ring[i];
+        if bucket.back().is_none_or(|last| last.seq < ev.seq) {
+            bucket.push_back(ev);
+        } else {
+            let at = bucket.partition_point(|e| e.seq < ev.seq);
+            bucket.insert(at, ev);
+        }
+        self.occupied |= 1 << i;
+    }
+
+    /// The ring's earliest bucket and its instant.
+    fn ring_front(&self) -> Option<(usize, Time)> {
+        let ahead = self.occupied.rotate_right((self.base % RING) as u32);
+        (ahead != 0).then(|| {
+            let t = self.base + Time::from(ahead.trailing_zeros());
+            ((t % RING) as usize, t)
+        })
+    }
+
+    fn pop(&mut self) -> Option<Pending<M>> {
+        // The ring's front, unless the overflow heap's top comes first.
+        let front = self.ring_front().filter(|&(i, t)| {
+            self.overflow
+                .peek()
+                .is_none_or(|Reverse(top)| (t, self.ring[i][0].seq) < (top.time, top.seq))
+        });
+        let ev = match front {
+            Some((i, _)) => {
+                let bucket = &mut self.ring[i];
+                let ev = bucket.pop_front().expect("occupied bucket");
+                if bucket.is_empty() {
+                    self.occupied &= !(1 << i);
+                }
+                ev
+            }
+            None => self.overflow.pop()?.0,
+        };
+        // `ev` was the minimum, so every remaining ring event is at or
+        // after it: the window may slide forward to it.
+        self.base = self.base.max(ev.time);
+        Some(ev)
+    }
+
+    fn peek_time(&self) -> Option<Time> {
+        let ring = self.ring_front().map(|(_, t)| t);
+        let heap = self.overflow.peek().map(|Reverse(e)| e.time);
+        ring.into_iter().chain(heap).min()
+    }
+}
+
 /// The admissible maximum delay at `now` under `cfg` (pre- vs post-GST).
 fn max_delay_at(cfg: &AsyncConfig, now: Time) -> Time {
     if now >= cfg.gst {
@@ -139,15 +239,15 @@ fn max_delay_at(cfg: &AsyncConfig, now: Time) -> Time {
 
 /// The historical seeded-random scheduler: uniform delays in
 /// `min_delay..=max` drawn from a [`StdRng`] seeded with `cfg.seed`, events
-/// dispatched in `(time, seq)` order via a binary min-heap.
+/// dispatched in `(time, seq)` order.
 ///
 /// This reproduces the pre-seam `AsyncRunner` behaviour exactly — same RNG
-/// stream, same draw order (one draw per send, none per timer), same heap
-/// ordering — so seeds, recorded traces, and EXPERIMENTS.md rows are
+/// stream, same draw order (one draw per send, none per timer), same
+/// dispatch order — so seeds, recorded traces, and EXPERIMENTS.md rows are
 /// unchanged.
 #[derive(Debug)]
 pub struct RandomScheduler<M> {
-    heap: BinaryHeap<Reverse<Pending<M>>>,
+    queue: EventQueue<M>,
     rng: StdRng,
 }
 
@@ -155,7 +255,7 @@ impl<M> RandomScheduler<M> {
     /// A scheduler seeded from `cfg.seed`.
     pub fn for_config(cfg: &AsyncConfig) -> Self {
         RandomScheduler {
-            heap: BinaryHeap::new(),
+            queue: EventQueue::new(),
             rng: StdRng::seed_from_u64(cfg.seed),
         }
     }
@@ -168,15 +268,15 @@ impl<M> Scheduler<M> for RandomScheduler<M> {
     }
 
     fn push(&mut self, ev: Pending<M>) {
-        self.heap.push(Reverse(ev));
+        self.queue.push(ev);
     }
 
     fn pop(&mut self) -> Option<Pending<M>> {
-        self.heap.pop().map(|Reverse(e)| e)
+        self.queue.pop()
     }
 
     fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.queue.peek_time()
     }
 }
 
@@ -372,7 +472,7 @@ impl<M> Scheduler<M> for DfsScheduler<M> {
 /// Worst-case delays against a target set, for systems too large to
 /// enumerate: every message sent *by or to* a target process is assigned
 /// the maximum admissible delay at its send time, every other message the
-/// minimum. Dispatch order is the same `(time, seq)` min-heap as
+/// minimum. Dispatch order is the same `(time, seq)` order as
 /// [`RandomScheduler`] — fully deterministic, no randomness at all.
 ///
 /// Slowing a coterie's members to the admissible maximum while the rest of
@@ -382,7 +482,7 @@ impl<M> Scheduler<M> for DfsScheduler<M> {
 /// fairness (eventual delivery) the model guarantees.
 #[derive(Debug)]
 pub struct AdversaryScheduler<M> {
-    heap: BinaryHeap<Reverse<Pending<M>>>,
+    queue: EventQueue<M>,
     targets: Vec<ProcessId>,
     window: (Time, Time),
 }
@@ -392,7 +492,7 @@ impl<M> AdversaryScheduler<M> {
     /// whole run.
     pub fn new(targets: impl IntoIterator<Item = ProcessId>) -> Self {
         AdversaryScheduler {
-            heap: BinaryHeap::new(),
+            queue: EventQueue::new(),
             targets: targets.into_iter().collect(),
             window: (0, Time::MAX),
         }
@@ -425,15 +525,15 @@ impl<M> Scheduler<M> for AdversaryScheduler<M> {
     }
 
     fn push(&mut self, ev: Pending<M>) {
-        self.heap.push(Reverse(ev));
+        self.queue.push(ev);
     }
 
     fn pop(&mut self) -> Option<Pending<M>> {
-        self.heap.pop().map(|Reverse(e)| e)
+        self.queue.pop()
     }
 
     fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.queue.peek_time()
     }
 }
 
@@ -542,6 +642,68 @@ mod tests {
         let order: Vec<(Time, u64)> =
             std::iter::from_fn(|| s.pop().map(|e| (e.time, e.seq))).collect();
         assert_eq!(order, vec![(10, 1), (10, 2), (30, 1)]);
+    }
+
+    /// The queue against the min-heap it replaced, over random
+    /// interleavings of push, pop and peek: equal times, batches pushed in
+    /// reverse seq order, times beyond the ring or before its base, and
+    /// times at `Time::MAX`.
+    #[test]
+    fn event_queue_pops_like_the_reference_heap() {
+        use ftss_rng::check::{forall, Gen};
+        forall(200, |g: &mut Gen| {
+            let mut q: EventQueue<u8> = EventQueue::new();
+            let mut reference: BinaryHeap<Reverse<Pending<u8>>> = BinaryHeap::new();
+            let key = |e: &Pending<u8>| (e.time, e.seq);
+            let mut now: Time = if g.gen_bool(0.25) {
+                Time::MAX - 100
+            } else {
+                g.gen_range(0..1_000)
+            };
+            let mut seq = 0u64;
+            for _ in 0..g.gen_range(1..=g.size() * 8) {
+                match g.gen_range(0..10) {
+                    0..=4 => {
+                        let batch = g.gen_range(1..=3u64);
+                        let mut evs: Vec<Pending<u8>> = (1..=batch)
+                            .map(|k| {
+                                let time = match g.gen_range(0..8) {
+                                    0 => now.saturating_add(g.gen_range(60..300)),
+                                    1 => now.saturating_sub(g.gen_range(1..10)),
+                                    2 => Time::MAX - g.gen_range(0..3),
+                                    _ => now.saturating_add(g.gen_range(0..6)),
+                                };
+                                deliver(time, seq + k)
+                            })
+                            .collect();
+                        seq += batch;
+                        if g.gen_bool(0.3) {
+                            evs.reverse();
+                        }
+                        for ev in evs {
+                            reference.push(Reverse(ev.clone()));
+                            q.push(ev);
+                        }
+                    }
+                    5..=8 => {
+                        let want = reference.pop().map(|Reverse(e)| key(&e));
+                        let got = q.pop().map(|e| key(&e));
+                        assert_eq!(got, want);
+                        if let Some((t, _)) = got {
+                            now = now.max(t);
+                        }
+                    }
+                    _ => {
+                        let want = reference.peek().map(|Reverse(e)| e.time);
+                        assert_eq!(q.peek_time(), want);
+                    }
+                }
+            }
+            while let Some(Reverse(e)) = reference.pop() {
+                assert_eq!(q.pop().map(|e| key(&e)), Some(key(&e)));
+            }
+            assert!(q.pop().is_none() && q.peek_time().is_none());
+        });
     }
 
     #[test]

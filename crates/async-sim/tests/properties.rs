@@ -23,7 +23,7 @@ impl AsyncProcess for Recorder {
         ctx.set_timer(37, 1);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<u32>, from: ProcessId, msg: u32) {
+    fn on_message(&mut self, ctx: &mut Ctx<u32>, from: ProcessId, msg: &u32) {
         self.events.push((ctx.now(), format!("m:{from}:{msg}")));
     }
 

@@ -339,7 +339,7 @@ pub fn explore_gossip_por() -> (AsyncDfsReport, AsyncDfsReport) {
         fn on_start(&mut self, ctx: &mut Ctx<u64>) {
             ctx.broadcast(self.v);
         }
-        fn on_message(&mut self, _ctx: &mut Ctx<u64>, _from: ProcessId, m: u64) {
+        fn on_message(&mut self, _ctx: &mut Ctx<u64>, _from: ProcessId, &m: &u64) {
             self.v = self.v.max(m);
         }
         fn on_timer(&mut self, _ctx: &mut Ctx<u64>, _tag: u64) {}
@@ -401,7 +401,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<u64>) {
                 ctx.broadcast(self.v);
             }
-            fn on_message(&mut self, _ctx: &mut Ctx<u64>, _from: ProcessId, m: u64) {
+            fn on_message(&mut self, _ctx: &mut Ctx<u64>, _from: ProcessId, &m: &u64) {
                 self.v = self.v.max(m);
             }
             fn on_timer(&mut self, _ctx: &mut Ctx<u64>, _tag: u64) {}
@@ -444,7 +444,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<u64>) {
                 ctx.broadcast(self.v);
             }
-            fn on_message(&mut self, _ctx: &mut Ctx<u64>, _from: ProcessId, m: u64) {
+            fn on_message(&mut self, _ctx: &mut Ctx<u64>, _from: ProcessId, &m: &u64) {
                 self.v = self.v.max(m);
             }
             fn on_timer(&mut self, _ctx: &mut Ctx<u64>, _tag: u64) {}

@@ -304,6 +304,30 @@ pub fn compile(args: &Args) -> Outcome {
     }
 }
 
+/// The `--crash` schedule of an async command over `n` processes,
+/// validated before anything is built from it: the ◇W oracle both
+/// builders share indexes its crash table by process and needs one
+/// process that never crashes.
+fn async_crashes(args: &Args, n: usize) -> Result<Vec<(ProcessId, Time)>, String> {
+    if n == 0 {
+        return Err("--n must be at least 1".into());
+    }
+    let crashes: Vec<(ProcessId, Time)> = args
+        .crash_spec("crash")?
+        .into_iter()
+        .map(|(p, t)| (ProcessId(p), t))
+        .collect();
+    if let Some((p, _)) = crashes.iter().find(|(p, _)| p.index() >= n) {
+        return Err(format!("--crash names {p} but n = {n}"));
+    }
+    if (0..n).all(|i| crashes.iter().any(|(p, _)| p.index() == i)) {
+        return Err(format!(
+            "--crash leaves none of the {n} process(es) correct; at least one must never crash"
+        ));
+    }
+    Ok(crashes)
+}
+
 /// Builds the §3 consensus runner from the command line; returns the
 /// runner and the highest corrupted starting instance (0 when clean).
 /// Prints nothing, so `trace` can reuse it without polluting the stream.
@@ -311,9 +335,7 @@ fn consensus_runner(args: &Args) -> Result<(AsyncRunner<SsConsensusProcess>, u64
     let n: usize = args.get_or("n", 3)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let corrupt = args.flag("corrupt")?;
-    let crash = args.crash_spec("crash")?;
-    let crashes: Vec<(ProcessId, Time)> =
-        crash.into_iter().map(|(p, t)| (ProcessId(p), t)).collect();
+    let crashes = async_crashes(args, n)?;
     let inputs: Vec<u64> = (0..n as u64).map(|i| i * 10).collect();
     let oracle = WeakOracle::new(n, crashes.clone(), 300, seed, 0.2);
     let mut procs: Vec<SsConsensusProcess> = (0..n)
@@ -392,9 +414,7 @@ fn detector_runner(
     let n: usize = args.get_or("n", 4)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let poison = args.flag("poison")?;
-    let crash = args.crash_spec("crash")?;
-    let crashes: Vec<(ProcessId, Time)> =
-        crash.into_iter().map(|(p, t)| (ProcessId(p), t)).collect();
+    let crashes = async_crashes(args, n)?;
     let oracle = WeakOracle::new(n, crashes.clone(), 0, seed, 0.0);
     let mut procs: Vec<StrongDetectorProcess> = (0..n)
         .map(|i| StrongDetectorProcess::new(ProcessId(i), oracle.clone(), 20))

@@ -112,6 +112,28 @@ fn detector_with_poison_recovers() {
     assert!(s.contains("eventual weak accuracy settled"));
 }
 
+/// The async commands validate `--n` and `--crash` before building the
+/// ◇W oracle: each of these used to panic inside it.
+#[test]
+fn async_commands_reject_bad_crash_schedules() {
+    for (cmd, want) in [
+        ("detector --n 3 --crash 7@5", "names p7"),
+        ("consensus --n 0", "at least 1"),
+        ("detector --n 1 --crash 0@5", "never crash"),
+        ("trace --protocol detector --n 3 --crash 7@5", "names p7"),
+        ("trace --protocol consensus --n 0", "at least 1"),
+    ] {
+        let o = run(&cmd.split(' ').collect::<Vec<_>>());
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(2), "{cmd}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains(want),
+            "{cmd}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{cmd}: {err}");
+    }
+}
+
 #[test]
 fn token_ring_stabilizes() {
     let o = run(&["token-ring", "--n", "4", "--rounds", "60", "--seed", "5"]);

@@ -298,18 +298,20 @@ impl AsyncProcess for CtConsensusProcess {
         self.enter_round(ctx, r);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<CtMsg>, from: ProcessId, msg: CtMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<CtMsg>, from: ProcessId, msg: &CtMsg) {
         match msg {
             CtMsg::Detector(table) => {
                 self.forward_detector(ctx, |d, dctx| d.on_message(dctx, from, table));
             }
-            CtMsg::Decide { value } => {
+            &CtMsg::Decide { value } => {
                 if self.decided.is_none() {
                     self.decided = Some(value);
                     ctx.broadcast(CtMsg::Decide { value });
                 }
             }
-            other => self.handle_consensus(ctx, from, other),
+            // The consensus messages are a few words: `handle_consensus`
+            // may buffer one for a future round, so it takes its own.
+            other => self.handle_consensus(ctx, from, other.clone()),
         }
     }
 

@@ -270,7 +270,7 @@ impl SsConsensusProcess {
         }
     }
 
-    fn handle_consensus(&mut self, ctx: &mut Ctx<SsMsg>, from: ProcessId, msg: SsMsg) {
+    fn handle_consensus(&mut self, ctx: &mut Ctx<SsMsg>, from: ProcessId, msg: &SsMsg) {
         let Some((mi, mr)) = msg.tag() else { return };
         // Round agreement: adopt greater tags, ignore smaller ones.
         if (mi, mr) > (self.inst, self.round) {
@@ -278,7 +278,7 @@ impl SsConsensusProcess {
         } else if (mi, mr) < (self.inst, self.round) {
             return;
         }
-        match msg {
+        match *msg {
             SsMsg::Estimate { value, ts, .. } => {
                 if self.coordinator(self.round) == self.me {
                     self.estimates.insert(from, (value, ts));
@@ -373,12 +373,12 @@ impl AsyncProcess for SsConsensusProcess {
         self.send_estimate(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<SsMsg>, from: ProcessId, msg: SsMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<SsMsg>, from: ProcessId, msg: &SsMsg) {
         match msg {
             SsMsg::Detector(table) => {
                 self.forward_detector(ctx, |d, dctx| d.on_message(dctx, from, table));
             }
-            SsMsg::Decide { inst, value } => {
+            &SsMsg::Decide { inst, value } => {
                 self.decide(ctx, inst, value);
             }
             other => self.handle_consensus(ctx, from, other),
@@ -598,7 +598,7 @@ mod tests {
         p.on_message(
             &mut ctx,
             ProcessId(1),
-            SsMsg::RoundSync { inst: 7, round: 3 },
+            &SsMsg::RoundSync { inst: 7, round: 3 },
         );
         assert_eq!((p.inst, p.round), (7, 3));
         // Estimate reset to instance 7's input.
@@ -607,7 +607,7 @@ mod tests {
         p.on_message(
             &mut ctx,
             ProcessId(2),
-            SsMsg::RoundSync { inst: 7, round: 2 },
+            &SsMsg::RoundSync { inst: 7, round: 2 },
         );
         assert_eq!((p.inst, p.round), (7, 3));
     }
@@ -617,11 +617,11 @@ mod tests {
         let oracle = WeakOracle::new(3, vec![], 0, 1, 0.0);
         let mut p = SsConsensusProcess::new(ProcessId(0), vec![1, 2, 3], oracle, 25, 40);
         let mut ctx = Ctx::new(ProcessId(0), 3, 100);
-        p.on_message(&mut ctx, ProcessId(1), SsMsg::Decide { inst: 1, value: 2 });
+        p.on_message(&mut ctx, ProcessId(1), &SsMsg::Decide { inst: 1, value: 2 });
         assert_eq!(p.last_decision(), Some((1, 2)));
         assert_eq!((p.inst, p.round), (2, 1));
         // An older decision does not regress anything.
-        p.on_message(&mut ctx, ProcessId(2), SsMsg::Decide { inst: 1, value: 9 });
+        p.on_message(&mut ctx, ProcessId(2), &SsMsg::Decide { inst: 1, value: 9 });
         assert_eq!(p.last_decision(), Some((1, 2)));
         assert_eq!((p.inst, p.round), (2, 1));
     }

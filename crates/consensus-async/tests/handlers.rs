@@ -37,7 +37,7 @@ fn ct_coordinator_proposes_max_timestamp_estimate() {
     p.on_message(
         &mut ctx,
         ProcessId(1),
-        CtMsg::Estimate {
+        &CtMsg::Estimate {
             round: 1,
             value: 77,
             ts: 5,
@@ -46,7 +46,7 @@ fn ct_coordinator_proposes_max_timestamp_estimate() {
     p.on_message(
         &mut ctx,
         ProcessId(0),
-        CtMsg::Estimate {
+        &CtMsg::Estimate {
             round: 1,
             value: 10,
             ts: 0,
@@ -66,7 +66,7 @@ fn ct_future_round_messages_are_buffered_not_processed() {
     p.on_message(
         &mut ctx,
         ProcessId(0),
-        CtMsg::Estimate {
+        &CtMsg::Estimate {
             round: 2,
             value: 5,
             ts: 0,
@@ -86,7 +86,7 @@ fn ct_stale_round_messages_are_dropped() {
     use ftss_async_sim::AsyncProcess;
     p.on_start(&mut ctx);
     p.round = 5;
-    p.on_message(&mut ctx, ProcessId(1), CtMsg::Ack { round: 3 });
+    p.on_message(&mut ctx, ProcessId(1), &CtMsg::Ack { round: 3 });
     assert!(p.replies.is_empty(), "stale ack must be ignored");
 }
 
@@ -96,10 +96,10 @@ fn ct_decide_is_sticky_and_idempotent() {
     let mut ctx = Ctx::new(ProcessId(2), 3, 0);
     use ftss_async_sim::AsyncProcess;
     p.on_start(&mut ctx);
-    p.on_message(&mut ctx, ProcessId(0), CtMsg::Decide { value: 42 });
+    p.on_message(&mut ctx, ProcessId(0), &CtMsg::Decide { value: 42 });
     assert_eq!(p.decision(), Some(42));
     // A different (corrupted relayer's) later decide must not overwrite.
-    p.on_message(&mut ctx, ProcessId(1), CtMsg::Decide { value: 7 });
+    p.on_message(&mut ctx, ProcessId(1), &CtMsg::Decide { value: 7 });
     assert_eq!(p.decision(), Some(42));
 }
 
@@ -114,7 +114,7 @@ fn ct_proposal_from_non_coordinator_is_ignored() {
     p.on_message(
         &mut ctx,
         ProcessId(2),
-        CtMsg::Proposal {
+        &CtMsg::Proposal {
             round: 1,
             value: 99,
         },
@@ -138,21 +138,21 @@ fn ss_jump_rule_is_lexicographic() {
     p.on_message(
         &mut ctx,
         ProcessId(1),
-        SsMsg::RoundSync { inst: 1, round: 4 },
+        &SsMsg::RoundSync { inst: 1, round: 4 },
     );
     assert_eq!((p.inst, p.round), (1, 4));
     // Higher instance, lower round: jump (instance dominates).
     p.on_message(
         &mut ctx,
         ProcessId(2),
-        SsMsg::RoundSync { inst: 2, round: 1 },
+        &SsMsg::RoundSync { inst: 2, round: 1 },
     );
     assert_eq!((p.inst, p.round), (2, 1));
     // Lower tag: ignored.
     p.on_message(
         &mut ctx,
         ProcessId(1),
-        SsMsg::RoundSync { inst: 1, round: 9 },
+        &SsMsg::RoundSync { inst: 1, round: 9 },
     );
     assert_eq!((p.inst, p.round), (2, 1));
 }
@@ -167,7 +167,7 @@ fn ss_jump_clears_phase_state() {
     p.on_message(
         &mut ctx,
         ProcessId(1),
-        SsMsg::Estimate {
+        &SsMsg::Estimate {
             inst: 1,
             round: 1,
             value: 9,
@@ -178,7 +178,7 @@ fn ss_jump_clears_phase_state() {
     p.on_message(
         &mut ctx,
         ProcessId(2),
-        SsMsg::RoundSync { inst: 1, round: 7 },
+        &SsMsg::RoundSync { inst: 1, round: 7 },
     );
     assert!(p.estimates.is_empty(), "jump must abandon the phase");
     assert!(p.proposal.is_none());
@@ -195,7 +195,7 @@ fn ss_new_instance_resets_estimate_to_fresh_input() {
     p.on_message(
         &mut ctx,
         ProcessId(0),
-        SsMsg::RoundSync { inst: 3, round: 1 },
+        &SsMsg::RoundSync { inst: 3, round: 1 },
     );
     assert_eq!(p.est, (expected_inst_3, 0));
 }
@@ -206,15 +206,27 @@ fn ss_decide_monotone_in_instance() {
     let mut ctx = Ctx::new(ProcessId(2), 3, 0);
     use ftss_async_sim::AsyncProcess;
     p.on_start(&mut ctx);
-    p.on_message(&mut ctx, ProcessId(0), SsMsg::Decide { inst: 4, value: 40 });
+    p.on_message(
+        &mut ctx,
+        ProcessId(0),
+        &SsMsg::Decide { inst: 4, value: 40 },
+    );
     assert_eq!(p.last_decision(), Some((4, 40)));
     assert_eq!((p.inst, p.round), (5, 1), "deciding inst 4 starts inst 5");
     // An older decision neither overwrites nor regresses the instance.
-    p.on_message(&mut ctx, ProcessId(1), SsMsg::Decide { inst: 2, value: 20 });
+    p.on_message(
+        &mut ctx,
+        ProcessId(1),
+        &SsMsg::Decide { inst: 2, value: 20 },
+    );
     assert_eq!(p.last_decision(), Some((4, 40)));
     assert_eq!((p.inst, p.round), (5, 1));
     // A newer one advances both.
-    p.on_message(&mut ctx, ProcessId(1), SsMsg::Decide { inst: 9, value: 90 });
+    p.on_message(
+        &mut ctx,
+        ProcessId(1),
+        &SsMsg::Decide { inst: 9, value: 90 },
+    );
     assert_eq!(p.last_decision(), Some((9, 90)));
     assert_eq!((p.inst, p.round), (10, 1));
 }
@@ -231,7 +243,7 @@ fn ss_coordinator_decides_on_majority_acks() {
         p.on_message(
             &mut ctx,
             ProcessId(q),
-            SsMsg::Estimate {
+            &SsMsg::Estimate {
                 inst: 1,
                 round: 1,
                 value: v,
@@ -246,13 +258,13 @@ fn ss_coordinator_decides_on_majority_acks() {
     p.on_message(
         &mut ctx,
         ProcessId(0),
-        SsMsg::Proposal {
+        &SsMsg::Proposal {
             inst: 1,
             round: 1,
             value: proposed,
         },
     );
-    p.on_message(&mut ctx, ProcessId(1), SsMsg::Ack { inst: 1, round: 1 });
+    p.on_message(&mut ctx, ProcessId(1), &SsMsg::Ack { inst: 1, round: 1 });
     assert_eq!(p.last_decision(), Some((1, 9)));
     assert_eq!((p.inst, p.round), (2, 1), "moved to the next instance");
 }
@@ -267,7 +279,7 @@ fn ss_nacks_advance_the_round_without_deciding() {
         p.on_message(
             &mut ctx,
             ProcessId(q),
-            SsMsg::Estimate {
+            &SsMsg::Estimate {
                 inst: 1,
                 round: 1,
                 value: v,
@@ -276,8 +288,8 @@ fn ss_nacks_advance_the_round_without_deciding() {
         );
     }
     assert!(p.proposal.is_some());
-    p.on_message(&mut ctx, ProcessId(1), SsMsg::Nack { inst: 1, round: 1 });
-    p.on_message(&mut ctx, ProcessId(2), SsMsg::Nack { inst: 1, round: 1 });
+    p.on_message(&mut ctx, ProcessId(1), &SsMsg::Nack { inst: 1, round: 1 });
+    p.on_message(&mut ctx, ProcessId(2), &SsMsg::Nack { inst: 1, round: 1 });
     assert_eq!(p.last_decision(), None);
     assert_eq!(
         (p.inst, p.round),

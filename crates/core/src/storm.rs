@@ -143,9 +143,118 @@ impl StormPhase {
     }
 }
 
+/// The phase of `phases` active at round/instant `at`, found by binary
+/// search — the one lookup both the storm adversary and the socket
+/// runtime's timing proxy make per consulted round.
+///
+/// `phases` must be a storm program as [`check_phases`] accepts it: each
+/// window has `from <= to`, the windows are sorted by `from` and pairwise
+/// disjoint. Then their ends are sorted too, at most one window contains
+/// `at`, and this equals the linear `phases.iter().find(|ph|
+/// ph.active(at))`.
+pub fn phase_at(phases: &[StormPhase], at: u64) -> Option<&StormPhase> {
+    let i = phases.partition_point(|ph| ph.to < at);
+    phases.get(i).filter(|ph| ph.from <= at)
+}
+
+/// Checks that `phases` is a storm program [`phase_at`] can search: every
+/// window has `from <= to` and starts after the previous one ends.
+///
+/// # Errors
+///
+/// Names the first inverted window, or the first pair of windows that are
+/// out of order or overlap.
+pub fn check_phases(phases: &[StormPhase]) -> Result<(), String> {
+    if let Some((i, ph)) = phases.iter().enumerate().find(|(_, ph)| ph.from > ph.to) {
+        return Err(format!(
+            "storm phase {i} ends (at {}) before it starts (at {})",
+            ph.to, ph.from
+        ));
+    }
+    match phases.windows(2).position(|w| w[1].from <= w[0].to) {
+        Some(i) => Err(format!(
+            "storm phases {i} ({}..={}) and {} ({}..={}) are unsorted or overlap",
+            phases[i].from,
+            phases[i].to,
+            i + 1,
+            phases[i + 1].from,
+            phases[i + 1].to
+        )),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftss_rng::check::{forall, Gen};
+    use ftss_rng::Rng;
+
+    /// A random well-formed program — sorted, disjoint windows, adjacent
+    /// ones included, sometimes starting at round 0 — and the first round
+    /// past its finite windows; a fifth of the programs end with a window
+    /// reaching `u64::MAX`.
+    fn program(g: &mut Gen) -> (Vec<StormPhase>, u64) {
+        let mut phases = Vec::new();
+        let mut next: u64 = if g.gen_bool(0.2) {
+            0
+        } else {
+            g.gen_range(0..8)
+        };
+        for _ in 0..g.gen_range(0..=g.size() / 4) {
+            let from = next + g.gen_range(0..3); // 0 = adjacent to the previous window
+            let to = from + g.gen_range(0..4);
+            phases.push(StormPhase::new(from, to, StormKind::SilenceChurn));
+            next = to + 1;
+        }
+        if g.gen_bool(0.2) {
+            phases.push(StormPhase::new(u64::MAX - 3, u64::MAX, StormKind::Reorder));
+        }
+        (phases, next)
+    }
+
+    #[test]
+    fn phase_lookup_equals_the_linear_scan() {
+        forall(256, |g: &mut Gen| {
+            let (phases, next) = program(g);
+            assert_eq!(check_phases(&phases), Ok(()));
+            let tail = [u64::MAX - 4, u64::MAX - 3, u64::MAX, g.gen()];
+            for at in (0..=next).chain(tail) {
+                let linear = phases.iter().find(|ph| ph.active(at));
+                assert_eq!(phase_at(&phases, at), linear, "at {at} in {phases:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn phase_lookup_on_edges() {
+        assert_eq!(phase_at(&[], 0), None);
+        assert_eq!(phase_at(&[], u64::MAX), None);
+        let phases = [
+            StormPhase::new(0, 0, StormKind::Partition),
+            StormPhase::new(1, 4, StormKind::SilenceChurn),
+            StormPhase::new(9, u64::MAX, StormKind::Duplicate),
+        ];
+        assert_eq!(phase_at(&phases, 0), Some(&phases[0]));
+        assert_eq!(phase_at(&phases, 1), Some(&phases[1]));
+        assert_eq!(phase_at(&phases, 4), Some(&phases[1]));
+        assert_eq!(phase_at(&phases, 5), None);
+        assert_eq!(phase_at(&phases, 8), None);
+        assert_eq!(phase_at(&phases, u64::MAX), Some(&phases[2]));
+    }
+
+    #[test]
+    fn check_phases_rejects_inverted_unsorted_and_overlapping() {
+        let ph = |from, to| StormPhase::new(from, to, StormKind::Partition);
+        assert!(check_phases(&[ph(3, 2)])
+            .unwrap_err()
+            .contains("before it starts"));
+        assert!(check_phases(&[ph(5, 6), ph(1, 2)])
+            .unwrap_err()
+            .contains("unsorted or overlap"));
+        assert!(check_phases(&[ph(1, 5), ph(5, 6)]).is_err());
+        assert_eq!(check_phases(&[ph(1, 5), ph(6, 6)]), Ok(()));
+    }
 
     #[test]
     fn names_are_stable() {

@@ -118,8 +118,8 @@ impl AsyncProcess for BaselineDetectorProcess {
         ctx.set_timer(self.poll_period, Self::TICK);
     }
 
-    fn on_message(&mut self, _ctx: &mut Ctx<TableMsg>, _from: ProcessId, msg: TableMsg) {
-        for (s, (n, st)) in msg.into_iter().enumerate() {
+    fn on_message(&mut self, _ctx: &mut Ctx<TableMsg>, _from: ProcessId, msg: &TableMsg) {
+        for (s, &(n, st)) in msg.iter().enumerate() {
             if s < self.num.len() && n > self.num[s] {
                 // Adoption marks the entry dirty, as any state change does.
                 self.set(s, n, st);
@@ -206,7 +206,7 @@ mod tests {
         p.on_message(
             &mut ctx,
             ProcessId(1),
-            vec![(0, LifeState::Dead), (0, LifeState::Dead)],
+            &vec![(0, LifeState::Dead), (0, LifeState::Dead)],
         );
         assert_eq!(p.state[0], LifeState::Alive);
         assert_eq!(p.state[1], LifeState::Alive);

@@ -100,7 +100,7 @@ impl AsyncProcess for HeartbeatDetector {
         ctx.set_timer(self.period, Self::TICK);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<()>, from: ProcessId, _msg: ()) {
+    fn on_message(&mut self, ctx: &mut Ctx<()>, from: ProcessId, _msg: &()) {
         let s = from.index();
         self.last_heard[s] = ctx.now();
         if self.suspects.remove(from) {
@@ -217,12 +217,12 @@ mod tests {
         d.suspects.insert(ProcessId(1));
         d.timeout[1] = 30;
         let mut ctx = Ctx::new(ProcessId(0), 2, 100);
-        d.on_message(&mut ctx, ProcessId(1), ());
+        d.on_message(&mut ctx, ProcessId(1), &());
         assert_eq!(d.timeout[1], 60);
         assert!(!d.suspects.contains(ProcessId(1)));
         assert_eq!(d.last_heard[1], 100);
         // A second heartbeat without suspicion does not double again.
-        d.on_message(&mut ctx, ProcessId(1), ());
+        d.on_message(&mut ctx, ProcessId(1), &());
         assert_eq!(d.timeout[1], 60);
     }
 

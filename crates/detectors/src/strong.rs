@@ -149,9 +149,9 @@ impl AsyncProcess for StrongDetectorProcess {
         ctx.set_timer(self.poll_period, Self::TICK);
     }
 
-    fn on_message(&mut self, _ctx: &mut Ctx<TableMsg>, _from: ProcessId, msg: TableMsg) {
+    fn on_message(&mut self, _ctx: &mut Ctx<TableMsg>, _from: ProcessId, msg: &TableMsg) {
         // when deliver (s, n, st): adopt strictly-newer versions.
-        for (s, (n, st)) in msg.into_iter().enumerate() {
+        for (s, &(n, st)) in msg.iter().enumerate() {
             if s < self.num.len() && n > self.num[s] {
                 self.num[s] = n;
                 self.state[s] = st;
@@ -284,13 +284,13 @@ mod tests {
         p.on_message(
             &mut ctx,
             ProcessId(1),
-            vec![(0, LifeState::Alive), (5, LifeState::Dead)],
+            &vec![(0, LifeState::Alive), (5, LifeState::Dead)],
         );
         assert_eq!(p.state[1], LifeState::Alive, "n=5 < num=10 must be ignored");
         p.on_message(
             &mut ctx,
             ProcessId(1),
-            vec![(0, LifeState::Alive), (11, LifeState::Dead)],
+            &vec![(0, LifeState::Alive), (11, LifeState::Dead)],
         );
         assert_eq!(p.state[1], LifeState::Dead, "n=11 > num=10 must be adopted");
     }
@@ -301,7 +301,7 @@ mod tests {
         let mut p = StrongDetectorProcess::new(ProcessId(0), oracle, 10);
         let mut ctx = Ctx::new(ProcessId(0), 3, 0);
         // A 1-entry table must not panic or touch other entries.
-        p.on_message(&mut ctx, ProcessId(1), vec![(99, LifeState::Dead)]);
+        p.on_message(&mut ctx, ProcessId(1), &vec![(99, LifeState::Dead)]);
         assert_eq!(p.state[1], LifeState::Alive);
         assert_eq!(p.state[2], LifeState::Alive);
         assert_eq!(p.num[0], 99);

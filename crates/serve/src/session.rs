@@ -46,7 +46,7 @@ use crate::proto::{RoundTable, ToNode, ToRouter};
 use crate::transport::{Channel, TransportKind};
 use crate::wire::{Wire, WireMsg};
 use ftss::core::{
-    round_count, Corrupt, CrashSchedule, Deliveries, DeliveryOutcome, History, ProcessId,
+    round_count, storm, Corrupt, CrashSchedule, Deliveries, DeliveryOutcome, History, ProcessId,
     ProcessSet, RoundMsgs, StormKind, StormPhase, FRAME_HEADER_LEN,
 };
 use ftss::sync_sim::{
@@ -313,6 +313,7 @@ impl ServeConfig {
             if let Some(v) = tf.victims.iter().find(|v| v.index() >= n) {
                 return Err(format!("timing faults name {v} but n = {n}"));
             }
+            storm::check_phases(&tf.phases).map_err(|e| format!("timing faults: {e}"))?;
         }
         Ok(())
     }
@@ -962,7 +963,7 @@ impl<M: Clone> CopyLayer<M> for TimingProxy<'_, M> {
             return outcome;
         };
         if self.current.0 != r {
-            let phase = tf.phases.iter().find(|ph| ph.from <= r && r <= ph.to);
+            let phase = storm::phase_at(&tf.phases, r);
             self.current = (r, phase.map(|ph| ph.kind).filter(StormKind::is_timing));
         }
         let Some(kind) = self.current.1 else {

@@ -12,7 +12,7 @@
 //! * the faulty set must respect the fault bound `f`,
 //! * self-delivery is never submitted for dropping (paper footnote 1).
 
-use ftss_core::{CrashSchedule, ProcessId, ProcessSet, Round, StormKind, StormPhase};
+use ftss_core::{storm, CrashSchedule, ProcessId, ProcessSet, Round, StormKind, StormPhase};
 use ftss_rng::Rng;
 use ftss_rng::StdRng;
 use std::collections::BTreeSet;
@@ -518,6 +518,11 @@ impl Adversary for ScriptedOmission {
 /// * [`StormKind::CorruptionBurst`] / [`StormKind::DelayInflation`] —
 ///   no copies dropped; bursts are injected via
 ///   `CorruptionSchedule`, delay inflation is async-only.
+///
+/// The phases are a storm program as [`ftss_core::storm::check_phases`]
+/// accepts it (sorted, disjoint windows), so every consulted copy finds
+/// its round's phase by binary search ([`ftss_core::storm::phase_at`]):
+/// a soak's cost per round does not grow with its epoch count.
 #[derive(Clone, Debug)]
 pub struct StormAdversary {
     victims: BTreeSet<ProcessId>,
@@ -531,7 +536,10 @@ impl StormAdversary {
     ///
     /// # Panics
     ///
-    /// Panics if an [`StormKind::OmissionStorm`] phase has `percent > 100`.
+    /// Panics if an [`StormKind::OmissionStorm`] phase has `percent > 100`,
+    /// or if the phases are not a storm program: a window with
+    /// `from > to`, or windows unsorted by `from` or overlapping (see
+    /// [`ftss_core::storm::check_phases`]).
     pub fn new(
         victims: impl IntoIterator<Item = ProcessId>,
         phases: impl IntoIterator<Item = StormPhase>,
@@ -543,6 +551,9 @@ impl StormAdversary {
                 assert!(percent <= 100, "omission-storm percent must be <= 100");
             }
         }
+        if let Err(e) = storm::check_phases(&phases) {
+            panic!("{e}");
+        }
         StormAdversary {
             victims: victims.into_iter().collect(),
             phases,
@@ -550,9 +561,9 @@ impl StormAdversary {
         }
     }
 
-    /// The first phase active in round `r`, if any.
+    /// The phase active in round `r`, if any.
     pub fn phase_at(&self, r: Round) -> Option<&StormPhase> {
-        self.phases.iter().find(|ph| ph.active(r.get()))
+        storm::phase_at(&self.phases, r.get())
     }
 
     fn victim_side(&self, from: ProcessId, to: ProcessId) -> Option<OmissionSide> {
@@ -852,6 +863,32 @@ mod tests {
                 1,
                 StormKind::OmissionStorm { percent: 101 },
             )],
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unsorted or overlap")]
+    fn storm_adversary_rejects_overlapping_phases() {
+        StormAdversary::new(
+            [ProcessId(0)],
+            [
+                StormPhase::new(1, 5, StormKind::SilenceChurn),
+                StormPhase::new(5, 6, StormKind::Partition),
+            ],
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unsorted or overlap")]
+    fn storm_adversary_rejects_unsorted_phases() {
+        StormAdversary::new(
+            [ProcessId(0)],
+            [
+                StormPhase::new(10, 12, StormKind::SilenceChurn),
+                StormPhase::new(1, 3, StormKind::Partition),
+            ],
             0,
         );
     }

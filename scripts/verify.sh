@@ -46,9 +46,12 @@ run cargo clippy --all-targets -- -D warnings
 # the exchange from one place, and `InProcess::deliver` is the one caller
 # of `step_joined`; a second site of either is a second reading of the
 # inbox to keep equivalent to `step`.
+# One storm-phase lookup (`ftss_core::storm::phase_at`, a binary search
+# over a validated program): its two callers are `StormAdversary` and the
+# serve runtime's timing proxy; a third is a linear rescan coming back.
 # (Test modules sit at the end of their file, behind `#[cfg(test)]`;
 # definitions and comment lines are not call sites.)
-echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / window_stabilization / storm_program_for / stabilization_offset"
+echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at"
 call_sites() { # <expected count> <call regex> <source dir>...
     local want="$1" call="$2" sites
     shift 2
@@ -70,6 +73,27 @@ done
 call_sites 1 'window_stabilization\(' crates/chaos/src crates/cli/src
 call_sites 1 'storm_program_for\(' crates/chaos/src crates/cli/src crates/serve/src
 call_sites 2 'stabilization_offset\(' crates/*/src
+call_sites 2 'storm::phase_at\(' crates/sync-sim/src crates/serve/src
+
+# DESIGN.md §3 is the crate inventory: every crates/* directory has a
+# row, and every key module a row names is a file of that crate.
+echo "==> DESIGN.md §3 inventory matches crates/"
+inventory="$(awk '/^## 3\./ { on = 1; next } /^## / { on = 0 } on && /^\| `crates\//' DESIGN.md)"
+for dir in crates/*/; do
+    crate="$(basename "$dir")"
+    row="$(printf '%s\n' "$inventory" | grep -F "| \`crates/${crate}\`" || true)"
+    if [ -z "$row" ]; then
+        echo "ERROR: crates/${crate} has no row in DESIGN.md §3" >&2
+        exit 1
+    fi
+    # The last column lists the key modules, each in backticks.
+    for m in $(printf '%s\n' "$row" | awk -F'|' '{ print $(NF - 1) }' | grep -o '`[a-z_]*`' | tr -d '`'); do
+        if [ ! -f "${dir}src/${m}.rs" ]; then
+            echo "ERROR: DESIGN.md §3 names module ${m} of crates/${crate}, but ${dir}src/${m}.rs does not exist" >&2
+            exit 1
+        fi
+    done
+done
 
 # Telemetry smoke: the same seed must serialize to byte-identical JSONL
 # across two runs, and `stats` must parse every line back (it fails on

@@ -698,6 +698,41 @@ fn timing_storm_sessions_are_deterministic_across_transports() {
     }
 }
 
+/// A user-built timing program the proxy cannot binary-search — windows
+/// out of order or overlapping — is a configuration error, not a panic.
+#[test]
+fn timing_rejects_unsorted_or_overlapping_phases() {
+    let attempt = |phases: Vec<StormPhase>| {
+        serve(
+            &RoundAgreement,
+            &mut ftss::sync_sim::NoFaults,
+            &ServeConfig::new(RunConfig::clean(3, 12), TransportKind::Mem).with_timing(
+                TimingFaults {
+                    victims: vec![ProcessId(0)],
+                    phases,
+                    seed: 1,
+                },
+            ),
+            &mut ftss::telemetry::NullSink,
+        )
+    };
+    for phases in [
+        vec![
+            StormPhase::new(6, 7, StormKind::Duplicate),
+            StormPhase::new(2, 4, StormKind::Reorder),
+        ],
+        vec![
+            StormPhase::new(2, 4, StormKind::Reorder),
+            StormPhase::new(4, 7, StormKind::Duplicate),
+        ],
+    ] {
+        let err = attempt(phases).unwrap_err();
+        assert!(err.contains("unsorted or overlap"), "{err}");
+    }
+    let err = attempt(vec![StormPhase::new(5, 2, StormKind::Reorder)]).unwrap_err();
+    assert!(err.contains("before it starts"), "{err}");
+}
+
 /// Restart configuration is validated like everything else.
 #[test]
 fn restart_rejects_invalid_episodes() {

@@ -50,7 +50,7 @@ use ftss::detectors::{
 use ftss::protocols::{FloodSet, RepeatedConsensusSpec, RoundAgreement};
 use ftss::sync_sim::{RunOutcome, SyncProtocol, SyncRunner};
 use ftss::telemetry::{Event, NullSink, RunMode, TraceSink};
-use ftss_serve::{serve_streaming, ServeConfig, TransportKind, Wire, WireMsg};
+use ftss_serve::{serve_streaming, ServeConfig, TransportKind, Wire};
 use std::fmt::Write as _;
 
 /// One soak campaign's parameters.
@@ -354,7 +354,7 @@ fn run_storm_cell<P>(
 where
     P: SyncProtocol + Clone + Send + 'static,
     P::State: Wire + Corrupt + Send + 'static,
-    P::Msg: WireMsg + Send + 'static,
+    P::Msg: Wire + Send + 'static,
 {
     let mut jsonl = match open_report(cell, RunMode::Sync, Some(sc.run.rounds as u64), budget) {
         Ok(jsonl) => jsonl,
@@ -398,7 +398,7 @@ impl StormScenario {
     where
         P: SyncProtocol + Clone + Send + 'static,
         P::State: Wire + Corrupt + Send + 'static,
-        P::Msg: WireMsg + Send + 'static,
+        P::Msg: Wire + Send + 'static,
         T: TraceSink,
     {
         let mut judge = EpochJudge::new(self.geom, self.bound);

@@ -2,11 +2,12 @@
 //!
 //! Everything else in this workspace runs protocols *inside* one
 //! simulator loop. This crate runs them as real OS threads exchanging
-//! length-prefixed frames (JSONL control frames and broadcasts up, one
-//! binary round frame down) over a [`Channel`] — an in-memory pipe, a
-//! loopback TCP socket, or a Unix domain socket — while a hub router
-//! replays the exact §2 synchronous schedule: barrier per round, crash
-//! schedule, adversarial omissions, and transient-corruption injection.
+//! length-prefixed frames (JSON control frames, one binary `bcast` up and
+//! one binary round frame down per round) over a [`Channel`] — an
+//! in-memory pipe, a loopback TCP socket, or a Unix domain socket —
+//! while a hub router replays the exact §2 synchronous schedule: barrier
+//! per round, crash schedule, adversarial omissions, and
+//! transient-corruption injection.
 //!
 //! The claim that makes this more than a demo: **the served execution is
 //! the simulated execution** — by construction. The router is a second
@@ -51,4 +52,4 @@ pub use session::{
     ServeRestart, ServeStats, SnapshotFault, TimingFaults,
 };
 pub use transport::{Channel, TransportKind};
-pub use wire::{Wire, WireMsg};
+pub use wire::Wire;

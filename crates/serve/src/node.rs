@@ -3,19 +3,20 @@
 //!
 //! A node owns its own state and nothing else — it never sees the crash
 //! schedule, the adversary or the other nodes. Its whole life is the
-//! lock-step loop of §2 of the paper: broadcast the round's message
-//! (a JSONL `bcast`), wait for the round's deliveries (the binary round
-//! frame of [`proto`](crate::proto): decode its payload table once, then
-//! build the sender-sorted envelopes from the heard bits as `Payload`
-//! clones), step. The router injects systemic failures by sending a
-//! `corrupt` state to adopt (the node obliviously re-broadcasts, exactly
-//! as a corrupted process would have broadcast in the first place), and
-//! ends the node's life with `halt` — which is how both a scheduled crash
-//! and a normal run end look from in here.
+//! lock-step loop of §2 of the paper: broadcast the round's state and
+//! message (a binary `bcast`, encoded from the borrowed state into one
+//! buffer kept for the session), wait for the round's deliveries (the
+//! binary round frame of [`proto`](crate::proto): decode its payload
+//! table once, then build the sender-sorted envelopes from the heard bits
+//! as `Payload` clones), step. The router injects systemic failures by
+//! sending a `corrupt` state to adopt (the node obliviously
+//! re-broadcasts, exactly as a corrupted process would have broadcast in
+//! the first place), and ends the node's life with `halt` — which is how
+//! both a scheduled crash and a normal run end look from in here.
 
 use crate::proto::{decode_round_frame, ToNode, ToRouter, ROUND_FRAME_TAG};
 use crate::transport::Channel;
-use crate::wire::{Wire, WireMsg};
+use crate::wire::Wire;
 use ftss::core::{Envelope, ProcessId, Round};
 use ftss::sync_sim::{Inbox, ProtocolCtx, SyncProtocol};
 
@@ -34,7 +35,7 @@ pub fn run_node<P>(
 where
     P: SyncProtocol,
     P::State: Wire,
-    P::Msg: WireMsg,
+    P::Msg: Wire,
 {
     run_node_from(protocol, me, n, chan, 1)
 }
@@ -61,7 +62,7 @@ pub fn run_node_from<P>(
 where
     P: SyncProtocol,
     P::State: Wire,
-    P::Msg: WireMsg,
+    P::Msg: Wire,
 {
     let ctx = ProtocolCtx::new(me, n);
     let state = protocol.init_state(&ctx);
@@ -91,7 +92,7 @@ pub fn run_node_recovered<P>(
 where
     P: SyncProtocol,
     P::State: Wire,
-    P::Msg: WireMsg,
+    P::Msg: Wire,
 {
     // Decode BEFORE hello: a corrupted snapshot must fail the restart
     // attempt identically on every transport (the router only ever sees
@@ -116,21 +117,21 @@ fn run_node_loop<P>(
 where
     P: SyncProtocol,
     P::State: Wire,
-    P::Msg: WireMsg,
+    P::Msg: Wire,
 {
     let ctx = ProtocolCtx::new(me, n);
-    let send = |chan: &mut dyn Channel, msg: &ToRouter<P::State, P::Msg>| {
-        chan.send(&msg.to_bytes())
+    let send = |chan: &mut dyn Channel, frame: &[u8]| {
+        chan.send(frame)
             .map_err(|e| format!("{me}: send failed: {e}"))
     };
-    send(
-        chan,
-        &ToRouter::Hello {
-            p: me.index(),
-            epoch,
-        },
-    )?;
+    let hello = ToRouter::<P::State, P::Msg>::Hello {
+        p: me.index(),
+        epoch,
+    };
+    send(chan, &hello.to_bytes())?;
 
+    // Every `bcast` of the session is written into this one buffer.
+    let mut frame = Vec::new();
     let mut round: u64 = start_round;
     loop {
         // Broadcast half: snapshot + (optional) message. Recomputed from
@@ -139,14 +140,9 @@ where
         let msg = protocol
             .sends(&ctx, &state)
             .then(|| protocol.broadcast(&ctx, &state));
-        send(
-            chan,
-            &ToRouter::Bcast {
-                round,
-                state: state.clone(),
-                msg,
-            },
-        )?;
+        frame.clear();
+        ToRouter::encode_bcast(round, &state, msg.as_ref(), &mut frame);
+        send(chan, &frame)?;
         let payload = chan.recv().map_err(|e| format!("{me}: recv failed: {e}"))?;
         if payload.first() == Some(&ROUND_FRAME_TAG) {
             let envelopes: Vec<Envelope<P::Msg>> = decode_round_frame(&payload, n)?

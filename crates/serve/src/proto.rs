@@ -10,11 +10,19 @@
 //!   and move to the next round) and `halt` (leave the session: the run
 //!   ended or the crash schedule claimed this process).
 //!
-//! Everything is length-prefix framed by the transport. The control plane
-//! and the uplink — `hello`, `bcast`, `corrupt`, `halt` — are one JSONL
-//! document per frame, encoded with the telemetry JSON writer
-//! ([`ToRouter`], [`ToNode`]). The round frame, the one hot frame, is
-//! binary and has the shape the recorded history has
+//! Everything is length-prefix framed by the transport. The control
+//! plane — `hello`, `corrupt`, `halt` — is one JSON document per frame,
+//! encoded with the telemetry JSON writer ([`ToRouter`], [`ToNode`]). The
+//! two frames every round carries are binary, in [`Wire`]'s binary form,
+//! and each starts with a tag byte no JSON document can start with. The
+//! uplink `bcast` is the node's state and message, each length-prefixed:
+//!
+//! ```text
+//! bcast frame := BCAST_TAG  round:u64  state  (0 | 1 msg)
+//! state, msg  := len:u32  value              (Wire::encode_bin)
+//! ```
+//!
+//! The round frame has the shape the recorded history has
 //! ([`ftss::core::RoundMsgs`]): in a synchronous round every destination
 //! gets the *same* message from a given sender and destinations differ
 //! only in *whom* they hear, so the router encodes each broadcast once
@@ -22,9 +30,9 @@
 //! own delivered bit-row:
 //!
 //! ```text
-//! round frame := TAG shared heard forged late
+//! round frame := ROUND_TAG shared heard forged late
 //! shared      := n:u32  entries:u32  entry × entries  index × n
-//! entry       := len:u32  message            (WireMsg::encode_bin)
+//! entry       := len:u32  message            (Wire::encode_bin)
 //! index       := the sender's entry, or `entries` for a silent sender;
 //!                1, 2 or 4 bytes — the narrowest that holds `entries`
 //! heard       := ⌈n/64⌉ × u64               (the delivered bit-row)
@@ -40,10 +48,10 @@
 //! form the round frame is tested against and what `benchmark/`'s wire
 //! ladder still times.
 //!
-//! Decoding is total in both forms: malformed input is an `Err(String)`,
+//! Decoding is total in every form: malformed input is an `Err(String)`,
 //! never a panic.
 
-use crate::wire::{patch_u32, put_section, put_u32, Reader, Wire, WireMsg};
+use crate::wire::{patch_u32, put_option, put_section, put_u32, take_section, Reader, Wire};
 use ftss::core::{Deliveries, Payload, ProcessId};
 use ftss::telemetry::{parse_json, JsonValue};
 use std::ops::Range;
@@ -97,38 +105,42 @@ pub enum ToNode<S, M> {
 impl<S: Wire, M: Wire> ToRouter<S, M> {
     /// Encodes to the frame payload bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = String::new();
         match self {
             ToRouter::Hello { p, epoch } => {
-                out.push_str("{\"type\":\"hello\",\"p\":");
-                out.push_str(&p.to_string());
+                let mut out = format!("{{\"type\":\"hello\",\"p\":{p}");
                 if *epoch > 0 {
-                    out.push_str(",\"epoch\":");
-                    out.push_str(&epoch.to_string());
+                    out.push_str(&format!(",\"epoch\":{epoch}"));
                 }
                 out.push('}');
+                out.into_bytes()
             }
             ToRouter::Bcast { round, state, msg } => {
-                out.push_str("{\"type\":\"bcast\",\"round\":");
-                out.push_str(&round.to_string());
-                out.push_str(",\"state\":");
-                state.encode(&mut out);
-                if let Some(m) = msg {
-                    out.push_str(",\"msg\":");
-                    m.encode(&mut out);
-                }
-                out.push('}');
+                let mut out = Vec::new();
+                Self::encode_bcast(*round, state, msg.as_ref(), &mut out);
+                out
             }
         }
-        out.into_bytes()
     }
 
-    /// Decodes a frame payload.
+    /// Appends the `bcast` frame of `(round, state, msg)` to `out`, from
+    /// borrowed parts: a node encodes its live state into one buffer it
+    /// keeps for the session.
+    pub(crate) fn encode_bcast(round: u64, state: &S, msg: Option<&M>, out: &mut Vec<u8>) {
+        out.push(BCAST_FRAME_TAG);
+        out.extend_from_slice(&round.to_le_bytes());
+        put_section(out, |out| state.encode_bin(out));
+        put_option(msg, out, |m, out| put_section(out, |out| m.encode_bin(out)));
+    }
+
+    /// Decodes a frame payload: a `bcast` frame, or a JSON `hello`.
     ///
     /// # Errors
     ///
     /// Any malformed payload — wire bytes are untrusted.
     pub fn from_bytes(payload: &[u8]) -> Result<Self, String> {
+        if let Some((&BCAST_FRAME_TAG, frame)) = payload.split_first() {
+            return Self::decode_bcast(Reader::new(frame)).map_err(|e| format!("bcast: {e}"));
+        }
         let v = parse_payload(payload)?;
         match v.get("type").and_then(JsonValue::as_str) {
             Some("hello") => Ok(ToRouter::Hello {
@@ -137,19 +149,17 @@ impl<S: Wire, M: Wire> ToRouter<S, M> {
                     .ok_or("hello: missing `p`")? as usize,
                 epoch: v.get("epoch").and_then(JsonValue::as_u64).unwrap_or(0),
             }),
-            Some("bcast") => Ok(ToRouter::Bcast {
-                round: v
-                    .get("round")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("bcast: missing `round`")?,
-                state: S::decode(v.get("state").ok_or("bcast: missing `state`")?)?,
-                msg: match v.get("msg") {
-                    None | Some(JsonValue::Null) => None,
-                    Some(m) => Some(M::decode(m)?),
-                },
-            }),
             other => Err(format!("unknown node message type {other:?}")),
         }
+    }
+
+    /// The inverse of [`ToRouter::encode_bcast`], past the tag.
+    fn decode_bcast(mut r: Reader<'_>) -> Result<Self, String> {
+        let round = r.u64()?;
+        let state = take_section(&mut r, S::decode_bin)?;
+        let msg = r.option(|r| take_section(r, M::decode_bin))?;
+        r.finish()?;
+        Ok(ToRouter::Bcast { round, state, msg })
     }
 }
 
@@ -226,6 +236,9 @@ fn parse_payload(payload: &[u8]) -> Result<JsonValue, String> {
 /// document (no UTF-8 text at all) can start with.
 pub(crate) const ROUND_FRAME_TAG: u8 = 0xB1;
 
+/// First byte of a `bcast` frame, for the same reason.
+pub(crate) const BCAST_FRAME_TAG: u8 = 0xB2;
+
 /// Bytes per `index` cell: the narrowest of 1, 2 and 4 that holds every
 /// value up to `entries` (the silent marker) itself.
 fn index_width(entries: usize) -> usize {
@@ -277,7 +290,7 @@ impl RoundTable {
     /// an earlier sender whose message encoded to the same bytes (found
     /// by a scan: the table is shortest — one entry — in the steady state
     /// that dominates a run).
-    pub(crate) fn broadcast<M: WireMsg>(&mut self, p: ProcessId, msg: &M) {
+    pub(crate) fn broadcast<M: Wire>(&mut self, p: ProcessId, msg: &M) {
         let start = self.entries.len();
         put_section(&mut self.entries, |out| msg.encode_bin(out));
         let new = start + 4..self.entries.len();
@@ -322,7 +335,7 @@ impl RoundTable {
     /// shared section, then what is the destination's own — the
     /// delivered row of `inbox`, its forged copies, and the `late`
     /// copies addressed to it, in the order given.
-    pub(crate) fn frame<'m, M: WireMsg + 'm>(
+    pub(crate) fn frame<'m, M: Wire + 'm>(
         &mut self,
         inbox: Deliveries<'_, M>,
         late: impl Iterator<Item = (ProcessId, &'m M)>,
@@ -343,7 +356,7 @@ impl RoundTable {
 }
 
 /// `count:u32 (sender:u32 len:u32 message) × count`.
-fn put_copies<'m, M: WireMsg + 'm>(
+fn put_copies<'m, M: Wire + 'm>(
     copies: impl Iterator<Item = (ProcessId, &'m M)>,
     out: &mut Vec<u8>,
 ) {
@@ -359,18 +372,12 @@ fn put_copies<'m, M: WireMsg + 'm>(
 }
 
 /// One length-prefixed message, which must fill its section exactly.
-fn take_msg<M: WireMsg>(r: &mut Reader<'_>) -> Result<Payload<M>, String> {
-    let mut section = r.section()?;
-    let msg = M::decode_bin(&mut section)?;
-    section.finish()?;
-    Ok(Payload::new(msg))
+fn take_msg<M: Wire>(r: &mut Reader<'_>) -> Result<Payload<M>, String> {
+    take_section(r, M::decode_bin).map(Payload::new)
 }
 
 /// The inverse of [`put_copies`], every sender checked against `n`.
-fn take_copies<M: WireMsg>(
-    r: &mut Reader<'_>,
-    n: usize,
-) -> Result<Vec<(usize, Payload<M>)>, String> {
+fn take_copies<M: Wire>(r: &mut Reader<'_>, n: usize) -> Result<Vec<(usize, Payload<M>)>, String> {
     let count = r.count(8)?;
     let mut copies = Vec::with_capacity(count);
     for _ in 0..count {
@@ -397,7 +404,7 @@ fn take_copies<M: WireMsg>(
 /// `n`, a sender or heard bit `>= n`, an index past the table, a heard
 /// sender with no entry, a forged copy from an unheard sender (or out of
 /// order), trailing bytes.
-pub(crate) fn decode_round_frame<M: WireMsg>(
+pub(crate) fn decode_round_frame<M: Wire>(
     frame: &[u8],
     n: usize,
 ) -> Result<Vec<(usize, Payload<M>)>, String> {
@@ -538,6 +545,138 @@ mod tests {
         }
     }
 
+    /// The `bcast` frame written out by hand, and what a decoder must
+    /// refuse in it. The JSON `bcast` of the past is no longer a frame.
+    #[test]
+    fn hand_written_bcast_frame_decodes() {
+        let le = |x: u64| x.to_le_bytes().to_vec();
+        let section = |x: u64| [8u32.to_le_bytes().to_vec(), le(x)].concat();
+        let frame = [
+            vec![BCAST_FRAME_TAG],
+            le(7),
+            section(9),
+            vec![1],
+            section(9),
+        ]
+        .concat();
+        let want = NodeMsg::Bcast {
+            round: 7,
+            state: st(9),
+            msg: Some(9),
+        };
+        assert_eq!(want.to_bytes(), frame);
+        assert_eq!(NodeMsg::from_bytes(&frame), Ok(want));
+        let silent = [vec![BCAST_FRAME_TAG], le(1), section(0), vec![0]].concat();
+        assert_eq!(
+            NodeMsg::from_bytes(&silent),
+            Ok(NodeMsg::Bcast {
+                round: 1,
+                state: st(0),
+                msg: None
+            })
+        );
+
+        let err = |bytes: &[u8]| NodeMsg::from_bytes(bytes).expect_err("malformed bcast");
+        let tag2 = [vec![BCAST_FRAME_TAG], le(1), section(0), vec![2]].concat();
+        assert!(err(&tag2).contains("option tag 2"));
+        let tail = [&silent[..], &[0]].concat();
+        assert!(err(&tail).contains("1 trailing byte"));
+        let fat = [
+            vec![BCAST_FRAME_TAG],
+            le(1),
+            9u32.to_le_bytes().to_vec(),
+            le(0),
+            vec![0, 0],
+        ];
+        assert!(err(&fat.concat()).contains("1 trailing byte"));
+        let json = b"{\"type\":\"bcast\",\"round\":1,\"state\":3,\"msg\":3}";
+        assert!(err(json).contains("unknown node message type"));
+    }
+
+    /// `(state, msg)` of every live process in every round of a corrupted
+    /// run, as the `bcast` frames its nodes would send.
+    fn bcast_corpus<P>(protocol: P, n: usize, seed: u64) -> Vec<Vec<u8>>
+    where
+        P: ftss::sync_sim::SyncProtocol,
+        P::State: Wire + Corrupt,
+        P::Msg: Wire,
+    {
+        let run = SyncRunner::new(protocol)
+            .run(&mut NoFaults, &RunConfig::corrupted(n, 3, seed))
+            .expect("clean run");
+        let mut frames = Vec::new();
+        for (r, frame) in run.history.rounds().iter().enumerate() {
+            for p in (0..n).map(ProcessId) {
+                let record = frame.record(p);
+                let state = record.state_at_start().expect("nobody crashes");
+                let msg = record.broadcast_payload().map(|m| &**m);
+                let mut out = Vec::new();
+                ToRouter::<P::State, P::Msg>::encode_bcast(r as u64 + 1, state, msg, &mut out);
+                frames.push(out);
+            }
+        }
+        frames
+    }
+
+    /// Totality: every strict prefix of a `bcast` frame is an `Err`, and
+    /// every single-bit flip is an `Err` or some other value — never a
+    /// panic. An intact frame decodes and re-encodes to its own bytes.
+    fn damaged_bcasts_never_panic<S: Wire, M: Wire>(corpus: &[Vec<u8>]) {
+        for frame in corpus {
+            let decoded = ToRouter::<S, M>::from_bytes(frame).expect("intact frame decodes");
+            assert_eq!(&decoded.to_bytes(), frame);
+            for cut in 0..frame.len() {
+                assert!(ToRouter::<S, M>::from_bytes(&frame[..cut]).is_err());
+            }
+            let mut damaged = frame.clone();
+            for at in 0..frame.len() {
+                for bit in 0..8 {
+                    damaged[at] ^= 1 << bit;
+                    let _ = ToRouter::<S, M>::from_bytes(&damaged);
+                    damaged[at] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_bcast_frames_never_panic() {
+        use ftss::compiler::{Compiled, CompiledState};
+        use ftss::protocols::floodset::{FloodSet, FloodSetState};
+        let inputs = (0..16).map(|i| (i * 7 + 3) % 50).collect();
+        let corpus = bcast_corpus(Compiled::new(FloodSet::new(1, inputs)), 16, 5);
+        assert!(corpus.iter().any(|f| f.len() > 100), "suspects are listed");
+        type Cs = CompiledState<FloodSetState, u64>;
+        damaged_bcasts_never_panic::<Cs, CompiledMsg<BTreeSet<u64>>>(&corpus);
+        let corpus = bcast_corpus(RoundAgreement, 64, 7);
+        damaged_bcasts_never_panic::<RoundAgreementState, u64>(&corpus);
+    }
+
+    /// A suspect set claiming a universe of 2³² − 1 is refused before the
+    /// set allocates a word per 64 processes of it.
+    #[test]
+    fn bcast_with_a_huge_suspect_universe_is_refused() {
+        use ftss::compiler::CompiledState;
+        let state = [
+            &9u64.to_le_bytes()[..], // inner: a round counter
+            &2u64.to_le_bytes(),     // c
+            &u32::MAX.to_le_bytes(), // suspects: universe
+            &0u32.to_le_bytes(),     //   no members
+            &[0],                    // no decision
+        ]
+        .concat();
+        let mut frame = vec![BCAST_FRAME_TAG];
+        frame.extend(3u64.to_le_bytes());
+        put_section(&mut frame, |out| out.extend(&state));
+        frame.push(0);
+        type Cs = CompiledState<RoundAgreementState, u64>;
+        let err = ToRouter::<Cs, u64>::from_bytes(&frame).expect_err("huge universe");
+        assert!(
+            err.contains("universe 4294967295 is larger than any frame"),
+            "{err}"
+        );
+    }
+
     /// Half small and plausible, half anywhere in `u64` — the counters
     /// a corrupted round agreement broadcasts.
     fn arbitrary_u64(g: &mut Gen) -> u64 {
@@ -564,7 +703,7 @@ mod tests {
     /// payload equal, every payload drawn afresh, and a mix from a small
     /// pool with silent senders; forged overrides; late copies from any
     /// sender, so often one the destination also hears fresh.
-    fn random_round<M: WireMsg + Clone>(
+    fn random_round<M: Wire + Clone>(
         g: &mut Gen,
         msg: fn(&mut Gen) -> M,
     ) -> (usize, Vec<u8>, Vec<u8>) {
@@ -606,14 +745,14 @@ mod tests {
         (n, frame.to_vec(), json.to_bytes())
     }
 
-    fn spelled_out<M: WireMsg + Clone>(frame: &[u8], n: usize) -> Result<Vec<(usize, M)>, String> {
+    fn spelled_out<M: Wire + Clone>(frame: &[u8], n: usize) -> Result<Vec<(usize, M)>, String> {
         let msgs = decode_round_frame::<M>(frame, n)?;
         Ok(msgs.into_iter().map(|(s, m)| (s, (*m).clone())).collect())
     }
 
     fn frame_says_what_json_says<M>(msg: fn(&mut Gen) -> M)
     where
-        M: WireMsg + Clone + PartialEq + Debug,
+        M: Wire + Clone + PartialEq + Debug,
     {
         forall(200, |g: &mut Gen| {
             let (n, frame, json) = random_round(g, msg);

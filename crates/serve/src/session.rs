@@ -4,16 +4,15 @@
 //! validation, adversary consultation, history and event stream — driven
 //! over the remote [`Exchange`] defined here: every process is a node
 //! thread behind a [`Channel`], a round's broadcasts are collected as
-//! `bcast` frames at a barrier, and each survivor receives its inbox as
-//! one binary round frame — the round's payload table, encoded once as
-//! the kernel asks for each broadcast, plus the survivor's own delivered
-//! bit-row ([`proto`](crate::proto)). Omission and forgery draws,
-//! telemetry events and the
-//! recorded history are therefore those of
-//! [`ftss::sync_sim::SyncRunner`] for the same seed, on every transport,
-//! by construction (DESIGN.md §17). The barrier plus the kernel's sorted
-//! walk is what removes socket arrival nondeterminism; only wall-clock
-//! differs between `mem`, `tcp` and `uds`.
+//! binary `bcast` frames at a barrier, and each survivor receives its
+//! inbox as one binary round frame — the round's payload table, encoded
+//! once as the kernel asks for each broadcast, plus the survivor's own
+//! delivered bit-row ([`proto`](crate::proto)). Omission and forgery
+//! draws, telemetry events and the recorded history are therefore those
+//! of [`ftss::sync_sim::SyncRunner`] for the same seed, on every
+//! transport, by construction (DESIGN.md §17). The barrier plus the
+//! kernel's sorted walk is what removes socket arrival nondeterminism;
+//! only wall-clock differs between `mem`, `tcp` and `uds`.
 //!
 //! Three fault families exist only here, because only a real runtime
 //! has the seams they need (DESIGN.md §15–§16). Membership changes apply
@@ -44,7 +43,7 @@
 use crate::node::{run_node_from, run_node_recovered};
 use crate::proto::{RoundTable, ToNode, ToRouter};
 use crate::transport::{Channel, TransportKind};
-use crate::wire::{Wire, WireMsg};
+use crate::wire::Wire;
 use ftss::core::{
     round_count, storm, Corrupt, CrashSchedule, Deliveries, DeliveryOutcome, History, ProcessId,
     ProcessSet, RoundMsgs, StormKind, StormPhase, FRAME_HEADER_LEN,
@@ -338,7 +337,7 @@ pub fn serve<P, A, T>(
 where
     P: SyncProtocol + Clone + Send + 'static,
     P::State: Wire + Corrupt + Send + 'static,
-    P::Msg: WireMsg + Send + 'static,
+    P::Msg: Wire + Send + 'static,
     A: Adversary + ?Sized,
     T: TraceSink,
 {
@@ -362,7 +361,7 @@ pub fn serve_streaming<P, A, T, F>(
 where
     P: SyncProtocol + Clone + Send + 'static,
     P::State: Wire + Corrupt + Send + 'static,
-    P::Msg: WireMsg + Send + 'static,
+    P::Msg: Wire + Send + 'static,
     A: Adversary + ?Sized,
     T: TraceSink,
     F: FnMut(&History<P::State, P::Msg>),
@@ -388,7 +387,7 @@ pub fn serve_streaming_with_stats<P, A, T, F>(
 where
     P: SyncProtocol + Clone + Send + 'static,
     P::State: Wire + Corrupt + Send + 'static,
-    P::Msg: WireMsg + Send + 'static,
+    P::Msg: Wire + Send + 'static,
     A: Adversary + ?Sized,
     T: TraceSink,
     F: FnMut(&History<P::State, P::Msg>),
@@ -545,7 +544,7 @@ impl<P> Router<'_, P>
 where
     P: SyncProtocol + Clone + Send + 'static,
     P::State: Wire + Send + 'static,
-    P::Msg: WireMsg + Send + 'static,
+    P::Msg: Wire + Send + 'static,
 {
     /// Spawns the node thread for `p` over `chan`, entering the
     /// lock-step loop at `start_round` from the protocol's initial
@@ -776,7 +775,7 @@ impl<P> Exchange<P::State, P::Msg> for Router<'_, P>
 where
     P: SyncProtocol + Clone + Send + 'static,
     P::State: Wire + Send + 'static,
-    P::Msg: WireMsg + Send + 'static,
+    P::Msg: Wire + Send + 'static,
 {
     type Error = String;
 
@@ -1122,6 +1121,66 @@ mod tests {
         )
         .expect_err("p out of range");
         assert_eq!(err, "bad hello for p5");
+    }
+
+    /// Any peer's first frame is parsed as JSON: one nested 200 000 deep
+    /// (this one used to overflow the router's stack and abort the
+    /// process) fails the admission instead.
+    #[test]
+    fn deeply_nested_hello_is_an_error_not_an_abort() {
+        let (mut routers, mut nodes) = TransportKind::Mem.open_pairs(1).expect("mem pairs");
+        let mut chans: Vec<Option<Box<dyn Channel>>> = vec![None];
+        let mut epochs = vec![0u64];
+        let mut stats = ServeStats::default();
+        let nested = "[".repeat(200_000);
+        nodes[0].send(nested.as_bytes()).expect("nested hello");
+        let err = admit_hello::<S, M, _>(
+            &mut chans,
+            &mut epochs,
+            routers.remove(0),
+            &mut stats,
+            &mut NullSink,
+            false,
+            0,
+        )
+        .expect_err("nested hello");
+        assert!(err.contains("nested deeper than"), "{err}");
+        assert!(chans[0].is_none());
+    }
+
+    /// A node whose `bcast` names another round than the session's is a
+    /// broken node, not a frame to file under the wrong round.
+    #[test]
+    fn collect_rejects_a_bcast_from_another_round() {
+        let cfg = ServeConfig::new(RunConfig::clean(1, 4), TransportKind::Mem);
+        let mut stats = ServeStats::default();
+        let (mut routers, mut nodes) = TransportKind::Mem.open_pairs(1).expect("mem pairs");
+        let mut router = Router {
+            protocol: &ftss::protocols::RoundAgreement,
+            cfg: &cfg,
+            stats: &mut stats,
+            net: false,
+            round: 3,
+            chans: vec![Some(routers.remove(0))],
+            epochs: vec![0],
+            slots: vec![None],
+            handles: Vec::new(),
+            table: RoundTable::new(1),
+            snapshot: None,
+            snapshot_rng: StdRng::seed_from_u64(0),
+            restart_down: false,
+        };
+        nodes[0].send(&bcast(3, 5)).expect("bcast");
+        router
+            .collect(0..1, &mut NullSink)
+            .expect("this round's bcast");
+        let slot = router.slots[0].as_ref().expect("collected");
+        assert_eq!((slot.state.c.get(), slot.msg), (5, Some(5)));
+        nodes[0].send(&bcast(2, 6)).expect("bcast");
+        let err = router
+            .collect(0..1, &mut NullSink)
+            .expect_err("another round");
+        assert_eq!(err, "p0 is in round 2, session is in 3");
     }
 
     #[test]

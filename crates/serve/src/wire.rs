@@ -1,23 +1,25 @@
 //! The wire codec: what crosses a [`Channel`](crate::Channel) as bytes.
 //!
-//! Two forms, one per plane. [`Wire`] is the **JSON** form — the
-//! telemetry layer's hand-rolled JSON (`ftss_telemetry::json`), stable
-//! field order, unsigned-integer-only numerics — used by the control
-//! plane and the uplink (`hello`, `bcast`, `corrupt`, `halt`) and by the
-//! restart snapshot, which *is* `Wire::encode`'s bytes: every state and
-//! message type the runtime ships implements it (`u64`, `BTreeSet<u64>`,
-//! [`RoundAgreementState`], [`FloodSetState`], [`CompiledState`],
-//! [`CompiledMsg`]). [`WireMsg`] adds the compact **binary** form —
-//! little-endian fixed-width integers, count-prefixed sets — that only
-//! *messages* need: it is what the round frame ([`proto`](crate::proto))
-//! carries.
+//! One trait, two forms. Every state and message type the runtime ships
+//! (`u64`, `BTreeSet<u64>`, [`RoundAgreementState`], [`FloodSetState`],
+//! [`CompiledState`], [`CompiledMsg`]) implements [`Wire`] in both:
+//!
+//! * the compact **binary** form — little-endian fixed-width integers,
+//!   count-prefixed ascending sets, `0 | 1 · value` options — which the
+//!   two per-round frames carry: the node's `bcast` and the router's
+//!   round frame ([`proto`](crate::proto));
+//! * the **JSON** form — the telemetry layer's hand-rolled JSON
+//!   (`ftss_telemetry::json`), stable field order, unsigned integers
+//!   only — kept where the bytes are pinned or read by people: the
+//!   `corrupt` frame, the restart snapshot (which *is* `Wire::encode`'s
+//!   bytes) and the final-state digests.
 //!
 //! Decoding never trusts the network: every malformed shape is an
 //! `Err(String)`, never a panic, and every count read off the wire is
 //! checked against what the input could possibly hold *before* anything
 //! is allocated for it — the binary [`Reader`] against the bytes
-//! remaining, a JSON process set's universe against [`MAX_FRAME_LEN`].
-//! There is no `unwrap` on wire input anywhere in this crate.
+//! remaining, a process set's universe against [`MAX_FRAME_LEN`] in
+//! either form. There is no `unwrap` on wire input anywhere in this crate.
 
 use ftss::compiler::{CompiledMsg, CompiledState};
 use ftss::core::{Payload, ProcessId, ProcessSet, RoundCounter, MAX_FRAME_LEN};
@@ -26,10 +28,14 @@ use ftss::protocols::RoundAgreementState;
 use ftss::telemetry::JsonValue;
 use std::collections::BTreeSet;
 
-/// A type that can cross the wire as one JSON value.
+/// A type that can cross the wire, as one JSON value or in the compact
+/// binary form.
 ///
-/// `encode` must be the exact inverse of `decode`: the runtime's
-/// determinism rests on states surviving a round trip bit-for-bit.
+/// Each decoder must be the exact inverse of its encoder: the runtime's
+/// determinism rests on states surviving a round trip bit-for-bit. The
+/// binary encoding must also be canonical — equal values, equal bytes —
+/// because the round table shares entries by byte comparison and
+/// `net_frame` narrates frame lengths.
 pub trait Wire: Sized {
     /// Appends this value as one JSON value.
     fn encode(&self, out: &mut String);
@@ -40,17 +46,11 @@ pub trait Wire: Sized {
     ///
     /// Any shape mismatch — wire bytes are untrusted input.
     fn decode(v: &JsonValue) -> Result<Self, String>;
-}
 
-/// A message type: a [`Wire`] type that also has the round frame's
-/// compact binary form. `decode_bin` must invert `encode_bin`, and
-/// `encode_bin` must be canonical — equal messages, equal bytes — because
-/// the round table shares entries by byte comparison.
-pub trait WireMsg: Wire {
-    /// Appends this message's binary form.
+    /// Appends this value's binary form.
     fn encode_bin(&self, out: &mut Vec<u8>);
 
-    /// Reads one message off the cursor.
+    /// Reads one value off the cursor.
     ///
     /// # Errors
     ///
@@ -118,6 +118,23 @@ impl<'a> Reader<'a> {
     /// Fewer than 8 bytes remain.
     pub fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// An option: the tag `0` for `None`, or `1` and what `read` reads.
+    ///
+    /// # Errors
+    ///
+    /// The input is exhausted, the tag is any other byte, or `read`
+    /// fails.
+    pub fn option<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => read(self).map(Some),
+            tag => Err(format!("option tag {tag} is neither 0 nor 1")),
+        }
     }
 
     /// A `u32` count of items that each occupy at least `min_item_len`
@@ -195,6 +212,29 @@ pub(crate) fn put_section(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     patch_u32(out, at, len);
 }
 
+/// Reads one section that `decode` must use up exactly.
+pub(crate) fn take_section<T>(
+    r: &mut Reader<'_>,
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut section = r.section()?;
+    let value = decode(&mut section)?;
+    section.finish()?;
+    Ok(value)
+}
+
+/// `0`, or `1` and what `body` writes: the inverse of
+/// [`Reader::option`].
+pub(crate) fn put_option<T>(x: Option<&T>, out: &mut Vec<u8>, body: impl FnOnce(&T, &mut Vec<u8>)) {
+    match x {
+        None => out.push(0),
+        Some(x) => {
+            out.push(1);
+            body(x, out);
+        }
+    }
+}
+
 impl Wire for u64 {
     fn encode(&self, out: &mut String) {
         out.push_str(&self.to_string());
@@ -203,9 +243,7 @@ impl Wire for u64 {
     fn decode(v: &JsonValue) -> Result<Self, String> {
         v.as_u64().ok_or_else(|| "expected a number".into())
     }
-}
 
-impl WireMsg for u64 {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
@@ -215,6 +253,7 @@ impl WireMsg for u64 {
     }
 }
 
+/// JSON: an array. Binary: a count, then the elements ascending.
 impl Wire for BTreeSet<u64> {
     fn encode(&self, out: &mut String) {
         out.push('[');
@@ -233,10 +272,7 @@ impl Wire for BTreeSet<u64> {
             .map(|x| x.as_u64().ok_or_else(|| "non-numeric set element".into()))
             .collect()
     }
-}
 
-/// A count, then the elements ascending.
-impl WireMsg for BTreeSet<u64> {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         put_u32(self.len(), out);
         for x in self {
@@ -263,8 +299,19 @@ impl Wire for RoundAgreementState {
             ),
         })
     }
+
+    fn encode_bin(&self, out: &mut Vec<u8>) {
+        self.c.get().encode_bin(out);
+    }
+
+    fn decode_bin(r: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(RoundAgreementState {
+            c: RoundCounter::new(r.u64()?),
+        })
+    }
 }
 
+/// Binary: `seen`, then `decided` as an option.
 impl Wire for FloodSetState {
     fn encode(&self, out: &mut String) {
         out.push_str("{\"seen\":");
@@ -285,6 +332,17 @@ impl Wire for FloodSetState {
         };
         Ok(FloodSetState { seen, decided })
     }
+
+    fn encode_bin(&self, out: &mut Vec<u8>) {
+        self.seen.encode_bin(out);
+        put_option(self.decided.as_ref(), out, u64::encode_bin);
+    }
+
+    fn decode_bin(r: &mut Reader<'_>) -> Result<Self, String> {
+        let seen = BTreeSet::decode_bin(r)?;
+        let decided = r.option(Reader::u64)?;
+        Ok(FloodSetState { seen, decided })
+    }
 }
 
 fn encode_process_set(set: &ProcessSet, out: &mut String) {
@@ -300,33 +358,67 @@ fn encode_process_set(set: &ProcessSet, out: &mut String) {
     out.push_str("]}");
 }
 
+/// The set allocates a word per 64 processes of its universe, listed or
+/// not: bound it before allocating. No frame lists more members than it
+/// has bytes.
+fn check_universe(n: u64) -> Result<usize, String> {
+    usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= MAX_FRAME_LEN)
+        .ok_or_else(|| format!("process set: universe {n} is larger than any frame"))
+}
+
+fn check_member(i: u64, n: usize) -> Result<ProcessId, String> {
+    match usize::try_from(i) {
+        Ok(i) if i < n => Ok(ProcessId(i)),
+        _ => Err(format!("process set: member {i} outside universe {n}")),
+    }
+}
+
 fn decode_process_set(v: &JsonValue) -> Result<ProcessSet, String> {
     let n = v
         .get("n")
         .and_then(JsonValue::as_u64)
         .ok_or("process set: missing `n`")?;
-    // The set allocates a word per 64 processes of its universe, listed
-    // or not: bound it before allocating. No frame lists more members
-    // than it has bytes.
-    let n = usize::try_from(n)
-        .ok()
-        .filter(|&n| n <= MAX_FRAME_LEN)
-        .ok_or_else(|| format!("process set: universe {n} is larger than any frame"))?;
+    let n = check_universe(n)?;
     let members = v
         .get("members")
         .and_then(JsonValue::as_arr)
         .ok_or("process set: missing `members`")?;
     let mut ids = Vec::with_capacity(members.len());
     for m in members {
-        let i = m.as_u64().ok_or("process set: non-numeric member")? as usize;
-        if i >= n {
-            return Err(format!("process set: member {i} outside universe {n}"));
-        }
-        ids.push(ProcessId(i));
+        let i = m.as_u64().ok_or("process set: non-numeric member")?;
+        ids.push(check_member(i, n)?);
     }
     Ok(ProcessSet::from_iter_n(n, ids))
 }
 
+/// `universe:u32 · count:u32 · member:u32 × count`, members ascending.
+fn encode_process_set_bin(set: &ProcessSet, out: &mut Vec<u8>) {
+    put_u32(set.universe(), out);
+    put_u32(set.len(), out);
+    for p in set {
+        put_u32(p.index(), out);
+    }
+}
+
+/// The inverse of [`encode_process_set_bin`]: the universe and every
+/// member are checked before the set is allocated.
+fn decode_process_set_bin(r: &mut Reader<'_>) -> Result<ProcessSet, String> {
+    let n = check_universe(r.u32()? as u64)?;
+    let count = r.count(4)?;
+    let members = r.take(count * 4)?;
+    let member = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("chunks of 4"));
+    for c in members.chunks_exact(4) {
+        check_member(u64::from(member(c)), n)?;
+    }
+    let ids = members
+        .chunks_exact(4)
+        .map(|c| ProcessId(member(c) as usize));
+    Ok(ProcessSet::from_iter_n(n, ids))
+}
+
+/// Binary: `inner · c:u64 · suspects · (0 | 1 · tag:u64 · value)`.
 impl<S: Wire, V: Wire> Wire for CompiledState<S, V> {
     fn encode(&self, out: &mut String) {
         out.push_str("{\"inner\":");
@@ -375,8 +467,32 @@ impl<S: Wire, V: Wire> Wire for CompiledState<S, V> {
             last_decision,
         })
     }
+
+    fn encode_bin(&self, out: &mut Vec<u8>) {
+        self.inner.encode_bin(out);
+        self.c.get().encode_bin(out);
+        encode_process_set_bin(&self.suspects, out);
+        put_option(self.last_decision.as_ref(), out, |(tag, v), out| {
+            tag.encode_bin(out);
+            v.encode_bin(out);
+        });
+    }
+
+    fn decode_bin(r: &mut Reader<'_>) -> Result<Self, String> {
+        let inner = S::decode_bin(r)?;
+        let c = RoundCounter::new(r.u64()?);
+        let suspects = decode_process_set_bin(r)?;
+        let last_decision = r.option(|r| Ok((r.u64()?, V::decode_bin(r)?)))?;
+        Ok(CompiledState {
+            inner,
+            c,
+            suspects,
+            last_decision,
+        })
+    }
 }
 
+/// Binary: the round tag, then Π's payload.
 impl<M: Wire> Wire for CompiledMsg<M> {
     fn encode(&self, out: &mut String) {
         out.push_str("{\"state_msg\":");
@@ -400,10 +516,7 @@ impl<M: Wire> Wire for CompiledMsg<M> {
             round,
         })
     }
-}
 
-/// The round tag, then Π's payload.
-impl<M: WireMsg> WireMsg for CompiledMsg<M> {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.round.to_le_bytes());
         self.state_msg.encode_bin(out);
@@ -425,26 +538,41 @@ mod tests {
     use ftss::telemetry::parse_json;
     use ftss_rng::check::{forall, Gen};
     use ftss_rng::Rng;
+    use std::fmt::Debug;
 
-    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(x: &T) {
+    fn round_trip<T: Wire + PartialEq + Debug>(x: &T) {
         let mut s = String::new();
         x.encode(&mut s);
         let v = parse_json(&s).unwrap_or_else(|e| panic!("encoded `{s}` unparsable: {e}"));
         assert_eq!(&T::decode(&v).expect("decodes"), x, "via `{s}`");
     }
 
+    fn round_trip_bin<T: Wire + PartialEq + Debug>(x: &T) {
+        let mut bytes = Vec::new();
+        x.encode_bin(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(&T::decode_bin(&mut r).expect("decodes"), x, "via {bytes:?}");
+        r.finish().expect("decoding consumes what encoding wrote");
+    }
+
+    /// Both forms of `x` decode back to `x`, hence to equal values.
+    fn round_trip_both<T: Wire + PartialEq + Debug>(x: &T) {
+        round_trip(x);
+        round_trip_bin(x);
+    }
+
     #[test]
     fn concrete_states_round_trip() {
-        round_trip(&7u64);
-        round_trip(&BTreeSet::from([1u64, 5, 9]));
-        round_trip(&RoundAgreementState {
+        round_trip_both(&7u64);
+        round_trip_both(&BTreeSet::from([1u64, 5, 9]));
+        round_trip_both(&RoundAgreementState {
             c: RoundCounter::new(42),
         });
-        round_trip(&FloodSetState {
+        round_trip_both(&FloodSetState {
             seen: BTreeSet::from([3u64, 4]),
             decided: Some(3),
         });
-        round_trip(&FloodSetState {
+        round_trip_both(&FloodSetState {
             seen: BTreeSet::new(),
             decided: None,
         });
@@ -457,15 +585,16 @@ mod tests {
             suspects: ProcessSet::from_iter_n(5, [ProcessId(1), ProcessId(4)]),
             last_decision: Some((2, 8)),
         };
-        round_trip(&cs);
-        round_trip(&CompiledMsg {
+        round_trip_both(&cs);
+        round_trip_both(&CompiledMsg {
             state_msg: Payload::new(BTreeSet::from([1u64, 2])),
             round: 9,
         });
     }
 
     /// Corrupted (arbitrary) states — the shapes the runtime actually
-    /// ships right after a systemic failure — survive the round trip too.
+    /// ships right after a systemic failure — survive the round trip in
+    /// both forms, so the two forms of one state decode to equal values.
     #[test]
     fn corrupted_states_round_trip() {
         forall(64, |g: &mut Gen| {
@@ -473,23 +602,49 @@ mod tests {
                 c: RoundCounter::new(1),
             };
             ra.corrupt(g);
-            round_trip(&ra);
+            round_trip_both(&ra);
             let mut fs = FloodSetState {
                 seen: BTreeSet::new(),
                 decided: None,
             };
             fs.corrupt(g);
+            round_trip_both(&fs);
+            let n = g.gen_range(1..=130);
             let mut cs: CompiledState<FloodSetState, u64> = CompiledState {
                 inner: fs,
+                c: RoundCounter::new(1),
+                suspects: ProcessSet::empty(n),
+                last_decision: None,
+            };
+            cs.corrupt(g);
+            round_trip_both(&cs);
+            let cs: CompiledState<RoundAgreementState, u64> = CompiledState {
+                inner: ra,
                 c: RoundCounter::new(g.gen()),
                 suspects: ProcessSet::from_iter_n(
-                    6,
-                    (0..6).filter(|_| g.gen_bool(0.5)).map(ProcessId),
+                    n,
+                    (0..n).filter(|_| g.gen_bool(0.5)).map(ProcessId),
                 ),
                 last_decision: g.gen_bool(0.5).then(|| (g.gen(), g.gen())),
             };
-            cs.corrupt(g);
-            round_trip(&cs);
+            round_trip_both(&cs);
+        });
+    }
+
+    /// Messages — corrupted ones included — survive both forms too.
+    #[test]
+    fn messages_round_trip_in_binary() {
+        round_trip_both(&u64::MAX);
+        round_trip_both(&BTreeSet::<u64>::new());
+        forall(64, |g: &mut Gen| {
+            let mut set = BTreeSet::from([g.gen::<u64>()]);
+            set.corrupt(g);
+            round_trip_both(&g.gen::<u64>());
+            round_trip_both(&set);
+            round_trip_both(&CompiledMsg {
+                state_msg: Payload::new(set),
+                round: g.gen(),
+            });
         });
     }
 
@@ -516,33 +671,61 @@ mod tests {
         }
     }
 
-    fn round_trip_bin<T: WireMsg + PartialEq + std::fmt::Debug>(x: &T) {
-        let mut bytes = Vec::new();
-        x.encode_bin(&mut bytes);
-        let mut r = Reader::new(&bytes);
-        assert_eq!(&T::decode_bin(&mut r).expect("decodes"), x, "via {bytes:?}");
-        r.finish().expect("decoding consumes what encoding wrote");
-    }
-
-    /// Messages — corrupted ones included — survive the binary form too.
+    /// The layout is pinned field by field: sets count-prefixed and
+    /// ascending, options `0 | 1 · value`, process sets as universe,
+    /// count and members.
     #[test]
-    fn messages_round_trip_in_binary() {
-        round_trip_bin(&u64::MAX);
-        round_trip_bin(&BTreeSet::<u64>::new());
+    fn binary_layout_is_canonical() {
         let mut bytes = Vec::new();
         BTreeSet::from([2u64, 1]).encode_bin(&mut bytes);
         let (count, one, two) = (2u32.to_le_bytes(), 1u64.to_le_bytes(), 2u64.to_le_bytes());
         assert_eq!(bytes, [&count[..], &one, &two].concat());
-        forall(64, |g: &mut Gen| {
-            let mut set = BTreeSet::from([g.gen::<u64>()]);
-            set.corrupt(g);
-            round_trip_bin(&g.gen::<u64>());
-            round_trip_bin(&set);
-            round_trip_bin(&CompiledMsg {
-                state_msg: Payload::new(set),
-                round: g.gen(),
-            });
-        });
+
+        let cs: CompiledState<RoundAgreementState, u64> = CompiledState {
+            inner: RoundAgreementState {
+                c: RoundCounter::new(5),
+            },
+            c: RoundCounter::new(6),
+            suspects: ProcessSet::from_iter_n(9, [ProcessId(8), ProcessId(2)]),
+            last_decision: Some((3, 4)),
+        };
+        let mut bytes = Vec::new();
+        cs.encode_bin(&mut bytes);
+        let le = |x: u64| x.to_le_bytes().to_vec();
+        let le32 = |x: u32| x.to_le_bytes().to_vec();
+        let members = [le32(9), le32(2), le32(2), le32(8)].concat();
+        assert_eq!(
+            bytes,
+            [le(5), le(6), members, vec![1], le(3), le(4)].concat()
+        );
+    }
+
+    /// The binary decoder refuses what no encoder writes: an option tag
+    /// other than 0/1, a member outside the universe, a member count the
+    /// bytes cannot hold — the last two before the set is allocated. (A
+    /// universe larger than any frame: `proto`'s `bcast` tests.)
+    #[test]
+    fn binary_decode_rejects_malformed_values() {
+        type Cs = CompiledState<RoundAgreementState, u64>;
+        let decode = |bytes: &[u8]| Cs::decode_bin(&mut Reader::new(bytes));
+        let head = [1u64.to_le_bytes(), 2u64.to_le_bytes()].concat();
+        let set = |n: u32, members: &[u32]| {
+            let mut out = n.to_le_bytes().to_vec();
+            out.extend((members.len() as u32).to_le_bytes());
+            members.iter().for_each(|m| out.extend(m.to_le_bytes()));
+            out
+        };
+        let ok = [&head[..], &set(4, &[1]), &[0]].concat();
+        assert!(decode(&ok).is_ok());
+        let err = decode(&[&head[..], &set(4, &[1]), &[2]].concat()).expect_err("tag 2");
+        assert!(err.contains("option tag 2"), "{err}");
+        let err = decode(&[&head[..], &set(4, &[4]), &[0]].concat()).expect_err("member 4");
+        assert!(err.contains("member 4 outside universe 4"), "{err}");
+        let greedy = [&head[..], &8u32.to_le_bytes(), &u32::MAX.to_le_bytes()].concat();
+        let err = decode(&greedy).expect_err("huge count");
+        assert!(err.contains("exceeds the bytes remaining"), "{err}");
+        let err = FloodSetState::decode_bin(&mut Reader::new(&[0, 0, 0, 0, 7])).expect_err("tag 7");
+        assert!(err.contains("option tag 7"), "{err}");
     }
 
     /// The reader refuses what the bytes cannot hold, before any of it
@@ -558,10 +741,12 @@ mod tests {
         let mut r = Reader::new(&bytes[..3]);
         assert!(r.u32().is_err() && r.u64().is_err());
         assert_eq!(r.take(3), Ok(&bytes[..3]));
-        assert!(r.u8().is_err());
+        assert!(r.u8().is_err() && r.option(Reader::u8).is_err());
         let section = Reader::new(&bytes).section();
         assert_eq!(section.and_then(|mut s| s.take(3)), Ok(&bytes[4..7]));
         assert!(Reader::new(&bytes[..6]).section().is_err());
         assert!(Reader::new(&bytes).finish().is_err());
+        assert_eq!(Reader::new(&[1, 7]).option(Reader::u8), Ok(Some(7)));
+        assert_eq!(Reader::new(&[0]).option(Reader::u8), Ok(None));
     }
 }

@@ -9,6 +9,10 @@
 //! The numeric grammar is deliberately narrow: the trace schema only ever
 //! emits unsigned integers, so that is all [`parse`] accepts — a float or
 //! negative number in a trace file is a corruption, not a dialect.
+//!
+//! [`parse`] also reads what a network peer sends, so it is linear in its
+//! input and refuses nesting deeper than [`MAX_DEPTH`] with a
+//! [`ParseError`] rather than recursing until the stack overflows.
 
 use std::fmt;
 
@@ -105,11 +109,17 @@ impl fmt::Display for ParseError {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. Every
+/// document the workspace writes is a few levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -121,8 +131,11 @@ pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -163,8 +176,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -192,6 +216,16 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte whole, once. Those are ASCII, so the run ends on a
+            // character boundary and slicing the input is all the UTF-8
+            // check it needs.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            let run = self.text.get(start..self.pos);
+            out.push_str(run.ok_or_else(|| self.err("invalid utf-8"))?);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -226,18 +260,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
@@ -354,6 +377,55 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject: {bad}");
         }
+    }
+
+    /// Multibyte runs between escapes, every escape `escape_into` writes
+    /// and every one `parse` reads; a raw control byte is still refused.
+    #[test]
+    fn multibyte_runs_and_every_escape_round_trip() {
+        let mut original: String = (0u32..0x20).filter_map(char::from_u32).collect();
+        original.push_str("\"\\/ é → 𝄞 mixed\u{7f}\u{fffd}é");
+        let mut encoded = String::new();
+        escape_into(&mut encoded, &original);
+        assert_eq!(parse(&encoded).unwrap(), JsonValue::Str(original));
+        let read = parse(r#""\"\\\/\n\r\té\u0001x""#).unwrap();
+        assert_eq!(read, JsonValue::Str("\"\\/\n\r\t\u{e9}\u{1}x".into()));
+        for bad in ["\"a\u{1}b\"", "\"é\nx\"", "\"\t\""] {
+            let e = parse(bad).unwrap_err();
+            assert_eq!(e.message, "unescaped control character", "{bad:?}");
+        }
+        assert_eq!(parse("\"é\u{1}\"").unwrap_err().at, 3);
+    }
+
+    /// A string is read in time linear in its length: a 1 MiB one used to
+    /// take tens of seconds, rescanning the rest of the input per
+    /// character.
+    #[test]
+    fn a_one_mebibyte_string_parses_quickly() {
+        let original: String = "ab\"é→\\c".chars().cycle().take(1 << 20).collect();
+        let mut encoded = String::new();
+        escape_into(&mut encoded, &original);
+        let started = std::time::Instant::now();
+        assert_eq!(parse(&encoded).unwrap(), JsonValue::Str(original));
+        let took = started.elapsed();
+        assert!(took.as_secs() < 5, "took {took:?}");
+    }
+
+    /// Nesting is capped: the cap itself parses, one more level is an
+    /// error, and 200 000 levels (which used to overflow the stack and
+    /// abort the process) are the same error.
+    #[test]
+    fn nesting_deeper_than_the_cap_is_an_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (e.message.as_str(), e.at),
+            ("nested deeper than 128 levels", 128)
+        );
+        assert_eq!(parse(&"[".repeat(200_000)).unwrap_err(), e);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().message.starts_with("nested"));
     }
 
     #[test]

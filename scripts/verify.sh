@@ -248,6 +248,20 @@ run cargo run -q --release -p ftss-lab -- serve --transport mem --derived \
 run cargo run -q --release -p ftss-lab -- trace --protocol round-agreement \
     --out "$TRACE_DIR/trace_ref.jsonl"
 run cmp "$TRACE_DIR/serve_mem.jsonl" "$TRACE_DIR/trace_ref.jsonl"
+# Real sockets differ only by the transport label (DESIGN.md §13): one
+# compiled-FloodSet session over tcp and over uds writes the same trace
+# once the transport name is masked — every `net_frame.bytes` included,
+# which a non-canonical binary encoding would break — and `stats` parses
+# the tcp trace back.
+for transport in tcp uds; do
+    run cargo run -q --release -p ftss-lab -- serve --protocol compile \
+        --transport "$transport" --n 4 --rounds 12 --seed 3 \
+        --out "$TRACE_DIR/serve_$transport.jsonl"
+done
+echo "==> serve: tcp and uds traces must agree modulo the transport label"
+cmp <(sed 's/"transport":"[a-z]*"/"transport":"X"/' "$TRACE_DIR/serve_tcp.jsonl") \
+    <(sed 's/"transport":"[a-z]*"/"transport":"X"/' "$TRACE_DIR/serve_uds.jsonl")
+run cargo run -q --release -p ftss-lab -- stats --in "$TRACE_DIR/serve_tcp.jsonl"
 run cargo run -q --release -p ftss-lab -- serve --protocol round-agreement \
     --transport tcp --storm default --epochs 2 --n 3 --seed 42 \
     --out "$TRACE_DIR/serve_storm.jsonl"

@@ -22,7 +22,6 @@
 //!   `ftss-lab sweep` prints and `EXPERIMENTS.md` records.
 
 pub mod impossibility;
-pub mod messages;
 pub mod stabilization;
 pub mod table;
 pub mod trace;
@@ -31,7 +30,6 @@ pub use impossibility::{
     theorem1_demo, theorem2_demo, Archetype, EagerHalt, HaltOnDisagreement, StubbornCounter,
     Theorem1Outcome, Theorem2Outcome,
 };
-pub use messages::{copies_per_round, message_stats, MessageStats};
 pub use stabilization::{measured_stabilization_time, StabilizationMeasurement};
 pub use table::Table;
 pub use trace::{coterie_events, metrics_table, stabilization_event};

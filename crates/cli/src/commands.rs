@@ -198,6 +198,11 @@ pub fn usage() -> String {
 
 fn adversary_from(args: &Args, n: usize) -> Result<Box<dyn Adversary>, String> {
     let omit_p: f64 = args.get_or("omit-p", 0.0)?;
+    if !(0.0..=1.0).contains(&omit_p) {
+        return Err(format!(
+            "--omit-p must be a probability in [0, 1], got {omit_p}"
+        ));
+    }
     let omitters: usize = args.get_or("omitters", 1)?;
     let seed: u64 = args.get_or("seed", 0)?;
     if let Some((p, r)) = args.crash_spec("crash")? {

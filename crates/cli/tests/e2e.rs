@@ -134,6 +134,26 @@ fn async_commands_reject_bad_crash_schedules() {
     }
 }
 
+/// `--omit-p` is a probability: out of range it used to panic inside
+/// the adversary, and `-1` or `nan` silently ran with no omitter.
+#[test]
+fn sync_commands_reject_a_bad_omission_probability() {
+    for cmd in [
+        "round-agreement --n 3 --rounds 3 --omit-p 2",
+        "round-agreement --n 3 --rounds 3 --omit-p -1",
+        "round-agreement --n 3 --rounds 3 --omit-p nan",
+    ] {
+        let o = run(&cmd.split(' ').collect::<Vec<_>>());
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(2), "{cmd}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains("--omit-p must be a probability"),
+            "{cmd}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{cmd}: {err}");
+    }
+}
+
 #[test]
 fn token_ring_stabilizes() {
     let o = run(&["token-ring", "--n", "4", "--rounds", "60", "--seed", "5"]);

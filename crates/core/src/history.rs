@@ -10,14 +10,18 @@
 //! # Memory model (DESIGN.md §12)
 //!
 //! Round histories are stored **struct-of-arrays**: per-process state and
-//! counters live in dense vectors indexed by process id, per-copy message
-//! fate lives in two n×n bit matrices plus a sparse exception list
-//! ([`RoundMsgs`]), and the flags (`crashed_here`, `halted_at_start`) are
-//! [`ProcessSet`] bitsets. A full-mesh round at n processes therefore costs
-//! `2·n²` *bits* plus one shared [`Payload`] per sender, instead of the
-//! `O(n²)` per-copy `Envelope` structs of a naive array-of-structs
-//! layout. Code reads records through the borrowed [`RoundRecordView`]
-//! and writes them through [`RoundHistory`]'s `set_*`/`record_*` recorder.
+//! counters live in dense vectors indexed by process id, and the flags
+//! (`crashed_here`, `halted_at_start`) are [`ProcessSet`] bitsets.
+//! Per-copy message fate ([`RoundMsgs`]) is the round's *clean block* —
+//! two [`ProcessSet`]s standing for every copy the model guarantees (§2:
+//! a copy between two non-faulty processes is always delivered) — plus
+//! two n×n bit matrices and a sparse exception list for the copies
+//! outside it. A simulated round with f faulty processes therefore
+//! records O(n/64) words for the block and O(f·n) matrix bits, with one
+//! shared [`Payload`] per sender, where a naive array-of-structs layout
+//! holds `O(n²)` per-copy `Envelope`s. Code reads records through the
+//! borrowed [`RoundRecordView`] and writes them through
+//! [`RoundHistory`]'s `set_*`/`record_*` recorder.
 //!
 //! A [`History`] can additionally be **windowed**: constructed via
 //! [`History::with_window`], it retains only the most recent `w` round
@@ -182,24 +186,6 @@ impl BitGrid {
         SetBits::new(self.row(row))
     }
 
-    /// ORs the members of `set` into `row`, a word at a time; `skip`
-    /// names one column left as it was.
-    fn or_row(&mut self, row: usize, set: &ProcessSet, skip: Option<usize>) {
-        assert_eq!(set.universe(), self.n, "universe mismatch");
-        let (skip_word, skip_mask) = match skip {
-            Some(col) => (col / WORD_BITS, !(1 << (col % WORD_BITS))),
-            None => (usize::MAX, u64::MAX),
-        };
-        let cells = &mut self.words[row * self.wpr..(row + 1) * self.wpr];
-        for (k, (cell, &members)) in cells.iter_mut().zip(set.words()).enumerate() {
-            *cell |= if k == skip_word {
-                members & skip_mask
-            } else {
-                members
-            };
-        }
-    }
-
     fn reset(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
@@ -207,18 +193,30 @@ impl BitGrid {
 
 /// The message traffic of one round, struct-of-arrays.
 ///
-/// One broadcast payload slot per sender, two n×n bit matrices (`sent`:
-/// row = sender, column = destination; `delivered`: row = *receiver*,
-/// column = sender), and a sparse, `(src, dst)`-sorted exception list
-/// holding every copy whose [`DeliveryOutcome`] was *not* `Delivered`.
-/// A sent bit with no exception entry means the copy was delivered.
+/// One broadcast payload slot per sender; the round's *clean block*, two
+/// sets `block_srcs ⊆ block_dsts`: every member of `block_srcs` sent to
+/// every *other* member of `block_dsts`, and every member of `block_dsts`
+/// heard every member of `block_srcs`, itself included; two n×n bit
+/// matrices for the copies outside the block (`sent`: row = sender,
+/// column = destination; `delivered`: row = *receiver*, column = sender);
+/// and a sparse, `(src, dst)`-sorted exception list holding every copy
+/// whose [`DeliveryOutcome`] was *not* `Delivered`. A sent copy with no
+/// exception entry was delivered. No matrix bit inside the block is ever
+/// set, so a row is its matrix row ORed with the block's share — decided
+/// once per row, never per word — and a frame with an empty block (every
+/// dense walk's) reads exactly its matrices.
+///
+/// Equality is semantic: two frames are equal iff every reader answers
+/// alike, whether a copy was recorded in the block or bit by bit.
 ///
 /// Kept separate from [`RoundHistory`] so that message-only consumers (the
 /// simulator's inbox path) need not name the protocol state type `S`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Debug)]
 pub struct RoundMsgs<M> {
     n: usize,
     payloads: Vec<Option<Payload<M>>>,
+    block_srcs: ProcessSet,
+    block_dsts: ProcessSet,
     sent: BitGrid,
     delivered: BitGrid,
     exceptions: Vec<(ProcessId, ProcessId, DeliveryOutcome)>,
@@ -228,11 +226,37 @@ pub struct RoundMsgs<M> {
     forged: Vec<(ProcessId, ProcessId, Payload<M>)>,
 }
 
+impl<M: PartialEq> PartialEq for RoundMsgs<M> {
+    fn eq(&self, other: &Self) -> bool {
+        if self.n != other.n
+            || self.payloads != other.payloads
+            || self.exceptions != other.exceptions
+            || self.forged != other.forged
+        {
+            return false;
+        }
+        if self.block_srcs == other.block_srcs && self.block_dsts == other.block_dsts {
+            return self.sent == other.sent && self.delivered == other.delivered;
+        }
+        (0..self.n).map(ProcessId).all(|p| {
+            self.sent_words(p).eq(other.sent_words(p))
+                && self
+                    .deliveries(p)
+                    .heard_words()
+                    .eq(other.deliveries(p).heard_words())
+        })
+    }
+}
+
+impl<M: Eq> Eq for RoundMsgs<M> {}
+
 impl<M> RoundMsgs<M> {
     fn empty(n: usize) -> Self {
         RoundMsgs {
             n,
             payloads: std::iter::repeat_with(|| None).take(n).collect(),
+            block_srcs: ProcessSet::empty(n),
+            block_dsts: ProcessSet::empty(n),
             sent: BitGrid::new(n),
             delivered: BitGrid::new(n),
             exceptions: Vec::new(),
@@ -242,6 +266,8 @@ impl<M> RoundMsgs<M> {
 
     fn reset(&mut self) {
         self.payloads.iter_mut().for_each(|p| *p = None);
+        self.block_srcs.clear();
+        self.block_dsts.clear();
         self.sent.reset();
         self.delivered.reset();
         self.exceptions.clear();
@@ -258,11 +284,30 @@ impl<M> RoundMsgs<M> {
         self.payloads[src.index()].as_ref()
     }
 
+    /// The senders of the round's clean block: every receiver of the
+    /// block ([`Deliveries::in_block`]) heard each of them. Empty unless
+    /// the round was recorded with [`RoundHistory::record_clean_block`].
+    pub fn block_srcs(&self) -> &ProcessSet {
+        &self.block_srcs
+    }
+
+    /// Whether the block holds the copy `src → dst` (never a self-copy).
+    fn block_sent(&self, src: ProcessId, dst: ProcessId) -> bool {
+        src != dst && self.block_srcs.contains(src) && self.block_dsts.contains(dst)
+    }
+
+    /// Whether the block holds `dst` hearing `src`.
+    fn block_heard(&self, dst: ProcessId, src: ProcessId) -> bool {
+        self.block_dsts.contains(dst) && self.block_srcs.contains(src)
+    }
+
     /// The fate of the copy `src → dst`, or `None` if no copy was emitted
     /// (the sender was crashed, silent, or halted).
     pub fn outcome_of(&self, src: ProcessId, dst: ProcessId) -> Option<DeliveryOutcome> {
         if !self.sent.get(src.index(), dst.index()) {
-            return None;
+            return self
+                .block_sent(src, dst)
+                .then_some(DeliveryOutcome::Delivered);
         }
         match self
             .exceptions
@@ -275,17 +320,28 @@ impl<M> RoundMsgs<M> {
 
     /// Number of copies `src` emitted this round.
     pub fn sent_count(&self, src: ProcessId) -> usize {
-        self.sent.row_count(src.index())
+        let bits = self.sent.row_count(src.index());
+        // `block_srcs ⊆ block_dsts`: every receiver but the sender itself.
+        if self.block_srcs.contains(src) {
+            bits + self.block_dsts.len() - 1
+        } else {
+            bits
+        }
     }
 
     /// Number of messages delivered to `dst` this round.
     pub fn delivered_count(&self, dst: ProcessId) -> usize {
-        self.delivered.row_count(dst.index())
+        let bits = self.delivered.row_count(dst.index());
+        if self.block_dsts.contains(dst) {
+            bits + self.block_srcs.len()
+        } else {
+            bits
+        }
     }
 
     /// Whether the copy `src → dst` was actually delivered.
     pub fn was_delivered(&self, dst: ProcessId, src: ProcessId) -> bool {
-        self.delivered.get(dst.index(), src.index())
+        self.delivered.get(dst.index(), src.index()) || self.block_heard(dst, src)
     }
 
     /// The forged payload carried by the copy `src → dst`, if that copy
@@ -306,14 +362,52 @@ impl<M> RoundMsgs<M> {
         let hi = self.exceptions[lo..].partition_point(|&(s, _, _)| s == src) + lo;
         let flo = self.forged.partition_point(|&(s, _, _)| s < src);
         let fhi = self.forged[flo..].partition_point(|&(s, _, _)| s == src) + flo;
+        let in_block = self.block_srcs.contains(src);
+        // The block's share of the row names the sender itself, which
+        // the block never sends to: passed over, unless a matrix bit
+        // recorded that copy.
+        let skip = if in_block && !self.sent.get(src.index(), src.index()) {
+            src.index()
+        } else {
+            usize::MAX
+        };
         SentIter {
             payload: self.payloads[src.index()].as_ref(),
-            bits: self.sent.row_bits(src.index()),
+            bits: RowBits::new(
+                self.sent.row(src.index()),
+                self.block_dsts.words(),
+                in_block,
+            ),
+            skip,
             exceptions: &self.exceptions[lo..hi],
             next_exc: 0,
             forged: &self.forged[flo..fhi],
             next_forged: 0,
         }
+    }
+
+    /// The words of `src`'s sent row, block included — what equality
+    /// compares when two frames split a round differently.
+    fn sent_words(&self, src: ProcessId) -> impl Iterator<Item = u64> + '_ {
+        let mask = if self.block_srcs.contains(src) {
+            u64::MAX
+        } else {
+            0
+        };
+        let (own_word, own_bit) = (src.index() / WORD_BITS, 1 << (src.index() % WORD_BITS));
+        let row = self
+            .sent
+            .row(src.index())
+            .iter()
+            .zip(self.block_dsts.words());
+        row.enumerate().map(move |(k, (&bits, &block))| {
+            let block = block & mask;
+            bits | if k == own_word {
+                block & !own_bit
+            } else {
+                block
+            }
+        })
     }
 
     /// The messages delivered to `dst` this round, as a borrowed view.
@@ -329,6 +423,69 @@ impl<M> RoundMsgs<M> {
                 .as_ref()
                 .expect("delivered bit without a recorded payload")
         })
+    }
+
+    /// Whether some matrix bit lies inside the block — never, by the
+    /// recorder's contract; checked by debug builds.
+    fn matrices_meet_block(&self) -> bool {
+        let sends = self.block_srcs.iter().any(|s| {
+            let mut row = self.sent.row_bits(s.index());
+            row.any(|d| self.block_sent(s, ProcessId(d)))
+        });
+        let hears = self.block_dsts.iter().any(|d| {
+            let mut row = self.delivered.row_bits(d.index());
+            row.any(|s| self.block_heard(d, ProcessId(s)))
+        });
+        sends || hears
+    }
+}
+
+/// The set bits of one row, ascending: word `k` is `row[k] | (block[k] &
+/// mask)`, a matrix row with the clean block's share ORed in iff the row
+/// lies in the block. That is settled once, when the row is opened; every
+/// word then costs the same, and a row outside the block reads its matrix
+/// row alone.
+#[derive(Clone, Debug)]
+struct RowBits<'a> {
+    row: &'a [u64],
+    block: &'a [u64],
+    mask: u64,
+    k: usize,
+    current: u64,
+}
+
+impl<'a> RowBits<'a> {
+    fn new(row: &'a [u64], block: &'a [u64], in_block: bool) -> Self {
+        debug_assert_eq!(row.len(), block.len());
+        let mask = if in_block { u64::MAX } else { 0 };
+        let current = match (row.first(), block.first()) {
+            (Some(r), Some(b)) => r | (b & mask),
+            _ => 0,
+        };
+        RowBits {
+            row,
+            block,
+            mask,
+            k: 0,
+            current,
+        }
+    }
+}
+
+impl Iterator for RowBits<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.current == 0 {
+            self.k += 1;
+            if self.k >= self.row.len() {
+                return None;
+            }
+            self.current = self.row[self.k] | (self.block[self.k] & self.mask);
+        }
+        let bit = self.current.trailing_zeros() as usize;
+        self.current &= self.current - 1;
+        Some(self.k * WORD_BITS + bit)
     }
 }
 
@@ -347,7 +504,9 @@ pub struct SentCopy<'a, M> {
 #[derive(Clone, Debug)]
 pub struct SentIter<'a, M> {
     payload: Option<&'a Payload<M>>,
-    bits: SetBits<'a>,
+    bits: RowBits<'a>,
+    /// The sender's own index when the block's share names it.
+    skip: usize,
     exceptions: &'a [(ProcessId, ProcessId, DeliveryOutcome)],
     next_exc: usize,
     forged: &'a [(ProcessId, ProcessId, Payload<M>)],
@@ -358,7 +517,11 @@ impl<'a, M> Iterator for SentIter<'a, M> {
     type Item = SentCopy<'a, M>;
 
     fn next(&mut self) -> Option<SentCopy<'a, M>> {
-        let dst = ProcessId(self.bits.next()?);
+        let mut dst = self.bits.next()?;
+        if dst == self.skip {
+            dst = self.bits.next()?;
+        }
+        let dst = ProcessId(dst);
         let mut outcome = DeliveryOutcome::Delivered;
         if let Some(&(_, d, o)) = self.exceptions.get(self.next_exc) {
             if d == dst {
@@ -409,59 +572,40 @@ impl<'a, M> Deliveries<'a, M> {
 
     /// Iterates `(sender, payload)` in ascending sender order.
     pub fn iter(&self) -> DeliveredIter<'a, M> {
+        self.row(self.in_block())
+    }
+
+    /// Whether the receiver belongs to the round's clean block: it heard
+    /// every member of [`RoundMsgs::block_srcs`], and its other
+    /// deliveries are exactly [`Self::off_block`].
+    pub fn in_block(&self) -> bool {
+        self.msgs.block_dsts.contains(self.dst)
+    }
+
+    /// Iterates the deliveries recorded copy by copy — those outside the
+    /// clean block, which is all of them for a receiver outside it —
+    /// ascending by sender. A forged copy carries its forged payload, as
+    /// in [`Self::get`].
+    pub fn off_block(&self) -> DeliveredIter<'a, M> {
+        self.row(false)
+    }
+
+    fn row(&self, with_block: bool) -> DeliveredIter<'a, M> {
+        let row = self.msgs.delivered.row(self.dst.index());
         DeliveredIter {
             msgs: self.msgs,
             dst: self.dst,
-            bits: self.msgs.delivered.row_bits(self.dst.index()),
+            bits: RowBits::new(row, self.msgs.block_srcs.words(), with_block),
         }
     }
 
-    /// The senders heard from, as the words of the delivered bit-row:
-    /// bit `s % 64` of word `s / 64` is set iff a copy from `s` arrived.
-    pub fn heard_words(&self) -> &'a [u64] {
-        self.msgs.delivered.row(self.dst.index())
-    }
-
-    /// Whether a copy from every member of `set` arrived — one AND-NOT per
-    /// word of the delivered bit-row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` ranges over a different universe.
-    pub fn heard_all(&self, set: &ProcessSet) -> bool {
-        assert_eq!(set.universe(), self.msgs.n, "universe mismatch");
-        let heard = self.heard_words();
-        set.words().iter().zip(heard).all(|(s, h)| s & !h == 0)
-    }
-
-    /// Iterates the deliveries from senders *outside* `set`, ascending by
-    /// sender: [`Self::iter`] restricted to `row & !set`, visiting only
-    /// the words where that is non-zero. A forged copy carries its forged
-    /// payload, as in [`Self::get`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` ranges over a different universe.
-    pub fn iter_outside<'s>(
-        &self,
-        set: &'s ProcessSet,
-    ) -> impl Iterator<Item = (ProcessId, &'a Payload<M>)> + 's
-    where
-        'a: 's,
-    {
-        assert_eq!(set.universe(), self.msgs.n, "universe mismatch");
-        let (msgs, dst) = (self.msgs, self.dst);
-        let words = self.heard_words().iter().zip(set.words()).enumerate();
-        words.flat_map(move |(k, (&heard, &members))| {
-            let mut rest = heard & !members;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let src = ProcessId(k * WORD_BITS + rest.trailing_zeros() as usize);
-                    rest &= rest - 1;
-                    (src, msgs.arrived_payload(src, dst))
-                })
-            })
-        })
+    /// The senders heard from, as the words of the delivered row: bit
+    /// `s % 64` of word `s / 64` is set iff a copy from `s` arrived.
+    pub fn heard_words(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        let mask = if self.in_block() { u64::MAX } else { 0 };
+        let row = self.msgs.delivered.row(self.dst.index());
+        let block = self.msgs.block_srcs.words();
+        row.iter().zip(block).map(move |(&r, &b)| r | (b & mask))
     }
 
     /// The forged copies among the deliveries — `(sender, per-copy
@@ -489,7 +633,7 @@ impl<'a, M> Deliveries<'a, M> {
 pub struct DeliveredIter<'a, M> {
     msgs: &'a RoundMsgs<M>,
     dst: ProcessId,
-    bits: SetBits<'a>,
+    bits: RowBits<'a>,
 }
 
 impl<'a, M> Iterator for DeliveredIter<'a, M> {
@@ -576,6 +720,10 @@ impl<S, M> RoundHistory<S, M> {
     /// copies arrive in ascending `(src, dst)` order (as the simulator
     /// emits them) and falls back to a sorted insert otherwise.
     pub fn record_send(&mut self, src: ProcessId, dst: ProcessId, outcome: DeliveryOutcome) {
+        debug_assert!(
+            !self.msgs.block_sent(src, dst),
+            "{src} → {dst} is in the clean block"
+        );
         self.msgs.sent.set(src.index(), dst.index());
         if outcome != DeliveryOutcome::Delivered {
             let exc = &mut self.msgs.exceptions;
@@ -592,31 +740,36 @@ impl<S, M> RoundHistory<S, M> {
 
     /// Records that the copy `src → dst` actually reached `dst`.
     pub fn record_delivery(&mut self, dst: ProcessId, src: ProcessId) {
+        debug_assert!(
+            !self.msgs.block_heard(dst, src),
+            "{src} → {dst} is in the clean block"
+        );
         self.msgs.delivered.set(dst.index(), src.index());
     }
 
-    /// Records, a bit-row at a time, that `src` emitted a copy to every
-    /// member of `dsts` other than itself and that none of them met an
-    /// exception — what one [`Self::record_send`] with
-    /// [`DeliveryOutcome::Delivered`] per member would record.
+    /// Records the round's clean block in O(n/64): every member of `srcs`
+    /// emitted a copy to every *other* member of `dsts`, none of them met
+    /// an exception, and every member of `dsts` heard every member of
+    /// `srcs`, itself included — what one [`Self::record_send`] with
+    /// [`DeliveryOutcome::Delivered`] and one [`Self::record_delivery`]
+    /// per such copy would record. At most one block per round; no copy
+    /// inside it may also be recorded one by one, before or after.
     ///
     /// # Panics
     ///
-    /// Panics if `dsts` ranges over a different universe.
-    pub fn record_clean_sends(&mut self, src: ProcessId, dsts: &ProcessSet) {
-        self.msgs.sent.or_row(src.index(), dsts, Some(src.index()));
-    }
-
-    /// Records, a bit-row at a time, that the broadcast of every member
-    /// of `srcs` reached `dst` — `dst`'s own, if it is a member, being
-    /// its self-delivery. Equivalent to one [`Self::record_delivery`] per
-    /// member.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `srcs` ranges over a different universe.
-    pub fn record_clean_deliveries(&mut self, dst: ProcessId, srcs: &ProcessSet) {
-        self.msgs.delivered.or_row(dst.index(), srcs, None);
+    /// Panics if either set ranges over a different universe, or if
+    /// `srcs` is not a subset of `dsts`.
+    pub fn record_clean_block(&mut self, srcs: &ProcessSet, dsts: &ProcessSet) {
+        let n = self.n();
+        assert!(
+            srcs.universe() == n && dsts.universe() == n,
+            "universe mismatch"
+        );
+        assert!(srcs.is_subset(dsts), "a clean block's senders must hear it");
+        debug_assert!(self.msgs.block_srcs.is_empty(), "a second clean block");
+        self.msgs.block_srcs.clone_from(srcs);
+        self.msgs.block_dsts.clone_from(dsts);
+        debug_assert!(!self.msgs.matrices_meet_block(), "a copy recorded twice");
     }
 
     /// Records a *forged* copy `src → dst`: the copy is delivered, but
@@ -626,7 +779,7 @@ impl<S, M> RoundHistory<S, M> {
     /// `(src, dst)` order (as the simulator emits them).
     pub fn record_forged(&mut self, src: ProcessId, dst: ProcessId, payload: Payload<M>) {
         self.record_send(src, dst, DeliveryOutcome::Forged);
-        self.msgs.delivered.set(dst.index(), src.index());
+        self.record_delivery(dst, src);
         let fg = &mut self.msgs.forged;
         match fg.last() {
             Some(&(s, d, _)) if (s, d) < (src, dst) => fg.push((src, dst, payload)),
@@ -1090,6 +1243,8 @@ impl<S: fmt::Debug, M: fmt::Debug> fmt::Display for History<S, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftss_rng::check::{forall, Gen};
+    use ftss_rng::Rng;
     use DeliveryOutcome::{Delivered, DroppedByReceiver, DroppedBySender, Forged, ReceiverCrashed};
 
     type H = History<u32, &'static str>;
@@ -1182,7 +1337,7 @@ mod tests {
         assert_eq!(seen, vec![(0, "forged")]);
         // So do the raw row and the receiver's forged entries (what the
         // serve router puts on the wire); nobody else's row has any.
-        assert_eq!(to_p1.heard_words(), &[0b001]);
+        assert!(to_p1.heard_words().eq([0b001]));
         let forged: Vec<_> = to_p1.forged().map(|(p, m)| (p.index(), **m)).collect();
         assert_eq!(forged, vec![(0, "forged")]);
         assert_eq!(rh.msgs().deliveries(ProcessId(2)).forged().count(), 0);
@@ -1302,6 +1457,8 @@ mod tests {
         rh.set_broadcast(ProcessId(0), Payload::new("m"));
         rh.record_send(ProcessId(0), ProcessId(1), DeliveryOutcome::DroppedBySender);
         rh.record_delivery(ProcessId(1), ProcessId(0));
+        let p1 = ProcessSet::from_iter_n(2, [ProcessId(1)]);
+        rh.record_clean_block(&p1, &p1);
         rh.reset(2);
         assert_eq!(rh, RH::empty(2));
         // Width change re-allocates.
@@ -1309,77 +1466,204 @@ mod tests {
         assert_eq!(rh, RH::empty(3));
     }
 
-    /// The row builders record exactly what the per-copy builders would,
-    /// on both sides of every word boundary, and leave bits outside the
-    /// given set (exceptions recorded earlier, the self column) alone.
-    #[test]
-    fn row_builders_match_the_per_copy_builders() {
-        for n in [2, 63, 64, 65, 130] {
-            let members = ProcessSet::from_iter_n(n, (0..n).filter(|i| i % 3 != 1).map(ProcessId));
-            for p in [0, n / 2, n - 1].map(ProcessId) {
-                let other = ProcessId((p.index() + 1) % n);
-                let (mut by_row, mut by_copy) = (RH::empty(n), RH::empty(n));
-                for rh in [&mut by_row, &mut by_copy] {
-                    rh.record_send(p, other, DeliveryOutcome::DroppedBySender);
-                    rh.record_delivery(p, other);
+    /// One generated round: who is special (outside the block), who
+    /// broadcasts, and every emitted copy's fate. Ordinary broadcasters
+    /// are the block's senders; a copy with a special end may meet an
+    /// exception or be forged, and a special sender's copy may be cut.
+    struct Generated {
+        n: usize,
+        srcs: ProcessSet,
+        dsts: ProcessSet,
+        copies: Vec<(ProcessId, ProcessId, DeliveryOutcome)>,
+    }
+
+    impl Generated {
+        fn new(g: &mut Gen, n: usize) -> Self {
+            let special_p = [0.0, 0.05, 0.3, 1.0][g.gen_range(0..4usize)];
+            let dsts = ProcessSet::from_iter_n(
+                n,
+                (0..n).map(ProcessId).filter(|_| !g.gen_bool(special_p)),
+            );
+            let silent =
+                ProcessSet::from_iter_n(n, (0..n).map(ProcessId).filter(|_| g.gen_bool(0.1)));
+            let srcs = dsts.difference(&silent);
+            let mut copies = Vec::new();
+            for src in (0..n).map(ProcessId).filter(|p| !silent.contains(*p)) {
+                for dst in (0..n).map(ProcessId).filter(|&q| q != src) {
+                    let outcome = if dsts.contains(src) && dsts.contains(dst) {
+                        Delivered
+                    } else {
+                        [
+                            Delivered,
+                            DroppedBySender,
+                            DroppedByReceiver,
+                            ReceiverCrashed,
+                            Forged,
+                        ][g.gen_range(0..5usize)]
+                    };
+                    copies.push((src, dst, outcome));
                 }
-                by_row.record_clean_sends(p, &members);
-                by_row.record_clean_deliveries(p, &members);
-                for q in members.iter() {
-                    if q != p {
-                        by_copy.record_send(p, q, DeliveryOutcome::Delivered);
-                    }
-                    by_copy.record_delivery(p, q);
-                }
-                assert_eq!(by_row, by_copy, "n = {n}, {p}");
-                assert_eq!(by_row.msgs().outcome_of(p, p), None);
-                assert_eq!(by_row.msgs().was_delivered(p, p), members.contains(p));
             }
+            Generated {
+                n,
+                srcs,
+                dsts,
+                copies,
+            }
+        }
+
+        /// The round recorded copy by copy, or with its block in one go
+        /// and only the copies outside it one by one.
+        fn record(&self, with_block: bool) -> RH {
+            let mut rh = RH::empty(self.n);
+            for p in (0..self.n).map(ProcessId) {
+                rh.set_process(p, Some(p.index() as u32), None, false, false);
+                let sends = self.srcs.contains(p) || self.copies.iter().any(|c| c.0 == p);
+                if sends {
+                    rh.set_broadcast(p, Payload::new("m"));
+                    if !(with_block && self.srcs.contains(p)) {
+                        rh.record_delivery(p, p);
+                    }
+                }
+            }
+            for &(src, dst, outcome) in &self.copies {
+                if with_block && self.srcs.contains(src) && self.dsts.contains(dst) {
+                    continue;
+                }
+                match outcome {
+                    Forged => rh.record_forged(src, dst, Payload::new("forged")),
+                    Delivered => {
+                        rh.record_send(src, dst, outcome);
+                        rh.record_delivery(dst, src);
+                    }
+                    _ => rh.record_send(src, dst, outcome),
+                }
+            }
+            if with_block {
+                rh.record_clean_block(&self.srcs, &self.dsts);
+            }
+            rh
         }
     }
 
-    /// The two word-wise readers of a delivered row against the per-bit
-    /// definition, on both sides of every word boundary: a row that
-    /// misses one member of the set, and a forged copy from outside it.
+    /// The clean block is a representation, never a semantic: a round
+    /// recorded with [`RoundHistory::record_clean_block`] equals the same
+    /// round recorded copy by copy, and every reader answers alike — on
+    /// both sides of every word boundary, with exceptions and forged
+    /// copies in the special rows.
+    #[test]
+    fn clean_block_matches_a_copy_by_copy_record() {
+        forall(36, |g: &mut Gen| {
+            let n = [1, 2, 63, 64, 65, 127, 128, 129, 200][g.gen_range(0..9usize)];
+            let round = Generated::new(g, n);
+            let (block, copies) = (round.record(true), round.record(false));
+            assert_eq!(block, copies, "n = {n}");
+            assert_eq!(copies, block);
+            let (b, c) = (block.msgs(), copies.msgs());
+            for p in (0..n).map(ProcessId) {
+                let sent = |m: &RoundMsgs<&'static str>| -> Vec<_> {
+                    m.sent_iter(p)
+                        .map(|s| (s.dst, **s.payload, s.outcome))
+                        .collect()
+                };
+                assert_eq!(sent(b), sent(c), "{p}");
+                assert_eq!(b.sent_count(p), c.sent_count(p));
+                assert_eq!(b.sent_count(p), sent(b).len());
+                assert_eq!(b.delivered_count(p), c.delivered_count(p));
+                let (bd, cd) = (b.deliveries(p), c.deliveries(p));
+                let heard = |d: Deliveries<'_, &'static str>| -> Vec<_> {
+                    d.iter().map(|(q, m)| (q, **m)).collect()
+                };
+                assert_eq!(heard(bd), heard(cd), "{p}");
+                assert_eq!((bd.len(), bd.is_empty()), (cd.len(), cd.is_empty()));
+                assert!(bd.heard_words().eq(cd.heard_words()));
+                assert!(bd.forged().eq(cd.forged()));
+                assert_eq!(bd.in_block(), round.dsts.contains(p));
+                // Off the block: everything heard but the block's senders.
+                let off: Vec<_> = bd.off_block().map(|(q, m)| (q, **m)).collect();
+                let outside = heard(cd)
+                    .into_iter()
+                    .filter(|(q, _)| !bd.in_block() || !round.srcs.contains(*q));
+                assert_eq!(off, outside.collect::<Vec<_>>(), "{p}");
+                for q in (0..n).map(ProcessId) {
+                    assert_eq!(b.outcome_of(p, q), c.outcome_of(p, q), "{p} → {q}");
+                    assert_eq!(b.was_delivered(p, q), c.was_delivered(p, q));
+                    assert_eq!(bd.get(q), cd.get(q));
+                }
+            }
+            let (mut bs, mut cs) = (Vec::new(), Vec::new());
+            block.deviation_sets_into(&mut bs);
+            copies.deviation_sets_into(&mut cs);
+            assert_eq!(bs, cs);
+            let (mut bf, mut cf) = (ProcessSet::empty(n), ProcessSet::empty(n));
+            block.collect_faulty_into(&mut bf);
+            copies.collect_faulty_into(&mut cf);
+            assert_eq!(bf, cf);
+            // Equality still tells rounds apart: one copy more on either
+            // side of the block's edge is a different round.
+            let lost = round.copies.iter().find(|c| c.2 == DroppedBySender);
+            if let Some(&(src, dst, _)) = lost {
+                let mut more = round.record(false);
+                more.record_delivery(dst, src);
+                assert_ne!(block, more);
+                assert_ne!(more, block);
+            }
+        });
+    }
+
+    /// The word-wise row readers against the per-bit definition, on both
+    /// sides of every word boundary: a block whose last sender sits past
+    /// the last word boundary, a delivery and a forged copy from outside
+    /// it, and a receiver outside it.
     #[test]
     fn row_readers_match_the_per_bit_definition() {
         for n in [2, 63, 64, 65, 130] {
-            let set = ProcessSet::from_iter_n(n, (0..n).filter(|i| i % 3 != 1).map(ProcessId));
-            // p1 is outside the set; the last member sits past the last
-            // word boundary.
-            let (dst, forger) = (ProcessId(0), ProcessId(1));
-            let last = set.iter().last();
-            for missing in [None, last] {
-                let mut rh = RH::empty(n);
-                for src in (0..n).map(ProcessId) {
-                    rh.set_broadcast(src, Payload::new("m"));
-                    let arrives = set.contains(src) || src.index() % 5 != 4;
-                    if arrives && Some(src) != missing && src != forger {
-                        rh.record_delivery(dst, src);
-                    }
-                }
-                rh.record_forged(forger, dst, Payload::new("forged"));
-                let row = rh.msgs().deliveries(dst);
-                assert_eq!(row.heard_all(&set), missing.is_none(), "n = {n}");
-                assert_eq!(
-                    row.heard_all(&set),
-                    set.iter().all(|p| row.get(p).is_some())
-                );
-                assert!(row.heard_all(&ProcessSet::empty(n)));
-                let outside: Vec<_> = row.iter_outside(&set).map(|(p, m)| (p, **m)).collect();
-                let expected = row.iter().filter(|(p, _)| !set.contains(*p));
-                let expected: Vec<_> = expected.map(|(p, m)| (p, **m)).collect();
-                assert_eq!(outside, expected, "n = {n}");
-                assert_eq!(outside[0], (forger, "forged"));
-                assert_eq!(row.iter_outside(&ProcessSet::full(n)).count(), 0);
+            let srcs = ProcessSet::from_iter_n(n, (0..n).filter(|i| i % 3 != 1).map(ProcessId));
+            let (dst, forger, outsider) = (ProcessId(0), ProcessId(1), ProcessId(n - 1));
+            let dsts = srcs.difference(&ProcessSet::from_iter_n(n, [outsider]));
+            let srcs = srcs.intersection(&dsts);
+            let mut rh = RH::empty(n);
+            for src in (0..n).map(ProcessId) {
+                rh.set_broadcast(src, Payload::new("m"));
             }
+            rh.record_forged(forger, dst, Payload::new("forged"));
+            rh.record_delivery(outsider, ProcessId(0));
+            if n > 2 {
+                rh.record_delivery(dst, outsider);
+            }
+            rh.record_clean_block(&srcs, &dsts);
+            for p in [dst, outsider] {
+                let row = rh.msgs().deliveries(p);
+                assert_eq!(row.in_block(), p == dst);
+                let words: Vec<u64> = row.heard_words().collect();
+                assert_eq!(words.len(), n.div_ceil(64));
+                for q in (0..n).map(ProcessId) {
+                    let bit = words[q.index() / 64] >> (q.index() % 64) & 1 == 1;
+                    assert_eq!(bit, row.get(q).is_some(), "n = {n}, {q} → {p}");
+                }
+                let off: Vec<_> = row.off_block().map(|(q, m)| (q, **m)).collect();
+                let expected = row
+                    .iter()
+                    .filter(|(q, _)| !row.in_block() || !srcs.contains(*q));
+                let expected: Vec<_> = expected.map(|(q, m)| (q, **m)).collect();
+                assert_eq!(off, expected, "n = {n}, {p}");
+            }
+            let off: Vec<_> = rh
+                .msgs()
+                .deliveries(dst)
+                .off_block()
+                .map(|(q, m)| (q, **m))
+                .collect();
+            assert_eq!(off[0], (forger, "forged"));
+            assert_eq!(off.len(), if n > 2 { 2 } else { 1 });
         }
     }
 
     #[test]
     #[should_panic(expected = "universe mismatch")]
-    fn row_builders_reject_a_foreign_universe() {
-        RH::empty(65).record_clean_sends(ProcessId(0), &ProcessSet::full(64));
+    fn clean_block_rejects_a_foreign_universe() {
+        let everyone = ProcessSet::full(64);
+        RH::empty(65).record_clean_block(&everyone, &everyone);
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl ProcessSet {
     pub fn full(n: usize) -> Self {
         let mut words = vec![u64::MAX; n.div_ceil(WORD_BITS)];
         // Bits past the universe stay clear: equality, `len` and the
-        // word-wise row builders of `history` all rely on it.
+        // word-wise row readers of `history` all rely on it.
         let tail = n % WORD_BITS;
         if tail > 0 {
             words[n / WORD_BITS] = (1 << tail) - 1;

@@ -246,9 +246,8 @@ mod tests {
             let p = ProcessId(i);
             rh.set_process(p, Some(()), Some(RoundCounter::new(c)), false, false);
             rh.set_broadcast(p, 0.into());
-            rh.record_clean_sends(p, &everyone);
-            rh.record_clean_deliveries(p, &everyone);
         }
+        rh.record_clean_block(&everyone, &everyone);
         rh
     }
 

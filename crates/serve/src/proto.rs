@@ -340,13 +340,14 @@ impl RoundTable {
         inbox: Deliveries<'_, M>,
         late: impl Iterator<Item = (ProcessId, &'m M)>,
     ) -> &[u8] {
-        debug_assert_eq!(inbox.heard_words().len(), self.index.len().div_ceil(64));
+        let heard = inbox.heard_words();
+        debug_assert_eq!(heard.len(), self.index.len().div_ceil(64));
         self.seal();
         let out = &mut self.frame;
         out.clear();
         out.push(ROUND_FRAME_TAG);
         out.extend_from_slice(&self.shared);
-        for word in inbox.heard_words() {
+        for word in heard {
             out.extend_from_slice(&word.to_le_bytes());
         }
         put_copies(inbox.forged().map(|(from, m)| (from, &**m)), out);

@@ -894,11 +894,16 @@ where
     }
 
     /// The survivors have stepped and are already broadcasting for the
-    /// round after the horizon — that snapshot IS the final state.
+    /// round after the horizon — that snapshot IS the final state. With
+    /// no round run, the slots already hold it: `open` collected round
+    /// 1's broadcasts, and no node sends another until a round frame.
     fn close<T: TraceSink>(&mut self, sink: &mut T) -> Result<Vec<Option<P::State>>, String> {
         let n = self.cfg.run.n;
-        self.round = round_count(self.cfg.run.rounds) + 1;
-        self.collect(0..n, sink)?;
+        let rounds = round_count(self.cfg.run.rounds);
+        if rounds > 0 {
+            self.round = rounds + 1;
+            self.collect(0..n, sink)?;
+        }
         // Exactly the connected nodes have a slot.
         let final_states = self.slots.iter_mut().map(|s| s.take().map(|s| s.state));
         let final_states = final_states.collect();

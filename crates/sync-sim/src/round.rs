@@ -18,7 +18,8 @@
 //! mid-round. Only faulty processes deviate (§2.1), so the adversary is
 //! consulted only for copies that touch its declared faulty set; the
 //! rest of the round — all but ~2·f·n of its n² copies — is delivered
-//! without asking and recorded a bit-row at a time. Every process alive
+//! without asking and recorded as the frame's clean block, two sets in
+//! O(n/64) ([`RoundHistory::record_clean_block`]). Every process alive
 //! at the round's *end* then steps on its inbox; a process crashing in
 //! round `r` emits a prefix of its copies, takes no transition, and has
 //! no state from round `r + 1` on.
@@ -80,16 +81,16 @@ pub trait Exchange<S, M> {
     fn broadcast(&mut self, p: ProcessId) -> Option<M>;
 
     /// Told once per round, after the walk and before the first
-    /// [`deliver`](Self::deliver): `senders` are the *clean senders* —
-    /// the ordinary processes that broadcast, each heard by every
-    /// ordinary process — and `msgs` holds their broadcasts. Empty
+    /// [`deliver`](Self::deliver), with the round's messages: their
+    /// clean block ([`RoundMsgs::block_srcs`], every one heard by each
+    /// inbox that is [`in_block`](Deliveries::in_block)) is empty
     /// whenever the walk was dense (a trace or a non-transparent
     /// [`CopyLayer`] watched every copy). An exchange whose processes
     /// step in this address space may do the work those receivers share
     /// once; the rows handed to `deliver` are complete regardless, so
     /// ignoring the call (the default) loses nothing.
-    fn clean_block(&mut self, senders: &ProcessSet, msgs: &RoundMsgs<M>) {
-        let _ = (senders, msgs);
+    fn clean_block(&mut self, msgs: &RoundMsgs<M>) {
+        let _ = msgs;
     }
 
     /// Hands a survivor its inbox — the round's fresh deliveries, then
@@ -182,14 +183,16 @@ pub struct RoundKernel<'a, A: ?Sized> {
     /// This round's split of the processes (refreshed with `parts`):
     /// *special* — declared faulty, or not [`Part::Alive`] this round —
     /// and *ordinary*, everyone else. A copy between two ordinary
-    /// processes can only be `Delivered`.
-    special: ProcessSet,
+    /// processes can only be `Delivered`. The special ones are a list,
+    /// O(f), the destinations a clean sender's walk visits.
+    special: Vec<ProcessId>,
     ordinary: ProcessSet,
     /// The ordinary processes that broadcast in a sparse walk: every
-    /// ordinary process hears all of them. Handed to the exchange after
-    /// the walk ([`Exchange::clean_block`]).
+    /// ordinary process hears all of them — the frame's clean block.
     clean_senders: ProcessSet,
-    everyone: ProcessSet,
+    /// Every process, ascending: the senders, and a dense walk's
+    /// destinations.
+    everyone: Vec<ProcessId>,
 }
 
 impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
@@ -227,10 +230,10 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             faulty,
             schedule,
             parts: vec![Part::Out; cfg.n],
-            special: ProcessSet::empty(cfg.n),
+            special: Vec::new(),
             ordinary: ProcessSet::empty(cfg.n),
             clean_senders: ProcessSet::empty(cfg.n),
-            everyone: ProcessSet::full(cfg.n),
+            everyone: (0..cfg.n).map(ProcessId).collect(),
         })
     }
 
@@ -288,9 +291,8 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             });
         }
         exchange.open(sink)?;
-        let everyone: Vec<ProcessId> = (0..n).map(ProcessId).collect();
         if let Corruption::Arbitrary { seed } = cfg.corruption {
-            corrupt(exchange, 1, seed, &everyone, sink)?;
+            corrupt(exchange, 1, seed, &self.everyone, sink)?;
         }
 
         let mut history: History<P::State, P::Msg> = match cfg.history_window {
@@ -300,8 +302,11 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         let mid_run = &cfg.mid_run_corruption;
         // The frame a windowed history evicts comes back here and is
         // reset in place — a two-frame arena, no per-round allocation
-        // once the window is full.
+        // once the window is full. Its broadcasts move to `pool`, one
+        // slot per sender, and the walk refills them in place
+        // (`Payload::set`) unless an observer still holds one.
         let mut spare: Option<RoundHistory<P::State, P::Msg>> = None;
+        let mut pool: Vec<Option<Payload<P::Msg>>> = Vec::new();
 
         for r in 1..=round_count(cfg.rounds) {
             exchange.begin_round(r, sink)?;
@@ -311,13 +316,19 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             // Systemic failures: the global entry, then the targeted
             // ones (churn joins) in insertion order.
             if let Some(seed) = mid_run.seed_for(r) {
-                corrupt(exchange, r, seed, &everyone, sink)?;
+                corrupt(exchange, r, seed, &self.everyone, sink)?;
             }
             for (seed, victims) in mid_run.targeted_for(r) {
                 corrupt(exchange, r, seed, victims, sink)?;
             }
             let mut frame = match spare.take() {
                 Some(mut evicted) => {
+                    pool.resize_with(n, || None);
+                    for (i, slot) in pool.iter_mut().enumerate() {
+                        if let Some(payload) = evicted.take_broadcast(ProcessId(i)) {
+                            *slot = Some(payload);
+                        }
+                    }
                     evicted.reset(n);
                     evicted
                 }
@@ -326,8 +337,9 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             // Decide every process's part in the round and record the
             // round-start state of those taking part.
             let round = Round::new(r);
-            for &p in &everyone {
-                let part = &mut self.parts[p.index()];
+            for i in 0..n {
+                let p = ProcessId(i);
+                let part = &mut self.parts[i];
                 *part = Part::Out;
                 if self.schedule.is_crashed(p, round) {
                     continue;
@@ -348,11 +360,22 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
                     Part::Alive
                 };
             }
-            let (sent, delivered) = self.walk(protocol, exchange, layer, r, &mut frame, sink);
-            exchange.clean_block(&self.clean_senders, frame.msgs());
+            let broadcast = |p: ProcessId| {
+                let msg = exchange.broadcast(p)?;
+                Some(match pool.get_mut(p.index()).and_then(Option::take) {
+                    Some(mut payload) => {
+                        payload.set(msg);
+                        payload
+                    }
+                    None => Payload::new(msg),
+                })
+            };
+            let (sent, delivered) = self.walk(protocol, broadcast, layer, r, &mut frame, sink);
+            exchange.clean_block(frame.msgs());
             let late = layer.arrivals(r);
-            for &p in &everyone {
-                match self.parts[p.index()] {
+            for (i, &part) in self.parts.iter().enumerate() {
+                let p = ProcessId(i);
+                match part {
                     Part::Out => {}
                     Part::Crashing => exchange.crash(p, sink)?,
                     Part::Alive => exchange.deliver(p, frame.msgs().deliveries(p), &late)?,
@@ -378,14 +401,14 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     }
 
     /// The `(sender, destination)` walk. One shared payload per
-    /// broadcast; each copy's fate is a bit in the frame's matrices plus,
-    /// for anything but a plain delivery, a sparse exception — nothing is
-    /// allocated per copy.
+    /// broadcast, as `broadcast` hands it out; a visited copy's fate is a
+    /// bit in the frame's matrices plus, for anything but a plain
+    /// delivery, a sparse exception — nothing is allocated per copy.
     ///
     /// The walk is sparse. A copy between two *ordinary* processes —
     /// neither declared faulty, both [`Part::Alive`] — can only be
-    /// `Delivered`, so that block of the round is recorded a bit-row at
-    /// a time and never submitted to the adversary; only copies with a
+    /// `Delivered`, so that block of the round is recorded as two sets
+    /// and never submitted to the adversary; only copies with a
     /// *special* endpoint are visited. When someone watches copies go by
     /// (a trace wants each `send` event, a non-transparent layer each
     /// `relay`) every copy is visited instead, but the adversary is still
@@ -393,10 +416,10 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     ///
     /// Returns the round's `(sent, delivered)` copy totals (counted only
     /// when tracing).
-    fn walk<P, X, L, T>(
+    fn walk<P, L, T>(
         &mut self,
         protocol: &P,
-        exchange: &mut X,
+        mut broadcast: impl FnMut(ProcessId) -> Option<Payload<P::Msg>>,
         layer: &mut L,
         r: u64,
         frame: &mut RoundHistory<P::State, P::Msg>,
@@ -404,7 +427,6 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     ) -> (u64, u64)
     where
         P: SyncProtocol,
-        X: Exchange<P::State, P::Msg>,
         L: CopyLayer<P::Msg>,
         T: TraceSink,
     {
@@ -424,22 +446,22 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         special.clear();
         ordinary.clear();
         clean_senders.clear();
-        for p in everyone.iter() {
+        for &p in everyone.iter() {
             if parts[p.index()] == Part::Alive && !faulty.contains(p) {
                 ordinary.insert(p);
             } else {
-                special.insert(p);
+                special.push(p);
             }
         }
         let (mut sent, mut delivered) = (0u64, 0u64);
-        for p in everyone.iter() {
+        for &p in everyone.iter() {
             if parts[p.index()] == Part::Out {
                 continue;
             }
-            let Some(msg) = exchange.broadcast(p) else {
+            let Some(payload) = broadcast(p) else {
                 continue;
             };
-            frame.set_broadcast(p, Payload::new(msg));
+            frame.set_broadcast(p, payload);
             let crashing = parts[p.index()] == Part::Crashing;
             // A crashing sender emits only a prefix of its copies.
             let cut = if crashing {
@@ -448,15 +470,14 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
                 usize::MAX
             };
             let dests = if !dense && ordinary.contains(p) {
-                frame.record_clean_sends(p, ordinary);
                 clean_senders.insert(p);
-                &*special
+                &special[..]
             } else {
-                &*everyone
+                &everyone[..]
             };
             let from_faulty = faulty.contains(p);
             let mut emitted = 0usize;
-            for q in dests.iter() {
+            for &q in dests {
                 if q == p {
                     // Self-delivery always succeeds and is never
                     // consulted (footnote 1); a crashing process takes
@@ -507,12 +528,11 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
                 }
             }
         }
-        // The clean block's deliveries, self-delivery included: every
-        // ordinary process hears every ordinary process that broadcast.
+        // The clean block, self-deliveries included: every clean sender
+        // sent to every other ordinary process, and every ordinary
+        // process heard every clean sender.
         if !clean_senders.is_empty() {
-            for q in ordinary.iter() {
-                frame.record_clean_deliveries(q, clean_senders);
-            }
+            frame.record_clean_block(clean_senders, ordinary);
         }
         (sent, delivered)
     }
@@ -1081,6 +1101,80 @@ mod tests {
                 let absent = || Canned::new(n, Some(ids[k]));
                 differential(&EchoMax, &omission, &RunConfig::clean(n, rounds), absent);
             }
+        }
+    }
+
+    /// `EchoMax`, except that every broadcast is new each round: the
+    /// sender's counter and index.
+    struct Stamped;
+
+    impl SyncProtocol for Stamped {
+        type State = EState;
+        type Msg = u64;
+
+        fn name(&self) -> &str {
+            "stamped"
+        }
+        fn init_state(&self, ctx: &ProtocolCtx) -> EState {
+            EchoMax.init_state(ctx)
+        }
+        fn broadcast(&self, ctx: &ProtocolCtx, s: &EState) -> u64 {
+            s.c.wrapping_mul(1 << 12) ^ ctx.me.index() as u64
+        }
+        fn step(&self, ctx: &ProtocolCtx, s: &mut EState, inbox: &crate::Inbox<u64>) {
+            EchoMax.step(ctx, s, inbox);
+        }
+    }
+
+    /// Refilling an evicted frame's broadcast slots is unobservable: an
+    /// observer that keeps the newest frame's payloads of every other
+    /// round past their eviction still holds, for each, what that round
+    /// broadcast in a full-retention run — while the slots nobody kept
+    /// are overwritten in place.
+    #[test]
+    fn recycled_broadcast_slots_are_unobservable() {
+        let (n, rounds) = (65, 9);
+        let omitter = || RandomOmission::new([ProcessId(3), ProcessId(64)], 0.5, 5);
+        let full = SyncRunner::new(Stamped)
+            .run(&mut omitter(), &RunConfig::corrupted(n, rounds, 5))
+            .expect("valid config");
+        let cfg = RunConfig::corrupted(n, rounds, 5).with_history_window(1);
+        let (mut held, mut addresses) = (Vec::new(), Vec::new());
+        let on_round = |h: &History<EState, u64>| {
+            let newest = h.rounds().last().expect("a recorded round").msgs();
+            let slot = |p| newest.broadcast_of(ProcessId(p));
+            let address = |p| slot(p).map(|m| &**m as *const u64 as usize);
+            addresses.push((0..n).map(address).collect::<Vec<_>>());
+            if h.len() % 2 == 1 {
+                held.push((
+                    h.len(),
+                    (0..n).map(|p| slot(p).cloned()).collect::<Vec<_>>(),
+                ));
+            }
+        };
+        let runner = SyncRunner::new(Stamped);
+        let windowed = runner.run_streaming(&mut omitter(), &cfg, &mut NullSink, on_round);
+        assert_eq!(
+            windowed.expect("valid config").final_states,
+            full.final_states
+        );
+        assert_eq!(held.len(), rounds.div_ceil(2));
+        for (r, slots) in held {
+            let frame = full.history.round(Round::new(r as u64)).msgs();
+            for (p, slot) in slots.iter().enumerate() {
+                assert_eq!(
+                    slot.as_ref(),
+                    frame.broadcast_of(ProcessId(p)),
+                    "round {r}, p{p}"
+                );
+            }
+            assert!(slots.iter().all(Option::is_some));
+        }
+        // With a window of one, round r + 2 refills round r's frame: in
+        // place exactly when round r's payloads were let go.
+        for r in 1..=rounds - 2 {
+            let reused = addresses[r - 1] == addresses[r + 1];
+            assert_eq!(reused, r % 2 == 0, "round {} over round {r}", r + 2);
         }
     }
 

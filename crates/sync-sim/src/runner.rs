@@ -17,11 +17,12 @@
 //! ## Memory model (DESIGN.md §12)
 //!
 //! The kernel fills one struct-of-arrays [`RoundHistory`](ftss_core::RoundHistory)
-//! frame per round: delivery fate is two bit matrices plus a sparse
-//! exception list, the broadcast is one shared [`Payload`](ftss_core::Payload)
-//! per sender, and each process's inbox is a borrowed view of its row of
-//! the delivery matrix ([`Inbox::from_deliveries`]) — the hot loop
-//! allocates nothing per copy. With [`RunConfig::with_history_window`]
+//! frame per round: delivery fate is the round's clean block (two sets)
+//! plus two bit matrices and a sparse exception list for the other
+//! copies, the broadcast is one shared [`Payload`](ftss_core::Payload)
+//! per sender, and each process's inbox is a borrowed view of its
+//! delivered row ([`Inbox::from_deliveries`]) — the hot loop allocates
+//! nothing per copy. With [`RunConfig::with_history_window`]
 //! the history retains only a bounded suffix and evicted frames are
 //! recycled, so memory stays flat at any run length;
 //! [`SyncRunner::run_streaming`] lets an observer inspect the history
@@ -30,7 +31,7 @@
 use crate::adversary::Adversary;
 use crate::protocol::{Inbox, ProtocolCtx, SyncProtocol};
 use crate::round::{Exchange, LateCopy, RoundKernel};
-use ftss_core::{ConfigError, Corrupt, Deliveries, History, ProcessId, ProcessSet, RoundMsgs};
+use ftss_core::{ConfigError, Corrupt, Deliveries, History, ProcessId, RoundMsgs};
 use ftss_telemetry::{NullSink, TraceSink};
 use std::convert::Infallible;
 
@@ -313,21 +314,20 @@ where
 
 /// The in-process [`Exchange`]: the global state is a vector, a
 /// broadcast is a function call, and a survivor steps on a borrowed view
-/// of its row of the round frame's delivery matrix — no clone, no move,
-/// no envelopes. Always run under the unit layer, so no copy is ever
+/// of its delivered row in the round frame — no clone, no move, no
+/// envelopes. Always run under the unit layer, so no copy is ever
 /// late.
 ///
-/// For a protocol declaring [`SyncProtocol::JOINS_INBOX`] the round's
+/// For a protocol declaring [`SyncProtocol::JOINS_INBOX`] the frame's
 /// clean block is joined once ([`Exchange::clean_block`]) and a receiver
-/// whose row contains it absorbs only the senders outside it.
+/// in the block absorbs only the copies recorded outside it.
 pub(crate) struct InProcess<'a, P: SyncProtocol> {
     protocol: &'a P,
     n: usize,
     /// `None` once a process has crashed.
     states: Vec<Option<P::State>>,
-    /// This round's clean senders and the join of their broadcasts
-    /// (`None` when there are none); the set's allocation is reused.
-    clean: ProcessSet,
+    /// The join of this round's clean senders' broadcasts (`None` when
+    /// there are none).
     clean_join: Option<P::Msg>,
 }
 
@@ -337,7 +337,6 @@ impl<'a, P: SyncProtocol> InProcess<'a, P> {
             protocol,
             n,
             states: Vec::new(),
-            clean: ProcessSet::empty(n),
             clean_join: None,
         }
     }
@@ -369,12 +368,11 @@ impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
             .then(|| self.protocol.broadcast(&ctx, state))
     }
 
-    fn clean_block(&mut self, senders: &ProcessSet, msgs: &RoundMsgs<P::Msg>) {
+    fn clean_block(&mut self, msgs: &RoundMsgs<P::Msg>) {
         if !P::JOINS_INBOX {
             return;
         }
-        self.clean.clone_from(senders);
-        let mut broadcasts = senders.iter().map(|p| {
+        let mut broadcasts = msgs.block_srcs().iter().map(|p| {
             let sent = msgs.broadcast_of(p);
             &**sent.expect("a clean sender broadcast")
         });
@@ -395,14 +393,14 @@ impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
         let state = self.states[p.index()]
             .as_mut()
             .expect("a survivor has state");
-        // The shortcut is taken on the record's word, not the walk's:
-        // only a row that really contains every clean sender starts from
-        // their join, and whatever else the row holds — forged copies
-        // included — is absorbed through the same view `step` reads.
+        // The shortcut is taken on the record's word: a receiver in the
+        // frame's clean block heard every clean sender, so it starts
+        // from their join and absorbs what else its row holds — the
+        // copies recorded one by one, forged ones included.
         match &self.clean_join {
-            Some(join) if P::JOINS_INBOX && inbox.heard_all(&self.clean) => {
+            Some(join) if P::JOINS_INBOX && inbox.in_block() => {
                 let mut joined = join.clone();
-                for (_, m) in inbox.iter_outside(&self.clean) {
+                for (_, m) in inbox.off_block() {
                     self.protocol.join(&mut joined, m);
                 }
                 self.protocol.step_joined(&ctx, state, &joined);

@@ -12,10 +12,11 @@ mod round {
     use ftss_rng::check::forall;
     use ftss_rng::{Rng, StdRng};
     use ftss_sync_sim::{
-        Adversary, ByzantineAdversary, CrashOnly, GroupPartition, Inbox, ProtocolCtx,
-        RandomOmission, RunConfig, SyncProtocol, SyncRunner,
+        Adversary, ByzantineAdversary, CrashOnly, GroupPartition, Inbox, OmissionSide, ProtocolCtx,
+        RandomOmission, RunConfig, ScriptedOmission, SyncProtocol, SyncRunner,
     };
     use ftss_telemetry::RecordingSink;
+    use std::cell::RefCell;
     use std::fmt::Debug;
 
     /// Forwards every method of `P` but declares nothing: the same
@@ -143,6 +144,72 @@ mod round {
     #[test]
     fn bounded_round_agreement_folds_like_it_steps() {
         grid(&BoundedRoundAgreement::new(5));
+    }
+
+    /// `P`, logging which path each receiver took: `true` for a folded
+    /// `step_joined`, `false` for a `step`.
+    struct Logged<P> {
+        inner: P,
+        log: RefCell<Vec<(ProcessId, bool)>>,
+    }
+
+    impl<P: SyncProtocol> SyncProtocol for Logged<P> {
+        type State = P::State;
+        type Msg = P::Msg;
+        const JOINS_INBOX: bool = P::JOINS_INBOX;
+
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn init_state(&self, ctx: &ProtocolCtx) -> P::State {
+            self.inner.init_state(ctx)
+        }
+        fn broadcast(&self, ctx: &ProtocolCtx, state: &P::State) -> P::Msg {
+            self.inner.broadcast(ctx, state)
+        }
+        fn step(&self, ctx: &ProtocolCtx, state: &mut P::State, inbox: &Inbox<P::Msg>) {
+            self.log.borrow_mut().push((ctx.me, false));
+            self.inner.step(ctx, state, inbox);
+        }
+        fn join(&self, acc: &mut P::Msg, m: &P::Msg) {
+            self.inner.join(acc, m);
+        }
+        fn step_joined(&self, ctx: &ProtocolCtx, state: &mut P::State, joined: &P::Msg) {
+            self.log.borrow_mut().push((ctx.me, true));
+            self.inner.step_joined(ctx, state, joined);
+        }
+        fn round_counter(&self, state: &P::State) -> Option<RoundCounter> {
+            self.inner.round_counter(state)
+        }
+    }
+
+    /// A receive-omitter is special, so it is outside every round's clean
+    /// block: it steps unfolded on its whole row, while every ordinary
+    /// receiver folds — and the run is the undeclared one.
+    #[test]
+    fn a_receiver_outside_the_block_steps_unfolded() {
+        let (n, rounds, omitter) = (70, 4, ProcessId(66));
+        let mut script = ScriptedOmission::new();
+        for r in 1..=rounds as u64 {
+            script.drop_at(r, ProcessId(r as usize), omitter, OmissionSide::Receiver);
+        }
+        let cfg = RunConfig::corrupted(n, rounds, 3);
+        let runner = SyncRunner::new(Logged {
+            inner: RoundAgreement,
+            log: RefCell::new(Vec::new()),
+        });
+        let folded = runner.run(&mut script.clone(), &cfg).expect("valid config");
+        let log = runner.protocol().log.borrow();
+        assert_eq!(log.len(), n * rounds);
+        for (i, &(p, joined)) in log.iter().enumerate() {
+            assert_eq!(p, ProcessId(i % n));
+            assert_eq!(joined, p != omitter, "round {}, {p}", i / n + 1);
+        }
+        let undeclared = SyncRunner::new(Undeclared(RoundAgreement))
+            .run(&mut script.clone(), &cfg)
+            .expect("valid config");
+        assert_eq!(folded.history, undeclared.history);
+        assert_eq!(folded.final_states, undeclared.final_states);
     }
 
     /// The two obligations of a declarer, on arbitrary (corrupted and

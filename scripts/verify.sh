@@ -46,12 +46,16 @@ run cargo clippy --all-targets -- -D warnings
 # the exchange from one place, and `InProcess::deliver` is the one caller
 # of `step_joined`; a second site of either is a second reading of the
 # inbox to keep equivalent to `step`.
+# One clean block per round, recorded by the kernel alone: a copy inside
+# the block must never also be a matrix bit (DESIGN.md §12), and only the
+# walk knows which copies it skipped. The per-row builders and readers it
+# replaced must not come back under any name they had.
 # One storm-phase lookup (`ftss_core::storm::phase_at`, a binary search
 # over a validated program): its two callers are `StormAdversary` and the
 # serve runtime's timing proxy; a third is a linear rescan coming back.
 # (Test modules sit at the end of their file, behind `#[cfg(test)]`;
 # definitions and comment lines are not call sites.)
-echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at"
+echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / record_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at"
 call_sites() { # <expected count> <call regex> <source dir>...
     local want="$1" call="$2" sites
     shift 2
@@ -70,6 +74,11 @@ done
 for method in clean_block step_joined; do
     call_sites 1 "\\.${method}\\(" crates/sync-sim/src
 done
+call_sites 1 '\.record_clean_block\(' crates/*/src
+if grep -rnE 'record_clean_sends|record_clean_deliveries|heard_all|iter_outside' crates/; then
+    echo "ERROR: a per-row clean-block builder or reader is back (see above)" >&2
+    exit 1
+fi
 call_sites 1 'window_stabilization\(' crates/chaos/src crates/cli/src
 call_sites 1 'storm_program_for\(' crates/chaos/src crates/cli/src crates/serve/src
 call_sites 2 'stabilization_offset\(' crates/*/src
@@ -248,6 +257,13 @@ run cargo run -q --release -p ftss-lab -- serve --transport mem --derived \
 run cargo run -q --release -p ftss-lab -- trace --protocol round-agreement \
     --out "$TRACE_DIR/trace_ref.jsonl"
 run cmp "$TRACE_DIR/serve_mem.jsonl" "$TRACE_DIR/trace_ref.jsonl"
+# A zero-round session must end (it once waited forever for a broadcast
+# no node sends), and stream what the simulator's zero-round trace does.
+run timeout 20 cargo run -q --release -p ftss-lab -- serve --transport mem \
+    --rounds 0 --out "$TRACE_DIR/serve_zero.jsonl"
+run cargo run -q --release -p ftss-lab -- trace --protocol round-agreement \
+    --rounds 0 --out "$TRACE_DIR/trace_zero.jsonl"
+run cmp "$TRACE_DIR/serve_zero.jsonl" "$TRACE_DIR/trace_zero.jsonl"
 # Real sockets differ only by the transport label (DESIGN.md §13): one
 # compiled-FloodSet session over tcp and over uds writes the same trace
 # once the transport name is masked — every `net_frame.bytes` included,

@@ -25,8 +25,8 @@ use ftss::telemetry::{Event, RecordingSink};
 use ftss_chaos::{restart_cycle, storm_cycle, EpochVerdict, StormGeometry, StormScenario};
 use ftss_check::{window_stabilization, Fingerprinter};
 use ftss_serve::{
-    serve, serve_streaming_with_stats, Retry, ServeChurn, ServeConfig, ServeRestart, ServeStats,
-    SnapshotFault, TimingFaults, TransportKind,
+    serve, serve_streaming, serve_streaming_with_stats, Retry, ServeChurn, ServeConfig,
+    ServeRestart, ServeStats, SnapshotFault, TimingFaults, TransportKind,
 };
 
 fn jsonl(events: &[Event]) -> String {
@@ -76,6 +76,40 @@ fn mem_round_agreement_is_byte_identical_to_simulator() {
     );
     assert_eq!(sim.final_states, served.final_states);
     assert_eq!(sim.history.len(), served.history.len());
+}
+
+/// A zero-round session ends: `open` already collected round 1's
+/// broadcasts, so `close` must not wait for another that no node will
+/// send. Run under a deadline, so a regression fails instead of hanging.
+#[test]
+fn mem_zero_round_session_closes_like_the_simulator() {
+    let cfg = RunConfig::corrupted(3, 0, 1);
+    let mut sim_sink = RecordingSink::new(1 << 10);
+    let sim = SyncRunner::new(RoundAgreement)
+        .run_traced(&mut ftss::sync_sim::NoFaults, &cfg, &mut sim_sink)
+        .expect("simulator run");
+
+    let served_cfg = ServeConfig::new(cfg, TransportKind::Mem);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut sink = RecordingSink::new(1 << 10);
+        let mut adversary = ftss::sync_sim::NoFaults;
+        let served = serve_streaming(
+            &RoundAgreement,
+            &mut adversary,
+            &served_cfg,
+            &mut sink,
+            |_| {},
+        );
+        let _ = tx.send((served.map(|out| out.final_states), sink.take()));
+    });
+    let (served, serve_events) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a zero-round session returns");
+    assert_eq!(served.expect("served run"), sim.final_states);
+    let sim_events = sim_sink.take();
+    assert!(sim_events.iter().any(|e| e.kind() == "corruption"));
+    assert_eq!(jsonl(&sim_events), jsonl(&serve_events));
 }
 
 #[test]

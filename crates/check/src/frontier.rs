@@ -14,8 +14,11 @@
 //!   relabelings fixing the faulty process;
 //! * an **edge** is one round under one omission mask (`2·(n−1)` bits,
 //!   one per copy eligible for omission), executed through the
-//!   [`SyncStepper`](ftss::sync_sim::SyncStepper) seam — one simulator
-//!   round per edge, never a replayed prefix;
+//!   [`SyncStepper`](ftss::sync_sim::SyncStepper) seam, never a replayed
+//!   prefix. A node's `2^(2(n−1))` masks share `2^(n−1)` stepper rounds
+//!   (one per distinct inbox of the faulty process, see
+//!   [`for_each_edge`]), and each distinct raw child is judged,
+//!   canonicalized and fingerprinted once;
 //! * a **visited set** of 128-bit fingerprints prunes revisits, so each
 //!   orbit of each reachable state is expanded exactly once.
 //!
@@ -59,6 +62,11 @@ use ftss::protocols::{RoundAgreement, RoundAgreementState};
 use ftss::sync_sim::SyncStepper;
 use std::collections::hash_map::Entry;
 
+/// The largest stabilization time a graph search supports: the stable
+/// window's length saturates at `stabilization + 2`, which must fit
+/// [`NodeState::stable_len`]'s byte.
+const MAX_GRAPH_STABILIZATION: usize = u8::MAX as usize - 2;
+
 /// Configuration of a graph exploration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GraphConfig {
@@ -70,7 +78,7 @@ pub struct GraphConfig {
     /// The single faulty process omissions act through.
     pub faulty: ProcessId,
     /// Stabilization time for the Theorem-3 obligations (1 = the
-    /// theorem's claim, 0 = deliberately broken).
+    /// theorem's claim, 0 = deliberately broken; at most 253).
     pub stabilization: usize,
     /// `Some(d)`: explore `d` BFS layers (equivalent to enumerating every
     /// `d`-round schedule). `None`: run to the fixpoint — unbounded
@@ -111,7 +119,11 @@ impl GraphConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), String> {
+    /// Rejects a configuration [`explore_graph`] cannot search: `n`
+    /// outside `2..=MAX_GRAPH_N`, a faulty process outside `0..n`, zero
+    /// rounds or jobs, or a stabilization time whose largest obligation
+    /// gate (`stabilization + 2`) does not fit the one-byte `stable_len`.
+    pub fn validate(&self) -> Result<(), String> {
         if !(2..=MAX_GRAPH_N).contains(&self.n) {
             return Err(format!(
                 "check --graph: n must be in 2..={MAX_GRAPH_N}, got {}",
@@ -122,6 +134,14 @@ impl GraphConfig {
             return Err(format!(
                 "check --graph: faulty process {} outside 0..{}",
                 self.faulty, self.n
+            ));
+        }
+        if self.stabilization > MAX_GRAPH_STABILIZATION {
+            return Err(format!(
+                "check --graph: stabilization must be at most {MAX_GRAPH_STABILIZATION} \
+                 (a state's stable-window length `stable_len` is one byte and counts \
+                 up to stabilization + 2), got {}",
+                self.stabilization
             ));
         }
         if self.rounds == Some(0) {
@@ -169,8 +189,9 @@ pub struct GraphCounterexample {
 pub struct GraphReport {
     /// Canonical states visited (root included).
     pub visited: u64,
-    /// Edges expanded — each is ONE simulator round, the unit comparable
-    /// to `legacy schedules × rounds`.
+    /// Edges expanded: one per (node, omission mask), the unit comparable
+    /// to `legacy schedules × rounds`. A node's edges are computed from
+    /// `2^(n−1)` simulator rounds, not one round each.
     pub expansions: u64,
     /// Edges whose child was already visited (revisits pruned).
     pub dedup_hits: u64,
@@ -200,6 +221,7 @@ struct Visited {
 }
 
 /// One explored edge, as [`for_each_edge`] hands it over.
+#[derive(Clone, Copy)]
 struct Edge {
     mask: u32,
     /// The child's orbit representative.
@@ -335,11 +357,75 @@ fn check_edge(
     None
 }
 
-/// Walks the edges out of one canonical node: executes all `2^(2(n−1))`
-/// one-round omission masks through the stepper seam, in mask order,
-/// computing for each the child state, its orbit representative and the
-/// edge's obligation atoms. Nothing is allocated per edge: one stepper
-/// serves every mask, and states stay in their packed form.
+/// Per eligible copy `(s, d)`, at index `s·n + d`: its bit in an
+/// omission mask. Copies between correct processes never drop (bit 0).
+fn drop_bits(n: usize, pairs: &[(ProcessId, ProcessId)]) -> [u32; MAX_GRAPH_N * MAX_GRAPH_N] {
+    let mut drop_bit = [0u32; MAX_GRAPH_N * MAX_GRAPH_N];
+    for (bit, &(s, d)) in pairs.iter().enumerate() {
+        drop_bit[s.index() * n + d.index()] = 1 << bit;
+    }
+    drop_bit
+}
+
+/// The parent's counters as round-start protocol states.
+fn round_start_states(parent: &PackedState) -> Vec<RoundAgreementState> {
+    parent.counters[..parent.n as usize]
+        .iter()
+        .map(|&c| RoundAgreementState {
+            c: RoundCounter::new(c),
+        })
+        .collect()
+}
+
+/// Slots of [`for_each_edge`]'s memo of raw children. On the seed-7
+/// fixpoints a node's masks reach 5.9 distinct raw children on average
+/// at `n = 5` and 8.6 at `n = 6`, so a small direct-mapped table keeps
+/// nearly all of them.
+const MEMO_SLOTS: usize = 64;
+
+/// The memo slot of a raw child: a multiply–rotate fold of its fields,
+/// the one-byte ones packed into two words.
+fn memo_slot(state: &PackedState) -> usize {
+    let pack = |bytes: &[u8]| bytes.iter().fold(0u64, |w, &b| w.rotate_left(8) ^ b as u64);
+    let rest = [
+        state.n,
+        state.rate_ok,
+        state.deviated as u8,
+        state.coterie,
+        state.stable_len,
+        state.first_window as u8,
+        state.thm4_alive,
+    ];
+    let words = state
+        .counters
+        .into_iter()
+        .chain([pack(&state.reach), pack(&rest)]);
+    let h = words.fold(0u64, |h, w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    });
+    (h >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+}
+
+/// Walks the edges out of one canonical node: all `2^(2(n−1))` one-round
+/// omission masks, in mask order, computing for each the child state, its
+/// orbit representative and the edge's obligation atoms.
+///
+/// The work is per distinct inbox and per distinct child, not per mask.
+/// In the paper's round model a transition reads only a process's
+/// round-start state and its inbox, and an omission only changes copies
+/// that touch the faulty process `f`: an ordinary receiver sees one of
+/// two inboxes (`f`'s copy to it delivered or dropped), `f` one of
+/// `2^(n−1)` (one per subset of its in-copies dropped). So the
+/// [`SyncStepper`] — the protocol's real step function — runs `2^(n−1)`
+/// rounds per node, one per subset of `f`'s in-copies: the empty
+/// subset's round delivers every other copy too, and the full subset's
+/// also drops `f`'s copies to the others, which gives each ordinary
+/// receiver both of its outcomes. Every mask
+/// reads its counters off these rounds. With the parent fixed, the raw
+/// child determines the edge's verdict, orbit representative and
+/// fingerprint, so those are memoized per raw child in a direct-mapped
+/// table of [`MEMO_SLOTS`], a hit confirmed by full state equality.
+/// Nothing is allocated per edge.
 fn for_each_edge(
     parent: &PackedState,
     cfg: &GraphConfig,
@@ -349,27 +435,108 @@ fn for_each_edge(
 ) {
     let n = cfg.n;
     let f = cfg.faulty.index();
+    let table = PermTable::get(n, cfg.faulty);
+    let drop_bit = drop_bits(n, pairs);
+
+    let base_states = round_start_states(parent);
+    let mut stepper = SyncStepper::new(RoundAgreement, base_states.clone());
+
+    // The mask bits of `f`'s in-copies; every other eligible copy is one
+    // of its out-copies. Pairs are sender-major, so the out-copies are
+    // the `n − 1` bits from bit `f` on, and squeezing them out of a mask
+    // leaves its in-copy bits as an `(n − 1)`-bit index.
+    let in_mask = (0..n).fold(0, |m, i| m | drop_bit[i * n + f]);
+    let out_mask = ((1u32 << cfg.mask_bits()) - 1) & !in_mask;
+    let low = (1u32 << f) - 1;
+    let in_index = |mask: u32| ((mask & low) | ((mask >> (n - 1)) & !low)) as usize;
+    debug_assert_eq!(out_mask, ((1 << (n - 1)) - 1) << f);
+
+    // Next counters per distinct inbox: an ordinary receiver's with `f`'s
+    // copy delivered (`heard`) or dropped (`missed`); `f`'s by its dropped
+    // in-copies (`faulty_next[in_index(mask)]`). The subsets of `in_mask`
+    // ascend from empty to full.
+    let mut heard = [0u64; MAX_GRAPH_N];
+    let mut missed = [0u64; MAX_GRAPH_N];
+    let mut faulty_next = [0u64; 1 << (MAX_GRAPH_N - 1)];
+    let mut sub = 0u32;
+    loop {
+        let drop = if sub == in_mask { sub | out_mask } else { sub };
+        stepper.reset(&base_states);
+        stepper.step_round(|from, to| drop & drop_bit[from.index() * n + to.index()] == 0);
+        let next = stepper.states();
+        faulty_next[in_index(sub)] = next[f].c.get();
+        if sub == 0 {
+            for (c, state) in heard.iter_mut().zip(next) {
+                *c = state.c.get();
+            }
+        }
+        if sub == in_mask {
+            for (c, state) in missed.iter_mut().zip(next) {
+                *c = state.c.get();
+            }
+            break;
+        }
+        sub = sub.wrapping_sub(in_mask) & in_mask;
+    }
+    let next_counters = |mask: u32| {
+        let mut next = [0u64; MAX_GRAPH_N];
+        for (j, c) in next[..n].iter_mut().enumerate() {
+            *c = if j == f {
+                faulty_next[in_index(mask)]
+            } else if mask & drop_bit[f * n + j] != 0 {
+                missed[j]
+            } else {
+                heard[j]
+            };
+        }
+        next
+    };
+
+    let mut memo: [Option<(PackedState, Edge)>; MEMO_SLOTS] = [None; MEMO_SLOTS];
+    for_each_child(parent, cfg, pairs, next_counters, |mask, child| {
+        let slot = &mut memo[memo_slot(&child)];
+        let edge = match slot {
+            Some((raw, edge)) if *raw == child => *edge,
+            _ => {
+                let violation = check_edge(parent, &child, cfg.faulty, cfg.stabilization);
+                let (canon, perm) = table.canonicalize(&child);
+                let edge = Edge {
+                    mask,
+                    child_fp: fper.packed(&canon),
+                    child: canon,
+                    perm,
+                    violation,
+                };
+                *slot = Some((child, edge));
+                edge
+            }
+        };
+        visit(Edge { mask, ..edge });
+    });
+}
+
+/// The raw (uncanonicalized) child of `parent` under every omission mask,
+/// in mask order: `next_counters(mask)` gives the round's counters, and
+/// everything else — rate bits, causal reach, coterie and the stable
+/// window's bookkeeping — follows from them, the mask and the parent.
+fn for_each_child(
+    parent: &PackedState,
+    cfg: &GraphConfig,
+    pairs: &[(ProcessId, ProcessId)],
+    mut next_counters: impl FnMut(u32) -> [u64; MAX_GRAPH_N],
+    mut visit: impl FnMut(u32, PackedState),
+) {
+    let n = cfg.n;
+    let f = cfg.faulty.index();
     let g = cfg.stabilization.max(1) as u8;
     let cap = g + 2;
     let full = mask_full(n) as u8;
-    let table = PermTable::get(n, cfg.faulty);
 
-    let base_states: Vec<RoundAgreementState> = parent.counters[..n]
-        .iter()
-        .map(|&c| RoundAgreementState {
-            c: RoundCounter::new(c),
-        })
-        .collect();
-    let mut stepper = SyncStepper::new(RoundAgreement, base_states.clone());
-
-    // Per eligible copy, by mask bit: which (sender, dest) decision it
-    // drops, and what its delivery adds to the destination's causal
-    // reach. Copies between correct processes never drop (`drop_bit` 0),
-    // so their contribution to reach is the same under every mask.
-    let mut drop_bit = [0u32; MAX_GRAPH_N * MAX_GRAPH_N];
+    // Per eligible copy, by mask bit: what its delivery adds to the
+    // destination's causal reach. Copies between correct processes
+    // always land, so their contribution is the same under every mask.
     let mut lands = [(0usize, 0u8); 2 * (MAX_GRAPH_N - 1)];
     for (bit, &(s, d)) in pairs.iter().enumerate() {
-        drop_bit[s.index() * n + d.index()] = 1 << bit;
         lands[bit] = (d.index(), parent.reach[s.index()] | 1 << s.index());
     }
     let lands = &lands[..pairs.len()];
@@ -396,17 +563,11 @@ fn for_each_edge(
     let r_corr = parent.rate_ok & corr == corr;
 
     for mask in 0..1u32 << cfg.mask_bits() {
-        // One simulator round through the stepper seam — the protocol's
-        // real step function, not a reimplementation.
-        stepper.reset(&base_states);
-        stepper.step_round(|from, to| mask & drop_bit[from.index() * n + to.index()] == 0);
-
         // Counters, normalized; rate bits against the parent.
-        let mut counters = [0u64; MAX_GRAPH_N];
+        let mut counters = next_counters(mask);
         let mut rate_ok = 0u8;
-        for (j, state) in stepper.states().iter().enumerate() {
-            counters[j] = state.c.get();
-            if counters[j] == parent.counters[j].saturating_add(1) {
+        for (j, &c) in counters[..n].iter().enumerate() {
+            if c == parent.counters[j].saturating_add(1) {
                 rate_ok |= 1 << j;
             }
         }
@@ -435,7 +596,7 @@ fn for_each_edge(
 
         let same_window = parent.stable_len > 0 && coterie == parent.coterie;
         let stable_len = if same_window {
-            (parent.stable_len + 1).min(cap)
+            parent.stable_len.saturating_add(1).min(cap)
         } else {
             1
         };
@@ -452,26 +613,20 @@ fn for_each_edge(
         let thm4_alive =
             (a_full && (keep_full || cand)) as u8 | (((a_corr && (keep_corr || cand)) as u8) << 1);
 
-        let child = PackedState {
-            n: parent.n,
-            counters,
-            rate_ok,
-            reach,
-            deviated,
-            coterie,
-            stable_len,
-            first_window,
-            thm4_alive,
-        };
-        let violation = check_edge(parent, &child, cfg.faulty, cfg.stabilization);
-        let (child, perm) = table.canonicalize(&child);
-        visit(Edge {
+        visit(
             mask,
-            child_fp: fper.packed(&child),
-            child,
-            perm,
-            violation,
-        });
+            PackedState {
+                n: parent.n,
+                counters,
+                rate_ok,
+                reach,
+                deviated,
+                coterie,
+                stable_len,
+                first_window,
+                thm4_alive,
+            },
+        );
     }
 }
 
@@ -742,6 +897,173 @@ mod tests {
             })
         });
         out
+    }
+
+    /// One stepper round per mask: the next counters the per-mask
+    /// expansion reads.
+    fn per_mask_counters(
+        parent: &PackedState,
+        cfg: &GraphConfig,
+        pairs: &[(ProcessId, ProcessId)],
+    ) -> impl FnMut(u32) -> [u64; MAX_GRAPH_N] {
+        let n = cfg.n;
+        let drop_bit = drop_bits(n, pairs);
+        let base_states = round_start_states(parent);
+        let mut stepper = SyncStepper::new(RoundAgreement, base_states.clone());
+        move |mask| {
+            stepper.reset(&base_states);
+            stepper.step_round(|from, to| mask & drop_bit[from.index() * n + to.index()] == 0);
+            let mut next = [0u64; MAX_GRAPH_N];
+            for (c, state) in next.iter_mut().zip(stepper.states()) {
+                *c = state.c.get();
+            }
+            next
+        }
+    }
+
+    /// The per-mask expansion `for_each_edge` factors: one stepper round
+    /// per mask, then `check_edge`, `canonicalize` and `fingerprint` per
+    /// edge. The reference its edge sequence must match.
+    fn for_each_edge_per_mask(
+        parent: &PackedState,
+        cfg: &GraphConfig,
+        pairs: &[(ProcessId, ProcessId)],
+        fper: &Fingerprinter,
+        mut visit: impl FnMut(Edge),
+    ) {
+        let table = PermTable::get(cfg.n, cfg.faulty);
+        let next_counters = per_mask_counters(parent, cfg, pairs);
+        for_each_child(parent, cfg, pairs, next_counters, |mask, child| {
+            let violation = check_edge(parent, &child, cfg.faulty, cfg.stabilization);
+            let (child, perm) = table.canonicalize(&child);
+            visit(Edge {
+                mask,
+                child_fp: fper.packed(&child),
+                child,
+                perm,
+                violation,
+            });
+        });
+    }
+
+    /// An edge as comparable fields.
+    type EdgeFields = (u32, PackedState, u128, Perm, Option<&'static str>);
+
+    /// The edges out of `parent` as comparable fields: the factored
+    /// walk's, then the per-mask reference's.
+    fn edge_sequences(
+        parent: &PackedState,
+        cfg: &GraphConfig,
+    ) -> (Vec<EdgeFields>, Vec<EdgeFields>) {
+        let pairs = eligible_pairs(cfg.n, cfg.faulty);
+        let fper = Fingerprinter::new();
+        let fields = |e: Edge| (e.mask, e.child, e.child_fp, e.perm, e.violation);
+        let mut factored = Vec::new();
+        for_each_edge(parent, cfg, &pairs, &fper, |e| factored.push(fields(e)));
+        let mut per_mask = Vec::new();
+        for_each_edge_per_mask(parent, cfg, &pairs, &fper, |e| per_mask.push(fields(e)));
+        (factored, per_mask)
+    }
+
+    /// A graph configuration for expanding single nodes.
+    fn node_config(n: usize, faulty: ProcessId, stabilization: usize) -> GraphConfig {
+        GraphConfig {
+            faulty,
+            stabilization,
+            ..GraphConfig::fixpoint(n, 0)
+        }
+    }
+
+    /// A parent node: settled (equal counters, full reach and coterie) or
+    /// arbitrary, with counters that are small, wide or near `u64::MAX`.
+    fn sample_parent(g: &mut impl Rng, n: usize, stabilization: usize) -> PackedState {
+        let full = mask_full(n);
+        let kind = g.gen_range(0..3u64);
+        let counter = |g: &mut _| match kind {
+            0 => Rng::gen_range(g, 0..4u64),
+            1 => Rng::next_u64(g) >> Rng::gen_range(g, 0..64u64),
+            _ => u64::MAX - Rng::gen_range(g, 0..4u64),
+        };
+        let cap = stabilization.max(1) as u64 + 2;
+        let node = if g.gen_bool(0.3) {
+            NodeState {
+                counters: vec![counter(g); n],
+                rate_ok: full,
+                reach: vec![full; n],
+                deviated: g.gen_bool(0.5),
+                coterie: full,
+                stable_len: g.gen_range(1..=cap) as u8,
+                first_window: stabilization == 0 && g.gen_bool(0.5),
+                thm4_alive: g.gen_range(0..4u64) as u8,
+            }
+        } else {
+            NodeState {
+                counters: (0..n).map(|_| counter(g)).collect(),
+                rate_ok: g.gen_range(0..=full as u64) as u32,
+                reach: (0..n)
+                    .map(|i| g.gen_range(0..=full as u64) as u32 | 1 << i)
+                    .collect(),
+                deviated: g.gen_bool(0.5),
+                coterie: g.gen_range(0..=full as u64) as u32,
+                stable_len: g.gen_range(0..=cap) as u8,
+                first_window: g.gen_bool(0.5),
+                thm4_alive: g.gen_range(0..4u64) as u8,
+            }
+        };
+        PackedState::pack(&node)
+    }
+
+    /// Counters read off one round per distinct inbox, and verdicts,
+    /// orbits and fingerprints memoized per distinct raw child, give the
+    /// per-mask reference's edge sequence field for field.
+    #[test]
+    fn factored_expansion_matches_the_per_mask_reference() {
+        ftss_rng::check::forall(150, |g| {
+            let n = g.gen_range(2..=MAX_GRAPH_N as u64) as usize;
+            let faulty = ProcessId(g.gen_range(0..n as u64) as usize);
+            let stabilization = g.gen_range(0..3u64) as usize;
+            let cfg = node_config(n, faulty, stabilization);
+            let parent = sample_parent(g, n, stabilization);
+            let (got, want) = edge_sequences(&parent, &cfg);
+            assert_eq!(got.len(), 1 << cfg.mask_bits());
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(
+                    a, b,
+                    "n={n} faulty={faulty} stab={stabilization} {parent:?}"
+                );
+            }
+        });
+    }
+
+    /// The memo's collision path: distinct raw children of one node that
+    /// share a slot and alternate in mask order, so a slot is evicted and
+    /// refilled, on a node the factored walk still expands exactly.
+    #[test]
+    fn memo_evictions_keep_the_edge_sequence() {
+        let mut rng = ftss_rng::StdRng::seed_from_u64(29);
+        let mut evicting = 0;
+        for _ in 0..40 {
+            let faulty = ProcessId(rng.gen_range(0..MAX_GRAPH_N as u64) as usize);
+            let cfg = node_config(MAX_GRAPH_N, faulty, 1);
+            let parent = sample_parent(&mut rng, MAX_GRAPH_N, 1);
+            let pairs = eligible_pairs(MAX_GRAPH_N, faulty);
+            let mut slots: [Option<PackedState>; MEMO_SLOTS] = [None; MEMO_SLOTS];
+            let mut evictions = 0;
+            let next_counters = per_mask_counters(&parent, &cfg, &pairs);
+            for_each_child(&parent, &cfg, &pairs, next_counters, |_, child| {
+                let slot = &mut slots[memo_slot(&child)];
+                if slot.is_some_and(|raw| raw != child) {
+                    evictions += 1;
+                }
+                *slot = Some(child);
+            });
+            if evictions > 0 {
+                evicting += 1;
+                let (got, want) = edge_sequences(&parent, &cfg);
+                assert_eq!(got, want);
+            }
+        }
+        assert!(evicting > 0, "no sampled node evicts a memo slot");
     }
 
     #[test]
@@ -1050,6 +1372,19 @@ mod tests {
         let mut cfg = GraphConfig::small(0);
         cfg.faulty = ProcessId(5);
         assert!(explore_graph(&cfg).is_err());
+        for stabilization in [254, 255, 256, 300] {
+            let cfg = GraphConfig {
+                stabilization,
+                ..GraphConfig::small(0)
+            };
+            let err = explore_graph(&cfg).unwrap_err();
+            assert!(err.contains("stable_len"), "{err}");
+        }
+        let cfg = GraphConfig {
+            stabilization: 253,
+            ..GraphConfig::small(0)
+        };
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

@@ -963,10 +963,19 @@ fn check_graph(args: &Args) -> Outcome {
     if sizes.is_empty() {
         return Err("check --graph: --max-n must be at least 2".into());
     }
+    // Every size is validated before the first is explored, so a bad
+    // `--max-n` fails fast instead of after the smaller searches.
+    let configs = sizes
+        .iter()
+        .map(|&n| {
+            let cfg = check_graph_config(args, n)?;
+            cfg.validate()?;
+            Ok(cfg)
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let mut all_ok = true;
-    for &n in &sizes {
-        let cfg = check_graph_config(args, n)?;
-        let report = ftss_check::explore_graph(&cfg)?;
+    for cfg in &configs {
+        let report = ftss_check::explore_graph(cfg)?;
         println!(
             "check --graph: round agreement, n={}, corruption seed {}, \
              omissions through p{}, oracle: Theorem 3 at stabilization {}, \

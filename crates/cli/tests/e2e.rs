@@ -365,6 +365,34 @@ fn check_adversary_battery_is_jobs_invariant() {
     assert!(stdout(&serial).contains("all scenarios PASS"));
 }
 
+/// A stabilization time past the one-byte stable-window length is
+/// rejected up front; 253, the largest that fits, still closes.
+#[test]
+fn check_graph_bounds_the_stabilization_time() {
+    for stab in ["254", "300"] {
+        let o = run(&["check", "--graph", "--n", "3", "--stabilization", stab]);
+        assert_eq!(o.status.code(), Some(2), "--stabilization {stab}");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            err.starts_with("error:") && err.contains("stable_len"),
+            "{err}"
+        );
+        assert!(o.stdout.is_empty(), "{}", stdout(&o));
+    }
+    let o = run(&["check", "--graph", "--n", "3", "--stabilization", "253"]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    assert!(stdout(&o).contains("(closed: certified for every horizon)"));
+}
+
+/// `--max-n` past the graph checker's ceiling fails before any search.
+#[test]
+fn check_graph_rejects_an_oversized_max_n_up_front() {
+    let o = run(&["check", "--graph", "--max-n", "7"]);
+    assert_eq!(o.status.code(), Some(2));
+    assert!(o.stdout.is_empty(), "{}", stdout(&o));
+    assert!(String::from_utf8_lossy(&o.stderr).contains("n must be in 2..=6, got 7"));
+}
+
 #[test]
 fn check_rejects_oversized_dfs() {
     let o = run(&["check", "--dfs", "--n", "9"]);

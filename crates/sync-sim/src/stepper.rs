@@ -14,8 +14,10 @@
 //! ([`crate::round`]), so a decision sequence and an omission tape
 //! describe the same schedule. The stepper is deliberately **not** a
 //! driver of that kernel: it records no states and has no adversary,
-//! schedule or sink, and this ~40-line loop is the hot path of a
-//! million-transition search. [`SyncRunner`](crate::SyncRunner) is its
+//! schedule or sink, and this ~40-line loop is the transition function
+//! of the graph checker, which steps every distinct inbox of every
+//! visited state through it (`2^(n−1)` rounds per state at size `n`, for
+//! `2^(2(n−1))` edges). [`SyncRunner`](crate::SyncRunner) is its
 //! reference instead (`stepper_matches_runner_under_omission_tapes`).
 //! Phase semantics are the kernel's, for the crash-free slice of the
 //! model the explorer covers:

@@ -187,6 +187,15 @@ test -s "$TRACE_DIR/gce.schedule"
 run grep -q '^mode: graph$' "$TRACE_DIR/gce.schedule"
 run cargo run -q --release -p ftss-lab -- check --replay "$TRACE_DIR/gce.schedule" \
     --out "$TRACE_DIR/gce_replay.jsonl"
+echo "==> ftss-lab check --graph --n 6 --broken-oracle (memoized violation path, must exit 1)"
+if cargo run -q --release -p ftss-lab -- check --graph --n 6 --broken-oracle \
+    --ce "$TRACE_DIR/gce6.schedule"; then
+    echo "ERROR: the broken oracle did not trip in graph mode at n = 6" >&2
+    exit 1
+fi
+run grep -q '^mode: graph$' "$TRACE_DIR/gce6.schedule"
+run cargo run -q --release -p ftss-lab -- check --replay "$TRACE_DIR/gce6.schedule" \
+    --out "$TRACE_DIR/gce6_replay.jsonl"
 echo "==> ftss-lab check --graph (serial vs 4 workers, byte-compared)"
 cargo run -q --release -p ftss-lab -- check --graph --n 4 --rounds 3 \
     --jobs 1 > "$TRACE_DIR/graph_j1.txt"

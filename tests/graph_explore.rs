@@ -63,8 +63,8 @@ fn graph_and_enumerator_agree_on_verdicts() {
 #[test]
 fn graph_does_at_least_10x_less_work_than_the_enumerator() {
     // Work unit: round executions. The enumerator replays every prefix,
-    // so it runs `schedules × rounds`; each graph expansion is exactly
-    // one simulator round.
+    // so it runs `schedules × rounds`; each graph expansion is one edge,
+    // at most one simulator round's worth of work.
     let (ec, gc) = equivalent_pair(3, 3, 7, 1);
     let er = explore(&ec).expect("valid enum config");
     let gr = explore_graph(&gc).expect("valid graph config");

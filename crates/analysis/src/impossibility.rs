@@ -20,7 +20,7 @@
 //!
 //! A protocol that reconciles counters (Figure 1's round agreement) passes
 //! B but breaks A's rate condition at the merge; a protocol that never
-//! reconciles ([`StubbornCounter`]) passes A but never agrees in B; a
+//! reconciles (`StubbornCounter`) passes A but never agrees in B; a
 //! self-checking protocol ([`HaltOnDisagreement`], [`EagerHalt`]) freezes
 //! a correct process's counter. Every archetype is refuted for every `r`.
 //!
@@ -31,8 +31,7 @@
 //! Assumption 1's rate condition.
 
 use ftss_core::{
-    Corrupt, HistorySlice, Problem, ProcessId, ProcessSet, RateAgreementSpec, RoundCounter,
-    Violation,
+    Corrupt, Problem, ProcessId, ProcessSet, RateAgreementSpec, RoundCounter, Violation,
 };
 use ftss_protocols::round_agreement::RoundAgreementState;
 use ftss_protocols::RoundAgreement;
@@ -65,7 +64,7 @@ impl Corrupt for CounterHaltState {
 /// Archetype 1: increments its counter and ignores everyone — maintains
 /// the rate condition, never re-establishes agreement.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct StubbornCounter;
+struct StubbornCounter;
 
 impl SyncProtocol for StubbornCounter {
     type State = CounterHaltState;
@@ -199,7 +198,7 @@ impl SyncProtocol for EagerHalt {
 pub enum Archetype {
     /// Figure 1's round agreement (reconciles counters).
     RoundAgreement,
-    /// [`StubbornCounter`].
+    /// `StubbornCounter`.
     Stubborn,
     /// [`HaltOnDisagreement`].
     HaltOnDisagreement,
@@ -520,14 +519,6 @@ pub fn theorem2_demo(archetype: Archetype, rounds: usize) -> Theorem2Outcome {
         Archetype::EagerHalt => drive(EagerHalt, archetype, rounds),
         other => panic!("{other:?} is not a uniform protocol"),
     }
-}
-
-/// Convenience re-export for checking slices directly in experiment code.
-pub fn assumption1_violation<S, M>(
-    slice: HistorySlice<'_, S, M>,
-    faulty: &ProcessSet,
-) -> Option<Violation> {
-    RateAgreementSpec::new().check(slice, faulty).err()
 }
 
 #[cfg(test)]

@@ -27,8 +27,8 @@ pub mod table;
 pub mod trace;
 
 pub use impossibility::{
-    theorem1_demo, theorem2_demo, Archetype, EagerHalt, HaltOnDisagreement, StubbornCounter,
-    Theorem1Outcome, Theorem2Outcome,
+    theorem1_demo, theorem2_demo, Archetype, EagerHalt, HaltOnDisagreement, Theorem1Outcome,
+    Theorem2Outcome,
 };
 pub use stabilization::{measured_stabilization_time, StabilizationMeasurement};
 pub use table::Table;

@@ -252,15 +252,6 @@ impl<P: AsyncProcess, S: Scheduler<P::Msg>> AsyncRunner<P, S> {
         self.crashed_at[p.index()].is_some_and(|t| t <= self.now)
     }
 
-    /// The set of processes that will ever crash in this configuration.
-    pub fn crashing_set(&self) -> Vec<ProcessId> {
-        self.crashed_at
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|_| ProcessId(i)))
-            .collect()
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> RunStats {
         RunStats {
@@ -594,7 +585,6 @@ mod tests {
         assert!(p1.received.len() < 6, "{:?}", p1.received);
         assert!(p1.timer_count == 0, "timer at t=50 is after the crash");
         assert!(stats.messages_to_crashed > 0);
-        assert_eq!(r.crashing_set(), vec![ProcessId(1)]);
     }
 
     #[test]

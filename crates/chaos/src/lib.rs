@@ -42,7 +42,7 @@ pub mod verdict;
 pub use engine::{run_soak, SoakConfig, SoakOutcome};
 pub use guard::{with_watchdog, QuiescenceMonitor, SoakBudget, WatchdogOutcome};
 pub use plan::{
-    burst_seed, churn_cycle, join_seed, restart_cycle, storm_cycle, storm_program_for, SoakCell,
-    SoakPlan, SoakScenario, StormGeometry, StormScenario,
+    burst_seed, join_seed, restart_cycle, storm_cycle, storm_program_for, SoakCell, SoakPlan,
+    SoakScenario, StormGeometry, StormScenario,
 };
 pub use verdict::{CellReport, ChurnStamps, EpochJudge, EpochVerdict, SoakVerdict};

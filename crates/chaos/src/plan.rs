@@ -15,7 +15,7 @@
 //!   moment its last round lands; this is the soak that proves the
 //!   struct-of-arrays engine sustains thousands of processes without
 //!   retaining the full execution,
-//! * **churn** — the synchronous scenarios under [`churn_cycle`]
+//! * **churn** — the synchronous scenarios under `churn_cycle`
 //!   (joins entering with arbitrary state, clean leaves),
 //! * **restart** — served round agreement through [`restart_cycle`]:
 //!   crash–restart kills with damaged-snapshot respawns, cycled against
@@ -79,13 +79,13 @@ pub struct SoakCell {
     /// Whether the worst-case intensities apply.
     pub worst_case: bool,
     /// Whether the cell cycles the membership-churn storms
-    /// ([`churn_cycle`]: joins entering with arbitrary state, clean
+    /// (`churn_cycle`: joins entering with arbitrary state, clean
     /// leaves) instead of the stock [`storm_cycle`].
     pub churn: bool,
 }
 
 /// System size of the large-n plan's single cell.
-pub const LARGE_N: usize = 4096;
+const LARGE_N: usize = 4096;
 
 /// A named soak plan.
 #[derive(Clone, Debug)]
@@ -99,7 +99,7 @@ pub struct SoakPlan {
     pub seed: u64,
     /// Whether the worst-case intensities apply.
     pub worst_case: bool,
-    /// Whether the cells cycle membership churn ([`churn_cycle`]).
+    /// Whether the cells cycle membership churn (`churn_cycle`).
     pub churn: bool,
 }
 
@@ -132,7 +132,7 @@ impl SoakPlan {
         }
     }
 
-    /// The large-n plan: one round-agreement cell at [`LARGE_N`]
+    /// The large-n plan: one round-agreement cell at `LARGE_N`
     /// processes.
     pub fn large_n(epochs: usize, seed: u64) -> Self {
         SoakPlan {
@@ -144,7 +144,7 @@ impl SoakPlan {
         }
     }
 
-    /// The churn plan: the synchronous scenarios under [`churn_cycle`] —
+    /// The churn plan: the synchronous scenarios under `churn_cycle` —
     /// joins entering with seeded arbitrary state, clean leaves.
     pub fn churn(epochs: usize, seed: u64) -> Self {
         SoakPlan {
@@ -283,7 +283,7 @@ pub fn storm_cycle(worst_case: bool) -> [StormKind; 4] {
 /// still opens with a corruption burst, and the joiners *additionally*
 /// get a targeted corruption in the round after their window closes —
 /// the arbitrary entry state of a process joining mid-execution.
-pub fn churn_cycle(worst_case: bool) -> [StormKind; 4] {
+fn churn_cycle(worst_case: bool) -> [StormKind; 4] {
     let percent = if worst_case { 90 } else { 60 };
     [
         StormKind::Join,

@@ -35,7 +35,7 @@ use ftss::sync_sim::{
 };
 
 /// The battery's scenarios, in reporting order.
-pub const SCENARIOS: [&str; 4] = [
+const SCENARIOS: [&str; 4] = [
     "corruption-burst",
     "quorum-omission",
     "crash-at-worst-time",
@@ -64,7 +64,7 @@ impl BatteryConfig {
 /// One battery verdict row.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatteryRow {
-    /// Scenario name (one of [`SCENARIOS`]).
+    /// Scenario name (one of `SCENARIOS`).
     pub scenario: &'static str,
     /// The cell's seed.
     pub seed: u64,

@@ -40,13 +40,13 @@ use ftss_sweep::{max, mean, sweep_rows};
 pub const E10_SEEDS: u64 = 3;
 /// Rounds per E10 run — past the largest Byzantine bound in the grid
 /// (`1 + 4(f+1) = 21` at `f = 4`) with slack for the suffix check.
-pub const E10_ROUNDS: usize = 28;
+const E10_ROUNDS: usize = 28;
 /// The churn episode's silent rounds (the joiner re-enters at round 7).
-pub const E10_STORM: (u64, u64) = (4, 6);
+const E10_STORM: (u64, u64) = (4, 6);
 
 /// The fault class of one E10 row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultClass {
+enum FaultClass {
     /// General omission: copies dropped by declared-faulty processes.
     Omission,
     /// Byzantine: declared-faulty processes forge message contents.
@@ -69,7 +69,7 @@ impl FaultClass {
 
 /// One row of the E10 boundary map.
 #[derive(Clone, Debug)]
-pub struct E10Row {
+struct E10Row {
     /// System size.
     pub n: usize,
     /// Faulty-process count (omitters, traitors, or churners).
@@ -100,7 +100,7 @@ impl E10Row {
 /// The E10 grid: fault class × `f` × `n ∈ {4, 8, 16}`, restricted to
 /// `n <= max_n`. The Byzantine sub-grid straddles its `n > 4f` boundary
 /// on purpose: `(n=4, f=1)` and `(n=16, f=4)` sit beyond it.
-pub fn e10_rows(max_n: usize) -> Vec<E10Row> {
+fn e10_rows(max_n: usize) -> Vec<E10Row> {
     let mut rows = Vec::new();
     for n in [4usize, 8, 16] {
         if n > max_n {
@@ -145,7 +145,7 @@ fn victims(f: usize) -> Vec<ProcessId> {
 /// Runs one cell and measures stabilization against the row's bound.
 /// `None` means the bound was violated (the run never produced a clean
 /// suffix inside it) — recorded as data, not panicked on.
-pub fn run_e10_cell(row: &E10Row, seed: u64) -> Option<usize> {
+fn run_e10_cell(row: &E10Row, seed: u64) -> Option<usize> {
     let corruption = seed.wrapping_mul(0x9e37) ^ (row.n as u64) << 8 ^ row.f as u64;
     match row.class {
         FaultClass::Omission => {

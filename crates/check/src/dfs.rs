@@ -8,8 +8,8 @@
 //!   consultation order, so the set of all length-`d` tapes *is* the set
 //!   of all delivery interleavings within the bound — `2^d` runs, checked
 //!   against a Theorem-3 oracle.
-//! * [`explore_async`] walks every *dispatch order* of the asynchronous
-//!   model within an event horizon, driving
+//! * [`explore_gossip_por`] walks every *dispatch order* of an
+//!   asynchronous gossip system within an event horizon, driving
 //!   [`DfsScheduler`](ftss::async_sim::DfsScheduler)'s explicit choice
 //!   stack: each run replays a prefix of recorded choices and the
 //!   odometer-style `advance` moves to the next unexplored schedule.
@@ -20,7 +20,7 @@
 
 use crate::oracle::{thm3_round_agreement, Verdict};
 use crate::runbuild::RunBuilder;
-use ftss::async_sim::{AsyncConfig, AsyncProcess, AsyncRunner, DfsScheduler, Time};
+use ftss::async_sim::{AsyncConfig, AsyncProcess, AsyncRunner, Ctx, DfsScheduler, Time};
 use ftss::core::ProcessId;
 use ftss::sync_sim::{RunOutcome, TapeOmission};
 use ftss::telemetry::TraceSink;
@@ -103,8 +103,9 @@ pub fn run_tape<T: TraceSink>(
 }
 
 /// Runs one schedule through the Theorem-3 oracle. This is *the* checked
-/// property — the explorer, the shrinker and replay all call it, so a
-/// counterexample means the same thing everywhere.
+/// property — the explorer and the shrinker call it, and
+/// [`crate::schedule::ScheduleFile::replay`] applies the same oracle to
+/// its traced run, so a counterexample means the same thing everywhere.
 pub fn check_tape(cfg: &DfsConfig, tape: &[bool]) -> Verdict {
     let (out, _) = run_tape(cfg, tape, &mut ftss::telemetry::NullSink);
     thm3_round_agreement(&out.history, cfg.stabilization)
@@ -116,8 +117,8 @@ pub fn check_tape(cfg: &DfsConfig, tape: &[bool]) -> Verdict {
 /// window provably cannot stabilize within it, no matter how the run is
 /// extended. Graph mode uses this to confirm and shrink counterexamples
 /// found by the per-edge stabilization-time atom, and
-/// [`crate::schedule::ScheduleFile::replay`] falls back to it for
-/// `thm4:` verdicts.
+/// [`crate::schedule::ScheduleFile::replay`] falls back to the same
+/// oracle for `thm4:` verdicts.
 pub fn check_tape_thm4(cfg: &DfsConfig, tape: &[bool]) -> Verdict {
     let (out, _) = run_tape(cfg, tape, &mut ftss::telemetry::NullSink);
     crate::oracle::thm4_decided(
@@ -234,41 +235,14 @@ pub struct AsyncDfsReport {
 ///
 /// The schedule tree has branching factor = pending-queue size, so keep
 /// `max_steps` small (≤ ~8 for systems that re-arm timers).
-pub fn explore_async<P, F>(
-    mk: F,
-    cfg: &AsyncConfig,
-    horizon: Time,
-    max_steps: usize,
-    oracle: impl FnMut(&[P]) -> Verdict,
-) -> AsyncDfsReport
-where
-    P: AsyncProcess,
-    F: Fn() -> Vec<P>,
-{
-    explore_async_impl(mk, cfg, horizon, max_steps, false, oracle)
-}
-
-/// [`explore_async`] with sleep-set partial-order reduction: dispatch
-/// orders that differ only in the interleaving of *commuting* deliveries
-/// (different destination processes, so neither's handler can observe the
-/// order) are explored once. Pruned runs end mid-flight and skip the
-/// oracle — every complete interleaving they abbreviate has a complete
+///
+/// With `por`, sleep-set partial-order reduction: dispatch orders that
+/// differ only in the interleaving of *commuting* deliveries (different
+/// destination processes, so neither's handler can observe the order)
+/// are explored once. Pruned runs end mid-flight and skip the oracle —
+/// every complete interleaving they abbreviate has a complete
 /// representative elsewhere in the tree — so the verdict is identical to
 /// the full enumeration while `schedules` drops combinatorially.
-pub fn explore_async_por<P, F>(
-    mk: F,
-    cfg: &AsyncConfig,
-    horizon: Time,
-    max_steps: usize,
-    oracle: impl FnMut(&[P]) -> Verdict,
-) -> AsyncDfsReport
-where
-    P: AsyncProcess,
-    F: Fn() -> Vec<P>,
-{
-    explore_async_impl(mk, cfg, horizon, max_steps, true, oracle)
-}
-
 fn explore_async_impl<P, F>(
     mk: F,
     cfg: &AsyncConfig,
@@ -329,34 +303,43 @@ where
 /// enumeration and the reduced one — identical verdicts by construction,
 /// so the pair doubles as an end-to-end soundness check of the pruning.
 pub fn explore_gossip_por() -> (AsyncDfsReport, AsyncDfsReport) {
-    use ftss::async_sim::Ctx;
-
-    struct Gossip {
-        v: u64,
-    }
-    impl AsyncProcess for Gossip {
-        type Msg = u64;
-        fn on_start(&mut self, ctx: &mut Ctx<u64>) {
-            ctx.broadcast(self.v);
-        }
-        fn on_message(&mut self, _ctx: &mut Ctx<u64>, _from: ProcessId, &m: &u64) {
-            self.v = self.v.max(m);
-        }
-        fn on_timer(&mut self, _ctx: &mut Ctx<u64>, _tag: u64) {}
-    }
-
-    let mk = || vec![Gossip { v: 3 }, Gossip { v: 7 }];
     let cfg = AsyncConfig::tame(0);
-    let oracle = |ps: &[Gossip]| {
+    let full = explore_async_impl(Gossip::pair, &cfg, 1_000, 8, false, Gossip::converged);
+    let por = explore_async_impl(Gossip::pair, &cfg, 1_000, 8, true, Gossip::converged);
+    (full, por)
+}
+
+/// A gossip process of [`explore_gossip_por`]: broadcasts its value once
+/// and keeps the maximum it hears.
+struct Gossip {
+    v: u64,
+}
+
+impl Gossip {
+    /// The two processes, holding 3 and 7.
+    fn pair() -> Vec<Gossip> {
+        vec![Gossip { v: 3 }, Gossip { v: 7 }]
+    }
+
+    /// The oracle: the maximum reached everyone.
+    fn converged(ps: &[Gossip]) -> Verdict {
         if ps.iter().all(|p| p.v == 7) {
             None
         } else {
             Some("max did not propagate".to_string())
         }
-    };
-    let full = explore_async(mk, &cfg, 1_000, 8, oracle);
-    let por = explore_async_por(mk, &cfg, 1_000, 8, oracle);
-    (full, por)
+    }
+}
+
+impl AsyncProcess for Gossip {
+    type Msg = u64;
+    fn on_start(&mut self, ctx: &mut Ctx<u64>) {
+        ctx.broadcast(self.v);
+    }
+    fn on_message(&mut self, _ctx: &mut Ctx<u64>, _from: ProcessId, &m: &u64) {
+        self.v = self.v.max(m);
+    }
+    fn on_timer(&mut self, _ctx: &mut Ctx<u64>, _tag: u64) {}
 }
 
 #[cfg(test)]
@@ -391,35 +374,12 @@ mod tests {
     /// in all of them, while a false oracle trips on the very first.
     #[test]
     fn async_dfs_enumerates_all_dispatch_orders() {
-        use ftss::async_sim::Ctx;
-
-        struct Gossip {
-            v: u64,
-        }
-        impl AsyncProcess for Gossip {
-            type Msg = u64;
-            fn on_start(&mut self, ctx: &mut Ctx<u64>) {
-                ctx.broadcast(self.v);
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<u64>, _from: ProcessId, &m: &u64) {
-                self.v = self.v.max(m);
-            }
-            fn on_timer(&mut self, _ctx: &mut Ctx<u64>, _tag: u64) {}
-        }
-
-        let mk = || vec![Gossip { v: 3 }, Gossip { v: 7 }];
         let cfg = AsyncConfig::tame(0);
-        let report = explore_async(mk, &cfg, 1_000, 8, |ps: &[Gossip]| {
-            if ps.iter().all(|p| p.v == 7) {
-                None
-            } else {
-                Some("max did not propagate".into())
-            }
-        });
+        let report = explore_async_impl(Gossip::pair, &cfg, 1_000, 8, false, Gossip::converged);
         assert_eq!(report.schedules, 24, "4! dispatch orders");
         assert!(report.violation.is_none());
 
-        let broken = explore_async(mk, &cfg, 1_000, 8, |_: &[Gossip]| {
+        let broken = explore_async_impl(Gossip::pair, &cfg, 1_000, 8, false, |_: &[Gossip]| {
             Some("always wrong".into())
         });
         assert_eq!(broken.schedules, 1, "stops at the first violation");
@@ -434,33 +394,7 @@ mod tests {
     /// destination's pair of incoming messages) — with the same verdict.
     #[test]
     fn async_por_prunes_commuting_orders_with_the_same_verdict() {
-        use ftss::async_sim::Ctx;
-
-        struct Gossip {
-            v: u64,
-        }
-        impl AsyncProcess for Gossip {
-            type Msg = u64;
-            fn on_start(&mut self, ctx: &mut Ctx<u64>) {
-                ctx.broadcast(self.v);
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<u64>, _from: ProcessId, &m: &u64) {
-                self.v = self.v.max(m);
-            }
-            fn on_timer(&mut self, _ctx: &mut Ctx<u64>, _tag: u64) {}
-        }
-
-        let mk = || vec![Gossip { v: 3 }, Gossip { v: 7 }];
-        let cfg = AsyncConfig::tame(0);
-        let oracle = |ps: &[Gossip]| {
-            if ps.iter().all(|p| p.v == 7) {
-                None
-            } else {
-                Some("max did not propagate".to_string())
-            }
-        };
-        let full = explore_async(mk, &cfg, 1_000, 8, oracle);
-        let por = explore_async_por(mk, &cfg, 1_000, 8, oracle);
+        let (full, por) = explore_gossip_por();
         assert_eq!(full.schedules, 24, "4! dispatch orders");
         assert_eq!(full.pruned, 0, "no pruning without POR");
         assert!(

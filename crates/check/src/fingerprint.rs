@@ -322,7 +322,7 @@ struct Relabeling {
     image: [u8; 1 << MAX_GRAPH_N],
 }
 
-/// Every permutation of `0..n` fixing one process, in [`perms_fixing`]
+/// Every permutation of `0..n` fixing one process, in `perms_fixing`
 /// order, each with what the canonicalizer needs to read a relabeled
 /// state without building it. Built once per `(n, faulty)` and shared.
 pub(crate) struct PermTable {
@@ -462,7 +462,7 @@ fn permute_mask(mask: u32, perm: &Perm, n: usize) -> u32 {
 
 /// All permutations of `0..n` that fix `fixed`, in a deterministic
 /// order (Heap's algorithm over the free indices).
-pub fn perms_fixing(n: usize, fixed: usize) -> Vec<Perm> {
+fn perms_fixing(n: usize, fixed: usize) -> Vec<Perm> {
     let free: Vec<u8> = (0..n as u8).filter(|&i| i as usize != fixed).collect();
     let mut arrangements = Vec::new();
     let mut work = free.clone();

@@ -4,7 +4,7 @@
 //! [`window_stabilization`] (and `ftss-check` already depends on
 //! `ftss-sweep` for the executor), so it lives here. The sweep drives the
 //! synchronous simulator at n in the hundreds-to-thousands under a
-//! *windowed* history — retention [`E9_WINDOW`] of [`E9_ROUNDS`] rounds —
+//! *windowed* history — retention `E9_WINDOW` of `E9_ROUNDS` rounds —
 //! and verifies Theorem 3 stabilization on the retained suffix, right at
 //! the eviction boundary. It is both an experiment (EXPERIMENTS.md's
 //! large-n table) and a smoke test that the struct-of-arrays engine
@@ -17,13 +17,13 @@ use ftss::core::{ProcessId, RateAgreementSpec};
 use ftss_sweep::{max, mean, sweep_rows, FaultSpec};
 
 /// Rounds per E9 run.
-pub const E9_ROUNDS: usize = 12;
+const E9_ROUNDS: usize = 12;
 /// History retention per E9 run (rounds `1..=4` are evicted).
-pub const E9_WINDOW: usize = 8;
+const E9_WINDOW: usize = 8;
 
 /// One row of the E9 (large-n windowed engine) table.
 #[derive(Clone, Debug)]
-pub struct E9Row {
+struct E9Row {
     /// System size.
     pub n: usize,
     /// The fault pattern.
@@ -34,7 +34,7 @@ pub struct E9Row {
 
 /// The E9 row grid, restricted to `n <= max_n` (pass `usize::MAX` for the
 /// full grid).
-pub fn e9_rows(max_n: usize) -> Vec<E9Row> {
+fn e9_rows(max_n: usize) -> Vec<E9Row> {
     let mut rows = Vec::new();
     for n in [256usize, 1024] {
         if n > max_n {

@@ -41,17 +41,17 @@ pub mod runbuild;
 pub mod schedule;
 pub mod shrink;
 
-pub use adversary::{all_pass, run_battery, BatteryConfig, BatteryRow, SCENARIOS};
-pub use boundary::{e10_rows, e10_table, run_e10_cell, E10Row, FaultClass, E10_ROUNDS, E10_SEEDS};
+pub use adversary::{all_pass, run_battery, BatteryConfig, BatteryRow};
+pub use boundary::{e10_table, E10_SEEDS};
 pub use dfs::{
-    check_tape, check_tape_thm4, explore, explore_async, explore_async_por, explore_gossip_por,
-    run_tape, AsyncDfsReport, Counterexample, DfsConfig, DfsReport, MAX_TAPE_BOUND,
+    check_tape, check_tape_thm4, explore, explore_gossip_por, run_tape, AsyncDfsReport,
+    Counterexample, DfsConfig, DfsReport, MAX_TAPE_BOUND,
 };
 pub use fingerprint::{Fingerprinter, NodeState, MAX_GRAPH_N};
 pub use frontier::{explore_graph, GraphConfig, GraphCounterexample, GraphReport};
-pub use largen::{e9_rows, e9_table, E9Row, E9_ROUNDS, E9_WINDOW};
+pub use largen::e9_table;
 pub use oracle::{
     thm3_round_agreement, thm4_compiled, thm4_decided, thm5_detector, window_stabilization, Verdict,
 };
-pub use schedule::{ScheduleFile, ScheduleMode, HEADER};
+pub use schedule::{ScheduleFile, ScheduleMode};
 pub use shrink::{shrink, shrink_with};

@@ -36,16 +36,19 @@
 //! plain omission tape), the marker just records provenance; its absence
 //! means `enum`, so legacy files keep their exact bytes.
 //!
-//! The parser is strict: unknown keys, duplicate keys and trailing
-//! `key: value` garbage are all rejected — a schedule file that parses is
-//! exactly a schedule file this version would write.
+//! The parser is strict: unknown keys, duplicate keys, trailing
+//! `key: value` garbage and a system no mode explores (`n` outside
+//! `2..=MAX_GRAPH_N`, `faulty ≥ n`) are all rejected — a schedule file
+//! that parses is exactly a schedule file this version would write.
 
-use crate::dfs::{check_tape, check_tape_thm4, Counterexample, DfsConfig};
-use crate::oracle::Verdict;
-use ftss::core::ProcessId;
+use crate::dfs::{run_tape, Counterexample, DfsConfig};
+use crate::fingerprint::MAX_GRAPH_N;
+use crate::oracle::{thm3_round_agreement, thm4_decided, Verdict};
+use ftss::core::{ProcessId, RateAgreementSpec};
+use ftss::telemetry::TraceSink;
 
 /// The version line every schedule file starts with.
-pub const HEADER: &str = "ftss-check schedule v1";
+const HEADER: &str = "ftss-check schedule v1";
 
 /// The keys this version writes — and the only ones it accepts.
 const KNOWN_KEYS: [&str; 10] = [
@@ -143,7 +146,8 @@ impl ScheduleFile {
     }
 
     /// Parses a schedule file, rejecting unknown versions, missing or
-    /// duplicate keys, and malformed values.
+    /// duplicate keys, malformed values, and a system size or faulty
+    /// process no mode writes.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text
             .lines()
@@ -208,12 +212,24 @@ impl ScheduleFile {
                 })
                 .collect::<Result<Vec<bool>, String>>()?
         };
+        // Both modes write 2 ≤ n ≤ MAX_GRAPH_N (the enumerator stops at
+        // 4) and a faulty process inside the system.
+        let n = num("n")?;
+        if !(2..=MAX_GRAPH_N as u64).contains(&n) {
+            return Err(format!("schedule n = {n} is outside 2..={MAX_GRAPH_N}"));
+        }
+        let faulty = num("faulty")?;
+        if faulty >= n {
+            return Err(format!(
+                "schedule faulty = {faulty} is not a process of n = {n}"
+            ));
+        }
         Ok(ScheduleFile {
             cfg: DfsConfig {
-                n: num("n")? as usize,
+                n: n as usize,
                 rounds: num("rounds")? as usize,
                 corruption_seed: num("corruption-seed")?,
-                faulty: ProcessId(num("faulty")? as usize),
+                faulty: ProcessId(faulty as usize),
                 tape_bound: num("tape-bound")? as usize,
                 stabilization: num("stabilization")? as usize,
             },
@@ -223,17 +239,20 @@ impl ScheduleFile {
         })
     }
 
-    /// Re-executes the schedule and returns the fresh verdict. A written
-    /// counterexample reproduces iff this equals `Some(self.detail)`.
+    /// Re-executes the schedule, tracing the run into `sink`, and returns
+    /// the fresh verdict. A written counterexample reproduces iff this
+    /// equals `Some(self.detail)`.
     ///
     /// A recorded `thm4:` verdict (graph mode's stabilization-time atom)
     /// replays through the Theorem-4 oracle when the Theorem-3 oracle is
     /// silent — such schedules violate stabilization time without
     /// violating any Definition-2.4 obligation.
-    pub fn replay(&self) -> Verdict {
-        check_tape(&self.cfg, &self.tape).or_else(|| {
+    pub fn replay(&self, sink: &mut impl TraceSink) -> Verdict {
+        let (out, _) = run_tape(&self.cfg, &self.tape, sink);
+        let r = self.cfg.stabilization;
+        thm3_round_agreement(&out.history, r).or_else(|| {
             if self.detail.starts_with("thm4:") {
-                check_tape_thm4(&self.cfg, &self.tape)
+                thm4_decided(&out.history, &RateAgreementSpec::new(), r)
             } else {
                 None
             }
@@ -325,12 +344,13 @@ mod tests {
     #[test]
     fn forall_round_trip_and_mutation_fuzz() {
         ftss_rng::check::forall(80, |g| {
+            let n = g.gen_range(2..=MAX_GRAPH_N as u64) as usize;
             let f = ScheduleFile {
                 cfg: DfsConfig {
-                    n: g.gen_range(2..7u64) as usize,
+                    n,
                     rounds: g.gen_range(1..9u64) as usize,
                     corruption_seed: g.next_u64(),
-                    faulty: ftss::core::ProcessId(g.gen_range(0..4u64) as usize),
+                    faulty: ftss::core::ProcessId(g.gen_range(0..n as u64) as usize),
                     tape_bound: g.gen_range(0..21u64) as usize,
                     stabilization: g.gen_range(0..3u64) as usize,
                 },
@@ -375,6 +395,26 @@ mod tests {
             detail: detail.clone(),
         };
         let parsed = ScheduleFile::parse(&f.serialize()).unwrap();
-        assert_eq!(parsed.replay(), Some(detail));
+        assert_eq!(parsed.replay(&mut ftss::telemetry::NullSink), Some(detail));
+    }
+
+    /// What no mode writes is refused at parse time: each of these once
+    /// reached the run and panicked (`faulty` outside the universe,
+    /// `n = 0`) or aborted on a terabyte allocation (`n = 3000000`).
+    #[test]
+    fn parse_rejects_a_system_no_mode_writes() {
+        let text = sample().serialize();
+        for (from, to, want) in [
+            ("faulty: 0\n", "faulty: 3\n", "not a process of n = 3"),
+            ("n: 3\n", "n: 0\n", "outside 2..=6"),
+            ("n: 3\n", "n: 1\n", "outside 2..=6"),
+            ("n: 3\n", "n: 7\n", "outside 2..=6"),
+            ("n: 3\n", "n: 3000000\n", "outside 2..=6"),
+        ] {
+            let bad = text.replace(from, to);
+            assert_ne!(bad, text);
+            let err = ScheduleFile::parse(&bad).unwrap_err();
+            assert!(err.contains(want), "{to:?}: {err}");
+        }
     }
 }

@@ -1109,22 +1109,7 @@ fn check_replay(args: &Args, path: &str) -> Outcome {
     let text = std::fs::read_to_string(path).map_err(|e| format!("--replay {path}: {e}"))?;
     let file = ftss_check::ScheduleFile::parse(&text)?;
     let mut sink = trace_writer(args)?;
-    let (out, _) = ftss_check::run_tape(&file.cfg, &file.tape, &mut sink);
-    // Graph-mode `thm4:` verdicts violate stabilization time without
-    // violating Theorem 3 — replay them through the same fallback as
-    // `ScheduleFile::replay`.
-    let verdict =
-        ftss_check::thm3_round_agreement(&out.history, file.cfg.stabilization).or_else(|| {
-            if file.detail.starts_with("thm4:") {
-                ftss_check::thm4_decided(
-                    &out.history,
-                    &RateAgreementSpec::new(),
-                    file.cfg.stabilization,
-                )
-            } else {
-                None
-            }
-        });
+    let verdict = file.replay(&mut sink);
     let benign = |e: &std::io::Error| e.kind() == std::io::ErrorKind::BrokenPipe;
     match sink.finish() {
         Ok(mut w) => match w.flush() {

@@ -338,6 +338,50 @@ fn check_broken_oracle_writes_replayable_counterexample() {
     assert_eq!(a, b, "replay traces must be byte-identical");
 }
 
+/// A schedule file for a system no mode explores fails closed: exit 2
+/// with `error:`, never a panic (exit 101) or an allocation abort (134).
+#[test]
+fn check_replay_rejects_a_schedule_no_mode_writes() {
+    let dir = std::env::temp_dir().join("ftss-check-e2e-bad-schedule");
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = "ftss-check schedule v1\nprotocol: round-agreement\nn: 3\nrounds: 2\n\
+                corruption-seed: 7\nfaulty: 0\ntape-bound: 8\nstabilization: 0\n\
+                tape: -\ndetail: thm3: x\n";
+    for (i, (from, to)) in [
+        ("faulty: 0", "faulty: 3"),
+        ("n: 3", "n: 0"),
+        ("n: 3", "n: 3000000"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("bad{i}.schedule"));
+        std::fs::write(&path, good.replace(from, to)).unwrap();
+        let o = run(&["check", "--replay", path.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(2), "{to}: {err}");
+        assert!(err.starts_with("error:"), "{to}: {err}");
+    }
+}
+
+/// A larger stabilization time is a weaker claim: the largest one
+/// triggers no Definition-2.4 obligation, so nothing can fail.
+#[test]
+fn check_dfs_with_the_largest_stabilization_time_holds() {
+    let o = run(&[
+        "check",
+        "--dfs",
+        "--n",
+        "3",
+        "--seed",
+        "7",
+        "--stabilization",
+        &usize::MAX.to_string(),
+    ]);
+    assert!(o.status.success(), "{}", stdout(&o));
+    assert!(!stdout(&o).contains("VIOLATION"), "{}", stdout(&o));
+}
+
 #[test]
 fn check_adversary_battery_is_jobs_invariant() {
     let serial = run(&[

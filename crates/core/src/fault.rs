@@ -10,8 +10,7 @@
 //!   a corrupted state that faithfully follows its protocol is **not**
 //!   faulty; only deviation makes a process faulty.
 //!
-//! [`FaultModel`] describes what a given experiment's adversary is allowed
-//! to do; [`CrashSchedule`] fixes crash times; [`FaultKind`] labels an
+//! [`CrashSchedule`] fixes crash times; [`FaultKind`] labels an
 //! individual deviation observed in a history.
 
 use crate::id::{ProcessId, ProcessSet};
@@ -116,116 +115,6 @@ impl CrashSchedule {
     }
 }
 
-/// What an experiment's adversary is permitted to do.
-///
-/// `max_faulty` is the paper's bound `f`; the simulator validates that an
-/// adversary stays within the model before a run starts.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FaultModel {
-    /// Upper bound `f` on the number of faulty processes.
-    pub max_faulty: usize,
-    /// Whether crashes are admitted.
-    pub crashes: bool,
-    /// Whether send omissions are admitted.
-    pub send_omissions: bool,
-    /// Whether receive omissions are admitted.
-    pub receive_omissions: bool,
-    /// Whether message forgery (Byzantine senders) is admitted.
-    pub forgery: bool,
-    /// Whether systemic failures (arbitrary initial states) are admitted.
-    pub systemic: bool,
-}
-
-impl FaultModel {
-    /// No failures of any kind.
-    pub fn failure_free() -> Self {
-        FaultModel {
-            max_faulty: 0,
-            crashes: false,
-            send_omissions: false,
-            receive_omissions: false,
-            forgery: false,
-            systemic: false,
-        }
-    }
-
-    /// Crash failures only, up to `f` processes.
-    pub fn crash_only(f: usize) -> Self {
-        FaultModel {
-            max_faulty: f,
-            crashes: true,
-            send_omissions: false,
-            receive_omissions: false,
-            forgery: false,
-            systemic: false,
-        }
-    }
-
-    /// The paper's synchronous model: general omission (send and/or receive
-    /// omission and/or crashing) for up to `f` processes, plus systemic
-    /// failures.
-    pub fn general_omission_with_systemic(f: usize) -> Self {
-        FaultModel {
-            max_faulty: f,
-            crashes: true,
-            send_omissions: true,
-            receive_omissions: true,
-            forgery: false,
-            systemic: true,
-        }
-    }
-
-    /// The Byzantine extension: general omission plus message forgery for
-    /// up to `f` processes, plus systemic failures. This is *beyond* the
-    /// paper's model — experiment E10 uses it to map where the Theorem-2
-    /// solvability boundary breaks.
-    pub fn byzantine_with_systemic(f: usize) -> Self {
-        FaultModel {
-            forgery: true,
-            ..Self::general_omission_with_systemic(f)
-        }
-    }
-
-    /// Whether a deviation of kind `k` is admitted by this model.
-    pub fn admits(&self, k: FaultKind) -> bool {
-        match k {
-            FaultKind::Crash => self.crashes,
-            FaultKind::SendOmission => self.send_omissions,
-            FaultKind::ReceiveOmission => self.receive_omissions,
-            FaultKind::Forgery => self.forgery,
-        }
-    }
-
-    /// Returns a copy that additionally admits systemic failures.
-    #[must_use]
-    pub fn with_systemic(mut self) -> Self {
-        self.systemic = true;
-        self
-    }
-}
-
-impl fmt::Display for FaultModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut kinds = Vec::new();
-        if self.crashes {
-            kinds.push("crash");
-        }
-        if self.send_omissions {
-            kinds.push("send-om");
-        }
-        if self.receive_omissions {
-            kinds.push("recv-om");
-        }
-        if self.forgery {
-            kinds.push("forgery");
-        }
-        if self.systemic {
-            kinds.push("systemic");
-        }
-        write!(f, "f≤{} [{}]", self.max_faulty, kinds.join(","))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,24 +143,8 @@ mod tests {
     }
 
     #[test]
-    fn model_admission() {
-        let m = FaultModel::crash_only(2);
-        assert!(m.admits(FaultKind::Crash));
-        assert!(!m.admits(FaultKind::SendOmission));
-        assert!(!m.systemic);
-        let m2 = m.with_systemic();
-        assert!(m2.systemic);
-        let g = FaultModel::general_omission_with_systemic(1);
-        assert!(g.admits(FaultKind::ReceiveOmission));
-        assert!(g.systemic);
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(FaultKind::SendOmission.to_string(), "send-omission");
-        let g = FaultModel::general_omission_with_systemic(2);
-        assert_eq!(g.to_string(), "f≤2 [crash,send-om,recv-om,systemic]");
-        assert_eq!(FaultModel::failure_free().to_string(), "f≤0 []");
     }
 
     #[test]

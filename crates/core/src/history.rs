@@ -863,11 +863,6 @@ impl<S, M> RoundHistory<S, M> {
         }
     }
 
-    /// Whether process `p` deviated from its protocol in this round.
-    pub fn is_deviation(&self, p: ProcessId) -> bool {
-        !self.deviation_set(p).is_empty()
-    }
-
     /// Inserts every process that deviated this round into `f` — the
     /// one-round step of the faulty-set fold, used both by
     /// [`History::faulty_upto`] and by the eviction path of a windowed
@@ -1192,11 +1187,6 @@ impl<'a, S, M> HistorySlice<'a, S, M> {
         self.end
     }
 
-    /// The underlying full history.
-    pub fn full_history(&self) -> &'a History<S, M> {
-        self.history
-    }
-
     /// Iterates the round histories in view, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &'a RoundHistory<S, M>> {
         let ev = self.history.evicted;
@@ -1206,13 +1196,6 @@ impl<'a, S, M> HistorySlice<'a, S, M> {
     /// The `i`-th round history within the view (0-based).
     pub fn round(&self, i: usize) -> &'a RoundHistory<S, M> {
         &self.history.rounds[self.start - self.history.evicted + i]
-    }
-
-    /// Processes that deviate anywhere in the *underlying* history up to the
-    /// end of this view — the faulty set `F(H₁·H₂·H₃, Π)` the paper's
-    /// Definition 2.4 passes to `Σ` when this view is `H₃`.
-    pub fn faulty_by_view_end(&self) -> ProcessSet {
-        self.history.faulty_upto(self.end)
     }
 }
 
@@ -1764,7 +1747,6 @@ mod tests {
         assert_eq!(h.as_slice().len(), 2);
         assert_eq!(h.as_slice().start(), 2);
         assert_eq!(h.suffix(3).len(), 1);
-        assert!(h.slice(2, 4).faulty_by_view_end().contains(ProcessId(0)));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use causality::CausalTracker;
 pub use corrupt::Corrupt;
 pub use coterie::{coterie_of_prefix, CoterieTimeline, StableWindow};
 pub use error::{ConfigError, Violation};
-pub use fault::{CrashSchedule, FaultKind, FaultModel};
+pub use fault::{CrashSchedule, FaultKind};
 pub use framing::{
     encode_frame, frame_bytes, FrameDecoder, FrameError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };

@@ -111,12 +111,14 @@ pub fn ss_check<S, M>(
 /// The smallest prefix length `m` at which `H₃` may begin (the end of
 /// `H₁·H₂`) in stable window `w`: the window must contain
 /// `[m − r + 1, m]`, i.e. `m − r + 1 ≥ w.from_len`. With `r = 0`, `H₁·H₂`
-/// may be empty, so `m = 0` is admissible for the first window.
+/// may be empty, so `m = 0` is admissible for the first window. Saturates:
+/// an `r` past every window triggers no obligation.
 fn earliest_h3_start(w: &StableWindow, stabilization_time: usize) -> usize {
     if stabilization_time == 0 && w.from_len == 1 {
         0
     } else {
-        w.from_len + stabilization_time.saturating_sub(1)
+        w.from_len
+            .saturating_add(stabilization_time.saturating_sub(1))
     }
 }
 
@@ -302,6 +304,21 @@ mod tests {
         assert!(!rep.is_satisfied());
         let v = &rep.violations[0];
         assert!(v.h3_end >= 3);
+    }
+
+    /// A larger `r` is a weaker claim: the largest one triggers no
+    /// obligation at all (`m` once wrapped past `usize::MAX` into the
+    /// window's start).
+    #[test]
+    fn ftss_check_with_the_largest_stabilization_time_is_vacuous() {
+        let mut h = H::new(2);
+        h.push(full_round(&[1, 1]));
+        h.push(full_round(&[2, 2]));
+        h.push(full_round(&[3, 99]));
+        h.push(full_round(&[4, 100]));
+        let rep = ftss_check(&h, &RateAgreementSpec::new(), usize::MAX);
+        assert!(rep.is_satisfied(), "{rep}");
+        assert_eq!(rep.obligations_checked, 0);
     }
 
     #[test]

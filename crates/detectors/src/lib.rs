@@ -13,9 +13,6 @@
 //!   transformation. Counter-versioned life/death gossip; requires **no
 //!   initialization whatsoever** (Theorem 5) — it converges from arbitrary
 //!   `num[]`/`state[]` contents.
-//! * [`heartbeat`] — a ◇W/◇P detector built the realistic way — periodic
-//!   heartbeats with adaptive timeouts under partial synchrony — showing
-//!   the oracle's assumed properties are constructible.
 //! * [`ct_baseline`] — a natural but **non-stabilizing** variant that
 //!   gossips an entry only when it changed (a standard optimization that
 //!   implicitly assumes initialized state). Used by experiment E5 to show
@@ -29,13 +26,11 @@
 //! the proofs use (see `DESIGN.md`).
 
 pub mod ct_baseline;
-pub mod heartbeat;
 pub mod properties;
 pub mod strong;
 pub mod weak;
 
 pub use ct_baseline::BaselineDetectorProcess;
-pub use heartbeat::HeartbeatDetector;
 pub use properties::{
     eventual_weak_accuracy, strong_completeness_time, suspicion_events, weak_completeness_time,
     SuspectProbe, Suspector,

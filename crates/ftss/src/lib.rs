@@ -16,9 +16,9 @@
 //! | Protocols | [`protocols`] | Fig 1 round agreement, Fig 2 canonical Π, FloodSet / phase-king / broadcast |
 //! | The compiler | [`compiler`] | Fig 3: Π → Π⁺ superimposition (Theorem 4) |
 //! | Async simulator | [`async_sim`] | §3's asynchronous system (delays, GST, crashes) |
-//! | Failure detectors | [`detectors`] | Fig 4: self-stabilizing ◇W → ◇S (Theorem 5); ◇W oracle + heartbeat construction |
+//! | Failure detectors | [`detectors`] | Fig 4: self-stabilizing ◇W → ◇S (Theorem 5) over the ◇W oracle §3 assumes |
 //! | Async consensus | [`consensus_async`] | §3: self-stabilizing Chandra–Toueg consensus |
-//! | Analysis | [`analysis`] | stabilization measurement, message accounting, Theorems 1–2 scenarios |
+//! | Analysis | [`analysis`] | stabilization measurement, Theorems 1–2 scenarios |
 //! | Telemetry | [`telemetry`] | structured execution traces (JSONL) + metrics accumulation |
 //!
 //! The `ftss-lab` binary (in `crates/cli`) drives parameterized runs of
@@ -57,14 +57,3 @@ pub use ftss_detectors as detectors;
 pub use ftss_protocols as protocols;
 pub use ftss_sync_sim as sync_sim;
 pub use ftss_telemetry as telemetry;
-
-/// The crate version, for reports.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn version_is_populated() {
-        assert!(!super::VERSION.is_empty());
-    }
-}

@@ -41,12 +41,6 @@ impl TokenRing {
         TokenRing { k: n as u64 + 1 }
     }
 
-    /// A ring with an explicit `K` (must exceed the process count for the
-    /// single-token guarantee).
-    pub fn with_k(k: u64) -> Self {
-        TokenRing { k }
-    }
-
     /// The counter modulus `K`.
     pub fn k(&self) -> u64 {
         self.k

@@ -27,7 +27,7 @@
 //!   never unwrap) and the frames of a session.
 //! * [`node`] — the process runtime: owns protocol state, nothing else.
 //! * [`session`] — the router: the round kernel's remote exchange, plus
-//!   churn, crash–restart and the partial-synchrony proxy.
+//!   crash–restart and the partial-synchrony proxy.
 //! * [`loadgen`] — deterministic client traffic into a served Σ⁺ with
 //!   round-denominated latency accounting.
 
@@ -45,11 +45,11 @@ pub mod transport;
 pub mod wire;
 
 pub use loadgen::{run_loadgen, Histogram, LoadReport, LoadgenConfig};
-pub use node::{run_node, run_node_from, run_node_recovered};
+pub use node::{run_node, run_node_recovered};
 pub use proto::{ToNode, ToRouter};
 pub use session::{
-    serve, serve_streaming, serve_streaming_with_stats, Retry, ServeChurn, ServeConfig,
-    ServeRestart, ServeStats, SnapshotFault, TimingFaults,
+    serve, serve_streaming, serve_streaming_with_stats, Retry, ServeConfig, ServeRestart,
+    ServeStats, SnapshotFault, TimingFaults,
 };
 pub use transport::{Channel, TransportKind};
 pub use wire::Wire;

@@ -62,13 +62,6 @@ impl LoadgenConfig {
             restart: None,
         }
     }
-
-    /// Adds a crash–restart episode to the run.
-    #[must_use]
-    pub fn with_restart(mut self, restart: ServeRestart) -> Self {
-        self.restart = Some(restart);
-        self
-    }
 }
 
 /// Power-of-two latency histogram: bucket `0` holds latency 0, bucket
@@ -478,7 +471,10 @@ mod tests {
                 backoff_rounds: 2,
             },
         };
-        let cfg = |t| LoadgenConfig::new(t, 3, 16, 5).with_restart(restart);
+        let cfg = |t| LoadgenConfig {
+            restart: Some(restart),
+            ..LoadgenConfig::new(t, 3, 16, 5)
+        };
         let mem = run_loadgen(&cfg(TransportKind::Mem)).expect("mem");
         let tcp = run_loadgen(&cfg(TransportKind::Tcp)).expect("tcp");
         // Exactly one incarnation is re-admitted (the clean final attempt

@@ -13,6 +13,10 @@
 //! re-broadcasts, exactly as a corrupted process would have broadcast in
 //! the first place), and ends the node's life with `halt` — which is how
 //! both a scheduled crash and a normal run end look from in here.
+//!
+//! A node enters at round 1 ([`run_node`]) or, as a crash–restart
+//! incarnation, from a recovery snapshot at the session's current round
+//! ([`run_node_recovered`]).
 
 use crate::proto::{decode_round_frame, ToNode, ToRouter, ROUND_FRAME_TAG};
 use crate::transport::Channel;
@@ -20,7 +24,8 @@ use crate::wire::Wire;
 use ftss::core::{Envelope, ProcessId, Round};
 use ftss::sync_sim::{Inbox, ProtocolCtx, SyncProtocol};
 
-/// Runs one protocol process to completion over `chan`.
+/// Runs one protocol process to completion over `chan`, from the
+/// protocol's initial state at round 1.
 ///
 /// # Errors
 ///
@@ -37,39 +42,11 @@ where
     P::State: Wire,
     P::Msg: Wire,
 {
-    run_node_from(protocol, me, n, chan, 1)
+    let state = protocol.init_state(&ProtocolCtx::new(me, n));
+    run_node_loop(protocol, me, n, chan, 1, state, 0)
 }
 
-/// [`run_node`] entered at `start_round` instead of round 1 — the
-/// mid-session **join**: the node performs the same `hello` handshake,
-/// then drops into the lock-step loop at the session's current round.
-/// Its state is `init_state` (program text); the router renders the
-/// joiner's *arbitrary* entry state as a targeted `corrupt` exchange in
-/// the join round, exactly as the simulator's
-/// [`CorruptionSchedule::at_targeted`](ftss::sync_sim::CorruptionSchedule::at_targeted)
-/// does.
-///
-/// # Errors
-///
-/// Same contract as [`run_node`].
-pub fn run_node_from<P>(
-    protocol: &P,
-    me: ProcessId,
-    n: usize,
-    chan: &mut dyn Channel,
-    start_round: u64,
-) -> Result<(), String>
-where
-    P: SyncProtocol,
-    P::State: Wire,
-    P::Msg: Wire,
-{
-    let ctx = ProtocolCtx::new(me, n);
-    let state = protocol.init_state(&ctx);
-    run_node_loop(protocol, me, n, chan, start_round, state, 0)
-}
-
-/// [`run_node_from`] for a **crash–restart** incarnation: the node first
+/// [`run_node`] for a **crash–restart** incarnation: the node first
 /// decodes its recovery `snapshot` (which may be stale, truncated or
 /// bit-corrupted — decoding is total, so a damaged snapshot is a clean
 /// `Err` and the router sees the connection drop, never a panic), then

@@ -10,23 +10,21 @@
 //! delivered bit-row ([`proto`](crate::proto)). Omission and forgery
 //! draws, telemetry events and the recorded history are therefore those
 //! of [`ftss::sync_sim::SyncRunner`] for the same seed, on every
-//! transport, by construction (DESIGN.md §17). The barrier plus the
+//! transport, by construction (DESIGN.md §16). The barrier plus the
 //! kernel's sorted walk is what removes socket arrival nondeterminism;
 //! only wall-clock differs between `mem`, `tcp` and `uds`.
 //!
-//! Three fault families exist only here, because only a real runtime
-//! has the seams they need (DESIGN.md §15–§16). Membership changes apply
-//! at the exchange's begin-round point, before the round's broadcasts
-//! are collected; a disconnected process simply has no round-start state.
+//! Two fault families exist only here, because only a real runtime has
+//! the seams they need (DESIGN.md §15). A kill or respawn applies at the
+//! exchange's begin-round point, before the round's broadcasts are
+//! collected; a disconnected process simply has no round-start state.
 //!
-//! * **Churn** ([`ServeChurn`]): a node leaves and later rejoins over a
-//!   fresh connection.
 //! * **Crash–restart** ([`ServeRestart`]): a node thread is killed
 //!   abruptly and respawned a few rounds later from a recovery snapshot
 //!   that may be stale, truncated or bit-corrupted (damage drawn from
-//!   one seeded rng). The incarnation re-enters through the same `hello`
-//!   handshake as a churn joiner, carrying an incarnation epoch; frames
-//!   from dead epochs are dropped as `net_stale_frame` events.
+//!   one seeded rng). The incarnation re-enters through the `hello`
+//!   handshake the session opened with, carrying an incarnation epoch;
+//!   frames from dead epochs are dropped as `net_stale_frame` events.
 //! * **Partial-synchrony proxy** ([`TimingFaults`]): the kernel's one
 //!   non-trivial [`CopyLayer`]. Storm phases of the timing kinds defer
 //!   or echo delivered copies across round boundaries, consulted per
@@ -36,11 +34,11 @@
 //! `net_listen`, `net_connect`, `net_frame`, `net_close` and
 //! `net_stale_frame` events at deterministic points; `mem` emits none,
 //! so its stream is byte-identical to `SyncRunner::run_traced` for
-//! sessions without churn, restart or timing faults. Those have no
+//! sessions without restart or timing faults. Those have no
 //! simulator counterpart; their pinned property is determinism — the
 //! same bytes on every rerun, every transport and every `--jobs` level.
 
-use crate::node::{run_node_from, run_node_recovered};
+use crate::node::{run_node, run_node_recovered};
 use crate::proto::{RoundTable, ToNode, ToRouter};
 use crate::transport::{Channel, TransportKind};
 use crate::wire::Wire;
@@ -54,25 +52,6 @@ use ftss::sync_sim::{
 use ftss::telemetry::{Event, TraceSink};
 use ftss_rng::{Rng, StdRng};
 use std::collections::BTreeMap;
-
-/// A churn episode in a served session: one declared-faulty process
-/// **leaves** (its connection is closed and it falls silent) and later
-/// **rejoins** by opening a fresh connection and performing the `hello`
-/// handshake mid-session. The joiner enters at the session's current
-/// round with arbitrary state — schedule its entry corruption with
-/// [`ftss::sync_sim::CorruptionSchedule::at_targeted`] at `join_round`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServeChurn {
-    /// The churning process; must be in the adversary's faulty set.
-    pub p: ProcessId,
-    /// First round the process is absent (its channel is closed before
-    /// this round's broadcasts are collected). Must be ≥ 2.
-    pub leave_round: u64,
-    /// The round the process rejoins: a fresh node thread dials in and
-    /// sends `hello` before this round's broadcasts are collected. Must
-    /// satisfy `leave_round < join_round ≤ rounds`.
-    pub join_round: u64,
-}
 
 /// Round-denominated retry policy for a crash–restart episode: the first
 /// respawn fires `gap` rounds after the kill, and each failed attempt
@@ -160,8 +139,9 @@ impl ServeRestart {
 /// Timing faults deviate nobody: delayed and duplicated copies record
 /// the [`DeliveryOutcome::Delayed`] / [`DeliveryOutcome::Duplicated`]
 /// outcomes, which attribute no process fault — the network was slow,
-/// not wrong. Late copies whose destination has crashed, churned out or
-/// passed the horizon by their arrival round are silently dropped.
+/// not wrong. Late copies whose destination has crashed, is down between
+/// a kill and its respawn, or passed the horizon by their arrival round
+/// are silently dropped.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimingFaults {
     /// Processes whose copies (sent or received) the proxy touches.
@@ -195,8 +175,6 @@ pub struct ServeConfig {
     pub run: RunConfig,
     /// Which transport carries the frames.
     pub transport: TransportKind,
-    /// Optional mid-session leave/rejoin episode.
-    pub churn: Option<ServeChurn>,
     /// Optional crash–restart episode.
     pub restart: Option<ServeRestart>,
     /// Optional partial-synchrony proxy program.
@@ -209,30 +187,15 @@ impl ServeConfig {
         ServeConfig {
             run,
             transport,
-            churn: None,
             restart: None,
             timing: None,
         }
-    }
-
-    /// Adds a leave/rejoin churn episode to the session.
-    #[must_use]
-    pub fn with_churn(mut self, churn: ServeChurn) -> Self {
-        self.churn = Some(churn);
-        self
     }
 
     /// Adds a crash–restart episode to the session.
     #[must_use]
     pub fn with_restart(mut self, restart: ServeRestart) -> Self {
         self.restart = Some(restart);
-        self
-    }
-
-    /// Adds a partial-synchrony proxy program to the session.
-    #[must_use]
-    pub fn with_timing(mut self, timing: TimingFaults) -> Self {
-        self.timing = Some(timing);
         self
     }
 }
@@ -243,30 +206,6 @@ impl ServeConfig {
     fn check_episodes(&self, faulty: &ProcessSet, schedule: &CrashSchedule) -> Result<(), String> {
         let n = self.run.n;
         let rounds = round_count(self.run.rounds);
-        let crash_scheduled = |x: ProcessId| schedule.iter().any(|(p, _)| p == x);
-        if let Some(churn) = self.churn {
-            if churn.p.index() >= n {
-                return Err(format!("churn names {} but n = {n}", churn.p));
-            }
-            if !faulty.contains(churn.p) {
-                return Err(format!(
-                    "churn names {} outside the declared faulty set",
-                    churn.p
-                ));
-            }
-            if churn.leave_round < 2
-                || churn.join_round <= churn.leave_round
-                || churn.join_round > rounds
-            {
-                return Err(format!(
-                    "churn needs 2 <= leave ({}) < join ({}) <= rounds ({rounds})",
-                    churn.leave_round, churn.join_round
-                ));
-            }
-            if crash_scheduled(churn.p) {
-                return Err(format!("churn process {} is also crash-scheduled", churn.p));
-            }
-        }
         if let Some(rs) = self.restart {
             if rs.p.index() >= n {
                 return Err(format!("restart names {} but n = {n}", rs.p));
@@ -301,11 +240,8 @@ impl ServeConfig {
                     rs.last_attempt_round()
                 ));
             }
-            if crash_scheduled(rs.p) {
+            if schedule.iter().any(|(p, _)| p == rs.p) {
                 return Err(format!("restart process {} is also crash-scheduled", rs.p));
-            }
-            if self.churn.is_some_and(|c| c.p == rs.p) {
-                return Err(format!("restart process {} is also churn-scheduled", rs.p));
             }
         }
         if let Some(tf) = &self.timing {
@@ -445,13 +381,12 @@ fn halt<S: Wire, M: Wire>(ch: &mut dyn Channel) -> std::io::Result<()> {
 /// * A hello for an already-registered slot **supersedes** it: the old
 ///   channel's in-flight broadcast (nodes always send before they can
 ///   observe anything) is drained as stale, the old incarnation is
-///   halted, and the new connection takes the slot. This mirrors the
-///   churn-leave drain: dropping the old channel first would race the
-///   node's send.
+///   halted, and the new connection takes the slot. Dropping the old
+///   channel first would race the node's send.
 /// * An out-of-range index or a non-hello first frame is still an error.
 ///
-/// Every admission — session start, churn rejoin, restart respawn — ends
-/// in [`admit_frame`], this function's body after the receive.
+/// Every admission — session start and restart respawn — ends in
+/// [`admit_frame`], this function's body after the receive.
 ///
 /// # Errors
 ///
@@ -514,9 +449,9 @@ fn admit_frame<S: Wire, M: Wire, T: TraceSink>(
 
 /// The remote [`Exchange`]: every process is a node thread behind a
 /// [`Channel`]. The router owns what the nodes must not see — who is
-/// connected, each node's last collected snapshot, the churn and restart
-/// episodes — and moves state and messages as `ToNode`/`ToRouter`
-/// frames. What happens *in* a round is the kernel's business.
+/// connected, each node's last collected snapshot, the restart episode —
+/// and moves state and messages as `ToNode`/`ToRouter` frames. What
+/// happens *in* a round is the kernel's business.
 struct Router<'a, P: SyncProtocol> {
     protocol: &'a P,
     cfg: &'a ServeConfig,
@@ -546,23 +481,21 @@ where
     P::State: Wire + Send + 'static,
     P::Msg: Wire + Send + 'static,
 {
-    /// Spawns the node thread for `p` over `chan`, entering the
-    /// lock-step loop at `start_round` from the protocol's initial
-    /// state, or from recovery `(snapshot bytes, incarnation epoch)`.
+    /// Spawns the node thread for `p` over `chan`: from the protocol's
+    /// initial state at round 1, or from recovery `(snapshot bytes,
+    /// incarnation epoch)` at the current round.
     fn spawn(
         &mut self,
         p: ProcessId,
         mut chan: Box<dyn Channel>,
-        start_round: u64,
         recovery: Option<(Vec<u8>, u64)>,
     ) {
-        let (proto, n) = (self.protocol.clone(), self.cfg.run.n);
+        let (proto, n, round) = (self.protocol.clone(), self.cfg.run.n, self.round);
         let may_fail = recovery.is_some();
         let handle = std::thread::spawn(move || match recovery {
-            None => run_node_from(&proto, p, n, chan.as_mut(), start_round),
+            None => run_node(&proto, p, n, chan.as_mut()),
             Some((snapshot, epoch)) => {
-                let chan = chan.as_mut();
-                run_node_recovered(&proto, p, n, chan, start_round, &snapshot, epoch)
+                run_node_recovered(&proto, p, n, chan.as_mut(), round, &snapshot, epoch)
             }
         });
         self.handles.push(NodeHandle {
@@ -572,32 +505,29 @@ where
         });
     }
 
-    /// Mid-session (re-)entry, for a churn rejoin and a restart respawn
-    /// alike: a new node thread for `p` dials in over a fresh connection
-    /// and is admitted by the handshake the session opened with, entering
-    /// the lock-step loop at the current round. `Ok(false)`: no
-    /// admission — a recovering incarnation died decoding its snapshot
-    /// (the connection closed with no hello), or its hello was stale.
+    /// A restart respawn: a new node thread for `p` recovers from
+    /// `(snapshot bytes, incarnation epoch)`, dials in over a fresh
+    /// connection and is admitted by the handshake the session opened
+    /// with, entering the lock-step loop at the current round.
+    /// `Ok(false)`: no admission — the incarnation died decoding its
+    /// snapshot (the connection closed with no hello), or its hello was
+    /// stale.
     fn enter<T: TraceSink>(
         &mut self,
         p: ProcessId,
-        recovery: Option<(Vec<u8>, u64)>,
-        what: &str,
+        recovery: (Vec<u8>, u64),
         sink: &mut T,
     ) -> Result<bool, String> {
         let transport = self.cfg.transport;
         let (mut router_ends, mut node_ends) = transport
             .open_pairs(1)
-            .map_err(|e| format!("{} {what} setup: {e}", transport.name()))?;
+            .map_err(|e| format!("{} restart setup: {e}", transport.name()))?;
         let (Some(mut ch), Some(node_end)) = (router_ends.pop(), node_ends.pop()) else {
-            return Err(format!("{what} transport produced no channel pair"));
+            return Err("restart transport produced no channel pair".into());
         };
-        let recovering = recovery.is_some();
-        self.spawn(p, node_end, self.round, recovery);
-        let hello = match ch.recv() {
-            Ok(hello) => hello,
-            Err(_) if recovering => return Ok(false),
-            Err(e) => return Err(format!("{what} hello recv: {e}")),
+        self.spawn(p, node_end, Some(recovery));
+        let Ok(hello) = ch.recv() else {
+            return Ok(false);
         };
         let admitted = admit_frame::<P::State, P::Msg, T>(
             &mut self.chans,
@@ -610,7 +540,7 @@ where
         )?;
         match admitted {
             Some(i) if i == p.index() => self.connected(p, sink),
-            Some(i) => return Err(format!("{what} hello claims p{i}, expected {p}")),
+            Some(i) => return Err(format!("restart hello claims p{i}, expected {p}")),
             None => {}
         }
         Ok(admitted.is_some())
@@ -659,29 +589,6 @@ where
                     bytes: (payload.len() + FRAME_HEADER_LEN) as u64,
                 });
             }
-        }
-        Ok(())
-    }
-
-    /// The churn episode's business at the top of round `r`.
-    fn churn_step<T: TraceSink>(&mut self, r: u64, sink: &mut T) -> Result<(), String> {
-        let Some(churn) = self.cfg.churn else {
-            return Ok(());
-        };
-        let i = churn.p.index();
-        if r == churn.leave_round {
-            // Drain the node's in-flight broadcast for this round (the
-            // node always sends before it can see the halt — dropping the
-            // channel first would race its send), discard it, halt it.
-            if let Some(ch) = self.chans[i].as_mut() {
-                ch.recv().map_err(|e| format!("p{i} leave drain: {e}"))?;
-                halt::<P::State, P::Msg>(ch.as_mut())
-                    .map_err(|e| format!("p{i} leave send: {e}"))?;
-            }
-            self.disconnected(churn.p, sink);
-        }
-        if r == churn.join_round && !self.enter(churn.p, None, "rejoin", sink)? {
-            return Err(format!("rejoin hello for {} was stale", churn.p));
         }
         Ok(())
     }
@@ -755,7 +662,7 @@ where
             _ => {}
         }
         let epoch = u64::from(attempt) + 1;
-        if self.enter(rs.p, Some((bytes, epoch)), "restart", sink)? {
+        if self.enter(rs.p, (bytes, epoch), sink)? {
             self.restart_down = false;
             self.stats.reconnects += 1;
             if let Some(h) = self.handles.last_mut() {
@@ -791,7 +698,7 @@ where
             sink.emit(&Event::NetListen { transport, n });
         }
         for (i, chan) in node_ends.into_iter().enumerate() {
-            self.spawn(ProcessId(i), chan, 1, None);
+            self.spawn(ProcessId(i), chan, None);
         }
         // Identity comes from the hello frame, never from accept order.
         for ch in router_ends {
@@ -817,7 +724,6 @@ where
     fn begin_round<T: TraceSink>(&mut self, r: u64, sink: &mut T) -> Result<(), String> {
         self.round = r;
         self.table.begin_round();
-        self.churn_step(r, sink)?;
         self.restart_step(r, sink)?;
         // Round 1's broadcasts were collected by `open`: they precede the
         // initial systemic failure and the first `round_start`.
@@ -827,8 +733,8 @@ where
         Ok(())
     }
 
-    /// A disconnected process — crashed, churned out, or down between
-    /// its kill and its respawn — has no slot.
+    /// A disconnected process — crashed, or down between its kill and
+    /// its respawn — has no slot.
     fn state(&mut self, p: ProcessId) -> Option<&mut P::State> {
         self.slots[p.index()].as_mut().map(|s| &mut s.state)
     }

@@ -4,7 +4,7 @@
 //! Each seeded experiment is expressed as a flat list of *(row, seed)*
 //! cells mapped through [`map_cells`](crate::map_cells), then folded back
 //! into its EXPERIMENTS.md table — byte-identical for any worker count.
-//! The row/fault specifications are plain data ([`FaultSpec`], [`PiSpec`])
+//! The row/fault specifications are plain data ([`FaultSpec`], `PiSpec`)
 //! so cells can be shipped to worker threads and each worker rebuilds its
 //! adversary from the spec and the cell's seed.
 
@@ -92,7 +92,7 @@ impl FaultSpec {
 
 /// An underlying protocol Π for the compiler experiments, as data.
 #[derive(Clone, Debug)]
-pub enum PiSpec {
+enum PiSpec {
     /// FloodSet consensus tolerating `f` crashes.
     FloodSet {
         /// The fault bound (iterations run `f + 1` rounds).
@@ -232,7 +232,7 @@ const E1_ROUNDS: usize = 24;
 
 /// One row of the E1 table.
 #[derive(Clone, Debug)]
-pub struct E1Row {
+struct E1Row {
     /// System size.
     pub n: usize,
     /// The fault pattern.
@@ -243,7 +243,7 @@ pub struct E1Row {
 
 /// The E1 row grid, restricted to `n <= max_n` (pass `usize::MAX` for the
 /// full EXPERIMENTS.md grid).
-pub fn e1_rows(max_n: usize) -> Vec<E1Row> {
+fn e1_rows(max_n: usize) -> Vec<E1Row> {
     let mut rows = Vec::new();
     for n in [2usize, 4, 8, 16, 32, 64] {
         if n > max_n {
@@ -340,7 +340,7 @@ pub fn e1_table(seeds: u64, max_n: usize, jobs: usize) -> Table {
 
 /// One row of the E2 table.
 #[derive(Clone, Debug)]
-pub struct E2Row {
+struct E2Row {
     /// The underlying protocol Π.
     pub pi: PiSpec,
     /// The fault pattern.
@@ -350,7 +350,7 @@ pub struct E2Row {
 }
 
 /// The E2 row grid (fixed — sized by the paper's `n > 2f` examples).
-pub fn e2_rows() -> Vec<E2Row> {
+fn e2_rows() -> Vec<E2Row> {
     let mut rows = Vec::new();
     for (f, n) in [(1usize, 4usize), (2, 7), (3, 10)] {
         let inputs: Vec<u64> = (0..n as u64).map(|i| (i * 13) % 29).collect();
@@ -454,7 +454,7 @@ pub fn e2_table(seeds: u64, jobs: usize) -> Table {
 
 /// One row of the E7a (compiler-mechanism ablation) table.
 #[derive(Clone, Debug)]
-pub struct E7aRow {
+struct E7aRow {
     /// The underlying protocol Π.
     pub pi: PiSpec,
     /// The row's Π label.
@@ -466,7 +466,7 @@ pub struct E7aRow {
 }
 
 /// The E7a row grid: four compiler variants × {FloodSet, phase-king}.
-pub fn e7a_rows() -> Vec<E7aRow> {
+fn e7a_rows() -> Vec<E7aRow> {
     let variants: [(CompilerOptions, &str); 4] = [
         (CompilerOptions::default(), "full Figure 3"),
         (

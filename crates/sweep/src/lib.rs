@@ -9,7 +9,7 @@
 //!   results in canonical cell order, so serial and parallel sweeps
 //!   produce **byte-identical** output;
 //! * [`experiments`] — the E1–E8 table drivers expressed as cell grids
-//!   ([`FaultSpec`]/[`PiSpec`] row specifications plus per-seed runs),
+//!   ([`FaultSpec`]/`PiSpec` row specifications plus per-seed runs),
 //!   which `ftss-lab sweep --exp <id>` prints.
 //!
 //! The determinism rule (DESIGN.md §9): a cell function must be a pure,
@@ -30,7 +30,6 @@ pub mod experiments;
 
 pub use exec::{jobs_from, jobs_from_env, map_cells, try_map_cells, CellPanic};
 pub use experiments::{
-    e1_rows, e1_table, e2_rows, e2_table, e3_table, e4_table, e5_table, e6_table, e7a_rows,
-    e7a_table, e7c_table, e8_table, max, mean, sweep_rows, E1Row, E2Row, E7aRow, FaultSpec, PiSpec,
-    E3_TIMES, E4_LENGTHS,
+    e1_table, e2_table, e3_table, e4_table, e5_table, e6_table, e7a_table, e7c_table, e8_table,
+    max, mean, sweep_rows, FaultSpec, E3_TIMES, E4_LENGTHS,
 };

@@ -82,11 +82,6 @@ impl<'a, M> Inbox<'a, M> {
         }
     }
 
-    /// Whether a message from `p` arrived.
-    pub fn has_from(&self, p: ProcessId) -> bool {
-        self.from(p).is_some()
-    }
-
     /// Iterates `(sender, payload)` in sender order.
     pub fn iter(&self) -> InboxIter<'_, M> {
         InboxIter {
@@ -210,7 +205,7 @@ pub trait SyncProtocol {
     /// the received messages (see [`Inbox::joined`]) — Figure 1's
     /// `c_p := max(R) + 1`. The simulator then joins the broadcasts all
     /// ordinary processes hear alike once per round instead of once per
-    /// receiver (DESIGN.md §17); the recorded history is the same either
+    /// receiver (DESIGN.md §16); the recorded history is the same either
     /// way. A compile-time constant, `false` by default, so a protocol
     /// that does not declare pays nothing. A declarer takes on two
     /// obligations, for *arbitrary* messages (corrupted and forged ones
@@ -274,7 +269,6 @@ mod tests {
         assert_eq!(inbox.from(ProcessId(0)), Some(&"a"));
         assert_eq!(inbox.from(ProcessId(2)), Some(&"c"));
         assert_eq!(inbox.from(ProcessId(1)), None);
-        assert!(inbox.has_from(ProcessId(2)));
         let senders: Vec<_> = inbox.senders().collect();
         assert_eq!(senders, vec![ProcessId(0), ProcessId(2)]);
         let pairs: Vec<_> = inbox.iter().map(|(p, m)| (p.index(), *m)).collect();

@@ -9,7 +9,7 @@
 //! deterministic telemetry event, and the order in which the
 //! [`Adversary`] is consulted. Served = simulated by construction.
 //!
-//! Round semantics (§2 of the paper; DESIGN.md §17 gives the exact
+//! Round semantics (§2 of the paper; DESIGN.md §16 gives the exact
 //! consultation order): in round `r` every participating process
 //! broadcasts to **all** processes, itself included, and the self-copy
 //! always arrives (footnote 1). Each other copy may be dropped or forged
@@ -59,8 +59,8 @@ pub trait Exchange<S, M> {
     }
 
     /// The round-start state of `p`, or `None` if `p` takes no part in
-    /// this round — crashed earlier, or out of the session (churned out,
-    /// down between a kill and its respawn). Such a process records no
+    /// this round — crashed earlier, or out of the session (down between
+    /// a kill and its respawn). Such a process records no
     /// state, sends nothing, and is a crashed receiver to everyone else.
     fn state(&mut self, p: ProcessId) -> Option<&mut S>;
 

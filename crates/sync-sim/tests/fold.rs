@@ -1,4 +1,4 @@
-//! The folded inbox path (DESIGN.md §17) against the unfolded one, for
+//! The folded inbox path (DESIGN.md §16) against the unfolded one, for
 //! the shipped protocols that declare [`SyncProtocol::JOINS_INBOX`].
 //!
 //! Everything sits in a module named `round`, so the optimised

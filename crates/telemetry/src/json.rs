@@ -11,7 +11,7 @@
 //! negative number in a trace file is a corruption, not a dialect.
 //!
 //! [`parse`] also reads what a network peer sends, so it is linear in its
-//! input and refuses nesting deeper than [`MAX_DEPTH`] with a
+//! input and refuses nesting deeper than `MAX_DEPTH` (128) with a
 //! [`ParseError`] rather than recursing until the stack overflows.
 
 use std::fmt;
@@ -111,7 +111,7 @@ impl fmt::Display for ParseError {
 
 /// The deepest nesting of arrays and objects [`parse`] accepts. Every
 /// document the workspace writes is a few levels deep.
-pub const MAX_DEPTH: usize = 128;
+const MAX_DEPTH: usize = 128;
 
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {

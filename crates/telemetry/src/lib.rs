@@ -13,8 +13,8 @@
 //!   round or virtual time ([`event`]).
 //! * [`TraceSink`] — where events go: [`NullSink`] (tracing off, zero
 //!   cost), [`RecordingSink`] (bounded in-memory ring), [`JsonlSink`]
-//!   (streaming JSONL with a hand-rolled, byte-deterministic serializer),
-//!   and [`Tee`] to fan out ([`sink`]).
+//!   (streaming JSONL with a hand-rolled, byte-deterministic serializer)
+//!   ([`sink`]).
 //! * [`Metrics`] — a sink that folds any event stream into the per-run
 //!   aggregates the experiment tables report ([`metrics`]).
 //! * [`json`] — the minimal JSON reader/writer behind the JSONL format.
@@ -61,4 +61,4 @@ pub mod sink;
 pub use event::{Event, RunMode};
 pub use json::{parse as parse_json, JsonValue, ParseError};
 pub use metrics::{Metrics, RoundTraffic};
-pub use sink::{JsonlSink, NullSink, RecordingSink, Tee, TraceSink};
+pub use sink::{JsonlSink, NullSink, RecordingSink, TraceSink};

@@ -106,11 +106,6 @@ impl Metrics {
         m
     }
 
-    /// Total synchronous copies lost, all causes.
-    pub fn total_dropped(&self) -> u64 {
-        self.dropped_by_sender + self.dropped_by_receiver + self.dropped_by_crash
-    }
-
     /// Estimated traffic volume: delivered copies × message size.
     pub fn delivered_volume(&self) -> u64 {
         self.delivered * self.msg_size as u64
@@ -286,7 +281,6 @@ mod tests {
         assert_eq!(m.dropped_by_sender, 1);
         assert_eq!(m.dropped_by_receiver, 1);
         assert_eq!(m.dropped_by_crash, 1);
-        assert_eq!(m.total_dropped(), 3);
         assert_eq!(m.delivered_volume(), 16);
         assert_eq!(m.rounds, 1);
         assert_eq!(m.per_round.len(), 1);

@@ -171,26 +171,6 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     }
 }
 
-/// Fans one event stream out to two sinks (e.g. a JSONL file plus a live
-/// [`crate::Metrics`] accumulator).
-#[derive(Clone, Debug, Default)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-
-    fn emit(&mut self, event: &Event) {
-        if self.0.enabled() {
-            self.0.emit(event);
-        }
-        if self.1.enabled() {
-            self.1.emit(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,17 +240,6 @@ mod tests {
         s.emit(&ev(2));
         assert_eq!(s.lines_written(), 0);
         assert!(s.finish().is_err());
-    }
-
-    #[test]
-    fn tee_feeds_both_sinks() {
-        let mut t = Tee(RecordingSink::new(8), RecordingSink::new(8));
-        assert!(t.enabled());
-        t.emit(&ev(1));
-        assert_eq!(t.0.len(), 1);
-        assert_eq!(t.1.len(), 1);
-        // A tee of two disabled sinks is disabled.
-        assert!(!Tee(NullSink, NullSink).enabled());
     }
 
     #[test]

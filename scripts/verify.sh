@@ -31,7 +31,7 @@ run cargo test -q --release -p ftss-sync-sim round::
 # ftss-serve, so this step also keeps the round kernel and the session
 # router from growing back into one loop.
 run cargo clippy --all-targets -- -D warnings
-# One round kernel (DESIGN.md §17): the adversary is consulted from
+# One round kernel (DESIGN.md §16): the adversary is consulted from
 # exactly one place. A second non-test call site of any of these is a
 # second implementation of the round — fold it into the kernel instead.
 # One epoch judge and one judged storm run (DESIGN.md §11), same rule:
@@ -42,7 +42,7 @@ run cargo clippy --all-targets -- -D warnings
 # (`ftss_core::stabilization_offset`): its two callers are
 # `measured_stabilization_time` and `window_stabilization`; a third is
 # the loop reappearing under another name.
-# One folded driver (DESIGN.md §17): the kernel hands the clean block to
+# One folded driver (DESIGN.md §16): the kernel hands the clean block to
 # the exchange from one place, and `InProcess::deliver` is the one caller
 # of `step_joined`; a second site of either is a second reading of the
 # inbox to keep equivalent to `step`.
@@ -103,6 +103,51 @@ for dir in crates/*/; do
         fi
     done
 done
+
+# A path survives only with a caller outside its own file (ROADMAP aim 2):
+# every top-level `pub fn|struct|enum|trait|const|type|static` under
+# crates/*/src must be named in some other .rs file of crates/, tests/,
+# benchmark/ or examples/ (comment lines and `pub use` re-exports do not
+# count), or have a line `path name  # reason` in scripts/pub-allowlist.txt
+# saying why it stays public. An entry that is no longer an orphan, or no
+# longer exists, fails too, so the list cannot rot. One awk pass collects
+# each file's identifiers once.
+echo "==> pub items named in no other file (scripts/pub-allowlist.txt)"
+pub_orphans() {
+    find crates tests benchmark examples -name target -prune -o -name '*.rs' -print \
+        | LC_ALL=C sort | xargs awk '
+        FNR == 1 { delete here; reexport = 0 }
+        /^[ \t]*\/\// { next }
+        /^[ \t]*pub use / { reexport = 1 }
+        reexport { if (/;/) reexport = 0; next }
+        {
+            if (FILENAME ~ /^crates\/[^\/]*\/src\// && match($0, \
+                /^pub (const |unsafe |async )*(fn|struct|enum|trait|const|type|static) +[A-Za-z_][A-Za-z0-9_]*/)) {
+                d = substr($0, RSTART, RLENGTH); sub(/.* /, "", d); defs[FILENAME " " d] = 1
+            }
+            line = $0; gsub(/[^A-Za-z0-9_]+/, " ", line); k = split(line, w, " ")
+            for (i = 1; i <= k; i++) if (!(w[i] in here)) { here[w[i]] = 1; files[w[i]]++ }
+        }
+        END { for (d in defs) { split(d, p, " "); if (files[p[2]] < 2) print d } }' | LC_ALL=C sort
+}
+if grep -vnE '^(#|$|[^ #]+ [A-Za-z_][A-Za-z0-9_]* +# .)' scripts/pub-allowlist.txt; then
+    echo "ERROR: scripts/pub-allowlist.txt lines must read \`path name  # reason\` (see above)" >&2
+    exit 1
+fi
+orphans="$(pub_orphans)"
+allowed="$(awk '!/^#/ && NF { print $1 " " $2 }' scripts/pub-allowlist.txt | LC_ALL=C sort)"
+unlisted="$(LC_ALL=C comm -23 <(printf '%s\n' "$orphans" | sed '/^$/d') <(printf '%s\n' "$allowed" | sed '/^$/d'))"
+stale="$(LC_ALL=C comm -13 <(printf '%s\n' "$orphans" | sed '/^$/d') <(printf '%s\n' "$allowed" | sed '/^$/d'))"
+if [ -n "$unlisted" ]; then
+    echo "ERROR: pub items named in no other file (delete, make private, or allowlist with a reason):" >&2
+    printf '%s\n' "$unlisted" >&2
+    exit 1
+fi
+if [ -n "$stale" ]; then
+    echo "ERROR: scripts/pub-allowlist.txt entries that are gone or have a caller elsewhere now:" >&2
+    printf '%s\n' "$stale" >&2
+    exit 1
+fi
 
 # Telemetry smoke: the same seed must serialize to byte-identical JSONL
 # across two runs, and `stats` must parse every line back (it fails on
@@ -298,7 +343,7 @@ if grep '"type":"recovery_measured"' "$TRACE_DIR/serve_storm.jsonl" \
     exit 1
 fi
 
-# Restart-storm smoke (DESIGN.md §16): a 3-node round agreement over
+# Restart-storm smoke (DESIGN.md §15): a 3-node round agreement over
 # REAL TCP through a kill/respawn episode — p0's thread dies at round 2,
 # respawns from a damaged recovery snapshot, re-enters via an epoch'd
 # mid-session hello — under the partial-synchrony proxy's

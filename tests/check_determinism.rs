@@ -48,7 +48,11 @@ fn broken_oracle_counterexample_shrinks_and_replays() {
     let file = ScheduleFile::new(cfg, ce.clone());
     let parsed = ScheduleFile::parse(&file.serialize()).expect("round trip");
     assert_eq!(parsed, file);
-    assert_eq!(parsed.replay(), Some(ce.detail), "verdict reproduces");
+    assert_eq!(
+        parsed.replay(&mut ftss::telemetry::NullSink),
+        Some(ce.detail),
+        "verdict reproduces"
+    );
 }
 
 /// Replaying a schedule through the telemetry sink is byte-deterministic:
@@ -64,14 +68,18 @@ fn counterexample_replay_is_byte_identical() {
     let file = ScheduleFile::new(cfg, shrunk);
     let parsed = ScheduleFile::parse(&file.serialize()).expect("round trip");
 
-    let trace = |cfg: &DfsConfig, tape: &[bool]| -> Vec<u8> {
+    let mut sink = JsonlSink::new(Vec::new());
+    run_tape(&file.cfg, &file.tape, &mut sink);
+    let original = sink.finish().expect("in-memory sink");
+    // Replay as `ftss-lab check --replay` does: through the file's own
+    // `replay`, which traces the run and re-judges it.
+    let replay = || -> Vec<u8> {
         let mut sink = JsonlSink::new(Vec::new());
-        run_tape(cfg, tape, &mut sink);
+        assert_eq!(parsed.replay(&mut sink).as_ref(), Some(&file.detail));
         sink.finish().expect("in-memory sink")
     };
-    let original = trace(&file.cfg, &file.tape);
-    let replay_a = trace(&parsed.cfg, &parsed.tape);
-    let replay_b = trace(&parsed.cfg, &parsed.tape);
+    let replay_a = replay();
+    let replay_b = replay();
     assert!(!original.is_empty(), "trace must carry events");
     assert_eq!(original, replay_a, "replay reproduces the original bytes");
     assert_eq!(replay_a, replay_b, "and is stable across executions");

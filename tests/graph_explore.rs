@@ -126,7 +126,7 @@ fn graph_counterexample_replays_through_the_schedule_pipeline() {
     assert_eq!(parsed, file);
     assert_eq!(parsed.mode, ScheduleMode::Graph);
     assert_eq!(
-        parsed.replay(),
+        parsed.replay(&mut ftss::telemetry::NullSink),
         Some(gce.counterexample.detail),
         "graph witnesses replay like enumerated ones"
     );

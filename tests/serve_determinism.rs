@@ -25,8 +25,8 @@ use ftss::telemetry::{Event, RecordingSink};
 use ftss_chaos::{restart_cycle, storm_cycle, EpochVerdict, StormGeometry, StormScenario};
 use ftss_check::{window_stabilization, Fingerprinter};
 use ftss_serve::{
-    serve, serve_streaming, serve_streaming_with_stats, Retry, ServeChurn, ServeConfig,
-    ServeRestart, ServeStats, SnapshotFault, TimingFaults, TransportKind,
+    serve, serve_streaming, serve_streaming_with_stats, Retry, ServeConfig, ServeRestart,
+    ServeStats, SnapshotFault, TimingFaults, TransportKind,
 };
 
 fn jsonl(events: &[Event]) -> String {
@@ -356,7 +356,7 @@ fn storm_histories_agree_across_substrates() {
     assert_eq!(sim_judge.closed().len(), 1);
 }
 
-/// Targeted corruption (the churn join's entry-state seam) replays on
+/// Targeted corruption (a storm join's entry-state seam) replays on
 /// the socket runtime byte-identical to the simulator.
 #[test]
 fn mem_targeted_corruption_is_byte_identical_to_simulator() {
@@ -382,159 +382,6 @@ fn mem_targeted_corruption_is_byte_identical_to_simulator() {
 
     assert_eq!(jsonl(&sim_sink.take()), jsonl(&serve_sink.take()));
     assert_eq!(sim.final_states, served.final_states);
-}
-
-/// The churn episode: a node leaves mid-session, a fresh connection
-/// rejoins with the `hello` handshake, adopts an arbitrary entry state
-/// via targeted corruption, and the session re-stabilizes within the
-/// Thm-3 window bound measured from the join round.
-#[test]
-fn churn_session_rejoins_with_hello_and_restabilizes() {
-    let churn = ServeChurn {
-        p: ProcessId(0),
-        leave_round: 4,
-        join_round: 9,
-    };
-    // p0 is declared faulty (churn is a fault) but never omits a copy.
-    let mut adversary = RandomOmission::new([ProcessId(0)], 0.0, 13);
-    let cfg = RunConfig::corrupted(4, 16, 3)
-        .with_mid_run_corruption(CorruptionSchedule::none().at_targeted(9, 0x90e, [ProcessId(0)]))
-        .with_max_faulty(1);
-
-    let mut sink = RecordingSink::new(1 << 16);
-    let out = serve(
-        &RoundAgreement,
-        &mut adversary,
-        &ServeConfig::new(cfg, TransportKind::Mem).with_churn(churn),
-        &mut sink,
-    )
-    .expect("churn session");
-
-    // Absent rounds record no state for the churner — it is simply gone.
-    for r in churn.leave_round..churn.join_round {
-        assert!(out
-            .history
-            .round(Round::new(r))
-            .record(ProcessId(0))
-            .state_at_start()
-            .is_none());
-    }
-    // The join round snapshots the joiner's (corrupted) entry state.
-    assert!(out
-        .history
-        .round(Round::new(churn.join_round))
-        .record(ProcessId(0))
-        .state_at_start()
-        .is_some());
-    let events = sink.take();
-    assert!(
-        events.iter().any(
-            |e| matches!(e, Event::Corruption { round, seed } if *round == 9 && *seed == 0x90e)
-        ),
-        "the joiner's entry corruption must be narrated"
-    );
-    // Re-stabilization within the Thm-3 window bound from the join round.
-    let s = window_stabilization(
-        &out.history,
-        &RateAgreementSpec::new(),
-        churn.join_round as usize,
-        16,
-        2,
-    )
-    .expect("churned session re-stabilizes");
-    assert!(s <= 2, "took {s} rounds, Thm-3 window bound is 2");
-    assert!(out.final_states[0].is_some(), "the joiner finishes the run");
-}
-
-/// Churn sessions are deterministic: byte-identical across reruns on
-/// `mem`, and identical modulo `net_*` narration on real sockets —
-/// where the leave/rejoin shows up as an extra close + connect.
-#[test]
-fn churn_sessions_are_deterministic_across_transports() {
-    let run = |transport: TransportKind| {
-        let churn = ServeChurn {
-            p: ProcessId(2),
-            leave_round: 3,
-            join_round: 7,
-        };
-        let cfg = RunConfig::corrupted(3, 10, 5)
-            .with_mid_run_corruption(CorruptionSchedule::none().at_targeted(7, 77, [ProcessId(2)]))
-            .with_max_faulty(1);
-        let mut adversary = RandomOmission::new([ProcessId(2)], 0.0, 11);
-        let mut sink = RecordingSink::new(1 << 16);
-        let out = serve(
-            &RoundAgreement,
-            &mut adversary,
-            &ServeConfig::new(cfg, transport).with_churn(churn),
-            &mut sink,
-        )
-        .expect("churn session");
-        (sink.take(), out.final_states)
-    };
-
-    let (mem_a, final_a) = run(TransportKind::Mem);
-    let (mem_b, final_b) = run(TransportKind::Mem);
-    assert_eq!(jsonl(&mem_a), jsonl(&mem_b), "mem reruns diverge");
-    assert_eq!(final_a, final_b);
-
-    let (tcp_events, tcp_final) = run(TransportKind::Tcp);
-    assert_eq!(without_net(&tcp_events), mem_a);
-    assert_eq!(tcp_final, final_a);
-    let count = |kind: &str| tcp_events.iter().filter(|e| e.kind() == kind).count();
-    // n connects at session start + 1 rejoin; n closes at the end + 1 leave.
-    assert_eq!(count("net_connect"), 4);
-    assert_eq!(count("net_close"), 4);
-}
-
-/// Churn configuration is validated like everything else.
-#[test]
-fn churn_rejects_invalid_episodes() {
-    let attempt = |churn: ServeChurn, faulty: &[ProcessId]| {
-        serve(
-            &RoundAgreement,
-            &mut RandomOmission::new(faulty.iter().copied(), 0.0, 1),
-            &ServeConfig::new(
-                RunConfig::clean(3, 8).with_max_faulty(2),
-                TransportKind::Mem,
-            )
-            .with_churn(churn),
-            &mut ftss::telemetry::NullSink,
-        )
-        .unwrap_err()
-    };
-    let ok = ServeChurn {
-        p: ProcessId(1),
-        leave_round: 3,
-        join_round: 5,
-    };
-    // Churn outside the declared faulty set is not a legal adversary move.
-    assert!(attempt(ok, &[ProcessId(0)]).contains("outside the declared faulty set"));
-    // Leave/join must be ordered and inside the run.
-    assert!(attempt(
-        ServeChurn {
-            join_round: 3,
-            ..ok
-        },
-        &[ProcessId(1)]
-    )
-    .contains("churn needs"));
-    assert!(attempt(
-        ServeChurn {
-            leave_round: 1,
-            join_round: 2,
-            ..ok
-        },
-        &[ProcessId(1)]
-    )
-    .contains("churn needs"));
-    assert!(attempt(
-        ServeChurn {
-            join_round: 99,
-            ..ok
-        },
-        &[ProcessId(1)]
-    )
-    .contains("churn needs"));
 }
 
 /// The ISSUE 10 acceptance scenario: 3-node round agreement over real
@@ -672,6 +519,15 @@ fn restart_sessions_are_deterministic_across_transports() {
     // The ServeStats counters are transport-independent even though the
     // net_* narration is not.
     assert_eq!(tcp_stats, stats_a);
+    // The mid-session re-entry shows up as connections: n connects at
+    // session start plus one per re-admission; one close at the kill plus
+    // one per node still connected at the end.
+    assert_eq!(tcp_stats.reconnects, 1, "the respawn re-admits p1");
+    let count = |kind: &str| tcp_events.iter().filter(|e| e.kind() == kind).count();
+    let finishing = tcp_final.iter().filter(|s| s.is_some()).count();
+    assert_eq!(count("net_connect"), 3 + tcp_stats.reconnects as usize);
+    assert_eq!(count("net_close"), 1 + finishing);
+    assert_eq!((count("net_connect"), count("net_close")), (4, 4));
 }
 
 /// The partial-synchrony proxy: delay, duplicate and reorder storms are
@@ -689,12 +545,13 @@ fn timing_storm_sessions_are_deterministic_across_transports() {
             ],
             seed: 0x7131,
         };
-        let cfg = RunConfig::corrupted(3, 14, 9);
+        let mut cfg = ServeConfig::new(RunConfig::corrupted(3, 14, 9), transport);
+        cfg.timing = Some(timing);
         let mut sink = RecordingSink::new(1 << 16);
         let out = serve(
             &RoundAgreement,
             &mut ftss::sync_sim::NoFaults,
-            &ServeConfig::new(cfg, transport).with_timing(timing),
+            &cfg,
             &mut sink,
         )
         .expect("timing session");
@@ -737,16 +594,16 @@ fn timing_storm_sessions_are_deterministic_across_transports() {
 #[test]
 fn timing_rejects_unsorted_or_overlapping_phases() {
     let attempt = |phases: Vec<StormPhase>| {
+        let mut cfg = ServeConfig::new(RunConfig::clean(3, 12), TransportKind::Mem);
+        cfg.timing = Some(TimingFaults {
+            victims: vec![ProcessId(0)],
+            phases,
+            seed: 1,
+        });
         serve(
             &RoundAgreement,
             &mut ftss::sync_sim::NoFaults,
-            &ServeConfig::new(RunConfig::clean(3, 12), TransportKind::Mem).with_timing(
-                TimingFaults {
-                    victims: vec![ProcessId(0)],
-                    phases,
-                    seed: 1,
-                },
-            ),
+            &cfg,
             &mut ftss::telemetry::NullSink,
         )
     };
@@ -822,24 +679,6 @@ fn restart_rejects_invalid_episodes() {
         &[ProcessId(1)]
     )
     .contains("past the horizon"));
-    // A process cannot both churn and restart.
-    let err = serve(
-        &RoundAgreement,
-        &mut RandomOmission::new([ProcessId(1)], 0.0, 1),
-        &ServeConfig::new(
-            RunConfig::clean(3, 12).with_max_faulty(2),
-            TransportKind::Mem,
-        )
-        .with_churn(ServeChurn {
-            p: ProcessId(1),
-            leave_round: 3,
-            join_round: 5,
-        })
-        .with_restart(ok),
-        &mut ftss::telemetry::NullSink,
-    )
-    .unwrap_err();
-    assert!(err.contains("churn-scheduled"), "{err}");
 }
 
 /// Serve inherits the simulator's configuration validation verbatim.

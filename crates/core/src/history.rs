@@ -14,14 +14,15 @@
 //! (`crashed_here`, `halted_at_start`) are [`ProcessSet`] bitsets.
 //! Per-copy message fate ([`RoundMsgs`]) is the round's *clean block* —
 //! two [`ProcessSet`]s standing for every copy the model guarantees (§2:
-//! a copy between two non-faulty processes is always delivered) — plus
-//! two n×n bit matrices and a sparse exception list for the copies
-//! outside it. A simulated round with f faulty processes therefore
-//! records O(n/64) words for the block and O(f·n) matrix bits, with one
-//! shared [`Payload`] per sender, where a naive array-of-structs layout
-//! holds `O(n²)` per-copy `Envelope`s. Code reads records through the
-//! borrowed [`RoundRecordView`] and writes them through
-//! [`RoundHistory`]'s `set_*`/`record_*` recorder.
+//! a copy between two non-faulty processes is always delivered) — plus a
+//! table of n-bit rows owned by the processes outside the block and a
+//! sparse exception list for the copies outside it. A simulated round
+//! with f special processes therefore records O(n/64) words for the block
+//! and O(f) rows of O(n/64) words, with one shared [`Payload`] per
+//! sender, where a naive array-of-structs layout holds `O(n²)` per-copy
+//! `Envelope`s. Code reads records through the borrowed
+//! [`RoundRecordView`] and writes them through [`RoundHistory`]'s
+//! `set_*`/`record_*` recorder.
 //!
 //! A [`History`] can additionally be **windowed**: constructed via
 //! [`History::with_window`], it retains only the most recent `w` round
@@ -38,7 +39,7 @@
 //! why sharing cannot leak mutability into the record.
 
 use crate::fault::FaultKind;
-use crate::id::{ProcessId, ProcessSet, SetBits, WORD_BITS};
+use crate::id::{ProcessId, ProcessSet, WORD_BITS};
 use crate::payload::Payload;
 use crate::round::{Round, RoundCounter};
 use std::fmt;
@@ -68,7 +69,7 @@ pub enum DeliveryOutcome {
     /// with a later round's inbox. Nobody deviated — the network was slow
     /// — so no fault attributes to either end. The delivered bit of the
     /// send round stays clear; the late arrival is a delivery of a
-    /// *past* broadcast, outside this round's matrix.
+    /// *past* broadcast, outside this round's record.
     Delayed,
     /// Partial-synchrony timing fault: the copy arrived on time (the
     /// delivered bit is set) *and* was echoed again into the next round's
@@ -145,49 +146,105 @@ impl FromIterator<FaultKind> for DeviationSet {
     }
 }
 
-/// A dense n×n bit matrix, row-major, one `u64` word per 64 columns.
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct BitGrid {
-    n: usize,
+/// The grid a row belongs to: `SENT` (row = sender, bit = destination) or
+/// `HEARD` (row = receiver, bit = sender). `COLUMN + side` is a special
+/// process's column of that grid, kept for the receivers of an opened
+/// clean block, which own no rows: bit `o` of `q`'s `COLUMN + SENT` row is
+/// set iff `o` sent to `q`, and of `s`'s `COLUMN + HEARD` row iff `o`
+/// heard `s`.
+const SENT: usize = 0;
+const HEARD: usize = 1;
+const COLUMN: usize = 2;
+
+/// The copies of one round outside its clean block, as n-bit rows keyed
+/// by the process that owns them — up to four each: a sent row, a heard
+/// row and the two columns above. Rows are handed out from a pool on
+/// their first bit and cleared in place; clearing touches the rows handed
+/// out and no others. Pool row 0 is never handed out, so a row that was
+/// not reads as zeros.
+#[derive(Clone, Debug)]
+struct RowTable {
     /// Words per row.
     wpr: usize,
-    words: Vec<u64>,
+    /// Per process, the pool offset (in words) of each of its four rows;
+    /// 0, the zero row, for a row not handed out.
+    slots: Vec<[u32; 4]>,
+    /// The zero row, then the handed-out rows, `wpr` words each. It
+    /// keeps its high-water length across resets: a recycled frame
+    /// allocates no row it has held before.
+    pool: Vec<u64>,
+    /// The owner and kind of every handed-out row, in hand-out order.
+    handed: Vec<(u32, u8)>,
 }
 
-impl BitGrid {
+impl RowTable {
     fn new(n: usize) -> Self {
         let wpr = n.div_ceil(WORD_BITS);
-        BitGrid {
-            n,
+        // Room for one special process's four rows: a fresh frame of a
+        // round with one faulty process allocates nothing more.
+        let mut pool = Vec::with_capacity(5 * wpr);
+        pool.resize(wpr, 0);
+        RowTable {
             wpr,
-            words: vec![0; n * wpr],
+            slots: vec![[0; 4]; n],
+            pool,
+            handed: Vec::with_capacity(4),
         }
     }
 
-    fn set(&mut self, row: usize, col: usize) {
-        debug_assert!(row < self.n && col < self.n);
-        self.words[row * self.wpr + col / WORD_BITS] |= 1 << (col % WORD_BITS);
+    #[inline]
+    fn row(&self, kind: usize, p: ProcessId) -> &[u64] {
+        let at = self.slots[p.index()][kind] as usize;
+        &self.pool[at..at + self.wpr]
     }
 
-    fn get(&self, row: usize, col: usize) -> bool {
-        debug_assert!(row < self.n && col < self.n);
-        self.words[row * self.wpr + col / WORD_BITS] & (1 << (col % WORD_BITS)) != 0
+    #[inline]
+    fn get(&self, kind: usize, p: ProcessId, bit: usize) -> bool {
+        self.row(kind, p)[bit / WORD_BITS] & (1 << (bit % WORD_BITS)) != 0
     }
 
-    fn row_count(&self, row: usize) -> usize {
-        self.row(row).iter().map(|w| w.count_ones() as usize).sum()
+    #[inline]
+    fn set(&mut self, kind: usize, p: ProcessId, bit: usize) {
+        let mut at = self.slots[p.index()][kind] as usize;
+        if at == 0 {
+            at = self.hand_out(kind, p);
+        }
+        self.pool[at + bit / WORD_BITS] |= 1 << (bit % WORD_BITS);
     }
 
-    fn row(&self, row: usize) -> &[u64] {
-        &self.words[row * self.wpr..(row + 1) * self.wpr]
+    /// Hands `p` a zeroed row of `kind`; returns its offset.
+    #[cold]
+    fn hand_out(&mut self, kind: usize, p: ProcessId) -> usize {
+        self.handed.push((p.index() as u32, kind as u8));
+        let at = self.handed.len() * self.wpr;
+        if self.pool.len() < at + self.wpr {
+            self.pool.resize(at + self.wpr, 0);
+        }
+        self.slots[p.index()][kind] = u32::try_from(at).expect("a pool under 2^32 words");
+        at
     }
 
-    fn row_bits(&self, row: usize) -> SetBits<'_> {
-        SetBits::new(self.row(row))
+    /// The pool words of the handed-out rows.
+    fn handed_words(&self) -> std::ops::Range<usize> {
+        self.wpr..(self.handed.len() + 1) * self.wpr
     }
 
-    fn reset(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+    /// Zeroes the handed-out rows, and no others.
+    fn clear(&mut self) {
+        let words = self.handed_words();
+        self.pool[words].fill(0);
+    }
+
+    /// Takes every row back from its owner.
+    fn release(&mut self) {
+        for (p, kind) in self.handed.drain(..) {
+            self.slots[p as usize][kind as usize] = 0;
+        }
+    }
+
+    /// Whether no row holds a bit.
+    fn is_clear(&self) -> bool {
+        self.pool[self.handed_words()].iter().all(|&w| w == 0)
     }
 }
 
@@ -196,18 +253,28 @@ impl BitGrid {
 /// One broadcast payload slot per sender; the round's *clean block*, two
 /// sets `block_srcs ⊆ block_dsts`: every member of `block_srcs` sent to
 /// every *other* member of `block_dsts`, and every member of `block_dsts`
-/// heard every member of `block_srcs`, itself included; two n×n bit
-/// matrices for the copies outside the block (`sent`: row = sender,
-/// column = destination; `delivered`: row = *receiver*, column = sender);
-/// and a sparse, `(src, dst)`-sorted exception list holding every copy
-/// whose [`DeliveryOutcome`] was *not* `Delivered`. A sent copy with no
-/// exception entry was delivered. No matrix bit inside the block is ever
-/// set, so a row is its matrix row ORed with the block's share — decided
-/// once per row, never per word — and a frame with an empty block (every
-/// dense walk's) reads exactly its matrices.
+/// heard every member of `block_srcs`, itself included; a row table for
+/// the copies outside the block; and a sparse, `(src, dst)`-sorted
+/// exception list holding every copy whose [`DeliveryOutcome`] was *not*
+/// `Delivered`. A sent copy with no exception entry was delivered.
+///
+/// The table keeps each copy's sent and heard bit once. When the block
+/// was opened before any copy ([`RoundHistory::open_clean_block`], the
+/// kernel's sparse walk), only the *special* processes — those outside
+/// `block_dsts` — own rows: a sent row, a heard row, and two columns
+/// naming the block receivers that sent to it and that heard it. A block
+/// receiver's row is then the block's share ORed with the bits the f
+/// special columns hold for it, so a round with f special processes
+/// stores O(f·n) bits. A frame that is not opened is dense: every process
+/// owns its sent and heard rows — the stepper, traced and
+/// non-transparent walks, and hand-built frames. Either way no bit lies
+/// inside the block, and whether a row gets the block's share is decided
+/// once per row, never per word.
 ///
 /// Equality is semantic: two frames are equal iff every reader answers
-/// alike, whether a copy was recorded in the block or bit by bit.
+/// alike. The layout is not canonical — a copy may sit in the block, in
+/// a row or in a column, and rows are pooled in first-write order — so
+/// `eq` compares the rows as the readers see them.
 ///
 /// Kept separate from [`RoundHistory`] so that message-only consumers (the
 /// simulator's inbox path) need not name the protocol state type `S`.
@@ -217,8 +284,15 @@ pub struct RoundMsgs<M> {
     payloads: Vec<Option<Payload<M>>>,
     block_srcs: ProcessSet,
     block_dsts: ProcessSet,
-    sent: BitGrid,
-    delivered: BitGrid,
+    /// Whether `block_dsts` was declared before any copy: its members
+    /// then own no rows.
+    opened: bool,
+    /// Whether the block was recorded.
+    recorded: bool,
+    /// The processes outside an opened block, ascending: the owners of
+    /// every column.
+    specials: Vec<ProcessId>,
+    rows: RowTable,
     exceptions: Vec<(ProcessId, ProcessId, DeliveryOutcome)>,
     /// Per-copy payloads of [`DeliveryOutcome::Forged`] copies, sorted by
     /// `(src, dst)` like `exceptions`. Consulted by the delivery views
@@ -228,23 +302,17 @@ pub struct RoundMsgs<M> {
 
 impl<M: PartialEq> PartialEq for RoundMsgs<M> {
     fn eq(&self, other: &Self) -> bool {
-        if self.n != other.n
-            || self.payloads != other.payloads
-            || self.exceptions != other.exceptions
-            || self.forged != other.forged
-        {
-            return false;
-        }
-        if self.block_srcs == other.block_srcs && self.block_dsts == other.block_dsts {
-            return self.sent == other.sent && self.delivered == other.delivered;
-        }
-        (0..self.n).map(ProcessId).all(|p| {
-            self.sent_words(p).eq(other.sent_words(p))
-                && self
-                    .deliveries(p)
-                    .heard_words()
-                    .eq(other.deliveries(p).heard_words())
-        })
+        self.n == other.n
+            && self.payloads == other.payloads
+            && self.exceptions == other.exceptions
+            && self.forged == other.forged
+            && (0..self.n).map(ProcessId).all(|p| {
+                self.sent_words(p).eq(other.sent_words(p))
+                    && self
+                        .deliveries(p)
+                        .heard_words()
+                        .eq(other.deliveries(p).heard_words())
+            })
     }
 }
 
@@ -257,8 +325,10 @@ impl<M> RoundMsgs<M> {
             payloads: std::iter::repeat_with(|| None).take(n).collect(),
             block_srcs: ProcessSet::empty(n),
             block_dsts: ProcessSet::empty(n),
-            sent: BitGrid::new(n),
-            delivered: BitGrid::new(n),
+            opened: false,
+            recorded: false,
+            specials: Vec::new(),
+            rows: RowTable::new(n),
             exceptions: Vec::new(),
             forged: Vec::new(),
         }
@@ -268,8 +338,12 @@ impl<M> RoundMsgs<M> {
         self.payloads.iter_mut().for_each(|p| *p = None);
         self.block_srcs.clear();
         self.block_dsts.clear();
-        self.sent.reset();
-        self.delivered.reset();
+        // Every row stays with its owner, as in a grid, until a block
+        // opens with the owner among its receivers.
+        self.rows.clear();
+        self.opened = false;
+        self.recorded = false;
+        self.specials.clear();
         self.exceptions.clear();
         self.forged.clear();
     }
@@ -301,10 +375,113 @@ impl<M> RoundMsgs<M> {
         self.block_dsts.contains(dst) && self.block_srcs.contains(src)
     }
 
+    /// Whether `p`'s rows live in the special processes' columns.
+    fn rowless(&self, p: ProcessId) -> bool {
+        self.opened && self.block_dsts.contains(p)
+    }
+
+    /// Where bit `q` of `p`'s row of the `side` grid lives, as `(kind,
+    /// owner, bit)`: in `p`'s own row, or, if `p` owns none, in `q`'s
+    /// column. `None` when neither owns rows: a copy between two
+    /// receivers of an opened block, which only the block can hold.
+    #[inline]
+    fn cell(&self, side: usize, p: ProcessId, q: ProcessId) -> Option<(usize, ProcessId, usize)> {
+        if !self.rowless(p) {
+            Some((side, p, q.index()))
+        } else if !self.rowless(q) {
+            Some((COLUMN + side, q, p.index()))
+        } else {
+            None
+        }
+    }
+
+    /// Sets bit `q` of `p`'s row of the `side` grid: the copy `p → q`
+    /// if `side` is `SENT`, `q → p` if `HEARD`. A frame with no block
+    /// yet is dense, and the bit goes straight to `p`'s row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block holds the copy, or if neither end owns rows.
+    #[inline]
+    fn set_bit(&mut self, side: usize, p: ProcessId, q: ProcessId) {
+        if self.opened || self.recorded {
+            self.set_bit_checked(side, p, q);
+        } else {
+            self.rows.set(side, p, q.index());
+        }
+    }
+
+    /// [`Self::set_bit`] once the frame has a block: kept apart so that
+    /// the dense path stays small enough to inline into a recorder loop.
+    #[inline(always)]
+    fn set_bit_checked(&mut self, side: usize, p: ProcessId, q: ProcessId) {
+        if self.recorded {
+            if side == SENT && self.block_sent(p, q) {
+                refuse_block_copy(p, q);
+            }
+            if side == HEARD && self.block_heard(p, q) {
+                refuse_block_copy(q, p);
+            }
+        }
+        let Some((kind, owner, bit)) = self.cell(side, p, q) else {
+            refuse_inner_copy(p, q)
+        };
+        self.rows.set(kind, owner, bit);
+    }
+
+    /// Bit `q` of `p`'s row of the `side` grid, block aside.
+    fn bit(&self, side: usize, p: ProcessId, q: ProcessId) -> bool {
+        self.cell(side, p, q)
+            .is_some_and(|(kind, owner, bit)| self.rows.get(kind, owner, bit))
+    }
+
+    /// `p`'s row of the `side` grid, with the block's share ORed in iff
+    /// `with_block`.
+    #[inline]
+    fn row(&self, side: usize, p: ProcessId, with_block: bool) -> RowWords<'_> {
+        let block = if side == SENT {
+            &self.block_dsts
+        } else {
+            &self.block_srcs
+        };
+        RowWords {
+            own: self.rows.row(side, p),
+            block: block.words(),
+            mask: if with_block { u64::MAX } else { 0 },
+            k: 0,
+            columns: self.columns(side, p),
+        }
+    }
+
+    /// The set bits of `p`'s row of the `side` grid, as [`Self::row`].
+    #[inline]
+    fn bits(&self, side: usize, p: ProcessId, with_block: bool) -> RowBits<'_> {
+        if self.rowless(p) && !with_block {
+            return RowBits::Columns(self.columns(side, p));
+        }
+        RowBits::Words {
+            words: self.row(side, p, with_block),
+            k: 0,
+            current: 0,
+        }
+    }
+
+    /// What the special processes' columns hold of `p`'s row of the
+    /// `side` grid: nothing, read at no cost, if `p` owns its rows.
+    #[inline]
+    fn columns(&self, side: usize, p: ProcessId) -> Columns<'_> {
+        Columns {
+            rows: &self.rows,
+            kind: COLUMN + side,
+            bit: p.index(),
+            specials: if self.rowless(p) { &self.specials } else { &[] },
+        }
+    }
+
     /// The fate of the copy `src → dst`, or `None` if no copy was emitted
     /// (the sender was crashed, silent, or halted).
     pub fn outcome_of(&self, src: ProcessId, dst: ProcessId) -> Option<DeliveryOutcome> {
-        if !self.sent.get(src.index(), dst.index()) {
+        if !self.bit(SENT, src, dst) {
             return self
                 .block_sent(src, dst)
                 .then_some(DeliveryOutcome::Delivered);
@@ -320,7 +497,7 @@ impl<M> RoundMsgs<M> {
 
     /// Number of copies `src` emitted this round.
     pub fn sent_count(&self, src: ProcessId) -> usize {
-        let bits = self.sent.row_count(src.index());
+        let bits = self.row(SENT, src, false).ones();
         // `block_srcs ⊆ block_dsts`: every receiver but the sender itself.
         if self.block_srcs.contains(src) {
             bits + self.block_dsts.len() - 1
@@ -331,7 +508,7 @@ impl<M> RoundMsgs<M> {
 
     /// Number of messages delivered to `dst` this round.
     pub fn delivered_count(&self, dst: ProcessId) -> usize {
-        let bits = self.delivered.row_count(dst.index());
+        let bits = self.row(HEARD, dst, false).ones();
         if self.block_dsts.contains(dst) {
             bits + self.block_srcs.len()
         } else {
@@ -341,7 +518,7 @@ impl<M> RoundMsgs<M> {
 
     /// Whether the copy `src → dst` was actually delivered.
     pub fn was_delivered(&self, dst: ProcessId, src: ProcessId) -> bool {
-        self.delivered.get(dst.index(), src.index()) || self.block_heard(dst, src)
+        self.bit(HEARD, dst, src) || self.block_heard(dst, src)
     }
 
     /// The forged payload carried by the copy `src → dst`, if that copy
@@ -364,20 +541,16 @@ impl<M> RoundMsgs<M> {
         let fhi = self.forged[flo..].partition_point(|&(s, _, _)| s == src) + flo;
         let in_block = self.block_srcs.contains(src);
         // The block's share of the row names the sender itself, which
-        // the block never sends to: passed over, unless a matrix bit
+        // the block never sends to: passed over, unless the table
         // recorded that copy.
-        let skip = if in_block && !self.sent.get(src.index(), src.index()) {
+        let skip = if in_block && !self.bit(SENT, src, src) {
             src.index()
         } else {
             usize::MAX
         };
         SentIter {
             payload: self.payloads[src.index()].as_ref(),
-            bits: RowBits::new(
-                self.sent.row(src.index()),
-                self.block_dsts.words(),
-                in_block,
-            ),
+            bits: self.bits(SENT, src, in_block),
             skip,
             exceptions: &self.exceptions[lo..hi],
             next_exc: 0,
@@ -395,19 +568,16 @@ impl<M> RoundMsgs<M> {
             0
         };
         let (own_word, own_bit) = (src.index() / WORD_BITS, 1 << (src.index() % WORD_BITS));
-        let row = self
-            .sent
-            .row(src.index())
-            .iter()
-            .zip(self.block_dsts.words());
-        row.enumerate().map(move |(k, (&bits, &block))| {
-            let block = block & mask;
-            bits | if k == own_word {
-                block & !own_bit
+        let block = self.block_dsts.words().iter().enumerate();
+        let share = block.map(move |(k, &b)| {
+            let b = b & mask;
+            if k == own_word {
+                b & !own_bit
             } else {
-                block
+                b
             }
-        })
+        });
+        self.row(SENT, src, false).zip(share).map(|(r, b)| r | b)
     }
 
     /// The messages delivered to `dst` this round, as a borrowed view.
@@ -425,67 +595,165 @@ impl<M> RoundMsgs<M> {
         })
     }
 
-    /// Whether some matrix bit lies inside the block — never, by the
-    /// recorder's contract; checked by debug builds.
-    fn matrices_meet_block(&self) -> bool {
-        let sends = self.block_srcs.iter().any(|s| {
-            let mut row = self.sent.row_bits(s.index());
-            row.any(|d| self.block_sent(s, ProcessId(d)))
-        });
-        let hears = self.block_dsts.iter().any(|d| {
-            let mut row = self.delivered.row_bits(d.index());
-            row.any(|s| self.block_heard(d, ProcessId(s)))
-        });
-        sends || hears
+    /// Whether some bit of a dense frame's table lies inside the block —
+    /// never, by the recorder's contract. Only the handed-out rows of
+    /// block members are read.
+    fn table_meets_block(&self) -> bool {
+        self.rows.handed.iter().any(|&(p, kind)| {
+            let (p, kind) = (ProcessId(p as usize), kind as usize);
+            let block = match kind {
+                SENT if self.block_srcs.contains(p) => &self.block_dsts,
+                HEARD if self.block_dsts.contains(p) => &self.block_srcs,
+                _ => return false,
+            };
+            // The block's sends pass over the sender itself.
+            let own = if kind == SENT { p.index() } else { usize::MAX };
+            let row = self.rows.row(kind, p).iter().zip(block.words());
+            row.enumerate().any(|(k, (&r, &b))| {
+                let own_bit = if k == own / WORD_BITS {
+                    1 << (own % WORD_BITS)
+                } else {
+                    0
+                };
+                r & b & !own_bit != 0
+            })
+        })
     }
 }
 
-/// The set bits of one row, ascending: word `k` is `row[k] | (block[k] &
-/// mask)`, a matrix row with the clean block's share ORed in iff the row
-/// lies in the block. That is settled once, when the row is opened; every
-/// word then costs the same, and a row outside the block reads its matrix
-/// row alone.
+// The recorder's refusals, kept out of line so that the per-copy path
+// stays small enough to inline.
+#[cold]
+#[inline(never)]
+fn refuse_block_copy(src: ProcessId, dst: ProcessId) -> ! {
+    panic!("{src} → {dst} is in the clean block")
+}
+
+#[cold]
+#[inline(never)]
+fn refuse_inner_copy(p: ProcessId, q: ProcessId) -> ! {
+    panic!("{p} and {q} are both receivers of the opened clean block")
+}
+
+/// One row's words, in order: the owner's row in the table, the block's
+/// share ORed in iff `mask` is all ones, and — for a receiver of an
+/// opened block, which owns no rows — the bits the special processes'
+/// columns hold for it.
 #[derive(Clone, Debug)]
-struct RowBits<'a> {
-    row: &'a [u64],
+struct RowWords<'a> {
+    own: &'a [u64],
     block: &'a [u64],
     mask: u64,
+    /// The next word.
     k: usize,
-    current: u64,
+    columns: Columns<'a>,
 }
 
-impl<'a> RowBits<'a> {
-    fn new(row: &'a [u64], block: &'a [u64], in_block: bool) -> Self {
-        debug_assert_eq!(row.len(), block.len());
-        let mask = if in_block { u64::MAX } else { 0 };
-        let current = match (row.first(), block.first()) {
-            (Some(r), Some(b)) => r | (b & mask),
-            _ => 0,
-        };
-        RowBits {
-            row,
-            block,
-            mask,
-            k: 0,
-            current,
-        }
+impl RowWords<'_> {
+    /// The number of set bits.
+    fn ones(self) -> usize {
+        self.map(|w| w.count_ones() as usize).sum()
     }
+}
+
+impl Iterator for RowWords<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        let k = self.k;
+        let own = *self.own.get(k)?;
+        self.k += 1;
+        let word = own | (self.block[k] & self.mask);
+        if self.columns.specials.is_empty() {
+            return Some(word);
+        }
+        Some(word | self.columns.below((k + 1) * WORD_BITS))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.own.len() - self.k;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for RowWords<'_> {}
+
+/// A block receiver's bits in the special processes' columns of `kind`,
+/// read in process order: one lookup per special process.
+#[derive(Clone, Copy, Debug)]
+struct Columns<'a> {
+    rows: &'a RowTable,
+    kind: usize,
+    bit: usize,
+    /// The special processes not read yet, ascending.
+    specials: &'a [ProcessId],
+}
+
+impl Columns<'_> {
+    /// The next special process whose column holds the bit.
+    fn next_set(&mut self) -> Option<usize> {
+        while let Some((&q, rest)) = self.specials.split_first() {
+            self.specials = rest;
+            if self.rows.get(self.kind, q, self.bit) {
+                return Some(q.index());
+            }
+        }
+        None
+    }
+
+    /// The column bits of the special processes below `end`, as one
+    /// word: every earlier word was read before. Out of line, so that
+    /// the word loop of a row its owner holds stays small.
+    #[inline(never)]
+    fn below(&mut self, end: usize) -> u64 {
+        let mut word = 0;
+        while let Some((&q, rest)) = self.specials.split_first() {
+            if q.index() >= end {
+                break;
+            }
+            if self.rows.get(self.kind, q, self.bit) {
+                word |= 1 << (q.index() % WORD_BITS);
+            }
+            self.specials = rest;
+        }
+        word
+    }
+}
+
+/// The set bits of one row, ascending ([`RowWords`]). Whether the row
+/// takes the block's share is settled once, when the row is opened;
+/// every word then costs the same. A block receiver's row read without
+/// the block's share is its column bits alone: one lookup per special
+/// process, and no word at all.
+#[derive(Clone, Debug)]
+enum RowBits<'a> {
+    Words {
+        words: RowWords<'a>,
+        /// The index of `current`'s word.
+        k: usize,
+        current: u64,
+    },
+    Columns(Columns<'a>),
 }
 
 impl Iterator for RowBits<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
-        while self.current == 0 {
-            self.k += 1;
-            if self.k >= self.row.len() {
-                return None;
+        match self {
+            RowBits::Columns(columns) => columns.next_set(),
+            RowBits::Words { words, k, current } => {
+                while *current == 0 {
+                    *k = words.k;
+                    *current = words.next()?;
+                }
+                let bit = current.trailing_zeros() as usize;
+                *current &= *current - 1;
+                Some(*k * WORD_BITS + bit)
             }
-            self.current = self.row[self.k] | (self.block[self.k] & self.mask);
         }
-        let bit = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some(self.k * WORD_BITS + bit)
     }
 }
 
@@ -571,6 +839,7 @@ impl<'a, M> Deliveries<'a, M> {
     }
 
     /// Iterates `(sender, payload)` in ascending sender order.
+    #[inline]
     pub fn iter(&self) -> DeliveredIter<'a, M> {
         self.row(self.in_block())
     }
@@ -586,26 +855,24 @@ impl<'a, M> Deliveries<'a, M> {
     /// clean block, which is all of them for a receiver outside it —
     /// ascending by sender. A forged copy carries its forged payload, as
     /// in [`Self::get`].
+    #[inline]
     pub fn off_block(&self) -> DeliveredIter<'a, M> {
         self.row(false)
     }
 
+    #[inline]
     fn row(&self, with_block: bool) -> DeliveredIter<'a, M> {
-        let row = self.msgs.delivered.row(self.dst.index());
         DeliveredIter {
             msgs: self.msgs,
             dst: self.dst,
-            bits: RowBits::new(row, self.msgs.block_srcs.words(), with_block),
+            bits: self.msgs.bits(HEARD, self.dst, with_block),
         }
     }
 
     /// The senders heard from, as the words of the delivered row: bit
     /// `s % 64` of word `s / 64` is set iff a copy from `s` arrived.
     pub fn heard_words(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
-        let mask = if self.in_block() { u64::MAX } else { 0 };
-        let row = self.msgs.delivered.row(self.dst.index());
-        let block = self.msgs.block_srcs.words();
-        row.iter().zip(block).map(move |(&r, &b)| r | (b & mask))
+        self.msgs.row(HEARD, self.dst, self.in_block())
     }
 
     /// The forged copies among the deliveries — `(sender, per-copy
@@ -639,6 +906,7 @@ pub struct DeliveredIter<'a, M> {
 impl<'a, M> Iterator for DeliveredIter<'a, M> {
     type Item = (ProcessId, &'a Payload<M>);
 
+    #[inline]
     fn next(&mut self) -> Option<(ProcessId, &'a Payload<M>)> {
         let src = ProcessId(self.bits.next()?);
         Some((src, self.msgs.arrived_payload(src, self.dst)))
@@ -719,14 +987,17 @@ impl<S, M> RoundHistory<S, M> {
     /// outcomes go to the sparse exception list; insertion is O(1) when
     /// copies arrive in ascending `(src, dst)` order (as the simulator
     /// emits them) and falls back to a sorted insert otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the clean block holds the copy, or if both ends are
+    /// receivers of an opened block ([`Self::open_clean_block`]).
+    #[inline]
     pub fn record_send(&mut self, src: ProcessId, dst: ProcessId, outcome: DeliveryOutcome) {
-        debug_assert!(
-            !self.msgs.block_sent(src, dst),
-            "{src} → {dst} is in the clean block"
-        );
-        self.msgs.sent.set(src.index(), dst.index());
+        let m = &mut self.msgs;
+        m.set_bit(SENT, src, dst);
         if outcome != DeliveryOutcome::Delivered {
-            let exc = &mut self.msgs.exceptions;
+            let exc = &mut m.exceptions;
             match exc.last() {
                 Some(&(s, d, _)) if (s, d) < (src, dst) => exc.push((src, dst, outcome)),
                 None => exc.push((src, dst, outcome)),
@@ -739,12 +1010,53 @@ impl<S, M> RoundHistory<S, M> {
     }
 
     /// Records that the copy `src → dst` actually reached `dst`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::record_send`].
+    #[inline]
     pub fn record_delivery(&mut self, dst: ProcessId, src: ProcessId) {
-        debug_assert!(
-            !self.msgs.block_heard(dst, src),
-            "{src} → {dst} is in the clean block"
+        self.msgs.set_bit(HEARD, dst, src);
+    }
+
+    /// Declares, before any copy is recorded, the receiving side of the
+    /// round's clean block; [`Self::record_clean_block`] must close it
+    /// with the same `dsts`. The frame then stores only the copies with
+    /// an endpoint outside `dsts`: a member of `dsts` owns no rows, and
+    /// the processes outside it keep the columns of its copies with them.
+    /// A frame that is never opened is dense — every process owns its
+    /// rows — and takes its block, if any, after the copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dsts` ranges over a different universe, or if a copy
+    /// or a block was recorded already.
+    pub fn open_clean_block(&mut self, dsts: &ProcessSet) {
+        assert_eq!(dsts.universe(), self.n(), "universe mismatch");
+        let m = &mut self.msgs;
+        assert!(
+            !m.opened && !m.recorded && m.rows.is_clear(),
+            "a clean block opens before any copy is recorded"
         );
-        self.msgs.delivered.set(dst.index(), src.index());
+        // Rows stay with owners that are still special, so a steady
+        // round hands none out; a block receiver must own none.
+        let mut owners = m.rows.handed.iter().map(|&(p, _)| ProcessId(p as usize));
+        if owners.any(|p| dsts.contains(p)) {
+            m.rows.release();
+        }
+        m.block_dsts.clone_from(dsts);
+        m.opened = true;
+        for (k, &word) in dsts.words().iter().enumerate() {
+            let mut outside = !word;
+            while outside != 0 {
+                let p = k * WORD_BITS + outside.trailing_zeros() as usize;
+                if p >= m.n {
+                    break;
+                }
+                m.specials.push(ProcessId(p));
+                outside &= outside - 1;
+            }
+        }
     }
 
     /// Records the round's clean block in O(n/64): every member of `srcs`
@@ -757,8 +1069,11 @@ impl<S, M> RoundHistory<S, M> {
     ///
     /// # Panics
     ///
-    /// Panics if either set ranges over a different universe, or if
-    /// `srcs` is not a subset of `dsts`.
+    /// Panics if either set ranges over a different universe, if `srcs`
+    /// is not a subset of `dsts`, if `dsts` is not the set the block was
+    /// opened with, on a second block, or if a copy recorded before
+    /// lies inside it: read off the rows of the block's members in a
+    /// dense frame, and refused when it was recorded in an opened one.
     pub fn record_clean_block(&mut self, srcs: &ProcessSet, dsts: &ProcessSet) {
         let n = self.n();
         assert!(
@@ -766,10 +1081,22 @@ impl<S, M> RoundHistory<S, M> {
             "universe mismatch"
         );
         assert!(srcs.is_subset(dsts), "a clean block's senders must hear it");
-        debug_assert!(self.msgs.block_srcs.is_empty(), "a second clean block");
-        self.msgs.block_srcs.clone_from(srcs);
-        self.msgs.block_dsts.clone_from(dsts);
-        debug_assert!(!self.msgs.matrices_meet_block(), "a copy recorded twice");
+        let m = &mut self.msgs;
+        assert!(!m.recorded, "a second clean block");
+        m.recorded = true;
+        m.block_srcs.clone_from(srcs);
+        if m.opened {
+            // No row of an opened frame can hold a copy of the block: its
+            // receivers own none, and a copy between two of them was
+            // refused when it was recorded.
+            assert!(
+                m.block_dsts == *dsts,
+                "the clean block closes with other receivers than it opened with"
+            );
+        } else {
+            m.block_dsts.clone_from(dsts);
+            assert!(!m.table_meets_block(), "a copy recorded twice");
+        }
     }
 
     /// Records a *forged* copy `src → dst`: the copy is delivered, but
@@ -1640,6 +1967,435 @@ mod tests {
             assert_eq!(off[0], (forger, "forged"));
             assert_eq!(off.len(), if n > 2 { 2 } else { 1 });
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a second clean block")]
+    fn a_second_clean_block_is_refused() {
+        let everyone = ProcessSet::full(3);
+        let mut rh = RH::empty(3);
+        rh.record_clean_block(&everyone, &everyone);
+        rh.record_clean_block(&everyone, &everyone);
+    }
+
+    #[test]
+    #[should_panic(expected = "a copy recorded twice")]
+    fn a_copy_recorded_before_its_block_is_refused() {
+        let everyone = ProcessSet::full(65);
+        let mut rh = RH::empty(65);
+        rh.set_broadcast(ProcessId(64), Payload::new("m"));
+        rh.record_send(ProcessId(64), ProcessId(3), Delivered);
+        rh.record_clean_block(&everyone, &everyone);
+    }
+
+    #[test]
+    #[should_panic(expected = "is in the clean block")]
+    fn a_copy_recorded_after_its_block_is_refused() {
+        let everyone = ProcessSet::full(3);
+        let mut rh = RH::empty(3);
+        rh.record_clean_block(&everyone, &everyone);
+        rh.record_delivery(ProcessId(2), ProcessId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "are both receivers of the opened clean block")]
+    fn an_opened_block_keeps_its_receivers_copies() {
+        let mut rh = RH::empty(4);
+        rh.open_clean_block(&ProcessSet::from_iter_n(4, [ProcessId(1), ProcessId(2)]));
+        rh.record_delivery(ProcessId(1), ProcessId(3));
+        rh.record_delivery(ProcessId(1), ProcessId(2));
+    }
+
+    /// A recycled frame hands out the rows it holds, not new ones: rows
+    /// stay with their owners across resets, and opening a block with an
+    /// owner among its receivers gives them all back, so the special
+    /// processes of each opened round get the rows of the last.
+    #[test]
+    fn a_recycled_frame_reuses_its_rows() {
+        let n = 4;
+        let everyone = || (0..n).map(ProcessId);
+        let mut rh = RH::empty(n);
+        for (p, q) in everyone().flat_map(|p| everyone().map(move |q| (p, q))) {
+            rh.record_send(p, q, Delivered);
+            rh.record_delivery(q, p);
+        }
+        let dense = rh.msgs.rows.pool.len();
+        for special in everyone() {
+            rh.reset(n);
+            rh.open_clean_block(&ProcessSet::from_iter_n(
+                n,
+                everyone().filter(|&p| p != special),
+            ));
+            for q in everyone() {
+                rh.record_send(special, q, Delivered);
+                rh.record_delivery(q, special);
+                rh.record_send(q, special, Delivered);
+                rh.record_delivery(special, q);
+            }
+            assert_eq!(rh.msgs.rows.handed.len(), 4, "{special}: its four rows");
+            assert_eq!(rh.msgs.rows.pool.len(), dense, "{special}: no new row");
+        }
+    }
+
+    /// One recorder call, replayed into a frame and into [`Dense`] alike.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Broadcast(ProcessId),
+        Send(ProcessId, ProcessId, DeliveryOutcome),
+        Deliver(ProcessId, ProcessId),
+        Forge(ProcessId, ProcessId),
+        Open(ProcessSet),
+        Block(ProcessSet, ProcessSet),
+    }
+
+    fn replay(n: usize, ops: &[Op]) -> RH {
+        let mut rh = RH::empty(n);
+        replay_into(&mut rh, ops);
+        rh
+    }
+
+    fn replay_into(rh: &mut RH, ops: &[Op]) {
+        for op in ops {
+            match op {
+                Op::Broadcast(p) => rh.set_broadcast(*p, Payload::new("m")),
+                Op::Send(src, dst, outcome) => rh.record_send(*src, *dst, *outcome),
+                Op::Deliver(dst, src) => rh.record_delivery(*dst, *src),
+                Op::Forge(src, dst) => rh.record_forged(*src, *dst, Payload::new("forged")),
+                Op::Open(dsts) => rh.open_clean_block(dsts),
+                Op::Block(srcs, dsts) => rh.record_clean_block(srcs, dsts),
+            }
+        }
+    }
+
+    /// The same calls with the copies in reverse order: another row
+    /// layout, the same round.
+    fn reversed(ops: &[Op]) -> Vec<Op> {
+        let copy = |op: &&Op| matches!(op, Op::Send(..) | Op::Deliver(..) | Op::Forge(..));
+        let block = |op: &&Op| matches!(op, Op::Block(..));
+        let head = ops.iter().filter(|op| !copy(op) && !block(op));
+        let copies = ops.iter().filter(copy).rev();
+        head.chain(copies)
+            .chain(ops.iter().filter(block))
+            .cloned()
+            .collect()
+    }
+
+    /// The dense reference grid: per copy, its outcome (`None`: never
+    /// emitted), whether it arrived and whether it was forged; and the
+    /// block's sides as declared.
+    #[derive(Clone)]
+    struct Dense {
+        n: usize,
+        sent: Vec<Option<DeliveryOutcome>>,
+        heard: Vec<bool>,
+        forged: Vec<bool>,
+        block_srcs: ProcessSet,
+        block_dsts: ProcessSet,
+    }
+
+    impl Dense {
+        fn new(n: usize, ops: &[Op]) -> Self {
+            let mut d = Dense {
+                n,
+                sent: vec![None; n * n],
+                heard: vec![false; n * n],
+                forged: vec![false; n * n],
+                block_srcs: ProcessSet::empty(n),
+                block_dsts: ProcessSet::empty(n),
+            };
+            for op in ops {
+                match op {
+                    Op::Broadcast(_) => {}
+                    Op::Send(src, dst, outcome) => {
+                        d.sent[src.index() * n + dst.index()] = Some(*outcome)
+                    }
+                    Op::Deliver(dst, src) => d.heard[dst.index() * n + src.index()] = true,
+                    Op::Forge(src, dst) => {
+                        d.sent[src.index() * n + dst.index()] = Some(Forged);
+                        d.heard[dst.index() * n + src.index()] = true;
+                        d.forged[src.index() * n + dst.index()] = true;
+                    }
+                    Op::Open(dsts) => d.block_dsts = dsts.clone(),
+                    Op::Block(srcs, dsts) => {
+                        for (s, t) in srcs.iter().flat_map(|s| dsts.iter().map(move |t| (s, t))) {
+                            if s != t {
+                                d.sent[s.index() * n + t.index()] = Some(Delivered);
+                            }
+                            d.heard[t.index() * n + s.index()] = true;
+                        }
+                        d.block_srcs = srcs.clone();
+                        d.block_dsts = dsts.clone();
+                    }
+                }
+            }
+            d
+        }
+
+        fn sent(&self, src: ProcessId, dst: ProcessId) -> Option<DeliveryOutcome> {
+            self.sent[src.index() * self.n + dst.index()]
+        }
+
+        fn heard(&self, dst: ProcessId, src: ProcessId) -> bool {
+            self.heard[dst.index() * self.n + src.index()]
+        }
+
+        fn payload(&self, src: ProcessId, dst: ProcessId) -> &'static str {
+            if self.forged[src.index() * self.n + dst.index()] {
+                "forged"
+            } else {
+                "m"
+            }
+        }
+
+        /// Every reader of `rh` against the grid.
+        fn agree(&self, rh: &RH) {
+            let (n, m) = (self.n, rh.msgs());
+            let everyone = || (0..n).map(ProcessId);
+            let (mut deviations, mut faulty) = (vec![DeviationSet::EMPTY; n], ProcessSet::empty(n));
+            for p in everyone() {
+                let sent: Vec<_> = m
+                    .sent_iter(p)
+                    .map(|c| (c.dst, **c.payload, c.outcome))
+                    .collect();
+                let want: Vec<_> = everyone()
+                    .filter_map(|q| self.sent(p, q).map(|o| (q, self.payload(p, q), o)))
+                    .collect();
+                assert_eq!(sent, want, "n = {n}, sent by {p}");
+                assert_eq!(
+                    (m.sent_count(p), rh.record(p).sent_len()),
+                    (want.len(), want.len())
+                );
+                let inbox = m.deliveries(p);
+                let heard: Vec<_> = everyone()
+                    .filter(|&q| self.heard(p, q))
+                    .map(|q| (q, self.payload(q, p)))
+                    .collect();
+                assert_eq!(
+                    inbox.iter().map(|(q, x)| (q, **x)).collect::<Vec<_>>(),
+                    heard,
+                    "n = {n}, heard by {p}"
+                );
+                assert_eq!(
+                    (m.delivered_count(p), inbox.len()),
+                    (heard.len(), heard.len())
+                );
+                assert_eq!(inbox.is_empty(), heard.is_empty());
+                let mut words = vec![0u64; n.div_ceil(WORD_BITS)];
+                for (q, _) in &heard {
+                    words[q.index() / WORD_BITS] |= 1 << (q.index() % WORD_BITS);
+                }
+                let row = inbox.heard_words();
+                assert_eq!(row.len(), words.len());
+                assert!(row.eq(words), "n = {n}, words heard by {p}");
+                let in_block = self.block_dsts.contains(p);
+                assert_eq!(inbox.in_block(), in_block, "n = {n}, {p}");
+                let off: Vec<_> = inbox.off_block().map(|(q, x)| (q, **x)).collect();
+                let outside = heard
+                    .iter()
+                    .filter(|(q, _)| !in_block || !self.block_srcs.contains(*q));
+                assert_eq!(
+                    off,
+                    outside.copied().collect::<Vec<_>>(),
+                    "n = {n}, off the block at {p}"
+                );
+                let forged = heard
+                    .iter()
+                    .filter(|&&(q, _)| self.forged[q.index() * n + p.index()]);
+                assert!(inbox.forged().map(|(q, x)| (q, **x)).eq(forged.copied()));
+                for q in everyone() {
+                    assert_eq!(m.outcome_of(p, q), self.sent(p, q), "n = {n}, {p} → {q}");
+                    assert_eq!(
+                        m.was_delivered(p, q),
+                        self.heard(p, q),
+                        "n = {n}, {q} → {p}"
+                    );
+                    let arrived = self.heard(p, q).then(|| self.payload(q, p));
+                    assert_eq!(inbox.get(q).map(|x| **x), arrived);
+                    let forged = self.forged[p.index() * n + q.index()].then_some("forged");
+                    assert_eq!(m.forged_payload_of(p, q).map(|x| **x), forged);
+                    match self.sent(p, q) {
+                        Some(DroppedBySender) => {
+                            deviations[p.index()].insert(FaultKind::SendOmission)
+                        }
+                        Some(Forged) => deviations[p.index()].insert(FaultKind::Forgery),
+                        Some(DroppedByReceiver) => {
+                            deviations[q.index()].insert(FaultKind::ReceiveOmission)
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            for p in everyone().filter(|p| !deviations[p.index()].is_empty()) {
+                faulty.insert(p);
+                assert_eq!(rh.deviation_set(p), deviations[p.index()]);
+            }
+            let mut all = Vec::new();
+            rh.deviation_sets_into(&mut all);
+            assert_eq!(all, deviations);
+            let mut folded = ProcessSet::empty(n);
+            rh.collect_faulty_into(&mut folded);
+            assert_eq!(folded, faulty);
+        }
+    }
+
+    impl Generated {
+        /// The round in the kernel walk's order: the block's receivers
+        /// declared first; each sender's copies in destination order,
+        /// delivery before send, a clean sender visiting only the
+        /// processes outside the block; the block closed last.
+        fn walk_ops(&self) -> Vec<Op> {
+            let n = self.n;
+            let mut fate = vec![None; n * n];
+            for &(src, dst, outcome) in &self.copies {
+                fate[src.index() * n + dst.index()] = Some(outcome);
+            }
+            let everyone: Vec<_> = (0..n).map(ProcessId).collect();
+            let special: Vec<_> = everyone
+                .iter()
+                .copied()
+                .filter(|p| !self.dsts.contains(*p))
+                .collect();
+            let mut ops = vec![Op::Open(self.dsts.clone())];
+            for src in everyone.iter().copied() {
+                let row = &fate[src.index() * n..][..n];
+                if !self.srcs.contains(src) && row.iter().all(Option::is_none) {
+                    continue;
+                }
+                ops.push(Op::Broadcast(src));
+                let dests = if self.srcs.contains(src) {
+                    &special
+                } else {
+                    &everyone
+                };
+                for &dst in dests {
+                    match fate[src.index() * n + dst.index()] {
+                        _ if dst == src => ops.push(Op::Deliver(src, src)),
+                        Some(Forged) => ops.push(Op::Forge(src, dst)),
+                        Some(Delivered) => {
+                            ops.push(Op::Deliver(dst, src));
+                            ops.push(Op::Send(src, dst, Delivered));
+                        }
+                        Some(outcome) => ops.push(Op::Send(src, dst, outcome)),
+                        None => unreachable!("a sender emits to everyone else"),
+                    }
+                }
+            }
+            if !self.srcs.is_empty() {
+                ops.push(Op::Block(self.srcs.clone(), self.dsts.clone()));
+            }
+            ops
+        }
+    }
+
+    /// `SyncStepper`'s order: deliveries only, a sender's row at a time,
+    /// the self-copy included.
+    fn stepper_ops(g: &mut Gen, n: usize) -> Vec<Op> {
+        let p_heard = [0.0, 0.5, 1.0][g.gen_range(0..3usize)];
+        let mut ops = Vec::new();
+        for src in (0..n).map(ProcessId) {
+            if !g.gen_bool(0.8) {
+                continue; // silent
+            }
+            ops.push(Op::Broadcast(src));
+            for dst in (0..n).map(ProcessId) {
+                if dst == src || g.gen_bool(p_heard) {
+                    ops.push(Op::Deliver(dst, src));
+                }
+            }
+        }
+        ops
+    }
+
+    /// The router corpus's order: per broadcaster, each destination
+    /// unheard, forged (its own copy too) or delivered.
+    fn router_ops(g: &mut Gen, n: usize) -> Vec<Op> {
+        let mut ops = Vec::new();
+        for src in (0..n).map(ProcessId) {
+            if !g.gen_bool(0.7) {
+                continue; // silent
+            }
+            ops.push(Op::Broadcast(src));
+            for dst in (0..n).map(ProcessId) {
+                match g.gen_range(0..8u32) {
+                    0..=2 => {}
+                    3 => ops.push(Op::Forge(src, dst)),
+                    _ => ops.push(Op::Deliver(dst, src)),
+                }
+            }
+        }
+        ops
+    }
+
+    /// The coterie tests' order: every self-delivery first, then edges —
+    /// delivered or send-omitted — in any order.
+    fn coterie_ops(g: &mut Gen, n: usize) -> Vec<Op> {
+        let everyone = (0..n).map(ProcessId);
+        let mut ops: Vec<_> = everyone
+            .clone()
+            .flat_map(|p| [Op::Broadcast(p), Op::Deliver(p, p)])
+            .collect();
+        let mut edges: Vec<_> = everyone
+            .clone()
+            .flat_map(|s| everyone.clone().map(move |d| (s, d)))
+            .filter(|&(s, d)| s != d && g.gen_bool(0.1))
+            .collect();
+        g.shuffle(&mut edges);
+        for (src, dst) in edges {
+            if g.gen_bool(0.5) {
+                ops.push(Op::Send(src, dst, Delivered));
+                ops.push(Op::Deliver(dst, src));
+            } else {
+                ops.push(Op::Send(src, dst, DroppedBySender));
+            }
+        }
+        ops
+    }
+
+    /// The row table against a dense reference grid, in every order the
+    /// tree records a frame in, on both sides of every word boundary:
+    /// every reader agrees with the grid, and frames that split the same
+    /// copies differently — in the block or in the table, in rows or in
+    /// columns, pooled in another order, or in a frame recycled from
+    /// another layout — are equal both ways.
+    #[test]
+    fn row_table_matches_a_dense_grid_in_every_recorder_order() {
+        forall(12, |g: &mut Gen| {
+            let n = [1, 2, 63, 64, 65, 129, 200][g.gen_range(0..7usize)];
+            let round = Generated::new(g, n);
+            let walk = round.walk_ops();
+            let dense = Dense::new(n, &walk);
+            // Recorded copy by copy, the round has no block to be in.
+            let unblocked = Dense {
+                block_srcs: ProcessSet::empty(n),
+                block_dsts: ProcessSet::empty(n),
+                ..dense.clone()
+            };
+            let splits = [
+                (replay(n, &walk), &dense),
+                (replay(n, &reversed(&walk)), &dense),
+                (round.record(true), &dense),
+                (round.record(false), &unblocked),
+            ];
+            for (i, (a, grid)) in splits.iter().enumerate() {
+                grid.agree(a);
+                for (j, (b, _)) in splits.iter().enumerate() {
+                    assert!(a.msgs() == b.msgs(), "n = {n}: split {i} ≠ split {j}");
+                }
+            }
+            // One frame recycled through every layout: opened, then
+            // dense (its rows kept across resets), then opened again.
+            let mut recycled = replay(n, &walk);
+            let orders = [stepper_ops(g, n), router_ops(g, n), coterie_ops(g, n)];
+            for ops in orders.iter().chain([&walk]) {
+                let (frame, other) = (replay(n, ops), replay(n, &reversed(ops)));
+                recycled.reset(n);
+                replay_into(&mut recycled, ops);
+                Dense::new(n, ops).agree(&recycled);
+                for (a, b) in [(&frame, &other), (&frame, &recycled)] {
+                    assert!(a.msgs() == b.msgs() && b.msgs() == a.msgs(), "n = {n}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -233,7 +233,7 @@ impl ProcessSet {
     }
 
     /// The members as 64-bit words, least significant bit first — the
-    /// layout of a `history` bit-matrix row over the same universe. Bits
+    /// layout of a `history` row over the same universe. Bits
     /// past the universe are clear.
     pub(crate) fn words(&self) -> &[u64] {
         &self.words

@@ -39,7 +39,7 @@ impl ProtocolCtx {
 /// footnote 1), so `from(ctx.me)` is always `Some` at an alive process.
 ///
 /// An inbox either owns its envelopes ([`Inbox::new`]) or views one
-/// receiver's row of the round's message matrices
+/// receiver's delivered row in the round's frame
 /// ([`Inbox::from_deliveries`]) — the view form is what the simulator hot
 /// loop hands each process: no envelopes exist at all, just delivery bits
 /// plus one shared payload per sender.
@@ -64,7 +64,7 @@ impl<'a, M> Inbox<'a, M> {
     }
 
     /// Views one receiver's deliveries straight out of a round's message
-    /// matrices ([`ftss_core::RoundMsgs`]); `from` becomes a bit test.
+    /// frame ([`ftss_core::RoundMsgs`]); `from` becomes a bit test.
     pub fn from_deliveries(deliveries: Deliveries<'a, M>) -> Self {
         Inbox {
             storage: Storage::View(deliveries),

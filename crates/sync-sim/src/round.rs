@@ -19,10 +19,13 @@
 //! consulted only for copies that touch its declared faulty set; the
 //! rest of the round — all but ~2·f·n of its n² copies — is delivered
 //! without asking and recorded as the frame's clean block, two sets in
-//! O(n/64) ([`RoundHistory::record_clean_block`]). Every process alive
-//! at the round's *end* then steps on its inbox; a process crashing in
-//! round `r` emits a prefix of its copies, takes no transition, and has
-//! no state from round `r + 1` on.
+//! O(n/64) ([`RoundHistory::record_clean_block`]). The frame is told the
+//! block's receivers before the first copy
+//! ([`RoundHistory::open_clean_block`]), so it keeps rows for the special
+//! processes alone: a round with f of them holds O(f·n) bits, not two
+//! n×n grids. Every process alive at the round's *end* then steps on its
+//! inbox; a process crashing in round `r` emits a prefix of its copies,
+//! takes no transition, and has no state from round `r + 1` on.
 //!
 //! [`SyncStepper`](crate::SyncStepper) deliberately stays outside: it
 //! records no states and has no adversary, schedule or sink, and folding
@@ -402,17 +405,19 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
 
     /// The `(sender, destination)` walk. One shared payload per
     /// broadcast, as `broadcast` hands it out; a visited copy's fate is a
-    /// bit in the frame's matrices plus, for anything but a plain
+    /// bit in a row of the frame's table plus, for anything but a plain
     /// delivery, a sparse exception — nothing is allocated per copy.
     ///
     /// The walk is sparse. A copy between two *ordinary* processes —
     /// neither declared faulty, both [`Part::Alive`] — can only be
     /// `Delivered`, so that block of the round is recorded as two sets
     /// and never submitted to the adversary; only copies with a
-    /// *special* endpoint are visited. When someone watches copies go by
-    /// (a trace wants each `send` event, a non-transparent layer each
-    /// `relay`) every copy is visited instead, but the adversary is still
-    /// asked about exactly the same ones, in the same order.
+    /// *special* endpoint are visited, and only the special processes
+    /// own rows ([`RoundHistory::open_clean_block`]). When someone
+    /// watches copies go by (a trace wants each `send` event, a
+    /// non-transparent layer each `relay`) every copy is visited and the
+    /// frame is dense instead, but the adversary is still asked about
+    /// exactly the same ones, in the same order.
     ///
     /// Returns the round's `(sent, delivered)` copy totals (counted only
     /// when tracing).
@@ -452,6 +457,12 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             } else {
                 special.push(p);
             }
+        }
+        // Told up front, the frame keeps no rows for the ordinary
+        // processes: their copies with a special end sit in the special
+        // processes' columns, and the rest is the block.
+        if !dense {
+            frame.open_clean_block(ordinary);
         }
         let (mut sent, mut delivered) = (0u64, 0u64);
         for &p in everyone.iter() {

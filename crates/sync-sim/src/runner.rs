@@ -18,8 +18,8 @@
 //!
 //! The kernel fills one struct-of-arrays [`RoundHistory`](ftss_core::RoundHistory)
 //! frame per round: delivery fate is the round's clean block (two sets)
-//! plus two bit matrices and a sparse exception list for the other
-//! copies, the broadcast is one shared [`Payload`](ftss_core::Payload)
+//! plus rows kept only for the processes outside it and a sparse
+//! exception list for the other copies, the broadcast is one shared [`Payload`](ftss_core::Payload)
 //! per sender, and each process's inbox is a borrowed view of its
 //! delivered row ([`Inbox::from_deliveries`]) — the hot loop allocates
 //! nothing per copy. With [`RunConfig::with_history_window`]

@@ -48,7 +48,7 @@ pub struct SyncStepper<P: SyncProtocol> {
     // Round scratch, kept across rounds (and across `reset`) so that a
     // steady-state round allocates nothing.
     /// The round's traffic, in the runner's own frame type: broadcast
-    /// slots plus the delivery matrix the inbox views read. States are
+    /// slots plus the (dense) delivery rows the inbox views read. States are
     /// not recorded.
     frame: RoundHistory<P::State, P::Msg>,
     /// Slot `i`: process `i`'s last broadcast payload, taken back from
@@ -136,7 +136,7 @@ impl<P: SyncProtocol> SyncStepper<P> {
                 }
             }
         }
-        // Phase 2: every process steps on its row of the delivery matrix
+        // Phase 2: every process steps on its delivered row
         // (ascending sender order) — the view the runner hands out, so no
         // envelope is ever built.
         for j in 0..n {

@@ -46,16 +46,17 @@ run cargo clippy --all-targets -- -D warnings
 # the exchange from one place, and `InProcess::deliver` is the one caller
 # of `step_joined`; a second site of either is a second reading of the
 # inbox to keep equivalent to `step`.
-# One clean block per round, recorded by the kernel alone: a copy inside
-# the block must never also be a matrix bit (DESIGN.md §12), and only the
-# walk knows which copies it skipped. The per-row builders and readers it
-# replaced must not come back under any name they had.
+# One clean block per round, opened and recorded by the kernel alone: a
+# copy inside the block must never also be a table bit (DESIGN.md §12),
+# only the walk knows which copies it skipped, and only the walk knows the
+# block's receivers before its first copy. The per-row builders and
+# readers it replaced must not come back under any name they had.
 # One storm-phase lookup (`ftss_core::storm::phase_at`, a binary search
 # over a validated program): its two callers are `StormAdversary` and the
 # serve runtime's timing proxy; a third is a linear rescan coming back.
 # (Test modules sit at the end of their file, behind `#[cfg(test)]`;
 # definitions and comment lines are not call sites.)
-echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / record_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at"
+echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at"
 call_sites() { # <expected count> <call regex> <source dir>...
     local want="$1" call="$2" sites
     shift 2
@@ -75,6 +76,7 @@ for method in clean_block step_joined; do
     call_sites 1 "\\.${method}\\(" crates/sync-sim/src
 done
 call_sites 1 '\.record_clean_block\(' crates/*/src
+call_sites 1 '\.open_clean_block\(' crates/*/src
 if grep -rnE 'record_clean_sends|record_clean_deliveries|heard_all|iter_outside' crates/; then
     echo "ERROR: a per-row clean-block builder or reader is back (see above)" >&2
     exit 1

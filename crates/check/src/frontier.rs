@@ -16,9 +16,10 @@
 //!   one per copy eligible for omission), executed through the
 //!   [`SyncStepper`](ftss::sync_sim::SyncStepper) seam, never a replayed
 //!   prefix. A node's `2^(2(n−1))` masks share `2^(n−1)` stepper rounds
-//!   (one per distinct inbox of the faulty process, see
-//!   [`for_each_edge`]), and each distinct raw child is judged,
-//!   canonicalized and fingerprinted once;
+//!   (one per distinct inbox of the faulty process), and are walked by
+//!   **effect class** — the masks that give one raw child — so each
+//!   class is judged, canonicalized, fingerprinted and probed once,
+//!   while every count stays per mask (see [`for_each_edge`]);
 //! * a **visited set** of 128-bit fingerprints prunes revisits, so each
 //!   orbit of each reachable state is expanded exactly once.
 //!
@@ -190,8 +191,9 @@ pub struct GraphReport {
     /// Canonical states visited (root included).
     pub visited: u64,
     /// Edges expanded: one per (node, omission mask), the unit comparable
-    /// to `legacy schedules × rounds`. A node's edges are computed from
-    /// `2^(n−1)` simulator rounds, not one round each.
+    /// to `legacy schedules × rounds`. The count is per mask although a
+    /// node's edges are computed from `2^(n−1)` simulator rounds and
+    /// judged once per effect class (the masks with one raw child).
     pub expansions: u64,
     /// Edges whose child was already visited (revisits pruned).
     pub dedup_hits: u64,
@@ -220,10 +222,14 @@ struct Visited {
     perm: Perm,
 }
 
-/// One explored edge, as [`for_each_edge`] hands it over.
+/// One effect class of edges, as [`for_each_edge`] hands it over: the
+/// masks that give one raw child, and what they share.
 #[derive(Clone, Copy)]
 struct Edge {
+    /// The class's least omission mask: the edge that stands for it.
     mask: u32,
+    /// How many masks the class holds.
+    masks: u32,
     /// The child's orbit representative.
     child: PackedState,
     child_fp: u128,
@@ -367,70 +373,215 @@ fn drop_bits(n: usize, pairs: &[(ProcessId, ProcessId)]) -> [u32; MAX_GRAPH_N * 
     drop_bit
 }
 
-/// The parent's counters as round-start protocol states.
-fn round_start_states(parent: &PackedState) -> Vec<RoundAgreementState> {
-    parent.counters[..parent.n as usize]
+/// What one round does to every process: its next counter and its
+/// causal reach.
+#[derive(Clone, Copy)]
+struct Outcome {
+    counters: [u64; MAX_GRAPH_N],
+    reach: [u8; MAX_GRAPH_N],
+}
+
+/// One round out of `parent` per call, with the eligible copies in the
+/// given mask dropped. The [`SyncStepper`] — the protocol's real step
+/// function — gives the counters; every delivered copy adds its sender,
+/// and what the sender had reached, to its destination's reach.
+fn rounds(
+    parent: &PackedState,
+    cfg: &GraphConfig,
+    pairs: &[(ProcessId, ProcessId)],
+) -> impl FnMut(u32) -> Outcome {
+    let n = cfg.n;
+    let drop_bit = drop_bits(n, pairs);
+    let base_states: Vec<RoundAgreementState> = parent.counters[..n]
         .iter()
         .map(|&c| RoundAgreementState {
             c: RoundCounter::new(c),
         })
-        .collect()
+        .collect();
+    let mut stepper = SyncStepper::new(RoundAgreement, base_states.clone());
+    let parent_reach = parent.reach;
+    move |drop| {
+        stepper.reset(&base_states);
+        stepper.step_round(|from, to| drop & drop_bit[from.index() * n + to.index()] == 0);
+        let mut out = Outcome {
+            counters: [0; MAX_GRAPH_N],
+            reach: parent_reach,
+        };
+        for (c, state) in out.counters.iter_mut().zip(stepper.states()) {
+            *c = state.c.get();
+        }
+        for s in 0..n {
+            for d in (0..n).filter(|&d| d != s && drop & drop_bit[s * n + d] == 0) {
+                out.reach[d] |= parent_reach[s] | 1 << s;
+            }
+        }
+        out
+    }
 }
 
-/// Slots of [`for_each_edge`]'s memo of raw children. On the seed-7
-/// fixpoints a node's masks reach 5.9 distinct raw children on average
-/// at `n = 5` and 8.6 at `n = 6`, so a small direct-mapped table keeps
-/// nearly all of them.
-const MEMO_SLOTS: usize = 64;
+/// The raw (uncanonicalized) child of `parent` after a round with outcome
+/// `next`: rate bits, normalization, coterie and the stable window's
+/// bookkeeping follow from it, the deviation flag and the parent.
+fn child_of(parent: &PackedState, cfg: &GraphConfig, next: Outcome, deviated: bool) -> PackedState {
+    let n = cfg.n;
+    let f = cfg.faulty.index();
+    let full = mask_full(n) as u8;
+    let corr = full & !(1 << f);
 
-/// The memo slot of a raw child: a multiply–rotate fold of its fields,
-/// the one-byte ones packed into two words.
-fn memo_slot(state: &PackedState) -> usize {
-    let pack = |bytes: &[u8]| bytes.iter().fold(0u64, |w, &b| w.rotate_left(8) ^ b as u64);
-    let rest = [
-        state.n,
-        state.rate_ok,
-        state.deviated as u8,
-        state.coterie,
-        state.stable_len,
-        state.first_window as u8,
-        state.thm4_alive,
-    ];
-    let words = state
-        .counters
-        .into_iter()
-        .chain([pack(&state.reach), pack(&rest)]);
-    let h = words.fold(0u64, |h, w| {
-        (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-    });
-    (h >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    // Counters, normalized; rate bits against the parent.
+    let mut counters = next.counters;
+    let mut rate_ok = 0u8;
+    for (j, &c) in counters[..n].iter().enumerate() {
+        if c == parent.counters[j].saturating_add(1) {
+            rate_ok |= 1 << j;
+        }
+    }
+    let min = *counters[..n].iter().min().expect("n >= 2");
+    for c in &mut counters[..n] {
+        *c -= min;
+    }
+
+    let correct = if deviated { corr } else { full };
+    let mut coterie = full;
+    for (q, &r) in next.reach[..n].iter().enumerate() {
+        if correct & (1 << q) != 0 {
+            coterie &= r;
+        }
+    }
+
+    let g = cfg.stabilization.max(1) as u8;
+    let same_window = parent.stable_len > 0 && coterie == parent.coterie;
+    let stable_len = if same_window {
+        parent.stable_len.saturating_add(1).min(g + 2)
+    } else {
+        1
+    };
+    let first_window = parent.first_window && (parent.stable_len == 0 || same_window);
+
+    // alive' = A(t−1) ∧ ((alive ∧ R(t−1)) ∨ len(t) ≤ r+1), per faulty-set
+    // variant (bit 0: faulty counted correct, bit 1: counted faulty; see
+    // `check_edge`'s docs), from the parent's counters' agreement and
+    // rate bits. On a window-start edge the carried witness is void (the
+    // window has no prior offsets), so only the candidate term survives.
+    // `stable_len` saturates at `g+2 > r+1`, so the comparison is exact.
+    let agrees = |set: u8| {
+        let mut members = (0..n).filter(|&j| set & (1 << j) != 0);
+        let first = members.next().map(|j| parent.counters[j]);
+        members.all(|j| Some(parent.counters[j]) == first)
+    };
+    let cand = (stable_len as usize) <= cfg.stabilization + 1;
+    let alive = |bit: u8, set: u8| {
+        let keep = same_window && parent.thm4_alive & bit != 0 && parent.rate_ok & set == set;
+        (agrees(set) && (keep || cand)) as u8 * bit
+    };
+    let thm4_alive = alive(1, full) | alive(2, corr);
+
+    PackedState {
+        n: parent.n,
+        counters,
+        rate_ok,
+        reach: next.reach,
+        deviated,
+        coterie,
+        stable_len,
+        first_window,
+        thm4_alive,
+    }
 }
 
-/// Walks the edges out of one canonical node: all `2^(2(n−1))` one-round
-/// omission masks, in mask order, computing for each the child state, its
-/// orbit representative and the edge's obligation atoms.
+/// One way a round can go for one process under the masks that share
+/// it: its outcome, and the mask bits (a pattern over the copies into
+/// the process) that pick it.
+#[derive(Clone, Copy, Default)]
+struct Choice {
+    counter: u64,
+    reach: u8,
+    /// How many patterns pick it.
+    masks: u32,
+    /// The least pattern that picks it.
+    least: u32,
+    /// The least non-zero pattern that picks it (0: none).
+    least_nonzero: u32,
+}
+
+/// A process's distinct outcomes, at most `K`.
+#[derive(Clone, Copy)]
+struct Choices<const K: usize> {
+    list: [Choice; K],
+    len: usize,
+}
+
+impl<const K: usize> Choices<K> {
+    fn new() -> Self {
+        Choices {
+            list: [Choice::default(); K],
+            len: 0,
+        }
+    }
+
+    /// Records that `pattern` gives the outcome `(counter, reach)`.
+    /// Patterns arrive in ascending order.
+    fn add(&mut self, counter: u64, reach: u8, pattern: u32) {
+        match self.list[..self.len]
+            .iter_mut()
+            .find(|c| (c.counter, c.reach) == (counter, reach))
+        {
+            Some(c) => {
+                c.masks += 1;
+                if c.least_nonzero == 0 {
+                    c.least_nonzero = pattern;
+                }
+            }
+            None => {
+                self.list[self.len] = Choice {
+                    counter,
+                    reach,
+                    masks: 1,
+                    least: pattern,
+                    least_nonzero: pattern,
+                };
+                self.len += 1;
+            }
+        }
+    }
+
+    fn as_slice(&self) -> &[Choice] {
+        &self.list[..self.len]
+    }
+}
+
+/// Walks the edges out of one canonical node — all `2^(2(n−1))` one-round
+/// omission masks — one **effect class** at a time: the masks that give
+/// the same raw child. For each class it hands over the least mask, the
+/// class's size, the child's orbit representative and fingerprint and
+/// the edge's obligation atoms, computed once.
 ///
-/// The work is per distinct inbox and per distinct child, not per mask.
 /// In the paper's round model a transition reads only a process's
 /// round-start state and its inbox, and an omission only changes copies
-/// that touch the faulty process `f`: an ordinary receiver sees one of
-/// two inboxes (`f`'s copy to it delivered or dropped), `f` one of
-/// `2^(n−1)` (one per subset of its in-copies dropped). So the
-/// [`SyncStepper`] — the protocol's real step function — runs `2^(n−1)`
-/// rounds per node, one per subset of `f`'s in-copies: the empty
+/// that touch the faulty process `f`. So a raw child is a function of
+/// three things: `f`'s outcome (next counter and reach), which depends
+/// only on which of its `n − 1` in-copies dropped; each ordinary
+/// receiver's outcome, which depends only on whether `f`'s copy to it
+/// dropped; and the deviation flag, set by any non-zero mask. `round`
+/// runs `2^(n−1)` rounds, one per subset of `f`'s in-copies (the empty
 /// subset's round delivers every other copy too, and the full subset's
-/// also drops `f`'s copies to the others, which gives each ordinary
-/// receiver both of its outcomes. Every mask
-/// reads its counters off these rounds. With the parent fixed, the raw
-/// child determines the edge's verdict, orbit representative and
-/// fingerprint, so those are memoized per raw child in a direct-mapped
-/// table of [`MEMO_SLOTS`], a hit confirmed by full state equality.
-/// Nothing is allocated per edge.
+/// also drops `f`'s copies to the others, which gives each receiver
+/// both of its outcomes), and the walk keeps each process's *distinct*
+/// outcomes. A class is one pick per process: its size is the product
+/// of the picks' pattern counts, and its least mask the OR of their
+/// least patterns, since the processes' patterns occupy disjoint bits.
+/// When the parent has not deviated, mask 0 leaves its class — the one
+/// of all-zero patterns — as a class of its own; the rest of that class
+/// starts at its least single-process non-zero pattern. A node's 1 024
+/// masks at n = 6 fall into 8.6 classes on average over the seed-7
+/// fixpoint (10.5 over its first two layers), pinned by
+/// `class_walk_work_is_pinned`. Nothing is allocated per class.
 fn for_each_edge(
     parent: &PackedState,
     cfg: &GraphConfig,
     pairs: &[(ProcessId, ProcessId)],
     fper: &Fingerprinter,
+    mut round: impl FnMut(u32) -> Outcome,
     mut visit: impl FnMut(Edge),
 ) {
     let n = cfg.n;
@@ -438,200 +589,95 @@ fn for_each_edge(
     let table = PermTable::get(n, cfg.faulty);
     let drop_bit = drop_bits(n, pairs);
 
-    let base_states = round_start_states(parent);
-    let mut stepper = SyncStepper::new(RoundAgreement, base_states.clone());
-
     // The mask bits of `f`'s in-copies; every other eligible copy is one
-    // of its out-copies. Pairs are sender-major, so the out-copies are
-    // the `n − 1` bits from bit `f` on, and squeezing them out of a mask
-    // leaves its in-copy bits as an `(n − 1)`-bit index.
+    // of its out-copies.
     let in_mask = (0..n).fold(0, |m, i| m | drop_bit[i * n + f]);
     let out_mask = ((1u32 << cfg.mask_bits()) - 1) & !in_mask;
-    let low = (1u32 << f) - 1;
-    let in_index = |mask: u32| ((mask & low) | ((mask >> (n - 1)) & !low)) as usize;
-    debug_assert_eq!(out_mask, ((1 << (n - 1)) - 1) << f);
 
-    // Next counters per distinct inbox: an ordinary receiver's with `f`'s
-    // copy delivered (`heard`) or dropped (`missed`); `f`'s by its dropped
-    // in-copies (`faulty_next[in_index(mask)]`). The subsets of `in_mask`
-    // ascend from empty to full.
-    let mut heard = [0u64; MAX_GRAPH_N];
-    let mut missed = [0u64; MAX_GRAPH_N];
-    let mut faulty_next = [0u64; 1 << (MAX_GRAPH_N - 1)];
+    // Each process's distinct outcomes: `f`'s over the subsets of
+    // `in_mask`, which ascend from empty to full; a receiver's with `f`'s
+    // copy delivered (the empty subset's round), then dropped (the full
+    // subset's).
+    let mut faulty = Choices::<{ 1 << (MAX_GRAPH_N - 1) }>::new();
+    let mut receivers = [Choices::<2>::new(); MAX_GRAPH_N];
     let mut sub = 0u32;
     loop {
         let drop = if sub == in_mask { sub | out_mask } else { sub };
-        stepper.reset(&base_states);
-        stepper.step_round(|from, to| drop & drop_bit[from.index() * n + to.index()] == 0);
-        let next = stepper.states();
-        faulty_next[in_index(sub)] = next[f].c.get();
-        if sub == 0 {
-            for (c, state) in heard.iter_mut().zip(next) {
-                *c = state.c.get();
+        let next = round(drop);
+        faulty.add(next.counters[f], next.reach[f], sub);
+        if sub == 0 || sub == in_mask {
+            for j in (0..n).filter(|&j| j != f) {
+                let pattern = drop & drop_bit[f * n + j];
+                receivers[j].add(next.counters[j], next.reach[j], pattern);
             }
         }
         if sub == in_mask {
-            for (c, state) in missed.iter_mut().zip(next) {
-                *c = state.c.get();
-            }
             break;
         }
         sub = sub.wrapping_sub(in_mask) & in_mask;
     }
-    let next_counters = |mask: u32| {
-        let mut next = [0u64; MAX_GRAPH_N];
-        for (j, c) in next[..n].iter_mut().enumerate() {
-            *c = if j == f {
-                faulty_next[in_index(mask)]
-            } else if mask & drop_bit[f * n + j] != 0 {
-                missed[j]
-            } else {
-                heard[j]
-            };
-        }
-        next
-    };
-
-    let mut memo: [Option<(PackedState, Edge)>; MEMO_SLOTS] = [None; MEMO_SLOTS];
-    for_each_child(parent, cfg, pairs, next_counters, |mask, child| {
-        let slot = &mut memo[memo_slot(&child)];
-        let edge = match slot {
-            Some((raw, edge)) if *raw == child => *edge,
-            _ => {
-                let violation = check_edge(parent, &child, cfg.faulty, cfg.stabilization);
-                let (canon, perm) = table.canonicalize(&child);
-                let edge = Edge {
-                    mask,
-                    child_fp: fper.packed(&canon),
-                    child: canon,
-                    perm,
-                    violation,
-                };
-                *slot = Some((child, edge));
-                edge
-            }
-        };
-        visit(Edge { mask, ..edge });
-    });
-}
-
-/// The raw (uncanonicalized) child of `parent` under every omission mask,
-/// in mask order: `next_counters(mask)` gives the round's counters, and
-/// everything else — rate bits, causal reach, coterie and the stable
-/// window's bookkeeping — follows from them, the mask and the parent.
-fn for_each_child(
-    parent: &PackedState,
-    cfg: &GraphConfig,
-    pairs: &[(ProcessId, ProcessId)],
-    mut next_counters: impl FnMut(u32) -> [u64; MAX_GRAPH_N],
-    mut visit: impl FnMut(u32, PackedState),
-) {
-    let n = cfg.n;
-    let f = cfg.faulty.index();
-    let g = cfg.stabilization.max(1) as u8;
-    let cap = g + 2;
-    let full = mask_full(n) as u8;
-
-    // Per eligible copy, by mask bit: what its delivery adds to the
-    // destination's causal reach. Copies between correct processes
-    // always land, so their contribution is the same under every mask.
-    let mut lands = [(0usize, 0u8); 2 * (MAX_GRAPH_N - 1)];
-    for (bit, &(s, d)) in pairs.iter().enumerate() {
-        lands[bit] = (d.index(), parent.reach[s.index()] | 1 << s.index());
-    }
-    let lands = &lands[..pairs.len()];
-    let mut reach_base = parent.reach;
-    for i in (0..n).filter(|&i| i != f) {
-        for j in (0..n).filter(|&j| j != f && j != i) {
-            reach_base[j] |= parent.reach[i] | 1 << i;
-        }
-    }
-
-    // Mask-independent parent-side facts for the Theorem-4 liveness
-    // update (see `check_edge`'s docs): agreement of the parent's
-    // counters and coverage of its rate bits, per faulty-set variant
-    // (bit 0: faulty counted correct, bit 1: counted faulty).
-    let corr = full & !(1 << f);
-    let agrees = |set: u8| {
-        let mut members = (0..n).filter(|&j| set & (1 << j) != 0);
-        let first = members.next().map(|j| parent.counters[j]);
-        members.all(|j| Some(parent.counters[j]) == first)
-    };
-    let a_full = agrees(full);
-    let a_corr = agrees(corr);
-    let r_full = parent.rate_ok & full == full;
-    let r_corr = parent.rate_ok & corr == corr;
-
-    for mask in 0..1u32 << cfg.mask_bits() {
-        // Counters, normalized; rate bits against the parent.
-        let mut counters = next_counters(mask);
-        let mut rate_ok = 0u8;
-        for (j, &c) in counters[..n].iter().enumerate() {
-            if c == parent.counters[j].saturating_add(1) {
-                rate_ok |= 1 << j;
-            }
-        }
-        let min = *counters[..n].iter().min().expect("n >= 2");
-        for c in &mut counters[..n] {
-            *c -= min;
-        }
-
-        // Causal reach: delivered copies this round are all pairs except
-        // the mask-dropped eligible ones (self-copies always land).
-        let mut reach = reach_base;
-        for (bit, &(dest, adds)) in lands.iter().enumerate() {
-            if mask & (1 << bit) == 0 {
-                reach[dest] |= adds;
-            }
-        }
-
-        let deviated = parent.deviated || mask != 0;
-        let correct = if deviated { corr } else { full };
-        let mut coterie = full;
-        for (q, &r) in reach[..n].iter().enumerate() {
-            if correct & (1 << q) != 0 {
-                coterie &= r;
-            }
-        }
-
-        let same_window = parent.stable_len > 0 && coterie == parent.coterie;
-        let stable_len = if same_window {
-            parent.stable_len.saturating_add(1).min(cap)
+    let choices = |j: usize| {
+        if j == f {
+            faulty.as_slice()
         } else {
-            1
-        };
-        let first_window = parent.first_window && (parent.stable_len == 0 || same_window);
+            receivers[j].as_slice()
+        }
+    };
 
-        // alive' = A(t−1) ∧ ((alive ∧ R(t−1)) ∨ len(t) ≤ r+1), per
-        // variant. On a window-start edge the carried witness is void
-        // (the window has no prior offsets), so only the candidate term
-        // survives. `stable_len` saturates at `g+2 > r+1`, so the
-        // comparison is exact.
-        let cand = (stable_len as usize) <= cfg.stabilization + 1;
-        let keep_full = same_window && parent.thm4_alive & 1 != 0 && r_full;
-        let keep_corr = same_window && parent.thm4_alive & 2 != 0 && r_corr;
-        let thm4_alive =
-            (a_full && (keep_full || cand)) as u8 | (((a_corr && (keep_corr || cand)) as u8) << 1);
-
-        visit(
+    let mut judge = |mask: u32, masks: u32, next: Outcome, deviated: bool| {
+        let child = child_of(parent, cfg, next, deviated);
+        let violation = check_edge(parent, &child, cfg.faulty, cfg.stabilization);
+        let (canon, perm) = table.canonicalize(&child);
+        visit(Edge {
             mask,
-            PackedState {
-                n: parent.n,
-                counters,
-                rate_ok,
-                reach,
-                deviated,
-                coterie,
-                stable_len,
-                first_window,
-                thm4_alive,
-            },
-        );
+            masks,
+            child_fp: fper.packed(&canon),
+            child: canon,
+            perm,
+            violation,
+        });
+    };
+    // One pick per process, odometer-style (process 0 turns fastest).
+    let mut pick = [0usize; MAX_GRAPH_N];
+    loop {
+        let mut next = Outcome {
+            counters: [0; MAX_GRAPH_N],
+            reach: [0; MAX_GRAPH_N],
+        };
+        let (mut masks, mut least, mut rest) = (1u32, 0u32, u32::MAX);
+        for (j, &p) in pick[..n].iter().enumerate() {
+            let c = choices(j)[p];
+            next.counters[j] = c.counter;
+            next.reach[j] = c.reach;
+            masks *= c.masks;
+            least |= c.least;
+            if c.least_nonzero != 0 {
+                rest = rest.min(c.least_nonzero);
+            }
+        }
+        if least == 0 && !parent.deviated {
+            // Mask 0 alone keeps the parent undeviated.
+            judge(0, 1, next, false);
+            if masks > 1 {
+                judge(rest, masks - 1, next, true);
+            }
+        } else {
+            judge(least, masks, next, true);
+        }
+
+        let Some(j) = (0..n).find(|&j| pick[j] + 1 < choices(j).len()) else {
+            return;
+        };
+        pick[j] += 1;
+        pick[..j].fill(0);
     }
 }
 
 /// Expands one canonical node for the layer merge, keeping only the
 /// edges that can add a state (`visited` is the set at layer start).
+/// Every count is per mask, as if each of the node's masks were its own
+/// edge: orbit hits weigh by class size, and the violation and each
+/// fresh child are the ones the least mask reaches.
 fn expand(
     parent: &PackedState,
     cfg: &GraphConfig,
@@ -644,19 +690,26 @@ fn expand(
         violation: None,
         fresh: Vec::new(),
     };
-    for_each_edge(parent, cfg, pairs, fper, |edge| {
+    let round = rounds(parent, cfg, pairs);
+    for_each_edge(parent, cfg, pairs, fper, round, |edge| {
         if edge.perm != identity_perm() {
-            out.orbit_hits += 1;
+            out.orbit_hits += u64::from(edge.masks);
         }
-        if out.violation.is_none() {
-            out.violation = edge.violation.map(|rule| (edge.mask, rule));
+        if let Some(rule) = edge.violation {
+            if out.violation.is_none_or(|(mask, _)| edge.mask < mask) {
+                out.violation = Some((edge.mask, rule));
+            }
         }
-        if !visited.contains_key(&edge.child_fp)
-            && out.fresh.iter().all(|e| e.child_fp != edge.child_fp)
-        {
-            out.fresh.push(edge);
+        if visited.contains_key(&edge.child_fp) {
+            return;
+        }
+        match out.fresh.iter_mut().find(|e| e.child_fp == edge.child_fp) {
+            Some(first) if edge.mask < first.mask => *first = edge,
+            Some(_) => {}
+            None => out.fresh.push(edge),
         }
     });
+    out.fresh.sort_unstable_by_key(|e| e.mask);
     out
 }
 
@@ -879,51 +932,9 @@ mod tests {
         violation: Option<&'static str>,
     }
 
-    /// Every edge out of `parent`, pruning nothing (shadows the merge's
-    /// pruning `expand`).
-    fn expand(
-        parent: &NodeState,
-        cfg: &GraphConfig,
-        pairs: &[(ProcessId, ProcessId)],
-        fper: &Fingerprinter,
-    ) -> Vec<Expansion> {
-        let mut out = Vec::new();
-        for_each_edge(&PackedState::pack(parent), cfg, pairs, fper, |edge| {
-            out.push(Expansion {
-                mask: edge.mask,
-                child: edge.child.unpack(),
-                perm: edge.perm,
-                violation: edge.violation,
-            })
-        });
-        out
-    }
-
-    /// One stepper round per mask: the next counters the per-mask
-    /// expansion reads.
-    fn per_mask_counters(
-        parent: &PackedState,
-        cfg: &GraphConfig,
-        pairs: &[(ProcessId, ProcessId)],
-    ) -> impl FnMut(u32) -> [u64; MAX_GRAPH_N] {
-        let n = cfg.n;
-        let drop_bit = drop_bits(n, pairs);
-        let base_states = round_start_states(parent);
-        let mut stepper = SyncStepper::new(RoundAgreement, base_states.clone());
-        move |mask| {
-            stepper.reset(&base_states);
-            stepper.step_round(|from, to| mask & drop_bit[from.index() * n + to.index()] == 0);
-            let mut next = [0u64; MAX_GRAPH_N];
-            for (c, state) in next.iter_mut().zip(stepper.states()) {
-                *c = state.c.get();
-            }
-            next
-        }
-    }
-
-    /// The per-mask expansion `for_each_edge` factors: one stepper round
-    /// per mask, then `check_edge`, `canonicalize` and `fingerprint` per
-    /// edge. The reference its edge sequence must match.
+    /// The per-mask walk the class walk stands in for: one stepper round
+    /// per mask, then `check_edge`, `canonicalize` and the fingerprint per
+    /// edge, in mask order.
     fn for_each_edge_per_mask(
         parent: &PackedState,
         cfg: &GraphConfig,
@@ -932,37 +943,39 @@ mod tests {
         mut visit: impl FnMut(Edge),
     ) {
         let table = PermTable::get(cfg.n, cfg.faulty);
-        let next_counters = per_mask_counters(parent, cfg, pairs);
-        for_each_child(parent, cfg, pairs, next_counters, |mask, child| {
+        let mut round = rounds(parent, cfg, pairs);
+        for mask in 0..1u32 << cfg.mask_bits() {
+            let child = child_of(parent, cfg, round(mask), parent.deviated || mask != 0);
             let violation = check_edge(parent, &child, cfg.faulty, cfg.stabilization);
             let (child, perm) = table.canonicalize(&child);
             visit(Edge {
                 mask,
+                masks: 1,
                 child_fp: fper.packed(&child),
                 child,
                 perm,
                 violation,
             });
-        });
+        }
     }
 
-    /// An edge as comparable fields.
-    type EdgeFields = (u32, PackedState, u128, Perm, Option<&'static str>);
-
-    /// The edges out of `parent` as comparable fields: the factored
-    /// walk's, then the per-mask reference's.
-    fn edge_sequences(
-        parent: &PackedState,
+    /// Every edge out of `parent`, in mask order, pruning nothing.
+    fn every_edge(
+        parent: &NodeState,
         cfg: &GraphConfig,
-    ) -> (Vec<EdgeFields>, Vec<EdgeFields>) {
-        let pairs = eligible_pairs(cfg.n, cfg.faulty);
-        let fper = Fingerprinter::new();
-        let fields = |e: Edge| (e.mask, e.child, e.child_fp, e.perm, e.violation);
-        let mut factored = Vec::new();
-        for_each_edge(parent, cfg, &pairs, &fper, |e| factored.push(fields(e)));
-        let mut per_mask = Vec::new();
-        for_each_edge_per_mask(parent, cfg, &pairs, &fper, |e| per_mask.push(fields(e)));
-        (factored, per_mask)
+        pairs: &[(ProcessId, ProcessId)],
+        fper: &Fingerprinter,
+    ) -> Vec<Expansion> {
+        let mut out = Vec::new();
+        for_each_edge_per_mask(&PackedState::pack(parent), cfg, pairs, fper, |edge| {
+            out.push(Expansion {
+                mask: edge.mask,
+                child: edge.child.unpack(),
+                perm: edge.perm,
+                violation: edge.violation,
+            })
+        });
+        out
     }
 
     /// A graph configuration for expanding single nodes.
@@ -1013,59 +1026,215 @@ mod tests {
         PackedState::pack(&node)
     }
 
-    /// Counters read off one round per distinct inbox, and verdicts,
-    /// orbits and fingerprints memoized per distinct raw child, give the
-    /// per-mask reference's edge sequence field for field.
+    /// What the edges out of a node say of one raw child: its least mask,
+    /// its mask count, its fingerprint and its verdict.
+    type ChildFacts = (u32, u32, u128, Option<&'static str>);
+
+    /// Edges grouped by raw child — named by its orbit representative and
+    /// the relabeling that reaches it — in least-mask order.
+    fn by_raw_child(edges: &[Edge]) -> Vec<((PackedState, Perm), ChildFacts)> {
+        let mut out: Vec<((PackedState, Perm), ChildFacts)> = Vec::new();
+        for e in edges {
+            let facts = (e.mask, e.masks, e.child_fp, e.violation);
+            match out.iter_mut().find(|(raw, _)| *raw == (e.child, e.perm)) {
+                Some((_, seen)) => {
+                    assert_eq!((seen.2, seen.3), (facts.2, facts.3), "one raw child");
+                    seen.0 = seen.0.min(facts.0);
+                    seen.1 += facts.1;
+                }
+                None => out.push(((e.child, e.perm), facts)),
+            }
+        }
+        out.sort_by_key(|(_, facts)| facts.0);
+        out
+    }
+
+    /// An edge as the layer merge reads it.
+    type EdgeFields = (u32, PackedState, u128, Perm, Option<&'static str>);
+
+    fn fields(e: &Edge) -> EdgeFields {
+        (e.mask, e.child, e.child_fp, e.perm, e.violation)
+    }
+
+    /// The classes out of `parent` and its per-mask edges stand for the
+    /// same raw children — each with the same least mask, mask count,
+    /// orbit representative, relabeling, fingerprint and verdict — and
+    /// `expand` hands the merge what a per-mask expansion would: the orbit
+    /// hits, the first violation in mask order and the fresh edges, first
+    /// per child in mask order, against a visited set holding about half
+    /// the children.
+    fn assert_class_walk_matches(parent: &PackedState, cfg: &GraphConfig, g: &mut impl Rng) {
+        let ctx = format!(
+            "n={} faulty={} stab={} {parent:?}",
+            cfg.n, cfg.faulty, cfg.stabilization
+        );
+        let pairs = eligible_pairs(cfg.n, cfg.faulty);
+        let fper = Fingerprinter::new();
+        let mut classes = Vec::new();
+        let round = rounds(parent, cfg, &pairs);
+        for_each_edge(parent, cfg, &pairs, &fper, round, |e| classes.push(e));
+        let mut per_mask = Vec::new();
+        for_each_edge_per_mask(parent, cfg, &pairs, &fper, |e| per_mask.push(e));
+        assert_eq!(per_mask.len(), 1 << cfg.mask_bits());
+        assert_eq!(by_raw_child(&classes), by_raw_child(&per_mask), "{ctx}");
+
+        let mut visited = FpMap::default();
+        for e in per_mask.iter().filter(|_| g.gen_bool(0.5)) {
+            visited.insert(
+                e.child_fp,
+                Visited {
+                    state: e.child,
+                    parent: None,
+                    mask: 0,
+                    perm: identity_perm(),
+                },
+            );
+        }
+        let mut fresh: Vec<EdgeFields> = Vec::new();
+        for e in &per_mask {
+            if !visited.contains_key(&e.child_fp) && fresh.iter().all(|seen| seen.2 != e.child_fp) {
+                fresh.push(fields(e));
+            }
+        }
+        let orbit_hits = per_mask.iter().filter(|e| e.perm != identity_perm());
+        let want = (
+            orbit_hits.count() as u64,
+            per_mask
+                .iter()
+                .find_map(|e| e.violation.map(|rule| (e.mask, rule))),
+            fresh,
+        );
+        let got = expand(parent, cfg, &pairs, &fper, &visited);
+        let got = (
+            got.orbit_hits,
+            got.violation,
+            got.fresh.iter().map(fields).collect::<Vec<_>>(),
+        );
+        assert_eq!(got, want, "{ctx}");
+    }
+
+    /// [`assert_class_walk_matches`] on sampled parents: settled and
+    /// arbitrary ones, with small, wide and near-`u64::MAX` counters, each
+    /// walked for every faulty index and both deviation flags (with the
+    /// undeviated parent's mask 0 split off its class).
     #[test]
-    fn factored_expansion_matches_the_per_mask_reference() {
-        ftss_rng::check::forall(150, |g| {
+    fn class_walk_matches_the_per_mask_reference() {
+        ftss_rng::check::forall(60, |g| {
             let n = g.gen_range(2..=MAX_GRAPH_N as u64) as usize;
-            let faulty = ProcessId(g.gen_range(0..n as u64) as usize);
             let stabilization = g.gen_range(0..3u64) as usize;
-            let cfg = node_config(n, faulty, stabilization);
-            let parent = sample_parent(g, n, stabilization);
-            let (got, want) = edge_sequences(&parent, &cfg);
-            assert_eq!(got.len(), 1 << cfg.mask_bits());
-            for (a, b) in got.iter().zip(&want) {
-                assert_eq!(
-                    a, b,
-                    "n={n} faulty={faulty} stab={stabilization} {parent:?}"
-                );
+            let sampled = sample_parent(g, n, stabilization);
+            for (f, deviated) in (0..n).flat_map(|f| [(f, false), (f, true)]) {
+                let cfg = node_config(n, ProcessId(f), stabilization);
+                let parent = PackedState {
+                    deviated,
+                    ..sampled
+                };
+                assert_class_walk_matches(&parent, &cfg, g);
             }
         });
     }
 
-    /// The memo's collision path: distinct raw children of one node that
-    /// share a slot and alternate in mask order, so a slot is evicted and
-    /// refilled, on a node the factored walk still expands exactly.
+    /// A node whose walk meets a violating class before the class that
+    /// holds its least violating mask (an undeviated settled parent near
+    /// `u64::MAX`: the rest of mask 0's class comes first): `expand` must
+    /// still report the least one.
     #[test]
-    fn memo_evictions_keep_the_edge_sequence() {
-        let mut rng = ftss_rng::StdRng::seed_from_u64(29);
-        let mut evicting = 0;
-        for _ in 0..40 {
-            let faulty = ProcessId(rng.gen_range(0..MAX_GRAPH_N as u64) as usize);
-            let cfg = node_config(MAX_GRAPH_N, faulty, 1);
-            let parent = sample_parent(&mut rng, MAX_GRAPH_N, 1);
-            let pairs = eligible_pairs(MAX_GRAPH_N, faulty);
-            let mut slots: [Option<PackedState>; MEMO_SLOTS] = [None; MEMO_SLOTS];
-            let mut evictions = 0;
-            let next_counters = per_mask_counters(&parent, &cfg, &pairs);
-            for_each_child(&parent, &cfg, &pairs, next_counters, |_, child| {
-                let slot = &mut slots[memo_slot(&child)];
-                if slot.is_some_and(|raw| raw != child) {
-                    evictions += 1;
-                }
-                *slot = Some(child);
-            });
-            if evictions > 0 {
-                evicting += 1;
-                let (got, want) = edge_sequences(&parent, &cfg);
-                assert_eq!(got, want);
+    fn class_walk_reports_the_least_violating_mask() {
+        let parent = PackedState::pack(&NodeState {
+            counters: vec![u64::MAX - 2; 2],
+            rate_ok: 3,
+            reach: vec![3, 2],
+            deviated: false,
+            coterie: 3,
+            stable_len: 4,
+            first_window: true,
+            thm4_alive: 1,
+        });
+        let cfg = node_config(2, ProcessId(1), 2);
+        let pairs = eligible_pairs(2, ProcessId(1));
+        let mut violating = Vec::new();
+        let round = rounds(&parent, &cfg, &pairs);
+        for_each_edge(&parent, &cfg, &pairs, &Fingerprinter::new(), round, |e| {
+            if e.violation.is_some() {
+                violating.push(e.mask);
             }
-        }
-        assert!(evicting > 0, "no sampled node evicts a memo slot");
+        });
+        assert_eq!(violating, [2, 1], "walk order");
+        assert_class_walk_matches(&parent, &cfg, &mut ftss_rng::StdRng::seed_from_u64(0));
     }
 
+    /// [`assert_class_walk_matches`] on every node two fixpoint searches
+    /// reach. Reachable nodes are symmetric enough that distinct raw
+    /// children share an orbit, which sampled parents rarely give.
+    #[test]
+    fn class_walk_matches_the_per_mask_reference_on_reachable_nodes() {
+        let mut rng = ftss_rng::StdRng::seed_from_u64(32);
+        let fixpoint_f2 = GraphConfig {
+            faulty: ProcessId(2),
+            ..GraphConfig::fixpoint(4, 11)
+        };
+        for cfg in [fixpoint_f2, GraphConfig::fixpoint(5, 7)] {
+            let (_, visited) = search(&cfg).unwrap();
+            let mut fps: Vec<&u128> = visited.keys().collect();
+            fps.sort_unstable();
+            for fp in fps {
+                assert_class_walk_matches(&visited[fp].state, &cfg, &mut rng);
+            }
+        }
+    }
+
+    /// The work `cfg`'s search does in its expansions, counted by walking
+    /// each node it expands (a fixpoint's every node, or with
+    /// `rounds: Some(d)` the nodes less than `d` edges from the root)
+    /// again: `[nodes, classes judged, stepper rounds, masks]`.
+    fn walk_counts(cfg: &GraphConfig) -> [u64; 4] {
+        let (report, visited) = search(cfg).unwrap();
+        let pairs = eligible_pairs(cfg.n, cfg.faulty);
+        let fper = Fingerprinter::new();
+        let depth = |mut fp: u128| {
+            let mut depth = 0;
+            while let Some(parent) = visited[&fp].parent {
+                fp = parent;
+                depth += 1;
+            }
+            depth
+        };
+        let [mut nodes, mut classes, mut stepped, mut masks] = [0u64; 4];
+        for (&fp, node) in &visited {
+            if cfg.rounds.is_some_and(|d| depth(fp) >= d) {
+                continue;
+            }
+            nodes += 1;
+            let mut round = rounds(&node.state, cfg, &pairs);
+            let counted = |drop| {
+                stepped += 1;
+                round(drop)
+            };
+            for_each_edge(&node.state, cfg, &pairs, &fper, counted, |e| {
+                classes += 1;
+                masks += u64::from(e.masks);
+            });
+        }
+        assert_eq!(masks, report.expansions, "{cfg:?}");
+        [nodes, classes, stepped, masks]
+    }
+
+    /// The class walk's work, pinned as counts rather than a clock: on
+    /// the n = 6 seed-7 searches a node judges 8.6 (fixpoint) or 10.5
+    /// (two layers) classes on average for its 1 024 masks, and runs
+    /// 2^(n−1) = 32 stepper rounds. A per-mask loop coming back fails here
+    /// on any machine.
+    #[test]
+    fn class_walk_work_is_pinned() {
+        let two_layers = GraphConfig {
+            rounds: Some(2),
+            ..GraphConfig::fixpoint(6, 7)
+        };
+        let [nodes, classes, stepped, _] = walk_counts(&two_layers);
+        assert_eq!((nodes, classes, stepped), (225, 2_362, 225 << 5));
+        let [nodes, classes, stepped, _] = walk_counts(&GraphConfig::fixpoint(6, 7));
+        assert_eq!((nodes, classes, stepped), (573, 4_917, 573 << 5));
+    }
     #[test]
     fn eligible_pairs_match_the_tape_consultation_order() {
         let pairs = eligible_pairs(3, ProcessId(0));
@@ -1113,7 +1282,7 @@ mod tests {
             let mut incremental: Vec<bool> = Vec::new(); // violation known after round k?
             let mut any = false;
             for &m in &masks {
-                let exps = expand(&node, &cfg, &pairs, &fper);
+                let exps = every_edge(&node, &cfg, &pairs, &fper);
                 let e = exps
                     .into_iter()
                     .find(|e| e.mask == m)
@@ -1180,7 +1349,7 @@ mod tests {
             let mut node = NodeState::root(&raw, stab);
             let mut fired: Vec<bool> = Vec::new(); // atom verdict per edge
             for &m in &masks {
-                let exps = expand(&node, &cfg, &pairs, &fper);
+                let exps = every_edge(&node, &cfg, &pairs, &fper);
                 let e = exps
                     .into_iter()
                     .find(|e| e.mask == m)

@@ -879,8 +879,30 @@ fn sweep_doc(path: &str) -> Outcome {
 /// `check`: the model-checker-lite. `--replay FILE` re-executes a
 /// schedule file; `--adversary` runs the worst-case battery; `--graph`
 /// runs the fingerprinted state-graph exploration; anything else
-/// (canonically `--dfs`) runs the exhaustive enumeration.
+/// (canonically `--dfs`) runs the exhaustive enumeration. Naming two of
+/// these modes is an error, not a silent pick.
 pub fn check(args: &Args) -> Outcome {
+    let mut modes = Vec::new();
+    if args.get("replay").is_some() {
+        modes.push("--replay");
+    }
+    for (flag, mode) in [
+        ("adversary", "--adversary"),
+        ("graph", "--graph"),
+        ("dfs", "--dfs"),
+        ("por", "--dfs"),
+    ] {
+        if args.flag(flag)? && !modes.contains(&mode) {
+            modes.push(mode);
+        }
+    }
+    if modes.len() > 1 {
+        return Err(format!(
+            "check: {} are separate modes; pass one of --replay, --adversary, \
+             --graph, --dfs (--por counts as --dfs)",
+            modes.join(" and ")
+        ));
+    }
     if let Some(path) = args.get("replay") {
         let path = path.to_string();
         return check_replay(args, &path);
@@ -956,6 +978,11 @@ fn check_graph_config(args: &Args, n: usize) -> Result<ftss_check::GraphConfig, 
 /// `2..=N`. Output never names the worker count — it is byte-identical
 /// for any `--jobs`, and `scripts/verify.sh` `cmp`s serial vs parallel.
 fn check_graph(args: &Args) -> Outcome {
+    if args.get("n").is_some() && args.get("max-n").is_some() {
+        return Err("check --graph: --n and --max-n conflict; pass one \
+                    (--max-n N sweeps n = 2..=N)"
+            .into());
+    }
     let sizes: Vec<usize> = match args.get("max-n") {
         Some(_) => (2..=args.get_or("max-n", 0)?).collect(),
         None => vec![args.get_or("n", 5)?],

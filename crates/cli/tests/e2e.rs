@@ -437,6 +437,42 @@ fn check_graph_rejects_an_oversized_max_n_up_front() {
     assert!(String::from_utf8_lossy(&o.stderr).contains("n must be in 2..=6, got 7"));
 }
 
+/// `--n` and `--max-n` together name two size sets; neither wins.
+#[test]
+fn check_graph_rejects_n_together_with_max_n() {
+    let o = run(&["check", "--graph", "--n", "5", "--max-n", "3"]);
+    assert_eq!(o.status.code(), Some(2));
+    assert!(o.stdout.is_empty(), "{}", stdout(&o));
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(
+        err.contains("error: check --graph: --n and --max-n conflict"),
+        "{err}"
+    );
+}
+
+/// Two modes on one `check` command line fail before either runs.
+#[test]
+fn check_rejects_more_than_one_mode() {
+    for (args, named) in [
+        (&["--graph", "--dfs"][..], "--graph and --dfs"),
+        (&["--graph", "--por"], "--graph and --dfs"),
+        (&["--adversary", "--graph"], "--adversary and --graph"),
+        (&["--replay", "x.schedule", "--dfs"], "--replay and --dfs"),
+    ] {
+        let o = run(&[&["check"][..], args].concat());
+        assert_eq!(o.status.code(), Some(2), "{args:?}");
+        assert!(o.stdout.is_empty(), "{args:?}: {}", stdout(&o));
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            err.contains("error: check: ") && err.contains(named),
+            "{args:?}: {err}"
+        );
+    }
+    // `--por` is a refinement of `--dfs`, not a second mode.
+    let o = run(&["check", "--dfs", "--por"]);
+    assert_eq!(o.status.code(), Some(0), "{}", stdout(&o));
+}
+
 #[test]
 fn check_rejects_oversized_dfs() {
     let o = run(&["check", "--dfs", "--n", "9"]);

@@ -56,7 +56,7 @@ run cargo clippy --all-targets -- -D warnings
 # serve runtime's timing proxy; a third is a linear rescan coming back.
 # (Test modules sit at the end of their file, behind `#[cfg(test)]`;
 # definitions and comment lines are not call sites.)
-echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at"
+echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at / check_edge"
 call_sites() { # <expected count> <call regex> <source dir>...
     local want="$1" call="$2" sites
     shift 2
@@ -85,6 +85,9 @@ call_sites 1 'window_stabilization\(' crates/chaos/src crates/cli/src
 call_sites 1 'storm_program_for\(' crates/chaos/src crates/cli/src crates/serve/src
 call_sites 2 'stabilization_offset\(' crates/*/src
 call_sites 2 'storm::phase_at\(' crates/sync-sim/src crates/serve/src
+# `check_edge` judges a graph node's edges once per effect class inside
+# `for_each_edge`; a second call site is a second edge walk beside it.
+call_sites 1 'check_edge\(' crates/check/src
 
 # DESIGN.md §3 is the crate inventory: every crates/* directory has a
 # row, and every key module a row names is a file of that crate.
@@ -234,7 +237,7 @@ test -s "$TRACE_DIR/gce.schedule"
 run grep -q '^mode: graph$' "$TRACE_DIR/gce.schedule"
 run cargo run -q --release -p ftss-lab -- check --replay "$TRACE_DIR/gce.schedule" \
     --out "$TRACE_DIR/gce_replay.jsonl"
-echo "==> ftss-lab check --graph --n 6 --broken-oracle (memoized violation path, must exit 1)"
+echo "==> ftss-lab check --graph --n 6 --broken-oracle (effect-class violation path, must exit 1)"
 if cargo run -q --release -p ftss-lab -- check --graph --n 6 --broken-oracle \
     --ce "$TRACE_DIR/gce6.schedule"; then
     echo "ERROR: the broken oracle did not trip in graph mode at n = 6" >&2

@@ -50,7 +50,7 @@ use ftss::detectors::{
 use ftss::protocols::{FloodSet, RepeatedConsensusSpec, RoundAgreement};
 use ftss::sync_sim::{RunOutcome, SyncProtocol, SyncRunner};
 use ftss::telemetry::{Event, NullSink, RunMode, TraceSink};
-use ftss_serve::{serve_streaming, ServeConfig, TransportKind, Wire};
+use ftss_serve::{serve_streaming_with_stats, ServeConfig, ServeStats, TransportKind, Wire};
 use std::fmt::Write as _;
 
 /// One soak campaign's parameters.
@@ -411,7 +411,8 @@ impl StormScenario {
             Some(transport) => {
                 let mut cfg = ServeConfig::new(self.run.clone(), transport);
                 (cfg.restart, cfg.timing) = (self.restart, self.timing.clone());
-                serve_streaming(&protocol, &mut adversary, &cfg, sink, on_round)?
+                let stats = &mut ServeStats::default();
+                serve_streaming_with_stats(&protocol, &mut adversary, &cfg, sink, on_round, stats)?
             }
         };
         Ok((outcome, judge))

@@ -91,6 +91,10 @@ pub fn run_battery(cfg: &BatteryConfig) -> Result<Vec<BatteryRow>, String> {
             cfg.n
         ));
     }
+    if cfg.seeds == 0 {
+        // Zero seeds run no cell: an empty battery would read as a pass.
+        return Err("check --adversary: --seeds must be at least 1".into());
+    }
     let cells: Vec<(&'static str, u64)> = SCENARIOS
         .iter()
         .flat_map(|&s| (0..cfg.seeds).map(move |seed| (s, seed)))
@@ -235,6 +239,12 @@ mod tests {
     #[test]
     fn battery_rejects_tiny_n() {
         assert!(run_battery(&BatteryConfig::new(2, 1, 1)).is_err());
+    }
+
+    #[test]
+    fn battery_rejects_zero_seeds() {
+        let err = run_battery(&BatteryConfig::new(5, 0, 1)).unwrap_err();
+        assert!(err.contains("--seeds must be at least 1"), "{err}");
     }
 
     #[test]

@@ -1,22 +1,25 @@
-//! Exhaustive bounded schedule enumeration — the model checker's core.
+//! Omission tapes of the synchronous model, and the asynchronous
+//! dispatch-order explorer.
 //!
-//! Two explorers, one per simulator:
-//!
-//! * [`explore`] walks **every** omission schedule of the synchronous
-//!   model against a single faulty process. A schedule is a boolean tape
-//!   consumed by [`TapeOmission`] in the runner's deterministic
-//!   consultation order, so the set of all length-`d` tapes *is* the set
-//!   of all delivery interleavings within the bound — `2^d` runs, checked
-//!   against a Theorem-3 oracle.
+//! * [`run_tape`] executes one omission schedule of round agreement: a
+//!   boolean tape consumed by [`TapeOmission`] in the runner's
+//!   deterministic consultation order, one bit per copy eligible for
+//!   omission. [`check_tape`] judges it with the Theorem-3 oracle. This
+//!   is the concrete pipeline every synchronous counterexample goes
+//!   through: graph mode ([`crate::frontier`]) rebuilds its witnesses as
+//!   tapes, confirms them here and shrinks them ([`crate::shrink`]), and
+//!   schedule files ([`crate::schedule`]) replay them. Enumerating tapes
+//!   is not a checker of its own: the state graph covers every schedule
+//!   of a bounded horizon, and every horizon at its fixpoint.
 //! * [`explore_gossip_por`] walks every *dispatch order* of an
 //!   asynchronous gossip system within an event horizon, driving
 //!   [`DfsScheduler`](ftss::async_sim::DfsScheduler)'s explicit choice
 //!   stack: each run replays a prefix of recorded choices and the
 //!   odometer-style `advance` moves to the next unexplored schedule.
 //!
-//! Both are plain iterative loops — no recursion, no randomness; every
-//! run is a pure function of its schedule, which is what makes
-//! counterexamples replayable (see [`crate::schedule`]).
+//! No recursion, no randomness: every run is a pure function of its
+//! schedule, which is what makes counterexamples replayable (see
+//! [`crate::schedule`]).
 
 use crate::oracle::{thm3_round_agreement, Verdict};
 use crate::runbuild::RunBuilder;
@@ -25,15 +28,13 @@ use ftss::core::ProcessId;
 use ftss::sync_sim::{RunOutcome, TapeOmission};
 use ftss::telemetry::TraceSink;
 
-/// Largest admissible tape bound: `2^d` runs must stay test-sized.
-pub const MAX_TAPE_BOUND: usize = 20;
-
-/// One synchronous check configuration: the protocol (round agreement),
+/// One synchronous replay configuration: the protocol (round agreement),
 /// the system size, the systemic failure, the faulty process the omission
-/// tape may act through, and the oracle's stabilization bound.
+/// tape may act through, and the oracle's stabilization bound. Graph
+/// witnesses and schedule files carry one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DfsConfig {
-    /// Number of processes (enumeration is bounded to `2..=4`).
+    /// Number of processes.
     pub n: usize,
     /// Observer rounds per run.
     pub rounds: usize,
@@ -41,51 +42,15 @@ pub struct DfsConfig {
     pub corruption_seed: u64,
     /// The single faulty process the tape's omissions are attributed to.
     pub faulty: ProcessId,
-    /// Maximum tape length `d`; the explorer runs `2^min(d, eligible)`
-    /// schedules.
+    /// The tape length the counterexample was found within (a schedule
+    /// file's `tape-bound:`; a graph witness sets it to the eligible
+    /// copies of its rounds). Replay does not read it: copies past the
+    /// tape's end are delivered.
     pub tape_bound: usize,
     /// Stabilization time handed to the Theorem-3 oracle (1 = the
     /// theorem's claim; 0 = a deliberately broken oracle that corrupted
     /// starts must violate).
     pub stabilization: usize,
-}
-
-impl DfsConfig {
-    /// The acceptance-criterion configuration: `n = 3`, one corrupted
-    /// initial state per process, omissions through `p0`, Theorem-3 bound.
-    pub fn small(corruption_seed: u64) -> Self {
-        DfsConfig {
-            n: 3,
-            rounds: 2,
-            corruption_seed,
-            faulty: ProcessId(0),
-            tape_bound: 8,
-            stabilization: 1,
-        }
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        if !(2..=4).contains(&self.n) {
-            return Err(format!("check --dfs: n must be in 2..=4, got {}", self.n));
-        }
-        if self.faulty.index() >= self.n {
-            return Err(format!(
-                "check --dfs: faulty process {} outside 0..{}",
-                self.faulty, self.n
-            ));
-        }
-        if self.rounds == 0 {
-            return Err("check --dfs: rounds must be at least 1".into());
-        }
-        if self.tape_bound > MAX_TAPE_BOUND {
-            return Err(format!(
-                "check --dfs: tape bound {} exceeds the {MAX_TAPE_BOUND}-bit ceiling ({} runs)",
-                self.tape_bound,
-                1u64 << MAX_TAPE_BOUND
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// Executes one schedule: round agreement from corrupted states under the
@@ -103,7 +68,7 @@ pub fn run_tape<T: TraceSink>(
 }
 
 /// Runs one schedule through the Theorem-3 oracle. This is *the* checked
-/// property — the explorer and the shrinker call it, and
+/// property — graph mode confirms and shrinks its witnesses with it, and
 /// [`crate::schedule::ScheduleFile::replay`] applies the same oracle to
 /// its traced run, so a counterexample means the same thing everywhere.
 pub fn check_tape(cfg: &DfsConfig, tape: &[bool]) -> Verdict {
@@ -136,82 +101,6 @@ pub struct Counterexample {
     pub tape: Vec<bool>,
     /// The oracle's detail line.
     pub detail: String,
-}
-
-/// What an exhaustive exploration covered.
-#[derive(Clone, Debug)]
-pub struct DfsReport {
-    /// Schedules executed (`2^decision_points`, unless a violation
-    /// stopped the walk early).
-    pub schedules: u64,
-    /// Tape bits actually enumerated: `min(eligible copies, tape_bound)`.
-    pub decision_points: usize,
-    /// Eligible copies per run (the unbounded schedule-space dimension).
-    pub eligible_copies: usize,
-    /// Whether the tape bound clamped the enumeration below the eligible
-    /// copies — i.e. coverage is a *prefix* of the schedule space, not
-    /// all of it. Graph mode ([`crate::frontier`]) has no such clamp.
-    pub clamped: bool,
-    /// First violating schedule found, if any (not yet shrunk — see
-    /// [`crate::shrink`]).
-    pub counterexample: Option<Counterexample>,
-}
-
-/// Flips the tape to the next schedule like a binary odometer (the last
-/// bit is the deepest choice point). Returns `false` when the space is
-/// exhausted.
-fn advance_tape(tape: &mut [bool]) -> bool {
-    for i in (0..tape.len()).rev() {
-        if tape[i] {
-            tape[i] = false;
-        } else {
-            tape[i] = true;
-            return true;
-        }
-    }
-    false
-}
-
-/// Exhaustively enumerates every omission schedule of `cfg` (all tapes of
-/// length `min(eligible, tape_bound)`), checking each against the
-/// Theorem-3 oracle. Stops at the first violation.
-pub fn explore(cfg: &DfsConfig) -> Result<DfsReport, String> {
-    cfg.validate()?;
-    // Probe run: the empty tape (everything delivered) both measures the
-    // schedule-space dimension and doubles as the all-false schedule.
-    let (out, eligible) = run_tape(cfg, &[], &mut ftss::telemetry::NullSink);
-    let d = eligible.min(cfg.tape_bound);
-    let clamped = eligible > cfg.tape_bound;
-    if clamped {
-        // Silent truncation reads as "covered everything" — say so loudly
-        // (and point at the mode without the wall).
-        eprintln!(
-            "check --dfs: tape bound {} < {} eligible copies; only the first {} \
-             decisions are enumerated (use --graph for exhaustive coverage)",
-            cfg.tape_bound, eligible, d
-        );
-    }
-    let mut schedules = 1u64;
-    let mut counterexample =
-        thm3_round_agreement(&out.history, cfg.stabilization).map(|detail| Counterexample {
-            tape: Vec::new(),
-            detail,
-        });
-    let mut tape = vec![false; d];
-    while counterexample.is_none() && advance_tape(&mut tape) {
-        schedules += 1;
-        counterexample = check_tape(cfg, &tape).map(|detail| Counterexample {
-            tape: tape.clone(),
-            detail,
-        });
-    }
-    Ok(DfsReport {
-        schedules,
-        decision_points: d,
-        eligible_copies: eligible,
-        clamped,
-        counterexample,
-    })
 }
 
 /// What an asynchronous dispatch-order exploration covered.
@@ -295,7 +184,7 @@ where
 }
 
 /// The canonical dispatch-order demonstration behind `ftss-lab check
-/// --dfs --por`: two processes gossip their values (3 and 7) and must
+/// --por`: two processes gossip their values (3 and 7) and must
 /// converge on the maximum. Four deliveries make `4! = 24` complete
 /// dispatch orders; with sleep-set POR, interleavings of commuting
 /// deliveries (different destinations, so no handler can observe the
@@ -343,29 +232,36 @@ impl AsyncProcess for Gossip {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn advance_tape_counts_in_binary() {
-        let mut t = vec![false; 3];
-        let mut seen = vec![t.clone()];
-        while advance_tape(&mut t) {
-            seen.push(t.clone());
+    /// The acceptance-criterion configuration: `n = 3`, one corrupted
+    /// initial state per process, omissions through `p0`, two rounds (8
+    /// eligible copies), Theorem-3 bound.
+    pub(crate) fn small(corruption_seed: u64) -> DfsConfig {
+        DfsConfig {
+            n: 3,
+            rounds: 2,
+            corruption_seed,
+            faulty: ProcessId(0),
+            tape_bound: 8,
+            stabilization: 1,
         }
-        assert_eq!(seen.len(), 8);
-        seen.dedup();
-        assert_eq!(seen.len(), 8, "no schedule visited twice");
     }
 
-    #[test]
-    fn validation_rejects_large_n_and_huge_bounds() {
-        let mut cfg = DfsConfig::small(0);
-        cfg.n = 5;
-        assert!(explore(&cfg).is_err());
-        let mut cfg = DfsConfig::small(0);
-        cfg.tape_bound = MAX_TAPE_BOUND + 1;
-        assert!(explore(&cfg).is_err());
+    /// Every tape of `cfg.tape_bound` bits in binary order (the last bit
+    /// is the deepest choice), each judged by [`check_tape`]: the number
+    /// of schedules run and the first violating tape.
+    pub(crate) fn enumerate(cfg: &DfsConfig) -> (u64, Option<Vec<bool>>) {
+        let d = cfg.tape_bound;
+        assert!(d <= 20, "2^{d} runs is not test-sized");
+        for bits in 0..1u64 << d {
+            let tape: Vec<bool> = (0..d).map(|i| (bits >> (d - 1 - i)) & 1 == 1).collect();
+            if check_tape(cfg, &tape).is_some() {
+                return (bits + 1, Some(tape));
+            }
+        }
+        (1 << d, None)
     }
 
     /// Two processes gossip their values (each broadcast lands on both,
@@ -411,39 +307,11 @@ mod tests {
         assert!(full.violation.is_none() && por.violation.is_none());
     }
 
-    /// The clamp boundary: bound == eligible is full coverage (no flag),
-    /// one less trips the clamp and halves the space.
-    #[test]
-    fn clamp_is_flagged_exactly_when_bound_is_short() {
-        // n = 2, faulty p0, 2 rounds: eligible = 2 copies/round = 4.
-        let cfg = DfsConfig {
-            n: 2,
-            rounds: 2,
-            corruption_seed: 3,
-            faulty: ProcessId(0),
-            tape_bound: 4,
-            stabilization: 1,
-        };
-        let exact = explore(&cfg).unwrap();
-        assert_eq!(exact.eligible_copies, 4);
-        assert_eq!(exact.decision_points, 4);
-        assert!(!exact.clamped, "bound == eligible is not a clamp");
-
-        let short = explore(&DfsConfig {
-            tape_bound: 3,
-            ..cfg
-        })
-        .unwrap();
-        assert!(short.clamped);
-        assert_eq!(short.decision_points, 3);
-        assert_eq!(short.schedules, 8, "2^3 of the 2^4 schedules");
-    }
-
     #[test]
     fn probe_measures_eligible_copies() {
         // n = 3, faulty p0: per round the copies touching p0 are
         // p0→p1, p0→p2, p1→p0, p2→p0 — 4 per round.
-        let cfg = DfsConfig::small(7);
+        let cfg = small(7);
         let (_, eligible) = run_tape(&cfg, &[], &mut ftss::telemetry::NullSink);
         assert_eq!(eligible, 4 * cfg.rounds);
     }

@@ -1,12 +1,12 @@
 //! Graph-mode exploration: fingerprinted, symmetry-reduced, parallel BFS
 //! over the reachable-state graph.
 //!
-//! The legacy enumerator ([`crate::dfs::explore`]) walks the schedule
-//! *tree*: `2^d` full runs for a `d`-bit tape, re-executing every prefix
-//! and re-visiting the many schedules that lead to identical global
-//! states (round agreement collapses differences fast, so most of the
-//! tree is redundant). This module walks the reachable-state *graph*
-//! instead, TLC-style:
+//! A tape enumeration walks the schedule *tree*: `2^d` full runs for a
+//! `d`-bit tape, re-executing every prefix and re-visiting the many
+//! schedules that lead to identical global states (round agreement
+//! collapses differences fast, so most of the tree is redundant). This
+//! module, the one synchronous checker, walks the reachable-state
+//! *graph* instead, TLC-style:
 //!
 //! * a **node** is a canonical [`NodeState`](crate::fingerprint::NodeState)
 //!   — exactly the future-determining part of a global state, normalized
@@ -37,7 +37,9 @@
 //! round count) the graph is finite, and with `rounds: None` the
 //! exploration runs to a **fixpoint**: termination without a violation
 //! certifies the obligations over *unbounded* horizons — something no
-//! bounded tape enumeration can do.
+//! bounded tape enumeration can do. With `rounds: Some(d)` it covers
+//! exactly the `d`-round schedules, which the tests hold to a frozen
+//! tape enumeration verdict for verdict.
 //!
 //! Each BFS layer is sharded across workers with
 //! [`ftss_sweep::map_cells`] and merged in canonical (fingerprint, mask)
@@ -47,9 +49,10 @@
 //! states, not its edges. A violating edge is replayed concretely: the
 //! search path's masks are mapped back through the accumulated
 //! canonicalization permutations into an honest omission tape, confirmed
-//! against the legacy oracle ([`crate::dfs::check_tape`]) and shrunk to a
-//! 1-minimal [`Counterexample`] — graph-mode schedule files replay
-//! through the same pipeline as enumerated ones.
+//! against the whole-history oracle on the raw simulator
+//! ([`crate::dfs::check_tape`]) and shrunk to a 1-minimal
+//! [`Counterexample`], which a schedule file replays
+//! ([`crate::schedule`]).
 
 use crate::dfs::{check_tape, check_tape_thm4, Counterexample, DfsConfig};
 use crate::fingerprint::{
@@ -93,8 +96,8 @@ pub struct GraphConfig {
 }
 
 impl GraphConfig {
-    /// The pinned acceptance configuration: `n = 3`, the same shape as
-    /// [`DfsConfig::small`] (2 rounds ≙ tape bound 8).
+    /// The pinned acceptance configuration: `n = 3`, omissions through
+    /// `p0`, 2 rounds (≙ every 8-bit omission tape).
     pub fn small(corruption_seed: u64) -> Self {
         GraphConfig {
             n: 3,
@@ -159,7 +162,7 @@ impl GraphConfig {
         2 * (self.n as u32 - 1)
     }
 
-    /// The legacy [`DfsConfig`] that replays a `depth`-round witness of
+    /// The [`DfsConfig`] that replays a `depth`-round witness of
     /// this exploration (tape bound sized to the full tape, which
     /// [`check_tape`] accepts unbounded).
     fn replay_config(&self, depth: usize, tape_len: usize) -> DfsConfig {
@@ -174,7 +177,7 @@ impl GraphConfig {
     }
 }
 
-/// A violating edge, replayed into the legacy pipeline: the concrete
+/// A violating edge, replayed on the raw simulator: the concrete
 /// [`DfsConfig`] and 1-minimal tape that reproduce it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GraphCounterexample {
@@ -191,7 +194,7 @@ pub struct GraphReport {
     /// Canonical states visited (root included).
     pub visited: u64,
     /// Edges expanded: one per (node, omission mask), the unit comparable
-    /// to `legacy schedules × rounds`. The count is per mask although a
+    /// to a tape enumeration's `schedules × rounds`. The count is per mask although a
     /// node's edges are computed from `2^(n−1)` simulator rounds and
     /// judged once per effect class (the masks with one raw child).
     pub expansions: u64,
@@ -255,7 +258,7 @@ struct Expanded {
 
 /// The eligible copies of one round in consultation order (sender-major,
 /// destination-minor, pairs touching `faulty` only) — the bit layout of
-/// both omission masks and legacy tape segments.
+/// both omission masks and replay tape segments.
 fn eligible_pairs(n: usize, faulty: ProcessId) -> Vec<(ProcessId, ProcessId)> {
     let f = faulty.index();
     let mut out = Vec::with_capacity(2 * (n - 1));
@@ -714,8 +717,8 @@ fn expand(
 }
 
 /// Rebuilds a concrete omission tape for the search path ending in the
-/// edge `(parent_fp, mask)`, then confirms and shrinks it through the
-/// legacy pipeline.
+/// edge `(parent_fp, mask)`, then confirms and shrinks it on the raw
+/// simulator.
 ///
 /// Each stored mask is expressed in the canonical labels of its parent;
 /// composing the per-edge canonicalization permutations yields, per
@@ -919,7 +922,6 @@ fn search(cfg: &GraphConfig) -> Result<(GraphReport, FpMap<Visited>), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfs::explore;
     use crate::oracle::thm3_round_agreement;
     use ftss_rng::Rng;
 
@@ -1391,26 +1393,26 @@ mod tests {
         inv
     }
 
-    /// Graph mode must agree with the legacy enumerator verdict-for-verdict
+    /// Graph mode must agree with a tape enumeration verdict-for-verdict
     /// on configurations both can cover exhaustively.
     #[test]
     fn graph_matches_enumerator_verdicts() {
         for seed in [7u64, 11, 42] {
             for stab in [1usize, 0] {
-                let mut dcfg = DfsConfig::small(seed);
+                let mut dcfg = crate::dfs::tests::small(seed);
                 dcfg.stabilization = stab;
                 let mut gcfg = GraphConfig::small(seed);
                 gcfg.stabilization = stab;
-                let legacy = explore(&dcfg).unwrap();
+                let (_, violation) = crate::dfs::tests::enumerate(&dcfg);
                 let graph = explore_graph(&gcfg).unwrap();
                 assert_eq!(
-                    legacy.counterexample.is_some(),
+                    violation.is_some(),
                     graph.counterexample.is_some(),
                     "seed {seed} stab {stab}: graph and enumerator disagree"
                 );
                 if let Some(gce) = &graph.counterexample {
-                    // The graph counterexample replays through the legacy
-                    // oracle by construction.
+                    // The graph counterexample replays through the raw
+                    // simulator's oracle by construction.
                     assert_eq!(
                         check_tape(&gce.cfg, &gce.counterexample.tape),
                         Some(gce.counterexample.detail.clone())
@@ -1511,8 +1513,8 @@ mod tests {
         );
     }
 
-    /// Deep exploration past the legacy d = 20 wall: 5 rounds at n = 3 is
-    /// a 60-bit tape space (2^60 schedules) — the graph walks it whole.
+    /// Deep exploration: 5 rounds at n = 3 is a 20-bit tape space (2^20
+    /// schedules of 5 rounds each) — the graph walks it whole.
     #[test]
     fn graph_covers_depths_past_the_tape_bound_wall() {
         let mut cfg = GraphConfig::fixpoint(3, 9);
@@ -1523,7 +1525,7 @@ mod tests {
         assert!(report.depth == 5 || report.fixpoint, "{report:?}");
         assert!(report.counterexample.is_none());
         // The whole 5-round reachable space in far fewer edge-expansions
-        // than the enumerator's 2^20-run ceiling would even allow.
+        // than a 2^20-run tape enumeration.
         assert!(report.expansions < 1 << 20);
     }
 
@@ -1565,8 +1567,8 @@ mod tests {
     }
 
     /// End-to-end sanity at n = 5: a full fixpoint certification, which
-    /// the enumerator cannot touch (eligible copies = 8/round; 3 rounds
-    /// already exceed the 2^20 ceiling).
+    /// no tape enumeration touches (eligible copies = 8/round; 3 rounds
+    /// already make 2^24 schedules).
     #[test]
     fn n5_fixpoint_certifies_theorem3() {
         let report = explore_graph(&GraphConfig::fixpoint(5, 7)).unwrap();

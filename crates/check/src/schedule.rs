@@ -16,6 +16,7 @@
 //! ```text
 //! ftss-check schedule v1
 //! protocol: round-agreement
+//! mode: graph
 //! n: 3
 //! rounds: 2
 //! corruption-seed: 7
@@ -30,16 +31,18 @@
 //! oracle's one-line verdict at the time the file was written.
 //!
 //! Counterexamples found by the graph explorer ([`crate::frontier`])
-//! carry a `mode: graph` line after `protocol` — the tape is then a
-//! reconstructed witness from the state-graph search path rather than an
-//! enumerated schedule. Replay is identical either way (the witness is a
-//! plain omission tape), the marker just records provenance; its absence
-//! means `enum`, so legacy files keep their exact bytes.
+//! carry the `mode: graph` line after `protocol` — the tape is a witness
+//! reconstructed from the state-graph search path. Files without the
+//! line were written by an earlier tape enumerator (`mode: enum`, the
+//! default); they still parse and replay, since replay is identical
+//! either way (a witness is a plain omission tape) and the marker only
+//! records provenance.
 //!
 //! The parser is strict: unknown keys, duplicate keys, trailing
 //! `key: value` garbage and a system no mode explores (`n` outside
 //! `2..=MAX_GRAPH_N`, `faulty ≥ n`) are all rejected — a schedule file
-//! that parses is exactly a schedule file this version would write.
+//! that parses is exactly one a v1 writer (graph mode, or the earlier
+//! enumerator) would write.
 
 use crate::dfs::{run_tape, Counterexample, DfsConfig};
 use crate::fingerprint::MAX_GRAPH_N;
@@ -68,8 +71,9 @@ const KNOWN_KEYS: [&str; 10] = [
 /// behavior — both modes replay as plain omission tapes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ScheduleMode {
-    /// Enumerated by [`crate::dfs::explore`]. Serialized with no `mode`
-    /// line (the v1 spelling, byte-compatible with older files).
+    /// Found by the tape enumerator earlier versions shipped: the parse
+    /// of a file with no `mode` line (the v1 spelling), or `mode: enum`.
+    /// Serialized with no `mode` line, so such files keep their bytes.
     #[default]
     Enum,
     /// Reconstructed from a graph-exploration search path
@@ -91,21 +95,13 @@ pub struct ScheduleFile {
 }
 
 impl ScheduleFile {
-    /// Packages an enumerated counterexample for writing.
-    pub fn new(cfg: DfsConfig, ce: Counterexample) -> Self {
-        ScheduleFile {
-            cfg,
-            mode: ScheduleMode::Enum,
-            tape: ce.tape,
-            detail: ce.detail,
-        }
-    }
-
     /// Packages a graph-mode counterexample for writing.
     pub fn graph(cfg: DfsConfig, ce: Counterexample) -> Self {
         ScheduleFile {
+            cfg,
             mode: ScheduleMode::Graph,
-            ..ScheduleFile::new(cfg, ce)
+            tape: ce.tape,
+            detail: ce.detail,
         }
     }
 
@@ -212,7 +208,7 @@ impl ScheduleFile {
                 })
                 .collect::<Result<Vec<bool>, String>>()?
         };
-        // Both modes write 2 ≤ n ≤ MAX_GRAPH_N (the enumerator stops at
+        // Both modes wrote 2 ≤ n ≤ MAX_GRAPH_N (the enumerator stopped at
         // 4) and a faulty process inside the system.
         let n = num("n")?;
         if !(2..=MAX_GRAPH_N as u64).contains(&n) {
@@ -267,7 +263,7 @@ mod tests {
     use ftss_rng::Rng;
 
     fn sample() -> ScheduleFile {
-        let mut cfg = DfsConfig::small(7);
+        let mut cfg = crate::dfs::tests::small(7);
         cfg.stabilization = 0;
         ScheduleFile {
             cfg,
@@ -385,7 +381,7 @@ mod tests {
     fn replay_reproduces_the_recorded_verdict() {
         // Build a real counterexample via the broken oracle, write it,
         // parse it back, replay it: same one-line verdict.
-        let mut cfg = DfsConfig::small(7);
+        let mut cfg = crate::dfs::tests::small(7);
         cfg.stabilization = 0;
         let detail = crate::dfs::check_tape(&cfg, &[]).expect("violates r=0");
         let f = ScheduleFile {

@@ -1,7 +1,8 @@
 //! Counterexample minimization.
 //!
-//! A violating tape found by [`crate::dfs::explore`] may drop copies that
-//! have nothing to do with the violation. The shrinker reduces it in
+//! A violating tape rebuilt from a graph search path
+//! ([`crate::frontier`]) may drop copies that have nothing to do with the
+//! violation. The shrinker reduces it in
 //! three deterministic passes, re-running the oracle after every
 //! candidate edit so the violation is preserved by construction:
 //!
@@ -14,22 +15,18 @@
 //!    past-the-end default, so they carry no information).
 //!
 //! The result is 1-minimal: no single drop can be removed and no shorter
-//! prefix suffices. Each pass is `O(len)` oracle runs — trivial at the
-//! explorer's tape bounds.
+//! prefix suffices. Each pass is `O(len)` oracle runs — trivial at a
+//! witness's length (`2·(n−1)` bits per round).
 
-use crate::dfs::{check_tape, Counterexample, DfsConfig};
+use crate::dfs::{Counterexample, DfsConfig};
 
-/// Shrinks a violating tape to a minimal counterexample against the
-/// default Theorem-3 oracle ([`check_tape`]). `tape` must violate it;
-/// panics otherwise, because "shrinking" a passing schedule is a harness
-/// bug.
-pub fn shrink(cfg: &DfsConfig, tape: &[bool]) -> Counterexample {
-    shrink_with(cfg, tape, check_tape)
-}
-
-/// [`shrink`] with a caller-chosen oracle — the seam graph mode uses to
-/// minimize counterexamples of the Theorem-4 stabilization-time atom,
-/// whose violations the plain Theorem-3 oracle cannot always see.
+/// Shrinks a violating tape to a minimal counterexample against `oracle`
+/// — graph mode passes the Theorem-3 oracle
+/// ([`check_tape`](crate::dfs::check_tape)), and for its
+/// stabilization-time atom that oracle falling back to the Theorem-4 one,
+/// whose violations the Theorem-3 oracle cannot always see. `tape` must
+/// violate it; panics otherwise, because
+/// "shrinking" a passing schedule is a harness bug.
 pub fn shrink_with(
     cfg: &DfsConfig,
     tape: &[bool],
@@ -70,17 +67,18 @@ pub fn shrink_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfs::check_tape;
 
     #[test]
     fn broken_oracle_shrinks_to_the_empty_tape() {
         // With the deliberately broken stabilization-0 oracle, the
         // corrupted start alone violates — no omission is needed — so any
         // violating tape must shrink to the empty schedule.
-        let mut cfg = DfsConfig::small(7);
+        let mut cfg = crate::dfs::tests::small(7);
         cfg.stabilization = 0;
         let noisy = vec![true, false, true, true, false, true];
         assert!(check_tape(&cfg, &noisy).is_some(), "seed must violate r=0");
-        let ce = shrink(&cfg, &noisy);
+        let ce = shrink_with(&cfg, &noisy, check_tape);
         assert!(ce.tape.is_empty(), "shrunk to {:?}", ce.tape);
         assert!(ce.detail.starts_with("thm3:"));
         // The shrunk schedule still violates, and deterministically so.

@@ -136,21 +136,18 @@ pub const COMMANDS: &[Command] = &[
     Command {
         name: "check",
         help: "Model-checker-lite (crates/check)\n\
-               --dfs: exhaustively enumerate every omission schedule\n\
-                 of n<=4 round agreement from a corrupted start and\n\
-                 check Theorem 3 on each run\n\
-                 [--n N --rounds R --seed S --faulty P --bound D]\n\
-                 [--broken-oracle] [--ce FILE (counterexample path)]\n\
-               --dfs --por: async dispatch-order enumeration with\n\
-                 sleep-set partial-order reduction on the gossip\n\
-                 demo; prints full vs pruned schedule counts\n\
-               --graph: fingerprinted, symmetry-reduced state-graph\n\
-                 exploration of n<=6; no --rounds = run to fixpoint\n\
-                 (certifies Theorem 3 for every horizon); output is\n\
-                 byte-identical for any --jobs\n\
+               --graph (the default): fingerprinted, symmetry-reduced\n\
+                 state-graph exploration of n<=6 round agreement from\n\
+                 a corrupted start, checking Theorem 3 on every edge;\n\
+                 --rounds R covers every R-round omission schedule, no\n\
+                 --rounds = run to fixpoint (certifies Theorem 3 for\n\
+                 every horizon); output is byte-identical for any --jobs\n\
                  [--n N | --max-n N (sweep 2..=N)] [--rounds R]\n\
                  [--seed S --faulty P --jobs J --max-states M]\n\
-                 [--broken-oracle] [--ce FILE]\n\
+                 [--broken-oracle] [--ce FILE (counterexample path)]\n\
+               --por: async dispatch-order enumeration with\n\
+                 sleep-set partial-order reduction on the gossip\n\
+                 demo; prints full vs pruned schedule counts\n\
                --adversary: worst-case fault battery at larger n\n\
                  (Theorems 3-5)  [--n N --seeds S --jobs J]\n\
                --replay FILE: re-execute a counterexample schedule,\n\
@@ -836,18 +833,38 @@ pub fn sweep(args: &Args) -> Outcome {
         .ok_or_else(|| format!("sweep needs --exp {} or --doc FILE", exp_values()))?;
     let jobs = jobs_arg(args)?;
     let max_n: usize = args.get_or("max-n", usize::MAX)?;
+    // A grid with no sample reads as a pass (`within: yes` over no run):
+    // zero seeds on a seeded grid are refused, and so is a `--max-n` below
+    // every row of a grid asked for by name. (`--exp all --max-n 4`, the
+    // quick grid, still prints E9's n ≥ 1 024 grid as a bare header.)
     let table = |e: &Experiment| -> Result<_, String> {
-        Ok((e.table)(args.get_or("seeds", e.seeds)?, max_n, jobs))
+        let seeds = args.get_or("seeds", e.seeds)?;
+        if e.seeds > 0 && seeds == 0 {
+            return Err(format!("sweep --exp {}: --seeds must be at least 1", e.id));
+        }
+        Ok((e.table)(seeds, max_n, jobs))
     };
     match exp {
         "all" => {
-            for e in EXPERIMENTS {
-                println!("{}: {}\n\n{}", e.id, e.artifact, table(e)?);
+            let tables = EXPERIMENTS
+                .iter()
+                .map(table)
+                .collect::<Result<Vec<_>, _>>()?;
+            for (e, t) in EXPERIMENTS.iter().zip(tables) {
+                println!("{}: {}\n\n{}", e.id, e.artifact, t);
             }
         }
         "coverage" => print!("{}", coverage_table()),
         id => match EXPERIMENTS.iter().find(|e| e.id == id) {
-            Some(e) => print!("{}", table(e)?),
+            Some(e) => {
+                let t = table(e)?;
+                if t.is_empty() {
+                    return Err(format!(
+                        "sweep --exp {id}: --max-n {max_n} leaves no row of its grid"
+                    ));
+                }
+                print!("{t}");
+            }
             None => return Err(format!("unknown --exp `{id}` ({})", exp_values())),
         },
     }
@@ -877,11 +894,23 @@ fn sweep_doc(path: &str) -> Outcome {
 }
 
 /// `check`: the model-checker-lite. `--replay FILE` re-executes a
-/// schedule file; `--adversary` runs the worst-case battery; `--graph`
-/// runs the fingerprinted state-graph exploration; anything else
-/// (canonically `--dfs`) runs the exhaustive enumeration. Naming two of
-/// these modes is an error, not a silent pick.
+/// schedule file; `--adversary` runs the worst-case battery; `--por` runs
+/// the asynchronous dispatch-order demo; anything else (canonically
+/// `--graph`) runs the one synchronous checker, the state-graph
+/// exploration. Naming two of these modes is an error, not a silent
+/// pick, and so is a flag of the retired tape enumerator: [`Args`]
+/// ignores flags a command does not read, so a leftover `--dfs` would
+/// otherwise run a different search than the one asked for.
 pub fn check(args: &Args) -> Outcome {
+    for retired in ["dfs", "bound"] {
+        if args.get(retired).is_some() {
+            return Err(format!(
+                "check: --{retired} belonged to the retired tape enumerator; \
+                 `check --graph --rounds R` covers every R-round omission \
+                 schedule, and `check --graph` every horizon"
+            ));
+        }
+    }
     let mut modes = Vec::new();
     if args.get("replay").is_some() {
         modes.push("--replay");
@@ -889,17 +918,16 @@ pub fn check(args: &Args) -> Outcome {
     for (flag, mode) in [
         ("adversary", "--adversary"),
         ("graph", "--graph"),
-        ("dfs", "--dfs"),
-        ("por", "--dfs"),
+        ("por", "--por"),
     ] {
-        if args.flag(flag)? && !modes.contains(&mode) {
+        if args.flag(flag)? {
             modes.push(mode);
         }
     }
     if modes.len() > 1 {
         return Err(format!(
             "check: {} are separate modes; pass one of --replay, --adversary, \
-             --graph, --dfs (--por counts as --dfs)",
+             --graph, --por",
             modes.join(" and ")
         ));
     }
@@ -910,22 +938,20 @@ pub fn check(args: &Args) -> Outcome {
     if args.flag("adversary")? {
         return check_adversary(args);
     }
-    if args.flag("graph")? {
-        return check_graph(args);
-    }
     if args.flag("por")? {
-        return check_dfs_por();
+        return check_por();
     }
-    check_dfs(args)
+    check_graph(args)
 }
 
-/// `check --dfs --por`: the asynchronous dispatch-order explorer with
+/// `check --por`: the asynchronous dispatch-order explorer with
 /// sleep-set partial-order reduction, demonstrated on the canonical
 /// two-process gossip system (4 deliveries, `4! = 24` complete orders).
 /// Prints the full enumeration next to the reduced one — the `pruned`
 /// count is the sleep-set's work — and passes iff both agree the oracle
-/// holds.
-fn check_dfs_por() -> Outcome {
+/// holds. The header names the asynchronous DFS it runs, as it always
+/// has, so the output keeps its bytes.
+fn check_por() -> Outcome {
     let (full, por) = ftss_check::explore_gossip_por();
     println!(
         "check --dfs --por: async gossip, 2 processes, 4 deliveries, \
@@ -1050,60 +1076,6 @@ fn check_graph(args: &Args) -> Outcome {
         }
     }
     Ok(all_ok)
-}
-
-fn check_dfs_config(args: &Args) -> Result<ftss_check::DfsConfig, String> {
-    let mut cfg = ftss_check::DfsConfig::small(args.get_or("seed", 7)?);
-    cfg.n = args.get_or("n", cfg.n)?;
-    cfg.rounds = args.get_or("rounds", cfg.rounds)?;
-    cfg.faulty = ProcessId(args.get_or("faulty", cfg.faulty.index())?);
-    cfg.tape_bound = args.get_or("bound", cfg.tape_bound)?;
-    cfg.stabilization = if args.flag("broken-oracle")? {
-        0
-    } else {
-        args.get_or("stabilization", cfg.stabilization)?
-    };
-    Ok(cfg)
-}
-
-fn check_dfs(args: &Args) -> Outcome {
-    let cfg = check_dfs_config(args)?;
-    let report = ftss_check::explore(&cfg)?;
-    println!(
-        "check --dfs: round agreement, n={}, rounds={}, corruption seed {}, \
-         omissions through p{}, oracle: Theorem 3 at stabilization {}",
-        cfg.n,
-        cfg.rounds,
-        cfg.corruption_seed,
-        cfg.faulty.index(),
-        cfg.stabilization
-    );
-    println!(
-        "enumerated {} schedule(s) over {} decision point(s) \
-         ({} eligible copies per run, tape bound {})",
-        report.schedules, report.decision_points, report.eligible_copies, cfg.tape_bound
-    );
-    match report.counterexample {
-        None => {
-            println!("zero violations: every schedule satisfies the oracle");
-            Ok(true)
-        }
-        Some(raw) => {
-            let ce = ftss_check::shrink(&cfg, &raw.tape);
-            println!("VIOLATION: {}", ce.detail);
-            println!(
-                "shrunk schedule: {} of {} tape bits survive minimization",
-                ce.tape.iter().filter(|&&b| b).count(),
-                raw.tape.len()
-            );
-            let path = args.get("ce").unwrap_or("counterexample.schedule");
-            let file = ftss_check::ScheduleFile::new(cfg, ce);
-            std::fs::write(path, file.serialize()).map_err(|e| format!("--ce {path}: {e}"))?;
-            println!("counterexample written to {path}");
-            println!("replay with: ftss-lab check --replay {path}");
-            Ok(false)
-        }
-    }
 }
 
 fn check_adversary(args: &Args) -> Outcome {

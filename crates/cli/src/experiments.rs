@@ -42,11 +42,10 @@ const FAULTS: [&str; 6] = [
 ];
 
 /// Where a claim is exercised, and the strength of evidence that layer
-/// gives: a closed graph fixpoint or an exhausted schedule tree *proves*,
-/// a seeded sweep *samples*, a storm campaign *soaks*.
-const LAYERS: [(&str, &str); 5] = [
+/// gives: a closed graph fixpoint *proves*, a seeded sweep *samples*, a
+/// storm campaign *soaks*.
+const LAYERS: [(&str, &str); 4] = [
     ("graph fixpoint", "proved"),
-    ("DFS", "proved"),
     ("sweep", "sampled"),
     ("soak", "soaked"),
     ("serve", "soaked"),
@@ -290,8 +289,8 @@ pub fn coverage_table() -> Table {
             }
         }
     }
-    // Both checkers search round agreement from a corrupted start under
-    // every omission pattern of one faulty process (the empty one
+    // The graph checker searches round agreement from a corrupted start
+    // under every omission pattern of one faulty process (the empty one
     // included).
     for fault in ["systemic only", "omission"] {
         let n = ftss_check::MAX_GRAPH_N;
@@ -300,13 +299,6 @@ pub fn coverage_table() -> Table {
             fault,
             "graph fixpoint",
             format!("n ≤ {n}, every horizon"),
-        );
-        let copies = ftss_check::MAX_TAPE_BOUND;
-        fact(
-            "Thm 3",
-            fault,
-            "DFS",
-            format!("schedules of ≤ {copies} copies"),
         );
     }
 

@@ -271,32 +271,40 @@ fn consensus_corrupted_recovers() {
     assert!(stdout(&o).contains("newest decision"));
 }
 
+/// The graph with a round bound covers every omission schedule of that
+/// horizon; it is also what `check` runs with no mode flag.
 #[test]
-fn check_dfs_exhausts_the_schedule_space_green() {
-    let o = run(&["check", "--dfs", "--n", "3", "--seed", "7"]);
+fn check_graph_covers_a_bounded_horizon_green() {
+    let o = run(&[
+        "check", "--graph", "--n", "3", "--rounds", "2", "--seed", "7",
+    ]);
     assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
     let s = stdout(&o);
-    assert!(s.contains("enumerated 256 schedule(s)"), "{s}");
+    assert!(s.contains("n=3, corruption seed 7"), "{s}");
+    assert!(s.contains("horizon: 2 round(s)"), "{s}");
     assert!(s.contains("zero violations"), "{s}");
+    let bare = run(&["check", "--n", "3", "--rounds", "2", "--seed", "7"]);
+    assert_eq!(bare.status.code(), Some(0));
+    assert_eq!(bare.stdout, o.stdout, "no mode flag runs the graph");
 }
 
+/// `check --por` prints, byte for byte, what `check --dfs --por` printed
+/// before the tape enumerator was retired.
 #[test]
 fn check_dfs_por_prunes_the_gossip_enumeration() {
-    let o = run(&["check", "--dfs", "--por"]);
+    let o = run(&["check", "--por"]);
     assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
-    let s = stdout(&o);
     // The canonical 24 → 4 sleep-set reduction: 4 deliveries make 4! = 24
     // complete dispatch orders; POR keeps one representative per
     // commutation class and reports what it cut.
-    assert!(
-        s.contains("full enumeration: 24 complete dispatch order(s)"),
-        "{s}"
+    assert_eq!(
+        stdout(&o),
+        "check --dfs --por: async gossip, 2 processes, 4 deliveries, oracle: every \
+         process converges to the maximum\n\
+         full enumeration: 24 complete dispatch order(s), 0 pruned\n\
+         sleep-set POR:    4 complete dispatch order(s), 6 pruned\n\
+         zero violations in both explorations: POR verdict matches\n"
     );
-    assert!(
-        s.contains("sleep-set POR:    4 complete dispatch order(s), 6 pruned"),
-        "{s}"
-    );
-    assert!(s.contains("POR verdict matches"), "{s}");
 }
 
 #[test]
@@ -306,7 +314,11 @@ fn check_broken_oracle_writes_replayable_counterexample() {
     let ce = dir.join("ce.schedule");
     let o = run(&[
         "check",
-        "--dfs",
+        "--graph",
+        "--n",
+        "3",
+        "--rounds",
+        "2",
         "--broken-oracle",
         "--ce",
         ce.to_str().unwrap(),
@@ -315,6 +327,7 @@ fn check_broken_oracle_writes_replayable_counterexample() {
     assert!(stdout(&o).contains("VIOLATION"), "{}", stdout(&o));
     let text = std::fs::read_to_string(&ce).unwrap();
     assert!(text.starts_with("ftss-check schedule v1"), "{text}");
+    assert!(text.contains("\nmode: graph\n"), "{text}");
 
     // Replay twice; the JSONL traces must be byte-identical and the
     // recorded violation must reproduce (exit 0).
@@ -364,24 +377,6 @@ fn check_replay_rejects_a_schedule_no_mode_writes() {
     }
 }
 
-/// A larger stabilization time is a weaker claim: the largest one
-/// triggers no Definition-2.4 obligation, so nothing can fail.
-#[test]
-fn check_dfs_with_the_largest_stabilization_time_holds() {
-    let o = run(&[
-        "check",
-        "--dfs",
-        "--n",
-        "3",
-        "--seed",
-        "7",
-        "--stabilization",
-        &usize::MAX.to_string(),
-    ]);
-    assert!(o.status.success(), "{}", stdout(&o));
-    assert!(!stdout(&o).contains("VIOLATION"), "{}", stdout(&o));
-}
-
 #[test]
 fn check_adversary_battery_is_jobs_invariant() {
     let serial = run(&[
@@ -407,6 +402,20 @@ fn check_adversary_battery_is_jobs_invariant() {
     assert!(serial.status.success(), "{}", stdout(&serial));
     assert_eq!(serial.stdout, parallel.stdout, "battery depends on --jobs");
     assert!(stdout(&serial).contains("all scenarios PASS"));
+}
+
+/// Zero seeds run no scenario; the empty battery once printed "all
+/// scenarios PASS" and exited 0.
+#[test]
+fn check_adversary_refuses_zero_seeds() {
+    let o = run(&["check", "--adversary", "--seeds", "0"]);
+    assert_eq!(o.status.code(), Some(2), "{}", stdout(&o));
+    assert!(o.stdout.is_empty(), "{}", stdout(&o));
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(
+        err.starts_with("error:") && err.contains("--seeds must be at least 1"),
+        "{err}"
+    );
 }
 
 /// A stabilization time past the one-byte stable-window length is
@@ -454,10 +463,9 @@ fn check_graph_rejects_n_together_with_max_n() {
 #[test]
 fn check_rejects_more_than_one_mode() {
     for (args, named) in [
-        (&["--graph", "--dfs"][..], "--graph and --dfs"),
-        (&["--graph", "--por"], "--graph and --dfs"),
+        (&["--graph", "--por"][..], "--graph and --por"),
         (&["--adversary", "--graph"], "--adversary and --graph"),
-        (&["--replay", "x.schedule", "--dfs"], "--replay and --dfs"),
+        (&["--replay", "x.schedule", "--por"], "--replay and --por"),
     ] {
         let o = run(&[&["check"][..], args].concat());
         assert_eq!(o.status.code(), Some(2), "{args:?}");
@@ -468,16 +476,58 @@ fn check_rejects_more_than_one_mode() {
             "{args:?}: {err}"
         );
     }
-    // `--por` is a refinement of `--dfs`, not a second mode.
-    let o = run(&["check", "--dfs", "--por"]);
-    assert_eq!(o.status.code(), Some(0), "{}", stdout(&o));
 }
 
+/// The tape enumerator's flags are refused, not ignored: `Args` accepts
+/// any flag, so a leftover `--dfs` or `--bound` would otherwise run a
+/// search other than the one asked for.
 #[test]
-fn check_rejects_oversized_dfs() {
-    let o = run(&["check", "--dfs", "--n", "9"]);
-    assert_eq!(o.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&o.stderr).contains("n must be in 2..=4"));
+fn check_refuses_the_retired_enumerator_flags() {
+    for args in [
+        &["--dfs"][..],
+        &["--graph", "--bound", "12"],
+        &["--dfs", "--n", "9"],
+        &["--dfs", "--por"],
+        &["--replay", "x.schedule", "--bound", "8"],
+    ] {
+        let o = run(&[&["check"][..], args].concat());
+        assert_eq!(o.status.code(), Some(2), "{args:?}");
+        assert!(o.stdout.is_empty(), "{args:?}: {}", stdout(&o));
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            err.starts_with("error: check: --") && err.contains("check --graph --rounds R"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+/// A grid with no sample is refused: zero seeds on a seeded grid once
+/// printed every row `within: yes` over no run, and a `--max-n` below a
+/// grid's n axis a header-only table, both with exit 0. Registry entries
+/// that are not seeded keep ignoring `--seeds`.
+#[test]
+fn sweep_refuses_a_grid_with_no_sample() {
+    for args in [
+        &["--exp", "e1", "--seeds", "0"][..],
+        &["--exp", "e2", "--seeds", "0"],
+        &["--exp", "e1", "--max-n", "1"],
+        &["--exp", "e9", "--max-n", "1"],
+        &["--exp", "e10", "--max-n", "1"],
+    ] {
+        let o = run(&[&["sweep"][..], args].concat());
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {}", stdout(&o));
+        assert!(o.stdout.is_empty(), "{args:?}: {}", stdout(&o));
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(err.starts_with("error: sweep --exp e"), "{args:?}: {err}");
+    }
+    let o = run(&["sweep", "--exp", "e4", "--seeds", "0"]);
+    assert_eq!(
+        o.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&o.stderr)
+    );
+    assert!(stdout(&o).lines().count() > 2, "{}", stdout(&o));
 }
 
 /// `serve --storm` judges every epoch in-stream; its JSONL is still, byte

@@ -48,8 +48,8 @@ pub use loadgen::{run_loadgen, Histogram, LoadReport, LoadgenConfig};
 pub use node::{run_node, run_node_recovered};
 pub use proto::{ToNode, ToRouter};
 pub use session::{
-    serve, serve_streaming, serve_streaming_with_stats, Retry, ServeConfig, ServeRestart,
-    ServeStats, SnapshotFault, TimingFaults,
+    serve, serve_streaming_with_stats, Retry, ServeConfig, ServeRestart, ServeStats, SnapshotFault,
+    TimingFaults,
 };
 pub use transport::{Channel, TransportKind};
 pub use wire::Wire;

@@ -277,37 +277,15 @@ where
     A: Adversary + ?Sized,
     T: TraceSink,
 {
-    serve_streaming(protocol, adversary, cfg, sink, |_| {})
+    let stats = &mut ServeStats::default();
+    serve_streaming_with_stats(protocol, adversary, cfg, sink, |_| {}, stats)
 }
 
 /// [`serve`] with a per-round history observer — the streaming seam for
 /// windowed oracles and the load generator, mirroring
-/// [`ftss::sync_sim::SyncRunner::run_streaming`].
-///
-/// # Errors
-///
-/// Same contract as [`serve`].
-pub fn serve_streaming<P, A, T, F>(
-    protocol: &P,
-    adversary: &mut A,
-    cfg: &ServeConfig,
-    sink: &mut T,
-    on_round: F,
-) -> Result<RunOutcome<P::State, P::Msg>, String>
-where
-    P: SyncProtocol + Clone + Send + 'static,
-    P::State: Wire + Corrupt + Send + 'static,
-    P::Msg: Wire + Send + 'static,
-    A: Adversary + ?Sized,
-    T: TraceSink,
-    F: FnMut(&History<P::State, P::Msg>),
-{
-    let mut stats = ServeStats::default();
-    serve_streaming_with_stats(protocol, adversary, cfg, sink, on_round, &mut stats)
-}
-
-/// [`serve_streaming`] that also surfaces the session's integer
-/// [`ServeStats`] (reconnects, stale drops) to the caller.
+/// [`ftss::sync_sim::SyncRunner::run_streaming`] — that also surfaces the
+/// session's integer [`ServeStats`] (reconnects, stale drops) to the
+/// caller.
 ///
 /// # Errors
 ///

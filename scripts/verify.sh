@@ -81,6 +81,17 @@ if grep -rnE 'record_clean_sends|record_clean_deliveries|heard_all|iter_outside'
     echo "ERROR: a per-row clean-block builder or reader is back (see above)" >&2
     exit 1
 fi
+# One synchronous checker (DESIGN.md §14): the state graph. The tape
+# enumerator's entry point, report, odometer and bound ceiling stay gone; a
+# frozen enumeration lives in tests/graph_explore.rs only.
+enum_explore="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk \
+    'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+     !test && /fn explore\(/ { print FILENAME ":" FNR }')"
+if grep -rnwE 'MAX_TAPE_BOUND|DfsReport|advance_tape' crates/*/src || [ -n "$enum_explore" ]; then
+    printf '%s\n' "$enum_explore" >&2
+    echo "ERROR: the synchronous tape enumerator is back (see above)" >&2
+    exit 1
+fi
 call_sites 1 'window_stabilization\(' crates/chaos/src crates/cli/src
 call_sites 1 'storm_program_for\(' crates/chaos/src crates/cli/src crates/serve/src
 call_sites 2 'stabilization_offset\(' crates/*/src
@@ -169,7 +180,7 @@ run cargo run -q --release -p ftss-lab -- stats --in "$TRACE_DIR/a.jsonl"
 # EXPERIMENTS.md is a checked output (DESIGN.md §4): every fenced block
 # under a `<!-- ftss-lab ... -->` marker must be, byte for byte, what that
 # command prints now — E1–E11 on their full grids, the coverage matrix,
-# the `check --dfs` rows and the n = 2..6 graph fixpoints. To refresh the
+# the bounded `check --graph --rounds` rows and the n = 2..6 fixpoints. To refresh the
 # file, redirect the same command into a temporary file and move it over.
 echo "==> ftss-lab sweep --doc EXPERIMENTS.md (every marked block regenerated, byte-compared)"
 cargo run -q --release -p ftss-lab -- sweep --doc EXPERIMENTS.md | cmp - EXPERIMENTS.md
@@ -194,16 +205,17 @@ cargo run -q --release -p ftss-lab -- sweep --exp e9 \
     --seeds 2 --max-n 1024 --jobs 4 > "$TRACE_DIR/e9_par.txt"
 run cmp "$TRACE_DIR/e9_serial.txt" "$TRACE_DIR/e9_par.txt"
 
-# Model-checker smoke (crates/check, DESIGN.md §10): the exhaustive DFS
-# over every omission schedule of the n=3 configuration must be green; a
-# deliberately broken oracle must trip, write a counterexample schedule,
-# and replay it to byte-identical JSONL traces. The green run's --ce
-# lands in the workspace so CI can upload it if a violation ever appears.
-run cargo run -q --release -p ftss-lab -- check --dfs --n 3 --seed 7 \
-    --ce check-counterexample.schedule
+# Model-checker smoke (crates/check, DESIGN.md §10 and §14): the graph
+# search over every 2-round omission schedule of the n=3 configuration
+# must be green; a deliberately broken oracle must trip, write a
+# counterexample schedule, and replay it to byte-identical JSONL traces.
+# The green run's --ce lands in the workspace so CI can upload it if a
+# violation ever appears.
+run cargo run -q --release -p ftss-lab -- check --graph --n 3 --rounds 2 \
+    --seed 7 --ce check-counterexample.schedule
 echo "==> ftss-lab check --broken-oracle (must exit 1 and write a counterexample)"
-if cargo run -q --release -p ftss-lab -- check --dfs --broken-oracle \
-    --ce "$TRACE_DIR/ce.schedule"; then
+if cargo run -q --release -p ftss-lab -- check --graph --n 3 --rounds 2 \
+    --broken-oracle --ce "$TRACE_DIR/ce.schedule"; then
     echo "ERROR: the broken oracle did not produce a violation" >&2
     exit 1
 fi
@@ -214,20 +226,15 @@ run cargo run -q --release -p ftss-lab -- check --replay "$TRACE_DIR/ce.schedule
     --out "$TRACE_DIR/replay_b.jsonl"
 run cmp "$TRACE_DIR/replay_a.jsonl" "$TRACE_DIR/replay_b.jsonl"
 
-# Graph-mode model-checker smoke (DESIGN.md §14): the state-graph
-# explorer must agree with the legacy enumerator verdict-for-verdict on
-# the n=4, 2-round configuration (both green here; both must trip on the
-# deliberately broken oracle), its counterexamples must replay through
-# the same pipeline, and its report must render byte-identical at any
-# worker count. (That the n = 2..6 fixpoints close, and their counts —
-# recorded before the expansion kernel was rebuilt in PR 12:
-# canonicalization, fingerprints and dedup must keep producing exactly
-# that search — are pinned by the EXPERIMENTS.md check above.)
-run cargo run -q --release -p ftss-lab -- check --dfs --n 4 --rounds 2 \
-    --bound 12 --seed 7 --ce "$TRACE_DIR/enum4.schedule"
-run cargo run -q --release -p ftss-lab -- check --graph --n 4 --rounds 2 \
-    --seed 7 --ce "$TRACE_DIR/graph4.schedule"
-echo "==> ftss-lab check --graph --broken-oracle (must exit 1, like the enumerator)"
+# Graph-mode model-checker smoke (DESIGN.md §14): the fixpoint search's
+# counterexamples must carry `mode: graph` and replay through the same
+# pipeline, and its report must render byte-identical at any worker
+# count. (That the n = 2..6 fixpoints close, and their counts — recorded
+# with the brute-force canonicalizer: canonicalization, fingerprints and
+# dedup must keep producing exactly that search — are pinned by the
+# EXPERIMENTS.md check above; that a bounded search agrees with a tape
+# enumeration verdict for verdict, by tests/graph_explore.rs.)
+echo "==> ftss-lab check --graph --broken-oracle (fixpoint search, must exit 1)"
 if cargo run -q --release -p ftss-lab -- check --graph --n 3 --broken-oracle \
     --ce "$TRACE_DIR/gce.schedule"; then
     echo "ERROR: the broken oracle did not trip in graph mode" >&2
@@ -262,7 +269,7 @@ run cmp "$TRACE_DIR/graph6_j1.txt" "$TRACE_DIR/graph6_j4.txt"
 # Async POR smoke: the sleep-set reduction on the canonical gossip demo
 # must keep the full enumeration's verdict while pruning the commuting
 # interleavings (24 -> 4 complete dispatch orders).
-run cargo run -q --release -p ftss-lab -- check --dfs --por
+run cargo run -q --release -p ftss-lab -- check --por
 
 # Fault-class boundary smoke (DESIGN.md §15, EXPERIMENTS.md E10): the
 # omission/byzantine/churn grid. Byzantine rows beyond n > 4f are

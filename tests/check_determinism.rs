@@ -1,56 +1,83 @@
 //! Tier-1 determinism guarantees of `ftss-check` (wired as an
 //! integration test of the `ftss-check` crate; see its `Cargo.toml`).
 //!
-//! * The exhaustive DFS visits a *pinned* number of schedules — the
-//!   schedule space is part of the public contract, so a change to the
-//!   consultation order or the enumeration shows up here first.
-//! * A counterexample written to a schedule file replays byte-identically
-//!   through the telemetry `JsonlSink` — twice, from the parsed file.
+//! * The n = 3 two-round schedule space is *pinned* at 256 tapes, and
+//!   Theorem 3 holds on every one of them.
+//! * A graph counterexample is 1-minimal and written to a schedule file
+//!   that parses back to itself and replays to the recorded verdict.
+//! * That file replays byte-identically through the telemetry
+//!   `JsonlSink` — twice, from the parsed file.
 //! * The adversary battery's rows do not depend on the worker count.
 
+use ftss::core::ProcessId;
 use ftss::telemetry::JsonlSink;
-use ftss_check::{explore, run_battery, run_tape, shrink, BatteryConfig, DfsConfig, ScheduleFile};
+use ftss_check::{
+    check_tape, explore_graph, run_battery, run_tape, shrink_with, BatteryConfig, DfsConfig,
+    GraphConfig, ScheduleFile,
+};
 
-/// The acceptance-criterion run: n = 3 round agreement, one corrupted
+/// The acceptance-criterion space: n = 3 round agreement, one corrupted
 /// initial state per process, omissions through p0. Four copies touch p0
 /// per round (p0→p1, p0→p2, p1→p0, p2→p0), so 2 rounds give 8 decision
 /// points and exactly 2^8 = 256 schedules — all of which must satisfy
-/// Theorem 3's one-round stabilization.
+/// Theorem 3's one-round stabilization, as the graph certifies.
 #[test]
 fn dfs_schedule_count_is_pinned_and_thm3_holds_everywhere() {
-    let report = explore(&DfsConfig::small(7)).expect("valid config");
-    assert_eq!(report.eligible_copies, 8);
-    assert_eq!(report.decision_points, 8);
-    assert_eq!(report.schedules, 256, "exhaustive within the bound");
-    assert!(
-        report.counterexample.is_none(),
-        "Theorem 3 violated: {:?}",
-        report.counterexample
-    );
+    let cfg = DfsConfig {
+        n: 3,
+        rounds: 2,
+        corruption_seed: 7,
+        faulty: ProcessId(0),
+        tape_bound: 8,
+        stabilization: 1,
+    };
+    let (_, eligible) = run_tape(&cfg, &[], &mut ftss::telemetry::NullSink);
+    assert_eq!(eligible, 8);
+    let schedules = 1u32 << eligible;
+    assert_eq!(schedules, 256, "exhaustive within the bound");
+    for bits in 0..schedules {
+        let tape: Vec<bool> = (0..eligible).map(|i| (bits >> i) & 1 == 1).collect();
+        let verdict = check_tape(&cfg, &tape);
+        assert!(
+            verdict.is_none(),
+            "Theorem 3 violated: {tape:?}: {verdict:?}"
+        );
+    }
+    let graph = explore_graph(&GraphConfig::small(7)).expect("valid config");
+    assert!(graph.counterexample.is_none(), "{:?}", graph.counterexample);
 }
 
-/// A deliberately broken oracle (stabilization bound 0: "corrupted starts
-/// agree immediately") must produce a counterexample, shrink to a minimal
-/// schedule, survive a serialize/parse round trip, and replay to the very
-/// same verdict.
+/// The deliberately broken oracle (stabilization bound 0: "corrupted
+/// starts agree immediately") on the acceptance configuration — n = 3
+/// round agreement, one corrupted initial state per process, omissions
+/// through p0, two rounds — as the schedule file graph mode writes.
+fn broken_oracle_file() -> ScheduleFile {
+    let mut cfg = GraphConfig::small(7);
+    cfg.stabilization = 0;
+    let report = explore_graph(&cfg).expect("valid config");
+    let gce = report.counterexample.expect("broken oracle must trip");
+    ScheduleFile::graph(gce.cfg, gce.counterexample)
+}
+
+/// The broken oracle's counterexample is already minimal — no omission
+/// is needed to refute stabilization 0, and shrinking it again changes
+/// nothing — survives a serialize/parse round trip, and replays to the
+/// very same verdict.
 #[test]
 fn broken_oracle_counterexample_shrinks_and_replays() {
-    let mut cfg = DfsConfig::small(7);
-    cfg.stabilization = 0;
-    let report = explore(&cfg).expect("valid config");
-    let ce = report.counterexample.expect("broken oracle must trip");
-    let ce = shrink(&cfg, &ce.tape);
+    let file = broken_oracle_file();
     assert!(
-        ce.tape.is_empty(),
+        file.tape.is_empty(),
         "no omission is needed to refute stabilization 0, got {:?}",
-        ce.tape
+        file.tape
     );
-    let file = ScheduleFile::new(cfg, ce.clone());
+    let again = shrink_with(&file.cfg, &file.tape, check_tape);
+    assert_eq!((&again.tape, &again.detail), (&file.tape, &file.detail));
     let parsed = ScheduleFile::parse(&file.serialize()).expect("round trip");
     assert_eq!(parsed, file);
     assert_eq!(
         parsed.replay(&mut ftss::telemetry::NullSink),
-        Some(ce.detail),
+        Some(file.detail),
         "verdict reproduces"
     );
 }
@@ -60,12 +87,7 @@ fn broken_oracle_counterexample_shrinks_and_replays() {
 /// serialize to identical JSONL.
 #[test]
 fn counterexample_replay_is_byte_identical() {
-    let mut cfg = DfsConfig::small(7);
-    cfg.stabilization = 0;
-    let report = explore(&cfg).expect("valid config");
-    let ce = report.counterexample.expect("broken oracle must trip");
-    let shrunk = shrink(&cfg, &ce.tape);
-    let file = ScheduleFile::new(cfg, shrunk);
+    let file = broken_oracle_file();
     let parsed = ScheduleFile::parse(&file.serialize()).expect("round trip");
 
     let mut sink = JsonlSink::new(Vec::new());

@@ -1,29 +1,50 @@
 //! Tier-1 guarantees of graph-mode model checking (wired as an
 //! integration test of the `ftss-check` crate; see its `Cargo.toml`).
 //!
-//! * The state-graph explorer and the legacy schedule-tree enumerator
-//!   agree verdict-for-verdict on equivalent configurations — green on
-//!   Theorem 3's claim, both tripped by the deliberately broken oracle.
+//! * The state-graph explorer and a frozen tape enumeration (this file's
+//!   [`enumerate`], the graph's test oracle) agree verdict-for-verdict on
+//!   equivalent configurations — green on Theorem 3's claim, both
+//!   tripped by the deliberately broken oracle.
 //! * The graph does at least 10× fewer round executions than the
-//!   enumerator on the pinned n=3 configuration (the scale-up claim),
+//!   enumeration on the pinned n=3 configuration (the scale-up claim),
 //!   with both work counts pinned exactly.
 //! * Reports are a pure function of the configuration, never of `jobs`.
 //! * An n=5 fixpoint closes, certifying the obligations for *every*
 //!   horizon — coverage no bounded tape enumeration can reach.
 //! * A graph counterexample serializes with the `mode: graph` header and
-//!   replays through the same schedule-file pipeline as enumerated ones.
+//!   replays through the schedule-file pipeline.
 //! * Whole reports — counts and reconstructed counterexamples — equal the
 //!   values recorded before the expansion kernel was rebuilt (PR 12).
 
 use ftss::core::ProcessId;
+use ftss::telemetry::NullSink;
 use ftss_check::{
-    explore, explore_graph, Counterexample, DfsConfig, GraphConfig, GraphCounterexample,
-    GraphReport, ScheduleFile, ScheduleMode,
+    check_tape, explore_graph, run_tape, Counterexample, DfsConfig, GraphConfig,
+    GraphCounterexample, GraphReport, ScheduleFile, ScheduleMode,
 };
 
-/// One legacy/graph configuration pair covering the same space: `rounds`
-/// BFS layers ≙ enumerating every `rounds`-round schedule, with the tape
-/// bound sized to the full eligible-copy count.
+/// The frozen tape enumeration: every tape of `cfg.tape_bound` bits, in
+/// binary order (the last bit is the deepest choice), each judged by
+/// [`check_tape`], stopping at the first violation. The bound must be
+/// every copy eligible over `cfg.rounds`, so the tapes are the whole
+/// schedule space. Returns the schedules run and the violating tape.
+fn enumerate(cfg: &DfsConfig) -> (u64, Option<Vec<bool>>) {
+    let d = cfg.tape_bound;
+    let (_, eligible) = run_tape(cfg, &[], &mut NullSink);
+    assert_eq!(d, eligible, "the tapes must cover every eligible copy");
+    assert!(d <= 20, "2^{d} runs is not test-sized");
+    for bits in 0..1u64 << d {
+        let tape: Vec<bool> = (0..d).map(|i| (bits >> (d - 1 - i)) & 1 == 1).collect();
+        if check_tape(cfg, &tape).is_some() {
+            return (bits + 1, Some(tape));
+        }
+    }
+    (1 << d, None)
+}
+
+/// One enumeration/graph configuration pair covering the same space:
+/// `rounds` BFS layers ≙ enumerating every `rounds`-round schedule, with
+/// the tape bound sized to the full eligible-copy count.
 fn equivalent_pair(
     n: usize,
     rounds: usize,
@@ -34,7 +55,7 @@ fn equivalent_pair(
         n,
         rounds,
         corruption_seed: seed,
-        faulty: ftss::core::ProcessId(0),
+        faulty: ProcessId(0),
         tape_bound: 2 * (n - 1) * rounds,
         stabilization,
     };
@@ -49,10 +70,10 @@ fn graph_and_enumerator_agree_on_verdicts() {
     for seed in [7u64, 11, 42] {
         for stab in [1usize, 0] {
             let (ec, gc) = equivalent_pair(3, 2, seed, stab);
-            let er = explore(&ec).expect("valid enum config");
+            let (_, violation) = enumerate(&ec);
             let gr = explore_graph(&gc).expect("valid graph config");
             assert_eq!(
-                er.counterexample.is_some(),
+                violation.is_some(),
                 gr.counterexample.is_some(),
                 "verdicts diverge at seed {seed}, stabilization {stab}"
             );
@@ -62,17 +83,17 @@ fn graph_and_enumerator_agree_on_verdicts() {
 
 #[test]
 fn graph_does_at_least_10x_less_work_than_the_enumerator() {
-    // Work unit: round executions. The enumerator replays every prefix,
+    // Work unit: round executions. The enumeration replays every prefix,
     // so it runs `schedules × rounds`; each graph expansion is one edge,
     // and costs less than a round: a node's 2^(2(n−1)) edges share
     // 2^(n−1) stepper rounds and are judged once per effect class (the
     // n = 6 seed-7 fixpoint: 18 336 rounds and 4 917 classes for 586 752
     // expansions, pinned by `class_walk_work_is_pinned` in frontier.rs).
     let (ec, gc) = equivalent_pair(3, 3, 7, 1);
-    let er = explore(&ec).expect("valid enum config");
+    let (schedules, violation) = enumerate(&ec);
     let gr = explore_graph(&gc).expect("valid graph config");
-    assert!(er.counterexample.is_none() && gr.counterexample.is_none());
-    let enum_work = er.schedules * ec.rounds as u64;
+    assert!(violation.is_none() && gr.counterexample.is_none());
+    let enum_work = schedules * ec.rounds as u64;
     assert!(
         enum_work >= 10 * gr.expansions,
         "graph must do >=10x fewer round executions: {} enumerated vs {} expanded",
@@ -84,10 +105,7 @@ fn graph_does_at_least_10x_less_work_than_the_enumerator() {
     // (a search that does more work shows up here as an inequality, on
     // any machine). The sparse round walk has its own count guard,
     // `clean_copies_are_never_submitted` (crates/sync-sim/src/round.rs).
-    assert_eq!(
-        (er.schedules, enum_work, gr.expansions),
-        (4_096, 12_288, 640)
-    );
+    assert_eq!((schedules, enum_work, gr.expansions), (4_096, 12_288, 640));
 }
 
 #[test]
@@ -131,7 +149,7 @@ fn graph_counterexample_replays_through_the_schedule_pipeline() {
     assert_eq!(
         parsed.replay(&mut ftss::telemetry::NullSink),
         Some(gce.counterexample.detail),
-        "graph witnesses replay like enumerated ones"
+        "the graph witness replays to its recorded verdict"
     );
 }
 

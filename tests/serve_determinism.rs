@@ -25,8 +25,8 @@ use ftss::telemetry::{Event, RecordingSink};
 use ftss_chaos::{restart_cycle, storm_cycle, EpochVerdict, StormGeometry, StormScenario};
 use ftss_check::{window_stabilization, Fingerprinter};
 use ftss_serve::{
-    serve, serve_streaming, serve_streaming_with_stats, Retry, ServeConfig, ServeRestart,
-    ServeStats, SnapshotFault, TimingFaults, TransportKind,
+    serve, serve_streaming_with_stats, Retry, ServeConfig, ServeRestart, ServeStats, SnapshotFault,
+    TimingFaults, TransportKind,
 };
 
 fn jsonl(events: &[Event]) -> String {
@@ -94,13 +94,7 @@ fn mem_zero_round_session_closes_like_the_simulator() {
     std::thread::spawn(move || {
         let mut sink = RecordingSink::new(1 << 10);
         let mut adversary = ftss::sync_sim::NoFaults;
-        let served = serve_streaming(
-            &RoundAgreement,
-            &mut adversary,
-            &served_cfg,
-            &mut sink,
-            |_| {},
-        );
+        let served = serve(&RoundAgreement, &mut adversary, &served_cfg, &mut sink);
         let _ = tx.send((served.map(|out| out.final_states), sink.take()));
     });
     let (served, serve_events) = rx

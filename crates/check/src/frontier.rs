@@ -15,8 +15,9 @@
 //! * an **edge** is one round under one omission mask (`2·(n−1)` bits,
 //!   one per copy eligible for omission), executed through the
 //!   [`SyncStepper`](ftss::sync_sim::SyncStepper) seam, never a replayed
-//!   prefix. A node's `2^(2(n−1))` masks share `2^(n−1)` stepper rounds
-//!   (one per distinct inbox of the faulty process), and are walked by
+//!   prefix. A node's `2^(2(n−1))` masks share `2^(n−1) + 2(n−1)`
+//!   single-process steps (one per distinct inbox: the faulty process's
+//!   `2^(n−1)`, two for each other process), and are walked by
 //!   **effect class** — the masks that give one raw child — so each
 //!   class is judged, canonicalized, fingerprinted and probed once,
 //!   while every count stays per mask (see [`for_each_edge`]);
@@ -195,8 +196,9 @@ pub struct GraphReport {
     pub visited: u64,
     /// Edges expanded: one per (node, omission mask), the unit comparable
     /// to a tape enumeration's `schedules × rounds`. The count is per mask although a
-    /// node's edges are computed from `2^(n−1)` simulator rounds and
-    /// judged once per effect class (the masks with one raw child).
+    /// node's edges are computed from `2^(n−1) + 2(n−1)` single-process
+    /// steps and judged once per effect class (the masks with one raw
+    /// child).
     pub expansions: u64,
     /// Edges whose child was already visited (revisits pruned).
     pub dedup_hits: u64,
@@ -384,41 +386,27 @@ struct Outcome {
     reach: [u8; MAX_GRAPH_N],
 }
 
-/// One round out of `parent` per call, with the eligible copies in the
-/// given mask dropped. The [`SyncStepper`] — the protocol's real step
-/// function — gives the counters; every delivered copy adds its sender,
-/// and what the sender had reached, to its destination's reach.
-fn rounds(
-    parent: &PackedState,
-    cfg: &GraphConfig,
-    pairs: &[(ProcessId, ProcessId)],
-) -> impl FnMut(u32) -> Outcome {
-    let n = cfg.n;
-    let drop_bit = drop_bits(n, pairs);
-    let base_states: Vec<RoundAgreementState> = parent.counters[..n]
+/// One process's round out of `parent` per call: `(j, heard)` gives the
+/// next counter and causal reach of process `j` when it hears exactly the
+/// senders in the set `heard` (its own copy always). The [`SyncStepper`]
+/// — the protocol's real step function — gives the counter; every heard
+/// sender adds itself, and what it had reached, to `j`'s reach.
+fn transitions(parent: &PackedState, n: usize) -> impl FnMut(usize, u8) -> (u64, u8) {
+    let states: Vec<RoundAgreementState> = parent.counters[..n]
         .iter()
         .map(|&c| RoundAgreementState {
             c: RoundCounter::new(c),
         })
         .collect();
-    let mut stepper = SyncStepper::new(RoundAgreement, base_states.clone());
+    let mut stepper = SyncStepper::new(RoundAgreement, states);
     let parent_reach = parent.reach;
-    move |drop| {
-        stepper.reset(&base_states);
-        stepper.step_round(|from, to| drop & drop_bit[from.index() * n + to.index()] == 0);
-        let mut out = Outcome {
-            counters: [0; MAX_GRAPH_N],
-            reach: parent_reach,
-        };
-        for (c, state) in out.counters.iter_mut().zip(stepper.states()) {
-            *c = state.c.get();
-        }
-        for s in 0..n {
-            for d in (0..n).filter(|&d| d != s && drop & drop_bit[s * n + d] == 0) {
-                out.reach[d] |= parent_reach[s] | 1 << s;
-            }
-        }
-        out
+    move |j, heard| {
+        let hears = |s: usize| s != j && heard & 1 << s != 0;
+        let next = stepper.step_process(ProcessId(j), |from| hears(from.index()));
+        let reach = (0..n)
+            .filter(|&s| hears(s))
+            .fold(parent_reach[j], |r, s| r | parent_reach[s] | 1 << s);
+        (next.c.get(), reach)
     }
 }
 
@@ -565,12 +553,14 @@ impl<const K: usize> Choices<K> {
 /// three things: `f`'s outcome (next counter and reach), which depends
 /// only on which of its `n − 1` in-copies dropped; each ordinary
 /// receiver's outcome, which depends only on whether `f`'s copy to it
-/// dropped; and the deviation flag, set by any non-zero mask. `round`
-/// runs `2^(n−1)` rounds, one per subset of `f`'s in-copies (the empty
-/// subset's round delivers every other copy too, and the full subset's
-/// also drops `f`'s copies to the others, which gives each receiver
-/// both of its outcomes), and the walk keeps each process's *distinct*
-/// outcomes. A class is one pick per process: its size is the product
+/// dropped; and the deviation flag, set by any non-zero mask. So the walk
+/// steps each distinct inbox once through `step`, the per-process
+/// transition `(j, heard) -> (counter, reach)`: `f` once per subset of
+/// its in-copies dropped, ascending, and each ordinary receiver twice,
+/// hearing everyone and then everyone but `f` — `2^(n−1) + 2(n−1)`
+/// process steps per node (42 at n = 6, where whole rounds would take
+/// `2^(n−1)·n` = 192) — and keeps each process's *distinct* outcomes. A
+/// class is one pick per process: its size is the product
 /// of the picks' pattern counts, and its least mask the OR of their
 /// least patterns, since the processes' patterns occupy disjoint bits.
 /// When the parent has not deviated, mask 0 leaves its class — the one
@@ -584,40 +574,38 @@ fn for_each_edge(
     cfg: &GraphConfig,
     pairs: &[(ProcessId, ProcessId)],
     fper: &Fingerprinter,
-    mut round: impl FnMut(u32) -> Outcome,
+    mut step: impl FnMut(usize, u8) -> (u64, u8),
     mut visit: impl FnMut(Edge),
 ) {
     let n = cfg.n;
     let f = cfg.faulty.index();
     let table = PermTable::get(n, cfg.faulty);
     let drop_bit = drop_bits(n, pairs);
+    let everyone = mask_full(n) as u8;
 
-    // The mask bits of `f`'s in-copies; every other eligible copy is one
-    // of its out-copies.
+    // Each process's distinct outcomes: `f`'s over the subsets of its
+    // in-copies' mask bits, which ascend from empty to full; a receiver's
+    // with `f`'s copy delivered, then dropped.
     let in_mask = (0..n).fold(0, |m, i| m | drop_bit[i * n + f]);
-    let out_mask = ((1u32 << cfg.mask_bits()) - 1) & !in_mask;
-
-    // Each process's distinct outcomes: `f`'s over the subsets of
-    // `in_mask`, which ascend from empty to full; a receiver's with `f`'s
-    // copy delivered (the empty subset's round), then dropped (the full
-    // subset's).
     let mut faulty = Choices::<{ 1 << (MAX_GRAPH_N - 1) }>::new();
-    let mut receivers = [Choices::<2>::new(); MAX_GRAPH_N];
     let mut sub = 0u32;
     loop {
-        let drop = if sub == in_mask { sub | out_mask } else { sub };
-        let next = round(drop);
-        faulty.add(next.counters[f], next.reach[f], sub);
-        if sub == 0 || sub == in_mask {
-            for j in (0..n).filter(|&j| j != f) {
-                let pattern = drop & drop_bit[f * n + j];
-                receivers[j].add(next.counters[j], next.reach[j], pattern);
-            }
-        }
+        let heard = (0..n)
+            .filter(|&i| sub & drop_bit[i * n + f] != 0)
+            .fold(everyone, |h, i| h & !(1 << i));
+        let (counter, reach) = step(f, heard);
+        faulty.add(counter, reach, sub);
         if sub == in_mask {
             break;
         }
         sub = sub.wrapping_sub(in_mask) & in_mask;
+    }
+    let mut receivers = [Choices::<2>::new(); MAX_GRAPH_N];
+    for j in (0..n).filter(|&j| j != f) {
+        for (heard, pattern) in [(everyone, 0), (everyone & !(1 << f), drop_bit[f * n + j])] {
+            let (counter, reach) = step(j, heard);
+            receivers[j].add(counter, reach, pattern);
+        }
     }
     let choices = |j: usize| {
         if j == f {
@@ -693,8 +681,8 @@ fn expand(
         violation: None,
         fresh: Vec::new(),
     };
-    let round = rounds(parent, cfg, pairs);
-    for_each_edge(parent, cfg, pairs, fper, round, |edge| {
+    let step = transitions(parent, cfg.n);
+    for_each_edge(parent, cfg, pairs, fper, step, |edge| {
         if edge.perm != identity_perm() {
             out.orbit_hits += u64::from(edge.masks);
         }
@@ -934,9 +922,46 @@ mod tests {
         violation: Option<&'static str>,
     }
 
-    /// The per-mask walk the class walk stands in for: one stepper round
-    /// per mask, then `check_edge`, `canonicalize` and the fingerprint per
-    /// edge, in mask order.
+    /// One whole round out of `parent` per call, with the eligible copies
+    /// in the given mask dropped: the per-mask reference's transition,
+    /// independent of the per-process one the class walk steps.
+    fn rounds(
+        parent: &PackedState,
+        cfg: &GraphConfig,
+        pairs: &[(ProcessId, ProcessId)],
+    ) -> impl FnMut(u32) -> Outcome {
+        let n = cfg.n;
+        let drop_bit = drop_bits(n, pairs);
+        let base_states: Vec<RoundAgreementState> = parent.counters[..n]
+            .iter()
+            .map(|&c| RoundAgreementState {
+                c: RoundCounter::new(c),
+            })
+            .collect();
+        let mut stepper = SyncStepper::new(RoundAgreement, base_states.clone());
+        let parent_reach = parent.reach;
+        move |drop| {
+            stepper.reset(&base_states);
+            stepper.step_round(|from, to| drop & drop_bit[from.index() * n + to.index()] == 0);
+            let mut out = Outcome {
+                counters: [0; MAX_GRAPH_N],
+                reach: parent_reach,
+            };
+            for (c, state) in out.counters.iter_mut().zip(stepper.states()) {
+                *c = state.c.get();
+            }
+            for s in 0..n {
+                for d in (0..n).filter(|&d| d != s && drop & drop_bit[s * n + d] == 0) {
+                    out.reach[d] |= parent_reach[s] | 1 << s;
+                }
+            }
+            out
+        }
+    }
+
+    /// The per-mask walk the class walk stands in for: one whole stepper
+    /// round per mask, then `check_edge`, `canonicalize` and the
+    /// fingerprint per edge, in mask order.
     fn for_each_edge_per_mask(
         parent: &PackedState,
         cfg: &GraphConfig,
@@ -1073,8 +1098,8 @@ mod tests {
         let pairs = eligible_pairs(cfg.n, cfg.faulty);
         let fper = Fingerprinter::new();
         let mut classes = Vec::new();
-        let round = rounds(parent, cfg, &pairs);
-        for_each_edge(parent, cfg, &pairs, &fper, round, |e| classes.push(e));
+        let step = transitions(parent, cfg.n);
+        for_each_edge(parent, cfg, &pairs, &fper, step, |e| classes.push(e));
         let mut per_mask = Vec::new();
         for_each_edge_per_mask(parent, cfg, &pairs, &fper, |e| per_mask.push(e));
         assert_eq!(per_mask.len(), 1 << cfg.mask_bits());
@@ -1155,8 +1180,8 @@ mod tests {
         let cfg = node_config(2, ProcessId(1), 2);
         let pairs = eligible_pairs(2, ProcessId(1));
         let mut violating = Vec::new();
-        let round = rounds(&parent, &cfg, &pairs);
-        for_each_edge(&parent, &cfg, &pairs, &Fingerprinter::new(), round, |e| {
+        let step = transitions(&parent, cfg.n);
+        for_each_edge(&parent, &cfg, &pairs, &Fingerprinter::new(), step, |e| {
             if e.violation.is_some() {
                 violating.push(e.mask);
             }
@@ -1188,7 +1213,7 @@ mod tests {
     /// The work `cfg`'s search does in its expansions, counted by walking
     /// each node it expands (a fixpoint's every node, or with
     /// `rounds: Some(d)` the nodes less than `d` edges from the root)
-    /// again: `[nodes, classes judged, stepper rounds, masks]`.
+    /// again: `[nodes, classes judged, process steps, masks]`.
     fn walk_counts(cfg: &GraphConfig) -> [u64; 4] {
         let (report, visited) = search(cfg).unwrap();
         let pairs = eligible_pairs(cfg.n, cfg.faulty);
@@ -1207,10 +1232,10 @@ mod tests {
                 continue;
             }
             nodes += 1;
-            let mut round = rounds(&node.state, cfg, &pairs);
-            let counted = |drop| {
+            let mut step = transitions(&node.state, cfg.n);
+            let counted = |j, heard| {
                 stepped += 1;
-                round(drop)
+                step(j, heard)
             };
             for_each_edge(&node.state, cfg, &pairs, &fper, counted, |e| {
                 classes += 1;
@@ -1223,9 +1248,10 @@ mod tests {
 
     /// The class walk's work, pinned as counts rather than a clock: on
     /// the n = 6 seed-7 searches a node judges 8.6 (fixpoint) or 10.5
-    /// (two layers) classes on average for its 1 024 masks, and runs
-    /// 2^(n−1) = 32 stepper rounds. A per-mask loop coming back fails here
-    /// on any machine.
+    /// (two layers) classes on average for its 1 024 masks, and takes
+    /// 2^(n−1) + 2(n−1) = 42 process steps. A per-mask loop, or a
+    /// whole-round one (n steps per inbox of the faulty process), coming
+    /// back fails here on any machine.
     #[test]
     fn class_walk_work_is_pinned() {
         let two_layers = GraphConfig {
@@ -1233,9 +1259,9 @@ mod tests {
             ..GraphConfig::fixpoint(6, 7)
         };
         let [nodes, classes, stepped, _] = walk_counts(&two_layers);
-        assert_eq!((nodes, classes, stepped), (225, 2_362, 225 << 5));
+        assert_eq!((nodes, classes, stepped), (225, 2_362, 225 * 42));
         let [nodes, classes, stepped, _] = walk_counts(&GraphConfig::fixpoint(6, 7));
-        assert_eq!((nodes, classes, stepped), (573, 4_917, 573 << 5));
+        assert_eq!((nodes, classes, stepped), (573, 4_917, 573 * 42));
     }
     #[test]
     fn eligible_pairs_match_the_tape_consultation_order() {

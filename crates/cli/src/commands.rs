@@ -815,9 +815,18 @@ pub fn loadgen(args: &Args) -> Outcome {
     Ok(report.completed > 0)
 }
 
-/// `--jobs J`, defaulting to `FTSS_JOBS`, else every core.
+/// `--jobs J`, defaulting to `FTSS_JOBS`, else every core (the variable
+/// is read only when `--jobs` is absent). An explicit `--jobs 0` is
+/// refused, as a run with no sample is: no command runs on zero workers.
+/// (`FTSS_JOBS=0` keeps its fallback: it warns and uses every core.)
 fn jobs_arg(args: &Args) -> Result<usize, String> {
-    args.get_or("jobs", ftss_sweep::jobs_from_env())
+    if args.get("jobs").is_none() {
+        return Ok(ftss_sweep::jobs_from_env());
+    }
+    match args.get_or("jobs", 0)? {
+        0 => Err("--jobs must be at least 1".into()),
+        jobs => Ok(jobs),
+    }
 }
 
 /// `sweep`: print one experiment's table (`--exp <id>`), every

@@ -418,6 +418,25 @@ fn check_adversary_refuses_zero_seeds() {
     );
 }
 
+/// An explicit `--jobs 0` is refused alike by every command that shards
+/// work; the sharded commands once ran it on one worker, and the graph
+/// checker refused it with its own message.
+#[test]
+fn every_command_refuses_zero_jobs() {
+    for args in [
+        &["sweep", "--exp", "e1"][..],
+        &["soak", "--plan", "default", "--epochs", "2"],
+        &["check", "--adversary", "--seeds", "1"],
+        &["check", "--graph", "--n", "3"],
+    ] {
+        let o = run(&[args, &["--jobs", "0"]].concat());
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {}", stdout(&o));
+        assert!(o.stdout.is_empty(), "{args:?}: {}", stdout(&o));
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(err, "error: --jobs must be at least 1\n", "{args:?}");
+    }
+}
+
 /// A stabilization time past the one-byte stable-window length is
 /// rejected up front; 253, the largest that fits, still closes.
 #[test]

@@ -14,11 +14,15 @@
 //! ([`crate::round`]), so a decision sequence and an omission tape
 //! describe the same schedule. The stepper is deliberately **not** a
 //! driver of that kernel: it records no states and has no adversary,
-//! schedule or sink, and this ~40-line loop is the transition function
-//! of the graph checker, which steps every distinct inbox of every
-//! visited state through it (`2^(n−1)` rounds per state at size `n`, for
-//! `2^(2(n−1))` edges). [`SyncRunner`](crate::SyncRunner) is its
-//! reference instead (`stepper_matches_runner_under_omission_tapes`).
+//! schedule or sink. Its one-process step
+//! ([`SyncStepper::step_process`], one row of a round) is the transition
+//! function of the graph checker, which steps every distinct inbox of
+//! every visited state through it once: the faulty process's `2^(n−1)`
+//! and two for each other process, `2^(n−1) + 2(n−1)` process steps per
+//! state at size `n` for its `2^(2(n−1))` edges (`step_process_matches_a_whole_round`
+//! holds it to [`SyncStepper::step_round`]). [`SyncRunner`](crate::SyncRunner)
+//! is the whole round's reference instead
+//! (`stepper_matches_runner_under_omission_tapes`).
 //! Phase semantics are the kernel's, for the crash-free slice of the
 //! model the explorer covers:
 //!
@@ -37,6 +41,7 @@
 use crate::protocol::{Inbox, ProtocolCtx, SyncProtocol};
 use ftss_core::{Corrupt, Payload, ProcessId, RoundHistory};
 use ftss_rng::StdRng;
+use std::ops::Range;
 
 /// A resumable, clonable one-round-at-a-time executor over a protocol's
 /// global state. See the module docs for the exact semantics contract.
@@ -52,8 +57,8 @@ pub struct SyncStepper<P: SyncProtocol> {
     /// not recorded.
     frame: RoundHistory<P::State, P::Msg>,
     /// Slot `i`: process `i`'s last broadcast payload, taken back from
-    /// the frame after each round and refilled in place the next time
-    /// `i` sends.
+    /// the frame at the start of the next round and refilled in place if
+    /// `i` sends again.
     payloads: Vec<Option<Payload<P::Msg>>>,
 }
 
@@ -95,8 +100,10 @@ impl<P: SyncProtocol> SyncStepper<P> {
     }
 
     /// Rewinds to `states`: the stepper [`new`](Self::new) would build
-    /// from them, with every buffer kept. The explorer's branch point —
-    /// one stepper serves every edge out of a node.
+    /// from them, with every buffer kept: one stepper branches whole
+    /// rounds from one state without a clone. (Branching one process's
+    /// step needs no rewind: [`step_process`](Self::step_process) does
+    /// not advance.)
     pub fn reset(&mut self, states: &[P::State]) {
         assert_eq!(states.len(), self.n, "state vector must keep n");
         self.states.clone_from_slice(states);
@@ -110,10 +117,59 @@ impl<P: SyncProtocol> SyncStepper<P> {
     ///
     /// Runs `run_to_round`-style resumption: call repeatedly to advance,
     /// clone the stepper to branch.
-    pub fn step_round(&mut self, mut deliver: impl FnMut(ProcessId, ProcessId) -> bool) {
+    pub fn step_round(&mut self, deliver: impl FnMut(ProcessId, ProcessId) -> bool) {
         let n = self.n;
-        // Phase 1: broadcasts from round-start states, then the delivery
-        // decision per copy. One shared payload per broadcast.
+        self.broadcast_phase(0..n, deliver);
+        // Phase 2: every process steps on its delivered row
+        // (ascending sender order) — the view the runner hands out, so no
+        // envelope is ever built.
+        for j in 0..n {
+            let dst = ProcessId(j);
+            let inbox = Inbox::from_deliveries(self.frame.msgs().deliveries(dst));
+            let ctx = ProtocolCtx::new(dst, n);
+            self.protocol.step(&ctx, &mut self.states[j], &inbox);
+        }
+    }
+
+    /// The state `p` steps to this round from the current global state
+    /// when it hears exactly the senders `heard` admits — `p`'s part of
+    /// the [`step_round`](Self::step_round) whose `deliver(s, p)` is
+    /// `heard(s)`. `heard` is consulted once per other sender that
+    /// broadcasts, ascending; `p`'s own copy is always heard. The stepper
+    /// does not advance: [`states`](Self::states) is unchanged.
+    ///
+    /// A process's step reads only its own state and inbox, so a caller
+    /// that needs each process's outcome under a few inboxes steps each
+    /// inbox once here instead of running whole rounds.
+    pub fn step_process(
+        &mut self,
+        p: ProcessId,
+        mut heard: impl FnMut(ProcessId) -> bool,
+    ) -> P::State {
+        let j = p.index();
+        self.broadcast_phase(j..j + 1, |from, _| heard(from));
+        let inbox = Inbox::from_deliveries(self.frame.msgs().deliveries(p));
+        let mut state = self.states[j].clone();
+        self.protocol
+            .step(&ProtocolCtx::new(p, self.n), &mut state, &inbox);
+        state
+    }
+
+    /// Phase 1 of a round: broadcasts from the round-start states, then
+    /// the delivery decision per copy into each receiver in `dsts` — the
+    /// rows of the frame that phase 2 reads. One shared payload per
+    /// broadcast, refilled in place from the previous round's.
+    fn broadcast_phase(
+        &mut self,
+        dsts: Range<usize>,
+        mut deliver: impl FnMut(ProcessId, ProcessId) -> bool,
+    ) {
+        let n = self.n;
+        for (i, slot) in self.payloads.iter_mut().enumerate() {
+            if let Some(payload) = self.frame.take_broadcast(ProcessId(i)) {
+                *slot = Some(payload);
+            }
+        }
         self.frame.reset(n);
         for i in 0..n {
             let src = ProcessId(i);
@@ -130,24 +186,10 @@ impl<P: SyncProtocol> SyncStepper<P> {
                 None => Payload::new(msg),
             };
             self.frame.set_broadcast(src, payload);
-            for j in 0..n {
+            for j in dsts.clone() {
                 if i == j || deliver(src, ProcessId(j)) {
                     self.frame.record_delivery(ProcessId(j), src);
                 }
-            }
-        }
-        // Phase 2: every process steps on its delivered row
-        // (ascending sender order) — the view the runner hands out, so no
-        // envelope is ever built.
-        for j in 0..n {
-            let dst = ProcessId(j);
-            let inbox = Inbox::from_deliveries(self.frame.msgs().deliveries(dst));
-            let ctx = ProtocolCtx::new(dst, n);
-            self.protocol.step(&ctx, &mut self.states[j], &inbox);
-        }
-        for i in 0..n {
-            if let Some(payload) = self.frame.take_broadcast(ProcessId(i)) {
-                self.payloads[i] = Some(payload);
             }
         }
     }
@@ -166,6 +208,7 @@ mod tests {
     // every process broadcasts its value and adopts the max it heard.
     mod ftss_protocols_shim {
         use super::super::*;
+        #[derive(Clone, Copy)]
         pub struct MaxGossip;
         #[derive(Clone, Debug, PartialEq, Eq)]
         pub struct Val(pub u64);
@@ -189,6 +232,33 @@ mod tests {
             fn step(&self, _ctx: &ProtocolCtx, s: &mut Val, inbox: &Inbox<u64>) {
                 let heard = inbox.iter().map(|(_, m)| *m).fold(s.0, u64::max);
                 s.0 = heard + 1;
+            }
+        }
+
+        /// `MaxGossip`, except that a process whose value is a multiple
+        /// of three stays silent and a step adds up who it heard — so a
+        /// silent sender and a dropped copy both show in the next state.
+        #[derive(Clone, Copy)]
+        pub struct QuietGossip;
+        impl SyncProtocol for QuietGossip {
+            type State = Val;
+            type Msg = u64;
+            fn name(&self) -> &'static str {
+                "quiet-gossip"
+            }
+            fn init_state(&self, _ctx: &ProtocolCtx) -> Val {
+                Val(1)
+            }
+            fn sends(&self, _ctx: &ProtocolCtx, s: &Val) -> bool {
+                !s.0.is_multiple_of(3)
+            }
+            fn broadcast(&self, _ctx: &ProtocolCtx, s: &Val) -> u64 {
+                s.0
+            }
+            fn step(&self, _ctx: &ProtocolCtx, s: &mut Val, inbox: &Inbox<u64>) {
+                let heard = inbox.iter().map(|(_, m)| *m).fold(s.0, u64::max);
+                let senders: u64 = inbox.iter().map(|(p, _)| 1 << p.index()).sum();
+                s.0 = heard + senders;
             }
         }
     }
@@ -269,6 +339,50 @@ mod tests {
                 fresh.step_round(decide);
                 assert_eq!(recycled.states(), fresh.states());
             }
+        });
+    }
+
+    /// `step_process(p, heard)` is `p`'s state after the `step_round`
+    /// whose decision for each copy `s → p` is `heard(s)`, consulted for
+    /// the same senders in the same order, for every `p`; the stepper's
+    /// own states stay where they were. `QuietGossip` covers the senders
+    /// that decline to broadcast.
+    #[test]
+    fn step_process_matches_a_whole_round() {
+        fn check<P>(protocol: P, states: &[P::State], drops: u64)
+        where
+            P: SyncProtocol + Clone,
+            P::State: PartialEq,
+        {
+            let n = states.len();
+            let decide = |from: ProcessId, to: ProcessId| {
+                (drops >> (from.index() * n + to.index())) & 1 == 0
+            };
+            let mut round = SyncStepper::new(protocol.clone(), states.to_vec());
+            let mut round_asked = Vec::new();
+            round.step_round(|from, to| {
+                round_asked.push((from, to));
+                decide(from, to)
+            });
+            let mut stepper = SyncStepper::new(protocol, states.to_vec());
+            for p in (0..n).map(ProcessId) {
+                let mut asked = Vec::new();
+                let next = stepper.step_process(p, |from| {
+                    asked.push((from, p));
+                    decide(from, p)
+                });
+                assert_eq!(next, round.states()[p.index()], "{p}");
+                let want: Vec<_> = round_asked.iter().filter(|c| c.1 == p).collect();
+                assert_eq!(asked.iter().collect::<Vec<_>>(), want, "{p}");
+                assert_eq!(stepper.states(), states, "{p} advanced the stepper");
+            }
+        }
+        ftss_rng::check::forall(60, |g| {
+            let n = g.gen_range(2..7u64) as usize;
+            let states: Vec<Val> = (0..n).map(|_| Val(g.gen_range(0..64))).collect();
+            let drops = g.next_u64();
+            check(MaxGossip, &states, drops);
+            check(QuietGossip, &states, drops);
         });
     }
 

@@ -56,7 +56,7 @@ run cargo clippy --all-targets -- -D warnings
 # serve runtime's timing proxy; a third is a linear rescan coming back.
 # (Test modules sit at the end of their file, behind `#[cfg(test)]`;
 # definitions and comment lines are not call sites.)
-echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at / check_edge"
+echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at / check_edge / step_process / step_round"
 call_sites() { # <expected count> <call regex> <source dir>...
     local want="$1" call="$2" sites
     shift 2
@@ -98,7 +98,14 @@ call_sites 2 'stabilization_offset\(' crates/*/src
 call_sites 2 'storm::phase_at\(' crates/sync-sim/src crates/serve/src
 # `check_edge` judges a graph node's edges once per effect class inside
 # `for_each_edge`; a second call site is a second edge walk beside it.
+# The class walk steps each distinct inbox once, one process at a time
+# (`SyncStepper::step_process`, called from `transitions` alone); a whole
+# `step_round` in production graph code is the n-fold work of stepping
+# every process per inbox of the faulty one coming back (the per-mask
+# reference in the tests keeps whole rounds).
 call_sites 1 'check_edge\(' crates/check/src
+call_sites 1 '\.step_process\(' crates/check/src
+call_sites 0 '\.step_round\(' crates/check/src
 
 # DESIGN.md §3 is the crate inventory: every crates/* directory has a
 # row, and every key module a row names is a file of that crate.

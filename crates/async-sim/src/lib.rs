@@ -16,7 +16,9 @@
 //!   (unless the receiver crashed). This is what "eventually" properties
 //!   need.
 //! * **Determinism**: every run is a pure function of the configuration
-//!   seed. Events are ordered by `(time, sequence number)`.
+//!   seed. A [`Scheduler`] picks each message's delay, the one choice the
+//!   model leaves open; the runner's one event queue then dispatches in
+//!   `(time, sequence number)` order.
 //!
 //! The driving trait is [`AsyncProcess`]: `on_start` arms timers (program
 //! text, not state — self-stabilizing protocols must work from any *state*,
@@ -24,12 +26,10 @@
 //! `on_timer` advance the protocol.
 
 pub mod process;
+mod queue;
 pub mod runner;
 pub mod scheduler;
 
 pub use process::{AsyncProcess, Ctx};
 pub use runner::{AsyncConfig, AsyncRunner, RunStats, Time};
-pub use scheduler::{
-    AdversaryScheduler, ByzantineScheduler, DfsScheduler, Pending, PendingKind, RandomScheduler,
-    Scheduler,
-};
+pub use scheduler::{AdversaryScheduler, RandomScheduler, Scheduler};

@@ -32,18 +32,6 @@ pub trait AsyncProcess {
 
     /// A timer armed with `tag` fires.
     fn on_timer(&mut self, ctx: &mut Ctx<Self::Msg>, tag: u64);
-
-    /// An *arbitrary forged message*, derived deterministically from
-    /// `seed` — what a Byzantine scheduler may substitute for one copy of
-    /// a send (see `Scheduler::forge`). `None` (the default) means the
-    /// message space is opaque to the harness and forging schedulers
-    /// cannot be used with this process type (the runner panics if one
-    /// tries). Must be a pure function of `seed` so runs stay
-    /// byte-identical.
-    fn forge_message(&self, seed: u64) -> Option<Self::Msg> {
-        let _ = seed;
-        None
-    }
 }
 
 /// The effect buffer handed to process handlers.
@@ -134,10 +122,10 @@ impl<M: Clone> Ctx<M> {
     }
 
     /// Arms a timer at an absolute virtual time (clamped to be strictly in
-    /// the future). Used when forwarding effects from an embedded
-    /// component's context.
+    /// the future, saturating at `Time::MAX`). Used when forwarding effects
+    /// from an embedded component's context.
     pub fn set_timer_at(&mut self, at: Time, tag: u64) {
-        self.timers.push((at.max(self.now + 1), tag));
+        self.timers.push((at.max(self.now.saturating_add(1)), tag));
     }
 
     /// Drains the buffered effects: `(sends, timers)` with absolute timer

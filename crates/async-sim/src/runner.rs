@@ -1,7 +1,8 @@
 //! The discrete-event engine.
 
 use crate::process::{AsyncProcess, Ctx};
-use crate::scheduler::{Pending, PendingKind, RandomScheduler, Scheduler};
+use crate::queue::{EventQueue, Pending, PendingKind};
+use crate::scheduler::{RandomScheduler, Scheduler};
 use ftss_core::{ConfigError, Corrupt, ProcessId};
 use ftss_rng::StdRng;
 use ftss_telemetry::{Event as TraceEvent, NullSink, RunMode, TraceSink};
@@ -70,27 +71,25 @@ pub struct RunStats {
     pub messages_delivered: u64,
     /// Messages discarded because the receiver had crashed.
     pub messages_to_crashed: u64,
-    /// Copies whose payload the scheduler replaced with a forgery (they
-    /// still count toward `messages_delivered` when delivered).
-    pub messages_forged: u64,
     /// Timer firings dispatched.
     pub timers_fired: u64,
     /// Virtual time at which the run stopped.
     pub end_time: Time,
 }
 
+/// Monomorphized corruption injector: `(processes, crashed_at, now, seed)`.
+type CorruptionApply<P> = fn(&mut [P], &[Option<Time>], Time, u64);
+
 /// Drives a set of [`AsyncProcess`]es deterministically.
 ///
 /// The runner owns the processes; inspect them between/after runs via
 /// [`AsyncRunner::process`] / [`AsyncRunner::processes`]. Delay assignment
-/// and event order live behind the [`Scheduler`] parameter; the default
+/// lives behind the [`Scheduler`] parameter: the default
 /// [`RandomScheduler`] reproduces the historical seeded behaviour exactly,
-/// while the model checker substitutes enumerating or adversarial
-/// schedulers (see [`crate::scheduler`]).
-/// Monomorphized corruption injector: `(processes, crashed_at, now, seed)`.
-type CorruptionApply<P> = fn(&mut [P], &[Option<Time>], Time, u64);
-
-pub struct AsyncRunner<P: AsyncProcess, S = RandomScheduler<<P as AsyncProcess>::Msg>> {
+/// while the chaos engine and the checker's battery substitute an
+/// [`AdversaryScheduler`](crate::AdversaryScheduler). Event order is the
+/// runner's own: one queue, popped in `(time, seq)` order.
+pub struct AsyncRunner<P: AsyncProcess, S = RandomScheduler> {
     processes: Vec<P>,
     crashed_at: Vec<Option<Time>>,
     crash_reported: Vec<bool>,
@@ -99,14 +98,15 @@ pub struct AsyncRunner<P: AsyncProcess, S = RandomScheduler<<P as AsyncProcess>:
     /// `n` crash slots — at large `n` that scan dominates traced dispatch.
     crashes_unreported: usize,
     sched: S,
+    /// Every pending delivery and timer.
+    queue: EventQueue<P::Msg>,
     cfg: AsyncConfig,
     now: Time,
     seq: u64,
     started: bool,
     stats: RunStats,
     /// Reused effect buffer handed to every handler invocation; drained
-    /// into the scheduler after each call instead of allocating a fresh
-    /// `Ctx`.
+    /// into the queue after each call instead of allocating a fresh `Ctx`.
     scratch: Ctx<P::Msg>,
     /// Scheduled systemic failures, `(time, seed)`, kept time-sorted from
     /// `next_corruption` onwards; entries before it have fired.
@@ -132,7 +132,7 @@ impl<P: AsyncProcess> AsyncRunner<P> {
     }
 }
 
-impl<P: AsyncProcess + Corrupt, S: Scheduler<P::Msg>> AsyncRunner<P, S> {
+impl<P: AsyncProcess + Corrupt, S: Scheduler> AsyncRunner<P, S> {
     /// Schedules a systemic failure: when virtual time first reaches `at`
     /// (specifically, before the first event dispatched at time ≥ `at`),
     /// every process not yet crashed has its state replaced by a seeded
@@ -171,8 +171,8 @@ fn corrupt_alive<P: AsyncProcess + Corrupt>(
     }
 }
 
-impl<P: AsyncProcess, S: Scheduler<P::Msg>> AsyncRunner<P, S> {
-    /// Creates a runner driven by an explicit scheduler (see
+impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
+    /// Creates a runner whose delays an explicit scheduler picks (see
     /// [`crate::scheduler`] for the available strategies).
     ///
     /// # Errors
@@ -203,6 +203,7 @@ impl<P: AsyncProcess, S: Scheduler<P::Msg>> AsyncRunner<P, S> {
             crashes_unreported: crashed_at.iter().filter(|c| c.is_some()).count(),
             crashed_at,
             sched,
+            queue: EventQueue::new(),
             cfg,
             now: 0,
             seq: 0,
@@ -213,18 +214,6 @@ impl<P: AsyncProcess, S: Scheduler<P::Msg>> AsyncRunner<P, S> {
             next_corruption: 0,
             corruption_apply: None,
         })
-    }
-
-    /// Consumes the runner, handing the scheduler back — the DFS explorer
-    /// uses this to carry the choice stack from one run into the next.
-    pub fn into_scheduler(self) -> S {
-        self.sched
-    }
-
-    /// Read access to the scheduler mid-flight — e.g. to ask a DFS
-    /// scheduler whether the run that just ended was pruned.
-    pub fn scheduler(&self) -> &S {
-        &self.sched
     }
 
     /// Number of processes.
@@ -260,43 +249,34 @@ impl<P: AsyncProcess, S: Scheduler<P::Msg>> AsyncRunner<P, S> {
         }
     }
 
-    /// Drains the scratch context's buffered effects into the scheduler,
-    /// asking it for a delay and a forgery decision per send (in send
-    /// order — the seeded scheduler's RNG streams depend on it). Queued
-    /// copies keep sharing the broadcast payload unless forged.
+    /// Drains the scratch context's buffered effects into the queue,
+    /// asking the scheduler for a delay per send (in send order — the
+    /// seeded scheduler's RNG stream depends on it). Queued copies keep
+    /// sharing the broadcast payload. Every push lands after `now` —
+    /// delays and timer offsets are at least 1 — or, saturated, at
+    /// `Time::MAX`.
     fn drain_scratch(&mut self, p: ProcessId) {
         let Self {
-            processes,
             sched,
+            queue,
             cfg,
             scratch,
             now,
             seq,
-            stats,
             ..
         } = self;
         for (to, msg) in scratch.sends.drain(..) {
             let delay = sched.delay(cfg, *now, p, to);
-            let msg = match sched.forge(*now, p, to) {
-                None => msg,
-                Some(forge_seed) => {
-                    let forged = processes[p.index()].forge_message(forge_seed).unwrap_or_else(
-                        || panic!("scheduler forged a copy but the process type of {p} does not implement forge_message"),
-                    );
-                    stats.messages_forged += 1;
-                    ftss_core::Payload::new(forged)
-                }
-            };
             *seq += 1;
-            sched.push(Pending {
-                time: *now + delay,
+            queue.push(Pending {
+                time: now.saturating_add(delay),
                 seq: *seq,
                 kind: PendingKind::Deliver { from: p, to, msg },
             });
         }
         for (at, tag) in scratch.timers.drain(..) {
             *seq += 1;
-            sched.push(Pending {
+            queue.push(Pending {
                 time: at,
                 seq: *seq,
                 kind: PendingKind::Timer { p, tag },
@@ -367,10 +347,11 @@ impl<P: AsyncProcess, S: Scheduler<P::Msg>> AsyncRunner<P, S> {
             });
         }
         self.start_if_needed();
+        // `None` once no probe is left before the end of time.
         let mut next_probe = if probe_interval == Time::MAX {
-            Time::MAX
+            None
         } else {
-            self.now.saturating_add(probe_interval)
+            self.now.checked_add(probe_interval)
         };
         loop {
             // Peek the time only; popping moves the event out, so no deep
@@ -379,15 +360,16 @@ impl<P: AsyncProcess, S: Scheduler<P::Msg>> AsyncRunner<P, S> {
                 Some(t) if t <= horizon => {}
                 _ => break,
             }
-            let ev = self.sched.pop().expect("peeked non-empty scheduler");
-            while ev.time >= next_probe {
-                probe(next_probe, &self.processes);
-                next_probe = next_probe.saturating_add(probe_interval);
+            let ev = self.queue.pop().expect("peeked non-empty queue");
+            while let Some(t) = next_probe.filter(|&t| t <= ev.time) {
+                probe(t, &self.processes);
+                next_probe = t.checked_add(probe_interval);
             }
-            // `max` keeps time monotone even when a scheduler dispatches
-            // events out of timestamp order (the DFS does); for the
-            // time-ordered schedulers this is the identity.
-            self.now = self.now.max(ev.time);
+            // Every push lands after its handler's `now` (or at
+            // `Time::MAX`), and the queue pops in `(time, seq)` order:
+            // time never runs backwards.
+            debug_assert!(ev.time >= self.now);
+            self.now = ev.time;
             // Corruption scheduled at time t strikes before the event
             // dispatched at t — corrupt-then-run, as in the synchronous
             // runner.
@@ -489,7 +471,7 @@ impl<P: AsyncProcess, S: Scheduler<P::Msg>> AsyncRunner<P, S> {
     }
 
     fn peek_time(&self) -> Option<Time> {
-        self.sched.peek_time()
+        self.queue.peek_time()
     }
 }
 
@@ -765,77 +747,6 @@ mod tests {
         );
     }
 
-    /// A pinger whose message space the harness can forge into.
-    #[derive(Debug, Default)]
-    struct ForgeablePinger(Pinger);
-
-    impl AsyncProcess for ForgeablePinger {
-        type Msg = u32;
-
-        fn on_start(&mut self, ctx: &mut Ctx<u32>) {
-            self.0.on_start(ctx);
-        }
-
-        fn on_message(&mut self, ctx: &mut Ctx<u32>, from: ProcessId, msg: &u32) {
-            self.0.on_message(ctx, from, msg);
-        }
-
-        fn on_timer(&mut self, ctx: &mut Ctx<u32>, tag: u64) {
-            self.0.on_timer(ctx, tag);
-        }
-
-        fn forge_message(&self, seed: u64) -> Option<u32> {
-            // Huge values the honest ping-pong (≤ 10) never produces.
-            Some(1_000_000 + (seed % 1_000_000) as u32)
-        }
-    }
-
-    #[test]
-    fn byzantine_scheduler_forges_traitor_copies_deterministically() {
-        use crate::scheduler::ByzantineScheduler;
-        let run = |forge_seed| {
-            let cfg = AsyncConfig::tame(3);
-            let sched = ByzantineScheduler::new(&cfg, [ProcessId(0)], 1.0, forge_seed);
-            let mut r = AsyncRunner::with_scheduler(
-                vec![ForgeablePinger::default(), ForgeablePinger::default()],
-                cfg,
-                sched,
-            )
-            .unwrap();
-            let stats = r.run_until(5_000);
-            (stats, r.process(ProcessId(1)).0.received.clone())
-        };
-        let (stats, received) = run(42);
-        assert!(stats.messages_forged > 0, "traitor p0 forged: {stats:?}");
-        // Every message p1 received from the traitor is a forgery.
-        assert!(
-            received.iter().all(|&m| m >= 1_000_000),
-            "p1 saw only forged payloads: {received:?}"
-        );
-        assert_eq!((stats, received), run(42), "same seeds, same run");
-    }
-
-    #[test]
-    fn byzantine_scheduler_leaves_honest_copies_alone() {
-        use crate::scheduler::ByzantineScheduler;
-        let cfg = AsyncConfig::tame(3);
-        // p1 is the traitor; p0's sends must arrive untouched.
-        let sched = ByzantineScheduler::new(&cfg, [ProcessId(1)], 1.0, 9);
-        let mut r = AsyncRunner::with_scheduler(
-            vec![ForgeablePinger::default(), ForgeablePinger::default()],
-            cfg,
-            sched,
-        )
-        .unwrap();
-        r.run_until(5_000);
-        let p1 = r.process(ProcessId(1));
-        assert!(
-            p1.0.received.iter().all(|&m| m < 1_000_000),
-            "honest p0's payloads reached p1 genuine: {:?}",
-            p1.0.received
-        );
-    }
-
     /// A message that counts its own clones.
     #[derive(Debug)]
     struct Counted(std::rc::Rc<std::cell::Cell<u64>>);
@@ -887,16 +798,52 @@ mod tests {
         assert_eq!(clones.get(), 0, "a copy was cloned on its way");
     }
 
+    /// Arms a timer one instant before the end of time and broadcasts
+    /// from it; every receiver re-arms a timer at its own `now`.
+    #[derive(Debug, Default)]
+    struct LastGasp {
+        heard: u64,
+    }
+
+    impl AsyncProcess for LastGasp {
+        type Msg = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<()>) {
+            if ctx.me() == ProcessId(0) {
+                ctx.set_timer_at(Time::MAX - 1, 0);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<()>, _from: ProcessId, _msg: &()) {
+            self.heard += 1;
+            ctx.set_timer_at(ctx.now(), 1);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<()>, tag: u64) {
+            if tag == 0 {
+                ctx.broadcast(());
+            }
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "does not implement forge_message")]
-    fn forging_against_opaque_process_panics() {
-        use crate::scheduler::ByzantineScheduler;
-        let cfg = AsyncConfig::tame(1);
-        let sched = ByzantineScheduler::new(&cfg, [ProcessId(0)], 1.0, 1);
-        let mut r =
-            AsyncRunner::with_scheduler(vec![Pinger::default(), Pinger::default()], cfg, sched)
-                .unwrap();
-        r.run_until(1_000);
+    fn time_saturates_at_its_end_instead_of_wrapping() {
+        let cfg = AsyncConfig {
+            min_delay: 2,
+            ..AsyncConfig::tame(0)
+        };
+        let mut r = AsyncRunner::new(vec![LastGasp::default(), LastGasp::default()], cfg).unwrap();
+        let stats = r.run_until(Time::MAX);
+        // The broadcast sent at `MAX - 1` arrives at `MAX`, not at a
+        // wrapped small time, and the timers its receivers arm there fire
+        // at `MAX` too.
+        assert_eq!(
+            (stats.messages_delivered, stats.timers_fired),
+            (2, 3),
+            "{stats:?}"
+        );
+        assert_eq!(stats.end_time, Time::MAX);
+        assert!(r.processes().iter().all(|p| p.heard == 1));
     }
 
     #[test]

@@ -36,9 +36,7 @@ use crate::plan::{
     burst_seed, join_seed, SoakCell, SoakPlan, SoakScenario, StormGeometry, StormScenario,
 };
 use crate::verdict::{CellReport, ChurnStamps, EpochJudge, EpochVerdict, SoakVerdict};
-use ftss::async_sim::{
-    AdversaryScheduler, AsyncConfig, AsyncProcess, AsyncRunner, Scheduler, Time,
-};
+use ftss::async_sim::{AdversaryScheduler, AsyncConfig, AsyncRunner, Scheduler, Time};
 use ftss::compiler::{trace_events, Compiled};
 use ftss::core::{
     saturating_round_index, Corrupt, Problem, ProcessId, ProcessSet, RateAgreementSpec, StormKind,
@@ -482,15 +480,12 @@ fn detector_storm_kind(cell: &SoakCell, e: usize) -> StormKind {
     }
 }
 
-fn drive_detector<S>(
+fn drive_detector<S: Scheduler>(
     cell: &SoakCell,
     budget: &SoakBudget,
     mut runner: AsyncRunner<StrongDetectorProcess, S>,
     crashes: &[(ProcessId, Time)],
-) -> CellReport
-where
-    S: Scheduler<<StrongDetectorProcess as AsyncProcess>::Msg>,
-{
+) -> CellReport {
     let n = cell.n;
     let mut jsonl = match open_report(cell, RunMode::Async, None, budget) {
         Ok(jsonl) => jsonl,

@@ -1,7 +1,7 @@
 //! # ftss-check — a model-checker-lite for the paper's theorems
 //!
 //! Testing with random seeds samples the schedule space; this crate
-//! *covers* it. Four complementary strategies, all deterministic:
+//! *covers* it. Three complementary strategies, all deterministic:
 //!
 //! 1. **Graph exploration** ([`frontier`]) — the one synchronous
 //!    checker: walk the reachable-state *graph* of round agreement from
@@ -12,15 +12,11 @@
 //!    omission schedule of that horizon; without one it runs to a
 //!    fixpoint, certifying the Theorem-3 obligations over *unbounded*
 //!    horizons at `n ≤ 6`.
-//! 2. **Dispatch-order enumeration** ([`dfs`]) — every dispatch order of
-//!    a small asynchronous system (the explicit choice stack of
-//!    [`ftss::async_sim::DfsScheduler`]) within a bounded event horizon,
-//!    with sleep-set partial-order reduction.
-//! 3. **Adversarial probing** ([`adversary`]) — for larger systems,
+//! 2. **Adversarial probing** ([`adversary`]) — for larger systems,
 //!    hand-aimed worst cases: corruption bursts at coterie changes,
 //!    omission adversaries degrading a quorum, crashes at iteration
 //!    boundaries, and maximum-delay scheduling against the ◇S detector.
-//! 4. **Property oracles** ([`oracle`]) — Theorems 3, 4 and 5 as plain
+//! 3. **Property oracles** ([`oracle`]) — Theorems 3, 4 and 5 as plain
 //!    functions over recorded runs, reusing the theory-layer checkers.
 //!
 //! When the graph finds a violating edge, it rebuilds the search path as
@@ -43,10 +39,7 @@ pub mod shrink;
 
 pub use adversary::{all_pass, run_battery, BatteryConfig, BatteryRow};
 pub use boundary::{e10_table, E10_SEEDS};
-pub use dfs::{
-    check_tape, check_tape_thm4, explore_gossip_por, run_tape, AsyncDfsReport, Counterexample,
-    DfsConfig,
-};
+pub use dfs::{check_tape, check_tape_thm4, run_tape, Counterexample, DfsConfig};
 pub use fingerprint::{Fingerprinter, NodeState, MAX_GRAPH_N};
 pub use frontier::{explore_graph, GraphConfig, GraphCounterexample, GraphReport};
 pub use largen::e9_table;

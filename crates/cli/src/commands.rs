@@ -145,9 +145,6 @@ pub const COMMANDS: &[Command] = &[
                  [--n N | --max-n N (sweep 2..=N)] [--rounds R]\n\
                  [--seed S --faulty P --jobs J --max-states M]\n\
                  [--broken-oracle] [--ce FILE (counterexample path)]\n\
-               --por: async dispatch-order enumeration with\n\
-                 sleep-set partial-order reduction on the gossip\n\
-                 demo; prints full vs pruned schedule counts\n\
                --adversary: worst-case fault battery at larger n\n\
                  (Theorems 3-5)  [--n N --seeds S --jobs J]\n\
                --replay FILE: re-execute a counterexample schedule,\n\
@@ -903,13 +900,14 @@ fn sweep_doc(path: &str) -> Outcome {
 }
 
 /// `check`: the model-checker-lite. `--replay FILE` re-executes a
-/// schedule file; `--adversary` runs the worst-case battery; `--por` runs
-/// the asynchronous dispatch-order demo; anything else (canonically
-/// `--graph`) runs the one synchronous checker, the state-graph
-/// exploration. Naming two of these modes is an error, not a silent
-/// pick, and so is a flag of the retired tape enumerator: [`Args`]
-/// ignores flags a command does not read, so a leftover `--dfs` would
-/// otherwise run a different search than the one asked for.
+/// schedule file; `--adversary` runs the worst-case battery; anything
+/// else (canonically `--graph`) runs the one synchronous checker, the
+/// state-graph exploration. Naming two of these modes is an error, not a
+/// silent pick, and so is a flag of a removed mode (the tape
+/// enumerator's `--dfs` and `--bound`, the async dispatch-order demo's
+/// `--por`): [`Args`] ignores flags a command does not read, so a
+/// leftover one would otherwise run a different search than the one
+/// asked for.
 pub fn check(args: &Args) -> Outcome {
     for retired in ["dfs", "bound"] {
         if args.get(retired).is_some() {
@@ -920,15 +918,19 @@ pub fn check(args: &Args) -> Outcome {
             ));
         }
     }
+    if args.get("por").is_some() {
+        return Err(
+            "check: --por ran the async dispatch-order demo, which was removed; \
+             the asynchronous model's one choice is a message's delay, and \
+             `check --adversary` runs its worst case"
+                .into(),
+        );
+    }
     let mut modes = Vec::new();
     if args.get("replay").is_some() {
         modes.push("--replay");
     }
-    for (flag, mode) in [
-        ("adversary", "--adversary"),
-        ("graph", "--graph"),
-        ("por", "--por"),
-    ] {
+    for (flag, mode) in [("adversary", "--adversary"), ("graph", "--graph")] {
         if args.flag(flag)? {
             modes.push(mode);
         }
@@ -936,7 +938,7 @@ pub fn check(args: &Args) -> Outcome {
     if modes.len() > 1 {
         return Err(format!(
             "check: {} are separate modes; pass one of --replay, --adversary, \
-             --graph, --por",
+             --graph",
             modes.join(" and ")
         ));
     }
@@ -947,47 +949,7 @@ pub fn check(args: &Args) -> Outcome {
     if args.flag("adversary")? {
         return check_adversary(args);
     }
-    if args.flag("por")? {
-        return check_por();
-    }
     check_graph(args)
-}
-
-/// `check --por`: the asynchronous dispatch-order explorer with
-/// sleep-set partial-order reduction, demonstrated on the canonical
-/// two-process gossip system (4 deliveries, `4! = 24` complete orders).
-/// Prints the full enumeration next to the reduced one — the `pruned`
-/// count is the sleep-set's work — and passes iff both agree the oracle
-/// holds. The header names the asynchronous DFS it runs, as it always
-/// has, so the output keeps its bytes.
-fn check_por() -> Outcome {
-    let (full, por) = ftss_check::explore_gossip_por();
-    println!(
-        "check --dfs --por: async gossip, 2 processes, 4 deliveries, \
-         oracle: every process converges to the maximum"
-    );
-    println!(
-        "full enumeration: {} complete dispatch order(s), {} pruned",
-        full.schedules, full.pruned
-    );
-    println!(
-        "sleep-set POR:    {} complete dispatch order(s), {} pruned",
-        por.schedules, por.pruned
-    );
-    match (&full.violation, &por.violation) {
-        (None, None) => {
-            println!("zero violations in both explorations: POR verdict matches");
-            Ok(true)
-        }
-        (f, p) => {
-            println!(
-                "VIOLATION: full={:?} por={:?}",
-                f.as_ref().map(|(_, d)| d),
-                p.as_ref().map(|(_, d)| d)
-            );
-            Ok(false)
-        }
-    }
 }
 
 fn check_graph_config(args: &Args, n: usize) -> Result<ftss_check::GraphConfig, String> {

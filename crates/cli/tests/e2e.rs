@@ -288,23 +288,26 @@ fn check_graph_covers_a_bounded_horizon_green() {
     assert_eq!(bare.stdout, o.stdout, "no mode flag runs the graph");
 }
 
-/// `check --por` prints, byte for byte, what `check --dfs --por` printed
-/// before the tape enumerator was retired.
+/// `check --por` is refused before any mode runs: the async
+/// dispatch-order demo it ran was removed, and `Args` accepts any flag,
+/// so without the refusal it would silently run the graph checker.
 #[test]
-fn check_dfs_por_prunes_the_gossip_enumeration() {
-    let o = run(&["check", "--por"]);
-    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
-    // The canonical 24 → 4 sleep-set reduction: 4 deliveries make 4! = 24
-    // complete dispatch orders; POR keeps one representative per
-    // commutation class and reports what it cut.
-    assert_eq!(
-        stdout(&o),
-        "check --dfs --por: async gossip, 2 processes, 4 deliveries, oracle: every \
-         process converges to the maximum\n\
-         full enumeration: 24 complete dispatch order(s), 0 pruned\n\
-         sleep-set POR:    4 complete dispatch order(s), 6 pruned\n\
-         zero violations in both explorations: POR verdict matches\n"
-    );
+fn check_refuses_the_removed_por_demo() {
+    for args in [
+        &["--por"][..],
+        &["--graph", "--por"],
+        &["--adversary", "--por"],
+    ] {
+        let o = run(&[&["check"][..], args].concat());
+        assert_eq!(o.status.code(), Some(2), "{args:?}");
+        assert!(o.stdout.is_empty(), "{args:?}: {}", stdout(&o));
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            err.starts_with("error: check: --por ")
+                && err.contains("async dispatch-order demo, which was removed"),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -482,9 +485,15 @@ fn check_graph_rejects_n_together_with_max_n() {
 #[test]
 fn check_rejects_more_than_one_mode() {
     for (args, named) in [
-        (&["--graph", "--por"][..], "--graph and --por"),
+        (
+            &["--replay", "x.schedule", "--graph"][..],
+            "--replay and --graph",
+        ),
         (&["--adversary", "--graph"], "--adversary and --graph"),
-        (&["--replay", "x.schedule", "--por"], "--replay and --por"),
+        (
+            &["--adversary", "--replay", "x.schedule"],
+            "--replay and --adversary",
+        ),
     ] {
         let o = run(&[&["check"][..], args].concat());
         assert_eq!(o.status.code(), Some(2), "{args:?}");

@@ -92,6 +92,16 @@ if grep -rnwE 'MAX_TAPE_BOUND|DfsReport|advance_tape' crates/*/src || [ -n "$enu
     echo "ERROR: the synchronous tape enumerator is back (see above)" >&2
     exit 1
 fi
+# The async model's one open choice is a message's delay (DESIGN.md §10):
+# the dispatch-order demo (its scheduler, explorer and report) and the
+# async forgery hook stay gone.
+if grep -rnwE 'DfsScheduler|explore_gossip_por|AsyncDfsReport|ByzantineScheduler' crates/*/src \
+    || grep -rnw 'forge_message' crates/async-sim/src; then
+    echo "ERROR: the async dispatch-order demo or async forgery is back (see above)" >&2
+    exit 1
+fi
+# `AsyncRunner` owns the one event queue; a second is a second event order.
+call_sites 1 'EventQueue::new\(' crates/async-sim/src
 call_sites 1 'window_stabilization\(' crates/chaos/src crates/cli/src
 call_sites 1 'storm_program_for\(' crates/chaos/src crates/cli/src crates/serve/src
 call_sites 2 'stabilization_offset\(' crates/*/src
@@ -272,11 +282,6 @@ cargo run -q --release -p ftss-lab -- check --graph --n 6 --seed 7 \
 cargo run -q --release -p ftss-lab -- check --graph --n 6 --seed 7 \
     --jobs 4 > "$TRACE_DIR/graph6_j4.txt"
 run cmp "$TRACE_DIR/graph6_j1.txt" "$TRACE_DIR/graph6_j4.txt"
-
-# Async POR smoke: the sleep-set reduction on the canonical gossip demo
-# must keep the full enumeration's verdict while pruning the commuting
-# interleavings (24 -> 4 complete dispatch orders).
-run cargo run -q --release -p ftss-lab -- check --por
 
 # Fault-class boundary smoke (DESIGN.md §15, EXPERIMENTS.md E10): the
 # omission/byzantine/churn grid. Byzantine rows beyond n > 4f are

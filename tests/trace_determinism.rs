@@ -4,7 +4,7 @@
 //! and `scripts/verify.sh` smoke-checks end to end.
 
 use ftss::analysis::{coterie_events, stabilization_event};
-use ftss::async_sim::{AsyncConfig, AsyncRunner};
+use ftss::async_sim::{AdversaryScheduler, AsyncConfig, AsyncRunner};
 use ftss::compiler::{trace_events, Compiled};
 use ftss::core::{ProcessId, RateAgreementSpec};
 use ftss::detectors::{StrongDetectorProcess, WeakOracle};
@@ -45,22 +45,48 @@ fn compiled_trace(seed: u64) -> Vec<u8> {
     sink.finish().expect("in-memory sink cannot fail")
 }
 
-/// One full asynchronous trace as bytes.
-fn async_trace(seed: u64) -> Vec<u8> {
+/// The ◇S detector system of the async traces: four processes, `p3`
+/// crashing at 500.
+fn async_system(seed: u64) -> (Vec<StrongDetectorProcess>, AsyncConfig) {
     let n = 4;
     let crashes = vec![(ProcessId(3), 500)];
     let oracle = WeakOracle::new(n, crashes.clone(), 0, seed, 0.0);
-    let procs: Vec<StrongDetectorProcess> = (0..n)
+    let procs = (0..n)
         .map(|i| StrongDetectorProcess::new(ProcessId(i), oracle.clone(), 20))
         .collect();
     let mut cfg = AsyncConfig::tame(seed);
     for &(p, t) in &crashes {
         cfg = cfg.with_crash(p, t);
     }
+    (procs, cfg)
+}
+
+/// One full asynchronous trace as bytes, under the default seeded delays.
+fn async_trace(seed: u64) -> Vec<u8> {
+    let (procs, cfg) = async_system(seed);
     let mut runner = AsyncRunner::new(procs, cfg).expect("valid config");
     let mut sink = JsonlSink::new(Vec::new());
     runner.run_until_traced(4_000, &mut sink);
     sink.finish().expect("in-memory sink cannot fail")
+}
+
+/// The same system under worst-case delays: every message touching `p1`
+/// sent before time 2 000 takes the maximum delay, the rest the minimum.
+fn adversary_trace(seed: u64) -> Vec<u8> {
+    let (procs, cfg) = async_system(seed);
+    let sched = AdversaryScheduler::new([ProcessId(1)]).with_window(0, 2_000);
+    let mut runner = AsyncRunner::with_scheduler(procs, cfg, sched).expect("valid config");
+    let mut sink = JsonlSink::new(Vec::new());
+    runner.run_until_traced(4_000, &mut sink);
+    sink.finish().expect("in-memory sink cannot fail")
+}
+
+/// 64-bit FNV-1a: a digest that is fixed by its definition, so it can be
+/// pinned across toolchains.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 #[test]
@@ -89,6 +115,26 @@ fn async_trace_is_byte_identical_across_runs() {
         assert!(!a.is_empty());
         assert_eq!(a, b, "seed {seed}: async traces diverged");
     }
+}
+
+/// The async delivery order against digests recorded before the runner
+/// took over the event queue from the schedulers: the soak digests pin the
+/// judged report, these pin every `deliver`, `timer` and `crash` line.
+#[test]
+fn async_traces_match_the_recorded_digests() {
+    for (seed, digest) in [
+        (0u64, 0x5c29_2764_f5d7_93d2_u64),
+        (1, 0xb33d_9ae4_43a3_cd47),
+        (42, 0x24e4_a9a1_45b9_ecb4),
+    ] {
+        let got = fnv1a(&async_trace(seed));
+        assert_eq!(got, digest, "seed {seed}: got {got:#018x}");
+    }
+    let got = fnv1a(&adversary_trace(7));
+    assert_eq!(
+        got, 0x9f99_fc59_fdf9_0ea8,
+        "adversary trace: got {got:#018x}"
+    );
 }
 
 #[test]

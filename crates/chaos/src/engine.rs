@@ -325,8 +325,8 @@ fn run_compiled(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
 
 /// Served round agreement (`mem` transport, real router and node
 /// threads) under the restart cycle: a kill/respawn episode in epoch 0
-/// and the timing storms in every epoch, each epoch verified with Theorem
-/// 3's oracle from [`StormScenario::window_from`].
+/// and a timing storm in every epoch but the burst's, each verified
+/// with Theorem 3's oracle from [`StormScenario::window_from`].
 fn run_restart(cell: &SoakCell, budget: &SoakBudget) -> CellReport {
     let (seed, epochs, n) = (cell.seed, cell.epochs, cell.n);
     let geom = StormGeometry::engine_default();
@@ -374,16 +374,16 @@ where
 impl StormScenario {
     /// The one driver of a judged storm run: the simulator when no
     /// `transport` is given, a served session over it otherwise (which
-    /// alone renders the restart episode and the timing program) — the
-    /// same round kernel either way, an [`EpochJudge`] riding it as the
-    /// streaming observer and closing each epoch the moment its last
-    /// round lands. Returns the run's outcome and the judge with every
-    /// epoch closed.
+    /// alone renders the restart episode) — the same round kernel either
+    /// way, an [`EpochJudge`] riding it as the streaming observer and
+    /// closing each epoch the moment its last round lands. Returns the
+    /// run's outcome and the judge with every epoch closed.
     ///
     /// # Errors
     ///
-    /// The simulator's configuration errors, plus a served session's
-    /// transport and wire failures.
+    /// A restart episode with no `transport`, the simulator's
+    /// configuration errors, plus a served session's transport and wire
+    /// failures.
     #[allow(clippy::type_complexity)] // a pair: the run's outcome and its verdicts
     pub fn drive<P, T>(
         &self,
@@ -399,6 +399,9 @@ impl StormScenario {
         P::Msg: Wire + Send + 'static,
         T: TraceSink,
     {
+        if transport.is_none() && self.restart.is_some() {
+            return Err("the restart cycle's restart episode needs a served transport".into());
+        }
         let mut judge = EpochJudge::new(self.geom, self.bound);
         let mut adversary = self.adversary.clone();
         let on_round = |history: &_| judge.on_round(self, history, spec, churn_stamps);
@@ -408,7 +411,7 @@ impl StormScenario {
                 .map_err(|e| e.to_string())?,
             Some(transport) => {
                 let mut cfg = ServeConfig::new(self.run.clone(), transport);
-                (cfg.restart, cfg.timing) = (self.restart, self.timing.clone());
+                cfg.restart = self.restart;
                 let stats = &mut ServeStats::default();
                 serve_streaming_with_stats(&protocol, &mut adversary, &cfg, sink, on_round, stats)?
             }
@@ -560,6 +563,7 @@ fn drive_detector<S: Scheduler>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::restart_cycle;
 
     fn quick_config(plan: SoakPlan) -> SoakConfig {
         SoakConfig {
@@ -702,6 +706,23 @@ mod tests {
         for line in report.jsonl.lines() {
             ftss::telemetry::Event::parse_line(line).expect("report lines are valid events");
         }
+    }
+
+    /// The simulator has no restart episode to render: a scenario that
+    /// carries one is refused there, not run without it.
+    #[test]
+    fn restart_episode_fails_closed_on_the_simulator() {
+        let geom = StormGeometry::engine_default();
+        let sc = StormScenario::new(1, 1, 3, restart_cycle(), &[ProcessId(0)], geom, 2);
+        assert!(sc.restart.is_some());
+        let spec = RateAgreementSpec::new();
+        let Err(err) = sc.drive(RoundAgreement, None, &spec, None, &mut NullSink) else {
+            panic!("a restart episode ran on the simulator");
+        };
+        assert!(
+            err.contains("restart episode needs a served transport"),
+            "{err}"
+        );
     }
 
     #[test]

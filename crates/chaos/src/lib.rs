@@ -4,9 +4,9 @@
 //! composable **fault-storm plan** fires epochs of perturbation:
 //! mid-run corruption bursts, omission storms, crash/recover silence
 //! churn, partition-and-heal windows and asynchronous delay inflation —
-//! and, under the `restart` plan, crash–restart kills with
-//! damaged-snapshot respawns plus partial-synchrony timing storms
-//! rendered through the `ftss-serve` socket runtime itself.
+//! and, under the `restart` plan, partial-synchrony timing storms plus
+//! crash–restart kills with damaged-snapshot respawns rendered through
+//! the `ftss-serve` socket runtime itself.
 //! After *every* storm epoch the engine verifies recovery by re-running
 //! the property oracles — Theorem 3's one-round stabilization, Theorem
 //! 4's `2·final_round + 2` bound and Theorem 5's detector settlement —

@@ -19,8 +19,8 @@
 //!   (joins entering with arbitrary state, clean leaves),
 //! * **restart** — served round agreement through [`restart_cycle`]:
 //!   crash–restart kills with damaged-snapshot respawns, cycled against
-//!   the partial-synchrony proxy's delay/duplicate/reorder storms. The
-//!   only plan that soaks `ftss-serve` itself.
+//!   delay/duplicate/reorder timing storms. The only plan that soaks
+//!   `ftss-serve` itself.
 //!
 //! Every round-driven cell, and `ftss-lab serve --storm`, is one
 //! [`StormScenario`]: the storm program, adversary, run and window origins
@@ -28,7 +28,7 @@
 
 use ftss::core::{ProcessId, StormKind, StormPhase};
 use ftss::sync_sim::{CorruptionSchedule, RunConfig, StormAdversary};
-use ftss_serve::{Retry, ServeRestart, SnapshotFault, TimingFaults};
+use ftss_serve::{Retry, ServeRestart, SnapshotFault};
 
 /// Which execution a soak cell drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +44,7 @@ pub enum SoakScenario {
     Detector,
     /// Round agreement on the `ftss-serve` socket runtime (`mem`
     /// transport): one crash–restart episode at the head of the run plus
-    /// the partial-synchrony proxy's timing storms cycled per epoch,
+    /// the storm adversary's timing storms cycled per epoch,
     /// each epoch checked with the Theorem 3 window oracle measured from
     /// the last perturbation that can touch it.
     Restart,
@@ -157,8 +157,8 @@ impl SoakPlan {
     }
 
     /// The restart plan: served round agreement under [`restart_cycle`] —
-    /// crash–restart kills, damaged-snapshot respawns, and the timing
-    /// storms of the partial-synchrony proxy.
+    /// crash–restart kills, damaged-snapshot respawns, and timing
+    /// storms.
     pub fn restart(epochs: usize, seed: u64) -> Self {
         SoakPlan {
             name: "restart",
@@ -294,10 +294,11 @@ fn churn_cycle(worst_case: bool) -> [StormKind; 4] {
 }
 
 /// The restart plan's storm cycle: epoch `e` fires `cycle[e % 4]`. The
-/// timing kinds render through the socket runtime's partial-synchrony
-/// proxy (the simulators ignore them); every epoch still opens with a
-/// corruption burst, and the engine's restart cell *additionally* kills
-/// and respawns its victim once, inside epoch 0.
+/// timing kinds are the storm adversary's late copies, which the round
+/// kernel renders on the simulator and on a served session alike; every
+/// epoch still opens with a corruption burst, and the engine's restart
+/// cell *additionally* kills and respawns its victim once, inside epoch
+/// 0, which only a served session renders.
 pub fn restart_cycle() -> [StormKind; 4] {
     [
         StormKind::Delay { rounds: 2 },
@@ -392,8 +393,7 @@ pub fn storm_program_for(
                 victims.iter().copied(),
             );
         }
-        // Copy-dropping kinds arm the storm adversary; timing kinds arm
-        // the socket runtime's partial-synchrony proxy.
+        // Copy-dropping and timing kinds arm the storm adversary.
         if kind.drops_copies() || kind.is_timing() {
             phases.push(StormPhase::new(start, geom.storm_end(e), kind));
         }
@@ -407,13 +407,11 @@ pub fn storm_program_for(
 /// rounds of [`Self::window_from`]. [`Self::drive`] runs it on the
 /// simulator or on a served session.
 ///
-/// A cycle with timing kinds is the [`restart_cycle`]: the simulators
-/// ignore those kinds, so its run also carries what only the socket
-/// runtime renders — the partial-synchrony proxy's program against the
-/// victims, and one crash–restart episode inside epoch 0 (the first victim
-/// is killed at round 2, its first respawn at round 4 reads a truncated
-/// recovery snapshot, and the final attempt at round 6 re-admits it on
-/// clean but stale bytes).
+/// A cycle with timing kinds is the [`restart_cycle`]: its run also
+/// carries what only the socket runtime renders, one crash–restart
+/// episode inside epoch 0 (the first victim is killed at round 2, its
+/// first respawn at round 4 reads a truncated recovery snapshot, and the
+/// final attempt at round 6 re-admits it on clean but stale bytes).
 #[derive(Clone, Debug)]
 pub struct StormScenario {
     /// Epoch geometry.
@@ -427,13 +425,11 @@ pub struct StormScenario {
     /// Retention is the caller's choice (`history_window`); the judge
     /// needs one epoch.
     pub run: RunConfig,
-    /// The drop adversary; declares the victims faulty even when the
-    /// cycle arms no dropping phase (a restart is a fault).
+    /// The storm adversary; declares the victims faulty even when the
+    /// cycle arms no phase (a restart is a fault).
     pub adversary: StormAdversary,
     /// The restart cycle's kill/respawn episode.
     pub restart: Option<ServeRestart>,
-    /// The restart cycle's timing program.
-    pub timing: Option<TimingFaults>,
 }
 
 impl StormScenario {
@@ -470,11 +466,6 @@ impl StormScenario {
                     attempts: 2,
                     backoff_rounds: 2,
                 },
-            }),
-            timing: timed.then(|| TimingFaults {
-                victims: victims.to_vec(),
-                phases: phases.clone(),
-                seed: seed ^ 0x7131,
             }),
             adversary: StormAdversary::new(victims.iter().copied(), phases, seed ^ 0x517a),
         }
@@ -579,8 +570,8 @@ mod tests {
             assert!(!c.churn && !c.worst_case);
         }
         assert_ne!(cells[0].seed, cells[1].seed);
-        // The restart cycle's timing kinds become storm phases for the
-        // partial-synchrony proxy; only the burst epoch has no phase.
+        // The restart cycle's timing kinds become storm phases; only the
+        // burst epoch has no phase.
         let geom = StormGeometry::engine_default();
         let (_, phases) = storm_program_for(3, 4, &restart_cycle(), &geom, &[]);
         assert_eq!(phases.len(), 3);
@@ -623,7 +614,7 @@ mod tests {
         let scenario = |cycle| StormScenario::new(7, 8, 6, cycle, &[ProcessId(0)], geom, 2);
         for cycle in [storm_cycle(false), storm_cycle(true), churn_cycle(false)] {
             let sc = scenario(cycle);
-            assert!(sc.restart.is_none() && sc.timing.is_none());
+            assert!(sc.restart.is_none());
             for e in 0..8 {
                 assert_eq!(sc.window_from(e), geom.storm_end(e), "{cycle:?} epoch {e}");
             }

@@ -102,8 +102,8 @@ pub const COMMANDS: &[Command] = &[
                --n N --rounds R --seed S [--derived] [--out FILE]\n\
                [--storm default|worst-case|restart --epochs E] replays a\n\
                chaos storm program and verifies per-epoch recovery (Thm 3);\n\
-               `restart` adds a kill/respawn episode and the\n\
-               partial-synchrony delay/duplicate/reorder proxy",
+               `restart` adds a kill/respawn episode and\n\
+               partial-synchrony delay/duplicate/reorder storms",
         run: serve,
     },
     Command {
@@ -672,7 +672,7 @@ fn finish_trace(sink: TraceOut) -> Result<(), String> {
 /// (crates/serve), streaming the same JSONL event stream as `trace` —
 /// byte-identical on `mem`, plus `net_*` events on tcp/uds. With
 /// `--storm` the session replays a chaos storm program through the
-/// fault-injecting proxy and verifies per-epoch recovery against the
+/// storm adversary and verifies per-epoch recovery against the
 /// Theorem-3 window bound, emitting one `recovery_measured` event per
 /// epoch.
 pub fn serve(args: &Args) -> Outcome {
@@ -728,7 +728,7 @@ fn serve_round_agreement(
         return Err(format!("--storm needs n >= 3 (n={n})"));
     }
     // A strict-minority victim set, so round agreement's n > 2f holds; the
-    // restart cycle's episode and timing proxy target p0 alone.
+    // restart cycle's episode and timing storms target p0 alone.
     let f = if storm == "restart" { 1 } else { (n - 1) / 2 };
     let victims: Vec<ProcessId> = (0..f).map(ProcessId).collect();
     // Stabilization within the Thm-3 window bound, judged in-stream as each

@@ -52,21 +52,20 @@ pub enum StormKind {
     /// the window — total silence, with no corruption on return (a clean
     /// leave keeps its state; only joins enter arbitrarily).
     Leave,
-    /// Partial-synchrony proxy: every delivered copy touching a victim is
+    /// Partial-synchrony fault: every delivered copy touching a victim is
     /// deferred by `rounds` rounds. The copy still arrives (nothing is
-    /// dropped), just late — the socket runtime's round barrier delivers
-    /// it with a later round's inbox. A no-op in the simulators, which
-    /// have no late-delivery seam.
+    /// dropped), just late — the round kernel hands it to a later
+    /// round's inbox, on the simulator and on a served session alike.
     Delay {
         /// Rounds each affected copy is deferred by (at least 1).
         rounds: u8,
     },
-    /// Partial-synchrony proxy: each delivered copy touching a victim is
+    /// Partial-synchrony fault: each delivered copy touching a victim is
     /// deferred by one round with probability 1/2 (seeded draw per
     /// eligible copy), so messages from the same broadcast arrive across
     /// two rounds in shuffled order.
     Reorder,
-    /// Partial-synchrony proxy: every delivered copy touching a victim
+    /// Partial-synchrony fault: every delivered copy touching a victim
     /// arrives twice — once on time, once echoed into the next round.
     Duplicate,
 }
@@ -102,9 +101,9 @@ impl StormKind {
     }
 
     /// Whether this kind is a partial-synchrony timing fault: nothing is
-    /// dropped, but delivery timing changes. Timing kinds are consulted
-    /// by the socket runtime's fault proxy (`ftss-serve`), not by the
-    /// simulators' adversaries.
+    /// dropped, but delivery timing changes. The storm adversary renders
+    /// timing kinds as late copies (`Adversary::delay_copy` in
+    /// `ftss-sync-sim`), not as drops.
     pub fn is_timing(&self) -> bool {
         matches!(
             self,
@@ -144,8 +143,7 @@ impl StormPhase {
 }
 
 /// The phase of `phases` active at round/instant `at`, found by binary
-/// search — the one lookup both the storm adversary and the socket
-/// runtime's timing proxy make per consulted round.
+/// search — the one lookup the storm adversary makes per round.
 ///
 /// `phases` must be a storm program as [`check_phases`] accepts it: each
 /// window has `from <= to`, the windows are sorted by `from` and pairwise

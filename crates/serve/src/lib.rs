@@ -6,7 +6,7 @@
 //! one binary round frame down per round) over a [`Channel`] — an
 //! in-memory pipe, a loopback TCP socket, or a Unix domain socket —
 //! while a hub router replays the exact §2 synchronous schedule: barrier
-//! per round, crash schedule, adversarial omissions, and
+//! per round, crash schedule, adversarial omissions and late copies, and
 //! transient-corruption injection.
 //!
 //! The claim that makes this more than a demo: **the served execution is
@@ -27,7 +27,7 @@
 //!   never unwrap) and the frames of a session.
 //! * [`node`] — the process runtime: owns protocol state, nothing else.
 //! * [`session`] — the router: the round kernel's remote exchange, plus
-//!   crash–restart and the partial-synchrony proxy.
+//!   crash–restart.
 //! * [`loadgen`] — deterministic client traffic into a served Σ⁺ with
 //!   round-denominated latency accounting.
 
@@ -49,7 +49,6 @@ pub use node::{run_node, run_node_recovered};
 pub use proto::{ToNode, ToRouter};
 pub use session::{
     serve, serve_streaming_with_stats, Retry, ServeConfig, ServeRestart, ServeStats, SnapshotFault,
-    TimingFaults,
 };
 pub use transport::{Channel, TransportKind};
 pub use wire::Wire;

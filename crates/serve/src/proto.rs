@@ -42,7 +42,7 @@
 //! All integers little-endian. Equal encodings share one entry, so once
 //! the correct processes agree (Theorem 3) the table has one entry.
 //! `forged` overrides the table for the senders it names (ascending, each
-//! of them heard); `late` — the timing proxy's deferred copies — follows
+//! of them heard); `late` — the kernel's late copies — follows
 //! in hold order. [`ToNode::Inbox`] is the same `(sender, message)`
 //! sequence as JSON: no session sends it any more; it is the reference
 //! form the round frame is tested against and what `benchmark/`'s wire

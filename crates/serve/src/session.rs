@@ -14,44 +14,37 @@
 //! kernel's sorted walk is what removes socket arrival nondeterminism;
 //! only wall-clock differs between `mem`, `tcp` and `uds`.
 //!
-//! Two fault families exist only here, because only a real runtime has
-//! the seams they need (DESIGN.md §15). A kill or respawn applies at the
-//! exchange's begin-round point, before the round's broadcasts are
-//! collected; a disconnected process simply has no round-start state.
-//!
-//! * **Crash–restart** ([`ServeRestart`]): a node thread is killed
-//!   abruptly and respawned a few rounds later from a recovery snapshot
-//!   that may be stale, truncated or bit-corrupted (damage drawn from
-//!   one seeded rng). The incarnation re-enters through the `hello`
-//!   handshake the session opened with, carrying an incarnation epoch;
-//!   frames from dead epochs are dropped as `net_stale_frame` events.
-//! * **Partial-synchrony proxy** ([`TimingFaults`]): the kernel's one
-//!   non-trivial [`CopyLayer`]. Storm phases of the timing kinds defer
-//!   or echo delivered copies across round boundaries, consulted per
-//!   copy in the kernel's walk order.
+//! One fault family exists only here, because its snapshots are wire
+//! bytes (DESIGN.md §15): **crash–restart** ([`ServeRestart`]). A node
+//! thread is killed abruptly at the exchange's begin-round point, before
+//! the round's broadcasts are collected, and respawned a few rounds later
+//! from a recovery snapshot that may be stale, truncated or bit-corrupted
+//! (damage drawn from one seeded rng); meanwhile it has no round-start
+//! state. The incarnation re-enters through the `hello` handshake the
+//! session opened with, carrying an incarnation epoch; frames from dead
+//! epochs are dropped as `net_stale_frame` events.
 //!
 //! Telemetry: on real sockets a session *additionally* emits
 //! `net_listen`, `net_connect`, `net_frame`, `net_close` and
 //! `net_stale_frame` events at deterministic points; `mem` emits none,
 //! so its stream is byte-identical to `SyncRunner::run_traced` for
-//! sessions without restart or timing faults. Those have no
-//! simulator counterpart; their pinned property is determinism — the
-//! same bytes on every rerun, every transport and every `--jobs` level.
+//! sessions without a restart. A restart has no simulator counterpart;
+//! its pinned property is determinism — the same bytes on every rerun,
+//! every transport and every `--jobs` level.
 
 use crate::node::{run_node, run_node_recovered};
 use crate::proto::{RoundTable, ToNode, ToRouter};
 use crate::transport::{Channel, TransportKind};
 use crate::wire::Wire;
 use ftss::core::{
-    round_count, storm, Corrupt, CrashSchedule, Deliveries, DeliveryOutcome, History, ProcessId,
-    ProcessSet, RoundMsgs, StormKind, StormPhase, FRAME_HEADER_LEN,
+    round_count, Corrupt, CrashSchedule, Deliveries, History, ProcessId, ProcessSet,
+    FRAME_HEADER_LEN,
 };
 use ftss::sync_sim::{
-    Adversary, CopyLayer, Exchange, LateCopy, RoundKernel, RunConfig, RunOutcome, SyncProtocol,
+    Adversary, Exchange, LateCopy, RoundKernel, RunConfig, RunOutcome, SyncProtocol,
 };
 use ftss::telemetry::{Event, TraceSink};
 use ftss_rng::{Rng, StdRng};
-use std::collections::BTreeMap;
 
 /// Round-denominated retry policy for a crash–restart episode: the first
 /// respawn fires `gap` rounds after the kill, and each failed attempt
@@ -130,31 +123,6 @@ impl ServeRestart {
     }
 }
 
-/// The partial-synchrony proxy's program: storm phases of the timing
-/// kinds ([`StormKind::Delay`], [`StormKind::Reorder`],
-/// [`StormKind::Duplicate`]) applied to every copy touching a victim.
-/// Non-timing phases are ignored here (they are the drop adversary's
-/// business), so the same storm program can drive both seams.
-///
-/// Timing faults deviate nobody: delayed and duplicated copies record
-/// the [`DeliveryOutcome::Delayed`] / [`DeliveryOutcome::Duplicated`]
-/// outcomes, which attribute no process fault — the network was slow,
-/// not wrong. Late copies whose destination has crashed, is down between
-/// a kill and its respawn, or passed the horizon by their arrival round
-/// are silently dropped.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TimingFaults {
-    /// Processes whose copies (sent or received) the proxy touches.
-    pub victims: Vec<ProcessId>,
-    /// Active windows; only [`StormKind::is_timing`] kinds take effect.
-    pub phases: Vec<StormPhase>,
-    /// Seed of the proxy's rng (consulted per eligible copy, in the
-    /// simulator's canonical order — [`StormKind::Reorder`] draws one
-    /// coin per eligible copy whether or not the copy was delivered, so
-    /// the stream position is a pure function of the traffic pattern).
-    pub seed: u64,
-}
-
 /// Integer session counters surfaced to the load generator and the
 /// restart soak reports. Wall-free by construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -177,8 +145,6 @@ pub struct ServeConfig {
     pub transport: TransportKind,
     /// Optional crash–restart episode.
     pub restart: Option<ServeRestart>,
-    /// Optional partial-synchrony proxy program.
-    pub timing: Option<TimingFaults>,
 }
 
 impl ServeConfig {
@@ -188,7 +154,6 @@ impl ServeConfig {
             run,
             transport,
             restart: None,
-            timing: None,
         }
     }
 
@@ -198,57 +163,49 @@ impl ServeConfig {
         self.restart = Some(restart);
         self
     }
-}
 
-impl ServeConfig {
     /// The episode rules the simulator has no counterpart for, checked
     /// after (and in the style of) the kernel's own validation.
     fn check_episodes(&self, faulty: &ProcessSet, schedule: &CrashSchedule) -> Result<(), String> {
-        let n = self.run.n;
-        let rounds = round_count(self.run.rounds);
-        if let Some(rs) = self.restart {
-            if rs.p.index() >= n {
-                return Err(format!("restart names {} but n = {n}", rs.p));
-            }
-            if !faulty.contains(rs.p) {
-                return Err(format!(
-                    "restart names {} outside the declared faulty set",
-                    rs.p
-                ));
-            }
-            if rs.kill_round < 2 || rs.kill_round > rounds {
-                return Err(format!(
-                    "restart needs 2 <= kill ({}) <= rounds ({rounds})",
-                    rs.kill_round
-                ));
-            }
-            if rs.staleness == 0 || rs.staleness >= rs.kill_round {
-                return Err(format!(
-                    "restart needs 1 <= staleness ({}) < kill ({})",
-                    rs.staleness, rs.kill_round
-                ));
-            }
-            if rs.gap == 0 || rs.retry.attempts == 0 || rs.retry.backoff_rounds == 0 {
-                return Err(format!(
-                    "restart retry needs gap ({}) >= 1, attempts ({}) >= 1 and backoff ({}) >= 1",
-                    rs.gap, rs.retry.attempts, rs.retry.backoff_rounds
-                ));
-            }
-            if rs.last_attempt_round() > rounds {
-                return Err(format!(
-                    "restart's last attempt (round {}) is past the horizon ({rounds})",
-                    rs.last_attempt_round()
-                ));
-            }
-            if schedule.iter().any(|(p, _)| p == rs.p) {
-                return Err(format!("restart process {} is also crash-scheduled", rs.p));
-            }
+        let (n, rounds) = (self.run.n, round_count(self.run.rounds));
+        let Some(rs) = self.restart else {
+            return Ok(());
+        };
+        if rs.p.index() >= n {
+            return Err(format!("restart names {} but n = {n}", rs.p));
         }
-        if let Some(tf) = &self.timing {
-            if let Some(v) = tf.victims.iter().find(|v| v.index() >= n) {
-                return Err(format!("timing faults name {v} but n = {n}"));
-            }
-            storm::check_phases(&tf.phases).map_err(|e| format!("timing faults: {e}"))?;
+        if !faulty.contains(rs.p) {
+            return Err(format!(
+                "restart names {} outside the declared faulty set",
+                rs.p
+            ));
+        }
+        if rs.kill_round < 2 || rs.kill_round > rounds {
+            return Err(format!(
+                "restart needs 2 <= kill ({}) <= rounds ({rounds})",
+                rs.kill_round
+            ));
+        }
+        if rs.staleness == 0 || rs.staleness >= rs.kill_round {
+            return Err(format!(
+                "restart needs 1 <= staleness ({}) < kill ({})",
+                rs.staleness, rs.kill_round
+            ));
+        }
+        if rs.gap == 0 || rs.retry.attempts == 0 || rs.retry.backoff_rounds == 0 {
+            return Err(format!(
+                "restart retry needs gap ({}) >= 1, attempts ({}) >= 1 and backoff ({}) >= 1",
+                rs.gap, rs.retry.attempts, rs.retry.backoff_rounds
+            ));
+        }
+        if rs.last_attempt_round() > rounds {
+            return Err(format!(
+                "restart's last attempt (round {}) is past the horizon ({rounds})",
+                rs.last_attempt_round()
+            ));
+        }
+        if schedule.iter().any(|(p, _)| p == rs.p) {
+            return Err(format!("restart process {} is also crash-scheduled", rs.p));
         }
         Ok(())
     }
@@ -324,8 +281,7 @@ where
         snapshot_rng: StdRng::seed_from_u64(cfg.restart.map_or(0, |rs| rs.snapshot_seed)),
         restart_down: false,
     };
-    let mut timing = TimingProxy::new(cfg.timing.as_ref());
-    kernel.run(protocol, &mut router, &mut timing, sink, on_round)
+    kernel.run(protocol, &mut router, sink, on_round)
 }
 
 /// One node's last collected snapshot: its decoded round-start state and
@@ -750,10 +706,8 @@ where
     /// The round frame for `p`: the round's table (a copy of bytes every
     /// destination gets), `p`'s delivered row straight off the history
     /// frame, its forged copies (each carries its per-copy payload,
-    /// exactly as the simulator's inbox view shows it), then the proxy's
-    /// late copies for `p` in hold order. Late copies for a destination
-    /// that is gone by their arrival round are silently dropped — the
-    /// network at its worst.
+    /// exactly as the simulator's inbox view shows it), then the late
+    /// copies for `p` in hold order.
     fn deliver(
         &mut self,
         p: ProcessId,
@@ -810,82 +764,6 @@ where
             }
         }
         Ok(final_states)
-    }
-}
-
-/// The partial-synchrony proxy: the one non-trivial [`CopyLayer`]. It
-/// runs [`TimingFaults`]' program against every copy touching a victim,
-/// deferring or echoing delivered copies across round boundaries. Late
-/// copies for crashed, absent or halted destinations are silently
-/// dropped by the exchange — the network at its worst.
-struct TimingProxy<'a, M> {
-    program: Option<&'a TimingFaults>,
-    rng: StdRng,
-    /// `(round, that round's timing kind)`, looked up once per round.
-    current: (u64, Option<StormKind>),
-    /// Deferred copies keyed by arrival round, in enqueue order.
-    late: BTreeMap<u64, Vec<LateCopy<M>>>,
-}
-
-impl<'a, M> TimingProxy<'a, M> {
-    fn new(program: Option<&'a TimingFaults>) -> Self {
-        TimingProxy {
-            program,
-            rng: StdRng::seed_from_u64(program.map_or(0, |tf| tf.seed)),
-            current: (0, None),
-            late: BTreeMap::new(),
-        }
-    }
-}
-
-impl<M: Clone> CopyLayer<M> for TimingProxy<'_, M> {
-    fn relay(
-        &mut self,
-        r: u64,
-        from: ProcessId,
-        to: ProcessId,
-        outcome: DeliveryOutcome,
-        msgs: &RoundMsgs<M>,
-    ) -> DeliveryOutcome {
-        let Some(tf) = self.program else {
-            return outcome;
-        };
-        if self.current.0 != r {
-            let phase = storm::phase_at(&tf.phases, r);
-            self.current = (r, phase.map(|ph| ph.kind).filter(StormKind::is_timing));
-        }
-        let Some(kind) = self.current.1 else {
-            return outcome;
-        };
-        if !tf.victims.contains(&from) && !tf.victims.contains(&to) {
-            return outcome;
-        }
-        let delivered = outcome == DeliveryOutcome::Delivered;
-        let (late_outcome, arrives) = match kind {
-            StormKind::Delay { rounds } if delivered => {
-                (DeliveryOutcome::Delayed, r + u64::from(rounds))
-            }
-            // One coin per eligible copy, delivered or not: the stream
-            // position must be a function of the traffic pattern alone.
-            StormKind::Reorder if self.rng.gen_bool(0.5) && delivered => {
-                (DeliveryOutcome::Delayed, r + 1)
-            }
-            StormKind::Duplicate if delivered => (DeliveryOutcome::Duplicated, r + 1),
-            _ => return outcome,
-        };
-        let msg = msgs
-            .broadcast_of(from)
-            .expect("a relayed copy has a recorded broadcast");
-        self.late.entry(arrives).or_default().push(LateCopy {
-            to,
-            from,
-            msg: (**msg).clone(),
-        });
-        late_outcome
-    }
-
-    fn arrivals(&mut self, r: u64) -> Vec<LateCopy<M>> {
-        self.late.remove(&r).unwrap_or_default()
     }
 }
 

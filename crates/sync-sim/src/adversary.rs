@@ -3,8 +3,8 @@
 //! An adversary declares a faulty set and a crash schedule up front and is
 //! then consulted once per *eligible* copy per round — a point-to-point
 //! copy that touches the declared faulty set (see [`Adversary`]) — to
-//! decide omissions and forgeries. The round kernel enforces the model's
-//! rules:
+//! decide omissions, forgeries and late copies. The round kernel enforces
+//! the model's rules:
 //!
 //! * only declared-faulty processes may crash, omit or forge — by assert
 //!   on every consultation, and by construction everywhere else: a copy
@@ -12,7 +12,9 @@
 //! * the faulty set must respect the fault bound `f`,
 //! * self-delivery is never submitted for dropping (paper footnote 1).
 
-use ftss_core::{storm, CrashSchedule, ProcessId, ProcessSet, Round, StormKind, StormPhase};
+use ftss_core::{
+    storm, CrashSchedule, DeliveryOutcome, ProcessId, ProcessSet, Round, StormKind, StormPhase,
+};
 use ftss_rng::Rng;
 use ftss_rng::StdRng;
 use std::collections::BTreeSet;
@@ -24,6 +26,17 @@ pub enum OmissionSide {
     Sender,
     /// The receiver omitted to receive (receive omission, attributed to `to`).
     Receiver,
+}
+
+/// How a delivered copy is late ([`Adversary::delay_copy`]): recorded as
+/// [`DeliveryOutcome::Delayed`] or [`DeliveryOutcome::Duplicated`], which
+/// attribute no fault — the network was slow, not wrong.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Lateness {
+    /// The copy misses its round and arrives this many (≥ 1) rounds later.
+    Delayed(u8),
+    /// The copy arrives on time and once more with the next round.
+    Duplicated,
 }
 
 /// Decides process failures for a run.
@@ -68,6 +81,24 @@ pub trait Adversary {
     /// inside the paper's fault model.
     fn forge_copy(&mut self, r: Round, from: ProcessId, to: ProcessId) -> Option<u64> {
         let _ = (r, from, to);
+        None
+    }
+
+    /// Whether the copy `from → to` in round `r` is *late* — a timing
+    /// fault of the network ([`Lateness`]); the kernel holds such a copy
+    /// back and hands it to a later round's inbox. Consulted **after**
+    /// [`Self::drop_copy`]/[`Self::forge_copy`] on every non-self copy
+    /// with a declared-faulty end, whatever its `verdict` (a copy cut by
+    /// a crash included), in the same order. Only a `Delivered` copy may
+    /// be late (the kernel panics otherwise). Default: never late.
+    fn delay_copy(
+        &mut self,
+        r: Round,
+        from: ProcessId,
+        to: ProcessId,
+        verdict: DeliveryOutcome,
+    ) -> Option<Lateness> {
+        let _ = (r, from, to, verdict);
         None
     }
 }
@@ -515,30 +546,40 @@ impl Adversary for ScriptedOmission {
 ///   churn: crashes are permanent here, total silence heals.
 /// * [`StormKind::Partition`] — [`GroupPartition`] semantics: cross-group
 ///   copies drop both ways, intra-group traffic flows.
+/// * [`StormKind::Delay`] / [`StormKind::Reorder`] /
+///   [`StormKind::Duplicate`] — a delivered copy touching a victim is
+///   late ([`Adversary::delay_copy`]): by `rounds`, by one round on a
+///   coin drawn for every consulted copy, or echoed into the next round.
 /// * [`StormKind::CorruptionBurst`] / [`StormKind::DelayInflation`] —
-///   no copies dropped; bursts are injected via
-///   `CorruptionSchedule`, delay inflation is async-only.
+///   no copies touched; bursts are injected via `CorruptionSchedule`,
+///   delay inflation is async-only.
 ///
 /// The phases are a storm program as [`ftss_core::storm::check_phases`]
-/// accepts it (sorted, disjoint windows), so every consulted copy finds
-/// its round's phase by binary search ([`ftss_core::storm::phase_at`]):
-/// a soak's cost per round does not grow with its epoch count.
+/// accepts it (sorted, disjoint windows), so a round finds its phase by
+/// one binary search ([`ftss_core::storm::phase_at`]), made once per
+/// round: a soak's cost per round does not grow with its epoch count.
 #[derive(Clone, Debug)]
 pub struct StormAdversary {
     victims: BTreeSet<ProcessId>,
     phases: Vec<StormPhase>,
     rng: StdRng,
+    /// The timing faults' draws, apart from the omission draws.
+    timing_rng: StdRng,
+    /// `(round, that round's kind)`, looked up once per round.
+    current: (u64, Option<StormKind>),
 }
 
 impl StormAdversary {
     /// An adversary firing `phases` against `victims`, with all random
-    /// omission draws seeded by `seed`.
+    /// omission draws seeded by `seed` and the reorder coins by
+    /// `seed ^ 0x204b`.
     ///
     /// # Panics
     ///
     /// Panics if an [`StormKind::OmissionStorm`] phase has `percent > 100`,
-    /// or if the phases are not a storm program: a window with
-    /// `from > to`, or windows unsorted by `from` or overlapping (see
+    /// a [`StormKind::Delay`] phase has `rounds == 0`, or if the phases
+    /// are not a storm program: a window with `from > to`, or windows
+    /// unsorted by `from` or overlapping (see
     /// [`ftss_core::storm::check_phases`]).
     pub fn new(
         victims: impl IntoIterator<Item = ProcessId>,
@@ -550,6 +591,9 @@ impl StormAdversary {
             if let StormKind::OmissionStorm { percent } = ph.kind {
                 assert!(percent <= 100, "omission-storm percent must be <= 100");
             }
+            if let StormKind::Delay { rounds } = ph.kind {
+                assert!(rounds >= 1, "a delay storm defers by at least 1 round");
+            }
         }
         if let Err(e) = storm::check_phases(&phases) {
             panic!("{e}");
@@ -558,12 +602,18 @@ impl StormAdversary {
             victims: victims.into_iter().collect(),
             phases,
             rng: StdRng::seed_from_u64(seed),
+            timing_rng: StdRng::seed_from_u64(seed ^ 0x204b),
+            current: (0, None),
         }
     }
 
-    /// The phase active in round `r`, if any.
-    pub fn phase_at(&self, r: Round) -> Option<&StormPhase> {
-        storm::phase_at(&self.phases, r.get())
+    /// The kind active in round `r`, looked up once per round.
+    fn kind_at(&mut self, r: Round) -> Option<StormKind> {
+        if self.current.0 != r.get() {
+            let phase = storm::phase_at(&self.phases, r.get());
+            self.current = (r.get(), phase.map(|ph| ph.kind));
+        }
+        self.current.1
     }
 
     fn victim_side(&self, from: ProcessId, to: ProcessId) -> Option<OmissionSide> {
@@ -583,11 +633,8 @@ impl Adversary for StormAdversary {
     }
 
     fn drop_copy(&mut self, r: Round, from: ProcessId, to: ProcessId) -> Option<OmissionSide> {
-        let kind = self.phase_at(r)?.kind;
-        match kind {
-            // Timing kinds never drop copies: in the simulators they are
-            // no-ops (the round barrier has no late-delivery seam); the
-            // socket runtime's fault proxy consults them separately.
+        match self.kind_at(r)? {
+            // Timing kinds delay copies instead (`delay_copy`).
             StormKind::CorruptionBurst
             | StormKind::DelayInflation
             | StormKind::Delay { .. }
@@ -617,6 +664,27 @@ impl Adversary for StormAdversary {
                     _ => None, // intra-group copies flow
                 }
             }
+        }
+    }
+
+    /// Asked only about copies with a victim end, so it filters none.
+    fn delay_copy(
+        &mut self,
+        r: Round,
+        _from: ProcessId,
+        _to: ProcessId,
+        verdict: DeliveryOutcome,
+    ) -> Option<Lateness> {
+        let delivered = verdict == DeliveryOutcome::Delivered;
+        match self.kind_at(r)? {
+            StormKind::Delay { rounds } if delivered => Some(Lateness::Delayed(rounds)),
+            // One coin per consulted copy, delivered or not: the stream
+            // position is a function of the traffic pattern alone.
+            StormKind::Reorder if self.timing_rng.gen_bool(0.5) && delivered => {
+                Some(Lateness::Delayed(1))
+            }
+            StormKind::Duplicate if delivered => Some(Lateness::Duplicated),
+            _ => None,
         }
     }
 }
@@ -849,8 +917,8 @@ mod tests {
         );
         assert_eq!(a.drop_copy(Round::new(1), ProcessId(0), ProcessId(1)), None);
         assert_eq!(a.drop_copy(Round::new(2), ProcessId(0), ProcessId(1)), None);
-        assert!(a.phase_at(Round::new(2)).is_some());
-        assert!(a.phase_at(Round::new(3)).is_none());
+        assert_eq!(a.kind_at(Round::new(2)), Some(StormKind::DelayInflation));
+        assert_eq!(a.kind_at(Round::new(3)), None);
     }
 
     #[test]
@@ -863,6 +931,54 @@ mod tests {
                 1,
                 StormKind::OmissionStorm { percent: 101 },
             )],
+            0,
+        );
+    }
+
+    #[test]
+    fn storm_adversary_renders_timing_kinds_on_delivered_copies() {
+        let mut a = StormAdversary::new(
+            [ProcessId(0)],
+            [
+                StormPhase::new(1, 1, StormKind::Delay { rounds: 3 }),
+                StormPhase::new(2, 2, StormKind::Duplicate),
+                StormPhase::new(3, 3, StormKind::Reorder),
+            ],
+            5,
+        );
+        let (p0, p1) = (ProcessId(0), ProcessId(1));
+        let (on_time, cut) = (DeliveryOutcome::Delivered, DeliveryOutcome::SenderCrashed);
+        let r = Round::new;
+        assert_eq!(a.drop_copy(r(1), p0, p1), None);
+        assert_eq!(
+            a.delay_copy(r(1), p0, p1, on_time),
+            Some(Lateness::Delayed(3))
+        );
+        assert_eq!(a.delay_copy(r(1), p0, p1, cut), None);
+        assert_eq!(
+            a.delay_copy(r(2), p1, p0, on_time),
+            Some(Lateness::Duplicated)
+        );
+        // One reorder coin per consulted copy, from the timing stream,
+        // whether or not the copy was delivered.
+        let mut coins = StdRng::seed_from_u64(5 ^ 0x204b);
+        for i in 0..16 {
+            let verdict = if i % 2 == 0 { on_time } else { cut };
+            let heads = coins.gen_bool(0.5);
+            let want = (heads && verdict == on_time).then_some(Lateness::Delayed(1));
+            assert_eq!(a.delay_copy(r(3), p0, p1, verdict), want, "copy {i}");
+        }
+        assert_eq!(a.delay_copy(r(4), p0, p1, on_time), None);
+    }
+
+    /// A zero delay would record a copy as not delivered and still hand
+    /// it to the same round's inbox.
+    #[test]
+    #[should_panic(expected = "at least 1 round")]
+    fn storm_adversary_rejects_a_zero_delay() {
+        StormAdversary::new(
+            [ProcessId(0)],
+            [StormPhase::new(1, 1, StormKind::Delay { rounds: 0 })],
             0,
         );
     }

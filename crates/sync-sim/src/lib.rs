@@ -10,9 +10,9 @@
 //! * [`SyncProtocol`] — what a protocol is: an initial state, a broadcast
 //!   function and a state-transition function, invoked once per round
 //!   (the paper's round-based protocols, Figure 2 canonical form included).
-//! * [`Adversary`] — injects *process failures*: crash schedules and
-//!   send/receive omissions, constrained to a declared faulty set of size
-//!   at most `f`. Self-delivery can never be dropped (paper footnote 1).
+//! * [`Adversary`] — injects *process failures* (crashes, omissions, late
+//!   copies) against a declared faulty set of size at most `f`.
+//!   Self-delivery can never be dropped (paper footnote 1).
 //! * [`SyncRunner`] — executes rounds, injects *systemic failures*
 //!   (seeded arbitrary corruption of every initial state via
 //!   [`ftss_core::Corrupt`]), and records a faithful [`ftss_core::History`]
@@ -65,10 +65,10 @@ pub mod runner;
 pub mod stepper;
 
 pub use adversary::{
-    Adversary, ByzantineAdversary, CrashOnly, GroupPartition, NoFaults, OmissionSide,
+    Adversary, ByzantineAdversary, CrashOnly, GroupPartition, Lateness, NoFaults, OmissionSide,
     RandomOmission, ScriptedOmission, SilentProcess, StormAdversary, TapeOmission,
 };
 pub use protocol::{Inbox, ProtocolCtx, SyncProtocol};
-pub use round::{CopyLayer, Exchange, LateCopy, RoundKernel};
+pub use round::{Exchange, LateCopy, RoundKernel};
 pub use runner::{Corruption, CorruptionSchedule, RunConfig, RunOutcome, SyncRunner};
 pub use stepper::SyncStepper;

@@ -15,12 +15,13 @@
 //! always arrives (footnote 1). Each other copy may be dropped or forged
 //! by the adversary (attributed to the faulty side), vanish because the
 //! receiver is crashed or absent, or be cut short by its sender crashing
-//! mid-round. Only faulty processes deviate (§2.1), so the adversary is
-//! consulted only for copies that touch its declared faulty set; the
-//! rest of the round — all but ~2·f·n of its n² copies — is delivered
-//! without asking and recorded as the frame's clean block, two sets in
-//! O(n/64) ([`RoundHistory::record_clean_block`]). The frame is told the
-//! block's receivers before the first copy
+//! mid-round; a delivered copy the adversary makes late is held here and
+//! handed to a later round's inbox. Only faulty processes deviate (§2.1),
+//! so the adversary is consulted only for copies that touch its declared
+//! faulty set; the rest of the round — all but ~2·f·n of its n² copies —
+//! is delivered without asking and recorded as the frame's clean block,
+//! two sets in O(n/64) ([`RoundHistory::record_clean_block`]). The frame
+//! is told the block's receivers before the first copy
 //! ([`RoundHistory::open_clean_block`]), so it keeps rows for the special
 //! processes alone: a round with f of them holds O(f·n) bits, not two
 //! n×n grids. Every process alive at the round's *end* then steps on its
@@ -31,7 +32,7 @@
 //! records no states and has no adversary, schedule or sink, and folding
 //! it in would make this kernel branch on its caller.
 
-use crate::adversary::{Adversary, OmissionSide};
+use crate::adversary::{Adversary, Lateness, OmissionSide};
 use crate::protocol::{ProtocolCtx, SyncProtocol};
 use crate::runner::{Corruption, RunConfig, RunOutcome};
 use ftss_core::{
@@ -40,6 +41,7 @@ use ftss_core::{
 };
 use ftss_rng::StdRng;
 use ftss_telemetry::{Event, RunMode, TraceSink};
+use std::collections::BTreeMap;
 
 /// Where the processes live. The kernel decides *what happens* in a
 /// round; an exchange only moves state and messages. Methods that may
@@ -87,17 +89,17 @@ pub trait Exchange<S, M> {
     /// [`deliver`](Self::deliver), with the round's messages: their
     /// clean block ([`RoundMsgs::block_srcs`], every one heard by each
     /// inbox that is [`in_block`](Deliveries::in_block)) is empty
-    /// whenever the walk was dense (a trace or a non-transparent
-    /// [`CopyLayer`] watched every copy). An exchange whose processes
-    /// step in this address space may do the work those receivers share
-    /// once; the rows handed to `deliver` are complete regardless, so
-    /// ignoring the call (the default) loses nothing.
+    /// whenever the walk was dense (a trace watched every copy). An
+    /// exchange whose processes step in this address space may do the
+    /// work those receivers share once; the rows handed to `deliver` are
+    /// complete regardless, so ignoring the call (the default) loses
+    /// nothing.
     fn clean_block(&mut self, msgs: &RoundMsgs<M>) {
         let _ = msgs;
     }
 
-    /// Hands a survivor its inbox — the round's fresh deliveries, then
-    /// the [`CopyLayer`]'s late arrivals — and lets it step.
+    /// Hands a survivor its inbox — the round's fresh deliveries, then its
+    /// copies among the `late` arrivals, in hold order — and lets it step.
     fn deliver(
         &mut self,
         p: ProcessId,
@@ -114,7 +116,8 @@ pub trait Exchange<S, M> {
     fn close<T: TraceSink>(&mut self, sink: &mut T) -> Result<Vec<Option<S>>, Self::Error>;
 }
 
-/// A copy a [`CopyLayer`] held back and releases in a later round.
+/// A delivered copy the adversary made late ([`Adversary::delay_copy`]):
+/// held until its arrival round, and lost if its receiver is gone by then.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LateCopy<M> {
     /// The destination.
@@ -125,45 +128,8 @@ pub struct LateCopy<M> {
     pub msg: M,
 }
 
-/// A per-copy hook between the adversary's verdict and the record: the
-/// place for faults of the *network* rather than of a process. The unit
-/// layer passes every copy through and compiles away.
-pub trait CopyLayer<M> {
-    /// Whether the layer is the identity: `relay` returns every outcome
-    /// unchanged, keeps no state and `arrivals` is always empty. Only
-    /// then may the kernel skip `relay` for the clean block of a round
-    /// (see [`relay`](Self::relay)). `true` for `()` alone.
-    const TRANSPARENT: bool = false;
-
-    /// Sees every non-self copy after its verdict — the adversary's, or
-    /// the `Delivered` the model implies for a copy the adversary is not
-    /// asked about — in walk order, and may turn a `Delivered` outcome
-    /// into a timing outcome (any other outcome must come back
-    /// unchanged). Only a [`TRANSPARENT`](Self::TRANSPARENT) layer is
-    /// spared the copies the kernel records in bulk. `msgs` is the round
-    /// so far, `from`'s broadcast included.
-    fn relay(
-        &mut self,
-        r: u64,
-        from: ProcessId,
-        to: ProcessId,
-        outcome: DeliveryOutcome,
-        msgs: &RoundMsgs<M>,
-    ) -> DeliveryOutcome {
-        let _ = (r, from, to, msgs);
-        outcome
-    }
-
-    /// The held-back copies that arrive in round `r`, in hold order.
-    fn arrivals(&mut self, r: u64) -> Vec<LateCopy<M>> {
-        let _ = r;
-        Vec::new()
-    }
-}
-
-impl<M> CopyLayer<M> for () {
-    const TRANSPARENT: bool = true;
-}
+/// Late copies by arrival round, each round's in hold order.
+type LateQueue<M> = BTreeMap<u64, Vec<LateCopy<M>>>;
 
 /// A process's part in the current round.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -250,10 +216,10 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         &self.schedule
     }
 
-    /// Executes the configured rounds over `exchange`, passing every
-    /// copy through `layer`, emitting the deterministic event stream
-    /// into `sink` and calling `on_round` with the history after every
-    /// recorded round.
+    /// Executes the configured rounds over `exchange`, emitting the
+    /// deterministic event stream into `sink` and calling `on_round` with
+    /// the history after every recorded round. Late copies due past the
+    /// horizon never arrive.
     ///
     /// # Errors
     ///
@@ -263,13 +229,13 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     ///
     /// If the adversary, on a copy it is consulted about, deviates from
     /// its own declaration (a drop or a forgery on behalf of the
-    /// non-faulty end), or forges against a protocol without
-    /// `forge_message` — harness bugs, not executions.
-    pub fn run<P, X, L, T, F>(
+    /// non-faulty end, a late copy that was not delivered or due in its
+    /// own round), or forges against a protocol without `forge_message`
+    /// — harness bugs, not executions.
+    pub fn run<P, X, T, F>(
         mut self,
         protocol: &P,
         exchange: &mut X,
-        layer: &mut L,
         sink: &mut T,
         mut on_round: F,
     ) -> Result<RunOutcome<P::State, P::Msg>, X::Error>
@@ -277,7 +243,6 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         P: SyncProtocol,
         P::State: Corrupt,
         X: Exchange<P::State, P::Msg>,
-        L: CopyLayer<P::Msg>,
         T: TraceSink,
         F: FnMut(&History<P::State, P::Msg>),
     {
@@ -310,6 +275,7 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         // (`Payload::set`) unless an observer still holds one.
         let mut spare: Option<RoundHistory<P::State, P::Msg>> = None;
         let mut pool: Vec<Option<Payload<P::Msg>>> = Vec::new();
+        let mut late = LateQueue::new();
 
         for r in 1..=round_count(cfg.rounds) {
             exchange.begin_round(r, sink)?;
@@ -373,15 +339,15 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
                     None => Payload::new(msg),
                 })
             };
-            let (sent, delivered) = self.walk(protocol, broadcast, layer, r, &mut frame, sink);
+            let (sent, delivered) = self.walk(protocol, broadcast, &mut late, r, &mut frame, sink);
             exchange.clean_block(frame.msgs());
-            let late = layer.arrivals(r);
+            let arrivals = late.remove(&r).unwrap_or_default();
             for (i, &part) in self.parts.iter().enumerate() {
                 let p = ProcessId(i);
                 match part {
                     Part::Out => {}
                     Part::Crashing => exchange.crash(p, sink)?,
-                    Part::Alive => exchange.deliver(p, frame.msgs().deliveries(p), &late)?,
+                    Part::Alive => exchange.deliver(p, frame.msgs().deliveries(p), &arrivals)?,
                 }
             }
             if traced {
@@ -413,26 +379,24 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     /// `Delivered`, so that block of the round is recorded as two sets
     /// and never submitted to the adversary; only copies with a
     /// *special* endpoint are visited, and only the special processes
-    /// own rows ([`RoundHistory::open_clean_block`]). When someone
-    /// watches copies go by (a trace wants each `send` event, a
-    /// non-transparent layer each `relay`) every copy is visited and the
-    /// frame is dense instead, but the adversary is still asked about
-    /// exactly the same ones, in the same order.
+    /// own rows ([`RoundHistory::open_clean_block`]). When a trace
+    /// watches copies go by (it wants each `send` event) every copy is
+    /// visited and the frame is dense instead, but the adversary is
+    /// still asked about exactly the same ones, in the same order.
     ///
     /// Returns the round's `(sent, delivered)` copy totals (counted only
     /// when tracing).
-    fn walk<P, L, T>(
+    fn walk<P, T>(
         &mut self,
         protocol: &P,
         mut broadcast: impl FnMut(ProcessId) -> Option<Payload<P::Msg>>,
-        layer: &mut L,
+        late: &mut LateQueue<P::Msg>,
         r: u64,
         frame: &mut RoundHistory<P::State, P::Msg>,
         sink: &mut T,
     ) -> (u64, u64)
     where
         P: SyncProtocol,
-        L: CopyLayer<P::Msg>,
         T: TraceSink,
     {
         let RoundKernel {
@@ -447,7 +411,6 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         } = self;
         let round = Round::new(r);
         let traced = sink.enabled();
-        let dense = traced || !L::TRANSPARENT;
         special.clear();
         ordinary.clear();
         clean_senders.clear();
@@ -461,7 +424,7 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         // Told up front, the frame keeps no rows for the ordinary
         // processes: their copies with a special end sit in the special
         // processes' columns, and the rest is the block.
-        if !dense {
+        if !traced {
             frame.open_clean_block(ordinary);
         }
         let (mut sent, mut delivered) = (0u64, 0u64);
@@ -480,7 +443,7 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             } else {
                 usize::MAX
             };
-            let dests = if !dense && ordinary.contains(p) {
+            let dests = if !traced && ordinary.contains(p) {
                 clean_senders.insert(p);
                 &special[..]
             } else {
@@ -498,19 +461,22 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
                     }
                     continue;
                 }
-                let outcome = if emitted >= cut {
+                let eligible = from_faulty || faulty.contains(q);
+                let mut outcome = if emitted >= cut {
                     DeliveryOutcome::SenderCrashed
                 } else {
                     emitted += 1;
                     if parts[q.index()] != Part::Alive {
                         DeliveryOutcome::ReceiverCrashed
-                    } else if from_faulty || faulty.contains(q) {
+                    } else if eligible {
                         Self::consult(adversary, faulty, protocol, round, p, q, frame)
                     } else {
                         DeliveryOutcome::Delivered
                     }
                 };
-                let outcome = layer.relay(r, p, q, outcome, frame.msgs());
+                if eligible {
+                    outcome = Self::delay(adversary, round, p, q, outcome, frame.msgs(), late);
+                }
                 let arrived = matches!(
                     outcome,
                     DeliveryOutcome::Delivered | DeliveryOutcome::Duplicated
@@ -592,6 +558,37 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             }
         }
     }
+
+    /// The adversary's timing verdict on a copy with a faulty end, asked
+    /// whatever its fate so far: a late copy joins `late` under its
+    /// arrival round and is recorded as `Delayed` or `Duplicated`.
+    fn delay<M: Clone>(
+        adversary: &mut A,
+        round: Round,
+        p: ProcessId,
+        q: ProcessId,
+        outcome: DeliveryOutcome,
+        msgs: &RoundMsgs<M>,
+        late: &mut LateQueue<M>,
+    ) -> DeliveryOutcome {
+        let (late_outcome, rounds) = match adversary.delay_copy(round, p, q, outcome) {
+            None => return outcome,
+            Some(Lateness::Delayed(rounds)) => (DeliveryOutcome::Delayed, rounds.into()),
+            Some(Lateness::Duplicated) => (DeliveryOutcome::Duplicated, 1),
+        };
+        assert!(
+            outcome == DeliveryOutcome::Delivered && rounds >= 1,
+            "adversary made an undelivered or same-round copy {p} → {q} late"
+        );
+        let msg = (**msgs.broadcast_of(p).expect("a sent copy has a broadcast")).clone();
+        let copy = LateCopy {
+            to: q,
+            from: p,
+            msg,
+        };
+        late.entry(round.get() + rounds).or_default().push(copy);
+        late_outcome
+    }
 }
 
 /// A systemic failure in round `r`: one rng seeded with `seed` corrupts
@@ -620,10 +617,12 @@ fn corrupt<S: Corrupt, M, X: Exchange<S, M>, T: TraceSink>(
 mod tests {
     use super::*;
     use crate::adversary::{
-        ByzantineAdversary, CrashOnly, GroupPartition, NoFaults, RandomOmission, TapeOmission,
+        ByzantineAdversary, CrashOnly, GroupPartition, NoFaults, RandomOmission, StormAdversary,
+        TapeOmission,
     };
     use crate::runner::tests::{CountAll, EState, EchoMax};
     use crate::runner::{InProcess, SyncRunner};
+    use ftss_core::{StormKind, StormPhase};
     use ftss_rng::check::forall;
     use ftss_rng::Rng;
     use ftss_telemetry::{NullSink, RecordingSink};
@@ -743,7 +742,7 @@ mod tests {
         let mut exchange = Canned::new(n, Some(absent));
         let out = RoundKernel::new(&mut faked, &cfg)
             .expect("valid config")
-            .run(&EchoMax, &mut exchange, &mut (), &mut NullSink, |_| {})
+            .run(&EchoMax, &mut exchange, &mut NullSink, |_| {})
             .unwrap_or_else(|never| match never {});
         // The runner, with p2 crashing silently in round 1 instead.
         let mut simulated = script(vec![(crasher, 2, 1), (absent, 1, 0)]);
@@ -786,7 +785,6 @@ mod tests {
         let _ = RoundKernel::new(adversary, cfg).expect("valid config").run(
             &EchoMax,
             &mut Canned::new(cfg.n, None),
-            &mut (),
             &mut NullSink,
             |_| {},
         );
@@ -865,11 +863,38 @@ mod tests {
         run_canned(&mut liar, &RunConfig::clean(2, 1));
     }
 
-    /// The identity, written as a layer the kernel cannot see through:
-    /// every copy must reach `relay`.
-    struct PassThrough;
+    /// Declares p0 faulty and crashing in round 1 before any copy, then
+    /// makes its cut copies late.
+    struct Hasty;
 
-    impl<M> CopyLayer<M> for PassThrough {}
+    impl Adversary for Hasty {
+        fn faulty(&self, n: usize) -> ProcessSet {
+            ProcessSet::from_iter_n(n, [ProcessId(0)])
+        }
+        fn crash_schedule(&self) -> CrashSchedule {
+            let mut cs = CrashSchedule::none();
+            cs.set(ProcessId(0), Round::FIRST);
+            cs
+        }
+        fn drop_copy(&mut self, _: Round, _: ProcessId, _: ProcessId) -> Option<OmissionSide> {
+            None
+        }
+        fn delay_copy(
+            &mut self,
+            _: Round,
+            _: ProcessId,
+            _: ProcessId,
+            _: DeliveryOutcome,
+        ) -> Option<Lateness> {
+            Some(Lateness::Duplicated)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "undelivered or same-round copy")]
+    fn late_undelivered_copy_panics() {
+        run_canned(&mut Hasty, &RunConfig::clean(2, 1));
+    }
 
     /// The consultation rule, pinned: the adversary is asked about a
     /// copy iff sender ≠ receiver, the copy is emitted before a crash
@@ -902,25 +927,22 @@ mod tests {
             consulted: Vec::new(),
         };
         let cfg = RunConfig::clean(n, rounds as usize);
-        fn consultations<L: CopyLayer<u64>, T: TraceSink>(
+        fn consultations<T: TraceSink>(
             mut script: Script,
             cfg: &RunConfig,
-            mut layer: L,
             mut sink: T,
         ) -> (Vec<(u64, ProcessId, ProcessId)>, usize) {
             let mut exchange = Canned::new(cfg.n, None);
             RoundKernel::new(&mut script, cfg)
                 .expect("valid config")
-                .run(&EchoMax, &mut exchange, &mut layer, &mut sink, |_| {})
+                .run(&EchoMax, &mut exchange, &mut sink, |_| {})
                 .unwrap_or_else(|never| match never {});
             (script.consulted, script.tape.consulted())
         }
-        let untraced = consultations(script(), &cfg, (), NullSink);
+        let untraced = consultations(script(), &cfg, NullSink);
         assert_eq!(untraced, (expected, 28));
-        let traced = consultations(script(), &cfg, (), RecordingSink::new(1 << 10));
+        let traced = consultations(script(), &cfg, RecordingSink::new(1 << 10));
         assert_eq!(traced, untraced);
-        let layered = consultations(script(), &cfg, PassThrough, NullSink);
-        assert_eq!(layered, untraced);
     }
 
     /// `EchoMax`, except that a process stays silent in the rounds where
@@ -990,46 +1012,46 @@ mod tests {
                 continue;
             }
             frame.record_send(from, to, outcome);
-            if outcome == DeliveryOutcome::Delivered {
+            if matches!(
+                outcome,
+                DeliveryOutcome::Delivered | DeliveryOutcome::Duplicated
+            ) {
                 frame.record_delivery(to, from);
             }
         }
         frame
     }
 
-    /// Runs one configuration three ways — traced, untraced, and
-    /// untraced under a non-transparent layer — and checks the traced
-    /// run's frames against [`rebuild`] and the other two runs against
-    /// the traced one.
+    /// Runs one configuration traced and untraced, and checks the traced
+    /// run's frames against [`rebuild`] and the untraced run against the
+    /// traced one.
     fn differential<P, A, X>(protocol: &P, adversary: &A, cfg: &RunConfig, exchange: impl Fn() -> X)
     where
         P: SyncProtocol<State = EState, Msg = u64>,
         A: Adversary + Clone,
         X: Exchange<EState, u64, Error = Infallible>,
     {
-        fn run<P, A, X, L, T>(
+        fn run<P, A, X, T>(
             protocol: &P,
             mut adversary: A,
             cfg: &RunConfig,
             mut exchange: X,
-            mut layer: L,
             sink: &mut T,
         ) -> RunOutcome<EState, u64>
         where
             P: SyncProtocol<State = EState, Msg = u64>,
             A: Adversary,
             X: Exchange<EState, u64, Error = Infallible>,
-            L: CopyLayer<u64>,
             T: TraceSink,
         {
             RoundKernel::new(&mut adversary, cfg)
                 .expect("valid config")
-                .run(protocol, &mut exchange, &mut layer, sink, |_| {})
+                .run(protocol, &mut exchange, sink, |_| {})
                 .unwrap_or_else(|never| match never {})
         }
         let (n, rounds) = (cfg.n, cfg.rounds);
         let mut sink = RecordingSink::new(rounds * (n * n + n + 4) + 4);
-        let traced = run(protocol, adversary.clone(), cfg, exchange(), (), &mut sink);
+        let traced = run(protocol, adversary.clone(), cfg, exchange(), &mut sink);
         let mut sends = vec![Vec::new(); rounds];
         for event in sink.events() {
             if let Event::Send {
@@ -1052,33 +1074,17 @@ mod tests {
             );
             assert_eq!(&rebuild(recorded, &sends[i]), recorded, "round {}", i + 1);
         }
-        let untraced = run(
-            protocol,
-            adversary.clone(),
-            cfg,
-            exchange(),
-            (),
-            &mut NullSink,
-        );
+        let untraced = run(protocol, adversary.clone(), cfg, exchange(), &mut NullSink);
         assert_eq!(untraced.history, traced.history, "untraced vs traced");
         assert_eq!(untraced.final_states, traced.final_states);
-        let layered = run(
-            protocol,
-            adversary.clone(),
-            cfg,
-            exchange(),
-            PassThrough,
-            &mut NullSink,
-        );
-        assert_eq!(layered.history, traced.history, "layered vs traced");
-        assert_eq!(layered.final_states, traced.final_states);
     }
 
     /// The sparse walk against an independent copy-by-copy oracle, at
     /// universes on both sides of every word boundary and faulty sets
     /// from empty to all-but-one: random omissions, forgeries with
-    /// drops, staggered crashes with partial sends, a partition, silent
-    /// senders throughout, and an absent (non-faulty) process.
+    /// drops, staggered crashes with partial sends, a partition, timing
+    /// storms (delayed, duplicated and reordered copies), silent senders
+    /// throughout, and an absent (non-faulty) process.
     #[test]
     fn sparse_walk_matches_a_copy_by_copy_oracle() {
         let rounds = 3;
@@ -1108,6 +1114,16 @@ mod tests {
                 let crash_only = CrashOnly::new(crashes).with_partial_sends(n / 2);
                 differential(&Shy, &crash_only, &cfg, live);
                 differential(&Shy, &GroupPartition::new(faulty(), 2, 3), &cfg, live);
+                let timing = StormAdversary::new(
+                    faulty(),
+                    [
+                        StormPhase::new(1, 1, StormKind::Delay { rounds: 2 }),
+                        StormPhase::new(2, 2, StormKind::Duplicate),
+                        StormPhase::new(3, 3, StormKind::Reorder),
+                    ],
+                    seed,
+                );
+                differential(&Shy, &timing, &cfg, live);
                 // ids[k] is not faulty: absence alone makes it special.
                 let absent = || Canned::new(n, Some(ids[k]));
                 differential(&EchoMax, &omission, &RunConfig::clean(n, rounds), absent);

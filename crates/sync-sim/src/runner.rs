@@ -31,7 +31,9 @@
 use crate::adversary::Adversary;
 use crate::protocol::{Inbox, ProtocolCtx, SyncProtocol};
 use crate::round::{Exchange, LateCopy, RoundKernel};
-use ftss_core::{ConfigError, Corrupt, Deliveries, History, ProcessId, RoundMsgs};
+use ftss_core::{
+    ConfigError, Corrupt, Deliveries, Envelope, History, Payload, ProcessId, Round, RoundMsgs,
+};
 use ftss_telemetry::{NullSink, TraceSink};
 use std::convert::Infallible;
 
@@ -301,13 +303,8 @@ where
         F: FnMut(&History<P::State, P::Msg>),
     {
         let mut exchange = InProcess::new(&self.protocol, cfg.n);
-        let run = RoundKernel::new(adversary, cfg)?.run(
-            &self.protocol,
-            &mut exchange,
-            &mut (),
-            sink,
-            on_round,
-        );
+        let run =
+            RoundKernel::new(adversary, cfg)?.run(&self.protocol, &mut exchange, sink, on_round);
         Ok(run.unwrap_or_else(|never| match never {}))
     }
 }
@@ -315,12 +312,13 @@ where
 /// The in-process [`Exchange`]: the global state is a vector, a
 /// broadcast is a function call, and a survivor steps on a borrowed view
 /// of its delivered row in the round frame — no clone, no move, no
-/// envelopes. Always run under the unit layer, so no copy is ever
-/// late.
+/// envelopes — or, when late copies arrive for it, on the envelopes a
+/// node decodes from its round frame: fresh deliveries, then late ones.
 ///
 /// For a protocol declaring [`SyncProtocol::JOINS_INBOX`] the frame's
 /// clean block is joined once ([`Exchange::clean_block`]) and a receiver
-/// in the block absorbs only the copies recorded outside it.
+/// in the block and with no late copy absorbs only the copies recorded
+/// outside it.
 pub(crate) struct InProcess<'a, P: SyncProtocol> {
     protocol: &'a P,
     n: usize,
@@ -388,16 +386,24 @@ impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
         inbox: Deliveries<'_, P::Msg>,
         late: &[LateCopy<P::Msg>],
     ) -> Result<(), Infallible> {
-        debug_assert!(late.is_empty(), "the simulator runs under the unit layer");
         let ctx = ProtocolCtx::new(p, self.n);
         let state = self.states[p.index()]
             .as_mut()
             .expect("a survivor has state");
-        // The shortcut is taken on the record's word: a receiver in the
-        // frame's clean block heard every clean sender, so it starts
-        // from their join and absorbs what else its row holds — the
-        // copies recorded one by one, forged ones included.
+        let mut late = late.iter().filter(|c| c.to == p).peekable();
         match &self.clean_join {
+            _ if late.peek().is_some() => {
+                // As a node decodes its round frame; no inbox shows `sent_in`.
+                let fresh = inbox.iter().map(|(from, m)| (from, m.clone()));
+                let late = late.map(|c| (c.from, Payload::new(c.msg.clone())));
+                let msgs = fresh.chain(late);
+                let msgs = msgs.map(|(from, m)| Envelope::new(from, Round::FIRST, m));
+                self.protocol.step(&ctx, state, &Inbox::new(msgs.collect()));
+            }
+            // The shortcut is taken on the record's word: a receiver in the
+            // frame's clean block heard every clean sender, so it starts
+            // from their join and absorbs what else its row holds — the
+            // copies recorded one by one, forged ones included.
             Some(join) if P::JOINS_INBOX && inbox.in_block() => {
                 let mut joined = join.clone();
                 for (_, m) in inbox.off_block() {
@@ -427,10 +433,11 @@ pub(crate) mod tests {
     use super::*;
     use crate::adversary::OmissionSide;
     use crate::adversary::{
-        ByzantineAdversary, CrashOnly, NoFaults, ScriptedOmission, SilentProcess,
+        ByzantineAdversary, CrashOnly, NoFaults, ScriptedOmission, SilentProcess, StormAdversary,
     };
     use ftss_core::{
         CoterieTimeline, CrashSchedule, DeliveryOutcome, ProcessSet, Round, RoundCounter,
+        StormKind, StormPhase,
     };
     use ftss_rng::Rng;
     use ftss_telemetry::{Event, RunMode};
@@ -531,6 +538,42 @@ pub(crate) mod tests {
         fn forge_message(&self, seed: u64) -> Option<u64> {
             Some(seed)
         }
+    }
+
+    /// A late copy joins its destination's inbox in its arrival round, a
+    /// duplicated one arrives twice, and one due past the horizon never
+    /// arrives — walked sparse or dense alike. p0 is the victim of a
+    /// 2-round delay (round 1), a duplicate (round 2) and a 1-round
+    /// delay in the last round.
+    #[test]
+    fn late_copies_arrive_in_their_arrival_round() {
+        let phases = [
+            StormPhase::new(1, 1, StormKind::Delay { rounds: 2 }),
+            StormPhase::new(2, 2, StormKind::Duplicate),
+            StormPhase::new(4, 4, StormKind::Delay { rounds: 1 }),
+        ];
+        let storm = || StormAdversary::new([ProcessId(0)], phases, 3);
+        let cfg = RunConfig::clean(3, 4);
+        let mut sink = ftss_telemetry::RecordingSink::new(1 << 10);
+        let traced = SyncRunner::new(CountAll).run_traced(&mut storm(), &cfg, &mut sink);
+        let out = SyncRunner::new(CountAll).run(&mut storm(), &cfg).unwrap();
+        assert_eq!(traced.unwrap().final_states, out.final_states);
+        // Round by round, p0 hears 1 + 3 + (3 + 2 delayed + 2 echoed) + 1
+        // and p1, p2 each 2 + 3 + (3 + 1 + 1) + 2.
+        let seen: Vec<u64> = out
+            .final_states
+            .iter()
+            .map(|s| s.as_ref().unwrap().seen)
+            .collect();
+        assert_eq!(seen, [12, 12, 12]);
+        let r = |r| out.history.round(Round::new(r)).msgs();
+        let (p0, p1) = (ProcessId(0), ProcessId(1));
+        assert_eq!(r(1).outcome_of(p0, p1), Some(DeliveryOutcome::Delayed));
+        assert!(!r(1).was_delivered(p1, p0));
+        assert_eq!(r(2).outcome_of(p1, p0), Some(DeliveryOutcome::Duplicated));
+        assert!(r(2).was_delivered(p0, p1));
+        assert_eq!(r(3).outcome_of(p0, p1), Some(DeliveryOutcome::Delivered));
+        assert_eq!(r(4).outcome_of(p1, p0), Some(DeliveryOutcome::Delayed));
     }
 
     #[test]

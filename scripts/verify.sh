@@ -52,11 +52,12 @@ run cargo clippy --all-targets -- -D warnings
 # block's receivers before its first copy. The per-row builders and
 # readers it replaced must not come back under any name they had.
 # One storm-phase lookup (`ftss_core::storm::phase_at`, a binary search
-# over a validated program): its two callers are `StormAdversary` and the
-# serve runtime's timing proxy; a third is a linear rescan coming back.
+# over a validated program): its one caller is `StormAdversary`, which
+# makes it once per round; a second is a linear rescan or a second copy
+# of the storm program coming back.
 # (Test modules sit at the end of their file, behind `#[cfg(test)]`;
 # definitions and comment lines are not call sites.)
-echo "==> call sites of drop_copy / forge_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at / check_edge / step_process / step_round"
+echo "==> call sites of drop_copy / forge_copy / delay_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at / check_edge / step_process / step_round"
 call_sites() { # <expected count> <call regex> <source dir>...
     local want="$1" call="$2" sites
     shift 2
@@ -69,7 +70,7 @@ call_sites() { # <expected count> <call regex> <source dir>...
         exit 1
     fi
 }
-for method in drop_copy forge_copy sends_before_crash; do
+for method in drop_copy forge_copy delay_copy sends_before_crash; do
     call_sites 1 "\\.${method}\\(" crates/*/src
 done
 for method in clean_block step_joined; do
@@ -105,7 +106,14 @@ call_sites 1 'EventQueue::new\(' crates/async-sim/src
 call_sites 1 'window_stabilization\(' crates/chaos/src crates/cli/src
 call_sites 1 'storm_program_for\(' crates/chaos/src crates/cli/src crates/serve/src
 call_sites 2 'stabilization_offset\(' crates/*/src
-call_sites 2 'storm::phase_at\(' crates/sync-sim/src crates/serve/src
+call_sites 1 'storm::phase_at\(' crates/sync-sim/src crates/serve/src
+# One per-copy seam (DESIGN.md §16): the adversary decides every copy's
+# fate, late copies included, and the kernel holds the late copies. A
+# second per-copy hook beside the adversary stays gone.
+if grep -rnwE 'CopyLayer|TimingProxy|TimingFaults|TRANSPARENT' crates/*/src; then
+    echo "ERROR: a per-copy layer beside the adversary is back (see above)" >&2
+    exit 1
+fi
 # `check_edge` judges a graph node's edges once per effect class inside
 # `for_each_edge`; a second call site is a second edge walk beside it.
 # The class walk steps each distinct inbox once, one process at a time
@@ -370,7 +378,7 @@ fi
 # Restart-storm smoke (DESIGN.md §15): a 3-node round agreement over
 # REAL TCP through a kill/respawn episode — p0's thread dies at round 2,
 # respawns from a damaged recovery snapshot, re-enters via an epoch'd
-# mid-session hello — under the partial-synchrony proxy's
+# mid-session hello — under the storm adversary's
 # delay/duplicate/reorder storms. Every epoch must re-stabilize inside
 # the Theorem-3 window (exit 0 plus an explicit "ok":false tripwire).
 run cargo run -q --release -p ftss-lab -- serve --protocol round-agreement \

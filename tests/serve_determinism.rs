@@ -26,7 +26,7 @@ use ftss_chaos::{restart_cycle, storm_cycle, EpochVerdict, StormGeometry, StormS
 use ftss_check::{window_stabilization, Fingerprinter};
 use ftss_serve::{
     serve, serve_streaming_with_stats, Retry, ServeConfig, ServeRestart, ServeStats, SnapshotFault,
-    TimingFaults, TransportKind,
+    TransportKind,
 };
 
 fn jsonl(events: &[Event]) -> String {
@@ -524,31 +524,31 @@ fn restart_sessions_are_deterministic_across_transports() {
     assert_eq!((count("net_connect"), count("net_close")), (4, 4));
 }
 
-/// The partial-synchrony proxy: delay, duplicate and reorder storms are
-/// deterministic across reruns and across transports, and their late
-/// copies deviate nobody — the run still converges.
+/// How many of `events` are `send`s with `outcome`.
+fn outcome_count(events: &[Event], want: DeliveryOutcome) -> usize {
+    events
+        .iter()
+        .filter(|e| matches!(e, Event::Send { outcome, .. } if *outcome == want))
+        .count()
+}
+
+/// Timing storms of a [`StormAdversary`]: delay, duplicate and reorder
+/// phases are deterministic across reruns and across transports, a `mem`
+/// session equals the simulator, and the late copies deviate nobody — the
+/// run still converges.
 #[test]
 fn timing_storm_sessions_are_deterministic_across_transports() {
+    let phases = [
+        StormPhase::new(2, 4, StormKind::Delay { rounds: 2 }),
+        StormPhase::new(6, 7, StormKind::Duplicate),
+        StormPhase::new(9, 10, StormKind::Reorder),
+    ];
+    let storm = || StormAdversary::new([ProcessId(0)], phases, 0x517a);
+    let cfg = RunConfig::corrupted(3, 14, 9).with_max_faulty(1);
     let run = |transport: TransportKind| {
-        let timing = TimingFaults {
-            victims: vec![ProcessId(0)],
-            phases: vec![
-                StormPhase::new(2, 4, StormKind::Delay { rounds: 2 }),
-                StormPhase::new(6, 7, StormKind::Duplicate),
-                StormPhase::new(9, 10, StormKind::Reorder),
-            ],
-            seed: 0x7131,
-        };
-        let mut cfg = ServeConfig::new(RunConfig::corrupted(3, 14, 9), transport);
-        cfg.timing = Some(timing);
         let mut sink = RecordingSink::new(1 << 16);
-        let out = serve(
-            &RoundAgreement,
-            &mut ftss::sync_sim::NoFaults,
-            &cfg,
-            &mut sink,
-        )
-        .expect("timing session");
+        let served = ServeConfig::new(cfg.clone(), transport);
+        let out = serve(&RoundAgreement, &mut storm(), &served, &mut sink).expect("timing session");
         (sink.take(), out.final_states)
     };
 
@@ -556,12 +556,6 @@ fn timing_storm_sessions_are_deterministic_across_transports() {
     let (mem_b, final_b) = run(TransportKind::Mem);
     assert_eq!(jsonl(&mem_a), jsonl(&mem_b), "mem reruns diverge");
     assert_eq!(final_a, final_b);
-    let outcome_count = |events: &[Event], want: DeliveryOutcome| {
-        events
-            .iter()
-            .filter(|e| matches!(e, Event::Send { outcome, .. } if *outcome == want))
-            .count()
-    };
     assert!(
         outcome_count(&mem_a, DeliveryOutcome::Delayed) > 0,
         "the delay/reorder windows must defer some copies"
@@ -571,6 +565,13 @@ fn timing_storm_sessions_are_deterministic_across_transports() {
         "the duplicate window must echo some copies"
     );
     assert!(final_a.iter().all(Option::is_some));
+
+    let mut sink = RecordingSink::new(1 << 16);
+    let sim = SyncRunner::new(RoundAgreement)
+        .run_traced(&mut storm(), &cfg, &mut sink)
+        .expect("simulated timing run");
+    assert_eq!(jsonl(&sink.take()), jsonl(&mem_a), "mem vs simulator");
+    assert_eq!(sim.final_states, final_a);
 
     let (tcp_events, tcp_final) = run(TransportKind::Tcp);
     assert_eq!(without_net(&tcp_events), mem_a);
@@ -583,39 +584,56 @@ fn timing_storm_sessions_are_deterministic_across_transports() {
     }
 }
 
-/// A user-built timing program the proxy cannot binary-search — windows
-/// out of order or overlapping — is a configuration error, not a panic.
+/// The restart cycle without its restart episode: the timing storms
+/// render on the simulator exactly as on a `mem` session — the same
+/// trace bytes, history, final states and judge lines.
 #[test]
-fn timing_rejects_unsorted_or_overlapping_phases() {
-    let attempt = |phases: Vec<StormPhase>| {
-        let mut cfg = ServeConfig::new(RunConfig::clean(3, 12), TransportKind::Mem);
-        cfg.timing = Some(TimingFaults {
-            victims: vec![ProcessId(0)],
-            phases,
-            seed: 1,
-        });
-        serve(
-            &RoundAgreement,
-            &mut ftss::sync_sim::NoFaults,
-            &cfg,
-            &mut ftss::telemetry::NullSink,
-        )
+fn restart_cycle_timing_storms_match_between_simulator_and_mem() {
+    let mut scenario = storm(1993, 4, 3, restart_cycle());
+    scenario.restart = None;
+    let run = |transport| {
+        let mut sink = RecordingSink::new(1 << 16);
+        let (out, judge) = scenario
+            .drive(
+                RoundAgreement,
+                transport,
+                &RateAgreementSpec::new(),
+                None,
+                &mut sink,
+            )
+            .expect("timing storm run");
+        (sink.take(), out, judge)
     };
-    for phases in [
-        vec![
-            StormPhase::new(6, 7, StormKind::Duplicate),
-            StormPhase::new(2, 4, StormKind::Reorder),
-        ],
-        vec![
-            StormPhase::new(2, 4, StormKind::Reorder),
-            StormPhase::new(4, 7, StormKind::Duplicate),
-        ],
-    ] {
-        let err = attempt(phases).unwrap_err();
-        assert!(err.contains("unsorted or overlap"), "{err}");
+    let (sim_events, sim, sim_judge) = run(None);
+    let (mem_events, mem, mem_judge) = run(Some(TransportKind::Mem));
+    assert_eq!(jsonl(&sim_events), jsonl(&mem_events));
+    assert!(outcome_count(&sim_events, DeliveryOutcome::Delayed) > 0);
+    assert!(outcome_count(&sim_events, DeliveryOutcome::Duplicated) > 0);
+    assert_eq!(sim.history, mem.history);
+    assert_eq!(sim.final_states, mem.final_states);
+    assert_eq!(sim_judge.closed(), mem_judge.closed());
+    assert_eq!(sim_judge.closed().len(), 4);
+}
+
+/// An untraced served session walks sparse: the copies between ordinary
+/// processes are one clean block in every round's frame.
+#[test]
+fn untraced_served_sessions_record_a_clean_block_every_round() {
+    let phases = [StormPhase::new(2, 3, StormKind::Duplicate)];
+    let mut storm = StormAdversary::new([ProcessId(0)], phases, 7);
+    let run = RunConfig::corrupted(4, 6, 3).with_max_faulty(1);
+    let cfg = ServeConfig::new(run, TransportKind::Mem);
+    let out = serve(
+        &RoundAgreement,
+        &mut storm,
+        &cfg,
+        &mut ftss::telemetry::NullSink,
+    )
+    .expect("untraced session");
+    assert_eq!(out.history.len(), 6);
+    for (i, frame) in out.history.rounds().iter().enumerate() {
+        assert!(!frame.msgs().block_srcs().is_empty(), "round {}", i + 1);
     }
-    let err = attempt(vec![StormPhase::new(5, 2, StormKind::Reorder)]).unwrap_err();
-    assert!(err.contains("before it starts"), "{err}");
 }
 
 /// Restart configuration is validated like everything else.

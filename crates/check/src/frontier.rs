@@ -938,10 +938,10 @@ mod tests {
                 c: RoundCounter::new(c),
             })
             .collect();
-        let mut stepper = SyncStepper::new(RoundAgreement, base_states.clone());
+        let base = SyncStepper::new(RoundAgreement, base_states);
         let parent_reach = parent.reach;
         move |drop| {
-            stepper.reset(&base_states);
+            let mut stepper = base.clone();
             stepper.step_round(|from, to| drop & drop_bit[from.index() * n + to.index()] == 0);
             let mut out = Outcome {
                 counters: [0; MAX_GRAPH_N],

@@ -257,6 +257,10 @@ impl RowTable {
 /// the copies outside the block; and a sparse, `(src, dst)`-sorted
 /// exception list holding every copy whose [`DeliveryOutcome`] was *not*
 /// `Delivered`. A sent copy with no exception entry was delivered.
+/// Copies sent in an earlier round that arrive in this one — the late
+/// arrivals of a timing fault — are a sparse list beside the rest, by
+/// receiver and each receiver's in hold order; only [`Deliveries::late`]
+/// reads it.
 ///
 /// The table keeps each copy's sent and heard bit once. When the block
 /// was opened before any copy ([`RoundHistory::open_clean_block`], the
@@ -298,6 +302,11 @@ pub struct RoundMsgs<M> {
     /// `(src, dst)` like `exceptions`. Consulted by the delivery views
     /// before the shared broadcast slot; empty in every non-Byzantine run.
     forged: Vec<(ProcessId, ProcessId, Payload<M>)>,
+    /// The copies sent in an earlier round that arrive in this one,
+    /// `(src, dst, payload)` sorted by `dst` and, per `dst`, in hold order
+    /// ([`RoundHistory::record_late`]); empty in every run without timing
+    /// faults.
+    late: Vec<(ProcessId, ProcessId, Payload<M>)>,
 }
 
 impl<M: PartialEq> PartialEq for RoundMsgs<M> {
@@ -306,6 +315,7 @@ impl<M: PartialEq> PartialEq for RoundMsgs<M> {
             && self.payloads == other.payloads
             && self.exceptions == other.exceptions
             && self.forged == other.forged
+            && self.late == other.late
             && (0..self.n).map(ProcessId).all(|p| {
                 self.sent_words(p).eq(other.sent_words(p))
                     && self
@@ -331,6 +341,7 @@ impl<M> RoundMsgs<M> {
             rows: RowTable::new(n),
             exceptions: Vec::new(),
             forged: Vec::new(),
+            late: Vec::new(),
         }
     }
 
@@ -346,6 +357,7 @@ impl<M> RoundMsgs<M> {
         self.specials.clear();
         self.exceptions.clear();
         self.forged.clear();
+        self.late.clear();
     }
 
     /// Number of processes.
@@ -884,7 +896,18 @@ impl<'a, M> Deliveries<'a, M> {
         forged.map(|(src, _, payload)| (*src, payload))
     }
 
-    /// Number of messages delivered.
+    /// The copies sent in earlier rounds that arrive in this one —
+    /// `(sender, payload)` in hold order, several from one sender
+    /// possible. Not counted by the other readers, which see the round's
+    /// fresh copies only.
+    pub fn late(&self) -> impl Iterator<Item = (ProcessId, &'a Payload<M>)> + 'a {
+        let late = &self.msgs.late;
+        let lo = late.partition_point(|&(_, d, _)| d < self.dst);
+        let hi = late[lo..].partition_point(|&(_, d, _)| d == self.dst) + lo;
+        late[lo..hi].iter().map(|(src, _, payload)| (*src, payload))
+    }
+
+    /// Number of fresh messages delivered.
     pub fn len(&self) -> usize {
         self.msgs.delivered_count(self.dst)
     }
@@ -1116,6 +1139,22 @@ impl<S, M> RoundHistory<S, M> {
                 fg.insert(at, (src, dst, payload));
             }
         }
+    }
+
+    /// Records a copy `src` sent in an earlier round that arrives at
+    /// `dst` in this one — late ([`DeliveryOutcome::Delayed`]) or echoed
+    /// ([`DeliveryOutcome::Duplicated`]) by a timing fault, its fate
+    /// recorded in its send round; `payload` is the sender's broadcast of
+    /// that round. A receiver's copies must come in hold order; insertion
+    /// is O(1) when receivers come ascending (as the kernel records them).
+    pub fn record_late(&mut self, src: ProcessId, dst: ProcessId, payload: Payload<M>) {
+        debug_assert!(src.index() < self.n() && dst.index() < self.n());
+        let late = &mut self.msgs.late;
+        let at = match late.last() {
+            Some(&(_, d, _)) if d > dst => late.partition_point(|&(_, d, _)| d <= dst),
+            _ => late.len(),
+        };
+        late.insert(at, (src, dst, payload));
     }
 
     /// Number of processes.
@@ -1772,6 +1811,32 @@ mod tests {
         rh.reset(2);
         assert_eq!(rh, RH::empty(2));
         // Width change re-allocates.
+        rh.reset(3);
+        assert_eq!(rh, RH::empty(3));
+    }
+
+    /// Late arrivals are their receiver's `late()`, in hold order, and
+    /// nothing else: the fresh readers do not count them, equality does,
+    /// and a reset forgets them.
+    #[test]
+    fn late_arrivals_are_read_by_late_alone() {
+        let (p0, p1, p2) = (ProcessId(0), ProcessId(1), ProcessId(2));
+        let mut rh = RH::empty(3);
+        rh.set_broadcast(p0, Payload::new("now"));
+        rh.record_delivery(p1, p0);
+        let fresh = rh.clone();
+        rh.record_late(p2, p1, Payload::new("b"));
+        rh.record_late(p0, p2, Payload::new("x"));
+        rh.record_late(p0, p1, Payload::new("a"));
+        let to_p1 = rh.msgs().deliveries(p1);
+        let late: Vec<_> = to_p1.late().map(|(p, m)| (p.index(), **m)).collect();
+        assert_eq!(late, vec![(2, "b"), (0, "a")]);
+        assert_eq!(rh.msgs().deliveries(p0).late().count(), 0);
+        assert_eq!(to_p1.len(), 1);
+        assert_eq!(to_p1.iter().count(), 1);
+        assert_eq!(to_p1.get(p2), None);
+        assert!(!rh.msgs().was_delivered(p1, p2));
+        assert_ne!(rh, fresh);
         rh.reset(3);
         assert_eq!(rh, RH::empty(3));
     }

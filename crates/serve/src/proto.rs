@@ -42,8 +42,9 @@
 //! All integers little-endian. Equal encodings share one entry, so once
 //! the correct processes agree (Theorem 3) the table has one entry.
 //! `forged` overrides the table for the senders it names (ascending, each
-//! of them heard); `late` — the kernel's late copies — follows
-//! in hold order. [`ToNode::Inbox`] is the same `(sender, message)`
+//! of them heard); `late` — the destination's late arrivals, read off the
+//! kernel's frame of the round ([`ftss::core::Deliveries::late`]) —
+//! follows in hold order. [`ToNode::Inbox`] is the same `(sender, message)`
 //! sequence as JSON: no session sends it any more; it is the reference
 //! form the round frame is tested against and what `benchmark/`'s wire
 //! ladder still times.
@@ -333,13 +334,9 @@ impl RoundTable {
 
     /// Writes one destination's round frame (over the previous one): the
     /// shared section, then what is the destination's own — the
-    /// delivered row of `inbox`, its forged copies, and the `late`
-    /// copies addressed to it, in the order given.
-    pub(crate) fn frame<'m, M: Wire + 'm>(
-        &mut self,
-        inbox: Deliveries<'_, M>,
-        late: impl Iterator<Item = (ProcessId, &'m M)>,
-    ) -> &[u8] {
+    /// delivered row of `inbox`, its forged copies, and its late
+    /// arrivals ([`Deliveries::late`]) in hold order.
+    pub(crate) fn frame<M: Wire>(&mut self, inbox: Deliveries<'_, M>) -> &[u8] {
         let heard = inbox.heard_words();
         debug_assert_eq!(heard.len(), self.index.len().div_ceil(64));
         self.seal();
@@ -351,7 +348,7 @@ impl RoundTable {
             out.extend_from_slice(&word.to_le_bytes());
         }
         put_copies(inbox.forged().map(|(from, m)| (from, &**m)), out);
-        put_copies(late, out);
+        put_copies(inbox.late().map(|(from, m)| (from, &**m)), out);
         out
     }
 }
@@ -471,9 +468,9 @@ pub(crate) fn decode_round_frame<M: Wire>(
 mod tests {
     use super::*;
     use ftss::compiler::CompiledMsg;
-    use ftss::core::{Corrupt, RoundCounter, RoundHistory};
+    use ftss::core::{Corrupt, Envelope, Round, RoundCounter, RoundHistory};
     use ftss::protocols::{RoundAgreement, RoundAgreementState};
-    use ftss::sync_sim::{NoFaults, RunConfig, SyncRunner};
+    use ftss::sync_sim::{Inbox, NoFaults, RunConfig, SyncRunner};
     use ftss_rng::check::{forall, Gen};
     use ftss_rng::Rng;
     use std::collections::BTreeSet;
@@ -699,15 +696,17 @@ mod tests {
         }
     }
 
-    /// One destination's view of one random round, in both wire forms:
-    /// `(n, round frame, JSON inbox)`. The shapes: nobody heard, every
-    /// payload equal, every payload drawn afresh, and a mix from a small
-    /// pool with silent senders; forged overrides; late copies from any
-    /// sender, so often one the destination also hears fresh.
-    fn random_round<M: Wire + Clone>(
+    /// One random round as the kernel records it and the router sends
+    /// it to one destination: `(n, destination, recorded frame, round
+    /// frame)`. The shapes: nobody heard, every payload equal, every
+    /// payload drawn afresh, and a mix from a small pool with silent
+    /// senders; forged overrides; late arrivals for the destination and
+    /// others from a few senders, so often one the destination also
+    /// hears fresh, or twice.
+    fn random_frame<M: Wire + Clone>(
         g: &mut Gen,
         msg: fn(&mut Gen) -> M,
-    ) -> (usize, Vec<u8>, Vec<u8>) {
+    ) -> (usize, ProcessId, RoundHistory<u64, M>, Vec<u8>) {
         let n = g.gen_range(1..=70usize);
         let dst = ProcessId(g.gen_range(0..n));
         let shape = g.gen_range(0..4u32);
@@ -734,16 +733,58 @@ mod tests {
                 history.record_delivery(dst, p);
             }
         }
-        let late = g.vec(0, 4, |g| (ProcessId(g.gen_range(0..n)), msg(g)));
+        let late_senders = [g.gen_range(0..n), g.gen_range(0..n), g.gen_range(0..n)];
+        for _ in 0..g.gen_range(0..6usize) {
+            let src = ProcessId(late_senders[g.gen_range(0..3usize)]);
+            let to = if g.gen_bool(0.7) {
+                dst
+            } else {
+                ProcessId(g.gen_range(0..n))
+            };
+            history.record_late(src, to, Payload::new(msg(g)));
+        }
+        let frame = table.frame(history.msgs().deliveries(dst)).to_vec();
+        (n, dst, history, frame)
+    }
 
+    /// One destination's view of one random round ([`random_frame`]), in
+    /// both wire forms: `(n, round frame, JSON inbox)`.
+    fn random_round<M: Wire + Clone>(
+        g: &mut Gen,
+        msg: fn(&mut Gen) -> M,
+    ) -> (usize, Vec<u8>, Vec<u8>) {
+        let (n, dst, history, frame) = random_frame(g, msg);
         let inbox = history.msgs().deliveries(dst);
-        let fresh = inbox.iter().map(|(src, m)| (src.index(), (**m).clone()));
-        let stale = late.iter().map(|(src, m)| (src.index(), m.clone()));
+        let msgs = inbox.iter().chain(inbox.late());
         let json = ToNode::<u64, M>::Inbox {
-            msgs: fresh.chain(stale).collect(),
+            msgs: msgs.map(|(src, m)| (src.index(), (**m).clone())).collect(),
         };
-        let frame = table.frame(inbox, late.iter().map(|(src, m)| (*src, m)));
-        (n, frame.to_vec(), json.to_bytes())
+        (n, frame, json.to_bytes())
+    }
+
+    /// A node steps on what the simulator steps on: for any round with
+    /// late arrivals, the inbox a node builds from its round frame
+    /// (`decode_round_frame`, then `Inbox::new`) iterates, counts and
+    /// answers `from` exactly as the view of the recorded frame.
+    #[test]
+    fn node_inbox_is_the_recorded_frames_inbox() {
+        forall(300, |g: &mut Gen| {
+            let (n, dst, history, frame) = random_frame(g, arbitrary_u64);
+            let decoded = decode_round_frame::<u64>(&frame, n).expect("round frame decodes");
+            let envelopes = decoded
+                .into_iter()
+                .map(|(src, m)| Envelope::new(ProcessId(src), Round::FIRST, m));
+            let node = Inbox::new(envelopes.collect());
+            let sim = Inbox::from_deliveries(history.msgs().deliveries(dst));
+            assert_eq!(
+                node.iter().collect::<Vec<_>>(),
+                sim.iter().collect::<Vec<_>>()
+            );
+            assert_eq!(node.len(), sim.len());
+            for p in (0..n).map(ProcessId) {
+                assert_eq!(node.from(p), sim.from(p), "{p}");
+            }
+        });
     }
 
     fn spelled_out<M: Wire + Clone>(frame: &[u8], n: usize) -> Result<Vec<(usize, M)>, String> {
@@ -930,7 +971,7 @@ mod tests {
         let frames: Vec<Vec<u8>> = (0..N)
             .map(|p| {
                 let inbox = round.msgs().deliveries(ProcessId(p));
-                table.frame(inbox, std::iter::empty()).to_vec()
+                table.frame(inbox).to_vec()
             })
             .collect();
         let shared = 1 + table.shared.len();

@@ -6,13 +6,15 @@
 //! thread behind a [`Channel`], a round's broadcasts are collected as
 //! binary `bcast` frames at a barrier, and each survivor receives its
 //! inbox as one binary round frame — the round's payload table, encoded
-//! once as the kernel asks for each broadcast, plus the survivor's own
-//! delivered bit-row ([`proto`](crate::proto)). Omission and forgery
-//! draws, telemetry events and the recorded history are therefore those
-//! of [`ftss::sync_sim::SyncRunner`] for the same seed, on every
-//! transport, by construction (DESIGN.md §16). The barrier plus the
-//! kernel's sorted walk is what removes socket arrival nondeterminism;
-//! only wall-clock differs between `mem`, `tcp` and `uds`.
+//! once as the kernel asks for each broadcast, plus what the kernel's
+//! history frame holds for the survivor alone: its delivered bit-row,
+//! forged copies and late arrivals ([`proto`](crate::proto)). Omission,
+//! forgery and timing draws, telemetry events and the recorded history
+//! are therefore those of [`ftss::sync_sim::SyncRunner`] for the same
+//! seed, on every transport, by construction (DESIGN.md §16). The
+//! barrier plus the kernel's sorted walk is what removes socket arrival
+//! nondeterminism; only wall-clock differs between `mem`, `tcp` and
+//! `uds`.
 //!
 //! One fault family exists only here, because its snapshots are wire
 //! bytes (DESIGN.md §15): **crash–restart** ([`ServeRestart`]). A node
@@ -40,9 +42,7 @@ use ftss::core::{
     round_count, Corrupt, CrashSchedule, Deliveries, History, ProcessId, ProcessSet,
     FRAME_HEADER_LEN,
 };
-use ftss::sync_sim::{
-    Adversary, Exchange, LateCopy, RoundKernel, RunConfig, RunOutcome, SyncProtocol,
-};
+use ftss::sync_sim::{Adversary, Exchange, RoundKernel, RunConfig, RunOutcome, SyncProtocol};
 use ftss::telemetry::{Event, TraceSink};
 use ftss_rng::{Rng, StdRng};
 
@@ -706,17 +706,10 @@ where
     /// The round frame for `p`: the round's table (a copy of bytes every
     /// destination gets), `p`'s delivered row straight off the history
     /// frame, its forged copies (each carries its per-copy payload,
-    /// exactly as the simulator's inbox view shows it), then the late
-    /// copies for `p` in hold order.
-    fn deliver(
-        &mut self,
-        p: ProcessId,
-        inbox: Deliveries<'_, P::Msg>,
-        late: &[LateCopy<P::Msg>],
-    ) -> Result<(), String> {
-        let late = late.iter().filter(|c| c.to == p);
-        let late = late.map(|c| (c.from, &c.msg));
-        let frame = self.table.frame(inbox, late);
+    /// exactly as the simulator's inbox view shows it), then its late
+    /// arrivals in hold order, read off the same frame.
+    fn deliver(&mut self, p: ProcessId, inbox: Deliveries<'_, P::Msg>) -> Result<(), String> {
+        let frame = self.table.frame(inbox);
         let ch = self.chans[p.index()].as_mut();
         ch.ok_or_else(|| format!("survivor {p} is not connected"))?
             .send(frame)

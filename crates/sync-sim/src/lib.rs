@@ -69,6 +69,6 @@ pub use adversary::{
     RandomOmission, ScriptedOmission, SilentProcess, StormAdversary, TapeOmission,
 };
 pub use protocol::{Inbox, ProtocolCtx, SyncProtocol};
-pub use round::{Exchange, LateCopy, RoundKernel};
+pub use round::{Exchange, RoundKernel};
 pub use runner::{Corruption, CorruptionSchedule, RunConfig, RunOutcome, SyncRunner};
 pub use stepper::SyncStepper;

@@ -6,8 +6,9 @@
 //! it received. [`SyncProtocol`] mirrors this exactly with
 //! [`SyncProtocol::broadcast`] and [`SyncProtocol::step`].
 
-use ftss_core::{DeliveredIter, Deliveries, Envelope, ProcessId, RoundCounter};
+use ftss_core::{DeliveredIter, Deliveries, Envelope, Payload, ProcessId, RoundCounter};
 use std::fmt;
+use std::iter::Peekable;
 
 /// Static facts a process knows about its system: its own identity and the
 /// total number of processes. The *actual round number is deliberately
@@ -34,15 +35,19 @@ impl ProtocolCtx {
 
 /// The messages a process received in one round.
 ///
-/// At most one message per sender arrives per round (each round is one
-/// broadcast). A process always receives its own broadcast (paper
-/// footnote 1), so `from(ctx.me)` is always `Some` at an alive process.
+/// At most one *fresh* copy per sender arrives per round (each round is
+/// one broadcast); late copies — sent in an earlier round and held back
+/// or echoed by a timing fault — may follow it. The inbox order is
+/// ascending sender, a sender's fresh copy before its late ones, and late
+/// copies in hold order. A process always receives its own broadcast
+/// (paper footnote 1), so `from(ctx.me)` is always `Some` at an alive
+/// process.
 ///
 /// An inbox either owns its envelopes ([`Inbox::new`]) or views one
-/// receiver's delivered row in the round's frame
+/// receiver's deliveries in the round's frame
 /// ([`Inbox::from_deliveries`]) — the view form is what the simulator hot
 /// loop hands each process: no envelopes exist at all, just delivery bits
-/// plus one shared payload per sender.
+/// plus one shared payload per sender, and the frame's late arrivals.
 #[derive(Clone, Debug)]
 pub struct Inbox<'a, M> {
     storage: Storage<'a, M>,
@@ -55,7 +60,8 @@ enum Storage<'a, M> {
 }
 
 impl<'a, M> Inbox<'a, M> {
-    /// Wraps the delivered envelopes of one round, sorting by sender.
+    /// Wraps the delivered envelopes of one round, sorting by sender; the
+    /// copies of one sender keep the order given.
     pub fn new(mut messages: Vec<Envelope<M>>) -> Self {
         messages.sort_by_key(|e| e.src);
         Inbox {
@@ -64,44 +70,58 @@ impl<'a, M> Inbox<'a, M> {
     }
 
     /// Views one receiver's deliveries straight out of a round's message
-    /// frame ([`ftss_core::RoundMsgs`]); `from` becomes a bit test.
+    /// frame ([`ftss_core::RoundMsgs`]): its fresh copies, with its late
+    /// arrivals ([`Deliveries::late`]) merged in inbox order.
     pub fn from_deliveries(deliveries: Deliveries<'a, M>) -> Self {
         Inbox {
             storage: Storage::View(deliveries),
         }
     }
 
-    /// The payload received from `p` this round, if any.
+    /// The first copy from `p` in inbox order: the fresh copy if one
+    /// arrived this round, else the earliest-held late one.
     pub fn from(&self, p: ProcessId) -> Option<&M> {
         match &self.storage {
-            Storage::Owned(v) => v
-                .binary_search_by_key(&p, |e| e.src)
-                .ok()
-                .map(|i| &*v[i].payload),
-            Storage::View(d) => d.get(p).map(|payload| &**payload),
+            Storage::Owned(v) => {
+                let first = v.partition_point(|e| e.src < p);
+                v.get(first).filter(|e| e.src == p).map(|e| &*e.payload)
+            }
+            Storage::View(d) => d
+                .get(p)
+                .or_else(|| d.late().find(|&(src, _)| src == p).map(|(_, m)| m))
+                .map(|payload| &**payload),
         }
     }
 
-    /// Iterates `(sender, payload)` in sender order.
+    /// Iterates `(sender, payload)` in inbox order.
     pub fn iter(&self) -> InboxIter<'_, M> {
         InboxIter {
             inner: match &self.storage {
                 Storage::Owned(v) => InboxIterInner::Slice(v.iter()),
-                Storage::View(d) => InboxIterInner::View(d.iter()),
+                Storage::View(d) => match d.late().map(|(src, _)| src).min() {
+                    None => InboxIterInner::View(d.iter()),
+                    next_late => InboxIterInner::Merged(Merged {
+                        fresh: d.iter().peekable(),
+                        deliveries: *d,
+                        next_late,
+                        run: None,
+                    }),
+                },
             },
         }
     }
 
-    /// The senders heard from this round, in order.
+    /// The senders heard from this round, in order (a sender with late
+    /// copies once per copy).
     pub fn senders(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.iter().map(|(p, _)| p)
     }
 
-    /// Number of messages received.
+    /// Number of messages received, late copies included.
     pub fn len(&self) -> usize {
         match &self.storage {
             Storage::Owned(v) => v.len(),
-            Storage::View(d) => d.len(),
+            Storage::View(d) => d.len() + d.late().count(),
         }
     }
 
@@ -113,7 +133,7 @@ impl<'a, M> Inbox<'a, M> {
     /// The inbox read the only way a protocol declaring
     /// [`SyncProtocol::JOINS_INBOX`] may read it: every received message
     /// folded into one by the protocol's [`join`](SyncProtocol::join), in
-    /// sender order; `None` if nothing was received. Such a protocol's
+    /// inbox order; `None` if nothing was received. Such a protocol's
     /// `step` is this, then [`step_joined`](SyncProtocol::step_joined).
     pub fn joined<P>(&self, protocol: &P) -> Option<M>
     where
@@ -129,7 +149,7 @@ impl<'a, M> Inbox<'a, M> {
     }
 }
 
-/// Iterator over an [`Inbox`]'s `(sender, payload)` pairs in sender order.
+/// Iterator over an [`Inbox`]'s `(sender, payload)` pairs in inbox order.
 #[derive(Clone, Debug)]
 pub struct InboxIter<'a, M> {
     inner: InboxIterInner<'a, M>,
@@ -139,6 +159,7 @@ pub struct InboxIter<'a, M> {
 enum InboxIterInner<'a, M> {
     Slice(std::slice::Iter<'a, Envelope<M>>),
     View(DeliveredIter<'a, M>),
+    Merged(Merged<'a, M>),
 }
 
 impl<'a, M> Iterator for InboxIter<'a, M> {
@@ -148,7 +169,46 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
         match &mut self.inner {
             InboxIterInner::Slice(it) => it.next().map(|e| (e.src, &*e.payload)),
             InboxIterInner::View(it) => it.next().map(|(p, payload)| (p, &**payload)),
+            InboxIterInner::Merged(it) => it.next().map(|(p, payload)| (p, &**payload)),
         }
+    }
+}
+
+/// A receiver's fresh deliveries with its late arrivals merged in, in
+/// inbox order, without buffering: the receiver's late arrivals are
+/// rescanned once per late copy.
+#[derive(Clone, Debug)]
+struct Merged<'a, M> {
+    fresh: Peekable<DeliveredIter<'a, M>>,
+    deliveries: Deliveries<'a, M>,
+    /// The smallest sender with a late copy not yet yielded.
+    next_late: Option<ProcessId>,
+    /// The sender whose late copies are being yielded, and how many of
+    /// them were.
+    run: Option<(ProcessId, usize)>,
+}
+
+impl<'a, M> Iterator for Merged<'a, M> {
+    type Item = (ProcessId, &'a Payload<M>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Some((s, k)) = self.run.take() {
+            let mut from_s = self.deliveries.late().filter(|&(src, _)| src == s);
+            if let Some(copy) = from_s.nth(k) {
+                self.run = Some((s, k + 1));
+                return Some(copy);
+            }
+            let later = self.deliveries.late().map(|(src, _)| src);
+            self.next_late = later.filter(|&src| src > s).min();
+        }
+        let fresh = self.fresh.peek().map(|&(src, _)| src);
+        // A sender's fresh copy goes first: its late ones start a run
+        // once the fresh row has moved past it.
+        if let Some(l) = self.next_late.filter(|&l| fresh.is_none_or(|f| l < f)) {
+            self.run = Some((l, 0));
+            return self.next();
+        }
+        self.fresh.next()
     }
 }
 
@@ -273,6 +333,79 @@ mod tests {
         assert_eq!(senders, vec![ProcessId(0), ProcessId(2)]);
         let pairs: Vec<_> = inbox.iter().map(|(p, m)| (p.index(), *m)).collect();
         assert_eq!(pairs, vec![(0, "a"), (2, "c")]);
+    }
+
+    /// `from(p)` is the first copy from `p` in inbox order — the fresh
+    /// one, else the earliest-held late one — however many copies of one
+    /// sender the inbox holds.
+    #[test]
+    fn from_is_the_first_copy_in_inbox_order() {
+        let env = |p, m| Envelope::new(ProcessId(p), Round::FIRST, m);
+        // As a node decodes its round frame: fresh copies, then late ones.
+        let decoded = vec![
+            env(0, "x"),
+            env(1, "a"),
+            env(2, "y"),
+            env(1, "b"),
+            env(1, "c"),
+        ];
+        let inbox = Inbox::new(decoded);
+        assert_eq!(inbox.from(ProcessId(1)), Some(&"a"));
+        let pairs: Vec<_> = inbox.iter().map(|(p, m)| (p.index(), *m)).collect();
+        assert_eq!(pairs, [(0, "x"), (1, "a"), (1, "b"), (1, "c"), (2, "y")]);
+        let late_only = Inbox::new(vec![env(0, "x"), env(1, "b"), env(1, "c")]);
+        assert_eq!(late_only.from(ProcessId(1)), Some(&"b"));
+    }
+
+    /// The view of a frame with late arrivals is the owned inbox of the
+    /// same copies: merged in inbox order, counted, and answering `from`
+    /// by the same rule — and blind to another receiver's arrivals.
+    #[test]
+    fn view_merges_late_arrivals_in_inbox_order() {
+        use ftss_core::RoundHistory;
+        let (n, me) = (5, ProcessId(4));
+        let mut frame = RoundHistory::<(), &str>::empty(n);
+        for (p, m) in [(0, "x"), (1, "a"), (3, "z"), (4, "me")] {
+            frame.set_broadcast(ProcessId(p), Payload::new(m));
+            frame.record_delivery(me, ProcessId(p));
+        }
+        let held = [
+            (3, 4, "w"),
+            (1, 4, "b"),
+            (1, 0, "v"),
+            (2, 4, "q"),
+            (1, 4, "c"),
+        ];
+        for (from, to, m) in held {
+            frame.record_late(ProcessId(from), ProcessId(to), Payload::new(m));
+        }
+        let view = Inbox::from_deliveries(frame.msgs().deliveries(me));
+        let want = [
+            (0, "x"),
+            (1, "a"),
+            (1, "b"),
+            (1, "c"),
+            (2, "q"),
+            (3, "z"),
+            (3, "w"),
+            (4, "me"),
+        ];
+        let pairs: Vec<_> = view.iter().map(|(p, m)| (p.index(), *m)).collect();
+        assert_eq!(pairs, want);
+        assert_eq!(view.len(), want.len());
+        let fresh = [(0, "x"), (1, "a"), (3, "z"), (4, "me")];
+        let late = held.iter().filter(|c| c.1 == 4).map(|&(p, _, m)| (p, m));
+        let envelopes = fresh.into_iter().chain(late);
+        let owned = Inbox::new(
+            envelopes
+                .map(|(p, m)| Envelope::new(ProcessId(p), Round::FIRST, m))
+                .collect(),
+        );
+        assert!(view.iter().eq(owned.iter()));
+        for p in (0..n).map(ProcessId) {
+            assert_eq!(view.from(p), owned.from(p), "{p}");
+        }
+        assert_eq!(view.from(ProcessId(2)), Some(&"q"));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! by the adversary (attributed to the faulty side), vanish because the
 //! receiver is crashed or absent, or be cut short by its sender crashing
 //! mid-round; a delivered copy the adversary makes late is held here and
-//! handed to a later round's inbox. Only faulty processes deviate (§2.1),
+//! recorded in its arrival round's frame ([`RoundHistory::record_late`]),
+//! where its receiver's inbox reads it. Only faulty processes deviate (§2.1),
 //! so the adversary is consulted only for copies that touch its declared
 //! faulty set; the rest of the round — all but ~2·f·n of its n² copies —
 //! is delivered without asking and recorded as the frame's clean block,
@@ -98,14 +99,10 @@ pub trait Exchange<S, M> {
         let _ = msgs;
     }
 
-    /// Hands a survivor its inbox — the round's fresh deliveries, then its
-    /// copies among the `late` arrivals, in hold order — and lets it step.
-    fn deliver(
-        &mut self,
-        p: ProcessId,
-        inbox: Deliveries<'_, M>,
-        late: &[LateCopy<M>],
-    ) -> Result<(), Self::Error>;
+    /// Hands a survivor its inbox — the round's fresh deliveries and the
+    /// late arrivals recorded for it ([`Deliveries::late`]) — and lets it
+    /// step.
+    fn deliver(&mut self, p: ProcessId, inbox: Deliveries<'_, M>) -> Result<(), Self::Error>;
 
     /// Ends a process that crashes this round: no transition, and no
     /// state from the next round on.
@@ -116,20 +113,9 @@ pub trait Exchange<S, M> {
     fn close<T: TraceSink>(&mut self, sink: &mut T) -> Result<Vec<Option<S>>, Self::Error>;
 }
 
-/// A delivered copy the adversary made late ([`Adversary::delay_copy`]):
-/// held until its arrival round, and lost if its receiver is gone by then.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LateCopy<M> {
-    /// The destination.
-    pub to: ProcessId,
-    /// The original sender.
-    pub from: ProcessId,
-    /// The message.
-    pub msg: M,
-}
-
-/// Late copies by arrival round, each round's in hold order.
-type LateQueue<M> = BTreeMap<u64, Vec<LateCopy<M>>>;
+/// Late copies by arrival round, each round's `(sender, receiver,
+/// payload)` in hold order; the payload is the sender's shared broadcast.
+type LateQueue<M> = BTreeMap<u64, Vec<(ProcessId, ProcessId, Payload<M>)>>;
 
 /// A process's part in the current round.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -340,14 +326,23 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
                 })
             };
             let (sent, delivered) = self.walk(protocol, broadcast, &mut late, r, &mut frame, sink);
+            // A late copy arrives only at a receiver that steps this
+            // round; the others lose it. By receiver (a stable sort keeps
+            // each receiver's hold order), so each is an append.
+            let mut arrivals = late.remove(&r).unwrap_or_default();
+            arrivals.sort_by_key(|&(_, to, _)| to);
+            for (from, to, payload) in arrivals {
+                if self.parts[to.index()] == Part::Alive {
+                    frame.record_late(from, to, payload);
+                }
+            }
             exchange.clean_block(frame.msgs());
-            let arrivals = late.remove(&r).unwrap_or_default();
             for (i, &part) in self.parts.iter().enumerate() {
                 let p = ProcessId(i);
                 match part {
                     Part::Out => {}
                     Part::Crashing => exchange.crash(p, sink)?,
-                    Part::Alive => exchange.deliver(p, frame.msgs().deliveries(p), &arrivals)?,
+                    Part::Alive => exchange.deliver(p, frame.msgs().deliveries(p))?,
                 }
             }
             if traced {
@@ -562,7 +557,7 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     /// The adversary's timing verdict on a copy with a faulty end, asked
     /// whatever its fate so far: a late copy joins `late` under its
     /// arrival round and is recorded as `Delayed` or `Duplicated`.
-    fn delay<M: Clone>(
+    fn delay<M>(
         adversary: &mut A,
         round: Round,
         p: ProcessId,
@@ -580,12 +575,8 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             outcome == DeliveryOutcome::Delivered && rounds >= 1,
             "adversary made an undelivered or same-round copy {p} → {q} late"
         );
-        let msg = (**msgs.broadcast_of(p).expect("a sent copy has a broadcast")).clone();
-        let copy = LateCopy {
-            to: q,
-            from: p,
-            msg,
-        };
+        let payload = msgs.broadcast_of(p).expect("a sent copy has a broadcast");
+        let copy = (p, q, payload.clone());
         late.entry(round.get() + rounds).or_default().push(copy);
         late_outcome
     }
@@ -630,13 +621,17 @@ mod tests {
     use std::convert::Infallible;
 
     /// A scripted exchange: canned states that never change, every
-    /// process broadcasts its value, `absent` is out throughout, and
-    /// deliveries and crashes are only logged.
+    /// process broadcasts its value, `absent` is out throughout, `leaves`
+    /// is out from its round on, and deliveries and crashes are only
+    /// logged.
     struct Canned {
         states: Vec<Option<EState>>,
         round: u64,
+        leaves: Option<(ProcessId, u64)>,
         /// `(round, receiver, senders heard)` per delivered inbox.
         inboxes: Vec<(u64, ProcessId, Vec<ProcessId>)>,
+        /// `(round, sender, receiver)` per late arrival handed over.
+        late: Vec<(u64, ProcessId, ProcessId)>,
         crashed: Vec<(u64, ProcessId)>,
     }
 
@@ -646,7 +641,9 @@ mod tests {
             Canned {
                 states: (0..n).map(state).collect(),
                 round: 0,
+                leaves: None,
                 inboxes: Vec::new(),
+                late: Vec::new(),
                 crashed: Vec::new(),
             }
         }
@@ -660,6 +657,9 @@ mod tests {
         }
         fn begin_round<T: TraceSink>(&mut self, r: u64, _: &mut T) -> Result<(), Infallible> {
             self.round = r;
+            if let Some((p, _)) = self.leaves.filter(|&(_, from)| from == r) {
+                self.states[p.index()] = None;
+            }
             Ok(())
         }
         fn state(&mut self, p: ProcessId) -> Option<&mut EState> {
@@ -668,15 +668,11 @@ mod tests {
         fn broadcast(&mut self, p: ProcessId) -> Option<u64> {
             self.states[p.index()].as_ref().map(|s| s.v)
         }
-        fn deliver(
-            &mut self,
-            p: ProcessId,
-            inbox: Deliveries<'_, u64>,
-            late: &[LateCopy<u64>],
-        ) -> Result<(), Infallible> {
-            assert!(late.is_empty());
+        fn deliver(&mut self, p: ProcessId, inbox: Deliveries<'_, u64>) -> Result<(), Infallible> {
             let heard = inbox.iter().map(|(src, _)| src).collect();
             self.inboxes.push((self.round, p, heard));
+            let late = inbox.late().map(|(src, _)| (self.round, src, p));
+            self.late.extend(late);
             Ok(())
         }
         fn crash<T: TraceSink>(&mut self, p: ProcessId, _: &mut T) -> Result<(), Infallible> {
@@ -896,6 +892,84 @@ mod tests {
         run_canned(&mut Hasty, &RunConfig::clean(2, 1));
     }
 
+    /// Declares p0 and p1 faulty, crashes p1 in round 2, and holds back
+    /// every copy it is asked about in round 1 for one round.
+    struct Lagging;
+
+    impl Adversary for Lagging {
+        fn faulty(&self, n: usize) -> ProcessSet {
+            ProcessSet::from_iter_n(n, [ProcessId(0), ProcessId(1)])
+        }
+        fn crash_schedule(&self) -> CrashSchedule {
+            let mut cs = CrashSchedule::none();
+            cs.set(ProcessId(1), Round::new(2));
+            cs
+        }
+        fn drop_copy(&mut self, _: Round, _: ProcessId, _: ProcessId) -> Option<OmissionSide> {
+            None
+        }
+        fn delay_copy(
+            &mut self,
+            r: Round,
+            _: ProcessId,
+            _: ProcessId,
+            outcome: DeliveryOutcome,
+        ) -> Option<Lateness> {
+            (r == Round::FIRST && outcome == DeliveryOutcome::Delivered)
+                .then_some(Lateness::Delayed(1))
+        }
+    }
+
+    /// A late copy is recorded in its arrival round's frame, once, with
+    /// its sender's broadcast shared — or in no frame if its receiver
+    /// crashes (p1) or is absent (p2 leaves) in that round. The exchange
+    /// is handed exactly the recorded arrivals.
+    #[test]
+    fn a_late_copy_is_in_its_arrival_frame_or_in_none() {
+        let n = 4;
+        let mut exchange = Canned::new(n, None);
+        exchange.leaves = Some((ProcessId(2), 2));
+        let out = RoundKernel::new(&mut Lagging, &RunConfig::clean(n, 3))
+            .expect("valid config")
+            .run(&EchoMax, &mut exchange, &mut NullSink, |_| {})
+            .unwrap_or_else(|never| match never {});
+        let ids = || (0..n).map(ProcessId);
+        let r1 = out.history.round(Round::FIRST).msgs();
+        let held: Vec<_> = ids()
+            .flat_map(|from| ids().map(move |to| (from, to)))
+            .filter(|&(from, to)| r1.outcome_of(from, to) == Some(DeliveryOutcome::Delayed))
+            .collect();
+        assert_eq!(held.len(), 10);
+        let gone = [ProcessId(1), ProcessId(2)];
+        let mut arrived: Vec<_> = held.iter().filter(|c| !gone.contains(&c.1)).collect();
+        arrived.sort_by_key(|&&(from, to)| (to, from));
+        assert_eq!(arrived.len(), 5);
+        for r in 1..=3 {
+            let frame = out.history.round(Round::new(r)).msgs();
+            let late: Vec<_> = ids()
+                .flat_map(|to| {
+                    frame
+                        .deliveries(to)
+                        .late()
+                        .map(move |(from, m)| (from, to, m))
+                })
+                .collect();
+            if r != 2 {
+                assert!(late.is_empty(), "round {r}");
+                continue;
+            }
+            let copies: Vec<_> = late.iter().map(|&(from, to, _)| (from, to)).collect();
+            assert_eq!(copies.iter().collect::<Vec<_>>(), arrived);
+            for (from, _, payload) in late {
+                let sent = r1.broadcast_of(from).expect("a broadcast");
+                assert!(payload.shares_with(sent), "{from}");
+            }
+            let handed = exchange.late.iter().map(|&(_, from, to)| (from, to));
+            assert_eq!(handed.collect::<Vec<_>>(), copies);
+            assert!(exchange.late.iter().all(|c| c.0 == 2));
+        }
+    }
+
     /// The consultation rule, pinned: the adversary is asked about a
     /// copy iff sender ≠ receiver, the copy is emitted before a crash
     /// cut, the receiver is alive at the round's end, and one end is
@@ -985,8 +1059,9 @@ mod tests {
     /// The oracle: one round's frame rebuilt copy by copy from the
     /// `send` events of a traced run, plus the self-delivery rule
     /// (whoever broadcasts and survives the round hears itself). The
-    /// per-process snapshot, the broadcasts and the forged payloads —
-    /// none of which the walk decides — are taken from `recorded`.
+    /// per-process snapshot, the broadcasts, the forged payloads and the
+    /// late arrivals — none of which the walk decides — are taken from
+    /// `recorded`.
     fn rebuild(recorded: &Frame, sends: &[(ProcessId, ProcessId, DeliveryOutcome)]) -> Frame {
         let mut frame = Frame::empty(recorded.n());
         for rec in recorded.records() {
@@ -1003,6 +1078,9 @@ mod tests {
                 if !rec.crashed_here() {
                     frame.record_delivery(p, p);
                 }
+            }
+            for (from, payload) in recorded.msgs().deliveries(p).late() {
+                frame.record_late(from, p, payload.clone());
             }
         }
         for &(from, to, outcome) in sends {

@@ -30,10 +30,8 @@
 
 use crate::adversary::Adversary;
 use crate::protocol::{Inbox, ProtocolCtx, SyncProtocol};
-use crate::round::{Exchange, LateCopy, RoundKernel};
-use ftss_core::{
-    ConfigError, Corrupt, Deliveries, Envelope, History, Payload, ProcessId, Round, RoundMsgs,
-};
+use crate::round::{Exchange, RoundKernel};
+use ftss_core::{ConfigError, Corrupt, Deliveries, History, ProcessId, RoundMsgs};
 use ftss_telemetry::{NullSink, TraceSink};
 use std::convert::Infallible;
 
@@ -311,14 +309,13 @@ where
 
 /// The in-process [`Exchange`]: the global state is a vector, a
 /// broadcast is a function call, and a survivor steps on a borrowed view
-/// of its delivered row in the round frame — no clone, no move, no
-/// envelopes — or, when late copies arrive for it, on the envelopes a
-/// node decodes from its round frame: fresh deliveries, then late ones.
+/// of its deliveries in the round frame ([`Inbox::from_deliveries`]) —
+/// fresh and late copies alike; no clone, no move, no envelopes.
 ///
 /// For a protocol declaring [`SyncProtocol::JOINS_INBOX`] the frame's
 /// clean block is joined once ([`Exchange::clean_block`]) and a receiver
-/// in the block and with no late copy absorbs only the copies recorded
-/// outside it.
+/// in the block absorbs only the copies recorded outside it, then its
+/// late arrivals.
 pub(crate) struct InProcess<'a, P: SyncProtocol> {
     protocol: &'a P,
     n: usize,
@@ -380,33 +377,20 @@ impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
         }
     }
 
-    fn deliver(
-        &mut self,
-        p: ProcessId,
-        inbox: Deliveries<'_, P::Msg>,
-        late: &[LateCopy<P::Msg>],
-    ) -> Result<(), Infallible> {
+    fn deliver(&mut self, p: ProcessId, inbox: Deliveries<'_, P::Msg>) -> Result<(), Infallible> {
         let ctx = ProtocolCtx::new(p, self.n);
         let state = self.states[p.index()]
             .as_mut()
             .expect("a survivor has state");
-        let mut late = late.iter().filter(|c| c.to == p).peekable();
         match &self.clean_join {
-            _ if late.peek().is_some() => {
-                // As a node decodes its round frame; no inbox shows `sent_in`.
-                let fresh = inbox.iter().map(|(from, m)| (from, m.clone()));
-                let late = late.map(|c| (c.from, Payload::new(c.msg.clone())));
-                let msgs = fresh.chain(late);
-                let msgs = msgs.map(|(from, m)| Envelope::new(from, Round::FIRST, m));
-                self.protocol.step(&ctx, state, &Inbox::new(msgs.collect()));
-            }
             // The shortcut is taken on the record's word: a receiver in the
             // frame's clean block heard every clean sender, so it starts
-            // from their join and absorbs what else its row holds — the
-            // copies recorded one by one, forged ones included.
+            // from their join and absorbs what else it received — the
+            // copies recorded one by one, forged ones included, and its
+            // late arrivals.
             Some(join) if P::JOINS_INBOX && inbox.in_block() => {
                 let mut joined = join.clone();
-                for (_, m) in inbox.off_block() {
+                for (_, m) in inbox.off_block().chain(inbox.late()) {
                     self.protocol.join(&mut joined, m);
                 }
                 self.protocol.step_joined(&ctx, state, &joined);

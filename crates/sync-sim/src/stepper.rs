@@ -50,8 +50,8 @@ pub struct SyncStepper<P: SyncProtocol> {
     protocol: P,
     n: usize,
     states: Vec<P::State>,
-    // Round scratch, kept across rounds (and across `reset`) so that a
-    // steady-state round allocates nothing.
+    // Round scratch, kept across rounds so that a steady-state round
+    // allocates nothing.
     /// The round's traffic, in the runner's own frame type: broadcast
     /// slots plus the (dense) delivery rows the inbox views read. States are
     /// not recorded.
@@ -97,16 +97,6 @@ impl<P: SyncProtocol> SyncStepper<P> {
     /// The current global state, one entry per process.
     pub fn states(&self) -> &[P::State] {
         &self.states
-    }
-
-    /// Rewinds to `states`: the stepper [`new`](Self::new) would build
-    /// from them, with every buffer kept: one stepper branches whole
-    /// rounds from one state without a clone. (Branching one process's
-    /// step needs no rewind: [`step_process`](Self::step_process) does
-    /// not advance.)
-    pub fn reset(&mut self, states: &[P::State]) {
-        assert_eq!(states.len(), self.n, "state vector must keep n");
-        self.states.clone_from_slice(states);
     }
 
     /// Executes one round. `deliver(from, to)` is consulted once per
@@ -312,33 +302,6 @@ mod tests {
                 let _ = SyncRunner::new(MaxGossip).run(&mut probe, &cfg);
                 probe.consulted()
             });
-        });
-    }
-
-    /// `reset` must leave no trace of the rounds before it: a recycled
-    /// stepper and a fresh one agree state-for-state under the same
-    /// decisions, whatever the scratch buffers last held.
-    #[test]
-    fn reset_stepper_matches_a_fresh_one() {
-        ftss_rng::check::forall(40, |g| {
-            let n = g.gen_range(2..6u64) as usize;
-            let start: Vec<Val> = (0..n).map(|_| Val(g.gen_range(0..64))).collect();
-            let mut recycled = SyncStepper::corrupted(MaxGossip, n, g.next_u64());
-            for _ in 0..g.gen_range(0..3u64) {
-                let drops = g.next_u64();
-                recycled.step_round(|from, to| (drops >> (from.index() * n + to.index())) & 1 == 0);
-            }
-            recycled.reset(&start);
-            let mut fresh = SyncStepper::new(MaxGossip, start);
-            for _ in 0..3 {
-                let drops = g.next_u64();
-                let decide = |from: ProcessId, to: ProcessId| {
-                    (drops >> (from.index() * n + to.index())) & 1 == 0
-                };
-                recycled.step_round(decide);
-                fresh.step_round(decide);
-                assert_eq!(recycled.states(), fresh.states());
-            }
         });
     }
 

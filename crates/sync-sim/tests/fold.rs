@@ -6,14 +6,16 @@
 //! runs it next to the kernel's own tests.
 
 mod round {
-    use ftss_core::{Corrupt, CrashSchedule, Envelope, ProcessId, Round, RoundCounter};
+    use ftss_core::{
+        Corrupt, CrashSchedule, Envelope, ProcessId, Round, RoundCounter, StormKind, StormPhase,
+    };
     use ftss_protocols::bounded::BoundedState;
     use ftss_protocols::{BoundedRoundAgreement, RoundAgreement, RoundAgreementState};
     use ftss_rng::check::forall;
     use ftss_rng::{Rng, StdRng};
     use ftss_sync_sim::{
         Adversary, ByzantineAdversary, CrashOnly, GroupPartition, Inbox, OmissionSide, ProtocolCtx,
-        RandomOmission, RunConfig, ScriptedOmission, SyncProtocol, SyncRunner,
+        RandomOmission, RunConfig, ScriptedOmission, StormAdversary, SyncProtocol, SyncRunner,
     };
     use ftss_telemetry::RecordingSink;
     use std::cell::RefCell;
@@ -93,8 +95,10 @@ mod round {
     /// `sparse_walk_matches_a_copy_by_copy_oracle`: universes on both
     /// sides of every word boundary, faulty sets from empty to
     /// all-but-one, random omissions, staggered crashes with partial
-    /// sends, a partition and — where the protocol can be forged against
-    /// — forgeries with drops.
+    /// sends, a partition, timing storms (delayed by one and two rounds,
+    /// duplicated and reordered copies, so receivers fold late arrivals)
+    /// and — where the protocol can be forged against — forgeries with
+    /// drops.
     fn grid<P>(protocol: &P)
     where
         P: SyncProtocol + Clone,
@@ -126,6 +130,16 @@ mod round {
                 folded_matches_unfolded(protocol, &crash_only, &cfg);
                 let partition = GroupPartition::new(faulty(), 2, 3);
                 folded_matches_unfolded(protocol, &partition, &cfg);
+                // Every late copy arrives by round 3.
+                let timing = [
+                    [StormKind::Delay { rounds: 2 }, StormKind::Duplicate],
+                    [StormKind::Delay { rounds: 1 }, StormKind::Reorder],
+                ];
+                for [first, second] in timing {
+                    let phases = [StormPhase::new(1, 1, first), StormPhase::new(2, 2, second)];
+                    let storm = StormAdversary::new(faulty(), phases, seed);
+                    folded_matches_unfolded(protocol, &storm, &cfg);
+                }
                 if protocol.forge_message(0).is_some() {
                     let byzantine = ByzantineAdversary::new(faulty(), 0.5, seed).with_drops(0.3);
                     folded_matches_unfolded(protocol, &byzantine, &cfg);

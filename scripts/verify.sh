@@ -108,12 +108,23 @@ call_sites 1 'storm_program_for\(' crates/chaos/src crates/cli/src crates/serve/
 call_sites 2 'stabilization_offset\(' crates/*/src
 call_sites 1 'storm::phase_at\(' crates/sync-sim/src crates/serve/src
 # One per-copy seam (DESIGN.md §16): the adversary decides every copy's
-# fate, late copies included, and the kernel holds the late copies. A
-# second per-copy hook beside the adversary stays gone.
-if grep -rnwE 'CopyLayer|TimingProxy|TimingFaults|TRANSPARENT' crates/*/src; then
+# fate, late copies included, and the kernel holds the late copies and
+# records each in its arrival round's frame. A second per-copy hook beside
+# the adversary, or a second channel of late copies beside the frame,
+# stays gone.
+if grep -rnwE 'CopyLayer|TimingProxy|TimingFaults|TRANSPARENT|LateCopy' crates/*/src; then
     echo "ERROR: a per-copy layer beside the adversary is back (see above)" >&2
     exit 1
 fi
+# An exchange hands a survivor its frame alone: `Exchange::deliver` takes
+# `(p, inbox)`, and the in-process exchange steps on views of the frame,
+# never on an owned inbox rebuilt beside it.
+if ! grep -qF "fn deliver(&mut self, p: ProcessId, inbox: Deliveries<'_, M>) -> Result<(), Self::Error>;" \
+    crates/sync-sim/src/round.rs; then
+    echo "ERROR: Exchange::deliver must take (p, inbox) only" >&2
+    exit 1
+fi
+call_sites 0 'Inbox::new\(' crates/sync-sim/src
 # `check_edge` judges a graph node's edges once per effect class inside
 # `for_each_edge`; a second call site is a second edge walk beside it.
 # The class walk steps each distinct inbox once, one process at a time

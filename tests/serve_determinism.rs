@@ -14,7 +14,8 @@
 
 use ftss::compiler::Compiled;
 use ftss::core::{
-    CrashSchedule, DeliveryOutcome, ProcessId, RateAgreementSpec, Round, StormKind, StormPhase,
+    CrashSchedule, DeliveryOutcome, ProcessId, RateAgreementSpec, Round, RoundHistory, StormKind,
+    StormPhase,
 };
 use ftss::protocols::{FloodSet, RoundAgreement};
 use ftss::sync_sim::{
@@ -609,6 +610,15 @@ fn restart_cycle_timing_storms_match_between_simulator_and_mem() {
     assert_eq!(jsonl(&sim_events), jsonl(&mem_events));
     assert!(outcome_count(&sim_events, DeliveryOutcome::Delayed) > 0);
     assert!(outcome_count(&sim_events, DeliveryOutcome::Duplicated) > 0);
+    let late_arrivals = |frame: &RoundHistory<_, _>| {
+        let to = |p| frame.msgs().deliveries(ProcessId(p)).late().count();
+        (0..frame.n()).map(to).sum::<usize>()
+    };
+    let held: Vec<usize> = sim.history.rounds().iter().map(late_arrivals).collect();
+    assert!(
+        held.iter().any(|&k| k > 0),
+        "late arrivals per round: {held:?}"
+    );
     assert_eq!(sim.history, mem.history);
     assert_eq!(sim.final_states, mem.final_states);
     assert_eq!(sim_judge.closed(), mem_judge.closed());

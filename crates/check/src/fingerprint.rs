@@ -27,11 +27,12 @@
 //!    permutations fixing the faulty index; the chosen permutation is
 //!    returned so the explorer can reconstruct a concrete witness tape
 //!    through the quotient (see DESIGN.md §14 for the soundness
-//!    argument). The search never builds those encodings: a per-`(n,
-//!    faulty)` `PermTable` holds every relabeling with its inverse and
-//!    a set-relabel lookup, and each candidate is compared field by
-//!    field against the best so far, stopping at the first field that
-//!    differs.
+//!    argument). No relabeling is listed or scanned: `PermTable`
+//!    searches them by individualization–refinement, fixing the fields
+//!    in encoding order and keeping exactly the relabelings under which
+//!    the encoding so far is least, branching only between processes the
+//!    state tells apart, and ranks the first minimal relabeling in
+//!    `perms_fixing` order arithmetically.
 //! 3. **Fingerprint** ([`Fingerprinter`]) — the canonical encoding hashed
 //!    to 128 bits, TLC-style: the visited set stores fingerprints, not
 //!    states. Two independent 64-bit multiply–rotate–xor lanes keyed from
@@ -46,14 +47,13 @@ use ftss_rng::SplitMix64;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::OnceLock;
 
 /// Ceiling on `n` for the graph explorer. A node has `2^(2(n-1))`
 /// outgoing omission masks and its orbit `(n-1)!` relabelings: 1024 and
 /// 120 at `n = 6` (a ~0.6 M-edge, sub-second fixpoint), 4096 and 720 at
 /// 7. The fixed-size kernel types are sized by it — `PackedState`'s
-/// arrays, the `2^n`-entry set-relabel lookups of `PermTable` — so
-/// raising it is a recompile, not a redesign.
+/// arrays, the partitions `PermTable`'s search keeps — so raising it is
+/// a recompile, not a redesign.
 pub const MAX_GRAPH_N: usize = 6;
 
 /// A permutation of process indices, `perm[old] = new`; identities pad
@@ -189,7 +189,7 @@ impl NodeState {
     /// If `n` is outside `1..=MAX_GRAPH_N`, `faulty` is not a process, or
     /// a set field has a bit at or above `n`.
     pub fn canonicalize(&self, faulty: ProcessId) -> (NodeState, Perm) {
-        let table = PermTable::get(self.n(), faulty);
+        let table = PermTable::new(self.n(), faulty);
         let (canon, perm) = table.canonicalize(&PackedState::pack(self));
         (canon.unpack(), perm)
     }
@@ -223,6 +223,9 @@ impl NodeState {
         (best, best_perm)
     }
 }
+
+/// Bit 0 of every byte of a word.
+const BYTE_LOW_BITS: u64 = 0x0101_0101_0101_0101;
 
 /// Length of the longest canonical encoding (`n = MAX_GRAPH_N`).
 const MAX_ENCODED_LEN: usize = 12 * MAX_GRAPH_N + 12;
@@ -290,6 +293,35 @@ impl PackedState {
         }
     }
 
+    /// The `reach` rows as the bytes of one word, row `p` in byte `p`.
+    fn rows(&self) -> u64 {
+        let mut bytes = [0u8; 8];
+        bytes[..MAX_GRAPH_N].copy_from_slice(&self.reach);
+        u64::from_le_bytes(bytes)
+    }
+
+    /// [`NodeState::permuted`] on the packed form: the sets relabeled a
+    /// member at a time in every row at once.
+    fn permuted(&self, perm: &Perm) -> PackedState {
+        let n = self.n as usize;
+        let relabel = |word: u64| {
+            (0..n).fold(0, |out, old| {
+                out | ((word >> old) & BYTE_LOW_BITS) << perm[old]
+            })
+        };
+        let rows = relabel(self.rows()).to_le_bytes();
+        let sets = relabel(u64::from(self.rate_ok) | u64::from(self.coterie) << 8);
+        let mut out = *self;
+        for old in 0..n {
+            let new = perm[old] as usize;
+            out.counters[new] = self.counters[old];
+            out.reach[new] = rows[old];
+        }
+        out.rate_ok = sets as u8;
+        out.coterie = (sets >> 8) as u8;
+        out
+    }
+
     /// Writes [`NodeState::encode`]'s bytes into `buf` and returns them.
     pub(crate) fn encode<'a>(&self, buf: &'a mut [u8; MAX_ENCODED_LEN]) -> &'a [u8] {
         let n = self.n as usize;
@@ -312,135 +344,375 @@ impl PackedState {
     }
 }
 
-/// One relabeling of a [`PermTable`].
-struct Relabeling {
-    /// `perm[old] = new`.
-    perm: Perm,
-    /// `inv[new] = old`.
-    inv: [u8; MAX_GRAPH_N],
-    /// `image[set]`: the process set `set` with every member relabeled.
-    image: [u8; 1 << MAX_GRAPH_N],
+/// The members of a process set, ascending.
+fn members(mut set: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let p = set.trailing_zeros() as usize;
+        set &= set.wrapping_sub(1);
+        (p < 8).then_some(p)
+    })
 }
 
-/// Every permutation of `0..n` fixing one process, in `perms_fixing`
-/// order, each with what the canonicalizer needs to read a relabeled
-/// state without building it. Built once per `(n, faulty)` and shared.
+/// A node of [`PermTable::canonicalize`]'s search: an ordered partition
+/// of the movable processes into cells (process sets). The cells take
+/// the movable labels in order, each as many as it has members, and a
+/// relabeling is consistent with the branch when every cell's members
+/// take that cell's labels, in any order. A branch of singletons is one
+/// relabeling.
+#[derive(Clone, Copy, Default)]
+struct Branch {
+    cells: [u8; MAX_GRAPH_N - 1],
+    len: u8,
+}
+
+impl Branch {
+    fn cells(&self) -> &[u8] {
+        &self.cells[..self.len as usize]
+    }
+
+    fn push(&mut self, cell: u8) {
+        self.cells[self.len as usize] = cell;
+        self.len += 1;
+    }
+
+    /// Splits every cell into its members in `set`, first, and the rest,
+    /// and returns the movable positions `set`'s members then take (bit
+    /// `k`: the `k`-th movable label) — the lowest of each cell, which is
+    /// what makes `set`'s image least over the relabelings consistent
+    /// with the branch, and the same under every relabeling consistent
+    /// with the split.
+    fn refine(&mut self, set: u8) -> u8 {
+        let mut split = Branch::default();
+        let (mut taken, mut at) = (0u8, 0);
+        for &cell in self.cells() {
+            let inside = cell & set;
+            for part in [inside, cell & !set] {
+                if part != 0 {
+                    split.push(part);
+                }
+            }
+            taken |= ((1u8 << inside.count_ones()) - 1) << at;
+            at += cell.count_ones();
+        }
+        *self = split;
+        taken
+    }
+
+    /// Gives `p`, a member of cell `at`, that cell's lowest label as a
+    /// cell of its own. Every cell before `at` is a singleton, so cell
+    /// `at` starts at the `at`-th movable label.
+    fn individualize(&mut self, at: usize, p: usize) {
+        let cell = self.cells[at];
+        if cell != 1 << p {
+            let len = self.len as usize;
+            self.cells.copy_within(at..len, at + 1);
+            self.cells[at] = 1 << p;
+            self.cells[at + 1] = cell & !(1 << p);
+            self.len += 1;
+        }
+    }
+}
+
+/// The relabelings of `0..n` fixing one process, described rather than
+/// listed: what [`PermTable::canonicalize`] needs to search them and to
+/// rank one in `perms_fixing` order.
 pub(crate) struct PermTable {
     n: usize,
-    /// The processes a relabeling may move: all but the fixed one.
-    movable: u8,
-    relabelings: Vec<Relabeling>,
+    /// The process every relabeling fixes.
+    fixed: usize,
+    /// The processes a relabeling may move, ascending — its labels, too.
+    free: [u8; MAX_GRAPH_N - 1],
 }
 
 impl PermTable {
-    /// The table for `n` processes and relabelings fixing `faulty`.
-    pub(crate) fn get(n: usize, faulty: ProcessId) -> &'static PermTable {
-        static TABLES: [[OnceLock<PermTable>; MAX_GRAPH_N]; MAX_GRAPH_N + 1] =
-            [const { [const { OnceLock::new() }; MAX_GRAPH_N] }; MAX_GRAPH_N + 1];
+    /// The relabelings of `n` processes that fix `faulty`.
+    pub(crate) fn new(n: usize, faulty: ProcessId) -> PermTable {
         let f = faulty.index();
         assert!(
             (1..=MAX_GRAPH_N).contains(&n) && f < n,
-            "no relabeling table for n = {n} fixing {faulty}"
+            "no relabelings of n = {n} fixing {faulty}"
         );
-        TABLES[n][f].get_or_init(|| PermTable::build(n, f))
+        let mut free = [0u8; MAX_GRAPH_N - 1];
+        for (slot, p) in free.iter_mut().zip((0..n).filter(|&p| p != f)) {
+            *slot = p as u8;
+        }
+        PermTable { n, fixed: f, free }
     }
 
-    fn build(n: usize, fixed: usize) -> PermTable {
-        let relabelings: Vec<Relabeling> = perms_fixing(n, fixed)
-            .into_iter()
-            .map(|perm| {
-                let mut inv = [0u8; MAX_GRAPH_N];
-                for old in 0..n {
-                    inv[perm[old] as usize] = old as u8;
-                }
-                let mut image = [0u8; 1 << MAX_GRAPH_N];
-                for set in 0..1u32 << n {
-                    image[set as usize] = permute_mask(set, &perm, n) as u8;
-                }
-                Relabeling { perm, inv, image }
-            })
-            .collect();
-        // `canonicalize` starts from the identity and lets only a
-        // strictly smaller relabeling displace it.
-        assert_eq!(relabelings[0].perm, identity_perm());
-        PermTable {
-            n,
-            movable: mask_full(n) as u8 & !(1 << fixed),
-            relabelings,
+    /// The movable processes, ascending.
+    fn free(&self) -> &[u8] {
+        &self.free[..self.n - 1]
+    }
+
+    /// The relabeling first in `perms_fixing` order among `sigma ∘ g`
+    /// for `g` in the group `twins` generates (`(sigma ∘ g)[p] =
+    /// sigma[g[p]]`, `g` permuting each twin class), and its index there.
+    /// `perms_fixing` places the movable processes' images one position
+    /// at a time, trying each image not yet placed in the order its swaps
+    /// leave them, so the index is a mixed-radix number read off those
+    /// swaps, and taking at each position the earliest image a twin
+    /// allows gives the least.
+    fn least_rank(&self, sigma: &Perm, twins: &[u8; MAX_GRAPH_N]) -> (usize, Perm) {
+        let m = self.n - 1;
+        // `work` as `perms_fixing` swaps it, and where each image sits.
+        let mut work = self.free;
+        let mut slot = [0u8; MAX_GRAPH_N];
+        for (i, &image) in self.free().iter().enumerate() {
+            slot[image as usize] = i as u8;
         }
+        let (mut rank, mut placed, mut perm) = (0, 0u8, identity_perm());
+        for (k, &p) in self.free().iter().enumerate() {
+            let (i, t) = members(twins[p as usize] & !placed)
+                .map(|t| (slot[sigma[t] as usize] as usize, t))
+                .min()
+                .expect("a twin left to place");
+            placed |= 1 << t;
+            perm[p as usize] = sigma[t];
+            rank = rank * (m - k) + (i - k);
+            slot[work[k] as usize] = i as u8;
+            work.swap(k, i);
+        }
+        (rank, perm)
     }
 
     /// [`NodeState::canonicalize`] on the packed form: the least member
-    /// of `state`'s orbit and the first relabeling that reaches it.
+    /// of `state`'s orbit and the first relabeling, in `perms_fixing`
+    /// order, that reaches it.
     ///
-    /// A candidate is compared with the best so far in the order its
-    /// encoding would be — the counters as their little-endian bytes (so
-    /// as `swap_bytes()`), `rate_ok`, the `reach` rows, `coterie`; process
-    /// sets fit one byte, so their byte order is their numeric order, and
-    /// the remaining fields are the same in every candidate — stopping at
-    /// the first field that differs. A field group no relabeling can
-    /// change (equal counters, a `rate_ok` holding all or none of the
-    /// movable processes, …) is skipped for the whole orbit, and a state
-    /// with nothing left to compare is its own representative.
+    /// Individualization–refinement, exact: the fields are fixed in the
+    /// order of their encoding, and a branch is cut only when its
+    /// encoding so far is greater than the least found. The counters
+    /// (compared as their little-endian bytes, so as `swap_bytes()`)
+    /// sort the movable processes into cells that take the movable labels
+    /// in key order; `rate_ok` splits each cell, its members first. Then
+    /// the `reach` rows, label by label: the fixed process's row splits
+    /// the cells, and at a movable label the search branches on the
+    /// members of the cell that owns the label, gives each the label and
+    /// splits the cells by its row. A set's image is least exactly when
+    /// its members take the lowest labels of each cell, so each split
+    /// keeps exactly the relabelings under which the row is least. Of
+    /// twins in one cell (processes whose exchange leaves the state as
+    /// it is) only the least is branched on: the others' branches are
+    /// its own composed with an automorphism. The leaves tie on
+    /// everything but `coterie`; the least `coterie` wins, and as every
+    /// exchange of twins in a winner ties with it, the first of those in
+    /// `perms_fixing` order is taken ([`Self::least_rank`]). A state
+    /// that every relabeling leaves as it is (equal counters and rows,
+    /// each set holding all or none of the movable processes) is its own
+    /// representative with no search.
     pub(crate) fn canonicalize(&self, state: &PackedState) -> (PackedState, Perm) {
-        let n = self.n;
+        let (n, f, m) = (self.n, self.fixed, self.n - 1);
         debug_assert_eq!(state.n as usize, n);
-        let mut key = [0u64; MAX_GRAPH_N];
-        for (k, &c) in key.iter_mut().zip(&state.counters) {
-            *k = c.swap_bytes();
-        }
-
-        // Which field groups every relabeling leaves as they are.
-        let symmetric = |set: u8| set & self.movable == 0 || set & self.movable == self.movable;
-        let movable = || (0..n).filter(|&i| self.movable & (1 << i) != 0);
-        let first = movable().next().unwrap_or(0);
-        let counters_fixed = movable().all(|i| key[i] == key[first]);
-        let rate_fixed = symmetric(state.rate_ok);
-        let rows_fixed = movable().all(|i| state.reach[i] == state.reach[first])
-            && state.reach[..n].iter().all(|&row| symmetric(row));
-        let coterie_fixed = symmetric(state.coterie);
-        if counters_fixed && rate_fixed && rows_fixed && coterie_fixed {
+        let key = |p: u8| state.counters[p as usize].swap_bytes();
+        let movable = !(1u8 << f) & mask_full(n) as u8;
+        let symmetric = |set: u8| set & movable == 0 || set & movable == movable;
+        let first = self.free[0] as usize;
+        let like_first = |&p: &u8| {
+            state.counters[p as usize] == state.counters[first]
+                && state.reach[p as usize] == state.reach[first]
+        };
+        let sets = [state.rate_ok, state.coterie];
+        if self.free().iter().all(like_first)
+            && sets
+                .iter()
+                .chain(&state.reach[..n])
+                .all(|&set| symmetric(set))
+        {
             return (*state, identity_perm());
         }
 
-        // The best candidate so far: its relabeling, and the state it
-        // yields with the counters still byte-swapped.
-        let mut best = &self.relabelings[0];
-        let mut canon = *state;
-        canon.counters = key;
-        for cand in &self.relabelings[1..] {
-            let counter = |new: usize| key[cand.inv[new] as usize];
-            let row = |new: usize| cand.image[state.reach[cand.inv[new] as usize] as usize];
-            let rate = || cand.image[state.rate_ok as usize];
-            let coterie = || cand.image[state.coterie as usize];
-            let mut order = Ordering::Equal;
-            if !counters_fixed {
-                order = (0..n).map(counter).cmp(canon.counters[..n].iter().copied());
+        // The movable processes in key order, one cell per key.
+        let mut sorted = self.free;
+        sorted[..m].sort_by_key(|&p| key(p));
+        let mut root = Branch::default();
+        for (k, &p) in sorted[..m].iter().enumerate() {
+            if k > 0 && key(p) == key(sorted[k - 1]) {
+                root.cells[root.len as usize - 1] |= 1 << p;
+            } else {
+                root.push(1 << p);
             }
-            if order.is_eq() && !rate_fixed {
-                order = rate().cmp(&canon.rate_ok);
-            }
-            if order.is_eq() && !rows_fixed {
-                order = (0..n).map(row).cmp(canon.reach[..n].iter().copied());
-            }
-            if order.is_eq() && !coterie_fixed {
-                order = coterie().cmp(&canon.coterie);
-            }
-            // Strictly smaller only: the first minimal relabeling wins.
-            if order.is_lt() {
-                best = cand;
-                for new in 0..n {
-                    canon.counters[new] = counter(new);
-                    canon.reach[new] = row(new);
+        }
+        root.refine(state.rate_ok);
+        // Twins share a cell of the root; none share a cell of singletons.
+        let twins = match root.len as usize == m {
+            true => std::array::from_fn(|p| 1 << p),
+            false => twins(state, &root),
+        };
+        let mut search = Search {
+            table: self,
+            state,
+            twins,
+            rows: [0; MAX_GRAPH_N],
+            best: None,
+        };
+        #[cfg(test)]
+        SEARCH_WORK.with(|work| {
+            let (searches, leaves) = work.get();
+            work.set((searches + 1, leaves));
+        });
+        search.descend(root, 0, 0, false);
+        let (canon, mut perm, rank) = search.best.expect("the search reaches a leaf");
+        if rank.is_none() && twins.iter().any(|class| class.count_ones() > 1) {
+            perm = self.least_rank(&perm, &twins).1;
+        }
+        (canon, perm)
+    }
+}
+
+/// Per process, its *twins*: the processes whose exchange with it leaves
+/// `state` as it is, itself included. Being twins is an equivalence, and
+/// every permutation within twin classes is an automorphism of `state`.
+/// Two processes are twins when they agree on their counter, `rate_ok`
+/// and `coterie`, every other process's row holds both or neither, and
+/// exchanging them maps one's row onto the other's; so twins share a
+/// cell of `root`, the partition by counter and `rate_ok`.
+fn twins(state: &PackedState, root: &Branch) -> [u8; MAX_GRAPH_N] {
+    let rows = state.rows();
+    let mut twins: [u8; MAX_GRAPH_N] = std::array::from_fn(|p| 1 << p);
+    for &cell in root.cells() {
+        for x in members(cell) {
+            for y in members(cell & u8::MAX << x & !(1 << x)) {
+                let pair = 1u8 << x | 1 << y;
+                let swap = |set: u8| match (set & pair).count_ones() {
+                    1 => set ^ pair,
+                    _ => set,
+                };
+                let own_rows = 0xff << (8 * x) | 0xff << (8 * y);
+                if swap(state.coterie) == state.coterie
+                    && ((rows >> x ^ rows >> y) & BYTE_LOW_BITS & !own_rows) == 0
+                    && swap(state.reach[x]) == state.reach[y]
+                {
+                    twins[x] |= 1 << y;
+                    twins[y] |= 1 << x;
                 }
-                canon.rate_ok = rate();
-                canon.coterie = coterie();
             }
         }
-        for c in &mut canon.counters {
-            *c = c.swap_bytes();
+    }
+    twins
+}
+
+/// One run of [`PermTable::canonicalize`]'s search, depth first.
+struct Search<'a> {
+    table: &'a PermTable,
+    state: &'a PackedState,
+    /// Per process, its twins ([`twins`]).
+    twins: [u8; MAX_GRAPH_N],
+    /// The rows of the best leaf so far, by label.
+    rows: [u8; MAX_GRAPH_N],
+    /// The best leaf so far: the state it relabels to, its relabeling,
+    /// and — once a tie made it the first of its twin exchanges — its
+    /// rank.
+    best: Option<(PackedState, Perm, Option<usize>)>,
+}
+
+impl Search<'_> {
+    /// A set's image from the movable positions its members take:
+    /// position `k` is label `k`, or `k + 1` from the fixed process on.
+    fn image(&self, set: u8, taken: u8) -> u8 {
+        let f = self.table.fixed;
+        let low = (1u8 << f) - 1;
+        (taken & low) | (taken & !low) << 1 | (set & 1 << f)
+    }
+
+    /// Searches below `branch`, whose rows are fixed up to `label` (cells
+    /// before `at` are singletons); `tied`: those rows equal the best
+    /// leaf's, else there is no best leaf or they are less than its.
+    fn descend(&mut self, branch: Branch, label: usize, at: usize, mut tied: bool) {
+        // Once every cell holds twins only, each relabeling consistent
+        // with the branch is any other composed with an automorphism: the
+        // branch is a leaf.
+        if branch
+            .cells()
+            .iter()
+            .all(|&cell| cell & !self.twins[cell.trailing_zeros() as usize] == 0)
+        {
+            return self.leaf(&branch, label, tied);
         }
-        (canon, best.perm)
+        let state = self.state;
+        if label == self.table.fixed {
+            let mut split = branch;
+            let row = state.reach[label];
+            let row = self.image(row, split.refine(row));
+            if let Some(tied) = self.offer(label, row, tied) {
+                self.descend(split, label + 1, at, tied);
+            }
+            return;
+        }
+        let cell = branch.cells[at];
+        for p in members(cell) {
+            // A twin's branch is the least twin's, relabeled.
+            if (self.twins[p] & cell).trailing_zeros() as usize != p {
+                continue;
+            }
+            let mut split = branch;
+            split.individualize(at, p);
+            let row = state.reach[p];
+            let row = self.image(row, split.refine(row));
+            if let Some(tied) = self.offer(label, row, tied) {
+                self.descend(split, label + 1, at + 1, tied);
+            }
+            // The best leaf is below this branch now, or was already.
+            tied = true;
+        }
+    }
+
+    /// Whether a branch whose row at `label` is `row` can still be least,
+    /// and then whether it ties with the best leaf's rows so far.
+    fn offer(&mut self, label: usize, row: u8, tied: bool) -> Option<bool> {
+        if tied && row > self.rows[label] {
+            return None;
+        }
+        let still = tied && row == self.rows[label];
+        self.rows[label] = row;
+        Some(still)
+    }
+
+    /// A branch whose cells hold twins only, relabeled with each cell's
+    /// members in ascending order; its rows from `label` on and its
+    /// coterie are compared with the best leaf's.
+    fn leaf(&mut self, branch: &Branch, label: usize, tied: bool) {
+        #[cfg(test)]
+        SEARCH_WORK.with(|work| {
+            let (searches, leaves) = work.get();
+            work.set((searches, leaves + 1));
+        });
+        let (n, f) = (self.table.n, self.table.fixed);
+        let mut perm = identity_perm();
+        let labels = (0..n).filter(|&l| l != f);
+        for (p, l) in branch
+            .cells()
+            .iter()
+            .flat_map(|&cell| members(cell))
+            .zip(labels)
+        {
+            perm[p] = l as u8;
+        }
+        let canon = self.state.permuted(&perm);
+        let rest = |s: &PackedState| (s.reach, s.coterie);
+        let order = match &self.best {
+            Some((best, ..)) if tied => {
+                let (rows, coterie) = rest(&canon);
+                let (best_rows, best_coterie) = rest(best);
+                (&rows[label..n], coterie).cmp(&(&best_rows[label..n], best_coterie))
+            }
+            _ => Ordering::Less,
+        };
+        match order {
+            Ordering::Less => {
+                self.rows[label..n].copy_from_slice(&canon.reach[label..n]);
+                self.best = Some((canon, perm, None));
+            }
+            Ordering::Equal => {
+                let (best, best_perm, rank) = self.best.expect("a tie has a best leaf");
+                let old = match rank {
+                    Some(rank) => (rank, best_perm),
+                    None => self.table.least_rank(&best_perm, &self.twins),
+                };
+                let (rank, perm) = old.min(self.table.least_rank(&perm, &self.twins));
+                self.best = Some((best, perm, Some(rank)));
+            }
+            Ordering::Greater => {}
+        }
     }
 }
 
@@ -458,37 +730,6 @@ fn permute_mask(mask: u32, perm: &Perm, n: usize) -> u32 {
         }
     }
     out
-}
-
-/// All permutations of `0..n` that fix `fixed`, in a deterministic
-/// order (Heap's algorithm over the free indices).
-fn perms_fixing(n: usize, fixed: usize) -> Vec<Perm> {
-    let free: Vec<u8> = (0..n as u8).filter(|&i| i as usize != fixed).collect();
-    let mut arrangements = Vec::new();
-    let mut work = free.clone();
-    permute_rec(&mut work, 0, &mut arrangements);
-    arrangements
-        .into_iter()
-        .map(|arr| {
-            let mut perm = identity_perm();
-            for (slot, &img) in free.iter().zip(arr.iter()) {
-                perm[*slot as usize] = img;
-            }
-            perm
-        })
-        .collect()
-}
-
-fn permute_rec(work: &mut Vec<u8>, k: usize, out: &mut Vec<Vec<u8>>) {
-    if k == work.len() {
-        out.push(work.clone());
-        return;
-    }
-    for i in k..work.len() {
-        work.swap(k, i);
-        permute_rec(work, k + 1, out);
-        work.swap(k, i);
-    }
 }
 
 /// Seed of the fingerprint keys. Fixed, not configurable: fingerprints
@@ -584,6 +825,48 @@ fn finalize(mut x: u64) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Per thread, for the work pins: canonicalizations that searched,
+    /// and the relabelings — the leaves of their searches — they
+    /// compared.
+    pub(crate) static SEARCH_WORK: std::cell::Cell<(u64, u64)> =
+        const { std::cell::Cell::new((0, 0)) };
+}
+
+/// All permutations of `0..n` that fix `fixed`, in a deterministic
+/// order (Heap's algorithm over the free indices).
+#[cfg(test)]
+fn perms_fixing(n: usize, fixed: usize) -> Vec<Perm> {
+    let free: Vec<u8> = (0..n as u8).filter(|&i| i as usize != fixed).collect();
+    let mut arrangements = Vec::new();
+    let mut work = free.clone();
+    permute_rec(&mut work, 0, &mut arrangements);
+    arrangements
+        .into_iter()
+        .map(|arr| {
+            let mut perm = identity_perm();
+            for (slot, &img) in free.iter().zip(arr.iter()) {
+                perm[*slot as usize] = img;
+            }
+            perm
+        })
+        .collect()
+}
+
+#[cfg(test)]
+fn permute_rec(work: &mut Vec<u8>, k: usize, out: &mut Vec<Vec<u8>>) {
+    if k == work.len() {
+        out.push(work.clone());
+        return;
+    }
+    for i in k..work.len() {
+        work.swap(k, i);
+        permute_rec(work, k + 1, out);
+        work.swap(k, i);
+    }
 }
 
 #[cfg(test)]
@@ -703,6 +986,67 @@ mod tests {
         });
     }
 
+    /// `s` made invariant under the relabeling `h` and its powers:
+    /// counters constant and sets closed on `h`'s cycles, and each
+    /// cycle's rows the images of its first member's.
+    fn symmetrized(mut s: NodeState, h: &Perm) -> NodeState {
+        let n = s.n();
+        let mut powers = vec![identity_perm()];
+        while compose_perm(h, powers.last().unwrap()) != identity_perm() {
+            powers.push(compose_perm(h, powers.last().unwrap()));
+        }
+        // The union of `set`'s images under the powers of `h^step`.
+        let closed = |set: u32, step: usize| {
+            (0..powers.len())
+                .step_by(step)
+                .fold(0, |u, t| u | permute_mask(set, &powers[t], n))
+        };
+        let mut seen = 0u32;
+        for z in 0..n {
+            if seen & 1 << z != 0 {
+                continue;
+            }
+            let mut cycle = vec![z];
+            while h[cycle[cycle.len() - 1]] as usize != z {
+                cycle.push(h[cycle[cycle.len() - 1]] as usize);
+            }
+            cycle.iter().for_each(|&p| seen |= 1 << p);
+            let base = closed(s.reach[z], cycle.len());
+            for (j, &p) in cycle.iter().enumerate() {
+                s.reach[p] = permute_mask(base, &powers[j], n);
+                s.counters[p] = s.counters[z];
+            }
+        }
+        s.rate_ok = closed(s.rate_ok, 1);
+        s.coterie = closed(s.coterie, 1);
+        s
+    }
+
+    /// States with automorphisms that are not products of twin
+    /// exchanges — a double transposition, a three-cycle — and their
+    /// relabelings: the representative and the first minimal relabeling
+    /// still match the brute-force canonicalizer's.
+    #[test]
+    fn canonicalize_matches_the_reference_on_symmetric_states() {
+        ftss_rng::check::forall(300, |g| {
+            let n = g.gen_range(3..=MAX_GRAPH_N as u64) as usize;
+            let faulty = g.gen_range(0..n as u64) as usize;
+            let perms = perms_fixing(n, faulty);
+            let pick = |g: &mut Gen| perms[g.gen_range(0..perms.len() as u64) as usize];
+            let h = pick(g);
+            let s = symmetrized(arbitrary_state(g, n, faulty), &h);
+            assert_eq!(s.permuted(&h), s, "{h:?}");
+            for state in [s.clone(), s.permuted(&pick(g))] {
+                let got = state.canonicalize(ProcessId(faulty));
+                assert_eq!(
+                    got,
+                    state.canonicalize_reference(ProcessId(faulty)),
+                    "{state:?}"
+                );
+            }
+        });
+    }
+
     /// Counters are ordered by their little-endian encoding, not by
     /// value: 256 = `00 01 00…` sorts before 1 = `01 00 00…`.
     #[test]
@@ -715,21 +1059,20 @@ mod tests {
         assert_eq!(s.canonicalize(ProcessId(0)).1, identity_perm());
     }
 
+    /// The tie-break ranks every relabeling by its place in
+    /// `perms_fixing` order.
     #[test]
     fn table_lists_relabelings_in_perms_fixing_order() {
         for n in 1..=MAX_GRAPH_N {
             for fixed in 0..n {
-                let table = PermTable::get(n, ProcessId(fixed));
-                let perms = perms_fixing(n, fixed);
-                assert_eq!(table.relabelings.len(), perms.len());
-                for (entry, perm) in table.relabelings.iter().zip(&perms) {
-                    assert_eq!(entry.perm, *perm, "n={n} fixed={fixed}");
-                    for (old, &new) in perm.iter().enumerate().take(n) {
-                        assert_eq!(entry.inv[new as usize] as usize, old);
-                    }
-                    for set in 0..1u32 << n {
-                        assert_eq!(entry.image[set as usize] as u32, permute_mask(set, perm, n));
-                    }
+                let table = PermTable::new(n, ProcessId(fixed));
+                let alone: [u8; MAX_GRAPH_N] = std::array::from_fn(|p| 1 << p);
+                for (at, perm) in perms_fixing(n, fixed).iter().enumerate() {
+                    assert_eq!(
+                        table.least_rank(perm, &alone),
+                        (at, *perm),
+                        "n={n} fixed={fixed}"
+                    );
                 }
             }
         }

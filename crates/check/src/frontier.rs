@@ -64,7 +64,7 @@ use crate::runbuild::RunBuilder;
 use crate::shrink::shrink_with;
 use ftss::core::{ProcessId, RoundCounter};
 use ftss::protocols::{RoundAgreement, RoundAgreementState};
-use ftss::sync_sim::SyncStepper;
+use ftss::sync_sim::{SyncProtocol, SyncStepper};
 use std::collections::hash_map::Entry;
 
 /// The largest stabilization time a graph search supports: the stable
@@ -389,16 +389,21 @@ struct Outcome {
 /// One process's round out of `parent` per call: `(j, heard)` gives the
 /// next counter and causal reach of process `j` when it hears exactly the
 /// senders in the set `heard` (its own copy always). The [`SyncStepper`]
-/// — the protocol's real step function — gives the counter; every heard
-/// sender adds itself, and what it had reached, to `j`'s reach.
-fn transitions(parent: &PackedState, n: usize) -> impl FnMut(usize, u8) -> (u64, u8) {
+/// — `protocol`'s real step function, round agreement's outside the
+/// tests — gives the counter, from the parent's broadcasts computed once;
+/// every heard sender adds itself, and what it had reached, to `j`'s
+/// reach.
+fn transitions<P>(protocol: P, parent: &PackedState, n: usize) -> impl FnMut(usize, u8) -> (u64, u8)
+where
+    P: SyncProtocol<State = RoundAgreementState>,
+{
     let states: Vec<RoundAgreementState> = parent.counters[..n]
         .iter()
         .map(|&c| RoundAgreementState {
             c: RoundCounter::new(c),
         })
         .collect();
-    let mut stepper = SyncStepper::new(RoundAgreement, states);
+    let mut stepper = SyncStepper::new(protocol, states);
     let parent_reach = parent.reach;
     move |j, heard| {
         let hears = |s: usize| s != j && heard & 1 << s != 0;
@@ -579,7 +584,7 @@ fn for_each_edge(
 ) {
     let n = cfg.n;
     let f = cfg.faulty.index();
-    let table = PermTable::get(n, cfg.faulty);
+    let table = PermTable::new(n, cfg.faulty);
     let drop_bit = drop_bits(n, pairs);
     let everyone = mask_full(n) as u8;
 
@@ -681,7 +686,7 @@ fn expand(
         violation: None,
         fresh: Vec::new(),
     };
-    let step = transitions(parent, cfg.n);
+    let step = transitions(RoundAgreement, parent, cfg.n);
     for_each_edge(parent, cfg, pairs, fper, step, |edge| {
         if edge.perm != identity_perm() {
             out.orbit_hits += u64::from(edge.masks);
@@ -910,7 +915,9 @@ fn search(cfg: &GraphConfig) -> Result<(GraphReport, FpMap<Visited>), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::SEARCH_WORK;
     use crate::oracle::thm3_round_agreement;
+    use ftss::sync_sim::{Inbox, ProtocolCtx};
     use ftss_rng::Rng;
 
     /// One edge out of an arbitrary (not necessarily canonical) node, in
@@ -969,7 +976,7 @@ mod tests {
         fper: &Fingerprinter,
         mut visit: impl FnMut(Edge),
     ) {
-        let table = PermTable::get(cfg.n, cfg.faulty);
+        let table = PermTable::new(cfg.n, cfg.faulty);
         let mut round = rounds(parent, cfg, pairs);
         for mask in 0..1u32 << cfg.mask_bits() {
             let child = child_of(parent, cfg, round(mask), parent.deviated || mask != 0);
@@ -1098,7 +1105,7 @@ mod tests {
         let pairs = eligible_pairs(cfg.n, cfg.faulty);
         let fper = Fingerprinter::new();
         let mut classes = Vec::new();
-        let step = transitions(parent, cfg.n);
+        let step = transitions(RoundAgreement, parent, cfg.n);
         for_each_edge(parent, cfg, &pairs, &fper, step, |e| classes.push(e));
         let mut per_mask = Vec::new();
         for_each_edge_per_mask(parent, cfg, &pairs, &fper, |e| per_mask.push(e));
@@ -1180,7 +1187,7 @@ mod tests {
         let cfg = node_config(2, ProcessId(1), 2);
         let pairs = eligible_pairs(2, ProcessId(1));
         let mut violating = Vec::new();
-        let step = transitions(&parent, cfg.n);
+        let step = transitions(RoundAgreement, &parent, cfg.n);
         for_each_edge(&parent, &cfg, &pairs, &Fingerprinter::new(), step, |e| {
             if e.violation.is_some() {
                 violating.push(e.mask);
@@ -1210,11 +1217,44 @@ mod tests {
         }
     }
 
+    /// Round agreement, counting its broadcasts into `.0`.
+    struct CountBroadcasts<'a>(&'a std::cell::Cell<u64>);
+
+    impl SyncProtocol for CountBroadcasts<'_> {
+        type State = RoundAgreementState;
+        type Msg = u64;
+        const JOINS_INBOX: bool = RoundAgreement::JOINS_INBOX;
+        fn name(&self) -> &str {
+            RoundAgreement.name()
+        }
+        fn init_state(&self, ctx: &ProtocolCtx) -> RoundAgreementState {
+            RoundAgreement.init_state(ctx)
+        }
+        fn sends(&self, ctx: &ProtocolCtx, s: &RoundAgreementState) -> bool {
+            RoundAgreement.sends(ctx, s)
+        }
+        fn broadcast(&self, ctx: &ProtocolCtx, s: &RoundAgreementState) -> u64 {
+            self.0.set(self.0.get() + 1);
+            RoundAgreement.broadcast(ctx, s)
+        }
+        fn step(&self, ctx: &ProtocolCtx, s: &mut RoundAgreementState, inbox: &Inbox<u64>) {
+            RoundAgreement.step(ctx, s, inbox)
+        }
+        fn join(&self, acc: &mut u64, m: &u64) {
+            RoundAgreement.join(acc, m)
+        }
+        fn step_joined(&self, ctx: &ProtocolCtx, s: &mut RoundAgreementState, max: &u64) {
+            RoundAgreement.step_joined(ctx, s, max)
+        }
+    }
+
     /// The work `cfg`'s search does in its expansions, counted by walking
     /// each node it expands (a fixpoint's every node, or with
     /// `rounds: Some(d)` the nodes less than `d` edges from the root)
-    /// again: `[nodes, classes judged, process steps, masks]`.
-    fn walk_counts(cfg: &GraphConfig) -> [u64; 4] {
+    /// again: `[nodes, classes judged, process steps, masks, broadcast
+    /// phases, canonicalizations that searched, relabelings they
+    /// compared]`.
+    fn walk_counts(cfg: &GraphConfig) -> [u64; 7] {
         let (report, visited) = search(cfg).unwrap();
         let pairs = eligible_pairs(cfg.n, cfg.faulty);
         let fper = Fingerprinter::new();
@@ -1227,12 +1267,14 @@ mod tests {
             depth
         };
         let [mut nodes, mut classes, mut stepped, mut masks] = [0u64; 4];
+        let broadcasts = std::cell::Cell::new(0);
+        let searched_before = SEARCH_WORK.get();
         for (&fp, node) in &visited {
             if cfg.rounds.is_some_and(|d| depth(fp) >= d) {
                 continue;
             }
             nodes += 1;
-            let mut step = transitions(&node.state, cfg.n);
+            let mut step = transitions(CountBroadcasts(&broadcasts), &node.state, cfg.n);
             let counted = |j, heard| {
                 stepped += 1;
                 step(j, heard)
@@ -1243,7 +1285,13 @@ mod tests {
             });
         }
         assert_eq!(masks, report.expansions, "{cfg:?}");
-        [nodes, classes, stepped, masks]
+        let (searches, relabelings) = SEARCH_WORK.get();
+        let phases = broadcasts.get() / cfg.n as u64;
+        let work = [
+            searches - searched_before.0,
+            relabelings - searched_before.1,
+        ];
+        [nodes, classes, stepped, masks, phases, work[0], work[1]]
     }
 
     /// The class walk's work, pinned as counts rather than a clock: on
@@ -1251,18 +1299,24 @@ mod tests {
     /// (two layers) classes on average for its 1 024 masks, and takes
     /// 2^(n−1) + 2(n−1) = 42 process steps. A per-mask loop, or a
     /// whole-round one (n steps per inbox of the faulty process), coming
-    /// back fails here on any machine.
+    /// back fails here on any machine. The steps share one broadcast
+    /// phase per node, and a canonicalization that searches compares
+    /// COMMENT
     #[test]
     fn class_walk_work_is_pinned() {
         let two_layers = GraphConfig {
             rounds: Some(2),
             ..GraphConfig::fixpoint(6, 7)
         };
-        let [nodes, classes, stepped, _] = walk_counts(&two_layers);
+        let [nodes, classes, stepped, _, phases, searches, relabelings] = walk_counts(&two_layers);
         assert_eq!((nodes, classes, stepped), (225, 2_362, 225 * 42));
-        let [nodes, classes, stepped, _] = walk_counts(&GraphConfig::fixpoint(6, 7));
+        assert_eq!((phases, searches, relabelings), (225, 2_111, 5_097));
+        let [nodes, classes, stepped, _, phases, searches, relabelings] =
+            walk_counts(&GraphConfig::fixpoint(6, 7));
         assert_eq!((nodes, classes, stepped), (573, 4_917, 573 * 42));
+        assert_eq!((phases, searches, relabelings), (573, 4_268, 11_910));
     }
+
     #[test]
     fn eligible_pairs_match_the_tape_consultation_order() {
         let pairs = eligible_pairs(3, ProcessId(0));

@@ -39,8 +39,9 @@
 //! records provenance.
 //!
 //! The parser is strict: unknown keys, duplicate keys, trailing
-//! `key: value` garbage and a system no mode explores (`n` outside
-//! `2..=MAX_GRAPH_N`, `faulty ≥ n`) are all rejected — a schedule file
+//! `key: value` garbage, a system no mode explores (`n` outside
+//! `2..=MAX_GRAPH_N`, `faulty ≥ n`) and a round count no writer reaches
+//! (`rounds` outside `1..=MAX_SCHEDULE_ROUNDS`) are all rejected — a schedule file
 //! that parses is exactly one a v1 writer (graph mode, or the earlier
 //! enumerator) would write.
 
@@ -52,6 +53,14 @@ use ftss::telemetry::TraceSink;
 
 /// The version line every schedule file starts with.
 const HEADER: &str = "ftss-check schedule v1";
+
+/// The most rounds a schedule file may name. A graph witness's rounds are
+/// its search depth, and a search closes a few layers after the stable
+/// window's length saturates at `stabilization + 2 ≤ 255` (depth 256 at
+/// stabilization 253, n = 3, 4 and 5); the earlier tape enumerator's
+/// tapes were shorter still. A replay records every round unwindowed, so
+/// a file naming more is refused rather than run.
+const MAX_SCHEDULE_ROUNDS: u64 = 1024;
 
 /// The keys this version writes — and the only ones it accepts.
 const KNOWN_KEYS: [&str; 10] = [
@@ -142,8 +151,8 @@ impl ScheduleFile {
     }
 
     /// Parses a schedule file, rejecting unknown versions, missing or
-    /// duplicate keys, malformed values, and a system size or faulty
-    /// process no mode writes.
+    /// duplicate keys, malformed values, and a system size, faulty
+    /// process or round count no mode writes.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text
             .lines()
@@ -220,10 +229,18 @@ impl ScheduleFile {
                 "schedule faulty = {faulty} is not a process of n = {n}"
             ));
         }
+        // A witness reaches its violation in some round, within the
+        // ceiling.
+        let rounds = num("rounds")?;
+        if !(1..=MAX_SCHEDULE_ROUNDS).contains(&rounds) {
+            return Err(format!(
+                "schedule rounds = {rounds} is outside 1..={MAX_SCHEDULE_ROUNDS}"
+            ));
+        }
         Ok(ScheduleFile {
             cfg: DfsConfig {
                 n: n as usize,
-                rounds: num("rounds")? as usize,
+                rounds: rounds as usize,
                 corruption_seed: num("corruption-seed")?,
                 faulty: ProcessId(faulty as usize),
                 tape_bound: num("tape-bound")? as usize,
@@ -396,7 +413,9 @@ mod tests {
 
     /// What no mode writes is refused at parse time: each of these once
     /// reached the run and panicked (`faulty` outside the universe,
-    /// `n = 0`) or aborted on a terabyte allocation (`n = 3000000`).
+    /// `n = 0`), aborted on a terabyte allocation (`n = 3000000`), or
+    /// replayed `u64::MAX` rounds into an unwindowed history (`rounds`;
+    /// `rounds: 0` replayed a run of no round).
     #[test]
     fn parse_rejects_a_system_no_mode_writes() {
         let text = sample().serialize();
@@ -406,6 +425,13 @@ mod tests {
             ("n: 3\n", "n: 1\n", "outside 2..=6"),
             ("n: 3\n", "n: 7\n", "outside 2..=6"),
             ("n: 3\n", "n: 3000000\n", "outside 2..=6"),
+            ("rounds: 2\n", "rounds: 0\n", "outside 1..=1024"),
+            ("rounds: 2\n", "rounds: 1025\n", "outside 1..=1024"),
+            (
+                "rounds: 2\n",
+                "rounds: 18446744073709551615\n",
+                "outside 1..=1024",
+            ),
         ] {
             let bad = text.replace(from, to);
             assert_ne!(bad, text);

@@ -235,6 +235,12 @@ impl RowTable {
         self.pool[words].fill(0);
     }
 
+    /// Zeroes `p`'s row of `kind`: its handed-out row, or the zero row.
+    fn clear_row(&mut self, kind: usize, p: ProcessId) {
+        let at = self.slots[p.index()][kind] as usize;
+        self.pool[at..at + self.wpr].fill(0);
+    }
+
     /// Takes every row back from its owner.
     fn release(&mut self) {
         for (p, kind) in self.handed.drain(..) {
@@ -1042,6 +1048,20 @@ impl<S, M> RoundHistory<S, M> {
         self.msgs.set_bit(HEARD, dst, src);
     }
 
+    /// Forgets every copy recorded as reaching `dst`, and nothing else —
+    /// for a caller that keeps a dense frame to itself and records one
+    /// receiver's row at a time over the same broadcasts (the stepper's
+    /// one-process step).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame has a clean block, opened or recorded.
+    pub fn clear_deliveries(&mut self, dst: ProcessId) {
+        let m = &mut self.msgs;
+        assert!(!m.opened && !m.recorded, "a frame with a clean block");
+        m.rows.clear_row(HEARD, dst);
+    }
+
     /// Declares, before any copy is recorded, the receiving side of the
     /// round's clean block; [`Self::record_clean_block`] must close it
     /// with the same `dsts`. The frame then stores only the copies with
@@ -1813,6 +1833,41 @@ mod tests {
         // Width change re-allocates.
         rh.reset(3);
         assert_eq!(rh, RH::empty(3));
+    }
+
+    /// Clearing a receiver's deliveries empties its row alone: the
+    /// broadcasts, the sent rows and every other receiver stay as they
+    /// were, and the row records afresh.
+    #[test]
+    fn clear_deliveries_forgets_one_receiver() {
+        let mut rh = round(&[&[(1, Delivered)], &[(0, Delivered)], &[]], &[]);
+        for (dst, src) in [(1, 0), (0, 1), (1, 1), (2, 2)] {
+            rh.record_delivery(ProcessId(dst), ProcessId(src));
+        }
+        let before = rh.clone();
+        rh.clear_deliveries(ProcessId(1));
+        assert!(rh.msgs().deliveries(ProcessId(1)).is_empty());
+        assert_eq!(rh.msgs().delivered_count(ProcessId(0)), 1);
+        assert_eq!(rh.msgs().delivered_count(ProcessId(2)), 1);
+        assert_eq!(rh.msgs().sent_count(ProcessId(0)), 1);
+        assert!(rh.msgs().broadcast_of(ProcessId(0)).is_some());
+        // A receiver that owns no row yet clears to what it was.
+        let mut fresh = RH::empty(3);
+        fresh.clear_deliveries(ProcessId(2));
+        assert_eq!(fresh, RH::empty(3));
+        for src in [0, 1] {
+            rh.record_delivery(ProcessId(1), ProcessId(src));
+        }
+        assert_eq!(rh, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "a frame with a clean block")]
+    fn clear_deliveries_refuses_a_block() {
+        let mut rh = RH::empty(2);
+        let all = ProcessSet::from_iter_n(2, [ProcessId(0), ProcessId(1)]);
+        rh.open_clean_block(&all);
+        rh.clear_deliveries(ProcessId(0));
     }
 
     /// Late arrivals are their receiver's `late()`, in hold order, and

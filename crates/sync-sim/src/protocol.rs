@@ -149,6 +149,26 @@ impl<'a, M> Inbox<'a, M> {
     }
 }
 
+/// Steps `state` on the join of `joined` and then of each of `rest`, in
+/// that order: a [`SyncProtocol::JOINS_INBOX`] receiver's step from its
+/// messages alone, with no inbox built — the in-process exchange's
+/// clean-block shortcut and the stepper's folded step both go through it.
+pub(crate) fn step_folded<'m, P>(
+    protocol: &P,
+    ctx: &ProtocolCtx,
+    state: &mut P::State,
+    mut joined: P::Msg,
+    rest: impl Iterator<Item = &'m P::Msg>,
+) where
+    P: SyncProtocol + ?Sized,
+    P::Msg: 'm,
+{
+    for m in rest {
+        protocol.join(&mut joined, m);
+    }
+    protocol.step_joined(ctx, state, &joined);
+}
+
 /// Iterator over an [`Inbox`]'s `(sender, payload)` pairs in inbox order.
 #[derive(Clone, Debug)]
 pub struct InboxIter<'a, M> {

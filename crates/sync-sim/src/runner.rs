@@ -29,7 +29,7 @@
 //! after every round, which is how windowed oracles are driven.
 
 use crate::adversary::Adversary;
-use crate::protocol::{Inbox, ProtocolCtx, SyncProtocol};
+use crate::protocol::{step_folded, Inbox, ProtocolCtx, SyncProtocol};
 use crate::round::{Exchange, RoundKernel};
 use ftss_core::{ConfigError, Corrupt, Deliveries, History, ProcessId, RoundMsgs};
 use ftss_telemetry::{NullSink, TraceSink};
@@ -389,11 +389,14 @@ impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
             // copies recorded one by one, forged ones included, and its
             // late arrivals.
             Some(join) if P::JOINS_INBOX && inbox.in_block() => {
-                let mut joined = join.clone();
-                for (_, m) in inbox.off_block().chain(inbox.late()) {
-                    self.protocol.join(&mut joined, m);
-                }
-                self.protocol.step_joined(&ctx, state, &joined);
+                let rest = inbox.off_block().chain(inbox.late());
+                step_folded(
+                    self.protocol,
+                    &ctx,
+                    state,
+                    join.clone(),
+                    rest.map(|(_, m)| &**m),
+                );
             }
             _ => self
                 .protocol

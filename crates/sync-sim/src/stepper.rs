@@ -23,6 +23,17 @@
 //! holds it to [`SyncStepper::step_round`]). [`SyncRunner`](crate::SyncRunner)
 //! is the whole round's reference instead
 //! (`stepper_matches_runner_under_omission_tapes`).
+//!
+//! The broadcasts of the current global state are computed once — when
+//! the stepper is built and at the end of every
+//! [`step_round`](SyncStepper::step_round) — so a graph node pays one
+//! broadcast phase, however many processes and inboxes it steps. A
+//! one-process step reads only the process's heard senders: a
+//! [`SyncProtocol::JOINS_INBOX`] protocol joins their cached payloads in
+//! ascending sender order and steps on the join (the in-process
+//! exchange's shortcut, through the same helper); any other protocol
+//! steps on the process's row of the frame, rewritten for the call.
+//!
 //! Phase semantics are the kernel's, for the crash-free slice of the
 //! model the explorer covers:
 //!
@@ -38,10 +49,9 @@
 //! explorer's omission schedules (and Theorem 3's fault model for them)
 //! are crash-free.
 
-use crate::protocol::{Inbox, ProtocolCtx, SyncProtocol};
+use crate::protocol::{step_folded, Inbox, ProtocolCtx, SyncProtocol};
 use ftss_core::{Corrupt, Payload, ProcessId, RoundHistory};
 use ftss_rng::StdRng;
-use std::ops::Range;
 
 /// A resumable, clonable one-round-at-a-time executor over a protocol's
 /// global state. See the module docs for the exact semantics contract.
@@ -50,15 +60,14 @@ pub struct SyncStepper<P: SyncProtocol> {
     protocol: P,
     n: usize,
     states: Vec<P::State>,
-    // Round scratch, kept across rounds so that a steady-state round
-    // allocates nothing.
-    /// The round's traffic, in the runner's own frame type: broadcast
-    /// slots plus the (dense) delivery rows the inbox views read. States are
-    /// not recorded.
+    /// The next round's traffic, in the runner's own frame type: the
+    /// broadcasts of [`states`](Self::states), computed once per global
+    /// state, plus the (dense) delivery rows the inbox views read — clear
+    /// between calls. States are not recorded.
     frame: RoundHistory<P::State, P::Msg>,
-    /// Slot `i`: process `i`'s last broadcast payload, taken back from
-    /// the frame at the start of the next round and refilled in place if
-    /// `i` sends again.
+    /// Round scratch, kept so that a steady-state round allocates
+    /// nothing: slot `i` holds process `i`'s last broadcast payload while
+    /// the frame is reset, to be refilled in place if `i` sends again.
     payloads: Vec<Option<Payload<P::Msg>>>,
 }
 
@@ -67,13 +76,15 @@ impl<P: SyncProtocol> SyncStepper<P> {
     /// The next [`step_round`](Self::step_round) executes observer round 1.
     pub fn new(protocol: P, states: Vec<P::State>) -> Self {
         let n = states.len();
-        SyncStepper {
+        let mut stepper = SyncStepper {
             protocol,
             n,
             states,
             frame: RoundHistory::empty(n),
             payloads: std::iter::repeat_with(|| None).take(n).collect(),
-        }
+        };
+        stepper.broadcast_phase();
+        stepper
     }
 
     /// A stepper whose initial global state reproduces
@@ -107,9 +118,21 @@ impl<P: SyncProtocol> SyncStepper<P> {
     ///
     /// Runs `run_to_round`-style resumption: call repeatedly to advance,
     /// clone the stepper to branch.
-    pub fn step_round(&mut self, deliver: impl FnMut(ProcessId, ProcessId) -> bool) {
+    pub fn step_round(&mut self, mut deliver: impl FnMut(ProcessId, ProcessId) -> bool) {
         let n = self.n;
-        self.broadcast_phase(0..n, deliver);
+        // Phase 1 (the broadcasts are cached): the delivery decision per
+        // copy into the rows of the frame.
+        for i in 0..n {
+            let src = ProcessId(i);
+            if self.frame.msgs().broadcast_of(src).is_none() {
+                continue;
+            }
+            for j in 0..n {
+                if i == j || deliver(src, ProcessId(j)) {
+                    self.frame.record_delivery(ProcessId(j), src);
+                }
+            }
+        }
         // Phase 2: every process steps on its delivered row
         // (ascending sender order) — the view the runner hands out, so no
         // envelope is ever built.
@@ -119,6 +142,7 @@ impl<P: SyncProtocol> SyncStepper<P> {
             let ctx = ProtocolCtx::new(dst, n);
             self.protocol.step(&ctx, &mut self.states[j], &inbox);
         }
+        self.broadcast_phase();
     }
 
     /// The state `p` steps to this round from the current global state
@@ -130,30 +154,48 @@ impl<P: SyncProtocol> SyncStepper<P> {
     ///
     /// A process's step reads only its own state and inbox, so a caller
     /// that needs each process's outcome under a few inboxes steps each
-    /// inbox once here instead of running whole rounds.
+    /// inbox once here instead of running whole rounds. The broadcasts
+    /// are the cached ones: a call reads only `p`'s heard senders. A
+    /// [`SyncProtocol::JOINS_INBOX`] protocol folds their payloads,
+    /// ascending, and steps on the join; any other protocol, and an empty
+    /// inbox, steps on `p`'s row of the frame, rewritten for the call.
     pub fn step_process(
         &mut self,
         p: ProcessId,
         mut heard: impl FnMut(ProcessId) -> bool,
     ) -> P::State {
         let j = p.index();
-        self.broadcast_phase(j..j + 1, |from, _| heard(from));
-        let inbox = Inbox::from_deliveries(self.frame.msgs().deliveries(p));
+        let ctx = ProtocolCtx::new(p, self.n);
         let mut state = self.states[j].clone();
-        self.protocol
-            .step(&ProtocolCtx::new(p, self.n), &mut state, &inbox);
+        if P::JOINS_INBOX {
+            let msgs = self.frame.msgs();
+            let mut joined = (0..self.n).filter_map(|i| {
+                let payload = msgs.broadcast_of(ProcessId(i))?;
+                (i == j || heard(ProcessId(i))).then_some(&**payload)
+            });
+            if let Some(first) = joined.next() {
+                step_folded(&self.protocol, &ctx, &mut state, first.clone(), joined);
+                return state;
+            }
+            // Nothing heard: `p`'s row is clear, so its view is empty.
+        } else {
+            for i in 0..self.n {
+                let src = ProcessId(i);
+                if self.frame.msgs().broadcast_of(src).is_some() && (i == j || heard(src)) {
+                    self.frame.record_delivery(p, src);
+                }
+            }
+        }
+        let inbox = Inbox::from_deliveries(self.frame.msgs().deliveries(p));
+        self.protocol.step(&ctx, &mut state, &inbox);
+        self.frame.clear_deliveries(p);
         state
     }
 
-    /// Phase 1 of a round: broadcasts from the round-start states, then
-    /// the delivery decision per copy into each receiver in `dsts` — the
-    /// rows of the frame that phase 2 reads. One shared payload per
-    /// broadcast, refilled in place from the previous round's.
-    fn broadcast_phase(
-        &mut self,
-        dsts: Range<usize>,
-        mut deliver: impl FnMut(ProcessId, ProcessId) -> bool,
-    ) {
+    /// The broadcasts of the current states, into a cleared frame: one
+    /// shared payload per sender, refilled in place from the previous
+    /// round's.
+    fn broadcast_phase(&mut self) {
         let n = self.n;
         for (i, slot) in self.payloads.iter_mut().enumerate() {
             if let Some(payload) = self.frame.take_broadcast(ProcessId(i)) {
@@ -176,11 +218,6 @@ impl<P: SyncProtocol> SyncStepper<P> {
                 None => Payload::new(msg),
             };
             self.frame.set_broadcast(src, payload);
-            for j in dsts.clone() {
-                if i == j || deliver(src, ProcessId(j)) {
-                    self.frame.record_delivery(ProcessId(j), src);
-                }
-            }
         }
     }
 }
@@ -251,6 +288,41 @@ mod tests {
                 s.0 = heard + senders;
             }
         }
+
+        /// `QuietGossip`'s silence with a folded step: a process adopts
+        /// the sum of what it heard, itself included, modulo 64 — so a
+        /// copy folded twice or skipped shows in the next state.
+        #[derive(Clone, Copy)]
+        pub struct SumGossip;
+        impl SyncProtocol for SumGossip {
+            type State = Val;
+            type Msg = u64;
+            const JOINS_INBOX: bool = true;
+            fn name(&self) -> &'static str {
+                "sum-gossip"
+            }
+            fn init_state(&self, _ctx: &ProtocolCtx) -> Val {
+                Val(1)
+            }
+            fn sends(&self, _ctx: &ProtocolCtx, s: &Val) -> bool {
+                !s.0.is_multiple_of(3)
+            }
+            fn broadcast(&self, _ctx: &ProtocolCtx, s: &Val) -> u64 {
+                s.0
+            }
+            fn step(&self, ctx: &ProtocolCtx, s: &mut Val, inbox: &Inbox<u64>) {
+                match inbox.joined(self) {
+                    Some(sum) => self.step_joined(ctx, s, &sum),
+                    None => s.0 += 1,
+                }
+            }
+            fn join(&self, acc: &mut u64, m: &u64) {
+                *acc += m;
+            }
+            fn step_joined(&self, _ctx: &ProtocolCtx, s: &mut Val, sum: &u64) {
+                s.0 = sum % 64;
+            }
+        }
     }
 
     /// The stepper must reproduce the runner round-for-round under an
@@ -308,44 +380,60 @@ mod tests {
     /// `step_process(p, heard)` is `p`'s state after the `step_round`
     /// whose decision for each copy `s → p` is `heard(s)`, consulted for
     /// the same senders in the same order, for every `p`; the stepper's
-    /// own states stay where they were. `QuietGossip` covers the senders
-    /// that decline to broadcast.
+    /// own states stay where they were. The calls are interleaved with
+    /// whole rounds and clones of the stepper, so the cached broadcasts
+    /// are held to the states they belong to; the reference round is a
+    /// new stepper's. `QuietGossip` and `SumGossip` cover the senders that
+    /// decline to broadcast, `SumGossip` the folded step.
     #[test]
     fn step_process_matches_a_whole_round() {
-        fn check<P>(protocol: P, states: &[P::State], drops: u64)
+        fn check<P>(protocol: P, g: &mut ftss_rng::check::Gen, states: Vec<P::State>)
         where
             P: SyncProtocol + Clone,
             P::State: PartialEq,
         {
             let n = states.len();
-            let decide = |from: ProcessId, to: ProcessId| {
-                (drops >> (from.index() * n + to.index())) & 1 == 0
-            };
-            let mut round = SyncStepper::new(protocol.clone(), states.to_vec());
-            let mut round_asked = Vec::new();
-            round.step_round(|from, to| {
-                round_asked.push((from, to));
-                decide(from, to)
-            });
-            let mut stepper = SyncStepper::new(protocol, states.to_vec());
-            for p in (0..n).map(ProcessId) {
-                let mut asked = Vec::new();
-                let next = stepper.step_process(p, |from| {
-                    asked.push((from, p));
-                    decide(from, p)
+            let mut stepper = SyncStepper::new(protocol.clone(), states);
+            for _ in 0..g.gen_range(1..6u64) {
+                let drops = g.next_u64();
+                let decide = |from: ProcessId, to: ProcessId| {
+                    (drops >> (from.index() * n + to.index())) & 1 == 0
+                };
+                let states = stepper.states().to_vec();
+                let mut round = SyncStepper::new(protocol.clone(), states.clone());
+                let mut round_asked = Vec::new();
+                round.step_round(|from, to| {
+                    round_asked.push((from, to));
+                    decide(from, to)
                 });
-                assert_eq!(next, round.states()[p.index()], "{p}");
-                let want: Vec<_> = round_asked.iter().filter(|c| c.1 == p).collect();
-                assert_eq!(asked.iter().collect::<Vec<_>>(), want, "{p}");
-                assert_eq!(stepper.states(), states, "{p} advanced the stepper");
+                match g.gen_range(0..3u64) {
+                    0 => {
+                        for p in (0..n).map(ProcessId) {
+                            let mut asked = Vec::new();
+                            let next = stepper.step_process(p, |from| {
+                                asked.push((from, p));
+                                decide(from, p)
+                            });
+                            assert_eq!(next, round.states()[p.index()], "{p}");
+                            let want: Vec<_> = round_asked.iter().filter(|c| c.1 == p).collect();
+                            assert_eq!(asked.iter().collect::<Vec<_>>(), want, "{p}");
+                            assert_eq!(stepper.states(), states, "{p} advanced the stepper");
+                        }
+                    }
+                    1 => {
+                        stepper.step_round(decide);
+                        assert_eq!(stepper.states(), round.states());
+                    }
+                    _ => stepper = stepper.clone(),
+                }
             }
         }
         ftss_rng::check::forall(60, |g| {
             let n = g.gen_range(2..7u64) as usize;
             let states: Vec<Val> = (0..n).map(|_| Val(g.gen_range(0..64))).collect();
-            let drops = g.next_u64();
-            check(MaxGossip, &states, drops);
-            check(QuietGossip, &states, drops);
+            check(MaxGossip, g, states.clone());
+            check(QuietGossip, g, states.clone());
+            check(SumGossip, g, states);
         });
     }
 

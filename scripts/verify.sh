@@ -43,9 +43,10 @@ run cargo clippy --all-targets -- -D warnings
 # `measured_stabilization_time` and `window_stabilization`; a third is
 # the loop reappearing under another name.
 # One folded driver (DESIGN.md §16): the kernel hands the clean block to
-# the exchange from one place, and `InProcess::deliver` is the one caller
-# of `step_joined`; a second site of either is a second reading of the
-# inbox to keep equivalent to `step`.
+# the exchange from one place, and `step_folded` — through which
+# `InProcess::deliver` and `SyncStepper::step_process` fold an inbox — is
+# the one caller of `step_joined`; a second site of either is a second
+# reading of the inbox to keep equivalent to `step`.
 # One clean block per round, opened and recorded by the kernel alone: a
 # copy inside the block must never also be a table bit (DESIGN.md §12),
 # only the walk knows which copies it skipped, and only the walk knows the
@@ -57,7 +58,7 @@ run cargo clippy --all-targets -- -D warnings
 # of the storm program coming back.
 # (Test modules sit at the end of their file, behind `#[cfg(test)]`;
 # definitions and comment lines are not call sites.)
-echo "==> call sites of drop_copy / forge_copy / delay_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at / check_edge / step_process / step_round"
+echo "==> call sites of drop_copy / forge_copy / delay_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at / check_edge / step_process / step_round / relabeling scans"
 call_sites() { # <expected count> <call regex> <source dir>...
     local want="$1" call="$2" sites
     shift 2
@@ -135,6 +136,10 @@ call_sites 0 'Inbox::new\(' crates/sync-sim/src
 call_sites 1 'check_edge\(' crates/check/src
 call_sites 1 '\.step_process\(' crates/check/src
 call_sites 0 '\.step_round\(' crates/check/src
+# A canonicalization searches the relabelings by refinement (DESIGN.md
+# §14); a whole-table scan of them outside the tests is the (n−1)!-candidate
+# loop coming back.
+call_sites 0 'relabelings(\[1\.\.\]|\.iter\(\))' crates/check/src
 
 # DESIGN.md §3 is the crate inventory: every crates/* directory has a
 # row, and every key module a row names is a file of that crate.

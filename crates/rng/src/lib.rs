@@ -129,6 +129,7 @@ impl Xoshiro256StarStar {
     }
 
     /// The next 64-bit output (reference algorithm, verbatim).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -143,6 +144,7 @@ impl Xoshiro256StarStar {
 }
 
 impl Rng for Xoshiro256StarStar {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         Xoshiro256StarStar::next_u64(self)
     }
@@ -236,6 +238,65 @@ pub trait Rng {
 impl<R: Rng + ?Sized> Rng for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
+    }
+}
+
+/// [`Rng::gen_bool`] at a fixed `p`, as one integer comparison: the
+/// float threshold is turned into an integer once, so a hot loop pays a
+/// draw and a compare, and no branch on the outcome. Draw for draw the
+/// same as `gen_bool(p)`, `p = 1.0` included (always true, a draw still
+/// consumed).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Bernoulli {
+    /// A draw `d` hits iff `d < below`, or `always`.
+    below: u64,
+    always: bool,
+}
+
+impl Bernoulli {
+    /// The threshold of `gen_bool(p)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0.0 <= p <= 1.0`, as `gen_bool` does.
+    pub fn new(p: f64) -> Bernoulli {
+        assert!((0.0..=1.0).contains(&p), "gen_bool: p = {p} not in [0, 1]");
+        if p >= 1.0 {
+            return Bernoulli {
+                below: 0,
+                always: true,
+            };
+        }
+        // `gen_bool` hits iff `d as f64 < scaled`. The conversion is
+        // monotone in `d`, so the hits are a prefix of the draws: bisect
+        // for its end, the least `d` whose float reaches `scaled` (one
+        // exists, since `scaled < 2^64 = u64::MAX as f64`).
+        let scaled = p * 18_446_744_073_709_551_616.0;
+        let (mut lo, mut hi) = (0u64, u64::MAX);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if mid as f64 >= scaled {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Bernoulli {
+            below: lo,
+            always: false,
+        }
+    }
+
+    /// Whether the raw draw `draw` is a hit.
+    #[inline]
+    pub fn hit(self, draw: u64) -> bool {
+        (draw < self.below) | self.always
+    }
+
+    /// One draw from `rng`, as `rng.gen_bool(p)` would make it.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> bool {
+        self.hit(rng.next_u64())
     }
 }
 
@@ -459,5 +520,50 @@ mod tests {
     fn gen_bool_rejects_bad_probability() {
         let mut r = StdRng::seed_from_u64(6);
         let _ = r.gen_bool(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in [0, 1]")]
+    fn bernoulli_rejects_a_nan() {
+        let _ = Bernoulli::new(f64::NAN);
+    }
+
+    /// Hands out one fixed draw.
+    struct Fixed(u64);
+
+    impl Rng for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// `Bernoulli` is `gen_bool`, draw for draw: at the edges of `p`
+    /// (0, the least positive float, ½, the greatest below 1, 1), at
+    /// any float in `[0, 1]`, on the draws next to its threshold, and
+    /// over a seeded stream whose position it keeps.
+    #[test]
+    fn bernoulli_is_gen_bool_draw_for_draw() {
+        crate::check::forall(256, |g| {
+            let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+            let any = f64::from_bits(g.gen_range(0..=1.0f64.to_bits()));
+            let edges = [0.0, f64::from_bits(1), 0.5, below_one, 1.0, any, g.gen()];
+            for p in edges {
+                let threshold = Bernoulli::new(p);
+                let b = threshold.below;
+                let mut draws = vec![0, 1, u64::MAX, u64::MAX - 1, g.gen(), g.gen()];
+                draws.extend([b.wrapping_sub(1), b, b.wrapping_add(1)]);
+                for d in draws {
+                    let want = Fixed(d).gen_bool(p);
+                    assert_eq!(threshold.hit(d), want, "p = {p:e}, draw {d:#x}");
+                }
+                let seed = g.gen();
+                let mut fast = StdRng::seed_from_u64(seed);
+                let mut slow = fast.clone();
+                for _ in 0..32 {
+                    assert_eq!(threshold.sample(&mut fast), slow.gen_bool(p), "p = {p:e}");
+                }
+                assert_eq!(fast, slow, "p = {p:e}: one draw each");
+            }
+        });
     }
 }

@@ -307,15 +307,22 @@ where
     }
 }
 
+/// The most heard-specials masks a round shares joins over: the scan
+/// for a receiver's mask stays short when the special processes are many.
+const PATTERNS: usize = 8;
+
 /// The in-process [`Exchange`]: the global state is a vector, a
 /// broadcast is a function call, and a survivor steps on a borrowed view
 /// of its deliveries in the round frame ([`Inbox::from_deliveries`]) —
 /// fresh and late copies alike; no clone, no move, no envelopes.
 ///
 /// For a protocol declaring [`SyncProtocol::JOINS_INBOX`] the frame's
-/// clean block is joined once ([`Exchange::clean_block`]) and a receiver
-/// in the block absorbs only the copies recorded outside it, then its
-/// late arrivals.
+/// clean block is joined once ([`Exchange::clean_block`]). A receiver in
+/// the block heard it and some of the round's special processes
+/// ([`Deliveries::heard_specials`]): the receivers that heard the same
+/// ones share one join, made by the first of them. A receiver with a
+/// forged or a late copy absorbs, after the block's join, the copies
+/// recorded outside the block, then its late arrivals.
 pub(crate) struct InProcess<'a, P: SyncProtocol> {
     protocol: &'a P,
     n: usize,
@@ -324,6 +331,11 @@ pub(crate) struct InProcess<'a, P: SyncProtocol> {
     /// The join of this round's clean senders' broadcasts (`None` when
     /// there are none).
     clean_join: Option<P::Msg>,
+    /// This round's joins by heard-specials mask: the block's join and
+    /// the broadcasts of the special processes in the mask. At most
+    /// [`PATTERNS`] of them, found by a scan; a receiver with another
+    /// mask folds on its own.
+    by_pattern: Vec<(u64, P::Msg)>,
 }
 
 impl<'a, P: SyncProtocol> InProcess<'a, P> {
@@ -333,6 +345,7 @@ impl<'a, P: SyncProtocol> InProcess<'a, P> {
             n,
             states: Vec::new(),
             clean_join: None,
+            by_pattern: Vec::new(),
         }
     }
 }
@@ -375,6 +388,7 @@ impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
         if let Some(join) = &mut self.clean_join {
             broadcasts.for_each(|m| self.protocol.join(join, m));
         }
+        self.by_pattern.clear();
     }
 
     fn deliver(&mut self, p: ProcessId, inbox: Deliveries<'_, P::Msg>) -> Result<(), Infallible> {
@@ -387,16 +401,37 @@ impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
             // frame's clean block heard every clean sender, so it starts
             // from their join and absorbs what else it received — the
             // copies recorded one by one, forged ones included, and its
-            // late arrivals.
+            // late arrivals. Without forged or late copies, what else it
+            // received is named by its heard-specials mask, and the join
+            // is made once per mask.
             Some(join) if P::JOINS_INBOX && inbox.in_block() => {
-                let rest = inbox.off_block().chain(inbox.late());
-                step_folded(
-                    self.protocol,
-                    &ctx,
-                    state,
-                    join.clone(),
-                    rest.map(|(_, m)| &**m),
-                );
+                let late = inbox.late().next().is_some();
+                let pattern = inbox.heard_specials().filter(|_| !late);
+                // Found by a select, not a branch: which mask a receiver
+                // has is a coin flip of the omitters.
+                let mut seen = None;
+                if let Some(mask) = pattern {
+                    for (i, e) in self.by_pattern.iter().enumerate() {
+                        seen = if e.0 == mask { Some(i) } else { seen };
+                    }
+                }
+                if let Some((_, shared)) = seen.map(|i| &self.by_pattern[i]) {
+                    step_folded(
+                        self.protocol,
+                        &ctx,
+                        state,
+                        shared.clone(),
+                        std::iter::empty(),
+                    );
+                } else {
+                    let mut joined = join.clone();
+                    let rest = inbox.off_block().chain(inbox.late());
+                    rest.for_each(|(_, m)| self.protocol.join(&mut joined, m));
+                    if let Some(mask) = pattern.filter(|_| self.by_pattern.len() < PATTERNS) {
+                        self.by_pattern.push((mask, joined.clone()));
+                    }
+                    step_folded(self.protocol, &ctx, state, joined, std::iter::empty());
+                }
             }
             _ => self
                 .protocol

@@ -32,8 +32,11 @@ run cargo test -q --release -p ftss-sync-sim round::
 # router from growing back into one loop.
 run cargo clippy --all-targets -- -D warnings
 # One round kernel (DESIGN.md §16): the adversary is consulted from
-# exactly one place. A second non-test call site of any of these is a
-# second implementation of the round — fold it into the kernel instead.
+# exactly one place. The kernel's walk asks `decide_row` for a sender's
+# eligible copies, and the row method's default body is the one caller
+# of the per-copy methods (an override decides a row without them). A
+# second non-test call site of any of these is a second implementation
+# of the round — fold it into the kernel instead.
 # One epoch judge and one judged storm run (DESIGN.md §11), same rule:
 # outside crates/check, which defines it, the window oracle is called by
 # `EpochJudge::on_round` alone, and the storm program is assembled by
@@ -58,7 +61,7 @@ run cargo clippy --all-targets -- -D warnings
 # of the storm program coming back.
 # (Test modules sit at the end of their file, behind `#[cfg(test)]`;
 # definitions and comment lines are not call sites.)
-echo "==> call sites of drop_copy / forge_copy / delay_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at / check_edge / step_process / step_round / relabeling scans"
+echo "==> call sites of decide_row / drop_copy / forge_copy / delay_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at / check_edge / step_process / step_round / relabeling scans"
 call_sites() { # <expected count> <call regex> <source dir>...
     local want="$1" call="$2" sites
     shift 2
@@ -71,7 +74,7 @@ call_sites() { # <expected count> <call regex> <source dir>...
         exit 1
     fi
 }
-for method in drop_copy forge_copy delay_copy sends_before_crash; do
+for method in decide_row drop_copy forge_copy delay_copy sends_before_crash; do
     call_sites 1 "\\.${method}\\(" crates/*/src
 done
 for method in clean_block step_joined; do

@@ -148,8 +148,8 @@ impl FromIterator<FaultKind> for DeviationSet {
 
 /// The grid a row belongs to: `SENT` (row = sender, bit = destination) or
 /// `HEARD` (row = receiver, bit = sender). `COLUMN + side` is a special
-/// process's column of that grid, kept for the receivers of an opened
-/// clean block, which own no rows: bit `o` of `q`'s `COLUMN + SENT` row is
+/// process's column of that grid, kept for the receivers of the clean
+/// block, which own no rows: bit `o` of `q`'s `COLUMN + SENT` row is
 /// set iff `o` sent to `q`, and of `s`'s `COLUMN + HEARD` row iff `o`
 /// heard `s`.
 const SENT: usize = 0;
@@ -295,23 +295,25 @@ impl RowTable {
 /// receiver and each receiver's in hold order; only [`Deliveries::late`]
 /// reads it.
 ///
-/// The table keeps each copy's sent and heard bit once. When the block
-/// was opened before any copy ([`RoundHistory::open_clean_block`], the
-/// kernel's sparse walk), only the *special* processes — those outside
+/// The table keeps each copy's sent and heard bit once. The block's
+/// receivers are named before any copy ([`RoundHistory::open_clean_block`],
+/// the kernel's walk), and only the *special* processes — those outside
 /// `block_dsts` — own rows: a sent row, a heard row, and two columns
 /// naming the block receivers that sent to it and that heard it. A block
 /// receiver's row is then the block's share ORed with the bits the f
 /// special columns hold for it, so a round with f special processes
-/// stores O(f·n) bits. A frame that is not opened is dense: every process
-/// owns its sent and heard rows — the stepper, traced and
-/// non-transparent walks, and hand-built frames. Either way no bit lies
-/// inside the block, and whether a row gets the block's share is decided
-/// once per row, never per word.
+/// stores O(f·n) bits. A frame that is never opened — the stepper's, a
+/// hand-built one — has an empty block: every process is special and
+/// owns its rows. No bit lies inside the block (a copy between two of its
+/// receivers has no row to sit in), and whether a row gets the block's
+/// share is decided once per row, never per word.
 ///
 /// Equality is semantic: two frames are equal iff every reader answers
-/// alike. The layout is not canonical — a copy may sit in the block, in
-/// a row or in a column, and rows are pooled in first-write order — so
-/// `eq` compares the rows as the readers see them.
+/// alike. The layout is not canonical — the same round recorded with an
+/// empty block keeps in rows the copies an opened frame keeps in its
+/// block or in columns, and the copy-by-copy oracles compare exactly such
+/// frames; rows are pooled in first-write order too — so `eq` compares
+/// the rows as the readers see them.
 ///
 /// Kept separate from [`RoundHistory`] so that message-only consumers (the
 /// simulator's inbox path) need not name the protocol state type `S`.
@@ -320,14 +322,13 @@ pub struct RoundMsgs<M> {
     n: usize,
     payloads: Vec<Option<Payload<M>>>,
     block_srcs: ProcessSet,
+    /// The block's receivers, named before any copy: they own no rows.
     block_dsts: ProcessSet,
-    /// Whether `block_dsts` was declared before any copy: its members
-    /// then own no rows.
-    opened: bool,
     /// Whether the block was recorded.
     recorded: bool,
-    /// The processes outside an opened block, ascending: the owners of
-    /// every column.
+    /// The processes outside the block, ascending: the owners of every
+    /// column. Empty in a frame never opened, where no process is a
+    /// block receiver and no column is kept.
     specials: Vec<ProcessId>,
     rows: RowTable,
     exceptions: Vec<(ProcessId, ProcessId, DeliveryOutcome)>,
@@ -368,7 +369,6 @@ impl<M> RoundMsgs<M> {
             payloads: std::iter::repeat_with(|| None).take(n).collect(),
             block_srcs: ProcessSet::empty(n),
             block_dsts: ProcessSet::empty(n),
-            opened: false,
             recorded: false,
             specials: Vec::new(),
             rows: RowTable::new(n),
@@ -385,7 +385,6 @@ impl<M> RoundMsgs<M> {
         // Every row stays with its owner, as in a grid, until a block
         // opens with the owner among its receivers.
         self.rows.clear();
-        self.opened = false;
         self.recorded = false;
         self.specials.clear();
         self.exceptions.clear();
@@ -422,13 +421,13 @@ impl<M> RoundMsgs<M> {
 
     /// Whether `p`'s rows live in the special processes' columns.
     fn rowless(&self, p: ProcessId) -> bool {
-        self.opened && self.block_dsts.contains(p)
+        self.block_dsts.contains(p)
     }
 
     /// Where bit `q` of `p`'s row of the `side` grid lives, as `(kind,
     /// owner, bit)`: in `p`'s own row, or, if `p` owns none, in `q`'s
     /// column. `None` when neither owns rows: a copy between two
-    /// receivers of an opened block, which only the block can hold.
+    /// receivers of the block, which only the block can hold.
     #[inline]
     fn cell(&self, side: usize, p: ProcessId, q: ProcessId) -> Option<(usize, ProcessId, usize)> {
         if !self.rowless(p) {
@@ -441,40 +440,20 @@ impl<M> RoundMsgs<M> {
     }
 
     /// Sets bit `q` of `p`'s row of the `side` grid: the copy `p → q`
-    /// if `side` is `SENT`, `q → p` if `HEARD`. A frame with no block
-    /// yet is dense, and the bit goes straight to `p`'s row.
+    /// if `side` is `SENT`, `q → p` if `HEARD`.
     ///
     /// # Panics
     ///
-    /// Panics if the block holds the copy, or if neither end owns rows.
+    /// Panics if neither end owns rows — every copy the block holds.
     #[inline]
     fn set_bit(&mut self, side: usize, p: ProcessId, q: ProcessId) {
-        if self.opened || self.recorded {
-            self.set_bit_checked(side, p, q);
-        } else {
-            self.rows.set(side, p, q.index());
-        }
-    }
-
-    /// [`Self::set_bit`] once the frame has a block: kept apart so that
-    /// the dense path stays small enough to inline into a recorder loop.
-    #[inline(always)]
-    fn set_bit_checked(&mut self, side: usize, p: ProcessId, q: ProcessId) {
-        if self.recorded {
-            if side == SENT && self.block_sent(p, q) {
-                refuse_block_copy(p, q);
-            }
-            if side == HEARD && self.block_heard(p, q) {
-                refuse_block_copy(q, p);
-            }
-        }
         let Some((kind, owner, bit)) = self.cell(side, p, q) else {
             refuse_inner_copy(p, q)
         };
         self.rows.set(kind, owner, bit);
     }
 
-    /// The sent row of `src`, a special process of an opened frame, and
+    /// The sent row of `src`, a special process, and
     /// the delivered bits of its `copies`, a word at a time: a receiver
     /// of the block heard it in `src`'s heard column, a special one in
     /// its own heard row.
@@ -510,7 +489,7 @@ impl<M> RoundMsgs<M> {
         }
     }
 
-    /// The copies from `src`, which owns no rows in an opened frame, to
+    /// The copies from `src`, a block receiver, which owns no rows, to
     /// special processes: bit `src` of each one's sent column, and of
     /// its heard row if the copy arrived.
     #[inline]
@@ -676,13 +655,8 @@ impl<M> RoundMsgs<M> {
         let fhi = self.forged[flo..].partition_point(|&(s, _, _)| s == src) + flo;
         let in_block = self.block_srcs.contains(src);
         // The block's share of the row names the sender itself, which
-        // the block never sends to: passed over, unless the table
-        // recorded that copy.
-        let skip = if in_block && !self.bit(SENT, src, src) {
-            src.index()
-        } else {
-            usize::MAX
-        };
+        // the block never sends to and the table cannot hold: passed over.
+        let skip = if in_block { src.index() } else { usize::MAX };
         SentIter {
             payload: self.payloads[src.index()].as_ref(),
             bits: self.bits(SENT, src, in_block),
@@ -729,31 +703,6 @@ impl<M> RoundMsgs<M> {
                 .expect("delivered bit without a recorded payload")
         })
     }
-
-    /// Whether some bit of a dense frame's table lies inside the block —
-    /// never, by the recorder's contract. Only the handed-out rows of
-    /// block members are read.
-    fn table_meets_block(&self) -> bool {
-        self.rows.handed.iter().any(|&(p, kind)| {
-            let (p, kind) = (ProcessId(p as usize), kind as usize);
-            let block = match kind {
-                SENT if self.block_srcs.contains(p) => &self.block_dsts,
-                HEARD if self.block_dsts.contains(p) => &self.block_srcs,
-                _ => return false,
-            };
-            // The block's sends pass over the sender itself.
-            let own = if kind == SENT { p.index() } else { usize::MAX };
-            let row = self.rows.row(kind, p).iter().zip(block.words());
-            row.enumerate().any(|(k, (&r, &b))| {
-                let own_bit = if k == own / WORD_BITS {
-                    1 << (own % WORD_BITS)
-                } else {
-                    0
-                };
-                r & b & !own_bit != 0
-            })
-        })
-    }
 }
 
 /// Whether a copy recorded with this outcome reached its receiver in
@@ -770,14 +719,8 @@ fn arrives(outcome: DeliveryOutcome) -> bool {
 // stays small enough to inline.
 #[cold]
 #[inline(never)]
-fn refuse_block_copy(src: ProcessId, dst: ProcessId) -> ! {
-    panic!("{src} → {dst} is in the clean block")
-}
-
-#[cold]
-#[inline(never)]
 fn refuse_inner_copy(p: ProcessId, q: ProcessId) -> ! {
-    panic!("{p} and {q} are both receivers of the opened clean block")
+    panic!("{p} and {q} are both receivers of the clean block")
 }
 
 /// Refuses a self-copy or a forged one in [`RoundHistory::record_copies`].
@@ -795,8 +738,8 @@ fn refuse_odd_copy(src: ProcessId, dst: ProcessId) -> ! {
 }
 
 /// One row's words, in order: the owner's row in the table, the block's
-/// share ORed in iff `mask` is all ones, and — for a receiver of an
-/// opened block, which owns no rows — the bits the special processes'
+/// share ORed in iff `mask` is all ones, and — for a receiver of the
+/// block, which owns no rows — the bits the special processes'
 /// columns hold for it.
 #[derive(Clone, Debug)]
 struct RowWords<'a> {
@@ -1028,13 +971,13 @@ impl<'a, M> Deliveries<'a, M> {
         }
     }
 
-    /// Which of the round's special processes — those outside its opened
-    /// clean block, ascending — this receiver of the block heard, as a
-    /// mask: bit `i` stands for the `i`-th. Two receivers with the same
-    /// mask heard the same fresh messages. `None` unless the frame was
-    /// opened ([`RoundHistory::open_clean_block`]) with the receiver in
-    /// its block and has at most 64 special processes, or if a copy the
-    /// receiver heard was forged.
+    /// Which of the round's special processes — those outside its clean
+    /// block, ascending — this receiver of the block heard, as a mask:
+    /// bit `i` stands for the `i`-th. Two receivers with the same mask
+    /// heard the same fresh messages. `None` unless the receiver is in
+    /// the block ([`RoundHistory::open_clean_block`]) and the round has
+    /// at most 64 special processes, or if a copy the receiver heard was
+    /// forged.
     pub fn heard_specials(&self) -> Option<u64> {
         let m = self.msgs;
         if !m.rowless(self.dst) || m.specials.len() > WORD_BITS {
@@ -1184,8 +1127,8 @@ impl<S, M> RoundHistory<S, M> {
     ///
     /// # Panics
     ///
-    /// Panics if the clean block holds the copy, or if both ends are
-    /// receivers of an opened block ([`Self::open_clean_block`]).
+    /// Panics if both ends are receivers of the clean block
+    /// ([`Self::open_clean_block`]): such a copy is the block's or none.
     #[inline]
     pub fn record_send(&mut self, src: ProcessId, dst: ProcessId, outcome: DeliveryOutcome) {
         let m = &mut self.msgs;
@@ -1216,8 +1159,9 @@ impl<S, M> RoundHistory<S, M> {
     /// Records the fates of `src`'s copies, `(dst, outcome)` ascending by
     /// destination: what [`Self::record_send`] of each, and
     /// [`Self::record_delivery`] of each `Delivered` or `Duplicated` one,
-    /// would record. A special process's row in an opened frame
-    /// ([`Self::open_clean_block`]) is written a word at a time, and its
+    /// would record. A special process's row is written a word at a
+    /// time, a block receiver's copies as bits of the special processes'
+    /// columns ([`Self::open_clean_block`]), and its
     /// exceptions are appended in `(src, dst)` order with no branch on
     /// the outcome when `src` comes after every sender recorded so far
     /// (as the kernel walks them).
@@ -1232,55 +1176,48 @@ impl<S, M> RoundHistory<S, M> {
         let ascending = copies.windows(2).fold(true, |up, w| up & (w[0].0 < w[1].0));
         assert!(ascending, "{src}'s copies out of destination order");
         let m = &mut self.msgs;
-        if m.opened && !m.recorded {
-            if m.rowless(src) {
-                m.commit_column_bits(src, copies);
-            } else {
-                m.commit_special_row(src, copies);
-            }
+        if m.rowless(src) {
+            m.commit_column_bits(src, copies);
         } else {
-            for &(dst, outcome) in copies {
-                refuse_unless_plain(src, dst, outcome);
-                m.set_bit(SENT, src, dst);
-                if arrives(outcome) {
-                    m.set_bit(HEARD, dst, src);
-                }
-            }
+            m.commit_special_row(src, copies);
         }
         m.push_exceptions(src, copies);
     }
 
     /// Forgets every copy recorded as reaching `dst`, and nothing else —
-    /// for a caller that keeps a dense frame to itself and records one
+    /// for a caller that keeps a frame to itself and records one
     /// receiver's row at a time over the same broadcasts (the stepper's
     /// one-process step).
     ///
     /// # Panics
     ///
-    /// Panics if the frame has a clean block, opened or recorded.
+    /// Panics if `dst` is a receiver of the clean block, whose row is
+    /// the block's.
     pub fn clear_deliveries(&mut self, dst: ProcessId) {
         let m = &mut self.msgs;
-        assert!(!m.opened && !m.recorded, "a frame with a clean block");
+        assert!(!m.rowless(dst), "{dst} is a receiver of the clean block");
         m.rows.clear_row(HEARD, dst);
     }
 
-    /// Declares, before any copy is recorded, the receiving side of the
-    /// round's clean block; [`Self::record_clean_block`] must close it
-    /// with the same `dsts`. The frame then stores only the copies with
-    /// an endpoint outside `dsts`: a member of `dsts` owns no rows, and
-    /// the processes outside it keep the columns of its copies with them.
-    /// A frame that is never opened is dense — every process owns its
-    /// rows — and takes its block, if any, after the copies.
+    /// Names, before any copy is recorded, the receiving side of the
+    /// round's clean block; [`Self::record_clean_block`] closes it. The
+    /// frame then stores only the copies with an endpoint outside
+    /// `dsts`: a member of `dsts` owns no rows, and the processes outside
+    /// it keep the columns of its copies with them. A frame that is never
+    /// opened has an empty block: every process owns its rows.
     ///
     /// # Panics
     ///
-    /// Panics if `dsts` ranges over a different universe, or if a copy
-    /// or a block was recorded already.
+    /// Panics if `dsts` ranges over a different universe, on a second
+    /// block, or if a copy was recorded already.
     pub fn open_clean_block(&mut self, dsts: &ProcessSet) {
         assert_eq!(dsts.universe(), self.n(), "universe mismatch");
         let m = &mut self.msgs;
+        // An opened frame has a block receiver or a special process.
+        let opened = !(m.block_dsts.is_empty() && m.specials.is_empty());
+        assert!(!opened && !m.recorded, "a second clean block");
         assert!(
-            !m.opened && !m.recorded && m.rows.is_clear(),
+            m.rows.is_clear(),
             "a clean block opens before any copy is recorded"
         );
         // Rows stay with owners that are still special, so a steady
@@ -1290,7 +1227,6 @@ impl<S, M> RoundHistory<S, M> {
             m.rows.release();
         }
         m.block_dsts.clone_from(dsts);
-        m.opened = true;
         for (k, &word) in dsts.words().iter().enumerate() {
             let mut outside = !word;
             while outside != 0 {
@@ -1305,43 +1241,28 @@ impl<S, M> RoundHistory<S, M> {
     }
 
     /// Records the round's clean block in O(n/64): every member of `srcs`
-    /// emitted a copy to every *other* member of `dsts`, none of them met
-    /// an exception, and every member of `dsts` heard every member of
-    /// `srcs`, itself included — what one [`Self::record_send`] with
-    /// [`DeliveryOutcome::Delivered`] and one [`Self::record_delivery`]
-    /// per such copy would record. At most one block per round; no copy
-    /// inside it may also be recorded one by one, before or after.
+    /// emitted a copy to every *other* receiver the block opened with
+    /// ([`Self::open_clean_block`]), none of them met an exception, and
+    /// every receiver heard every member of `srcs`, itself included —
+    /// what one [`Self::record_send`] with [`DeliveryOutcome::Delivered`]
+    /// and one [`Self::record_delivery`] per such copy would record. At
+    /// most one block per round; a copy inside it cannot be recorded one
+    /// by one, before or after, since neither end owns rows.
     ///
     /// # Panics
     ///
-    /// Panics if either set ranges over a different universe, if `srcs`
-    /// is not a subset of `dsts`, if `dsts` is not the set the block was
-    /// opened with, on a second block, or if a copy recorded before
-    /// lies inside it: read off the rows of the block's members in a
-    /// dense frame, and refused when it was recorded in an opened one.
-    pub fn record_clean_block(&mut self, srcs: &ProcessSet, dsts: &ProcessSet) {
-        let n = self.n();
-        assert!(
-            srcs.universe() == n && dsts.universe() == n,
-            "universe mismatch"
-        );
-        assert!(srcs.is_subset(dsts), "a clean block's senders must hear it");
+    /// Panics if `srcs` ranges over a different universe, if it is not a
+    /// subset of the block's receivers, or on a second block.
+    pub fn record_clean_block(&mut self, srcs: &ProcessSet) {
+        assert_eq!(srcs.universe(), self.n(), "universe mismatch");
         let m = &mut self.msgs;
+        assert!(
+            srcs.is_subset(&m.block_dsts),
+            "a clean block's senders must hear it"
+        );
         assert!(!m.recorded, "a second clean block");
         m.recorded = true;
         m.block_srcs.clone_from(srcs);
-        if m.opened {
-            // No row of an opened frame can hold a copy of the block: its
-            // receivers own none, and a copy between two of them was
-            // refused when it was recorded.
-            assert!(
-                m.block_dsts == *dsts,
-                "the clean block closes with other receivers than it opened with"
-            );
-        } else {
-            m.block_dsts.clone_from(dsts);
-            assert!(!m.table_meets_block(), "a copy recorded twice");
-        }
     }
 
     /// Records a *forged* copy `src → dst`: the copy is delivered, but
@@ -2026,10 +1947,11 @@ mod tests {
         let mut rh = RH::empty(2);
         rh.set_process(ProcessId(0), Some(1), None, true, true);
         rh.set_broadcast(ProcessId(0), Payload::new("m"));
+        let p1 = ProcessSet::from_iter_n(2, [ProcessId(1)]);
+        rh.open_clean_block(&p1);
         rh.record_send(ProcessId(0), ProcessId(1), DeliveryOutcome::DroppedBySender);
         rh.record_delivery(ProcessId(1), ProcessId(0));
-        let p1 = ProcessSet::from_iter_n(2, [ProcessId(1)]);
-        rh.record_clean_block(&p1, &p1);
+        rh.record_clean_block(&p1);
         rh.reset(2);
         assert_eq!(rh, RH::empty(2));
         // Width change re-allocates.
@@ -2064,7 +1986,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a frame with a clean block")]
+    #[should_panic(expected = "p0 is a receiver of the clean block")]
     fn clear_deliveries_refuses_a_block() {
         let mut rh = RH::empty(2);
         let all = ProcessSet::from_iter_n(2, [ProcessId(0), ProcessId(1)]);
@@ -2144,10 +2066,14 @@ mod tests {
             }
         }
 
-        /// The round recorded copy by copy, or with its block in one go
-        /// and only the copies outside it one by one.
+        /// The round recorded copy by copy, or with its block opened
+        /// first, closed in one go, and only the copies outside it one by
+        /// one.
         fn record(&self, with_block: bool) -> RH {
             let mut rh = RH::empty(self.n);
+            if with_block {
+                rh.open_clean_block(&self.dsts);
+            }
             for p in (0..self.n).map(ProcessId) {
                 rh.set_process(p, Some(p.index() as u32), None, false, false);
                 let sends = self.srcs.contains(p) || self.copies.iter().any(|c| c.0 == p);
@@ -2172,7 +2098,7 @@ mod tests {
                 }
             }
             if with_block {
-                rh.record_clean_block(&self.srcs, &self.dsts);
+                rh.record_clean_block(&self.srcs);
             }
             rh
         }
@@ -2255,6 +2181,7 @@ mod tests {
             let dsts = srcs.difference(&ProcessSet::from_iter_n(n, [outsider]));
             let srcs = srcs.intersection(&dsts);
             let mut rh = RH::empty(n);
+            rh.open_clean_block(&dsts);
             for src in (0..n).map(ProcessId) {
                 rh.set_broadcast(src, Payload::new("m"));
             }
@@ -2263,7 +2190,7 @@ mod tests {
             if n > 2 {
                 rh.record_delivery(dst, outsider);
             }
-            rh.record_clean_block(&srcs, &dsts);
+            rh.record_clean_block(&srcs);
             for p in [dst, outsider] {
                 let row = rh.msgs().deliveries(p);
                 assert_eq!(row.in_block(), p == dst);
@@ -2296,31 +2223,41 @@ mod tests {
     fn a_second_clean_block_is_refused() {
         let everyone = ProcessSet::full(3);
         let mut rh = RH::empty(3);
-        rh.record_clean_block(&everyone, &everyone);
-        rh.record_clean_block(&everyone, &everyone);
+        rh.open_clean_block(&everyone);
+        rh.record_clean_block(&everyone);
+        rh.record_clean_block(&everyone);
     }
 
     #[test]
-    #[should_panic(expected = "a copy recorded twice")]
-    fn a_copy_recorded_before_its_block_is_refused() {
+    #[should_panic(expected = "a second clean block")]
+    fn a_block_opens_once() {
+        let mut rh = RH::empty(3);
+        rh.open_clean_block(&ProcessSet::empty(3));
+        rh.open_clean_block(&ProcessSet::full(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "a clean block opens before any copy is recorded")]
+    fn opening_a_block_after_a_copy_is_refused() {
         let everyone = ProcessSet::full(65);
         let mut rh = RH::empty(65);
         rh.set_broadcast(ProcessId(64), Payload::new("m"));
         rh.record_send(ProcessId(64), ProcessId(3), Delivered);
-        rh.record_clean_block(&everyone, &everyone);
+        rh.open_clean_block(&everyone);
     }
 
     #[test]
-    #[should_panic(expected = "is in the clean block")]
+    #[should_panic(expected = "p2 and p0 are both receivers of the clean block")]
     fn a_copy_recorded_after_its_block_is_refused() {
         let everyone = ProcessSet::full(3);
         let mut rh = RH::empty(3);
-        rh.record_clean_block(&everyone, &everyone);
+        rh.open_clean_block(&everyone);
+        rh.record_clean_block(&everyone);
         rh.record_delivery(ProcessId(2), ProcessId(0));
     }
 
     #[test]
-    #[should_panic(expected = "are both receivers of the opened clean block")]
+    #[should_panic(expected = "are both receivers of the clean block")]
     fn an_opened_block_keeps_its_receivers_copies() {
         let mut rh = RH::empty(4);
         rh.open_clean_block(&ProcessSet::from_iter_n(4, [ProcessId(1), ProcessId(2)]));
@@ -2368,7 +2305,7 @@ mod tests {
         Forge(ProcessId, ProcessId),
         Row(ProcessId, Vec<(ProcessId, DeliveryOutcome)>),
         Open(ProcessSet),
-        Block(ProcessSet, ProcessSet),
+        Block(ProcessSet),
     }
 
     fn replay(n: usize, ops: &[Op]) -> RH {
@@ -2386,7 +2323,7 @@ mod tests {
                 Op::Forge(src, dst) => rh.record_forged(*src, *dst, Payload::new("forged")),
                 Op::Row(src, copies) => rh.record_copies(*src, copies),
                 Op::Open(dsts) => rh.open_clean_block(dsts),
-                Op::Block(srcs, dsts) => rh.record_clean_block(srcs, dsts),
+                Op::Block(srcs) => rh.record_clean_block(srcs),
             }
         }
     }
@@ -2434,7 +2371,7 @@ mod tests {
 
     /// The dense reference grid: per copy, its outcome (`None`: never
     /// emitted), whether it arrived and whether it was forged; and the
-    /// block's sides as declared, and whether it was declared up front.
+    /// block's sides as declared.
     #[derive(Clone)]
     struct Dense {
         n: usize,
@@ -2443,7 +2380,6 @@ mod tests {
         forged: Vec<bool>,
         block_srcs: ProcessSet,
         block_dsts: ProcessSet,
-        opened: bool,
     }
 
     impl Dense {
@@ -2455,7 +2391,6 @@ mod tests {
                 forged: vec![false; n * n],
                 block_srcs: ProcessSet::empty(n),
                 block_dsts: ProcessSet::empty(n),
-                opened: false,
             };
             for op in ops {
                 match op {
@@ -2475,11 +2410,9 @@ mod tests {
                             d.heard[dst.index() * n + src.index()] |= arrives(outcome);
                         }
                     }
-                    Op::Open(dsts) => {
-                        d.block_dsts = dsts.clone();
-                        d.opened = true;
-                    }
-                    Op::Block(srcs, dsts) => {
+                    Op::Open(dsts) => d.block_dsts = dsts.clone(),
+                    Op::Block(srcs) => {
+                        let dsts = d.block_dsts.clone();
                         for (s, t) in srcs.iter().flat_map(|s| dsts.iter().map(move |t| (s, t))) {
                             if s != t {
                                 d.sent[s.index() * n + t.index()] = Some(Delivered);
@@ -2487,7 +2420,6 @@ mod tests {
                             d.heard[t.index() * n + s.index()] = true;
                         }
                         d.block_srcs = srcs.clone();
-                        d.block_dsts = dsts.clone();
                     }
                 }
             }
@@ -2568,12 +2500,12 @@ mod tests {
                     .forged()
                     .map(|(q, x)| (q, **x))
                     .eq(forged.clone().copied()));
-                // A block receiver of an opened frame names the special
-                // processes it heard by their rank.
+                // A block receiver names the special processes it heard
+                // by their rank.
                 let specials: Vec<_> = everyone()
                     .filter(|&q| !self.block_dsts.contains(q))
                     .collect();
-                let named = self.opened && in_block && specials.len() <= WORD_BITS;
+                let named = in_block && specials.len() <= WORD_BITS;
                 let want = (named && forged.count() == 0).then(|| {
                     let heard = specials
                         .iter()
@@ -2665,7 +2597,7 @@ mod tests {
                 }
             }
             if !self.srcs.is_empty() {
-                ops.push(Op::Block(self.srcs.clone(), self.dsts.clone()));
+                ops.push(Op::Block(self.srcs.clone()));
             }
             ops
         }
@@ -2752,11 +2684,6 @@ mod tests {
             let unblocked = Dense {
                 block_srcs: ProcessSet::empty(n),
                 block_dsts: ProcessSet::empty(n),
-                opened: false,
-                ..dense.clone()
-            };
-            let closed = Dense {
-                opened: false,
                 ..dense.clone()
             };
             let rows = as_rows(&walk);
@@ -2765,7 +2692,7 @@ mod tests {
                 (replay(n, &reversed(&walk)), &dense),
                 (replay(n, &rows), &dense),
                 (replay(n, &reversed(&rows)), &dense),
-                (round.record(true), &closed),
+                (round.record(true), &dense),
                 (round.record(false), &unblocked),
             ];
             for (i, (a, grid)) in splits.iter().enumerate() {
@@ -2774,8 +2701,8 @@ mod tests {
                     assert!(a.msgs() == b.msgs(), "n = {n}: split {i} ≠ split {j}");
                 }
             }
-            // One frame recycled through every layout: opened, then
-            // dense (its rows kept across resets), then opened again.
+            // One frame recycled through every split: opened, then never
+            // opened (its rows kept across resets), then opened again.
             let mut recycled = replay(n, &walk);
             let orders = [stepper_ops(g, n), router_ops(g, n), coterie_ops(g, n)];
             let coterie_rows = as_rows(&orders[2]);
@@ -2794,8 +2721,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "universe mismatch")]
     fn clean_block_rejects_a_foreign_universe() {
-        let everyone = ProcessSet::full(64);
-        RH::empty(65).record_clean_block(&everyone, &everyone);
+        let mut rh = RH::empty(65);
+        rh.open_clean_block(&ProcessSet::full(65));
+        rh.record_clean_block(&ProcessSet::full(64));
     }
 
     #[test]

@@ -249,7 +249,8 @@ mod tests {
             rh.set_process(p, Some(()), Some(RoundCounter::new(c)), false, false);
             rh.set_broadcast(p, 0.into());
         }
-        rh.record_clean_block(&everyone, &everyone);
+        rh.open_clean_block(&everyone);
+        rh.record_clean_block(&everyone);
         rh
     }
 

@@ -87,11 +87,10 @@ pub trait Exchange<S, M> {
     fn broadcast(&mut self, p: ProcessId) -> Option<M>;
 
     /// Told once per round, after the walk and before the first
-    /// [`deliver`](Self::deliver), with the round's messages: their
+    /// [`deliver`](Self::deliver), with the round's messages and their
     /// clean block ([`RoundMsgs::block_srcs`], every one heard by each
-    /// inbox that is [`in_block`](Deliveries::in_block)) is empty
-    /// whenever the walk was dense (a trace watched every copy). An
-    /// exchange whose processes step in this address space may do the
+    /// inbox that is [`in_block`](Deliveries::in_block)), traced or not.
+    /// An exchange whose processes step in this address space may do the
     /// work those receivers share once; the rows handed to `deliver` are
     /// complete regardless, so ignoring the call (the default) loses
     /// nothing.
@@ -140,26 +139,25 @@ pub struct RoundKernel<'a, A: ?Sized> {
     /// and *ordinary*, everyone else. A copy between two ordinary
     /// processes can only be `Delivered`.
     ordinary: ProcessSet,
-    /// The ordinary processes that broadcast in a sparse walk: every
-    /// ordinary process hears all of them — the frame's clean block.
+    /// The ordinary processes that broadcast: every ordinary process
+    /// hears all of them — the frame's clean block.
     clean_senders: ProcessSet,
     /// Every process, ascending: the senders.
     everyone: Vec<ProcessId>,
     /// Every process, ascending, with the fate of a copy to it before
     /// the adversary speaks: `Delivered` if it is alive this round,
     /// `ReceiverCrashed` if not. A faulty sender's row is all of it but
-    /// the sender.
+    /// the sender; a trace walks all of it.
     fates: Vec<(ProcessId, DeliveryOutcome)>,
     /// The entries of the faulty processes — a clean sender's eligible
     /// copies — and of the other special ones, which are not alive — its
-    /// copies nobody is asked about. O(f) each: all a sparse walk's
-    /// clean sender visits.
+    /// copies nobody is asked about. O(f) each: all a clean sender's
+    /// walk visits.
     faulty_fates: Vec<(ProcessId, DeliveryOutcome)>,
     absent_fates: Vec<(ProcessId, DeliveryOutcome)>,
     /// The walked sender's eligible copies, decided by the adversary in
-    /// one call, and — in a dense walk — its other copies.
+    /// one call.
     row: CopyRow,
-    rest: Vec<(ProcessId, DeliveryOutcome)>,
 }
 
 impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
@@ -211,7 +209,6 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             faulty_fates: Vec::new(),
             absent_fates: Vec::new(),
             row: CopyRow::default(),
-            rest: Vec::new(),
         })
     }
 
@@ -397,10 +394,10 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     /// `Delivered`, so that block of the round is recorded as two sets
     /// and never submitted to the adversary; only copies with a
     /// *special* endpoint are visited, and only the special processes
-    /// own rows ([`RoundHistory::open_clean_block`]). When a trace
-    /// watches copies go by (it wants each `send` event) every copy is
-    /// visited and the frame is dense instead, but the adversary is
-    /// still asked about exactly the same ones, in the same order.
+    /// own rows ([`RoundHistory::open_clean_block`]). A trace watching
+    /// copies go by still gets one `send` event per copy
+    /// ([`Self::trace`]), and the frame and the adversary's questions
+    /// are the same as without it.
     ///
     /// A sender's eligible copies are decided by one
     /// [`Adversary::decide_row`] and recorded by one
@@ -433,7 +430,6 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             faulty_fates,
             absent_fates,
             row,
-            rest,
             ..
         } = self;
         let round = Round::new(r);
@@ -462,11 +458,9 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         // Told up front, the frame keeps no rows for the ordinary
         // processes: their copies with a special end sit in the special
         // processes' columns, and the rest is the block.
-        if !traced {
-            frame.open_clean_block(ordinary);
-            // Every ordinary process sends, unless it declines to.
-            clean_senders.clone_from(ordinary);
-        }
+        frame.open_clean_block(ordinary);
+        // Every ordinary process sends, unless it declines to.
+        clean_senders.clone_from(ordinary);
         let (mut sent, mut delivered) = (0u64, 0u64);
         for &p in everyone.iter() {
             if parts[p.index()] == Part::Out {
@@ -480,31 +474,20 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             let crashing = parts[p.index()] == Part::Crashing;
             let from_faulty = faulty.contains(p);
             row.reset(crashing);
-            // Every copy of a faulty sender is eligible; a clean sender of
-            // a sparse walk visits the special processes alone; a dense
-            // walk visits everyone.
+            // Every copy of a faulty sender is eligible; a clean sender
+            // visits the special processes alone.
             let others: &[_] = if from_faulty {
                 row.extend_from(&fates[..p.index()]);
                 row.extend_from(&fates[p.index() + 1..]);
                 &[]
-            } else if !traced {
+            } else {
                 row.extend_from(faulty_fates);
                 absent_fates
-            } else {
-                rest.clear();
-                for &(q, fate) in fates.iter().filter(|&&(q, _)| q != p) {
-                    if faulty.contains(q) {
-                        row.extend_from(&[(q, fate)]);
-                    } else {
-                        rest.push((q, fate));
-                    }
-                }
-                rest
             };
             // Self-delivery always succeeds and is never consulted
             // (footnote 1); a crashing process takes no step, so its own
             // copy is moot. A clean sender's is in the block.
-            if !crashing && (from_faulty || traced) {
+            if from_faulty && !crashing {
                 frame.record_delivery(p, p);
             }
             if !row.is_empty() {
@@ -512,7 +495,7 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
                 Self::settle(faulty, round, (p, from_faulty), row, frame.msgs(), late);
             }
             if traced {
-                Self::trace(r, p, row, others, sink, &mut sent, &mut delivered);
+                Self::trace(r, p, row, fates, sink, &mut sent, &mut delivered);
             }
             Self::record(protocol, p, row, others, frame);
         }
@@ -520,7 +503,7 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         // sent to every other ordinary process, and every ordinary
         // process heard every clean sender.
         if !clean_senders.is_empty() {
-            frame.record_clean_block(clean_senders, ordinary);
+            frame.record_clean_block(clean_senders);
         }
         (sent, delivered)
     }
@@ -560,27 +543,21 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         }
     }
 
-    /// One `send` event per copy of `p`'s, its eligible and its other
-    /// copies merged in destination order, and the round's totals.
+    /// One `send` event per copy of `p`'s — to every other process, in
+    /// destination order: an eligible copy with the outcome decided in
+    /// `row`, any other with its fate — and the round's totals.
     fn trace<T: TraceSink>(
         r: u64,
         p: ProcessId,
         row: &CopyRow,
-        rest: &[(ProcessId, DeliveryOutcome)],
+        fates: &[(ProcessId, DeliveryOutcome)],
         sink: &mut T,
         sent: &mut u64,
         delivered: &mut u64,
     ) {
-        let (mut eligible, mut others) = (row.copies().iter().peekable(), rest.iter().peekable());
-        loop {
-            let next = match (eligible.peek(), others.peek()) {
-                (Some(a), Some(b)) if a.0 > b.0 => others.next(),
-                (Some(_), _) => eligible.next(),
-                (None, _) => others.next(),
-            };
-            let Some(&(to, outcome)) = next else {
-                break;
-            };
+        let mut eligible = row.copies().iter().peekable();
+        for &(to, fate) in fates.iter().filter(|&&(q, _)| q != p) {
+            let outcome = eligible.next_if(|c| c.0 == to).map_or(fate, |c| c.1);
             *sent += 1;
             // A forged copy arrives (with the wrong payload), so it
             // counts as delivered in the traffic totals.
@@ -606,7 +583,7 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         protocol: &P,
         p: ProcessId,
         row: &CopyRow,
-        rest: &[(ProcessId, DeliveryOutcome)],
+        others: &[(ProcessId, DeliveryOutcome)],
         frame: &mut RoundHistory<P::State, P::Msg>,
     ) {
         if row.forged().is_empty() {
@@ -632,8 +609,8 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
                 frame.record_forged(p, q, Payload::new(msg));
             }
         }
-        if !rest.is_empty() {
-            frame.record_copies(p, rest);
+        if !others.is_empty() {
+            frame.record_copies(p, others);
         }
     }
 }
@@ -1501,9 +1478,9 @@ mod tests {
     /// The work, not the clock. An untraced round joins the clean block
     /// once, each distinct heard-specials mask of a block receiver once
     /// (its special senders' broadcasts), and each special receiver's own
-    /// row — no join per block receiver; a traced round (dense walk, so
-    /// nothing is shared) makes every receiver join its whole row. Same
-    /// states either way. The omitter draws once per consulted copy.
+    /// row — no join per block receiver; a traced round walks the same
+    /// block and makes the same joins. Same states either way. The
+    /// omitter draws once per consulted copy.
     #[test]
     fn folded_round_joins_n_plus_2fn_messages_not_n_squared() {
         let (n, f, rounds) = (130usize, 1usize, 4usize);
@@ -1551,10 +1528,10 @@ mod tests {
         let runner = counting();
         let mut sink = RecordingSink::new(rounds * (n * n + n + 4) + 4);
         let run = runner.run_traced(&mut adversary(), &cfg, &mut sink);
-        let unfolded = run.expect("valid config").final_states;
+        let traced = run.expect("valid config").final_states;
         let joins = runner.protocol().0.get();
-        assert!(joins >= rounds * (n - 1) * (n - 2), "{joins} joins");
-        assert_eq!(folded.final_states, unfolded);
+        assert_eq!(joins, per_round.iter().sum::<usize>(), "traced joins");
+        assert_eq!(folded.final_states, traced);
     }
 
     /// [`RandomOmission`] with the per-copy methods alone: every row takes

@@ -564,7 +564,7 @@ pub(crate) mod tests {
 
     /// A late copy joins its destination's inbox in its arrival round, a
     /// duplicated one arrives twice, and one due past the horizon never
-    /// arrives — walked sparse or dense alike. p0 is the victim of a
+    /// arrives — traced or not. p0 is the victim of a
     /// 2-round delay (round 1), a duplicate (round 2) and a 1-round
     /// delay in the last round.
     #[test]
@@ -849,9 +849,13 @@ pub(crate) mod tests {
         let traced = SyncRunner::new(CountAll)
             .run_traced(&mut CrashOnly::new(cs), &cfg, &mut sink)
             .unwrap();
-        // Tracing must not perturb the execution.
+        // Tracing must not perturb the execution, nor the frames' blocks.
         assert_eq!(plain.history.rounds(), traced.history.rounds());
         assert_eq!(plain.final_states, traced.final_states);
+        for (a, b) in plain.history.rounds().iter().zip(traced.history.rounds()) {
+            assert_eq!(a.msgs().block_srcs(), b.msgs().block_srcs());
+        }
+        assert!(!traced.history.rounds()[0].msgs().block_srcs().is_empty());
 
         let events: Vec<Event> = sink.take();
         assert!(matches!(

@@ -62,8 +62,9 @@ pub struct SyncStepper<P: SyncProtocol> {
     states: Vec<P::State>,
     /// The next round's traffic, in the runner's own frame type: the
     /// broadcasts of [`states`](Self::states), computed once per global
-    /// state, plus the (dense) delivery rows the inbox views read — clear
-    /// between calls. States are not recorded.
+    /// state, plus the delivery rows the inbox views read — clear between
+    /// calls. Never opened, so its clean block is empty and every
+    /// process owns its rows. States are not recorded.
     frame: RoundHistory<P::State, P::Msg>,
     /// Round scratch, kept so that a steady-state round allocates
     /// nothing: slot `i` holds process `i`'s last broadcast payload while

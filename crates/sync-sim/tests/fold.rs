@@ -57,8 +57,10 @@ mod round {
     }
 
     /// One configuration three ways: folded (declaring, untraced),
-    /// unfolded because nothing is declared, and unfolded because a trace
-    /// makes the walk dense. Whole histories and final states must agree.
+    /// unfolded because nothing is declared — the one unfolded reference
+    /// — and traced, which walks the same clean block and folds through
+    /// `InProcess`'s clean-block join too. Whole histories and final
+    /// states must agree.
     fn folded_matches_unfolded<P, A>(protocol: &P, adversary: &A, cfg: &RunConfig)
     where
         P: SyncProtocol + Clone,

@@ -86,6 +86,14 @@ if grep -rnE 'record_clean_sends|record_clean_deliveries|heard_all|iter_outside'
     echo "ERROR: a per-row clean-block builder or reader is back (see above)" >&2
     exit 1
 fi
+# One frame layout (DESIGN.md §12): a frame names its block's receivers
+# before its first copy, and one never opened has an empty block. The
+# dense layout's flag, its after-the-fact overlap scan and its second bit
+# setter stay gone.
+if grep -rnE 'table_meets_block|set_bit_checked|opened: bool' crates/core/src; then
+    echo "ERROR: the dense frame layout is back (see above)" >&2
+    exit 1
+fi
 # One synchronous checker (DESIGN.md §14): the state graph. The tape
 # enumerator's entry point, report, odometer and bound ceiling stay gone; a
 # frozen enumeration lives in tests/graph_explore.rs only.

@@ -630,12 +630,12 @@ fn restart_cycle_timing_storms_match_between_simulator_and_mem() {
 #[test]
 fn untraced_served_sessions_record_a_clean_block_every_round() {
     let phases = [StormPhase::new(2, 3, StormKind::Duplicate)];
-    let mut storm = StormAdversary::new([ProcessId(0)], phases, 7);
+    let storm = || StormAdversary::new([ProcessId(0)], phases, 7);
     let run = RunConfig::corrupted(4, 6, 3).with_max_faulty(1);
     let cfg = ServeConfig::new(run, TransportKind::Mem);
     let out = serve(
         &RoundAgreement,
-        &mut storm,
+        &mut storm(),
         &cfg,
         &mut ftss::telemetry::NullSink,
     )
@@ -644,6 +644,18 @@ fn untraced_served_sessions_record_a_clean_block_every_round() {
     for (i, frame) in out.history.rounds().iter().enumerate() {
         assert!(!frame.msgs().block_srcs().is_empty(), "round {}", i + 1);
     }
+    // A trace watches every copy, and the frames keep the same block.
+    let mut sink = RecordingSink::new(1 << 12);
+    let traced = serve(&RoundAgreement, &mut storm(), &cfg, &mut sink).expect("traced session");
+    let blocks = |frames: &[RoundHistory<_, _>]| -> Vec<_> {
+        let block = |frame: &RoundHistory<_, _>| frame.msgs().block_srcs().clone();
+        frames.iter().map(block).collect()
+    };
+    assert_eq!(
+        blocks(traced.history.rounds()),
+        blocks(out.history.rounds())
+    );
+    assert!(sink.events().any(|e| matches!(e, Event::Send { .. })));
 }
 
 /// Restart configuration is validated like everything else.

@@ -25,6 +25,7 @@
 //! but re-arming the event loop is part of the runtime), `on_message` and
 //! `on_timer` advance the protocol.
 
+mod arena;
 pub mod process;
 mod queue;
 pub mod runner;

@@ -5,64 +5,66 @@
 //! once a delay is picked, an event's place in the run is fixed by its
 //! dispatch time and, among equal times, by the order it was pushed. This
 //! module is that rule, and [`AsyncRunner`](crate::AsyncRunner) owns its
-//! one instance.
+//! one instance. An event names its message by a slot of the runner's
+//! message arena, so it is 32 bytes whatever the message type.
 
 use crate::runner::Time;
-use ftss_core::{Payload, ProcessId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// A queued event: a message awaiting delivery or an armed timer.
-#[derive(Clone, Debug)]
-pub(crate) struct Pending<M> {
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Pending {
     /// Scheduled dispatch time.
     pub(crate) time: Time,
     /// Tie-breaker: insertion order (strictly increasing per run).
     pub(crate) seq: u64,
     /// What happens on dispatch.
-    pub(crate) kind: PendingKind<M>,
+    pub(crate) kind: PendingKind,
 }
 
-/// The payload of a [`Pending`] event.
-#[derive(Clone, Debug)]
-pub(crate) enum PendingKind<M> {
-    /// Deliver `msg` from `from` to `to`.
+/// What a [`Pending`] event does. Process ids are `u32`: the runner
+/// refuses an `n` that does not fit.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum PendingKind {
+    /// Deliver the message in arena slot `slot` from `from` to `to`.
     Deliver {
         /// Sender.
-        from: ProcessId,
+        from: u32,
         /// Receiver.
-        to: ProcessId,
-        /// Shared with the other copies of the originating broadcast: a
-        /// queued broadcast holds one message allocation, not `n`.
-        msg: Payload<M>,
+        to: u32,
+        /// The arena slot holding the message, shared with the other
+        /// copies of the originating broadcast.
+        slot: u32,
     },
     /// Fire timer `tag` at process `p`.
     Timer {
         /// The process whose timer fires.
-        p: ProcessId,
+        p: u32,
         /// The tag passed back to `on_timer`.
         tag: u64,
     },
 }
 
+const _: () = assert!(std::mem::size_of::<Pending>() <= 32);
+
 // Identity and order are `(time, seq)` only — `seq` is unique per run, so
-// this is a total order and `M` needs no `Eq` bound (which the runner used
-// to demand of every message type).
-impl<M> PartialEq for Pending<M> {
+// this is a total order.
+impl PartialEq for Pending {
     fn eq(&self, other: &Self) -> bool {
         (self.time, self.seq) == (other.time, other.seq)
     }
 }
 
-impl<M> Eq for Pending<M> {}
+impl Eq for Pending {}
 
-impl<M> Ord for Pending<M> {
+impl Ord for Pending {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
 
-impl<M> PartialOrd for Pending<M> {
+impl PartialOrd for Pending {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -73,6 +75,15 @@ impl<M> PartialOrd for Pending<M> {
 /// word.
 const RING: Time = 64;
 
+/// One instant's events, sorted by `seq`: `evs[head..]` are pending, the
+/// ones before `head` were popped. Emptied, it resets to `head == 0` and
+/// keeps its capacity.
+#[derive(Debug, Default)]
+struct Bucket {
+    evs: Vec<Pending>,
+    head: usize,
+}
+
 /// Pops in exactly `(time, seq)` order, whatever the push order.
 ///
 /// A ring of per-instant buckets covers the `RING` instants from `base`
@@ -80,35 +91,35 @@ const RING: Time = 64;
 /// the non-empty ones, so the ring's front is one rotate and one
 /// trailing-zeros count away. Anything outside the window at push time
 /// (later, or — never from the runner — earlier than `base`) goes to an
-/// overflow heap, and `pop` takes the smaller of the ring's front and the
+/// overflow heap, and a pop takes the smaller of the ring's front and the
 /// heap's top. `base` follows the popped times, so with delays and timer
 /// periods under `RING` every event lands in the ring, and push and pop
 /// are O(1): the runner's seqs arrive in increasing order, so a push
 /// appends to its bucket.
 #[derive(Debug)]
-pub(crate) struct EventQueue<M> {
+pub(crate) struct EventQueue {
     /// `ring[t % RING]` holds the events at instant `t`, for
-    /// `base <= t < base + RING`, sorted by `seq`.
-    ring: Vec<VecDeque<Pending<M>>>,
-    /// Bit `i` is set iff `ring[i]` is non-empty.
+    /// `base <= t < base + RING`.
+    ring: Vec<Bucket>,
+    /// Bit `i` is set iff `ring[i]` has a pending event.
     occupied: u64,
     /// The first instant the ring covers: no ring event is earlier.
     base: Time,
     /// Events that were outside the ring's window when pushed.
-    overflow: BinaryHeap<Reverse<Pending<M>>>,
+    overflow: BinaryHeap<Reverse<Pending>>,
 }
 
-impl<M> EventQueue<M> {
+impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
-            ring: (0..RING).map(|_| VecDeque::new()).collect(),
+            ring: (0..RING).map(|_| Bucket::default()).collect(),
             occupied: 0,
             base: 0,
             overflow: BinaryHeap::new(),
         }
     }
 
-    pub(crate) fn push(&mut self, ev: Pending<M>) {
+    pub(crate) fn push(&mut self, ev: Pending) {
         // `ev.time - base` rather than `base + RING`: no overflow near
         // `Time::MAX`.
         if ev.time < self.base || ev.time - self.base >= RING {
@@ -116,53 +127,51 @@ impl<M> EventQueue<M> {
             return;
         }
         let i = (ev.time % RING) as usize;
-        let bucket = &mut self.ring[i];
-        if bucket.back().is_none_or(|last| last.seq < ev.seq) {
-            bucket.push_back(ev);
+        let Bucket { evs, head } = &mut self.ring[i];
+        if evs.last().is_none_or(|last| last.seq < ev.seq) {
+            evs.push(ev);
         } else {
-            let at = bucket.partition_point(|e| e.seq < ev.seq);
-            bucket.insert(at, ev);
+            let at = *head + evs[*head..].partition_point(|e| e.seq < ev.seq);
+            evs.insert(at, ev);
         }
         self.occupied |= 1 << i;
     }
 
-    /// The ring's earliest bucket and its instant.
-    fn ring_front(&self) -> Option<(usize, Time)> {
+    /// Pops the earliest event if it is due at or before `horizon`; leaves
+    /// the queue as it is otherwise.
+    pub(crate) fn pop_until(&mut self, horizon: Time) -> Option<Pending> {
+        // The ring's front: its earliest bucket, one rotate and one
+        // trailing-zeros count away.
         let ahead = self.occupied.rotate_right((self.base % RING) as u32);
-        (ahead != 0).then(|| {
+        let front = (ahead != 0).then(|| {
             let t = self.base + Time::from(ahead.trailing_zeros());
-            ((t % RING) as usize, t)
-        })
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<Pending<M>> {
-        // The ring's front, unless the overflow heap's top comes first.
-        let front = self.ring_front().filter(|&(i, t)| {
-            self.overflow
-                .peek()
-                .is_none_or(|Reverse(top)| (t, self.ring[i][0].seq) < (top.time, top.seq))
+            let i = (t % RING) as usize;
+            let b = &self.ring[i];
+            (i, b.evs[b.head])
         });
-        let ev = match front {
-            Some((i, _)) => {
-                let bucket = &mut self.ring[i];
-                let ev = bucket.pop_front().expect("occupied bucket");
-                if bucket.is_empty() {
+        // ... unless the overflow heap's top comes first.
+        let top = self.overflow.peek().map(|&Reverse(top)| top);
+        let ev = match (front, top) {
+            (Some((i, ev)), top) if top.is_none_or(|top| ev < top) => {
+                if ev.time > horizon {
+                    return None;
+                }
+                let b = &mut self.ring[i];
+                b.head += 1;
+                if b.head == b.evs.len() {
+                    b.evs.clear();
+                    b.head = 0;
                     self.occupied &= !(1 << i);
                 }
                 ev
             }
-            None => self.overflow.pop()?.0,
+            (_, Some(top)) if top.time <= horizon => self.overflow.pop()?.0,
+            _ => return None,
         };
         // `ev` was the minimum, so every remaining ring event is at or
         // after it: the window may slide forward to it.
         self.base = self.base.max(ev.time);
         Some(ev)
-    }
-
-    pub(crate) fn peek_time(&self) -> Option<Time> {
-        let ring = self.ring_front().map(|(_, t)| t);
-        let heap = self.overflow.peek().map(|Reverse(e)| e.time);
-        ring.into_iter().chain(heap).min()
     }
 }
 
@@ -170,50 +179,53 @@ impl<M> EventQueue<M> {
 mod tests {
     use super::*;
 
-    fn deliver(time: Time, seq: u64) -> Pending<u8> {
+    fn timer(time: Time, seq: u64) -> Pending {
         Pending {
             time,
             seq,
-            kind: PendingKind::Timer {
-                p: ProcessId(0),
-                tag: 0,
-            },
+            kind: PendingKind::Timer { p: 0, tag: 0 },
         }
     }
 
     #[test]
     fn pending_orders_by_time_then_seq() {
-        let a = deliver(5, 1);
-        let b = deliver(5, 2);
-        let c = deliver(3, 9);
+        let a = timer(5, 1);
+        let b = timer(5, 2);
+        let c = timer(3, 9);
         assert!(c < a && a < b);
-        assert_eq!(a, deliver(5, 1));
+        assert_eq!(a, timer(5, 1));
     }
 
     #[test]
     fn event_queue_pops_in_time_order() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        q.push(deliver(30, 1));
-        q.push(deliver(10, 2));
-        q.push(deliver(10, 1));
-        assert_eq!(q.peek_time(), Some(10));
+        let mut q = EventQueue::new();
+        q.push(timer(30, 1));
+        q.push(timer(10, 2));
+        q.push(timer(10, 1));
+        assert!(q.pop_until(9).is_none(), "nothing is due before 10");
         let order: Vec<(Time, u64)> =
-            std::iter::from_fn(|| q.pop().map(|e| (e.time, e.seq))).collect();
-        assert_eq!(order, vec![(10, 1), (10, 2), (30, 1)]);
+            std::iter::from_fn(|| q.pop_until(29).map(|e| (e.time, e.seq))).collect();
+        assert_eq!(order, vec![(10, 1), (10, 2)]);
+        assert_eq!(
+            q.pop_until(Time::MAX).map(|e| (e.time, e.seq)),
+            Some((30, 1))
+        );
+        assert!(q.pop_until(Time::MAX).is_none());
     }
 
     /// The queue against the min-heap it replaced, over random
-    /// interleavings of push, pop and peek: equal times, batches pushed in
-    /// reverse seq order, times beyond the ring or before its base, and
-    /// times at `Time::MAX`.
+    /// interleavings of push and horizon-bounded pop: equal times, batches
+    /// pushed in reverse seq order, times beyond the ring or before its
+    /// base, times at `Time::MAX`, and horizons before, at and after the
+    /// earliest event.
     #[test]
     fn event_queue_pops_like_the_reference_heap() {
         use ftss_rng::check::{forall, Gen};
         use ftss_rng::Rng;
         forall(200, |g: &mut Gen| {
-            let mut q: EventQueue<u8> = EventQueue::new();
-            let mut reference: BinaryHeap<Reverse<Pending<u8>>> = BinaryHeap::new();
-            let key = |e: &Pending<u8>| (e.time, e.seq);
+            let mut q = EventQueue::new();
+            let mut reference: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
+            let key = |e: &Pending| (e.time, e.seq);
             let mut now: Time = if g.gen_bool(0.25) {
                 Time::MAX - 100
             } else {
@@ -224,7 +236,7 @@ mod tests {
                 match g.gen_range(0..10) {
                     0..=4 => {
                         let batch = g.gen_range(1..=3u64);
-                        let mut evs: Vec<Pending<u8>> = (1..=batch)
+                        let mut evs: Vec<Pending> = (1..=batch)
                             .map(|k| {
                                 let time = match g.gen_range(0..8) {
                                     0 => now.saturating_add(g.gen_range(60..300)),
@@ -232,7 +244,7 @@ mod tests {
                                     2 => Time::MAX - g.gen_range(0..3),
                                     _ => now.saturating_add(g.gen_range(0..6)),
                                 };
-                                deliver(time, seq + k)
+                                timer(time, seq + k)
                             })
                             .collect();
                         seq += batch;
@@ -240,28 +252,44 @@ mod tests {
                             evs.reverse();
                         }
                         for ev in evs {
-                            reference.push(Reverse(ev.clone()));
+                            reference.push(Reverse(ev));
                             q.push(ev);
                         }
                     }
-                    5..=8 => {
+                    5..=7 => {
                         let want = reference.pop().map(|Reverse(e)| key(&e));
-                        let got = q.pop().map(|e| key(&e));
+                        let got = q.pop_until(Time::MAX).map(|e| key(&e));
                         assert_eq!(got, want);
                         if let Some((t, _)) = got {
                             now = now.max(t);
                         }
                     }
                     _ => {
-                        let want = reference.peek().map(|Reverse(e)| e.time);
-                        assert_eq!(q.peek_time(), want);
+                        // A horizon around the earliest event: before it
+                        // pops nothing, at or after it pops that event.
+                        let first = reference.peek().map(|Reverse(e)| e.time);
+                        let horizon = match first {
+                            Some(t) => t.saturating_add(g.gen_range(0..3)).saturating_sub(1),
+                            None => g.gen_range(0..Time::MAX),
+                        };
+                        let want = match reference.peek() {
+                            Some(Reverse(e)) if e.time <= horizon => {
+                                reference.pop().map(|Reverse(e)| key(&e))
+                            }
+                            _ => None,
+                        };
+                        let got = q.pop_until(horizon).map(|e| key(&e));
+                        assert_eq!(got, want, "horizon {horizon}");
+                        if let Some((t, _)) = got {
+                            now = now.max(t);
+                        }
                     }
                 }
             }
             while let Some(Reverse(e)) = reference.pop() {
-                assert_eq!(q.pop().map(|e| key(&e)), Some(key(&e)));
+                assert_eq!(q.pop_until(e.time).map(|e| key(&e)), Some(key(&e)));
             }
-            assert!(q.pop().is_none() && q.peek_time().is_none());
+            assert!(q.pop_until(Time::MAX).is_none());
         });
     }
 }

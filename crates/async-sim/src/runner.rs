@@ -1,5 +1,6 @@
 //! The discrete-event engine.
 
+use crate::arena::Arena;
 use crate::process::{AsyncProcess, Ctx};
 use crate::queue::{EventQueue, Pending, PendingKind};
 use crate::scheduler::{RandomScheduler, Scheduler};
@@ -93,13 +94,16 @@ pub struct AsyncRunner<P: AsyncProcess, S = RandomScheduler> {
     processes: Vec<P>,
     crashed_at: Vec<Option<Time>>,
     crash_reported: Vec<bool>,
-    /// How many scheduled crashes have not yet been reported to a sink.
-    /// Lets the per-event crash check exit in O(1) instead of scanning all
-    /// `n` crash slots — at large `n` that scan dominates traced dispatch.
-    crashes_unreported: usize,
+    /// The earliest scheduled crash not yet reported to a sink, if any:
+    /// the per-event crash check is one compare against it, not a scan of
+    /// all `n` crash slots — at large `n` that scan dominates traced
+    /// dispatch.
+    next_crash_report: Option<Time>,
     sched: S,
     /// Every pending delivery and timer.
-    queue: EventQueue<P::Msg>,
+    queue: EventQueue,
+    /// Every queued message, once, however many copies name it.
+    arena: Arena<P::Msg>,
     cfg: AsyncConfig,
     now: Time,
     seq: u64,
@@ -112,6 +116,9 @@ pub struct AsyncRunner<P: AsyncProcess, S = RandomScheduler> {
     /// `next_corruption` onwards; entries before it have fired.
     corruptions: Vec<(Time, u64)>,
     next_corruption: usize,
+    /// The time of `corruptions[next_corruption]`, if any: the per-event
+    /// corruption check is one compare against it.
+    next_corruption_at: Option<Time>,
     /// Monomorphized corruption injector, installed by
     /// [`AsyncRunner::schedule_corruption`]. A plain fn pointer so the
     /// runner itself needs no `Corrupt` bound on `P`.
@@ -150,6 +157,7 @@ impl<P: AsyncProcess + Corrupt, S: Scheduler> AsyncRunner<P, S> {
         let tail = &self.corruptions[self.next_corruption..];
         let i = self.next_corruption + tail.partition_point(|&(t, _)| t <= at);
         self.corruptions.insert(i, (at, seed));
+        self.next_corruption_at = Some(self.corruptions[self.next_corruption].0);
         self.corruption_apply = Some(corrupt_alive::<P>);
     }
 }
@@ -171,13 +179,24 @@ fn corrupt_alive<P: AsyncProcess + Corrupt>(
     }
 }
 
+/// Queued events name processes by `u32`: `n` must fit.
+fn ids_fit_u32(n: usize) -> Result<(), ConfigError> {
+    match u32::try_from(n) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(ConfigError::new(format!(
+            "{n} processes do not fit a u32 id"
+        ))),
+    }
+}
+
 impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
     /// Creates a runner whose delays an explicit scheduler picks (see
     /// [`crate::scheduler`] for the available strategies).
     ///
     /// # Errors
     ///
-    /// Same validation as [`AsyncRunner::new`].
+    /// Same validation as [`AsyncRunner::new`], and an `n` that does not
+    /// fit a `u32` is refused.
     pub fn with_scheduler(
         processes: Vec<P>,
         cfg: AsyncConfig,
@@ -190,6 +209,7 @@ impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
             return Err(ConfigError::new("min_delay exceeds a maximum delay"));
         }
         let n = processes.len();
+        ids_fit_u32(n)?;
         let mut crashed_at = vec![None; n];
         for &(p, t) in &cfg.crashes {
             if p.index() >= n {
@@ -200,10 +220,11 @@ impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
         Ok(AsyncRunner {
             processes,
             crash_reported: vec![false; crashed_at.len()],
-            crashes_unreported: crashed_at.iter().filter(|c| c.is_some()).count(),
+            next_crash_report: crashed_at.iter().flatten().copied().min(),
             crashed_at,
             sched,
             queue: EventQueue::new(),
+            arena: Arena::new(),
             cfg,
             now: 0,
             seq: 0,
@@ -212,6 +233,7 @@ impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
             scratch: Ctx::new(ProcessId(0), n, 0),
             corruptions: Vec::new(),
             next_corruption: 0,
+            next_corruption_at: None,
             corruption_apply: None,
         })
     }
@@ -251,35 +273,61 @@ impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
 
     /// Drains the scratch context's buffered effects into the queue,
     /// asking the scheduler for a delay per send (in send order — the
-    /// seeded scheduler's RNG stream depends on it). Queued copies keep
-    /// sharing the broadcast payload. Every push lands after `now` —
-    /// delays and timer offsets are at least 1 — or, saturated, at
-    /// `Time::MAX`.
+    /// seeded scheduler's RNG stream depends on it). Each message moves
+    /// into one arena slot, counted once per copy queued. Every push lands
+    /// after `now` — delays are clamped to at least 1 and timer offsets
+    /// are at least 1 — or, saturated, at `Time::MAX`.
     fn drain_scratch(&mut self, p: ProcessId) {
         let Self {
             sched,
             queue,
+            arena,
             cfg,
             scratch,
             now,
             seq,
             ..
         } = self;
-        for (to, msg) in scratch.sends.drain(..) {
-            let delay = sched.delay(cfg, *now, p, to);
+        if scratch.sends.is_empty() && scratch.timers.is_empty() {
+            // Most deliveries send nothing and arm nothing.
+            return;
+        }
+        let from = p.index() as u32;
+        // The copies of one message are adjacent and messages come in
+        // order, so each new index takes the next message.
+        let mut msgs = scratch.msgs.drain(..);
+        let mut current: Option<(u32, u32)> = None;
+        for &(to, k) in &scratch.sends {
+            let slot = match current {
+                Some((j, slot)) if j == k => slot,
+                _ => {
+                    let msg = msgs.next().expect("every copy names a buffered message");
+                    let slot = arena.insert(msg);
+                    current = Some((k, slot));
+                    slot
+                }
+            };
+            arena.add_copy(slot);
+            let delay = sched.delay(cfg, *now, p, to).max(1);
             *seq += 1;
             queue.push(Pending {
                 time: now.saturating_add(delay),
                 seq: *seq,
-                kind: PendingKind::Deliver { from: p, to, msg },
+                kind: PendingKind::Deliver {
+                    from,
+                    to: to.index() as u32,
+                    slot,
+                },
             });
         }
+        debug_assert!(msgs.next().is_none(), "every message has a copy (n >= 1)");
+        scratch.sends.clear();
         for (at, tag) in scratch.timers.drain(..) {
             *seq += 1;
             queue.push(Pending {
                 time: at,
                 seq: *seq,
-                kind: PendingKind::Timer { p, tag },
+                kind: PendingKind::Timer { p: from, tag },
             });
         }
     }
@@ -312,7 +360,9 @@ impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
     /// Like [`Self::run_until`], but invokes `probe(time, processes)`
     /// whenever virtual time crosses a multiple of `probe_interval` —
     /// the hook used by detector-property checkers to sample suspect sets
-    /// over time.
+    /// over time. A probe fires before any event dispatched at or after
+    /// its time, and every probe due by `horizon` fires, events or not
+    /// (so a finite `probe_interval` wants a finite `horizon`).
     pub fn run_probed(
         &mut self,
         horizon: Time,
@@ -353,14 +403,9 @@ impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
         } else {
             self.now.checked_add(probe_interval)
         };
-        loop {
-            // Peek the time only; popping moves the event out, so no deep
-            // clone of the (possibly large) queued message happens here.
-            match self.peek_time() {
-                Some(t) if t <= horizon => {}
-                _ => break,
-            }
-            let ev = self.queue.pop().expect("peeked non-empty queue");
+        // One queue probe per dispatch: the pop itself stops at the
+        // horizon.
+        while let Some(ev) = self.queue.pop_until(horizon) {
             while let Some(t) = next_probe.filter(|&t| t <= ev.time) {
                 probe(t, &self.processes);
                 next_probe = t.checked_add(probe_interval);
@@ -373,13 +418,17 @@ impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
             // Corruption scheduled at time t strikes before the event
             // dispatched at t — corrupt-then-run, as in the synchronous
             // runner.
-            self.apply_due_corruptions(sink);
-            if traced {
+            if self.next_corruption_at.is_some_and(|t| t <= self.now) {
+                self.apply_due_corruptions(sink);
+            }
+            if traced && self.next_crash_report.is_some_and(|t| t <= self.now) {
                 self.report_crashes(sink);
             }
             match ev.kind {
-                PendingKind::Deliver { from, to, msg } => {
+                PendingKind::Deliver { from, to, slot } => {
+                    let (from, to) = (ProcessId(from as usize), ProcessId(to as usize));
                     if self.is_crashed(to) {
+                        self.arena.release(slot);
                         self.stats.messages_to_crashed += 1;
                         if traced {
                             sink.emit(&TraceEvent::DropToCrashed {
@@ -398,13 +447,22 @@ impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
                             to,
                         });
                     }
-                    // Borrowed delivery: the receiver reads the copy the
-                    // whole broadcast shares; nothing is cloned for it.
+                    // Borrowed delivery: the receiver reads the one
+                    // message in the slot; nothing is cloned for it. The
+                    // slot is released before the handler's own sends
+                    // are queued, so the last copy's slot takes the next
+                    // message.
                     self.scratch.reset(to, self.now);
-                    self.processes[to.index()].on_message(&mut self.scratch, from, msg.get());
+                    self.processes[to.index()].on_message(
+                        &mut self.scratch,
+                        from,
+                        self.arena.get(slot),
+                    );
+                    self.arena.release(slot);
                     self.drain_scratch(to);
                 }
                 PendingKind::Timer { p, tag } => {
+                    let p = ProcessId(p as usize);
                     if self.is_crashed(p) {
                         continue;
                     }
@@ -418,9 +476,14 @@ impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
                 }
             }
         }
-        self.now = self
-            .now
-            .max(horizon.min(self.peek_time().unwrap_or(horizon)));
+        // Probes due by the horizon fire even when no event reached them:
+        // a run that goes quiet still yields every sample up to its end.
+        while let Some(t) = next_probe.filter(|&t| t <= horizon) {
+            probe(t, &self.processes);
+            next_probe = t.checked_add(probe_interval);
+        }
+        // Nothing is left at or before the horizon.
+        self.now = self.now.max(horizon);
         self.apply_due_corruptions(sink);
         if traced {
             self.report_crashes(sink);
@@ -445,14 +508,16 @@ impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
                 sink.emit(&TraceEvent::Corruption { round: at, seed });
             }
         }
+        self.next_corruption_at = self.corruptions.get(self.next_corruption).map(|&(t, _)| t);
     }
 
     /// Emits a `crash` event for every process whose scheduled crash time
     /// virtual time has now reached, exactly once per process.
     fn report_crashes<T: TraceSink>(&mut self, sink: &mut T) {
-        if self.crashes_unreported == 0 {
+        if self.next_crash_report.is_none_or(|t| t > self.now) {
             return;
         }
+        let mut next = None;
         for i in 0..self.crashed_at.len() {
             if self.crash_reported[i] {
                 continue;
@@ -460,18 +525,16 @@ impl<P: AsyncProcess, S: Scheduler> AsyncRunner<P, S> {
             if let Some(t) = self.crashed_at[i] {
                 if t <= self.now {
                     self.crash_reported[i] = true;
-                    self.crashes_unreported -= 1;
                     sink.emit(&TraceEvent::Crash {
                         at: t,
                         p: ProcessId(i),
                     });
+                } else {
+                    next = Some(next.map_or(t, |n: Time| n.min(t)));
                 }
             }
         }
-    }
-
-    fn peek_time(&self) -> Option<Time> {
-        self.queue.peek_time()
+        self.next_crash_report = next;
     }
 }
 
@@ -586,6 +649,70 @@ mod tests {
     }
 
     #[test]
+    fn probes_due_by_the_horizon_fire_after_the_run_goes_quiet() {
+        // Both processes crash at t = 30, so nothing is dispatched after
+        // t = 50; every probe up to the horizon still fires, once.
+        let cfg = AsyncConfig::tame(4)
+            .with_crash(ProcessId(0), 30)
+            .with_crash(ProcessId(1), 30);
+        let mut r = runner(cfg);
+        let mut at = Vec::new();
+        r.run_probed(1_000, 100, |t, _| at.push(t));
+        assert_eq!(at, (1..=10).map(|k| k * 100).collect::<Vec<Time>>());
+        // The next chunk picks up where the horizon left off.
+        r.run_probed(1_250, 100, |t, _| at.push(t));
+        assert_eq!(at[10..], [1_100, 1_200]);
+        assert_eq!(r.now(), 1_250);
+    }
+
+    /// A scheduler that breaks the delay contract: every delay is 0.
+    struct Instant0;
+
+    impl Scheduler for Instant0 {
+        fn delay(&mut self, _: &AsyncConfig, _: Time, _: ProcessId, _: ProcessId) -> Time {
+            0
+        }
+    }
+
+    #[test]
+    fn a_zero_delay_is_clamped_to_one() {
+        use ftss_telemetry::RecordingSink;
+        let procs = vec![Pinger::default(), Pinger::default()];
+        let mut r = AsyncRunner::with_scheduler(procs, AsyncConfig::tame(1), Instant0).unwrap();
+        let mut sink = RecordingSink::new(1_024);
+        r.run_until_traced(40, &mut sink);
+        let times: Vec<Time> = sink
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Deliver { time, .. } => Some(time),
+                _ => None,
+            })
+            .collect();
+        // The ping-pong's eleven messages, one instant apart: none lands in
+        // the instant it was sent in.
+        assert_eq!(times, (1..=11).collect::<Vec<Time>>());
+    }
+
+    #[test]
+    fn copies_dropped_at_a_crashed_receiver_free_their_slots() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let procs = (0..5)
+            .map(|_| Gossiper {
+                clones: std::rc::Rc::clone(&clones),
+                heard: 0,
+            })
+            .collect();
+        let cfg = AsyncConfig::tame(3).with_crash(ProcessId(4), 50);
+        let mut r = AsyncRunner::new(procs, cfg).unwrap();
+        let stats = r.run_until(20_000);
+        assert!(stats.messages_to_crashed > 7_000, "{stats:?}");
+        // A broadcast every 10 units whose copies all land within 10: at
+        // most two per live process are ever in flight at once.
+        assert!(r.arena.high_water() <= 2 * 5, "{}", r.arena.high_water());
+    }
+
+    #[test]
     fn traced_run_matches_untraced_and_reports_crashes_once() {
         use ftss_telemetry::RecordingSink;
         let cfg = AsyncConfig::tame(3).with_crash(ProcessId(1), 40);
@@ -655,6 +782,9 @@ mod tests {
         assert!(AsyncRunner::new(vec![Pinger::default()], bad).is_err());
         let unknown = AsyncConfig::tame(0).with_crash(ProcessId(9), 1);
         assert!(AsyncRunner::new(vec![Pinger::default()], unknown).is_err());
+        // Building 2^32 processes to see the refusal would take minutes.
+        assert!(ids_fit_u32(u32::MAX as usize).is_ok());
+        assert!(ids_fit_u32(u32::MAX as usize + 1).is_err());
     }
 
     #[test]

@@ -28,7 +28,9 @@ use ftss_rng::StdRng;
 /// The runner's source of message delays.
 pub trait Scheduler {
     /// The delay to assign to a message sent `from → to` at time `now`.
-    /// Must be at least 1 (no zero-delay delivery loops).
+    /// Must be at least 1 (no zero-delay delivery loops); the runner
+    /// clamps a 0 to 1, so a copy never lands in the instant it was sent
+    /// in.
     fn delay(&mut self, cfg: &AsyncConfig, now: Time, from: ProcessId, to: ProcessId) -> Time;
 }
 

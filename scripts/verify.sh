@@ -115,6 +115,16 @@ if grep -rnwE 'DfsScheduler|explore_gossip_por|AsyncDfsReport|ByzantineScheduler
 fi
 # `AsyncRunner` owns the one event queue; a second is a second event order.
 call_sites 1 'EventQueue::new\(' crates/async-sim/src
+# A queued message is held once, in the runner's arena slot, with a plain
+# count of its queued copies (DESIGN.md §9): no shared handle per copy.
+# The dispatch loop probes the queue once per event, with the
+# horizon-bounded pop; a peek before it is a second probe coming back.
+if grep -rnwE 'Payload|Arc' crates/async-sim/src; then
+    echo "ERROR: a shared message handle is back in the async engine (see above)" >&2
+    exit 1
+fi
+call_sites 1 '\.pop_until\(' crates/async-sim/src
+call_sites 0 'peek_time\(' crates/async-sim/src
 call_sites 1 'window_stabilization\(' crates/chaos/src crates/cli/src
 call_sites 1 'storm_program_for\(' crates/chaos/src crates/cli/src crates/serve/src
 call_sites 2 'stabilization_offset\(' crates/*/src

@@ -77,7 +77,8 @@ const RING: Time = 64;
 
 /// One instant's events, sorted by `seq`: `evs[head..]` are pending, the
 /// ones before `head` were popped. Emptied, it resets to `head == 0` and
-/// keeps its capacity.
+/// keeps its capacity; it grows only through [`EventQueue::push`], to
+/// the ring's high-water count.
 #[derive(Debug, Default)]
 struct Bucket {
     evs: Vec<Pending>,
@@ -96,6 +97,12 @@ struct Bucket {
 /// periods under `RING` every event lands in the ring, and push and pop
 /// are O(1): the runner's seqs arrive in increasing order, so a push
 /// appends to its bucket.
+///
+/// The buckets share one high-water count, the most events one of them
+/// has held. A bucket that must grow, or is reused while empty, makes
+/// room for that many at once (rounded up to a power of two), so the
+/// ring stops allocating once one instant has peaked and every bucket
+/// has come round again.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
     /// `ring[t % RING]` holds the events at instant `t`, for
@@ -107,6 +114,8 @@ pub(crate) struct EventQueue {
     base: Time,
     /// Events that were outside the ring's window when pushed.
     overflow: BinaryHeap<Reverse<Pending>>,
+    /// The most events one bucket has held, popped ones included.
+    high_water: usize,
 }
 
 impl EventQueue {
@@ -116,6 +125,7 @@ impl EventQueue {
             occupied: 0,
             base: 0,
             overflow: BinaryHeap::new(),
+            high_water: 0,
         }
     }
 
@@ -128,12 +138,17 @@ impl EventQueue {
         }
         let i = (ev.time % RING) as usize;
         let Bucket { evs, head } = &mut self.ring[i];
+        if evs.is_empty() || evs.len() == evs.capacity() {
+            let room = self.high_water.max(evs.len() + 1).next_power_of_two();
+            evs.reserve_exact(room - evs.len());
+        }
         if evs.last().is_none_or(|last| last.seq < ev.seq) {
             evs.push(ev);
         } else {
             let at = *head + evs[*head..].partition_point(|e| e.seq < ev.seq);
             evs.insert(at, ev);
         }
+        self.high_water = self.high_water.max(evs.len());
         self.occupied |= 1 << i;
     }
 

@@ -39,7 +39,7 @@
 //! why sharing cannot leak mutability into the record.
 
 use crate::fault::FaultKind;
-use crate::id::{ProcessId, ProcessSet, SetBits, WORD_BITS};
+use crate::id::{ProcessId, ProcessSet, WORD_BITS};
 use crate::payload::Payload;
 use crate::round::{Round, RoundCounter};
 use std::fmt;
@@ -341,6 +341,9 @@ pub struct RoundMsgs<M> {
     /// ([`RoundHistory::record_late`]); empty in every run without timing
     /// faults.
     late: Vec<(ProcessId, ProcessId, Payload<M>)>,
+    /// Scratch of [`RoundHistory::record_clean_run`]: each special
+    /// process's heard bits in the current word of senders.
+    run_heard: Vec<u64>,
 }
 
 impl<M: PartialEq> PartialEq for RoundMsgs<M> {
@@ -375,6 +378,7 @@ impl<M> RoundMsgs<M> {
             exceptions: Vec::new(),
             forged: Vec::new(),
             late: Vec::new(),
+            run_heard: Vec::new(),
         }
     }
 
@@ -407,6 +411,53 @@ impl<M> RoundMsgs<M> {
     /// the round was recorded with [`RoundHistory::record_clean_block`].
     pub fn block_srcs(&self) -> &ProcessSet {
         &self.block_srcs
+    }
+
+    /// The processes outside the clean block's receivers, ascending — the
+    /// owners of every row of an opened frame
+    /// ([`RoundHistory::open_clean_block`]). Empty in a frame never
+    /// opened.
+    pub fn specials(&self) -> &[ProcessId] {
+        &self.specials
+    }
+
+    /// Whether any copy sent in an earlier round arrives in this one
+    /// ([`Deliveries::late`]).
+    pub fn has_late(&self) -> bool {
+        !self.late.is_empty()
+    }
+
+    /// Which of the special processes ([`Self::specials`]) each receiver
+    /// of the clean block heard, as a mask — bit `i` stands for the
+    /// `i`-th — read in one pass over their heard columns: `out[p]` for
+    /// process `p`. Two receivers with the same mask heard the same fresh
+    /// messages. `None` for a process outside the block and for one that
+    /// heard a forged copy, and for every process if the round has more
+    /// than 64 special processes.
+    pub fn heard_specials_into(&self, out: &mut Vec<Option<u64>>) {
+        out.clear();
+        if self.specials.len() > WORD_BITS || self.block_dsts.is_empty() {
+            out.resize(self.n, None);
+            return;
+        }
+        out.resize(self.n, Some(0));
+        // No branch on the bits, which an omitter draws at random.
+        for (i, &s) in self.specials.iter().enumerate() {
+            let column = self.rows.row(COLUMN + HEARD, s);
+            for (masks, &word) in out.chunks_mut(WORD_BITS).zip(column) {
+                for (b, mask) in masks.iter_mut().enumerate() {
+                    if let Some(mask) = mask {
+                        *mask |= (word >> b & 1) << i;
+                    }
+                }
+            }
+        }
+        for &s in &self.specials {
+            out[s.index()] = None;
+        }
+        for &(_, dst, _) in &self.forged {
+            out[dst.index()] = None;
+        }
     }
 
     /// Whether the block holds the copy `src → dst` (never a self-copy).
@@ -524,16 +575,7 @@ impl<M> RoundMsgs<M> {
             }
             return;
         }
-        // Every copy is written to the next free slot, made up front,
-        // which only an exception keeps. The list grows by doubling, as
-        // pushes would grow it: its capacity stays a power of two.
-        let start = exc.len();
-        let need = start + copies.len();
-        if need > exc.capacity() {
-            let grown = need.next_power_of_two().max(2 * exc.capacity());
-            exc.reserve_exact(grown - start);
-        }
-        exc.resize(need, (src, first, DeliveryOutcome::Delivered));
+        let start = open_slots(exc, copies.len(), (src, first));
         let slots = &mut exc[start..];
         let mut kept = 0;
         for &(dst, outcome) in copies {
@@ -541,6 +583,81 @@ impl<M> RoundMsgs<M> {
             kept += usize::from(outcome != DeliveryOutcome::Delivered);
         }
         exc.truncate(start + kept);
+    }
+
+    /// A run of block receivers' rows to the special processes, as
+    /// [`RoundHistory::record_clean_run`] takes it, in one pass over the
+    /// copies: each special process's sent column and heard row take the
+    /// run's bits a word of senders at a time, and, when the run follows
+    /// every exception recorded so far, its exceptions are appended with
+    /// no branch on the outcome. Returns whether they were.
+    fn commit_column_run(
+        &mut self,
+        srcs: &[ProcessId],
+        copies: &[(ProcessId, DeliveryOutcome)],
+    ) -> bool {
+        let RoundMsgs {
+            block_dsts,
+            specials,
+            rows,
+            exceptions: exc,
+            run_heard,
+            ..
+        } = self;
+        let w = specials.len();
+        let first = (srcs[0], specials[0]);
+        let append = exc.last().is_none_or(|&(s, d, _)| (s, d) < first);
+        // As `push_exceptions`: every copy is written to the next free
+        // slot, which only an exception keeps.
+        let start = if append {
+            open_slots(exc, copies.len(), first)
+        } else {
+            exc.len()
+        };
+        let slots = &mut exc[start..];
+        run_heard.clear();
+        run_heard.resize(w, 0);
+        // The shape is checked as the copies go by, with no branch: the
+        // senders ascend and lie in the block, and every row is plain
+        // copies to the special processes in order.
+        let mut plain = true;
+        let mut flush = |k: usize, sent: u64, heard: &mut [u64]| {
+            for (&q, heard) in specials.iter().zip(heard) {
+                rows.or_word(COLUMN + SENT, q, k, sent);
+                rows.or_word(HEARD, q, k, *heard);
+                *heard = 0;
+            }
+            sent & !block_dsts.words()[k] == 0
+        };
+        let (mut k, mut sent, mut kept, mut next) = (usize::MAX, 0u64, 0, 0);
+        for (&src, row) in srcs.iter().zip(copies.chunks_exact(w)) {
+            plain &= src.index() >= next;
+            next = src.index() + 1;
+            let (word, bit) = (src.index() / WORD_BITS, src.index() % WORD_BITS);
+            if word != k {
+                if k != usize::MAX {
+                    plain &= flush(k, sent, run_heard);
+                }
+                (k, sent) = (word, 0);
+            }
+            sent |= 1 << bit;
+            for j in 0..w {
+                let (dst, outcome) = row[j];
+                plain &= (dst == specials[j]) & (outcome != DeliveryOutcome::Forged);
+                run_heard[j] |= u64::from(arrives(outcome)) << bit;
+                if append {
+                    slots[kept] = (src, dst, outcome);
+                    kept += usize::from(outcome != DeliveryOutcome::Delivered);
+                }
+            }
+        }
+        plain &= flush(k, sent, run_heard);
+        exc.truncate(start + kept);
+        assert!(
+            plain,
+            "a clean run is ascending block receivers' plain copies to every special process"
+        );
+        append
     }
 
     /// Bit `q` of `p`'s row of the `side` grid, block aside.
@@ -713,6 +830,26 @@ fn arrives(outcome: DeliveryOutcome) -> bool {
         outcome,
         DeliveryOutcome::Delivered | DeliveryOutcome::Duplicated
     )
+}
+
+/// Makes `len` slots at the end of the exception list, each holding the
+/// copy `first` as delivered, for a branch-free append to overwrite; returns
+/// where they start. The list grows by doubling, as pushes would grow it:
+/// its capacity stays a power of two.
+#[inline]
+fn open_slots(
+    exc: &mut Vec<(ProcessId, ProcessId, DeliveryOutcome)>,
+    len: usize,
+    (src, dst): (ProcessId, ProcessId),
+) -> usize {
+    let start = exc.len();
+    let need = start + len;
+    if need > exc.capacity() {
+        let grown = need.next_power_of_two().max(2 * exc.capacity());
+        exc.reserve_exact(grown - start);
+    }
+    exc.resize(need, (src, dst, DeliveryOutcome::Delivered));
+    start
 }
 
 // The recorder's refusals, kept out of line so that the per-copy path
@@ -971,30 +1108,6 @@ impl<'a, M> Deliveries<'a, M> {
         }
     }
 
-    /// Which of the round's special processes — those outside its clean
-    /// block, ascending — this receiver of the block heard, as a mask:
-    /// bit `i` stands for the `i`-th. Two receivers with the same mask
-    /// heard the same fresh messages. `None` unless the receiver is in
-    /// the block ([`RoundHistory::open_clean_block`]) and the round has
-    /// at most 64 special processes, or if a copy the receiver heard was
-    /// forged.
-    pub fn heard_specials(&self) -> Option<u64> {
-        let m = self.msgs;
-        if !m.rowless(self.dst) || m.specials.len() > WORD_BITS {
-            return None;
-        }
-        // No branch on the bits, which an omitter draws at random.
-        let mut mask = 0u64;
-        for (i, &s) in m.specials.iter().enumerate() {
-            mask |= u64::from(m.rows.get(COLUMN + HEARD, s, self.dst.index())) << i;
-        }
-        let forged = |i| m.forged_payload_of(m.specials[i], self.dst).is_some();
-        if !m.forged.is_empty() && SetBits::new(&[mask]).any(forged) {
-            return None;
-        }
-        Some(mask)
-    }
-
     /// The senders heard from, as the words of the delivered row: bit
     /// `s % 64` of word `s / 64` is set iff a copy from `s` arrived.
     pub fn heard_words(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
@@ -1182,6 +1295,48 @@ impl<S, M> RoundHistory<S, M> {
             m.commit_special_row(src, copies);
         }
         m.push_exceptions(src, copies);
+    }
+
+    /// Records a run of clean senders' copies to the special processes:
+    /// `srcs`, ascending receivers of the clean block
+    /// ([`Self::open_clean_block`]), each sent a copy to every special
+    /// process, and `copies` holds their rows in sender order, each row
+    /// `(dst, outcome)` over the special processes, ascending — what
+    /// [`Self::record_copies`] of each row would record. Each special
+    /// process's sent column and heard row take the run's bits a word of
+    /// senders at a time, and the exceptions are appended as
+    /// [`Self::record_copies`] appends them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sender owns rows, if the senders are out of order, if
+    /// a row's destinations are not the special processes, or on a
+    /// forged copy (record it with [`Self::record_forged`]).
+    pub fn record_clean_run(
+        &mut self,
+        srcs: &[ProcessId],
+        copies: &[(ProcessId, DeliveryOutcome)],
+    ) {
+        let m = &mut self.msgs;
+        let w = m.specials.len();
+        if w == 0 {
+            assert!(
+                copies.is_empty(),
+                "a clean run's copies go to special processes"
+            );
+            return;
+        }
+        assert_eq!(
+            copies.len(),
+            srcs.len() * w,
+            "a clean run has a row per sender over every special process"
+        );
+        if srcs.is_empty() || m.commit_column_run(srcs, copies) {
+            return;
+        }
+        for (&src, row) in srcs.iter().zip(copies.chunks_exact(w)) {
+            m.push_exceptions(src, row);
+        }
     }
 
     /// Forgets every copy recorded as reaching `dst`, and nothing else —
@@ -2189,6 +2344,7 @@ mod tests {
             rh.record_delivery(outsider, ProcessId(0));
             if n > 2 {
                 rh.record_delivery(dst, outsider);
+                rh.record_delivery(ProcessId(2), outsider);
             }
             rh.record_clean_block(&srcs);
             for p in [dst, outsider] {
@@ -2215,7 +2371,118 @@ mod tests {
                 .collect();
             assert_eq!(off[0], (forger, "forged"));
             assert_eq!(off.len(), if n > 2 { 2 } else { 1 });
+            // The frame-wide mask reader, bit by bit: a block receiver
+            // names the special processes it heard by their rank; the
+            // forger's receiver and every special process get none.
+            let specials: Vec<_> = (0..n)
+                .map(ProcessId)
+                .filter(|&q| !dsts.contains(q))
+                .collect();
+            assert_eq!(rh.msgs().specials(), specials);
+            let mut masks = Vec::new();
+            rh.msgs().heard_specials_into(&mut masks);
+            for p in (0..n).map(ProcessId) {
+                let row = rh.msgs().deliveries(p);
+                let heard_forged = row.forged().next().is_some();
+                let want = (row.in_block() && !heard_forged).then(|| {
+                    let bits = specials.iter().enumerate();
+                    bits.fold(0u64, |m, (i, &q)| m | u64::from(row.get(q).is_some()) << i)
+                });
+                assert_eq!(masks[p.index()], want, "n = {n}, {p}");
+            }
+            assert_eq!(masks[dst.index()], None);
+            if n > 2 {
+                let last = 1 << (specials.len() - 1);
+                assert_eq!(masks[2], Some(last), "n = {n}: p2 heard the outsider");
+            }
         }
+    }
+
+    /// A clean run records what its rows, each by
+    /// [`RoundHistory::record_copies`], record — senders crossing word
+    /// boundaries, special processes at both ends of a word — and the
+    /// masks read from its columns are its receivers' heard bits.
+    #[test]
+    fn a_clean_run_records_like_its_rows() {
+        forall(16, |g: &mut Gen| {
+            let n = [63, 64, 65, 129, 130][g.gen_range(0..5usize)];
+            let mut specials: Vec<ProcessId> = [0, 63, 64, n - 1]
+                .into_iter()
+                .filter(|&i| i < n)
+                .take(g.gen_range(1..=4usize))
+                .map(ProcessId)
+                .collect();
+            specials.dedup();
+            let dsts = ProcessSet::from_iter_n(n, (0..n).map(ProcessId))
+                .difference(&ProcessSet::from_iter_n(n, specials.iter().copied()));
+            let srcs: Vec<ProcessId> = dsts.iter().filter(|_| g.gen_bool(0.9)).collect();
+            let outcomes = [
+                Delivered,
+                DroppedByReceiver,
+                ReceiverCrashed,
+                DeliveryOutcome::Delayed,
+            ];
+            let mut copies = Vec::new();
+            for _ in &srcs {
+                for &q in &specials {
+                    copies.push((q, outcomes[g.gen_range(0..4usize)]));
+                }
+            }
+            let frame = |by_rows: bool| {
+                let mut rh = RH::empty(n);
+                rh.open_clean_block(&dsts);
+                for p in (0..n).map(ProcessId) {
+                    rh.set_broadcast(p, Payload::new("m"));
+                }
+                let w = specials.len();
+                if by_rows {
+                    for (src, row) in srcs.iter().zip(copies.chunks_exact(w)) {
+                        rh.record_copies(*src, row);
+                    }
+                } else {
+                    rh.record_clean_run(&srcs, &copies);
+                }
+                rh.record_clean_block(&ProcessSet::from_iter_n(n, srcs.iter().copied()));
+                rh
+            };
+            let (run, rows) = (frame(false), frame(true));
+            assert!(run.msgs() == rows.msgs(), "n = {n}, {specials:?}");
+            assert_eq!(run.msgs().exceptions, rows.msgs().exceptions);
+            let mut masks = Vec::new();
+            run.msgs().heard_specials_into(&mut masks);
+            for p in (0..n).map(ProcessId) {
+                let inbox = run.msgs().deliveries(p);
+                let want = dsts.contains(p).then(|| {
+                    let bits = specials.iter().enumerate();
+                    bits.fold(0u64, |m, (i, &q)| {
+                        m | u64::from(inbox.get(q).is_some()) << i
+                    })
+                });
+                assert_eq!(masks[p.index()], want, "n = {n}, {p}");
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a clean run")]
+    fn a_clean_run_missing_a_special_process_is_refused() {
+        let mut rh = RH::empty(4);
+        rh.open_clean_block(&ProcessSet::from_iter_n(4, [ProcessId(1), ProcessId(2)]));
+        rh.record_clean_run(
+            &[ProcessId(1)],
+            &[(ProcessId(0), Delivered), (ProcessId(0), Delivered)],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a clean run")]
+    fn a_clean_run_from_a_special_process_is_refused() {
+        let mut rh = RH::empty(4);
+        rh.open_clean_block(&ProcessSet::from_iter_n(4, [ProcessId(1), ProcessId(2)]));
+        rh.record_clean_run(
+            &[ProcessId(3)],
+            &[(ProcessId(0), Delivered), (ProcessId(3), Delivered)],
+        );
     }
 
     #[test]
@@ -2304,6 +2571,7 @@ mod tests {
         Deliver(ProcessId, ProcessId),
         Forge(ProcessId, ProcessId),
         Row(ProcessId, Vec<(ProcessId, DeliveryOutcome)>),
+        Run(Vec<ProcessId>, Vec<(ProcessId, DeliveryOutcome)>),
         Open(ProcessSet),
         Block(ProcessSet),
     }
@@ -2322,6 +2590,7 @@ mod tests {
                 Op::Deliver(dst, src) => rh.record_delivery(*dst, *src),
                 Op::Forge(src, dst) => rh.record_forged(*src, *dst, Payload::new("forged")),
                 Op::Row(src, copies) => rh.record_copies(*src, copies),
+                Op::Run(srcs, copies) => rh.record_clean_run(srcs, copies),
                 Op::Open(dsts) => rh.open_clean_block(dsts),
                 Op::Block(srcs) => rh.record_clean_block(srcs),
             }
@@ -2334,7 +2603,7 @@ mod tests {
         let copy = |op: &&Op| {
             matches!(
                 op,
-                Op::Send(..) | Op::Deliver(..) | Op::Forge(..) | Op::Row(..)
+                Op::Send(..) | Op::Deliver(..) | Op::Forge(..) | Op::Row(..) | Op::Run(..)
             )
         };
         let block = |op: &&Op| matches!(op, Op::Block(..));
@@ -2364,6 +2633,42 @@ mod tests {
                 },
                 Op::Deliver(dst, src) if dst != src => {}
                 other => out.push(other.clone()),
+            }
+        }
+        out
+    }
+
+    /// Records every row of a block receiver to exactly the special
+    /// processes as part of a clean run ([`RoundHistory::record_clean_run`]),
+    /// consecutive ones together, as the kernel's walk does; the
+    /// broadcasts go first, so that they part no run.
+    fn as_runs(ops: &[Op]) -> Vec<Op> {
+        let (mut out, rest): (Vec<Op>, Vec<Op>) = ops
+            .iter()
+            .cloned()
+            .partition(|op| matches!(op, Op::Broadcast(..)));
+        let mut specials = Vec::new();
+        for op in rest {
+            match op {
+                Op::Open(ref dsts) => {
+                    let outside = (0..dsts.universe()).map(ProcessId);
+                    specials = outside.filter(|p| !dsts.contains(*p)).collect();
+                    out.push(op);
+                }
+                Op::Row(src, copies)
+                    if !specials.is_empty()
+                        && !specials.contains(&src)
+                        && copies.iter().map(|c| c.0).eq(specials.iter().copied()) =>
+                {
+                    match out.last_mut() {
+                        Some(Op::Run(srcs, run)) => {
+                            srcs.push(src);
+                            run.extend(copies);
+                        }
+                        _ => out.push(Op::Run(vec![src], copies)),
+                    }
+                }
+                other => out.push(other),
             }
         }
         out
@@ -2410,6 +2715,15 @@ mod tests {
                             d.heard[dst.index() * n + src.index()] |= arrives(outcome);
                         }
                     }
+                    Op::Run(srcs, copies) => {
+                        let w = copies.len() / srcs.len();
+                        for (src, row) in srcs.iter().zip(copies.chunks_exact(w)) {
+                            for &(dst, outcome) in row {
+                                d.sent[src.index() * n + dst.index()] = Some(outcome);
+                                d.heard[dst.index() * n + src.index()] |= arrives(outcome);
+                            }
+                        }
+                    }
                     Op::Open(dsts) => d.block_dsts = dsts.clone(),
                     Op::Block(srcs) => {
                         let dsts = d.block_dsts.clone();
@@ -2447,6 +2761,9 @@ mod tests {
             let (n, m) = (self.n, rh.msgs());
             let everyone = || (0..n).map(ProcessId);
             let (mut deviations, mut faulty) = (vec![DeviationSet::EMPTY; n], ProcessSet::empty(n));
+            let mut masks = vec![Some(7); 2];
+            m.heard_specials_into(&mut masks);
+            assert_eq!(masks.len(), n);
             for p in everyone() {
                 let sent: Vec<_> = m
                     .sent_iter(p)
@@ -2513,11 +2830,7 @@ mod tests {
                         .filter(|&(_, &q)| self.heard(p, q));
                     heard.fold(0u64, |mask, (i, _)| mask | 1 << i)
                 });
-                assert_eq!(
-                    inbox.heard_specials(),
-                    want,
-                    "n = {n}, specials heard by {p}"
-                );
+                assert_eq!(masks[p.index()], want, "n = {n}, specials heard by {p}");
                 for q in everyone() {
                     assert_eq!(m.outcome_of(p, q), self.sent(p, q), "n = {n}, {p} → {q}");
                     assert_eq!(
@@ -2670,9 +2983,9 @@ mod tests {
     /// The row table against a dense reference grid, in every order the
     /// tree records a frame in, on both sides of every word boundary:
     /// every reader agrees with the grid, and frames that split the same
-    /// copies differently — in the block or in the table, in rows or in
-    /// columns, pooled in another order, or in a frame recycled from
-    /// another layout — are equal both ways.
+    /// copies differently — in the block or in the table, in rows, in
+    /// clean runs or in columns, pooled in another order, or in a frame
+    /// recycled from another layout — are equal both ways.
     #[test]
     fn row_table_matches_a_dense_grid_in_every_recorder_order() {
         forall(12, |g: &mut Gen| {
@@ -2687,11 +3000,14 @@ mod tests {
                 ..dense.clone()
             };
             let rows = as_rows(&walk);
+            let runs = as_runs(&rows);
             let splits = [
                 (replay(n, &walk), &dense),
                 (replay(n, &reversed(&walk)), &dense),
                 (replay(n, &rows), &dense),
                 (replay(n, &reversed(&rows)), &dense),
+                (replay(n, &runs), &dense),
+                (replay(n, &reversed(&runs)), &dense),
                 (round.record(true), &dense),
                 (round.record(false), &unblocked),
             ];
@@ -2706,7 +3022,7 @@ mod tests {
             let mut recycled = replay(n, &walk);
             let orders = [stepper_ops(g, n), router_ops(g, n), coterie_ops(g, n)];
             let coterie_rows = as_rows(&orders[2]);
-            for ops in orders.iter().chain([&walk, &rows, &coterie_rows]) {
+            for ops in orders.iter().chain([&walk, &rows, &runs, &coterie_rows]) {
                 let (frame, other) = (replay(n, ops), replay(n, &reversed(ops)));
                 recycled.reset(n);
                 replay_into(&mut recycled, ops);

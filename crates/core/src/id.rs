@@ -222,6 +222,32 @@ impl ProcessSet {
             .all(|(a, b)| a & !b == 0)
     }
 
+    /// Makes the set the processes of its universe that `member`
+    /// accepts, asked in index order and assembled a word at a time with
+    /// no branch on the answers.
+    pub fn assign(&mut self, mut member: impl FnMut(ProcessId) -> bool) {
+        for (k, word) in self.words.iter_mut().enumerate() {
+            let base = k * WORD_BITS;
+            let mut bits = 0;
+            for b in 0..WORD_BITS.min(self.n - base) {
+                bits |= u64::from(member(ProcessId(base + b))) << b;
+            }
+            *word = bits;
+        }
+    }
+
+    /// Removes every member of `other` (`self ∖ other`, in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the universes differ.
+    pub fn subtract(&mut self, other: &ProcessSet) {
+        assert_eq!(self.n, other.n, "universe mismatch");
+        for (o, w) in self.words.iter_mut().zip(&other.words) {
+            *o &= !w;
+        }
+    }
+
     /// Removes all members.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);

@@ -300,17 +300,22 @@ impl Bernoulli {
     }
 }
 
-/// Unbiased uniform draw in `[0, n)` via Lemire's multiply-with-rejection.
+/// Unbiased uniform draw in `[0, n)` via Lemire's multiply-with-rejection,
+/// in its nearly divisionless form: the rejection threshold
+/// `2^64 mod n`, a division, is computed only when the product's low
+/// word falls below `n`, since every low word at or above `n` clears it.
+/// Same outputs from the same raw draws as testing every draw against the
+/// threshold.
 fn gen_u64_below<R: Rng + ?Sized>(rng: &mut R, n: u64) -> u64 {
     debug_assert!(n >= 1);
-    let threshold = n.wrapping_neg() % n;
-    loop {
-        let x = rng.next_u64();
-        let m = (x as u128) * (n as u128);
-        if (m as u64) >= threshold {
-            return (m >> 64) as u64;
+    let mut m = u128::from(rng.next_u64()) * u128::from(n);
+    if (m as u64) < n {
+        let threshold = n.wrapping_neg() % n;
+        while (m as u64) < threshold {
+            m = u128::from(rng.next_u64()) * u128::from(n);
         }
     }
+    (m >> 64) as u64
 }
 
 // ---------------------------------------------------------------------
@@ -456,6 +461,42 @@ impl SampleUniform for f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `gen_u64_below` as it was: the threshold divided out on every
+    /// draw.
+    fn gen_u64_below_by_division<R: Rng + ?Sized>(rng: &mut R, n: u64) -> u64 {
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let x = rng.next_u64();
+            let m = (x as u128) * (n as u128);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    /// The nearly divisionless draw against the one above: the same
+    /// values from the same raw draws, at bounds where rejection never,
+    /// rarely and half the time strikes.
+    #[test]
+    fn bounded_draws_match_the_dividing_form() {
+        let bounds = [1, 2, 3, 7, (1 << 32) + 1, (1 << 63) + 1, u64::MAX];
+        for n in bounds {
+            for seed in 0..64 {
+                let mut fast = StdRng::seed_from_u64(seed);
+                let mut slow = StdRng::seed_from_u64(seed);
+                for i in 0..256 {
+                    let (a, b) = (
+                        gen_u64_below(&mut fast, n),
+                        gen_u64_below_by_division(&mut slow, n),
+                    );
+                    assert_eq!(a, b, "n {n}, seed {seed}, draw {i}");
+                    assert!(a < n);
+                    assert_eq!(fast.state(), slow.state(), "n {n}, seed {seed}, draw {i}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn fork_streams_are_distinct_but_deterministic() {

@@ -3,7 +3,8 @@
 //! An adversary declares a faulty set and a crash schedule up front and is
 //! then consulted about every *eligible* copy of a round — a
 //! point-to-point copy that touches the declared faulty set (see
-//! [`Adversary`]) — one sender's row at a time ([`Adversary::decide_row`]),
+//! [`Adversary`]) — a run of senders' rows at a time
+//! ([`Adversary::decide_row`]),
 //! to decide crash cuts, omissions, forgeries and late copies. The round
 //! kernel enforces the model's rules:
 //!
@@ -41,11 +42,11 @@ pub enum Lateness {
 
 /// Decides process failures for a run.
 ///
-/// The kernel hands over each sender's *eligible* copies of a round —
-/// `from → to` with `from != to` and `from` or `to` in
-/// [`faulty`](Self::faulty) — as one [`CopyRow`], in (round, sender)
-/// order, to [`decide_row`](Self::decide_row), whether or not the run is
-/// traced. Its default body asks the per-copy methods in destination
+/// The kernel hands over a round's *eligible* copies — `from → to` with
+/// `from != to` and `from` or `to` in [`faulty`](Self::faulty) — a run of
+/// senders at a time, as one [`CopyRow`], in (round, sender) order, to
+/// [`decide_row`](Self::decide_row), whether or not the run is traced.
+/// Its default body asks the per-copy methods in (sender, destination)
 /// order, so seeded adversaries are reproducible:
 /// [`drop_copy`](Self::drop_copy), then [`forge_copy`](Self::forge_copy)
 /// for a copy it let through, about each copy the sender emitted (it did
@@ -114,25 +115,34 @@ pub trait Adversary {
         None
     }
 
-    /// Decides `from`'s eligible copies of round `r` ([`CopyRow`]): the
-    /// crash cut of a crashing sender, then each copy's drop, forgery and
-    /// lateness. The default body asks the per-copy methods, in the order
-    /// the trait docs give; an override must decide alike, draw for
-    /// draw, and only gains speed.
-    fn decide_row(&mut self, r: Round, from: ProcessId, row: &mut CopyRow) {
-        decide_each(self, r, from, row);
+    /// Decides a run of senders' eligible copies of round `r`
+    /// ([`CopyRow`]): the crash cut of a crashing sender, then each
+    /// copy's drop, forgery and lateness. The default body asks the
+    /// per-copy methods, in the order the trait docs give; an override
+    /// must decide alike, draw for draw, and only gains speed.
+    fn decide_row(&mut self, r: Round, row: &mut CopyRow) {
+        decide_each(self, r, row);
     }
 }
 
-/// One sender's eligible copies in one round, in destination order, and
-/// the verdict on each. The kernel hands a copy over `Delivered` if its
+/// A run of senders' eligible copies in one round, and the verdict on
+/// each: one row per sender, in sender order, each row its copies to the
+/// same receivers in destination order. A run is either one sender's row
+/// — a special sender's, declared faulty, the only kind that may crash —
+/// or the rows of consecutive non-faulty senders, every receiver of
+/// which is faulty. The kernel hands a copy over `Delivered` if its
 /// receiver is alive at the round's end, `ReceiverCrashed` if not; the
-/// adversary then cuts the row ([`Self::cut`]) and omits, forges or
-/// delays copies. Only a copy still `Delivered` may be omitted or
-/// forged.
+/// adversary then cuts a crashing sender's row ([`Self::cut`]) and omits,
+/// forges or delays copies. Only a copy still `Delivered` may be omitted
+/// or forged.
 #[derive(Clone, Debug, Default)]
 pub struct CopyRow {
     crashing: bool,
+    /// The run's senders, ascending, one row each.
+    senders: Vec<ProcessId>,
+    /// Copies per row.
+    width: usize,
+    /// The rows, in sender order: `(destination, verdict)`.
     copies: Vec<(ProcessId, DeliveryOutcome)>,
     /// `(copy, forge seed)`, ascending by copy.
     forged: Vec<(usize, u64)>,
@@ -141,33 +151,76 @@ pub struct CopyRow {
 }
 
 impl CopyRow {
-    /// Empties the row for a sender that crashes this round or not.
+    /// Empties the run for a sender that crashes this round, or for
+    /// senders that do not.
     pub(crate) fn reset(&mut self, crashing: bool) {
         self.crashing = crashing;
+        self.senders.clear();
+        self.width = 0;
         self.copies.clear();
         self.forged.clear();
         self.late.clear();
     }
 
-    /// Appends `copies`, each `Delivered` or `ReceiverCrashed`, in the
-    /// order given.
+    /// Appends `from`'s row: `head` then `tail`, each copy `Delivered` or
+    /// `ReceiverCrashed`, ascending by destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row is a crashing sender's and not the first, or
+    /// if its length differs from the first row's.
     #[inline]
-    pub(crate) fn extend_from(&mut self, copies: &[(ProcessId, DeliveryOutcome)]) {
-        self.copies.extend_from_slice(copies);
+    pub(crate) fn push_row(
+        &mut self,
+        from: ProcessId,
+        head: &[(ProcessId, DeliveryOutcome)],
+        tail: &[(ProcessId, DeliveryOutcome)],
+    ) {
+        let width = head.len() + tail.len();
+        if self.senders.is_empty() {
+            self.width = width;
+        } else {
+            assert!(
+                !self.crashing && width == self.width,
+                "a run's rows are alike and a crashing sender's stands alone"
+            );
+        }
+        self.senders.push(from);
+        self.copies.extend_from_slice(head);
+        self.copies.extend_from_slice(tail);
     }
 
     /// Whether the sender crashes this round, emitting only the prefix
-    /// of its copies its [`Adversary::sends_before_crash`] allows.
+    /// of its copies its [`Adversary::sends_before_crash`] allows. Only a
+    /// run of one sender may crash.
     pub fn crashing(&self) -> bool {
         self.crashing
     }
 
-    /// The copies, `(destination, verdict)`, ascending by destination.
+    /// The run's senders, ascending: row `s` is `senders()[s]`'s.
+    pub fn senders(&self) -> &[ProcessId] {
+        &self.senders
+    }
+
+    /// The copies, `(destination, verdict)`, row after row; copy `i` is
+    /// sent by [`Self::sender_of`]`(i)`.
     pub fn copies(&self) -> &[(ProcessId, DeliveryOutcome)] {
         &self.copies
     }
 
-    /// Whether the row holds no copy.
+    /// The sender of copy `i`.
+    pub fn sender_of(&self, i: usize) -> ProcessId {
+        self.senders[i / self.width]
+    }
+
+    /// Each sender with its row, in sender order.
+    pub fn rows(&self) -> impl Iterator<Item = (ProcessId, &[(ProcessId, DeliveryOutcome)])> + '_ {
+        let w = self.width;
+        let rows = self.senders.iter().enumerate();
+        rows.map(move |(s, &p)| (p, &self.copies[s * w..(s + 1) * w]))
+    }
+
+    /// Whether the run holds no copy.
     pub fn is_empty(&self) -> bool {
         self.copies.is_empty()
     }
@@ -258,38 +311,37 @@ impl CopyRow {
         &self.late
     }
 
-    /// Sets copy `i`'s verdict, unchecked: the kernel retagging a late
-    /// copy.
+    /// Sets copy `i`'s verdict, unchecked: the kernel marking a copy to a
+    /// crashed receiver, or retagging a late copy.
     pub(crate) fn set(&mut self, i: usize, verdict: DeliveryOutcome) {
         self.copies[i].1 = verdict;
     }
 }
 
 /// [`Adversary::decide_row`]'s default body: the per-copy methods, in
-/// destination order.
-fn decide_each<A: Adversary + ?Sized>(
-    adversary: &mut A,
-    r: Round,
-    from: ProcessId,
-    row: &mut CopyRow,
-) {
+/// (sender, destination) order.
+fn decide_each<A: Adversary + ?Sized>(adversary: &mut A, r: Round, row: &mut CopyRow) {
     if row.crashing {
-        row.cut(adversary.sends_before_crash(from, r));
+        row.cut(adversary.sends_before_crash(row.senders[0], r));
     }
-    for i in 0..row.copies.len() {
-        let (to, fate) = row.copies[i];
-        if fate == DeliveryOutcome::Delivered {
-            match adversary.drop_copy(r, from, to) {
-                Some(side) => row.omit(i, side),
-                None => {
-                    if let Some(seed) = adversary.forge_copy(r, from, to) {
-                        row.forge(i, seed);
+    let w = row.width;
+    for s in 0..row.senders.len() {
+        let from = row.senders[s];
+        for i in s * w..(s + 1) * w {
+            let (to, fate) = row.copies[i];
+            if fate == DeliveryOutcome::Delivered {
+                match adversary.drop_copy(r, from, to) {
+                    Some(side) => row.omit(i, side),
+                    None => {
+                        if let Some(seed) = adversary.forge_copy(r, from, to) {
+                            row.forge(i, seed);
+                        }
                     }
                 }
             }
-        }
-        if let Some(lateness) = adversary.delay_copy(r, from, to, row.copies[i].1) {
-            row.delay(i, lateness);
+            if let Some(lateness) = adversary.delay_copy(r, from, to, row.copies[i].1) {
+                row.delay(i, lateness);
+            }
         }
     }
 }
@@ -400,7 +452,7 @@ impl Adversary for SilentProcess {
 /// side (sender if the sender is faulty, else receiver). Optionally also
 /// crashes some of the faulty processes.
 ///
-/// One draw per consulted copy, `gen_bool(p_drop)` exactly; a row of
+/// One draw per consulted copy, `gen_bool(p_drop)` exactly; a run of
 /// copies is decided in one loop with no branch on the draws
 /// ([`Adversary::decide_row`]).
 #[derive(Clone, Debug)]
@@ -475,23 +527,23 @@ impl Adversary for RandomOmission {
         self.drop.sample(&mut self.rng).then_some(side)
     }
 
-    /// `drop_copy` over the row, a draw and a compare per copy; a
+    /// `drop_copy` over the run, a draw and a compare per copy; a
     /// crashing sender's row takes the default body.
     #[inline]
-    fn decide_row(&mut self, r: Round, from: ProcessId, row: &mut CopyRow) {
+    fn decide_row(&mut self, r: Round, row: &mut CopyRow) {
         if row.crashing {
-            return decide_each(self, r, from, row);
+            return decide_each(self, r, row);
         }
-        // A row holds eligible copies only: when the sender is not
-        // faulty, every receiver is.
-        let side = if self.is_faulty(from) {
-            DeliveryOutcome::DroppedBySender
-        } else {
-            DeliveryOutcome::DroppedByReceiver
+        // A run holds eligible copies only: either one faulty sender's
+        // row, or non-faulty senders' rows, every receiver of which is
+        // faulty.
+        let side = match row.senders.first() {
+            Some(&from) if self.is_faulty(from) => DeliveryOutcome::DroppedBySender,
+            _ => DeliveryOutcome::DroppedByReceiver,
         };
         // The verdict is looked up by the draw, not branched on; the
         // generator works on a local copy, so that its state stays in
-        // registers across the row.
+        // registers across the run.
         let verdicts = [DeliveryOutcome::Delivered, side];
         let (drop, mut rng) = (self.drop, self.rng.clone());
         for (_, verdict) in &mut row.copies {

@@ -136,28 +136,33 @@ pub struct RoundKernel<'a, A: ?Sized> {
     parts: Vec<Part>,
     /// This round's split of the processes (refreshed with `parts`):
     /// *special* — declared faulty, or not [`Part::Alive`] this round —
-    /// and *ordinary*, everyone else. A copy between two ordinary
-    /// processes can only be `Delivered`.
+    /// and *ordinary*, everyone else, computed as `alive ∖ faulty` over
+    /// words. A copy between two ordinary processes can only be
+    /// `Delivered`.
+    alive: ProcessSet,
     ordinary: ProcessSet,
     /// The ordinary processes that broadcast: every ordinary process
     /// hears all of them — the frame's clean block.
     clean_senders: ProcessSet,
     /// Every process, ascending: the senders.
     everyone: Vec<ProcessId>,
-    /// Every process, ascending, with the fate of a copy to it before
-    /// the adversary speaks: `Delivered` if it is alive this round,
-    /// `ReceiverCrashed` if not. A faulty sender's row is all of it but
-    /// the sender; a trace walks all of it.
-    fates: Vec<(ProcessId, DeliveryOutcome)>,
-    /// The entries of the faulty processes — a clean sender's eligible
-    /// copies — and of the other special ones, which are not alive — its
-    /// copies nobody is asked about. O(f) each: all a clean sender's
-    /// walk visits.
+    /// Every process, ascending, with a `Delivered` fate: a faulty
+    /// sender's row before the copies to receivers not alive are marked.
+    to_all: Vec<(ProcessId, DeliveryOutcome)>,
+    /// The special processes' entries, with the fate of a copy to each
+    /// before the adversary speaks — `Delivered` if it is alive this
+    /// round, `ReceiverCrashed` if not: the faulty ones — a clean
+    /// sender's eligible copies — and the others, which are not alive —
+    /// its copies nobody is asked about. O(f) each: all a clean sender's
+    /// row holds.
     faulty_fates: Vec<(ProcessId, DeliveryOutcome)>,
     absent_fates: Vec<(ProcessId, DeliveryOutcome)>,
-    /// The walked sender's eligible copies, decided by the adversary in
-    /// one call.
+    /// The run of senders being collected, then decided by the adversary
+    /// in one call: consecutive clean senders, or one special sender.
     row: CopyRow,
+    /// A clean run's rows over every special process, when some are
+    /// absent: the decided copies merged with those to the absent ones.
+    grid: Vec<(ProcessId, DeliveryOutcome)>,
 }
 
 impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
@@ -202,13 +207,17 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             faulty,
             schedule,
             parts: vec![Part::Out; cfg.n],
+            alive: ProcessSet::empty(cfg.n),
             ordinary: ProcessSet::empty(cfg.n),
             clean_senders: ProcessSet::empty(cfg.n),
             everyone: (0..cfg.n).map(ProcessId).collect(),
-            fates: Vec::new(),
+            to_all: (0..cfg.n)
+                .map(|i| (ProcessId(i), DeliveryOutcome::Delivered))
+                .collect(),
             faulty_fates: Vec::new(),
             absent_fates: Vec::new(),
             row: CopyRow::default(),
+            grid: Vec::new(),
         })
     }
 
@@ -399,10 +408,14 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     /// ([`Self::trace`]), and the frame and the adversary's questions
     /// are the same as without it.
     ///
-    /// A sender's eligible copies are decided by one
+    /// The senders are taken in runs ([`Self::close_run`]): each maximal
+    /// run of clean senders between two special ones is decided by one
     /// [`Adversary::decide_row`] and recorded by one
-    /// [`RoundHistory::record_copies`], which writes a special sender's
-    /// row a word at a time.
+    /// [`RoundHistory::record_clean_run`], which writes the special
+    /// processes' columns a word of senders at a time; a special sender
+    /// is a run of its own, its row recorded by one
+    /// [`RoundHistory::record_copies`]. Sender-major order keeps every
+    /// draw in its place.
     ///
     /// Returns the round's `(sent, delivered)` copy totals (counted only
     /// when tracing).
@@ -419,97 +432,134 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
         P: SyncProtocol,
         T: TraceSink,
     {
-        let RoundKernel {
-            adversary,
-            faulty,
-            parts,
-            ordinary,
-            clean_senders,
-            everyone,
-            fates,
-            faulty_fates,
-            absent_fates,
-            row,
-            ..
-        } = self;
-        let round = Round::new(r);
-        let traced = sink.enabled();
-        ordinary.clear();
-        clean_senders.clear();
-        fates.clear();
-        faulty_fates.clear();
-        absent_fates.clear();
-        for &p in everyone.iter() {
-            let alive = parts[p.index()] == Part::Alive;
-            let fate = if alive {
+        let parts = &self.parts;
+        self.alive.assign(|p| parts[p.index()] == Part::Alive);
+        self.ordinary.clone_from(&self.alive);
+        self.ordinary.subtract(&self.faulty);
+        // Told up front, the frame keeps no rows for the ordinary
+        // processes: their copies with a special end sit in the special
+        // processes' columns, and the rest is the block.
+        frame.open_clean_block(&self.ordinary);
+        self.faulty_fates.clear();
+        self.absent_fates.clear();
+        for &q in frame.msgs().specials() {
+            let fate = if self.alive.contains(q) {
                 DeliveryOutcome::Delivered
             } else {
                 DeliveryOutcome::ReceiverCrashed
             };
-            fates.push((p, fate));
-            if faulty.contains(p) {
-                faulty_fates.push((p, fate));
-            } else if alive {
-                ordinary.insert(p);
+            if self.faulty.contains(q) {
+                self.faulty_fates.push((q, fate));
             } else {
-                absent_fates.push((p, fate));
+                self.absent_fates.push((q, fate));
             }
         }
-        // Told up front, the frame keeps no rows for the ordinary
-        // processes: their copies with a special end sit in the special
-        // processes' columns, and the rest is the block.
-        frame.open_clean_block(ordinary);
         // Every ordinary process sends, unless it declines to.
-        clean_senders.clone_from(ordinary);
-        let (mut sent, mut delivered) = (0u64, 0u64);
-        for &p in everyone.iter() {
-            if parts[p.index()] == Part::Out {
+        self.clean_senders.clone_from(&self.ordinary);
+        let mut totals = (0u64, 0u64);
+        for i in 0..self.parts.len() {
+            let (p, part) = (ProcessId(i), self.parts[i]);
+            if part == Part::Out {
                 continue;
             }
             let Some(payload) = broadcast(p) else {
-                clean_senders.remove(p);
+                self.clean_senders.remove(p);
                 continue;
             };
             frame.set_broadcast(p, payload);
-            let crashing = parts[p.index()] == Part::Crashing;
-            let from_faulty = faulty.contains(p);
-            row.reset(crashing);
-            // Every copy of a faulty sender is eligible; a clean sender
-            // visits the special processes alone.
-            let others: &[_] = if from_faulty {
-                row.extend_from(&fates[..p.index()]);
-                row.extend_from(&fates[p.index() + 1..]);
-                &[]
-            } else {
-                row.extend_from(faulty_fates);
-                absent_fates
-            };
+            // A clean sender visits the faulty processes alone.
+            if self.ordinary.contains(p) {
+                self.row.push_row(p, &self.faulty_fates, &[]);
+                continue;
+            }
+            // A special sender, which is faulty, closes the run before
+            // it, and its row, every copy of which is eligible, is a run
+            // of its own.
+            self.close_run(protocol, r, frame, late, sink, &mut totals);
+            let crashing = part == Part::Crashing;
+            self.row.reset(crashing);
+            self.row
+                .push_row(p, &self.to_all[..i], &self.to_all[i + 1..]);
+            let dead = self.faulty_fates.iter().chain(&self.absent_fates);
+            for &(q, fate) in
+                dead.filter(|&&(q, fate)| q != p && fate != DeliveryOutcome::Delivered)
+            {
+                self.row.set(q.index() - usize::from(q > p), fate);
+            }
             // Self-delivery always succeeds and is never consulted
             // (footnote 1); a crashing process takes no step, so its own
             // copy is moot. A clean sender's is in the block.
-            if from_faulty && !crashing {
+            if !crashing {
                 frame.record_delivery(p, p);
             }
-            if !row.is_empty() {
-                adversary.decide_row(round, p, row);
-                Self::settle(faulty, round, (p, from_faulty), row, frame.msgs(), late);
-            }
-            if traced {
-                Self::trace(r, p, row, fates, sink, &mut sent, &mut delivered);
-            }
-            Self::record(protocol, p, row, others, frame);
+            self.close_run(protocol, r, frame, late, sink, &mut totals);
         }
+        self.close_run(protocol, r, frame, late, sink, &mut totals);
         // The clean block, self-deliveries included: every clean sender
         // sent to every other ordinary process, and every ordinary
         // process heard every clean sender.
-        if !clean_senders.is_empty() {
-            frame.record_clean_block(clean_senders);
+        if !self.clean_senders.is_empty() {
+            frame.record_clean_block(&self.clean_senders);
         }
-        (sent, delivered)
+        totals
     }
 
-    /// Holds the adversary to the model on `p`'s decided row — a drop or
-    /// a forgery only on behalf of a faulty end, lateness only for a
+    /// Decides the collected run of senders in one
+    /// [`Adversary::decide_row`], holds the adversary to the model
+    /// ([`Self::settle`]), traces it, records it and empties it. A clean
+    /// run goes to the special processes' columns
+    /// ([`RoundHistory::record_clean_run`]) — merged first with its copies
+    /// to the absent processes, which nobody is asked about, if there are
+    /// any; a special sender's row to its own rows ([`Self::record`]).
+    fn close_run<P, T>(
+        &mut self,
+        protocol: &P,
+        r: u64,
+        frame: &mut RoundHistory<P::State, P::Msg>,
+        late: &mut LateQueue<P::Msg>,
+        sink: &mut T,
+        totals: &mut (u64, u64),
+    ) where
+        P: SyncProtocol,
+        T: TraceSink,
+    {
+        let row = &mut self.row;
+        let Some(&first) = row.senders().first() else {
+            return;
+        };
+        let round = Round::new(r);
+        let from_faulty = self.faulty.contains(first);
+        if !row.is_empty() {
+            self.adversary.decide_row(round, row);
+            Self::settle(&self.faulty, round, from_faulty, row, frame.msgs(), late);
+        }
+        if sink.enabled() {
+            Self::trace(r, row, &self.alive, sink, totals);
+        }
+        if from_faulty {
+            Self::record(protocol, row, frame);
+        } else {
+            let copies = if self.absent_fates.is_empty() {
+                row.copies()
+            } else {
+                self.grid.clear();
+                for (_, copies) in row.rows() {
+                    let start = self.grid.len();
+                    self.grid.extend_from_slice(copies);
+                    self.grid.extend_from_slice(&self.absent_fates);
+                    self.grid[start..].sort_unstable_by_key(|&(q, _)| q);
+                }
+                &self.grid
+            };
+            if !copies.is_empty() {
+                frame.record_clean_run(row.senders(), copies);
+            }
+        }
+        row.reset(false);
+    }
+
+    /// Holds the adversary to the model on a decided run — a drop or a
+    /// forgery only on behalf of a faulty end, lateness only for a
     /// delivered copy and a later round — and moves each late copy to
     /// `late` under its arrival round, retagged `Delayed` or
     /// `Duplicated`.
@@ -517,12 +567,12 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
     fn settle<M>(
         faulty: &ProcessSet,
         round: Round,
-        (p, from_faulty): (ProcessId, bool),
+        from_faulty: bool,
         row: &mut CopyRow,
         msgs: &RoundMsgs<M>,
         late: &mut LateQueue<M>,
     ) {
-        // A row is scanned for the kinds of verdict that may be illegal:
+        // A run is scanned for the kinds of verdict that may be illegal:
         // a faulty sender's receiver omissions, a non-faulty sender's own
         // deviations (every receiver in its row is faulty), and a crash
         // cut of a sender not crashing this round. A fold with no branch
@@ -536,121 +586,123 @@ impl<'a, A: Adversary + ?Sized> RoundKernel<'a, A> {
             (by_receiver & from_faulty) | (by_sender & !from_faulty) | (cut & !crashing)
         };
         if row.copies().iter().fold(false, |seen, c| seen | suspect(c)) {
-            refuse_deviation(faulty, p, from_faulty, row);
+            refuse_deviation(faulty, from_faulty, row);
         }
         if !row.late().is_empty() {
-            hold_late(round, p, row, msgs, late);
+            hold_late(round, row, msgs, late);
         }
     }
 
-    /// One `send` event per copy of `p`'s — to every other process, in
-    /// destination order: an eligible copy with the outcome decided in
-    /// `row`, any other with its fate — and the round's totals.
+    /// One `send` event per copy of each of the run's senders — to every
+    /// other process, in destination order: an eligible copy with the
+    /// outcome decided in `row`, any other `Delivered` if its receiver is
+    /// `alive` and `ReceiverCrashed` if not — and the round's totals.
     fn trace<T: TraceSink>(
         r: u64,
-        p: ProcessId,
         row: &CopyRow,
-        fates: &[(ProcessId, DeliveryOutcome)],
+        alive: &ProcessSet,
         sink: &mut T,
-        sent: &mut u64,
-        delivered: &mut u64,
+        (sent, delivered): &mut (u64, u64),
     ) {
-        let mut eligible = row.copies().iter().peekable();
-        for &(to, fate) in fates.iter().filter(|&&(q, _)| q != p) {
-            let outcome = eligible.next_if(|c| c.0 == to).map_or(fate, |c| c.1);
-            *sent += 1;
-            // A forged copy arrives (with the wrong payload), so it
-            // counts as delivered in the traffic totals.
-            if matches!(
-                outcome,
-                DeliveryOutcome::Delivered | DeliveryOutcome::Duplicated | DeliveryOutcome::Forged
-            ) {
-                *delivered += 1;
+        for (p, copies) in row.rows() {
+            let mut eligible = copies.iter().peekable();
+            for to in (0..alive.universe()).map(ProcessId).filter(|&q| q != p) {
+                let fate = if alive.contains(to) {
+                    DeliveryOutcome::Delivered
+                } else {
+                    DeliveryOutcome::ReceiverCrashed
+                };
+                let outcome = eligible.next_if(|c| c.0 == to).map_or(fate, |c| c.1);
+                *sent += 1;
+                // A forged copy arrives (with the wrong payload), so it
+                // counts as delivered in the traffic totals.
+                if matches!(
+                    outcome,
+                    DeliveryOutcome::Delivered
+                        | DeliveryOutcome::Duplicated
+                        | DeliveryOutcome::Forged
+                ) {
+                    *delivered += 1;
+                }
+                sink.emit(&Event::Send {
+                    round: r,
+                    from: p,
+                    to,
+                    outcome,
+                });
             }
-            sink.emit(&Event::Send {
-                round: r,
-                from: p,
-                to,
-                outcome,
-            });
         }
     }
 
-    /// Records `p`'s copies: a row at a time, except a row with a forged
-    /// copy, whose forgeries carry payloads of their own.
+    /// Records a special sender's row, a run of one: at once, except a
+    /// row with a forged copy, whose forgeries carry payloads of their
+    /// own.
     #[inline]
     fn record<P: SyncProtocol>(
         protocol: &P,
-        p: ProcessId,
         row: &CopyRow,
-        others: &[(ProcessId, DeliveryOutcome)],
         frame: &mut RoundHistory<P::State, P::Msg>,
     ) {
+        let p = row.senders()[0];
         if row.forged().is_empty() {
             if !row.is_empty() {
                 frame.record_copies(p, row.copies());
             }
-        } else {
-            let mut seeds = row.forged().iter();
-            for (i, &(q, outcome)) in row.copies().iter().enumerate() {
-                if outcome != DeliveryOutcome::Forged {
-                    frame.record_copies(p, &[(q, outcome)]);
-                    continue;
-                }
-                let (at, seed) = *seeds.next().expect("a seed per forged copy");
-                assert_eq!(at, i, "forged list out of step with the row");
-                let msg = protocol.forge_message(seed).unwrap_or_else(|| {
-                    panic!(
-                        "adversary forged a copy but protocol {} \
-                         does not implement forge_message",
-                        protocol.name()
-                    )
-                });
-                frame.record_forged(p, q, Payload::new(msg));
-            }
+            return;
         }
-        if !others.is_empty() {
-            frame.record_copies(p, others);
+        let mut seeds = row.forged().iter();
+        for (i, &(q, outcome)) in row.copies().iter().enumerate() {
+            if outcome != DeliveryOutcome::Forged {
+                frame.record_copies(p, &[(q, outcome)]);
+                continue;
+            }
+            let (at, seed) = *seeds.next().expect("a seed per forged copy");
+            assert_eq!(at, i, "forged list out of step with the row");
+            let msg = protocol.forge_message(seed).unwrap_or_else(|| {
+                panic!(
+                    "adversary forged a copy but protocol {} \
+                     does not implement forge_message",
+                    protocol.name()
+                )
+            });
+            frame.record_forged(p, q, Payload::new(msg));
         }
     }
 }
 
-/// Panics on the first copy of `p`'s row the adversary decided on behalf
-/// of a non-faulty end, or cut while `p` does not crash, if there is one.
+/// Panics on the first copy of a decided run the adversary decided on
+/// behalf of a non-faulty end, or cut while its sender does not crash, if
+/// there is one.
 #[cold]
 #[inline(never)]
-fn refuse_deviation(faulty: &ProcessSet, p: ProcessId, from_faulty: bool, row: &CopyRow) {
-    let deviates = |&&(q, outcome): &&(ProcessId, DeliveryOutcome)| match outcome {
+fn refuse_deviation(faulty: &ProcessSet, from_faulty: bool, row: &CopyRow) {
+    let deviates = |&(q, outcome): &(ProcessId, DeliveryOutcome)| match outcome {
         DeliveryOutcome::DroppedBySender | DeliveryOutcome::Forged => !from_faulty,
         DeliveryOutcome::DroppedByReceiver => !faulty.contains(q),
         DeliveryOutcome::SenderCrashed => !row.crashing(),
         _ => false,
     };
-    match row.copies().iter().find(deviates) {
-        Some(&(q, DeliveryOutcome::DroppedByReceiver)) => {
-            panic!("adversary made non-faulty {q} receive-omit")
-        }
-        Some(&(_, DeliveryOutcome::Forged)) => panic!("adversary made non-faulty {p} forge"),
-        Some(&(_, DeliveryOutcome::SenderCrashed)) => {
+    let Some(i) = row.copies().iter().position(deviates) else {
+        return;
+    };
+    let (p, (q, outcome)) = (row.sender_of(i), row.copies()[i]);
+    match outcome {
+        DeliveryOutcome::DroppedByReceiver => panic!("adversary made non-faulty {q} receive-omit"),
+        DeliveryOutcome::Forged => panic!("adversary made non-faulty {p} forge"),
+        DeliveryOutcome::SenderCrashed => {
             panic!("adversary cut the row of {p}, which is not crashing")
         }
-        Some(_) => panic!("adversary made non-faulty {p} send-omit"),
-        None => {}
+        _ => panic!("adversary made non-faulty {p} send-omit"),
     }
 }
 
-/// Moves each late copy of `p`'s decided row to `late` under its arrival
-/// round, with `p`'s broadcast, and retags it `Delayed` or `Duplicated`.
-fn hold_late<M>(
-    round: Round,
-    p: ProcessId,
-    row: &mut CopyRow,
-    msgs: &RoundMsgs<M>,
-    late: &mut LateQueue<M>,
-) {
+/// Moves each late copy of a decided run to `late` under its arrival
+/// round, with its sender's broadcast, and retags it `Delayed` or
+/// `Duplicated`.
+fn hold_late<M>(round: Round, row: &mut CopyRow, msgs: &RoundMsgs<M>, late: &mut LateQueue<M>) {
     for i in 0..row.late().len() {
         let (at, lateness) = row.late()[i];
-        let (q, outcome) = row.copies()[at];
+        let (p, (q, outcome)) = (row.sender_of(at), row.copies()[at]);
         let (tag, rounds) = match lateness {
             Lateness::Delayed(rounds) => (DeliveryOutcome::Delayed, rounds.into()),
             Lateness::Duplicated => (DeliveryOutcome::Duplicated, 1),
@@ -995,8 +1047,8 @@ mod tests {
         fn drop_copy(&mut self, _: Round, _: ProcessId, _: ProcessId) -> Option<OmissionSide> {
             None
         }
-        fn decide_row(&mut self, _: Round, from: ProcessId, row: &mut CopyRow) {
-            if from == self.0 {
+        fn decide_row(&mut self, _: Round, row: &mut CopyRow) {
+            if row.senders() == [self.0] {
                 row.cut(0);
             }
         }
@@ -1324,7 +1376,14 @@ mod tests {
     /// from empty to all-but-one: random omissions, forgeries with
     /// drops, staggered crashes with partial sends, a partition, timing
     /// storms (delayed, duplicated and reordered copies), silent senders
-    /// throughout, and an absent (non-faulty) process.
+    /// throughout, and an absent (non-faulty) process. Then the walk's
+    /// runs of clean senders where they cross words and their draws
+    /// interleave across several faulty receivers — 1–3 faulty processes
+    /// at 0, 63, 64 and n − 1, under random omissions, a crashing sender
+    /// whose partial sends end mid-row, a timing storm that makes
+    /// clean-to-faulty copies late, and forgeries — with every
+    /// consultation made in (round, sender, destination) order, as the
+    /// frames say it must be, traced or not.
     #[test]
     fn sparse_walk_matches_a_copy_by_copy_oracle() {
         let rounds = 3;
@@ -1369,6 +1428,141 @@ mod tests {
                 differential(&EchoMax, &omission, &RunConfig::clean(n, rounds), absent);
             }
         }
+        for n in [63usize, 64, 65, 129] {
+            let mut spots = vec![0, 63, 64, n - 1];
+            spots.retain(|&i| i < n);
+            spots.dedup();
+            for f in 1..=3 {
+                for at in spots.windows(f) {
+                    let faulty: Vec<ProcessId> = at.iter().map(|&i| ProcessId(i)).collect();
+                    let seed = (n * 1000 + at[0] * 10 + f) as u64;
+                    let cfg = RunConfig::corrupted(n, rounds, seed);
+                    let live = || InProcess::new(&Shy, n);
+                    let faulty = || faulty.iter().copied();
+                    let mut crashes = CrashSchedule::none();
+                    crashes.set(
+                        at.last().map(|&i| ProcessId(i)).expect("f ≥ 1"),
+                        Round::new(2),
+                    );
+                    let omission = Logged::new(RandomOmission::new(faulty(), 0.5, seed), 0);
+                    let partial = RandomOmission::new(faulty(), 0.5, seed).with_crashes(crashes);
+                    let partial = Logged::new(partial, n / 2 + 1);
+                    let timing = StormAdversary::new(
+                        faulty(),
+                        [
+                            StormPhase::new(1, 1, StormKind::Delay { rounds: 1 }),
+                            StormPhase::new(2, 2, StormKind::Reorder),
+                            StormPhase::new(3, 3, StormKind::Duplicate),
+                        ],
+                        seed,
+                    );
+                    let timing = Logged::new(timing, 0);
+                    let byzantine = ByzantineAdversary::new(faulty(), 0.5, seed).with_drops(0.3);
+                    let byzantine = Logged::new(byzantine, 0);
+                    differential(&Shy, &omission, &cfg, live);
+                    consulted_in_walk_order(omission, &cfg);
+                    differential(&Shy, &partial, &cfg, live);
+                    consulted_in_walk_order(partial, &cfg);
+                    differential(&Shy, &timing, &cfg, live);
+                    consulted_in_walk_order(timing, &cfg);
+                    differential(&Shy, &byzantine, &cfg, live);
+                    consulted_in_walk_order(byzantine, &cfg);
+                }
+            }
+        }
+    }
+
+    /// An adversary's per-copy methods with every `drop_copy` (`true`)
+    /// and `delay_copy` (`false`) consultation logged, in order, and a
+    /// crashing sender emitting its first `partial` copies. Its rows take
+    /// the default body.
+    #[derive(Clone, Debug)]
+    struct Logged<A> {
+        inner: A,
+        partial: usize,
+        log: Vec<(bool, u64, ProcessId, ProcessId)>,
+    }
+
+    impl<A> Logged<A> {
+        fn new(inner: A, partial: usize) -> Self {
+            Logged {
+                inner,
+                partial,
+                log: Vec::new(),
+            }
+        }
+    }
+
+    impl<A: Adversary> Adversary for Logged<A> {
+        fn faulty(&self, n: usize) -> ProcessSet {
+            self.inner.faulty(n)
+        }
+        fn crash_schedule(&self) -> CrashSchedule {
+            self.inner.crash_schedule()
+        }
+        fn sends_before_crash(&self, _: ProcessId, _: Round) -> usize {
+            self.partial
+        }
+        fn drop_copy(&mut self, r: Round, from: ProcessId, to: ProcessId) -> Option<OmissionSide> {
+            self.log.push((true, r.get(), from, to));
+            self.inner.drop_copy(r, from, to)
+        }
+        fn forge_copy(&mut self, r: Round, from: ProcessId, to: ProcessId) -> Option<u64> {
+            self.inner.forge_copy(r, from, to)
+        }
+        fn delay_copy(
+            &mut self,
+            r: Round,
+            from: ProcessId,
+            to: ProcessId,
+            verdict: DeliveryOutcome,
+        ) -> Option<Lateness> {
+            self.log.push((false, r.get(), from, to));
+            self.inner.delay_copy(r, from, to, verdict)
+        }
+    }
+
+    /// Runs `adversary` traced and untraced and checks its log against
+    /// the consultations the frames call for: in (round, sender,
+    /// destination) order, each copy with a faulty end that its sender
+    /// broadcast is asked `delay_copy`, after `drop_copy` if the sender
+    /// emitted it and its receiver was alive at the round's end.
+    fn consulted_in_walk_order<A: Adversary + Clone>(adversary: Logged<A>, cfg: &RunConfig) {
+        let n = cfg.n;
+        let faulty = adversary.faulty(n);
+        let mut untraced = adversary.clone();
+        let out = SyncRunner::new(Shy)
+            .run(&mut untraced, cfg)
+            .expect("valid config");
+        let ids = || (0..n).map(ProcessId);
+        let mut want = Vec::new();
+        for (i, frame) in out.history.rounds().iter().enumerate() {
+            let (r, msgs) = (i as u64 + 1, frame.msgs());
+            for p in ids().filter(|&p| msgs.broadcast_of(p).is_some()) {
+                for q in ids().filter(|&q| q != p) {
+                    if !faulty.contains(p) && !faulty.contains(q) {
+                        continue;
+                    }
+                    let outcome = msgs.outcome_of(p, q).expect("a sent copy");
+                    let undecided = [
+                        DeliveryOutcome::ReceiverCrashed,
+                        DeliveryOutcome::SenderCrashed,
+                    ];
+                    if !undecided.contains(&outcome) {
+                        want.push((true, r, p, q));
+                    }
+                    want.push((false, r, p, q));
+                }
+            }
+        }
+        assert!(want.iter().any(|c| !c.0), "n = {n}: nothing consulted");
+        assert_eq!(untraced.log, want, "n = {n}, faulty {faulty}");
+        let mut traced = adversary;
+        let mut sink = RecordingSink::new(cfg.rounds * (n * n + n + 4) + 4);
+        SyncRunner::new(Shy)
+            .run_traced(&mut traced, cfg, &mut sink)
+            .expect("valid config");
+        assert_eq!(traced.log, want, "n = {n}, faulty {faulty}, traced");
     }
 
     /// `EchoMax`, except that every broadcast is new each round: the
@@ -1570,18 +1764,32 @@ mod tests {
     /// own per-copy methods: the same frames (every copy's outcome, every
     /// delivery set), event stream, final states and draws, traced and
     /// not — at universes from 2 to 200, with 1–3 faulty processes first,
-    /// in the middle and last, with and without a crash, at drop
+    /// in the middle and last, and, where runs of clean senders cross
+    /// words, at 0, 63, 64 and n − 1; with and without a crash, at drop
     /// probabilities 0, ½, 1 and random ones. (A crashing sender's row
     /// takes the default body on both sides; the cut of a partial send is
-    /// `CrashOnly`'s, checked against the copy-by-copy oracle above.)
+    /// checked against the copy-by-copy oracle above.)
     #[test]
     fn random_omission_rows_match_the_per_copy_default() {
         let rounds = 4;
         let mut rng = StdRng::seed_from_u64(41);
-        for n in [2usize, 3, 7, 64, 65, 131, 200] {
+        for n in [2usize, 3, 7, 63, 64, 65, 129, 131, 200] {
             let (first, middle, last) = (ProcessId(0), ProcessId(n / 2), ProcessId(n - 1));
             let sets = [vec![first], vec![middle], vec![last], vec![first, last]];
-            let sets = sets.into_iter().chain([vec![first, middle, last]]);
+            let mut spots = vec![0, 63, 64, n - 1];
+            spots.retain(|&i| i < n);
+            spots.dedup();
+            let across = (1..=3).flat_map(|f| {
+                let windows = spots
+                    .windows(f)
+                    .map(|w| w.iter().map(|&i| ProcessId(i)).collect());
+                windows.collect::<Vec<Vec<ProcessId>>>()
+            });
+            let across: Vec<_> = across.filter(|_| [63, 64, 65, 129].contains(&n)).collect();
+            let sets = sets
+                .into_iter()
+                .chain([vec![first, middle, last]])
+                .chain(across);
             for faulty in sets {
                 for p in [0.0, 0.5, 1.0, rng.gen()] {
                     let seed = rng.gen();

@@ -318,11 +318,13 @@ const PATTERNS: usize = 8;
 ///
 /// For a protocol declaring [`SyncProtocol::JOINS_INBOX`] the frame's
 /// clean block is joined once ([`Exchange::clean_block`]). A receiver in
-/// the block heard it and some of the round's special processes
-/// ([`Deliveries::heard_specials`]): the receivers that heard the same
-/// ones share one join, made by the first of them. A receiver with a
-/// forged or a late copy absorbs, after the block's join, the copies
-/// recorded outside the block, then its late arrivals.
+/// the block heard it and some of the round's special processes, named
+/// by a mask read for every receiver in one pass over the special
+/// processes' heard columns ([`RoundMsgs::heard_specials_into`]): the
+/// receivers that heard the same ones share one join, made by the first
+/// of them. A receiver with a forged or a late copy absorbs, after the
+/// block's join, the copies recorded outside the block, then its late
+/// arrivals.
 pub(crate) struct InProcess<'a, P: SyncProtocol> {
     protocol: &'a P,
     n: usize,
@@ -336,6 +338,10 @@ pub(crate) struct InProcess<'a, P: SyncProtocol> {
     /// [`PATTERNS`] of them, found by a scan; a receiver with another
     /// mask folds on its own.
     by_pattern: Vec<(u64, P::Msg)>,
+    /// This round's heard-specials mask of every process: `None` for one
+    /// outside the block, with a forged or a late copy, or for all when
+    /// the special processes are more than 64.
+    masks: Vec<Option<u64>>,
 }
 
 impl<'a, P: SyncProtocol> InProcess<'a, P> {
@@ -346,6 +352,7 @@ impl<'a, P: SyncProtocol> InProcess<'a, P> {
             states: Vec::new(),
             clean_join: None,
             by_pattern: Vec::new(),
+            masks: Vec::new(),
         }
     }
 }
@@ -385,10 +392,20 @@ impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
             &**sent.expect("a clean sender broadcast")
         });
         self.clean_join = broadcasts.next().cloned();
-        if let Some(join) = &mut self.clean_join {
-            broadcasts.for_each(|m| self.protocol.join(join, m));
-        }
+        let Some(join) = &mut self.clean_join else {
+            return;
+        };
+        broadcasts.for_each(|m| self.protocol.join(join, m));
         self.by_pattern.clear();
+        msgs.heard_specials_into(&mut self.masks);
+        // A receiver's late arrivals join too: its join is its own.
+        if msgs.has_late() {
+            for (p, mask) in self.masks.iter_mut().enumerate() {
+                if msgs.deliveries(ProcessId(p)).late().next().is_some() {
+                    *mask = None;
+                }
+            }
+        }
     }
 
     fn deliver(&mut self, p: ProcessId, inbox: Deliveries<'_, P::Msg>) -> Result<(), Infallible> {
@@ -402,11 +419,10 @@ impl<P: SyncProtocol> Exchange<P::State, P::Msg> for InProcess<'_, P> {
             // from their join and absorbs what else it received — the
             // copies recorded one by one, forged ones included, and its
             // late arrivals. Without forged or late copies, what else it
-            // received is named by its heard-specials mask, and the join
-            // is made once per mask.
+            // received is named by its heard-specials mask, read for every
+            // receiver by `clean_block`, and the join is made once per mask.
             Some(join) if P::JOINS_INBOX && inbox.in_block() => {
-                let late = inbox.late().next().is_some();
-                let pattern = inbox.heard_specials().filter(|_| !late);
+                let pattern = self.masks[p.index()];
                 // Found by a select, not a branch: which mask a receiver
                 // has is a coin flip of the omitters.
                 let mut seen = None;

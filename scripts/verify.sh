@@ -32,9 +32,10 @@ run cargo test -q --release -p ftss-sync-sim round::
 # router from growing back into one loop.
 run cargo clippy --all-targets -- -D warnings
 # One round kernel (DESIGN.md §16): the adversary is consulted from
-# exactly one place. The kernel's walk asks `decide_row` for a sender's
-# eligible copies, and the row method's default body is the one caller
-# of the per-copy methods (an override decides a row without them). A
+# exactly one place. The kernel's walk asks `decide_row` for a run of
+# senders' eligible copies (consecutive clean senders, or one special
+# sender), and the row method's default body is the one caller of the
+# per-copy methods (an override decides a run without them). A
 # second non-test call site of any of these is a second implementation
 # of the round — fold it into the kernel instead.
 # One epoch judge and one judged storm run (DESIGN.md §11), same rule:
@@ -54,14 +55,19 @@ run cargo clippy --all-targets -- -D warnings
 # copy inside the block must never also be a table bit (DESIGN.md §12),
 # only the walk knows which copies it skipped, and only the walk knows the
 # block's receivers before its first copy. The per-row builders and
-# readers it replaced must not come back under any name they had.
+# readers it replaced must not come back under any name they had. The
+# clean senders' copies to the special processes are recorded a run at
+# a time, by the walk alone (`record_clean_run`), and the block
+# receivers' heard-specials masks are read for a whole frame in one pass
+# (`RoundMsgs::heard_specials_into`): the per-receiver reader it replaced
+# must not come back.
 # One storm-phase lookup (`ftss_core::storm::phase_at`, a binary search
 # over a validated program): its one caller is `StormAdversary`, which
 # makes it once per round; a second is a linear rescan or a second copy
 # of the storm program coming back.
 # (Test modules sit at the end of their file, behind `#[cfg(test)]`;
 # definitions and comment lines are not call sites.)
-echo "==> call sites of decide_row / drop_copy / forge_copy / delay_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at / check_edge / step_process / step_round / relabeling scans"
+echo "==> call sites of decide_row / drop_copy / forge_copy / delay_copy / sends_before_crash / clean_block / step_joined / record_clean_block / open_clean_block / record_clean_run / window_stabilization / storm_program_for / stabilization_offset / storm::phase_at / check_edge / step_process / step_round / relabeling scans"
 call_sites() { # <expected count> <call regex> <source dir>...
     local want="$1" call="$2" sites
     shift 2
@@ -82,8 +88,13 @@ for method in clean_block step_joined; do
 done
 call_sites 1 '\.record_clean_block\(' crates/*/src
 call_sites 1 '\.open_clean_block\(' crates/*/src
+call_sites 1 '\.record_clean_run\(' crates/*/src
 if grep -rnE 'record_clean_sends|record_clean_deliveries|heard_all|iter_outside' crates/; then
     echo "ERROR: a per-row clean-block builder or reader is back (see above)" >&2
+    exit 1
+fi
+if grep -rn 'heard_specials(' crates/*/src; then
+    echo "ERROR: a per-receiver heard-specials reader is back (see above)" >&2
     exit 1
 fi
 # One frame layout (DESIGN.md §12): a frame names its block's receivers

@@ -11,7 +11,7 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompiledMsg<M> {
     /// Π's payload (the `STATE` component), shared across the broadcast's
-    /// copies and re-shared into the filtered inner inbox.
+    /// copies; Π's inbox reads it in place.
     pub state_msg: Payload<M>,
     /// The sender's round variable at send time (the `ROUND` component).
     pub round: u64,
@@ -164,29 +164,39 @@ where
         let final_round = self.protocol.final_round();
         let my_round = state.c.get();
 
-        // S := suspect ∪ { q | no message from q tagged with c_p arrived }.
-        let mut new_suspects = state.suspects.clone();
-        for j in 0..ctx.n {
-            let q = ProcessId(j);
-            let tagged_mine = inbox.from(q).is_some_and(|m| m.round == my_round);
-            if !tagged_mine {
-                new_suspects.insert(q);
+        // S := suspect ∪ { q | no message from q tagged with c_p arrived },
+        // in one pass: the inbox is ascending by sender, so a sender's
+        // first copy in it is the one `Inbox::from` answers. The same
+        // pass takes the largest round tag received.
+        let suspects = &mut state.suspects;
+        let mut judged = 0; // every process below it is judged
+        let mut max_tag = None;
+        for (q, m) in inbox.iter() {
+            max_tag = max_tag.max(Some(m.round));
+            if (judged..ctx.n).contains(&q.index()) {
+                for silent in judged..q.index() {
+                    suspects.insert(ProcessId(silent));
+                }
+                if m.round != my_round {
+                    suspects.insert(q);
+                }
+                judged = q.index() + 1;
             }
+        }
+        for silent in judged..ctx.n {
+            suspects.insert(ProcessId(silent));
         }
 
         // M := messages from unsuspected senders (per the *new* suspect
-        // set, exactly as Figure 3 computes S before filtering).
-        let filtered: Vec<ftss_core::Envelope<P::Msg>> = inbox
-            .iter()
-            .filter(|(q, _)| !self.options.filter_suspects || !new_suspects.contains(*q))
-            .map(|(q, m)| ftss_core::Envelope::new(q, ftss_core::Round::FIRST, m.state_msg.clone()))
-            .collect();
-        let inner_inbox = Inbox::new(filtered);
-
-        // k := normalize(c_p); s := Π's transition for round k.
+        // set, exactly as Figure 3 computes S before filtering), read in
+        // place through a mask. k := normalize(c_p); s := Π's transition
+        // for round k.
         let k = normalize(my_round, final_round);
-        self.protocol
-            .transition(ctx, &mut state.inner, &inner_inbox, k);
+        let hidden = self.options.filter_suspects.then_some(&state.suspects);
+        let inner = &mut state.inner;
+        inbox.masked(hidden, state_msg, |messages| {
+            self.protocol.transition(ctx, inner, messages, k);
+        });
 
         // An iteration completes when Π's final round was just executed.
         if k == final_round {
@@ -195,23 +205,30 @@ where
             }
         }
 
-        state.suspects = new_suspects;
-
         // Round agreement: c := max(received round tags) + 1. The process
         // always hears its own broadcast, so the max is well-defined.
-        let max_tag = inbox.iter().map(|(_, m)| m.round).max().unwrap_or(my_round);
-        state.c = RoundCounter::new(max_tag).next();
+        state.c = RoundCounter::new(max_tag.unwrap_or(my_round)).next();
 
         // New iteration: reset Π's state and the suspect set.
         if self.options.reset_each_iteration && normalize(state.c.get(), final_round) == 1 {
             state.inner = self.protocol.init(ctx);
-            state.suspects = ProcessSet::empty(ctx.n);
+            if state.suspects.universe() == ctx.n {
+                state.suspects.clear();
+            } else {
+                state.suspects = ProcessSet::empty(ctx.n);
+            }
         }
     }
 
     fn round_counter(&self, state: &Self::State) -> Option<RoundCounter> {
         Some(state.c)
     }
+}
+
+/// Π's message inside a Π⁺ message: the projection of the compiled
+/// step's masked inbox.
+fn state_msg<M>(m: &CompiledMsg<M>) -> &M {
+    &m.state_msg
 }
 
 /// Post-hoc telemetry extraction for a recorded Π⁺ run: walks the
@@ -382,7 +399,7 @@ mod tests {
 
     type FsOutcome = ftss_sync_sim::RunOutcome<
         CompiledState<ftss_protocols::floodset::FloodSetState, u64>,
-        CompiledMsg<std::collections::BTreeSet<u64>>,
+        CompiledMsg<ftss_protocols::floodset::ValueSet>,
     >;
 
     fn run_floodset(
@@ -580,7 +597,7 @@ mod tests {
         ]);
         compiled.step(&ctx, &mut state, &inbox);
         assert!(
-            !state.inner.seen.contains(&99),
+            !state.inner.seen.contains(99),
             "stale message leaked into Π: {:?}",
             state.inner.seen
         );
@@ -729,6 +746,119 @@ mod tests {
             let msg = payload.downcast_ref::<String>().expect("assert message");
             assert!(msg.contains("every round exactly once"), "{msg}");
         }
+    }
+
+    /// Figure 3's step as it read before the masked view: `S` from one
+    /// `from` lookup per process, and Π's inbox an owned copy of the
+    /// unsuspected senders' `state_msg`s. The masked step is held to it.
+    fn step_by_copy<P>(
+        compiled: &Compiled<P>,
+        ctx: &ProtocolCtx,
+        state: &mut CompiledState<P::State, P::Output>,
+        inbox: &Inbox<CompiledMsg<P::Msg>>,
+    ) where
+        P: CanonicalProtocol,
+        P::Output: Corrupt,
+    {
+        let final_round = compiled.protocol.final_round();
+        let my_round = state.c.get();
+        let mut new_suspects = state.suspects.clone();
+        for q in ctx.all() {
+            if inbox.from(q).is_none_or(|m| m.round != my_round) {
+                new_suspects.insert(q);
+            }
+        }
+        let filter = compiled.options.filter_suspects;
+        let kept = inbox
+            .iter()
+            .filter(|(q, _)| !filter || !new_suspects.contains(*q));
+        let copies =
+            kept.map(|(q, m)| ftss_core::Envelope::new(q, Round::FIRST, m.state_msg.clone()));
+        let inner_inbox = Inbox::new(copies.collect());
+        let k = normalize(my_round, final_round);
+        compiled
+            .protocol
+            .transition(ctx, &mut state.inner, &inner_inbox, k);
+        if k == final_round {
+            if let Some(v) = compiled.protocol.output(ctx, &state.inner) {
+                state.last_decision = Some((my_round, v));
+            }
+        }
+        state.suspects = new_suspects;
+        let max_tag = inbox.iter().map(|(_, m)| m.round).max().unwrap_or(my_round);
+        state.c = RoundCounter::new(max_tag).next();
+        if compiled.options.reset_each_iteration && normalize(state.c.get(), final_round) == 1 {
+            state.inner = compiled.protocol.init(ctx);
+            state.suspects = ProcessSet::empty(ctx.n);
+        }
+    }
+
+    /// The masked step is the owned filter's step: for corrupted states,
+    /// round tags near and far from `c_p`, random suspect sets, silent,
+    /// unheard and forged senders, late copies, and both ablations — on
+    /// the simulator's frame view and on an owned inbox of its copies.
+    #[test]
+    fn masked_step_matches_the_owned_filter() {
+        use ftss_core::{ProcessId, RoundHistory};
+        use ftss_protocols::floodset::ValueSet;
+        use ftss_rng::check::{forall, Gen};
+        use ftss_rng::Rng;
+        forall(400, |g: &mut Gen| {
+            let n = g.gen_range(1..=9usize);
+            let inputs = g.vec(n, n, |g| g.gen_range(0..20u64));
+            let options = CompilerOptions {
+                filter_suspects: g.gen_bool(0.5),
+                reset_each_iteration: g.gen_bool(0.5),
+            };
+            let compiled =
+                Compiled::with_options(FloodSet::new(g.gen_range(0..3), inputs), options);
+            let me = ProcessId(g.gen_range(0..n));
+            let ctx = ProtocolCtx::new(me, n);
+            let mut state = compiled.init_state(&ctx);
+            state.corrupt(g);
+            state.c = RoundCounter::new(g.gen_range(1..6));
+            let c = state.c.get();
+            let msg = |g: &mut Gen| CompiledMsg {
+                state_msg: Payload::new(ValueSet::from_iter(g.vec(0, 4, |g| g.gen_range(0..30)))),
+                round: if g.gen_bool(0.7) {
+                    c
+                } else {
+                    g.gen_range(0..8)
+                },
+            };
+            let mut frame = RoundHistory::<(), CompiledMsg<ValueSet>>::empty(n);
+            for p in ctx.all() {
+                if g.gen_bool(0.15) {
+                    continue; // silent
+                }
+                frame.set_broadcast(p, Payload::new(msg(g)));
+                match g.gen_range(0..10u32) {
+                    0 => {} // unheard
+                    1 => frame.record_forged(p, me, Payload::new(msg(g))),
+                    _ => frame.record_delivery(me, p),
+                }
+            }
+            for _ in 0..g.gen_range(0..4usize) {
+                let from = ProcessId(g.gen_range(0..n));
+                let to = if g.gen_bool(0.8) {
+                    me
+                } else {
+                    ProcessId(g.gen_range(0..n))
+                };
+                frame.record_late(from, to, Payload::new(msg(g)));
+            }
+            let view = Inbox::from_deliveries(frame.msgs().deliveries(me));
+            let envelopes = view
+                .iter()
+                .map(|(q, m)| ftss_core::Envelope::new(q, Round::FIRST, m.clone()));
+            let owned = Inbox::new(envelopes.collect());
+            for inbox in [&view, &owned] {
+                let (mut masked, mut by_copy) = (state.clone(), state.clone());
+                compiled.step(&ctx, &mut masked, inbox);
+                step_by_copy(&compiled, &ctx, &mut by_copy, inbox);
+                assert_eq!(masked, by_copy);
+            }
+        });
     }
 
     #[test]

@@ -261,7 +261,7 @@ impl ProcessSet {
     /// The members as 64-bit words, least significant bit first — the
     /// layout of a `history` row over the same universe. Bits
     /// past the universe are clear.
-    pub(crate) fn words(&self) -> &[u64] {
+    pub fn words(&self) -> &[u64] {
         &self.words
     }
 }

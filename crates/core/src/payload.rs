@@ -16,11 +16,11 @@
 //! `n`.
 //!
 //! Sharing cannot leak mutability into recorded histories: `Payload`
-//! hands out only `&M` (via [`Deref`] and [`Payload::get`]) and provides
-//! no `&mut` accessor, so a payload referenced from two rounds of a
-//! history — or from two histories of a parallel sweep — is immutable by
-//! construction ([`Payload::set`] overwrites in place only a payload
-//! nothing else references). See DESIGN.md §9.
+//! hands out only `&M` (via [`Deref`] and [`Payload::get`]) to a shared
+//! message, so a payload referenced from two rounds of a history — or
+//! from two histories of a parallel sweep — is immutable by construction
+//! ([`Payload::set`] overwrites and [`Payload::get_mut`] lends `&mut M`
+//! only when nothing else references the payload). See DESIGN.md §9.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -59,6 +59,12 @@ impl<M> Payload<M> {
     /// always equal; equal payloads need not be shared.
     pub fn shares_with(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// The message, mutably, if no other handle shares it — so a
+    /// per-round slot can be refilled in place — and `None` otherwise.
+    pub fn get_mut(&mut self) -> Option<&mut M> {
+        Arc::get_mut(&mut self.0)
     }
 
     /// Replaces the message. A payload no other handle shares is

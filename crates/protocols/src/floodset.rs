@@ -17,7 +17,7 @@ use crate::problems::HasDecision;
 use ftss_core::Corrupt;
 use ftss_rng::Rng;
 use ftss_sync_sim::{Inbox, ProtocolCtx};
-use std::collections::BTreeSet;
+use std::fmt;
 
 /// FloodSet consensus for `f` crash/send-omission failures; one iteration
 /// is `f + 1` rounds.
@@ -54,11 +54,100 @@ impl FloodSet {
     }
 }
 
+/// A set of values, as a vector kept ascending without repeats:
+/// FloodSet's `seen` and its message. Its memory layout is its binary
+/// wire form — a count, then the values ascending — so a decoded message
+/// is one allocation, and a union inserts by binary search.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct ValueSet(Vec<u64>);
+
+impl ValueSet {
+    /// The empty set.
+    pub fn new() -> Self {
+        ValueSet(Vec::new())
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the set has no values.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Membership test.
+    pub fn contains(&self, v: u64) -> bool {
+        self.0.binary_search(&v).is_ok()
+    }
+
+    /// The smallest value.
+    pub fn first(&self) -> Option<u64> {
+        self.0.first().copied()
+    }
+
+    /// The values, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.iter().copied()
+    }
+
+    /// Inserts `v`; returns `true` if it was not already present.
+    pub fn insert(&mut self, v: u64) -> bool {
+        match self.0.binary_search(&v) {
+            Ok(_) => false,
+            Err(at) => {
+                self.0.insert(at, v);
+                true
+            }
+        }
+    }
+
+    /// Inserts every value of `other`.
+    pub fn union_with(&mut self, other: &ValueSet) {
+        for v in other.iter() {
+            self.insert(v);
+        }
+    }
+
+    /// Appends `v` if it exceeds every value in the set; returns whether
+    /// it did. A decoder builds a set from ascending input with it.
+    pub fn push_ascending(&mut self, v: u64) -> bool {
+        let above = self.0.last().is_none_or(|&last| last < v);
+        if above {
+            self.0.push(v);
+        }
+        above
+    }
+
+    /// Removes every value, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// Any values, in any order and with repeats: the set of them.
+impl FromIterator<u64> for ValueSet {
+    fn from_iter<I: IntoIterator<Item = u64>>(values: I) -> Self {
+        let mut values: Vec<u64> = values.into_iter().collect();
+        values.sort_unstable();
+        values.dedup();
+        ValueSet(values)
+    }
+}
+
+/// As a set: `{1, 2, 3}`.
+impl fmt::Debug for ValueSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(&self.0).finish()
+    }
+}
+
 /// FloodSet protocol state: the set of values seen plus the decision.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FloodSetState {
     /// Values seen so far (starts as the singleton input).
-    pub seen: BTreeSet<u64>,
+    pub seen: ValueSet,
     /// The decision, set by the `final_round` transition.
     pub decided: Option<u64>,
 }
@@ -88,7 +177,7 @@ impl HasDecision for FloodSetState {
 
 impl CanonicalProtocol for FloodSet {
     type State = FloodSetState;
-    type Msg = BTreeSet<u64>;
+    type Msg = ValueSet;
     type Output = u64;
 
     fn name(&self) -> &str {
@@ -100,13 +189,17 @@ impl CanonicalProtocol for FloodSet {
     }
 
     fn init(&self, ctx: &ProtocolCtx) -> FloodSetState {
+        // Room for every process's input: an iteration's unions then grow
+        // the set without reallocating.
+        let mut seen = ValueSet(Vec::with_capacity(ctx.n));
+        seen.insert(self.inputs[ctx.me.index()]);
         FloodSetState {
-            seen: [self.inputs[ctx.me.index()]].into_iter().collect(),
+            seen,
             decided: None,
         }
     }
 
-    fn message(&self, _ctx: &ProtocolCtx, state: &FloodSetState) -> BTreeSet<u64> {
+    fn message(&self, _ctx: &ProtocolCtx, state: &FloodSetState) -> ValueSet {
         state.seen.clone()
     }
 
@@ -114,16 +207,23 @@ impl CanonicalProtocol for FloodSet {
         &self,
         _ctx: &ProtocolCtx,
         state: &mut FloodSetState,
-        inbox: &Inbox<BTreeSet<u64>>,
+        inbox: &Inbox<ValueSet>,
         k: u64,
     ) {
+        // Senders that broadcast the same set often share one object (a
+        // served node decodes each distinct message once): a run of them
+        // is unioned once.
+        let mut last: Option<&ValueSet> = None;
         for (_, set) in inbox.iter() {
-            state.seen.extend(set.iter().copied());
+            if !last.is_some_and(|l| std::ptr::eq(l, set)) {
+                state.seen.union_with(set);
+                last = Some(set);
+            }
         }
         if k == self.final_round() {
             // min of the union; a (corrupted) empty set yields no decision
             // rather than a panic.
-            state.decided = state.seen.iter().next().copied();
+            state.decided = state.seen.first();
         }
     }
 
@@ -144,8 +244,7 @@ mod tests {
         f: usize,
         inputs: Vec<u64>,
         adversary: &mut dyn ftss_sync_sim::Adversary,
-    ) -> ftss_sync_sim::RunOutcome<crate::canonical::SingleShotState<FloodSetState>, BTreeSet<u64>>
-    {
+    ) -> ftss_sync_sim::RunOutcome<crate::canonical::SingleShotState<FloodSetState>, ValueSet> {
         let n = inputs.len();
         let rounds = f + 2; // one extra round so decisions appear in the history
         SyncRunner::new(SingleShot::new(FloodSet::new(f, inputs)))
@@ -209,12 +308,54 @@ mod tests {
         let pi = FloodSet::new(1, vec![1, 2]);
         let ctx = ProtocolCtx::new(ProcessId(0), 2);
         let mut s = FloodSetState {
-            seen: BTreeSet::new(),
+            seen: ValueSet::new(),
             decided: None,
         };
         pi.transition(&ctx, &mut s, &Inbox::new(vec![]), pi.final_round());
         assert_eq!(s.decided, None);
         assert_eq!(pi.output(&ctx, &s), None);
+    }
+
+    /// Skipping a set that is the same object as the one just unioned
+    /// gives what unioning every received set does: over tables whose
+    /// senders share entries in runs, interleaved, or not at all (equal
+    /// sets held apart), and with forged and late copies.
+    #[test]
+    fn shared_sets_union_once_to_the_plain_union() {
+        use ftss_rng::check::{forall, Gen};
+        use ftss_rng::Rng;
+        use ftss_sync_sim::InboxTable;
+        let pi = FloodSet::new(1, vec![0; 12]);
+        let ctx = ProtocolCtx::new(ProcessId(0), 12);
+        forall(300, |g: &mut Gen| {
+            let set = |g: &mut Gen| ValueSet::from_iter(g.vec(0, 5, |g| g.gen_range(0..40)));
+            let entries = g.vec(1, 4, set);
+            let mut table = InboxTable {
+                cells: (0..12)
+                    .map(|_| g.gen_range(0..entries.len() as u32))
+                    .collect(),
+                entries,
+                heard: vec![g.gen_range(0..1 << 12)],
+                forged: vec![],
+                late: g.vec(0, 3, |g| (ProcessId(g.gen_range(0..12)), set(g))),
+            };
+            if let Some(s) = (0..12).find(|s| table.heard[0] >> s & 1 == 1) {
+                table.forged.push((ProcessId(s), set(g)));
+            }
+            let inbox = Inbox::from_table(&table);
+            let mut start = FloodSetState {
+                seen: set(g),
+                decided: None,
+            };
+            let mut want = start.seen.clone();
+            for (_, s) in inbox.iter() {
+                for v in s.iter() {
+                    want.insert(v);
+                }
+            }
+            pi.transition(&ctx, &mut start, &inbox, 1);
+            assert_eq!(start.seen, want);
+        });
     }
 
     #[test]

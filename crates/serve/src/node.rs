@@ -6,9 +6,11 @@
 //! lock-step loop of §2 of the paper: broadcast the round's state and
 //! message (a binary `bcast`, encoded from the borrowed state into one
 //! buffer kept for the session), wait for the round's deliveries (the
-//! binary round frame of [`proto`](crate::proto): decode its payload
-//! table once, then build the sender-sorted envelopes from the heard bits
-//! as `Payload` clones), step. The router injects systemic failures by
+//! binary round frame of [`proto`](crate::proto), decoded into storage
+//! kept for the session — each distinct message once, into a message of
+//! an earlier round; the index cells, the heard words, the forged and
+//! late copies), step on a view of that table — no envelope, no
+//! per-sender copy. The router injects systemic failures by
 //! sending a `corrupt` state to adopt (the node obliviously
 //! re-broadcasts, exactly as a corrupted process would have broadcast in
 //! the first place), and ends the node's life with `halt` — which is how
@@ -18,11 +20,11 @@
 //! incarnation, from a recovery snapshot at the session's current round
 //! ([`run_node_recovered`]).
 
-use crate::proto::{decode_round_frame, ToNode, ToRouter, ROUND_FRAME_TAG};
+use crate::proto::{decode_round_frame, NodeFrame, ToNode, ToRouter, ROUND_FRAME_TAG};
 use crate::transport::Channel;
 use crate::wire::Wire;
-use ftss::core::{Envelope, ProcessId, Round};
-use ftss::sync_sim::{Inbox, ProtocolCtx, SyncProtocol};
+use ftss::core::ProcessId;
+use ftss::sync_sim::{ProtocolCtx, SyncProtocol};
 
 /// Runs one protocol process to completion over `chan`, from the
 /// protocol's initial state at round 1.
@@ -107,8 +109,10 @@ where
     };
     send(chan, &hello.to_bytes())?;
 
-    // Every `bcast` of the session is written into this one buffer.
+    // Every `bcast` of the session is written into this one buffer, and
+    // every round frame decoded into this one frame.
     let mut frame = Vec::new();
+    let mut decoded = NodeFrame::default();
     let mut round: u64 = start_round;
     loop {
         // Broadcast half: snapshot + (optional) message. Recomputed from
@@ -122,11 +126,7 @@ where
         send(chan, &frame)?;
         let payload = chan.recv().map_err(|e| format!("{me}: recv failed: {e}"))?;
         if payload.first() == Some(&ROUND_FRAME_TAG) {
-            let envelopes: Vec<Envelope<P::Msg>> = decode_round_frame(&payload, n)?
-                .into_iter()
-                .map(|(from, m)| Envelope::new(ProcessId(from), Round::new(round), m))
-                .collect();
-            let inbox = Inbox::new(envelopes);
+            let inbox = decode_round_frame(&payload, n, &mut decoded)?;
             protocol.step(&ctx, &mut state, &inbox);
             round += 1;
             continue;

@@ -53,8 +53,10 @@
 //! never a panic.
 
 use crate::wire::{patch_u32, put_option, put_section, put_u32, take_section, Reader, Wire};
-use ftss::core::{Deliveries, Payload, ProcessId};
+use ftss::core::{Deliveries, ProcessId};
+use ftss::sync_sim::{Inbox, InboxTable};
 use ftss::telemetry::{parse_json, JsonValue};
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// A message from a node to the router.
@@ -261,6 +263,14 @@ pub(crate) struct RoundTable {
     spans: Vec<Range<usize>>,
     /// Per sender, its entry; `None` while it has not broadcast.
     index: Vec<Option<usize>>,
+    /// The last entry with each hash of its bytes ([`entry_hash`]), and
+    /// per entry the one before it with the same hash, if any: an
+    /// expected O(1) lookup of an encoding among the round's entries.
+    by_hash: HashMap<u64, usize>,
+    same_hash: Vec<Option<usize>>,
+    /// The entry the last broadcast shared or added: checked before any
+    /// hashing, so a round of one message is one compare a sender.
+    last: usize,
     /// The `shared` section as sent; built by the round's first frame,
     /// empty until then.
     shared: Vec<u8>,
@@ -274,6 +284,9 @@ impl RoundTable {
             entries: Vec::new(),
             spans: Vec::new(),
             index: vec![None; n],
+            by_hash: HashMap::new(),
+            same_hash: Vec::new(),
+            last: 0,
             shared: Vec::new(),
             frame: Vec::new(),
         }
@@ -284,22 +297,38 @@ impl RoundTable {
         self.entries.clear();
         self.spans.clear();
         self.index.fill(None);
+        self.by_hash.clear();
+        self.same_hash.clear();
         self.shared.clear();
     }
 
     /// Records that `p` broadcasts `msg` this round, sharing the entry of
-    /// an earlier sender whose message encoded to the same bytes (found
-    /// by a scan: the table is shortest — one entry — in the steady state
-    /// that dominates a run).
+    /// an earlier sender whose message encoded to the same bytes. The
+    /// entry the previous broadcast used is tried first — in the steady
+    /// state that dominates a run the table has one entry — and then the
+    /// entries with the same hash. Entries stay in first-seen order.
     pub(crate) fn broadcast<M: Wire>(&mut self, p: ProcessId, msg: &M) {
         let start = self.entries.len();
         put_section(&mut self.entries, |out| msg.encode_bin(out));
         let new = start + 4..self.entries.len();
-        let known = self
-            .spans
-            .iter()
-            .position(|old| self.entries[old.clone()] == self.entries[new.clone()]);
-        self.index[p.index()] = Some(known.unwrap_or(self.spans.len()));
+        let same = |old: &Range<usize>| self.entries[old.clone()] == self.entries[new.clone()];
+        let known = match self.spans.get(self.last) {
+            Some(old) if same(old) => Some(self.last),
+            _ => {
+                let hash = entry_hash(&self.entries[new.clone()]);
+                let mut candidate = self.by_hash.get(&hash).copied();
+                while let Some(at) = candidate.filter(|&at| !same(&self.spans[at])) {
+                    candidate = self.same_hash[at];
+                }
+                if candidate.is_none() {
+                    self.same_hash
+                        .push(self.by_hash.insert(hash, self.spans.len()));
+                }
+                candidate
+            }
+        };
+        self.last = known.unwrap_or(self.spans.len());
+        self.index[p.index()] = Some(self.last);
         match known {
             Some(_) => self.entries.truncate(start),
             None => self.spans.push(new),
@@ -353,6 +382,17 @@ impl RoundTable {
     }
 }
 
+/// A hash of an entry's bytes, eight at a time.
+fn entry_hash(bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(bytes.len() as u64, |h, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        (h ^ u64::from_le_bytes(word))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(31)
+    })
+}
+
 /// `count:u32 (sender:u32 len:u32 message) × count`.
 fn put_copies<'m, M: Wire + 'm>(
     copies: impl Iterator<Item = (ProcessId, &'m M)>,
@@ -369,30 +409,60 @@ fn put_copies<'m, M: Wire + 'm>(
     patch_u32(out, count_at, count);
 }
 
-/// One length-prefixed message, which must fill its section exactly.
-fn take_msg<M: Wire>(r: &mut Reader<'_>) -> Result<Payload<M>, String> {
-    take_section(r, M::decode_bin).map(Payload::new)
+/// A node's decoded round frame: the table its inbox views, and the
+/// messages decoded in earlier rounds, kept so that a warm round decodes
+/// into them ([`Wire::decode_bin_into`]) rather than allocating anew.
+#[derive(Debug)]
+pub(crate) struct NodeFrame<M> {
+    table: InboxTable<M>,
+    spare: Vec<M>,
 }
 
-/// The inverse of [`put_copies`], every sender checked against `n`.
-fn take_copies<M: Wire>(r: &mut Reader<'_>, n: usize) -> Result<Vec<(usize, Payload<M>)>, String> {
+impl<M> Default for NodeFrame<M> {
+    fn default() -> Self {
+        NodeFrame {
+            table: InboxTable::default(),
+            spare: Vec::new(),
+        }
+    }
+}
+
+/// One length-prefixed message, which must fill its section exactly,
+/// decoded into a spare one if there is one.
+fn take_msg<M: Wire>(r: &mut Reader<'_>, spare: &mut Vec<M>) -> Result<M, String> {
+    match spare.pop() {
+        Some(mut m) => take_section(r, |r| m.decode_bin_into(r)).map(|()| m),
+        None => take_section(r, M::decode_bin),
+    }
+}
+
+/// The inverse of [`put_copies`] into `copies`, every sender checked
+/// against `n`.
+fn take_copies<M: Wire>(
+    r: &mut Reader<'_>,
+    n: usize,
+    copies: &mut Vec<(ProcessId, M)>,
+    spare: &mut Vec<M>,
+) -> Result<(), String> {
     let count = r.count(8)?;
-    let mut copies = Vec::with_capacity(count);
+    copies.reserve(count);
     for _ in 0..count {
         let from = r.u32()?;
         if from >= n {
             return Err(format!("round frame: copy from p{from} but n = {n}"));
         }
-        copies.push((from, take_msg(r)?));
+        copies.push((ProcessId(from), take_msg(r, spare)?));
     }
-    Ok(copies)
+    Ok(())
 }
 
-/// The node's half of the round frame: decodes the table once, then
-/// spells the frame out as the `(sender, message)` sequence the node
-/// steps on — heard senders ascending, each with its table entry (a
-/// `Payload` clone) or the forged copy that overrides it, then the late
-/// copies in hold order. Exactly what [`ToNode::Inbox`] would have listed.
+/// The node's half of the round frame: decodes `frame` into `decoded` —
+/// storage the node keeps across rounds, each distinct entry decoded
+/// once — and returns the inbox the node steps on, a view of its table
+/// ([`Inbox::from_table`]): heard senders ascending, each with its table
+/// entry or the forged copy that overrides it, and the late copies
+/// merged by sender. Exactly what [`ToNode::Inbox`] would have listed,
+/// in inbox order.
 ///
 /// # Errors
 ///
@@ -402,10 +472,20 @@ fn take_copies<M: Wire>(r: &mut Reader<'_>, n: usize) -> Result<Vec<(usize, Payl
 /// `n`, a sender or heard bit `>= n`, an index past the table, a heard
 /// sender with no entry, a forged copy from an unheard sender (or out of
 /// order), trailing bytes.
-pub(crate) fn decode_round_frame<M: Wire>(
+pub(crate) fn decode_round_frame<'t, M: Wire>(
     frame: &[u8],
     n: usize,
-) -> Result<Vec<(usize, Payload<M>)>, String> {
+    decoded: &'t mut NodeFrame<M>,
+) -> Result<Inbox<'t, M>, String> {
+    let NodeFrame { table, spare } = decoded;
+    spare.append(&mut table.entries);
+    spare.extend(
+        table
+            .forged
+            .drain(..)
+            .chain(table.late.drain(..))
+            .map(|(_, m)| m),
+    );
     let mut r = Reader::new(frame);
     if r.u8()? != ROUND_FRAME_TAG {
         return Err("not a round frame".into());
@@ -415,62 +495,63 @@ pub(crate) fn decode_round_frame<M: Wire>(
         return Err(format!("round frame: for {announced} processes, not {n}"));
     }
     let entries = r.count(4)?;
-    let mut table = Vec::with_capacity(entries);
     for _ in 0..entries {
-        table.push(take_msg::<M>(&mut r)?);
+        table.entries.push(take_msg(&mut r, spare)?);
     }
     let width = index_width(entries);
-    let cells = r.take(n.saturating_mul(width))?;
-    let entry_of = |s: usize| {
+    let cells = r.take(n.saturating_mul(width))?.chunks_exact(width);
+    table.cells.clear();
+    table.cells.extend(cells.map(|cell| {
         let mut le = [0u8; 4];
-        le[..width].copy_from_slice(&cells[s * width..][..width]);
-        u32::from_le_bytes(le) as usize
-    };
-    if let Some(s) = (0..n).find(|&s| entry_of(s) > entries) {
+        le[..width].copy_from_slice(cell);
+        u32::from_le_bytes(le)
+    }));
+    let silent = entries as u32;
+    if let Some(s) = table.cells.iter().position(|&cell| cell > silent) {
         return Err(format!(
             "round frame: p{s} indexes entry {} of {entries}",
-            entry_of(s)
+            table.cells[s]
         ));
     }
-    let heard = r.take(n.div_ceil(64) * 8)?;
-    let mut forged = take_copies::<M>(&mut r, n)?.into_iter().peekable();
-    let late = take_copies::<M>(&mut r, n)?;
+    let heard = r.take(n.div_ceil(64) * 8)?.chunks_exact(8);
+    table.heard.clear();
+    table
+        .heard
+        .extend(heard.map(|word| u64::from_le_bytes(word.try_into().expect("chunks of 8"))));
+    take_copies(&mut r, n, &mut table.forged, spare)?;
+    take_copies(&mut r, n, &mut table.late, spare)?;
     r.finish()?;
 
-    let mut msgs = Vec::with_capacity(n + late.len());
-    for (k, word) in heard.chunks_exact(8).enumerate() {
-        let mut bits = u64::from_le_bytes(word.try_into().expect("chunks of 8"));
+    let mut forged = table.forged.iter().peekable();
+    for (k, &word) in table.heard.iter().enumerate() {
+        let mut bits = word;
         while bits != 0 {
             let s = k * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
             if s >= n {
                 return Err(format!("round frame: heard bit p{s} but n = {n}"));
             }
-            if let Some(copy) = forged.next_if(|(from, _)| *from == s) {
-                msgs.push(copy);
-            } else if entry_of(s) == entries {
+            if forged.next_if(|(from, _)| from.index() == s).is_none() && table.cells[s] == silent {
                 return Err(format!("round frame: heard silent p{s}"));
-            } else {
-                msgs.push((s, table[entry_of(s)].clone()));
             }
         }
     }
     if let Some((from, _)) = forged.next() {
         return Err(format!(
-            "round frame: forged copy from p{from} is unheard or out of order"
+            "round frame: forged copy from {from} is unheard or out of order"
         ));
     }
-    msgs.extend(late);
-    Ok(msgs)
+    Ok(Inbox::from_table(&decoded.table))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftss::compiler::CompiledMsg;
-    use ftss::core::{Corrupt, Envelope, Round, RoundCounter, RoundHistory};
+    use ftss::core::{Corrupt, Payload, RoundCounter, RoundHistory};
+    use ftss::protocols::floodset::ValueSet;
     use ftss::protocols::{RoundAgreement, RoundAgreementState};
-    use ftss::sync_sim::{Inbox, NoFaults, RunConfig, SyncRunner};
+    use ftss::sync_sim::{NoFaults, RunConfig, SyncRunner};
     use ftss_rng::check::{forall, Gen};
     use ftss_rng::Rng;
     use std::collections::BTreeSet;
@@ -645,7 +726,7 @@ mod tests {
         let corpus = bcast_corpus(Compiled::new(FloodSet::new(1, inputs)), 16, 5);
         assert!(corpus.iter().any(|f| f.len() > 100), "suspects are listed");
         type Cs = CompiledState<FloodSetState, u64>;
-        damaged_bcasts_never_panic::<Cs, CompiledMsg<BTreeSet<u64>>>(&corpus);
+        damaged_bcasts_never_panic::<Cs, CompiledMsg<ValueSet>>(&corpus);
         let corpus = bcast_corpus(RoundAgreement, 64, 7);
         damaged_bcasts_never_panic::<RoundAgreementState, u64>(&corpus);
     }
@@ -683,13 +764,13 @@ mod tests {
         c.get()
     }
 
-    fn arbitrary_set(g: &mut Gen) -> BTreeSet<u64> {
+    fn arbitrary_set(g: &mut Gen) -> ValueSet {
         let mut set = BTreeSet::from([1, 2, 3]);
         set.corrupt(g);
-        set
+        ValueSet::from_iter(set)
     }
 
-    fn arbitrary_compiled(g: &mut Gen) -> CompiledMsg<BTreeSet<u64>> {
+    fn arbitrary_compiled(g: &mut Gen) -> CompiledMsg<ValueSet> {
         CompiledMsg {
             state_msg: Payload::new(arbitrary_set(g)),
             round: arbitrary_u64(g),
@@ -763,33 +844,37 @@ mod tests {
     }
 
     /// A node steps on what the simulator steps on: for any round with
-    /// late arrivals, the inbox a node builds from its round frame
-    /// (`decode_round_frame`, then `Inbox::new`) iterates, counts and
-    /// answers `from` exactly as the view of the recorded frame.
+    /// forged and late arrivals, the inbox a node views in its decoded
+    /// round frame iterates, counts and answers `from` exactly as the
+    /// view of the recorded frame — over counters and over compiled
+    /// FloodSet messages, with one table reused across the rounds.
     #[test]
     fn node_inbox_is_the_recorded_frames_inbox() {
-        forall(300, |g: &mut Gen| {
-            let (n, dst, history, frame) = random_frame(g, arbitrary_u64);
-            let decoded = decode_round_frame::<u64>(&frame, n).expect("round frame decodes");
-            let envelopes = decoded
-                .into_iter()
-                .map(|(src, m)| Envelope::new(ProcessId(src), Round::FIRST, m));
-            let node = Inbox::new(envelopes.collect());
-            let sim = Inbox::from_deliveries(history.msgs().deliveries(dst));
-            assert_eq!(
-                node.iter().collect::<Vec<_>>(),
-                sim.iter().collect::<Vec<_>>()
-            );
-            assert_eq!(node.len(), sim.len());
-            for p in (0..n).map(ProcessId) {
-                assert_eq!(node.from(p), sim.from(p), "{p}");
-            }
-        });
+        fn check<M: Wire + Clone + PartialEq + Debug>(msg: fn(&mut Gen) -> M) {
+            let table = std::cell::RefCell::new(NodeFrame::default());
+            forall(300, |g: &mut Gen| {
+                let (n, dst, history, frame) = random_frame(g, msg);
+                let mut table = table.borrow_mut();
+                let node = decode_round_frame::<M>(&frame, n, &mut table).expect("decodes");
+                let sim = Inbox::from_deliveries(history.msgs().deliveries(dst));
+                assert_eq!(
+                    node.iter().collect::<Vec<_>>(),
+                    sim.iter().collect::<Vec<_>>()
+                );
+                assert_eq!(node.len(), sim.len());
+                for p in (0..n).map(ProcessId) {
+                    assert_eq!(node.from(p), sim.from(p), "{p}");
+                }
+            });
+        }
+        check(arbitrary_u64);
+        check(arbitrary_compiled);
     }
 
     fn spelled_out<M: Wire + Clone>(frame: &[u8], n: usize) -> Result<Vec<(usize, M)>, String> {
-        let msgs = decode_round_frame::<M>(frame, n)?;
-        Ok(msgs.into_iter().map(|(s, m)| (s, (*m).clone())).collect())
+        let mut decoded = NodeFrame::default();
+        let inbox = decode_round_frame::<M>(frame, n, &mut decoded)?;
+        Ok(inbox.iter().map(|(s, m)| (s.index(), m.clone())).collect())
     }
 
     fn frame_says_what_json_says<M>(msg: fn(&mut Gen) -> M)
@@ -798,11 +883,14 @@ mod tests {
     {
         forall(200, |g: &mut Gen| {
             let (n, frame, json) = random_round(g, msg);
-            let ToNode::Inbox { msgs: want } =
+            let ToNode::Inbox { msgs: mut want } =
                 ToNode::<u64, M>::from_bytes(&json).expect("JSON inbox decodes")
             else {
                 panic!("JSON inbox decoded to another shape");
             };
+            // Inbox order: stably by sender, so a sender's fresh copy
+            // precedes its late ones, which keep their hold order.
+            want.sort_by_key(|&(s, _)| s);
             assert_eq!(
                 spelled_out::<M>(&frame, n).expect("round frame decodes"),
                 want
@@ -811,7 +899,8 @@ mod tests {
     }
 
     /// The bijection: for any round, the round frame decodes to exactly
-    /// the `(sender, message)` sequence the JSON inbox carried.
+    /// the `(sender, message)` sequence the JSON inbox carried, in inbox
+    /// order.
     #[test]
     fn round_frame_decodes_to_the_json_inbox_sequence() {
         frame_says_what_json_says(arbitrary_u64);
@@ -825,22 +914,30 @@ mod tests {
     fn damaged_round_frames_never_panic() {
         forall(40, |g: &mut Gen| {
             let (n, frame, _) = random_round(g, arbitrary_compiled);
-            type M = CompiledMsg<BTreeSet<u64>>;
+            type M = CompiledMsg<ValueSet>;
+            let mut table = NodeFrame::default();
             for cut in 0..frame.len() {
-                assert!(decode_round_frame::<M>(&frame[..cut], n).is_err());
+                assert!(decode_round_frame::<M>(&frame[..cut], n, &mut table).is_err());
             }
+            // An accepted frame's view is read through, as a node would.
+            let mut read = |bytes: &[u8]| {
+                if let Ok(inbox) = decode_round_frame::<M>(bytes, n, &mut table) {
+                    let firsts = (0..n).filter(|&p| inbox.from(ProcessId(p)).is_some());
+                    assert!(inbox.iter().count() == inbox.len() && firsts.count() <= n);
+                }
+            };
             let mut damaged = frame.clone();
             for at in 0..frame.len() {
                 for mask in [0x01, 0x80, 0xFF] {
                     damaged[at] ^= mask;
-                    let _ = decode_round_frame::<M>(&damaged, n);
+                    read(&damaged);
                     damaged[at] ^= mask;
                 }
             }
             let mut noise: Vec<u8> = g.vec(0, 64, |g| g.gen());
-            let _ = decode_round_frame::<M>(&noise, n);
+            read(&noise);
             noise.insert(0, ROUND_FRAME_TAG);
-            let _ = decode_round_frame::<M>(&noise, n);
+            read(&noise);
         });
     }
 
@@ -951,6 +1048,62 @@ mod tests {
         assert!(err.contains("exceeds the bytes remaining"), "{err}");
     }
 
+    /// The round table's entries and index as a scan of every earlier
+    /// entry finds them: the dedup the table's hash lookup replaced.
+    fn table_by_scan<M: Wire>(msgs: &[M]) -> (Vec<u8>, Vec<Option<usize>>) {
+        let (mut entries, mut spans, mut index) = (Vec::new(), Vec::<Range<usize>>::new(), vec![]);
+        for msg in msgs {
+            let start = entries.len();
+            put_section(&mut entries, |out| msg.encode_bin(out));
+            let new = start + 4..entries.len();
+            let known = spans
+                .iter()
+                .position(|old| entries[old.clone()] == entries[new.clone()]);
+            index.push(Some(known.unwrap_or(spans.len())));
+            match known {
+                Some(_) => entries.truncate(start),
+                None => spans.push(new),
+            }
+        }
+        (entries, index)
+    }
+
+    /// At n = 1024 — all distinct, all equal, and a mix that repeats
+    /// some messages far apart — the hashed table holds what the scan
+    /// held, in the same first-seen order, so the frames are the same
+    /// bytes.
+    #[test]
+    fn hashed_table_dedup_matches_the_scan() {
+        const N: usize = 1024;
+        let distinct: Vec<u64> = (0..N as u64).map(|i| i * 0x9E37_79B9).collect();
+        let equal = vec![7u64; N];
+        let mixed: Vec<u64> = (0..N as u64)
+            .map(|i| (i * i) % 97 + (i % 5) * 1000)
+            .collect();
+        let mut table = RoundTable::new(N);
+        for msgs in [&distinct, &equal, &mixed, &distinct] {
+            table.begin_round();
+            for (p, m) in msgs.iter().enumerate() {
+                table.broadcast(ProcessId(p), m);
+            }
+            let (entries, index) = table_by_scan(msgs);
+            assert_eq!(table.entries, entries);
+            assert_eq!(table.index, index);
+        }
+        let compiled: Vec<CompiledMsg<ValueSet>> = (0..N as u64)
+            .map(|i| CompiledMsg {
+                state_msg: Payload::new(ValueSet::from_iter([i % 31, i % 7])),
+                round: i % 3,
+            })
+            .collect();
+        table.begin_round();
+        for (p, m) in compiled.iter().enumerate() {
+            table.broadcast(ProcessId(p), m);
+        }
+        let (entries, index) = table_by_scan(&compiled);
+        assert_eq!((table.entries, table.index), (entries, index));
+    }
+
     /// Sharing: once round agreement has converged every process
     /// broadcasts the same counter, so the table has one entry, a frame
     /// at n = 64 is about a hundred bytes, and what differs between two
@@ -975,13 +1128,12 @@ mod tests {
             })
             .collect();
         let shared = 1 + table.shared.len();
+        let mut decoded = NodeFrame::default();
         for frame in &frames {
             assert!(frame.len() < 128, "{} bytes", frame.len());
             assert_eq!(frame[..shared], frames[0][..shared]);
-            assert_eq!(
-                decode_round_frame::<u64>(frame, N).expect("decodes").len(),
-                N
-            );
+            let inbox = decode_round_frame::<u64>(frame, N, &mut decoded).expect("decodes");
+            assert_eq!(inbox.len(), N);
         }
 
         // The round of a corruption is the other extreme: an entry per

@@ -1,7 +1,7 @@
 //! The wire codec: what crosses a [`Channel`](crate::Channel) as bytes.
 //!
 //! One trait, two forms. Every state and message type the runtime ships
-//! (`u64`, `BTreeSet<u64>`, [`RoundAgreementState`], [`FloodSetState`],
+//! (`u64`, [`ValueSet`], [`RoundAgreementState`], [`FloodSetState`],
 //! [`CompiledState`], [`CompiledMsg`]) implements [`Wire`] in both:
 //!
 //! * the compact **binary** form — little-endian fixed-width integers,
@@ -23,10 +23,9 @@
 
 use ftss::compiler::{CompiledMsg, CompiledState};
 use ftss::core::{Payload, ProcessId, ProcessSet, RoundCounter, MAX_FRAME_LEN};
-use ftss::protocols::floodset::FloodSetState;
+use ftss::protocols::floodset::{FloodSetState, ValueSet};
 use ftss::protocols::RoundAgreementState;
 use ftss::telemetry::JsonValue;
-use std::collections::BTreeSet;
 
 /// A type that can cross the wire, as one JSON value or in the compact
 /// binary form.
@@ -56,6 +55,18 @@ pub trait Wire: Sized {
     ///
     /// Truncated or malformed input — wire bytes are untrusted.
     fn decode_bin(r: &mut Reader<'_>) -> Result<Self, String>;
+
+    /// [`Wire::decode_bin`] over `self`, reusing what `self` allocated
+    /// where the type can: a node decodes each round's messages into the
+    /// previous round's. On an `Err`, `self` holds some value.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wire::decode_bin`].
+    fn decode_bin_into(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        *self = Self::decode_bin(r)?;
+        Ok(())
+    }
 }
 
 /// A bounds-checked cursor over untrusted frame bytes: every read is an
@@ -253,8 +264,12 @@ impl Wire for u64 {
     }
 }
 
-/// JSON: an array. Binary: a count, then the elements ascending.
-impl Wire for BTreeSet<u64> {
+/// JSON: an array. Binary: a count, then the values ascending. The JSON
+/// decoder takes any order and repeats, as a set of the values, since
+/// restart snapshots are JSON and a bit-flipped one must still decode as
+/// it always has; the binary one refuses anything not strictly
+/// ascending, which no encoder writes.
+impl Wire for ValueSet {
     fn encode(&self, out: &mut String) {
         out.push('[');
         for (i, x) in self.iter().enumerate() {
@@ -275,13 +290,26 @@ impl Wire for BTreeSet<u64> {
 
     fn encode_bin(&self, out: &mut Vec<u8>) {
         put_u32(self.len(), out);
-        for x in self {
+        for x in self.iter() {
             out.extend_from_slice(&x.to_le_bytes());
         }
     }
 
     fn decode_bin(r: &mut Reader<'_>) -> Result<Self, String> {
-        (0..r.count(8)?).map(|_| r.u64()).collect()
+        let mut set = ValueSet::new();
+        set.decode_bin_into(r)?;
+        Ok(set)
+    }
+
+    fn decode_bin_into(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        self.clear();
+        for _ in 0..r.count(8)? {
+            let x = r.u64()?;
+            if !self.push_ascending(x) {
+                return Err(format!("set element {x} is not above the one before it"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -325,7 +353,7 @@ impl Wire for FloodSetState {
     }
 
     fn decode(v: &JsonValue) -> Result<Self, String> {
-        let seen = BTreeSet::decode(v.get("seen").ok_or("floodset state: missing `seen`")?)?;
+        let seen = ValueSet::decode(v.get("seen").ok_or("floodset state: missing `seen`")?)?;
         let decided = match v.get("decided") {
             Some(JsonValue::Null) | None => None,
             Some(d) => Some(d.as_u64().ok_or("floodset state: bad `decided`")?),
@@ -339,7 +367,7 @@ impl Wire for FloodSetState {
     }
 
     fn decode_bin(r: &mut Reader<'_>) -> Result<Self, String> {
-        let seen = BTreeSet::decode_bin(r)?;
+        let seen = ValueSet::decode_bin(r)?;
         let decided = r.option(Reader::u64)?;
         Ok(FloodSetState { seen, decided })
     }
@@ -403,14 +431,22 @@ fn encode_process_set_bin(set: &ProcessSet, out: &mut Vec<u8>) {
 }
 
 /// The inverse of [`encode_process_set_bin`]: the universe and every
-/// member are checked before the set is allocated.
+/// member — inside it, and above the one before — are checked before the
+/// set is allocated.
 fn decode_process_set_bin(r: &mut Reader<'_>) -> Result<ProcessSet, String> {
     let n = check_universe(r.u32()? as u64)?;
     let count = r.count(4)?;
     let members = r.take(count * 4)?;
     let member = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("chunks of 4"));
+    let mut floor = None;
     for c in members.chunks_exact(4) {
-        check_member(u64::from(member(c)), n)?;
+        let m = check_member(u64::from(member(c)), n)?.index();
+        if floor.is_some_and(|f| m <= f) {
+            return Err(format!(
+                "process set: member {m} is not above the one before it"
+            ));
+        }
+        floor = Some(m);
     }
     let ids = members
         .chunks_exact(4)
@@ -529,6 +565,17 @@ impl<M: Wire> Wire for CompiledMsg<M> {
             round,
         })
     }
+
+    fn decode_bin_into(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        self.round = r.u64()?;
+        match self.state_msg.get_mut() {
+            Some(msg) => msg.decode_bin_into(r),
+            None => {
+                self.state_msg = Payload::new(M::decode_bin(r)?);
+                Ok(())
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -538,6 +585,7 @@ mod tests {
     use ftss::telemetry::parse_json;
     use ftss_rng::check::{forall, Gen};
     use ftss_rng::Rng;
+    use std::collections::BTreeSet;
     use std::fmt::Debug;
 
     fn round_trip<T: Wire + PartialEq + Debug>(x: &T) {
@@ -564,21 +612,21 @@ mod tests {
     #[test]
     fn concrete_states_round_trip() {
         round_trip_both(&7u64);
-        round_trip_both(&BTreeSet::from([1u64, 5, 9]));
+        round_trip_both(&ValueSet::from_iter([1, 5, 9]));
         round_trip_both(&RoundAgreementState {
             c: RoundCounter::new(42),
         });
         round_trip_both(&FloodSetState {
-            seen: BTreeSet::from([3u64, 4]),
+            seen: ValueSet::from_iter([3, 4]),
             decided: Some(3),
         });
         round_trip_both(&FloodSetState {
-            seen: BTreeSet::new(),
+            seen: ValueSet::new(),
             decided: None,
         });
         let cs: CompiledState<FloodSetState, u64> = CompiledState {
             inner: FloodSetState {
-                seen: BTreeSet::from([8u64]),
+                seen: ValueSet::from_iter([8]),
                 decided: None,
             },
             c: RoundCounter::new(3),
@@ -587,7 +635,7 @@ mod tests {
         };
         round_trip_both(&cs);
         round_trip_both(&CompiledMsg {
-            state_msg: Payload::new(BTreeSet::from([1u64, 2])),
+            state_msg: Payload::new(ValueSet::from_iter([1, 2])),
             round: 9,
         });
     }
@@ -604,7 +652,7 @@ mod tests {
             ra.corrupt(g);
             round_trip_both(&ra);
             let mut fs = FloodSetState {
-                seen: BTreeSet::new(),
+                seen: ValueSet::new(),
                 decided: None,
             };
             fs.corrupt(g);
@@ -635,10 +683,11 @@ mod tests {
     #[test]
     fn messages_round_trip_in_binary() {
         round_trip_both(&u64::MAX);
-        round_trip_both(&BTreeSet::<u64>::new());
+        round_trip_both(&ValueSet::new());
         forall(64, |g: &mut Gen| {
             let mut set = BTreeSet::from([g.gen::<u64>()]);
             set.corrupt(g);
+            let set = ValueSet::from_iter(set);
             round_trip_both(&g.gen::<u64>());
             round_trip_both(&set);
             round_trip_both(&CompiledMsg {
@@ -677,7 +726,7 @@ mod tests {
     #[test]
     fn binary_layout_is_canonical() {
         let mut bytes = Vec::new();
-        BTreeSet::from([2u64, 1]).encode_bin(&mut bytes);
+        ValueSet::from_iter([2, 1]).encode_bin(&mut bytes);
         let (count, one, two) = (2u32.to_le_bytes(), 1u64.to_le_bytes(), 2u64.to_le_bytes());
         assert_eq!(bytes, [&count[..], &one, &two].concat());
 
@@ -702,30 +751,48 @@ mod tests {
 
     /// The binary decoder refuses what no encoder writes: an option tag
     /// other than 0/1, a member outside the universe, a member count the
-    /// bytes cannot hold — the last two before the set is allocated. (A
+    /// bytes cannot hold — the last two before the set is allocated — and
+    /// a set that is not strictly ascending. (A
     /// universe larger than any frame: `proto`'s `bcast` tests.)
     #[test]
     fn binary_decode_rejects_malformed_values() {
         type Cs = CompiledState<RoundAgreementState, u64>;
         let decode = |bytes: &[u8]| Cs::decode_bin(&mut Reader::new(bytes));
         let head = [1u64.to_le_bytes(), 2u64.to_le_bytes()].concat();
-        let set = |n: u32, members: &[u32]| {
+        let set_of = |n: u32, members: &[u32]| {
             let mut out = n.to_le_bytes().to_vec();
             out.extend((members.len() as u32).to_le_bytes());
             members.iter().for_each(|m| out.extend(m.to_le_bytes()));
             out
         };
-        let ok = [&head[..], &set(4, &[1]), &[0]].concat();
+        let ok = [&head[..], &set_of(4, &[1]), &[0]].concat();
         assert!(decode(&ok).is_ok());
-        let err = decode(&[&head[..], &set(4, &[1]), &[2]].concat()).expect_err("tag 2");
+        let err = decode(&[&head[..], &set_of(4, &[1]), &[2]].concat()).expect_err("tag 2");
         assert!(err.contains("option tag 2"), "{err}");
-        let err = decode(&[&head[..], &set(4, &[4]), &[0]].concat()).expect_err("member 4");
+        let err = decode(&[&head[..], &set_of(4, &[4]), &[0]].concat()).expect_err("member 4");
         assert!(err.contains("member 4 outside universe 4"), "{err}");
         let greedy = [&head[..], &8u32.to_le_bytes(), &u32::MAX.to_le_bytes()].concat();
         let err = decode(&greedy).expect_err("huge count");
         assert!(err.contains("exceeds the bytes remaining"), "{err}");
         let err = FloodSetState::decode_bin(&mut Reader::new(&[0, 0, 0, 0, 7])).expect_err("tag 7");
         assert!(err.contains("option tag 7"), "{err}");
+        // Sets are strictly ascending on the binary path: no repeated
+        // value, no descending pair, no member listed twice.
+        let values = |xs: &[u64]| {
+            let mut out = (xs.len() as u32).to_le_bytes().to_vec();
+            xs.iter().for_each(|x| out.extend(x.to_le_bytes()));
+            out
+        };
+        let set = |bytes: &[u8]| ValueSet::decode_bin(&mut Reader::new(bytes));
+        assert_eq!(set(&values(&[1, 5])), Ok(ValueSet::from_iter([1, 5])));
+        let err = set(&values(&[1, 5, 5])).expect_err("repeated value");
+        assert!(err.contains("set element 5 is not above"), "{err}");
+        let err = set(&values(&[5, 1])).expect_err("descending pair");
+        assert!(err.contains("set element 1 is not above"), "{err}");
+        let err = decode(&[&head[..], &set_of(4, &[1, 1]), &[0]].concat()).expect_err("twice");
+        assert!(err.contains("member 1 is not above"), "{err}");
+        let err = decode(&[&head[..], &set_of(4, &[3, 2]), &[0]].concat()).expect_err("descending");
+        assert!(err.contains("member 2 is not above"), "{err}");
     }
 
     /// The reader refuses what the bytes cannot hold, before any of it
@@ -737,7 +804,7 @@ mod tests {
         let err = r.count(8).expect_err("3 items of 8 in 8 bytes");
         assert!(err.contains("exceeds the bytes remaining"), "{err}");
         assert_eq!(Reader::new(&bytes).count(2), Ok(3));
-        assert!(BTreeSet::<u64>::decode_bin(&mut Reader::new(&bytes)).is_err());
+        assert!(ValueSet::decode_bin(&mut Reader::new(&bytes)).is_err());
         let mut r = Reader::new(&bytes[..3]);
         assert!(r.u32().is_err() && r.u64().is_err());
         assert_eq!(r.take(3), Ok(&bytes[..3]));

@@ -68,7 +68,7 @@ pub use adversary::{
     Adversary, ByzantineAdversary, CrashOnly, GroupPartition, Lateness, NoFaults, OmissionSide,
     RandomOmission, ScriptedOmission, SilentProcess, StormAdversary, TapeOmission,
 };
-pub use protocol::{Inbox, ProtocolCtx, SyncProtocol};
+pub use protocol::{Inbox, InboxTable, ProtocolCtx, SyncProtocol};
 pub use round::{Exchange, RoundKernel};
 pub use runner::{Corruption, CorruptionSchedule, RunConfig, RunOutcome, SyncRunner};
 pub use stepper::SyncStepper;

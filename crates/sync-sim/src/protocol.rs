@@ -6,9 +6,8 @@
 //! it received. [`SyncProtocol`] mirrors this exactly with
 //! [`SyncProtocol::broadcast`] and [`SyncProtocol::step`].
 
-use ftss_core::{DeliveredIter, Deliveries, Envelope, Payload, ProcessId, RoundCounter};
+use ftss_core::{DeliveredIter, Deliveries, Envelope, ProcessId, ProcessSet, RoundCounter};
 use std::fmt;
-use std::iter::Peekable;
 
 /// Static facts a process knows about its system: its own identity and the
 /// total number of processes. The *actual round number is deliberately
@@ -43,11 +42,20 @@ impl ProtocolCtx {
 /// (paper footnote 1), so `from(ctx.me)` is always `Some` at an alive
 /// process.
 ///
-/// An inbox either owns its envelopes ([`Inbox::new`]) or views one
-/// receiver's deliveries in the round's frame
-/// ([`Inbox::from_deliveries`]) — the view form is what the simulator hot
-/// loop hands each process: no envelopes exist at all, just delivery bits
-/// plus one shared payload per sender, and the frame's late arrivals.
+/// An inbox owns its envelopes ([`Inbox::new`], for hand-built rounds)
+/// or views them where they lie, with no envelope built:
+///
+/// * one receiver's deliveries in the round's frame
+///   ([`Inbox::from_deliveries`]) — what the simulator hands each
+///   process: delivery bits plus one shared payload per sender, and the
+///   frame's late arrivals;
+/// * a served node's decoded round frame ([`Inbox::from_table`]): the
+///   round's distinct messages once each, and per sender which one;
+/// * another inbox under a sender mask and a projection
+///   ([`Inbox::masked`]) — the compiled step's inbox for Π.
+///
+/// The views share one reader of inbox order: heard senders ascending,
+/// each with its fresh copy, and the late copies merged in by sender.
 #[derive(Clone, Debug)]
 pub struct Inbox<'a, M> {
     storage: Storage<'a, M>,
@@ -57,6 +65,8 @@ pub struct Inbox<'a, M> {
 enum Storage<'a, M> {
     Owned(Vec<Envelope<M>>),
     View(Deliveries<'a, M>),
+    Table(&'a InboxTable<M>),
+    Masked(&'a dyn Frame<M>),
 }
 
 impl<'a, M> Inbox<'a, M> {
@@ -78,6 +88,41 @@ impl<'a, M> Inbox<'a, M> {
         }
     }
 
+    /// Views one receiver's round as a table of distinct messages: each
+    /// heard sender's forged copy or entry, with the late copies merged
+    /// in inbox order exactly as [`Inbox::from_deliveries`] merges them.
+    ///
+    /// # Panics
+    ///
+    /// Reading the inbox panics if `table` breaks an invariant
+    /// [`InboxTable`] states.
+    pub fn from_table(table: &'a InboxTable<M>) -> Self {
+        Inbox {
+            storage: Storage::Table(table),
+        }
+    }
+
+    /// Runs `f` on this inbox as another protocol's inbox: each copy
+    /// projected by `project`, and every copy from a sender in `hidden`
+    /// withheld. Nothing is copied — the view reads this inbox in place —
+    /// so it costs no allocation, and it iterates, counts and answers
+    /// `from` as an owned inbox of the kept copies, projected, would.
+    pub fn masked<N, R>(
+        &self,
+        hidden: Option<&ProcessSet>,
+        project: impl Fn(&M) -> &N,
+        f: impl FnOnce(&Inbox<'_, N>) -> R,
+    ) -> R {
+        let frame = Masked {
+            inbox: self,
+            hidden: hidden.map_or(&[][..], ProcessSet::words),
+            project,
+        };
+        f(&Inbox {
+            storage: Storage::Masked(&frame),
+        })
+    }
+
     /// The first copy from `p` in inbox order: the fresh copy if one
     /// arrived this round, else the earliest-held late one.
     pub fn from(&self, p: ProcessId) -> Option<&M> {
@@ -86,29 +131,25 @@ impl<'a, M> Inbox<'a, M> {
                 let first = v.partition_point(|e| e.src < p);
                 v.get(first).filter(|e| e.src == p).map(|e| &*e.payload)
             }
-            Storage::View(d) => d
-                .get(p)
-                .or_else(|| d.late().find(|&(src, _)| src == p).map(|(_, m)| m))
-                .map(|payload| &**payload),
+            Storage::View(d) => match d.get(p) {
+                Some(fresh) => Some(fresh),
+                None => first_copy(d, p),
+            },
+            Storage::Table(t) => first_copy(*t, p),
+            Storage::Masked(m) => first_copy(*m, p),
         }
     }
 
     /// Iterates `(sender, payload)` in inbox order.
     pub fn iter(&self) -> InboxIter<'_, M> {
-        InboxIter {
-            inner: match &self.storage {
-                Storage::Owned(v) => InboxIterInner::Slice(v.iter()),
-                Storage::View(d) => match d.late().map(|(src, _)| src).min() {
-                    None => InboxIterInner::View(d.iter()),
-                    next_late => InboxIterInner::Merged(Merged {
-                        fresh: d.iter().peekable(),
-                        deliveries: *d,
-                        next_late,
-                        run: None,
-                    }),
-                },
-            },
-        }
+        let inner = match &self.storage {
+            Storage::Owned(v) => InboxIterInner::Slice(v.iter()),
+            Storage::View(d) if d.late().next().is_none() => InboxIterInner::View(d.iter()),
+            Storage::View(d) => InboxIterInner::Late(FrameIter::new(d)),
+            Storage::Table(t) => InboxIterInner::Table(FrameIter::new(*t)),
+            Storage::Masked(m) => InboxIterInner::Masked(FrameIter::new(*m)),
+        };
+        InboxIter { inner }
     }
 
     /// The senders heard from this round, in order (a sender with late
@@ -122,6 +163,8 @@ impl<'a, M> Inbox<'a, M> {
         match &self.storage {
             Storage::Owned(v) => v.len(),
             Storage::View(d) => d.len() + d.late().count(),
+            Storage::Table(t) => copies(*t),
+            Storage::Masked(m) => copies(*m),
         }
     }
 
@@ -146,6 +189,273 @@ impl<'a, M> Inbox<'a, M> {
             protocol.join(&mut acc, m);
         }
         Some(acc)
+    }
+}
+
+/// One receiver's round as a table of distinct messages — the shape a
+/// served node decodes its round frame into. [`Inbox::from_table`] views
+/// it.
+///
+/// The view relies on what the frame's decoder checks: every heard sender
+/// is below `cells.len()` and is named in `forged` or indexes an entry,
+/// and `forged` is ascending and names heard senders only.
+#[derive(Clone, Debug)]
+pub struct InboxTable<M> {
+    /// The round's distinct broadcasts.
+    pub entries: Vec<M>,
+    /// Per sender, its entry in `entries`; out of range for a silent one.
+    pub cells: Vec<u32>,
+    /// The senders heard from: bit `s % 64` of word `s / 64`.
+    pub heard: Vec<u64>,
+    /// Copies that replace their sender's entry for this receiver,
+    /// ascending by sender.
+    pub forged: Vec<(ProcessId, M)>,
+    /// Copies sent in earlier rounds that arrive in this one, in hold
+    /// order.
+    pub late: Vec<(ProcessId, M)>,
+}
+
+impl<M> Default for InboxTable<M> {
+    fn default() -> Self {
+        InboxTable {
+            entries: Vec::new(),
+            cells: Vec::new(),
+            heard: Vec::new(),
+            forged: Vec::new(),
+            late: Vec::new(),
+        }
+    }
+}
+
+/// A round's copies the way a frame holds them: a fresh copy from each
+/// heard sender, and late copies in hold order. Every inbox is one, and
+/// [`FrameIter`] reads any of them in inbox
+/// order — a masked inbox through `dyn`, since its frame's message type
+/// is not its own.
+trait Frame<M> {
+    /// Word `k` of the heard senders — bit `s % 64` of word `s / 64` is
+    /// set iff a fresh copy from `s` arrived — or `None` past the last.
+    fn heard_word(&self, k: usize) -> Option<u64>;
+
+    /// The fresh copy from `s`, a heard sender.
+    fn fresh(&self, s: ProcessId) -> Option<&M>;
+
+    /// The `i`-th late copy, in hold order.
+    fn late(&self, i: usize) -> Option<(ProcessId, &M)>;
+}
+
+impl<M> fmt::Debug for dyn Frame<M> + '_ {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Frame")
+    }
+}
+
+/// The first copy from `p` in inbox order.
+fn first_copy<M, F: Frame<M> + ?Sized>(frame: &F, p: ProcessId) -> Option<&M> {
+    let (k, bit) = (p.index() / 64, p.index() % 64);
+    if frame.heard_word(k).is_some_and(|w| w >> bit & 1 == 1) {
+        return frame.fresh(p);
+    }
+    (0..)
+        .map_while(|i| frame.late(i))
+        .find(|c| c.0 == p)
+        .map(|c| c.1)
+}
+
+/// How many copies `frame` holds, late ones included.
+fn copies<M, F: Frame<M> + ?Sized>(frame: &F) -> usize {
+    let heard = (0..).map_while(|k| frame.heard_word(k));
+    let fresh: u32 = heard.map(u64::count_ones).sum();
+    fresh as usize + (0..).map_while(|i| frame.late(i)).count()
+}
+
+impl<M> Frame<M> for InboxTable<M> {
+    fn heard_word(&self, k: usize) -> Option<u64> {
+        self.heard.get(k).copied()
+    }
+
+    fn fresh(&self, s: ProcessId) -> Option<&M> {
+        Some(match self.forged.binary_search_by_key(&s, |&(q, _)| q) {
+            Ok(i) => &self.forged[i].1,
+            Err(_) => &self.entries[self.cells[s.index()] as usize],
+        })
+    }
+
+    fn late(&self, i: usize) -> Option<(ProcessId, &M)> {
+        self.late.get(i).map(|(src, m)| (*src, m))
+    }
+}
+
+impl<M> Frame<M> for Deliveries<'_, M> {
+    fn heard_word(&self, k: usize) -> Option<u64> {
+        self.heard_words().nth(k)
+    }
+
+    fn fresh(&self, s: ProcessId) -> Option<&M> {
+        self.get(s).map(|m| &**m)
+    }
+
+    fn late(&self, i: usize) -> Option<(ProcessId, &M)> {
+        Deliveries::late(self).nth(i).map(|(src, m)| (src, &**m))
+    }
+}
+
+/// An owned inbox as a frame: each sender's first envelope is its fresh
+/// copy, and the others are late ones, in inbox order.
+impl<M> Frame<M> for Inbox<'_, M> {
+    fn heard_word(&self, k: usize) -> Option<u64> {
+        match &self.storage {
+            Storage::Owned(v) => {
+                let last = v.last().map_or(0, |e| e.src.index() / 64);
+                let senders = v.iter().map(|e| e.src.index()).filter(|s| s / 64 == k);
+                (k <= last).then(|| senders.fold(0, |w, s| w | 1 << (s % 64)))
+            }
+            Storage::View(d) => d.heard_word(k),
+            Storage::Table(t) => t.heard_word(k),
+            Storage::Masked(m) => m.heard_word(k),
+        }
+    }
+
+    fn fresh(&self, s: ProcessId) -> Option<&M> {
+        match &self.storage {
+            Storage::Owned(_) => self.from(s),
+            Storage::View(d) => d.fresh(s),
+            Storage::Table(t) => t.fresh(s),
+            Storage::Masked(m) => m.fresh(s),
+        }
+    }
+
+    fn late(&self, i: usize) -> Option<(ProcessId, &M)> {
+        match &self.storage {
+            Storage::Owned(v) => {
+                let later = v
+                    .iter()
+                    .enumerate()
+                    .filter(|&(at, e)| at > 0 && v[at - 1].src == e.src);
+                later.map(|(_, e)| (e.src, &*e.payload)).nth(i)
+            }
+            Storage::View(d) => Frame::late(d, i),
+            Storage::Table(t) => t.late(i),
+            Storage::Masked(m) => m.late(i),
+        }
+    }
+}
+
+/// Another inbox's frame, its copies from `hidden` senders withheld and
+/// the rest projected ([`Inbox::masked`]).
+struct Masked<'a, 'b, N, P> {
+    inbox: &'a Inbox<'b, N>,
+    /// The withheld senders, as words.
+    hidden: &'a [u64],
+    project: P,
+}
+
+impl<M, N, P: Fn(&N) -> &M> Frame<M> for Masked<'_, '_, N, P> {
+    fn heard_word(&self, k: usize) -> Option<u64> {
+        let hidden = self.hidden.get(k).copied().unwrap_or(0);
+        self.inbox.heard_word(k).map(|w| w & !hidden)
+    }
+
+    fn fresh(&self, s: ProcessId) -> Option<&M> {
+        self.inbox.fresh(s).map(&self.project)
+    }
+
+    fn late(&self, i: usize) -> Option<(ProcessId, &M)> {
+        let frame = self.inbox;
+        let hidden = |s: ProcessId| {
+            self.hidden
+                .get(s.index() / 64)
+                .is_some_and(|w| w >> (s.index() % 64) & 1 == 1)
+        };
+        let kept = (0..).map_while(|j| frame.late(j)).filter(|c| !hidden(c.0));
+        kept.map(|(src, m)| (src, (self.project)(m))).nth(i)
+    }
+}
+
+/// A frame in inbox order: heard senders ascending, each with its fresh
+/// copy, a sender's late copies (in hold order) right after it. Nothing
+/// is buffered: the late copies are rescanned once per late copy, which
+/// is nothing in a round without late arrivals.
+#[derive(Debug)]
+struct FrameIter<'a, M, F: ?Sized> {
+    frame: &'a F,
+    /// The heard word to load next, and the bits of the last one loaded
+    /// not yet yielded.
+    word: usize,
+    bits: u64,
+    /// The smallest sender with a late copy not yet yielded.
+    next_late: Option<ProcessId>,
+    /// The sender whose late copies are being yielded, and where in hold
+    /// order to look for its next one.
+    run: Option<(ProcessId, usize)>,
+    _msg: std::marker::PhantomData<fn() -> M>,
+}
+
+impl<M, F: ?Sized> Clone for FrameIter<'_, M, F> {
+    fn clone(&self) -> Self {
+        FrameIter { ..*self }
+    }
+}
+
+impl<'a, M, F: Frame<M> + ?Sized> FrameIter<'a, M, F> {
+    fn new(frame: &'a F) -> Self {
+        FrameIter {
+            frame,
+            word: 0,
+            bits: 0,
+            next_late: (0..).map_while(|i| frame.late(i)).map(|c| c.0).min(),
+            run: None,
+            _msg: std::marker::PhantomData,
+        }
+    }
+
+    /// The next heard sender, not yet taken.
+    fn peek_fresh(&mut self) -> Option<ProcessId> {
+        while self.bits == 0 {
+            self.bits = self.frame.heard_word(self.word)?;
+            self.word += 1;
+        }
+        Some(ProcessId(
+            (self.word - 1) * 64 + self.bits.trailing_zeros() as usize,
+        ))
+    }
+
+    /// Takes the next heard sender and its fresh copy.
+    fn next_fresh(&mut self) -> Option<(ProcessId, &'a M)> {
+        loop {
+            let s = self.peek_fresh()?;
+            self.bits &= self.bits - 1;
+            if let Some(m) = self.frame.fresh(s) {
+                return Some((s, m));
+            }
+        }
+    }
+}
+
+impl<'a, M: 'a, F: Frame<M> + ?Sized> Iterator for FrameIter<'a, M, F> {
+    type Item = (ProcessId, &'a M);
+
+    fn next(&mut self) -> Option<(ProcessId, &'a M)> {
+        if self.next_late.is_none() && self.run.is_none() {
+            return self.next_fresh();
+        }
+        if let Some((s, from)) = self.run.take() {
+            let mut rest = (from..).map_while(|i| Some((i, self.frame.late(i)?)));
+            if let Some((i, copy)) = rest.find(|(_, c)| c.0 == s) {
+                self.run = Some((s, i + 1));
+                return Some(copy);
+            }
+            let later = (0..).map_while(|i| self.frame.late(i)).map(|c| c.0);
+            self.next_late = later.filter(|&src| src > s).min();
+        }
+        let fresh = self.peek_fresh();
+        // A sender's fresh copy goes first: its late ones start a run
+        // once the fresh copies have moved past it.
+        if let Some(l) = self.next_late.filter(|&l| fresh.is_none_or(|f| l < f)) {
+            self.run = Some((l, 0));
+            return self.next();
+        }
+        self.next_fresh()
     }
 }
 
@@ -178,8 +488,11 @@ pub struct InboxIter<'a, M> {
 #[derive(Clone, Debug)]
 enum InboxIterInner<'a, M> {
     Slice(std::slice::Iter<'a, Envelope<M>>),
+    /// A frame view without late arrivals: its delivered row.
     View(DeliveredIter<'a, M>),
-    Merged(Merged<'a, M>),
+    Late(FrameIter<'a, M, Deliveries<'a, M>>),
+    Table(FrameIter<'a, M, InboxTable<M>>),
+    Masked(FrameIter<'a, M, dyn Frame<M> + 'a>),
 }
 
 impl<'a, M> Iterator for InboxIter<'a, M> {
@@ -189,46 +502,10 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
         match &mut self.inner {
             InboxIterInner::Slice(it) => it.next().map(|e| (e.src, &*e.payload)),
             InboxIterInner::View(it) => it.next().map(|(p, payload)| (p, &**payload)),
-            InboxIterInner::Merged(it) => it.next().map(|(p, payload)| (p, &**payload)),
+            InboxIterInner::Late(it) => it.next(),
+            InboxIterInner::Table(it) => it.next(),
+            InboxIterInner::Masked(it) => it.next(),
         }
-    }
-}
-
-/// A receiver's fresh deliveries with its late arrivals merged in, in
-/// inbox order, without buffering: the receiver's late arrivals are
-/// rescanned once per late copy.
-#[derive(Clone, Debug)]
-struct Merged<'a, M> {
-    fresh: Peekable<DeliveredIter<'a, M>>,
-    deliveries: Deliveries<'a, M>,
-    /// The smallest sender with a late copy not yet yielded.
-    next_late: Option<ProcessId>,
-    /// The sender whose late copies are being yielded, and how many of
-    /// them were.
-    run: Option<(ProcessId, usize)>,
-}
-
-impl<'a, M> Iterator for Merged<'a, M> {
-    type Item = (ProcessId, &'a Payload<M>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some((s, k)) = self.run.take() {
-            let mut from_s = self.deliveries.late().filter(|&(src, _)| src == s);
-            if let Some(copy) = from_s.nth(k) {
-                self.run = Some((s, k + 1));
-                return Some(copy);
-            }
-            let later = self.deliveries.late().map(|(src, _)| src);
-            self.next_late = later.filter(|&src| src > s).min();
-        }
-        let fresh = self.fresh.peek().map(|&(src, _)| src);
-        // A sender's fresh copy goes first: its late ones start a run
-        // once the fresh row has moved past it.
-        if let Some(l) = self.next_late.filter(|&l| fresh.is_none_or(|f| l < f)) {
-            self.run = Some((l, 0));
-            return self.next();
-        }
-        self.fresh.next()
     }
 }
 
@@ -336,7 +613,7 @@ pub trait SyncProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftss_core::Round;
+    use ftss_core::{Payload, Round};
 
     #[test]
     fn inbox_lookup_and_order() {
@@ -426,6 +703,72 @@ mod tests {
             assert_eq!(view.from(p), owned.from(p), "{p}");
         }
         assert_eq!(view.from(ProcessId(2)), Some(&"q"));
+    }
+
+    /// A masked inbox is the owned inbox of the copies it keeps,
+    /// projected: over a frame view with forged and late copies, over an
+    /// owned inbox, and masked twice — iteration, `len` and `from`.
+    #[test]
+    fn masked_view_is_the_owned_inbox_of_the_kept_copies() {
+        use ftss_core::RoundHistory;
+        use ftss_rng::check::{forall, Gen};
+        use ftss_rng::Rng;
+        fn same<M: PartialEq + fmt::Debug>(view: &Inbox<M>, owned: &Inbox<M>, n: usize) {
+            assert_eq!(
+                view.iter().collect::<Vec<_>>(),
+                owned.iter().collect::<Vec<_>>()
+            );
+            assert_eq!(view.len(), owned.len());
+            for p in (0..n + 2).map(ProcessId) {
+                assert_eq!(view.from(p), owned.from(p), "{p}");
+            }
+        }
+        fn kept<M: Clone>(inbox: &Inbox<(u64, M)>, hidden: &ProcessSet) -> Inbox<'static, M> {
+            let copies = inbox.iter().filter(|(q, _)| !hidden.contains(*q));
+            let copies = copies.map(|(q, m)| Envelope::new(q, Round::FIRST, m.1.clone()));
+            Inbox::new(copies.collect())
+        }
+        fn second(m: &(u64, u64)) -> &u64 {
+            &m.1
+        }
+        fn itself(m: &(u64, u64)) -> &(u64, u64) {
+            m
+        }
+        forall(300, |g: &mut Gen| {
+            let (n, me) = (g.gen_range(1..=70usize), ProcessId(0));
+            let mut frame = RoundHistory::<(), (u64, u64)>::empty(n);
+            for p in (0..n).map(ProcessId) {
+                frame.set_broadcast(p, Payload::new((g.gen(), g.gen_range(0..9))));
+                match g.gen_range(0..6u32) {
+                    0 => {}
+                    1 => frame.record_forged(p, me, Payload::new((g.gen(), g.gen_range(0..9)))),
+                    _ => frame.record_delivery(me, p),
+                }
+            }
+            for _ in 0..g.gen_range(0..5usize) {
+                let from = ProcessId(g.gen_range(0..n));
+                frame.record_late(from, me, Payload::new((g.gen(), g.gen_range(0..9))));
+            }
+            let hidden =
+                ProcessSet::from_iter_n(n, (0..n).filter(|_| g.gen_bool(0.3)).map(ProcessId));
+            let view = Inbox::from_deliveries(frame.msgs().deliveries(me));
+            let copies = view.iter().map(|(q, m)| Envelope::new(q, Round::FIRST, *m));
+            let owned = Inbox::new(copies.collect());
+            for inbox in [&view, &owned] {
+                let want = kept(inbox, &hidden);
+                inbox.masked(Some(&hidden), second, |masked| same(masked, &want, n));
+                let none = ProcessSet::empty(n);
+                inbox.masked(None, second, |masked| same(masked, &kept(inbox, &none), n));
+                // Masked twice: the first mask's survivors, masked again.
+                let again = ProcessSet::from_iter_n(n, (0..n).step_by(3).map(ProcessId));
+                let both = hidden.union(&again);
+                inbox.masked(Some(&hidden), itself, |once| {
+                    once.masked(Some(&again), second, |twice| {
+                        same(twice, &kept(inbox, &both), n);
+                    });
+                });
+            }
+        });
     }
 
     #[test]

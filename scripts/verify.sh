@@ -158,6 +158,16 @@ if ! grep -qF "fn deliver(&mut self, p: ProcessId, inbox: Deliveries<'_, M>) -> 
     exit 1
 fi
 call_sites 0 'Inbox::new\(' crates/sync-sim/src
+# A served node steps on its round frame in place (DESIGN.md §13): it
+# decodes the frame's table once into storage it keeps, in one decoder,
+# and steps on a view of it; the compiled step hands Π a masked view of
+# its own inbox (§16). No owned inbox, and no envelope list in the node.
+call_sites 0 'Inbox::new\(' crates/serve/src crates/compiler/src
+call_sites 1 'decode_round_frame\(' crates/serve/src
+if grep -n 'Vec<Envelope' crates/serve/src/node.rs; then
+    echo "ERROR: the node builds an envelope list again (see above)" >&2
+    exit 1
+fi
 # `check_edge` judges a graph node's edges once per effect class inside
 # `for_each_edge`; a second call site is a second edge walk beside it.
 # The class walk steps each distinct inbox once, one process at a time
